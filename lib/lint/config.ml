@@ -34,6 +34,7 @@ type t = {
   critical_sections : (string * string) list;
   dead_export_dirs : string list;
   dead_export_ref_dirs : string list;
+  externals_allowed : (string * string) list;
 }
 
 (* The module-access matrix behind rule A001.  Each entry names module
@@ -190,6 +191,17 @@ let default_critical_sections =
     ("Policy_tree.commit_manifest", "manifest-commit critical section");
   ]
 
+(* Rule F001: the effect analysis stops at an [external] — it cannot
+   see into C — so a foreign function is only admissible once someone
+   has vetted it against every effect bit.  Compilation units (wrapper
+   path) whose [external]s are vetted, each with the reason. *)
+let default_externals_allowed =
+  [
+    ( "Repro_util.Crc32c",
+      "pure, non-allocating, no I/O: the CRC32C kernel reads only the \
+       OCaml-bounds-checked slice it is handed" );
+  ]
+
 let default =
   {
     scan_dirs = [ "lib"; "bin"; "bench"; "tools" ];
@@ -207,4 +219,5 @@ let default =
     critical_sections = default_critical_sections;
     dead_export_dirs = [ "lib" ];
     dead_export_ref_dirs = [ "lib"; "bin"; "bench"; "tools"; "test"; "examples" ];
+    externals_allowed = default_externals_allowed;
   }

@@ -74,6 +74,10 @@ type t = {
       (** directories scanned for references when deciding U001 (a
           superset of [scan_dirs]: tests and examples keep an export
           alive) *)
+  externals_allowed : (string * string) list;
+      (** rule F001: compilation units, by wrapper path (e.g.
+          ["Repro_util.Crc32c"]), that may declare [external]s, with the
+          reason each is safe to leave opaque to the effect analysis *)
 }
 
 (** The policy for this repository: scan [lib/], [bin/], [bench/],
@@ -81,5 +85,5 @@ type t = {
     [lib/simdisk]; [Unix] restricted to [bench]/[bin]/[tools]; [.mli]
     required for every [lib/] module except [*_intf]; engine surfaces,
     protocol boundaries and critical sections as documented in
-    DESIGN.md §15. *)
+    DESIGN.md §15; [external]s only in [Repro_util.Crc32c]. *)
 val default : t

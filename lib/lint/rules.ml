@@ -13,6 +13,8 @@
    A002  peer isolation: replication code reaches peer state only as
          Repl_msg frames through the Simnet endpoint (no direct
          Repl_server / Pagestore.Wal access outside lib/simnet)
+   F001  no [external] outside the vetted units of
+         Config.externals_allowed (the effect analysis cannot see into C)
 
    (S001, the .mli presence check, lives in {!Runner} — it is a property
    of the file set, not of one AST.)
@@ -288,6 +290,35 @@ let check_a002 ctx loc path =
              (dotted path) ctx.file rule.peer_why))
     ctx.config.peer_rules
 
+(* ---------------------------------------------------------------- *)
+(* F001: foreign functions outside the vetted units *)
+
+(* The unit's wrapper path: [lib/util/crc32c.ml] is [Repro_util.Crc32c];
+   a unit outside any wrapped library is just its module name. *)
+let unit_path ctx =
+  let m =
+    String.capitalize_ascii
+      (Filename.remove_extension (Filename.basename ctx.file))
+  in
+  let dir = Filename.dirname ctx.file in
+  match
+    List.find_opt (fun (_, d) -> String.equal d dir) ctx.config.library_wrappers
+  with
+  | Some (wrapper, _) -> wrapper ^ "." ^ m
+  | None -> m
+
+let check_f001 ctx (vd : value_description) =
+  if vd.pval_prim <> [] then
+    let unit = unit_path ctx in
+    if not (List.mem_assoc unit ctx.config.externals_allowed) then
+      report ctx vd.pval_loc "F001"
+        (Printf.sprintf
+           "external %s in %s: the effect analysis cannot see into C, so \
+            its nondeterminism, I/O, mutation and raises are invisible to \
+            D003/E001/C003/Y001 — vet it and add %s to \
+            Lint.Config.externals_allowed with a rationale"
+           vd.pval_name.txt unit unit)
+
 (* Every rule that looks at a dotted identifier path. *)
 let check_path ctx loc path =
   check_d001 ctx loc path;
@@ -340,6 +371,11 @@ let make_iterator ctx =
     with_allows ctx vb.pvb_attributes (fun () ->
         default.value_binding self vb)
   in
+  let value_description self vd =
+    with_allows ctx vd.pval_attributes (fun () ->
+        check_f001 ctx vd;
+        default.value_description self vd)
+  in
   let module_binding self mb =
     with_allows ctx mb.pmb_attributes (fun () ->
         default.module_binding self mb)
@@ -375,6 +411,7 @@ let make_iterator ctx =
     typ;
     module_expr;
     value_binding;
+    value_description;
     module_binding;
     structure;
     signature;

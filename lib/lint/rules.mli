@@ -19,6 +19,9 @@
     - [A001] module-access matrix ({!Config.access_rule}): references
       to restricted module paths (platter internals, [Unix]) outside
       their allowed directories.
+    - [F001] an [external] declaration outside the compilation units
+      vetted in {!Config.t.externals_allowed}: the effect analysis
+      cannot see into C.
     - [L000] malformed [[@lint.allow]] payload.
     - [P000] the file does not parse.
 

@@ -89,7 +89,6 @@ let encode_frame ~lsn payload =
   let b = Bytes.create (framing + len) in
   Page.set_u64 b 0 lsn;
   Page.set_u32 b 8 len;
-  Page.set_u32 b 12 0;
   Bytes.blit_string payload 0 b framing len;
   let crc = frame_crc (Bytes.unsafe_to_string b) in
   Page.set_u32 b 12 crc;
@@ -105,12 +104,8 @@ let verify_frame frame =
     let lsn = get_u64s frame 0 in
     let len = get_u32s frame 8 in
     if n <> framing + len then `Torn
-    else
-      let stored = get_u32s frame 12 in
-      let b = Bytes.of_string frame in
-      Page.set_u32 b 12 0;
-      if frame_crc (Bytes.unsafe_to_string b) <> stored then `Bad lsn
-      else `Ok (lsn, String.sub frame framing len)
+    else if frame_crc frame <> get_u32s frame 12 then `Bad lsn
+    else `Ok (lsn, String.sub frame framing len)
   end
 
 let sync t =

@@ -52,7 +52,6 @@ let page_crc s =
 (** [seal_page b] computes and stores the page checksum; the builder
     calls this once the header and payload are final. *)
 let seal_page b =
-  Pagestore.Page.set_u32 b crc_offset 0;
   Pagestore.Page.set_u32 b crc_offset (page_crc (Bytes.unsafe_to_string b))
 
 let stored_page_crc s =
@@ -61,19 +60,14 @@ let stored_page_crc s =
   lor (Char.code s.[crc_offset + 2] lsl 16)
   lor (Char.code s.[crc_offset + 3] lsl 24)
 
-(** [page_ok s] checks a data page's checksum. *)
-let page_ok s = page_crc s = stored_page_crc s
+(** [page_ok_bytes b] checks a data page's checksum in place (the buffer
+    is aliased only for the duration of the fold). *)
+let page_ok_bytes b =
+  let s = Bytes.unsafe_to_string b in
+  page_crc s = stored_page_crc s
 
-(** [verify_page s ~page] raises {!Corrupt} on checksum mismatch,
+(** [verify_page_bytes b ~page] raises {!Corrupt} on checksum mismatch,
     reporting [page] (the platter page id). *)
-let verify_page s ~page =
-  if not (page_ok s) then raise (Corrupt { what = "data page checksum"; page })
-
-(** [page_ok_bytes b] is {!page_ok} on a byte buffer without copying it
-    out (the buffer is aliased only for the duration of the fold). *)
-let page_ok_bytes b = page_ok (Bytes.unsafe_to_string b)
-
-(** [verify_page_bytes b ~page] is {!verify_page} without the copy. *)
 let verify_page_bytes b ~page =
   if not (page_ok_bytes b) then
     raise (Corrupt { what = "data page checksum"; page })
@@ -447,7 +441,10 @@ let decode_footer s =
       body_end, stored_crc )
   with
   | footer, body_end, stored_crc ->
-      if Repro_util.Crc32c.string (String.sub s 0 body_end) <> stored_crc then
+      let crc =
+        Repro_util.Crc32c.update 0xFFFFFFFF s 0 body_end lxor 0xFFFFFFFF
+      in
+      if crc <> stored_crc then
         raise (Corrupt { what = "footer checksum"; page = -1 });
       footer
   | exception Invalid_argument _ ->

@@ -19,18 +19,11 @@ val payload_capacity : page_size:int -> int
     payload final). *)
 val seal_page : Bytes.t -> unit
 
-(** [page_ok s] checks a data page's checksum. *)
-val page_ok : string -> bool
-
-(** [verify_page s ~page] raises {!Corrupt} on mismatch, reporting
-    [page]. *)
-val verify_page : string -> page:int -> unit
-[@@lint.allow "U001"] (* copying variant kept beside [verify_page_bytes] *)
-
-(** {!page_ok} on a byte buffer without copying it out. *)
+(** [page_ok_bytes b] checks a data page's checksum in place. *)
 val page_ok_bytes : Bytes.t -> bool
 
-(** {!verify_page} without the copy. *)
+(** [verify_page_bytes b ~page] raises {!Corrupt} on mismatch, reporting
+    [page]. *)
 val verify_page_bytes : Bytes.t -> page:int -> unit
 
 (** [record_starts b] derives the in-page restart points (payload offset

@@ -1,121 +1,45 @@
-(** CRC32C (Castagnoli) checksums, table-slicing kernel.
+(** CRC32C (Castagnoli) checksums.
 
     Page headers and log records carry a CRC so that recovery can detect
     torn writes, mirroring the checks Stasis performs for bLSM (§4.4.2).
 
-    The classic one-table loop is bound by its serial dependency chain:
-    every byte's table lookup waits on the previous byte's result. The
-    slicing construction (Intel's slice-by-8, here unrolled to a 16-byte
-    stride over 16 derived tables) folds whole blocks per iteration: only
-    the first four lookups depend on the running state, the rest index
-    straight off input bytes, so the CPU overlaps them. A byte-at-a-time
-    loop remains for unaligned tails and keeps the old behaviour exactly
-    (validated against the standard vectors and the bytewise reference in
-    the test suite). *)
+    The fold runs in C ([crc32c_stubs.c]): on x86-64 CPUs with SSE4.2 it
+    uses the [crc32] instruction, 8 bytes per instruction; elsewhere a
+    portable slice-by-8 table loop. The kernel is picked once, at first
+    use. Both compute the same function, so stored checksums do not
+    depend on the host. The bounds check below is the only guard before
+    the stub reads raw memory. *)
 
-let polynomial = 0x82F63B78 (* reflected CRC32C polynomial *)
+external raw_update :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "caml_crc32c_update_byte" "caml_crc32c_update"
+[@@noalloc]
 
-let nslices = 16
+external raw_update_slice8 :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "caml_crc32c_update_slice8_byte" "caml_crc32c_update_slice8"
+[@@noalloc]
 
-(* Flattened tables: slot [k*256 + n] holds table k. Table 0 is the
-   classic byte table; table k advances a byte through k additional zero
-   bytes, so sixteen lookups combine into one 16-byte step. *)
-let tables =
-  lazy
-    (let t = Array.make (nslices * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         if !c land 1 = 1 then c := (!c lsr 1) lxor polynomial
-         else c := !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for k = 1 to nslices - 1 do
-       for n = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + n) in
-         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
-       done
-     done;
-     t)
+external raw_kernel : unit -> (int[@untagged])
+  = "caml_crc32c_kernel_byte" "caml_crc32c_kernel"
+[@@noalloc]
+
+(* [pos + len] could overflow; [length - len] cannot once [len >= 0]. *)
+let check_slice name s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg name
 
 (** [update crc s pos len] folds [len] bytes of [s] starting at [pos] into
     a running checksum. Start from [0xFFFFFFFF]-complemented state via
     {!string} unless composing incrementally. *)
 let update crc s pos len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32c.update";
-  let tab = Lazy.force tables in
-  let crc = ref (crc land 0xFFFFFFFF) in
-  let i = ref pos in
-  let stop = pos + len in
-  while stop - !i >= 16 do
-    let j = !i in
-    let b0 = Char.code (String.unsafe_get s j)
-    and b1 = Char.code (String.unsafe_get s (j + 1))
-    and b2 = Char.code (String.unsafe_get s (j + 2))
-    and b3 = Char.code (String.unsafe_get s (j + 3)) in
-    let c = !crc in
-    (* The two 8-lookup halves share no state: independent load chains. *)
-    let hi =
-      Array.unsafe_get tab ((15 * 256) + ((c lxor b0) land 0xFF))
-      lxor Array.unsafe_get tab ((14 * 256) + (((c lsr 8) land 0xFF) lxor b1))
-      lxor Array.unsafe_get tab ((13 * 256) + (((c lsr 16) land 0xFF) lxor b2))
-      lxor Array.unsafe_get tab ((12 * 256) + ((c lsr 24) lxor b3))
-      lxor Array.unsafe_get tab
-             ((11 * 256) + Char.code (String.unsafe_get s (j + 4)))
-      lxor Array.unsafe_get tab
-             ((10 * 256) + Char.code (String.unsafe_get s (j + 5)))
-      lxor Array.unsafe_get tab
-             ((9 * 256) + Char.code (String.unsafe_get s (j + 6)))
-      lxor Array.unsafe_get tab
-             ((8 * 256) + Char.code (String.unsafe_get s (j + 7)))
-    in
-    let lo =
-      Array.unsafe_get tab
-        ((7 * 256) + Char.code (String.unsafe_get s (j + 8)))
-      lxor Array.unsafe_get tab
-             ((6 * 256) + Char.code (String.unsafe_get s (j + 9)))
-      lxor Array.unsafe_get tab
-             ((5 * 256) + Char.code (String.unsafe_get s (j + 10)))
-      lxor Array.unsafe_get tab
-             ((4 * 256) + Char.code (String.unsafe_get s (j + 11)))
-      lxor Array.unsafe_get tab
-             ((3 * 256) + Char.code (String.unsafe_get s (j + 12)))
-      lxor Array.unsafe_get tab
-             ((2 * 256) + Char.code (String.unsafe_get s (j + 13)))
-      lxor Array.unsafe_get tab (256 + Char.code (String.unsafe_get s (j + 14)))
-      lxor Array.unsafe_get tab (Char.code (String.unsafe_get s (j + 15)))
-    in
-    crc := hi lxor lo;
-    i := j + 16
-  done;
-  if stop - !i >= 8 then begin
-    let j = !i in
-    let b0 = Char.code (String.unsafe_get s j)
-    and b1 = Char.code (String.unsafe_get s (j + 1))
-    and b2 = Char.code (String.unsafe_get s (j + 2))
-    and b3 = Char.code (String.unsafe_get s (j + 3)) in
-    let c = !crc in
-    crc :=
-      Array.unsafe_get tab ((7 * 256) + ((c lxor b0) land 0xFF))
-      lxor Array.unsafe_get tab ((6 * 256) + (((c lsr 8) land 0xFF) lxor b1))
-      lxor Array.unsafe_get tab ((5 * 256) + (((c lsr 16) land 0xFF) lxor b2))
-      lxor Array.unsafe_get tab ((4 * 256) + ((c lsr 24) lxor b3))
-      lxor Array.unsafe_get tab
-             ((3 * 256) + Char.code (String.unsafe_get s (j + 4)))
-      lxor Array.unsafe_get tab
-             ((2 * 256) + Char.code (String.unsafe_get s (j + 5)))
-      lxor Array.unsafe_get tab (256 + Char.code (String.unsafe_get s (j + 6)))
-      lxor Array.unsafe_get tab (Char.code (String.unsafe_get s (j + 7)));
-    i := j + 8
-  end;
-  while !i < stop do
-    let idx = (!crc lxor Char.code (String.unsafe_get s !i)) land 0xFF in
-    crc := (!crc lsr 8) lxor Array.unsafe_get tab idx;
-    incr i
-  done;
-  !crc
+  check_slice "Crc32c.update" s pos len;
+  raw_update crc s pos len
+
+let update_slice8 crc s pos len =
+  check_slice "Crc32c.update_slice8" s pos len;
+  raw_update_slice8 crc s pos len
+
+let kernel () = if raw_kernel () = 1 then "sse4.2" else "slice8"
 
 (** [string s] is the CRC32C of the whole string. *)
 let string s =

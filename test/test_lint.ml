@@ -91,6 +91,32 @@ let test_a002_ok () =
   check slist "simnet + Repl_msg is the legal shape" []
     (rules_of (lint ~path:"lib/core/replication.ml" "a002_ok.ml"))
 
+let test_f001_bad () =
+  check slist "top-level and nested-signature externals" [ "F001"; "F001" ]
+    (rules_of (lint ~path:"lib/core/f001_bad.ml" "f001_bad.ml"))
+
+let test_f001_interface () =
+  check slist "an external re-exported from an .mli is flagged too"
+    [ "F001" ]
+    (rules_of
+       (Lint.Rules.lint_source ~config:Lint.Config.default
+          ~path:"lib/obs/clock.mli"
+          "external now_ns : unit -> int = \"fixture_now_ns\"\n"))
+
+let test_f001_allowlisted () =
+  check slist "the vetted unit may declare externals" []
+    (rules_of (lint ~path:"lib/util/crc32c.ml" "f001_bad.ml"));
+  check slist "same module name, other library: not vetted"
+    [ "F001"; "F001" ]
+    (rules_of (lint ~path:"lib/core/crc32c.ml" "f001_bad.ml"));
+  check slist "the allowlist starts with the CRC32C kernel only"
+    [ "Repro_util.Crc32c" ]
+    (List.map fst Lint.Config.default.Lint.Config.externals_allowed)
+
+let test_f001_ok () =
+  check slist "no foreign code, no finding" []
+    (rules_of (lint ~path:"lib/core/f001_ok.ml" "f001_ok.ml"))
+
 let test_p000 () =
   check slist "garbage does not parse" [ "P000" ]
     (rules_of (lint ~path:"lib/core/p000_bad.ml" "p000_bad.ml"))
@@ -571,6 +597,10 @@ let () =
             test_a002_non_replication_file;
           Alcotest.test_case "A002 exempt dir" `Quick test_a002_exempt_dir;
           Alcotest.test_case "A002 ok" `Quick test_a002_ok;
+          Alcotest.test_case "F001 bad" `Quick test_f001_bad;
+          Alcotest.test_case "F001 interface" `Quick test_f001_interface;
+          Alcotest.test_case "F001 allowlisted unit" `Quick test_f001_allowlisted;
+          Alcotest.test_case "F001 ok" `Quick test_f001_ok;
           Alcotest.test_case "P000 parse error" `Quick test_p000;
         ] );
       ( "suppression",

@@ -343,6 +343,32 @@ let test_wal_size_accounting () =
   Pagestore.Wal.truncate wal ~upto_lsn:(Pagestore.Wal.next_lsn wal);
   check Alcotest.int "empty after truncate" 0 (Pagestore.Wal.size_bytes wal)
 
+(* The frame CRC skips its own field (bytes [12,16)) and is checked in
+   place; a flip of any stored-CRC bit must still fail verification. *)
+let test_wal_crc_field_rot () =
+  let disk = Simdisk.Disk.create Simdisk.Profile.hdd_raid0 in
+  let wal = Pagestore.Wal.create disk in
+  let _ = Pagestore.Wal.append wal "first" in
+  let l2 = Pagestore.Wal.append wal "second" in
+  let _ = Pagestore.Wal.append wal "third" in
+  let report = Alcotest.(pair int (list (pair string int))) in
+  check report "clean" (3, []) (Pagestore.Wal.verify wal);
+  for byte = 12 to 15 do
+    for bit = 0 to 7 do
+      let flip () =
+        if not (Pagestore.Wal.flip_bit wal ~lsn:l2 ~byte ~bit) then
+          Alcotest.fail "record gone"
+      in
+      flip ();
+      check report
+        (Printf.sprintf "byte %d bit %d" byte bit)
+        (3, [ ("wal record checksum", l2) ])
+        (Pagestore.Wal.verify wal);
+      flip ();
+      check report "restored" (3, []) (Pagestore.Wal.verify wal)
+    done
+  done
+
 (* -------------------------------------------------------------------- *)
 (* Store streams *)
 
@@ -450,6 +476,7 @@ let () =
           Alcotest.test_case "replay from lsn" `Quick test_wal_replay_from_lsn;
           Alcotest.test_case "none durability" `Quick test_wal_none_durability_drops;
           Alcotest.test_case "size accounting" `Quick test_wal_size_accounting;
+          Alcotest.test_case "crc field rot" `Quick test_wal_crc_field_rot;
         ] );
       ( "store",
         [

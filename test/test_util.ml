@@ -107,10 +107,12 @@ let test_crc_bytes_slice () =
     (Crc32c.string "cdef")
     (Crc32c.bytes (Bytes.of_string s) 2 4)
 
-(* The table-slicing kernel folds 16 bytes per iteration with an 8-byte
-   step and a bytewise tail; every length from 0 to a few strides
-   exercises each alignment of the three regimes. Check them all against
-   an independent bit-at-a-time CRC32C. *)
+(* Both C kernels — the dispatching [update] (the SSE4.2 [crc32]
+   instruction on hosts that have it) and the portable slice-by-8 table
+   loop — are checked against an independent bit-at-a-time CRC32C. Each
+   folds 8-byte blocks and then a bytewise tail, so every length from 0
+   to a few hundred at every start offset modulo 8 reaches each regime
+   at each alignment. *)
 let crc_reference s =
   let poly = 0x82F63B78 in
   let crc = ref 0xFFFFFFFF in
@@ -124,35 +126,96 @@ let crc_reference s =
     s;
   !crc lxor 0xFFFFFFFF
 
+let crc_kernels =
+  [ ("dispatch", Crc32c.update); ("slice8", Crc32c.update_slice8) ]
+
+let crc_with update s pos len = update 0xFFFFFFFF s pos len lxor 0xFFFFFFFF
+
 let test_crc_matches_bitwise_reference () =
   let prng = Prng.of_int 99 in
-  for len = 0 to 300 do
-    let s = String.init len (fun _ -> Char.chr (Prng.int prng 256)) in
-    check Alcotest.int
-      (Printf.sprintf "len %d" len)
-      (crc_reference s) (Crc32c.string s)
-  done
+  let buf = String.init 320 (fun _ -> Char.chr (Prng.int prng 256)) in
+  List.iter
+    (fun (kname, update) ->
+      for off = 0 to 7 do
+        for len = 0 to 300 do
+          if crc_with update buf off len <> crc_reference (String.sub buf off len)
+          then Alcotest.failf "%s: off %d len %d" kname off len
+        done
+      done)
+    crc_kernels
 
 let test_crc_incremental_compose () =
-  (* update must be splittable at any point, including mid-stride. *)
+  (* update must be splittable at any point, including mid-block, and
+     the two kernels must share the running-state convention. *)
   let prng = Prng.of_int 7 in
   let s = String.init 257 (fun _ -> Char.chr (Prng.int prng 256)) in
   let whole = Crc32c.string s in
+  let n = String.length s in
   List.iter
-    (fun cut ->
-      let c = Crc32c.update 0xFFFFFFFF s 0 cut in
-      let c = Crc32c.update c s cut (String.length s - cut) in
-      check Alcotest.int (Printf.sprintf "cut %d" cut) whole (c lxor 0xFFFFFFFF))
-    [ 1; 7; 8; 9; 15; 16; 17; 31; 32; 100; 256 ]
+    (fun (k1, u1) ->
+      List.iter
+        (fun (k2, u2) ->
+          for cut = 0 to n do
+            let c = u1 0xFFFFFFFF s 0 cut in
+            let c = u2 c s cut (n - cut) in
+            if c lxor 0xFFFFFFFF <> whole then
+              Alcotest.failf "%s then %s: cut %d" k1 k2 cut
+          done)
+        crc_kernels)
+    crc_kernels
 
 let test_crc_standard_vectors () =
-  (* RFC 3720 §B.4 test patterns. *)
-  check Alcotest.int "32 zeros" 0x8A9136AA
-    (Crc32c.string (String.make 32 '\x00'));
-  check Alcotest.int "32 ones" 0x62A8AB43
-    (Crc32c.string (String.make 32 '\xff'));
-  check Alcotest.int "ascending" 0x46DD794E
-    (Crc32c.string (String.init 32 Char.chr))
+  (* RFC 3720 §B.4 test patterns, plus the CRC catalogue check value. *)
+  let iscsi_read_pdu =
+    "\x01\xc0\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+     \x14\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x14\x00\x00\x00\x18\
+     \x28\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"
+  in
+  let vectors =
+    [
+      ("32 zeros", String.make 32 '\x00', 0x8A9136AA);
+      ("32 ones", String.make 32 '\xff', 0x62A8AB43);
+      ("ascending", String.init 32 Char.chr, 0x46DD794E);
+      ("descending", String.init 32 (fun i -> Char.chr (31 - i)), 0x113FDB5C);
+      ("iSCSI read PDU", iscsi_read_pdu, 0xD9963A56);
+      ("check", "123456789", 0xE3069283);
+    ]
+  in
+  List.iter
+    (fun (kname, update) ->
+      List.iter
+        (fun (vname, s, expect) ->
+          check Alcotest.int (kname ^ " " ^ vname) expect
+            (crc_with update s 0 (String.length s)))
+        vectors)
+    crc_kernels
+
+let test_crc_kernel_name () =
+  check Alcotest.bool "known kernel" true
+    (List.mem (Crc32c.kernel ()) [ "sse4.2"; "slice8" ])
+
+(* With the C kernel, the OCaml bounds check is the only guard before
+   raw memory reads: every out-of-range slice must be refused. *)
+let test_crc_out_of_range () =
+  let s = "0123456789" in
+  let b = Bytes.of_string s in
+  let bad =
+    [ (-1, 1); (0, -1); (0, 11); (5, 6); (11, 0); (1, max_int); (max_int, 1) ]
+  in
+  List.iter
+    (fun (pos, len) ->
+      let expect name f =
+        match f () with
+        | _ -> Alcotest.failf "%s pos %d len %d accepted" name pos len
+        | exception Invalid_argument _ -> ()
+      in
+      expect "update" (fun () -> Crc32c.update 0xFFFFFFFF s pos len);
+      expect "update_slice8" (fun () -> Crc32c.update_slice8 0xFFFFFFFF s pos len);
+      expect "bytes" (fun () -> Crc32c.bytes b pos len))
+    bad;
+  (* the edges themselves are legal *)
+  check Alcotest.int "empty at end" 0 (Crc32c.bytes b 10 0);
+  check Alcotest.int "whole" (Crc32c.string s) (Crc32c.bytes b 0 10)
 
 (* -------------------------------------------------------------------- *)
 (* Histogram *)
@@ -487,6 +550,8 @@ let () =
           Alcotest.test_case "incremental compose" `Quick
             test_crc_incremental_compose;
           Alcotest.test_case "standard vectors" `Quick test_crc_standard_vectors;
+          Alcotest.test_case "kernel name" `Quick test_crc_kernel_name;
+          Alcotest.test_case "out-of-range slices" `Quick test_crc_out_of_range;
         ] );
       ( "histogram",
         [
