@@ -36,12 +36,16 @@ let run scale profile =
     Ycsb.Runner.load blsm ks ~n ~timeseries_bucket_us:bucket_us ~seed:scale.Scale.seed ()
   in
   print_timeseries "bLSM (spring-and-gear)" r_blsm;
-  let ldb = Scale.leveldb_engine scale profile in
+  let ldb_tree = Scale.leveldb scale profile in
+  let ldb = Blsm.Policy_tree.engine ~name:"LevelDB" ldb_tree in
   let ks2 = Ycsb.Runner.keyspace ~records:0 ~value_bytes:scale.Scale.value_bytes in
   let r_ldb =
     Ycsb.Runner.load ldb ks2 ~n ~timeseries_bucket_us:bucket_us ~seed:scale.Scale.seed ()
   in
   print_timeseries "LevelDB (partition scheduler)" r_ldb;
+  let s = Blsm.Policy_tree.stats ldb_tree in
+  Printf.printf "LevelDB level-0 pauses: %d stop-stalls, %d slowdown writes\n"
+    s.Blsm.Policy_tree.hard_stalls s.Blsm.Policy_tree.slowdown_writes;
   Printf.printf
     "\nShape check: bLSM max-latency %.1fms vs LevelDB max-latency %.1fms; \
      bLSM finished %.1fx %s\n"

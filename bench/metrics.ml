@@ -88,13 +88,13 @@ let run scale profile =
       internal * 16 * 1024);
   (* LevelDB: memtable + per-file indexes; no Bloom filters *)
   let ldb = Scale.leveldb scale profile in
-  measure "LevelDB" (Leveldb_sim.Leveldb.store ldb) (Leveldb_sim.Leveldb.engine ldb)
+  measure "LevelDB" (Blsm.Policy_tree.store ldb)
+    (Blsm.Policy_tree.engine ~name:"LevelDB" ldb)
     ~index_ram:(fun () ->
-      let cfg = Leveldb_sim.Leveldb.config ldb in
       List.fold_left
-        (fun acc li -> acc + (li.Leveldb_sim.Leveldb.li_bytes / 4096 * 32))
-        cfg.Leveldb_sim.Leveldb.memtable_bytes
-        (Leveldb_sim.Leveldb.levels ldb));
+        (fun acc li -> acc + (li.Blsm.Policy_tree.li_bytes / 4096 * 32))
+        (Blsm.Policy_tree.config ldb).Blsm.Config.c0_bytes
+        (Blsm.Policy_tree.levels ldb));
   Printf.printf
     "\n(eff-write-amp converts each engine's total load time to equivalent\n\
     \ sequential bytes, the paper's SS2.2 convention: ~1000 for B-Trees on\n\

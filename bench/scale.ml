@@ -62,26 +62,34 @@ let btree s profile =
 
 let btree_engine ?name s profile = Btree_baseline.Btree.engine ?name (btree s profile)
 
-(** LevelDB: small memtable (1/8 of bLSM's C0), level ratio 10, no Bloom
-    filters, 20% cache. *)
+(** LevelDB 2012 ({!Blsm.Policy_tree.leveldb_pconfig}): small memtable
+    (1/8 of bLSM's C0), level ratio 10, no Bloom filters, 20% cache. *)
 let leveldb s profile =
   let cache = int_of_float (cache_fraction *. float_of_int (data_bytes s)) in
   let c0 = int_of_float (blsm_c0_fraction *. float_of_int (data_bytes s)) in
   let config =
     {
-      Leveldb_sim.Leveldb.default_config with
-      Leveldb_sim.Leveldb.memtable_bytes = max (64 * 1024) (c0 / 8);
-      file_bytes = max (64 * 1024) (c0 / 4);
-      base_level_bytes = max (256 * 1024) (c0 / 2);
+      Blsm.Config.default with
+      Blsm.Config.c0_bytes = max (64 * 1024) (c0 / 8);
+      bloom_bits_per_key = 0;
       extent_pages = 256;
       seed = s.seed;
     }
   in
+  let pconfig =
+    {
+      Blsm.Policy_tree.leveldb_pconfig with
+      Blsm.Policy_tree.pt_file_bytes = max (64 * 1024) (c0 / 4);
+      pt_base_bytes = max (256 * 1024) (c0 / 2);
+    }
+  in
   let st = store ~cache_bytes:cache profile in
-  Leveldb_sim.Leveldb.create ~config st
+  Blsm.Policy_tree.create ~config ~pconfig
+    ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+    st
 
-let leveldb_engine ?name s profile =
-  Leveldb_sim.Leveldb.engine ?name (leveldb s profile)
+let leveldb_engine ?(name = "LevelDB") s profile =
+  Blsm.Policy_tree.engine ~name (leveldb s profile)
 
 (** Load [s.records] fresh records and settle the store. *)
 let loaded_engine s (engine : Kv.Kv_intf.engine) =

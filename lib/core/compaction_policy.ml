@@ -38,9 +38,8 @@ type t = {
   p_check : view -> string option;
 }
 
-(* Identical formula to the pre-extraction Leveldb_sim.level_target:
-   the seed engine's byte-identity depends on this exact float
-   expression. *)
+(* The LevelDB configuration's pinned byte-identity (test_leveldb.ml)
+   depends on this exact float expression. *)
 let level_target v i =
   if i = 0 then max_int
   else
@@ -340,9 +339,9 @@ let partial () =
   { p_name = "partial"; p_pick = pick; p_job_at = job_at; p_check = check }
 
 (* ------------------------------------------------------------------ *)
-(* LevelDB seed policy: the exact selection logic extracted from
-   Leveldb_sim — VersionSet::Finalize scores (level-0 file count over
-   the trigger, deeper levels bytes over target; ties go to the deeper
+(* LevelDB seed policy: 2012 LevelDB's selection logic —
+   VersionSet::Finalize scores (level-0 file count over the trigger,
+   deeper levels bytes over target; ties go to the deeper
    level), level 0 compacts all its files plus their level-1 overlaps,
    deeper levels move the first file past a per-level round-robin
    pointer. Any change here shows up in the pinned byte-identity

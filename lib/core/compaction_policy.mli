@@ -2,7 +2,7 @@
 
     The merge machinery in this repository is split across pacing
     ({!Scheduler}: when and how fast), mechanism ({!Merge_process},
-    {!Policy_tree}, [Leveldb_sim]: how records move), and — with this
+    {!Policy_tree}: how records move), and — with this
     module — policy: which runs are merged together next. A policy is a
     pure-ish decision procedure over a metadata snapshot of the tree
     ({!view}): it never touches pages, iterators, or the store, so one
@@ -10,9 +10,9 @@
     QCheck invariants directly.
 
     Four design points from Sarkar et al.'s compaction design space are
-    provided, plus the extracted selection logic of the circa-2012
-    LevelDB simulator ([leveldb_seed]) so that engine's behaviour is
-    byte-identical pre/post extraction:
+    provided, plus the selection logic of circa-2012 LevelDB
+    ([leveldb_seed]), which {!Policy_tree.leveldb_pconfig} runs as the
+    paper's comparator:
 
     - {!tiered}: every level holds up to [T] overlapping runs; a full
       level merges into one run stacked on the next level. Write-optimal,
@@ -26,8 +26,7 @@
       (plus its overlaps) moves at a time, round-robin over the key
       space, so merges are small and pauses short.
     - {!leveldb_seed}: LevelDB's score-based victim selection with a
-      round-robin compaction pointer, exactly as [Leveldb_sim] shipped
-      it. *)
+      round-robin compaction pointer. *)
 
 (** Metadata of one on-disk sorted run. [run_id] is the engine's
     creation-order stamp: unique, and within a level a higher id means

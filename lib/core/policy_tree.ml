@@ -5,12 +5,20 @@
    and the read stack are shared — so the four compaction disciplines
    differ in exactly the decision the design space varies.
 
-   Pacing: flushes are atomic (charged as merge1 time), the single
-   active compaction is stepped in spring-quota quanta inside the write
-   path (merge2 time), and level-0 pressure past the stop threshold
-   triggers a synchronous hard drain (hard time) — the same
-   stall-attribution contract as {!Tree}, so the stability observatory
-   instruments every policy for free. *)
+   Pacing: flushes are atomic (charged as merge1 time), compaction work
+   runs inside the write path (merge2 time) — stepped in spring-quota
+   quanta, or as whole jobs against a LevelDB-style byte credit — and
+   level-0 pressure past the stop threshold triggers a synchronous hard
+   drain (hard time) — the same stall-attribution contract as {!Tree},
+   so the stability observatory instruments every policy for free. *)
+
+type pacing =
+  | Spring
+  | Credit of {
+      credit_per_byte : float;
+      slowdown_at : int;
+      slowdown_us : float;
+    }
 
 type pconfig = {
   pt_l0_trigger : int;
@@ -19,6 +27,7 @@ type pconfig = {
   pt_base_bytes : int;
   pt_file_bytes : int;
   pt_max_levels : int;
+  pt_pacing : pacing;
 }
 
 let default_pconfig =
@@ -29,6 +38,19 @@ let default_pconfig =
     pt_base_bytes = 256 * 1024;
     pt_file_bytes = 64 * 1024;
     pt_max_levels = 6;
+    pt_pacing = Spring;
+  }
+
+let leveldb_pconfig =
+  {
+    pt_l0_trigger = 4;
+    pt_l0_stop = 12;
+    pt_fanout = 10.0;
+    pt_base_bytes = 10 * 1024 * 1024;
+    pt_file_bytes = 2 * 1024 * 1024;
+    pt_max_levels = 7;
+    pt_pacing =
+      Credit { credit_per_byte = 10.0; slowdown_at = 8; slowdown_us = 1000.0 };
   }
 
 type stats = {
@@ -38,6 +60,7 @@ type stats = {
   mutable bytes_compacted : int;
   mutable user_bytes : int;
   mutable hard_stalls : int;
+  mutable slowdown_writes : int;
   mutable recoveries : int;
   mutable recoveries_mid_compaction : int;
   mutable corruptions_detected : int;
@@ -62,6 +85,7 @@ let fresh_stats () =
     bytes_compacted = 0;
     user_bytes = 0;
     hard_stalls = 0;
+    slowdown_writes = 0;
     recoveries = 0;
     recoveries_mid_compaction = 0;
     corruptions_detected = 0;
@@ -119,7 +143,7 @@ type t = {
   mutable floor_lsn : int;  (* WAL floor recorded in the manifest *)
   mutable active : active option;
   mutable flush_builder : Sstable.Builder.t option;  (* crash rollback *)
-  mutable in_hard : bool;
+  mutable credit : float;  (* [Credit] pacing: compaction bytes earned *)
   scratch : scratch;
   stats : stats;
   mutable stall_observer : (Tree.stall_breakdown -> unit) option;
@@ -150,7 +174,7 @@ let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy
     floor_lsn = 0;
     active = None;
     flush_builder = None;
-    in_hard = false;
+    credit = 0.0;
     scratch =
       {
         sc_merge1_us = 0.0;
@@ -272,28 +296,37 @@ let commit_manifest t =
     all;
   Pagestore.Store.commit_root t.store (Buffer.contents buf)
 
-(* Ids listed in the durable manifest right now — the set of runs whose
-   regions must survive a crash. Unreadable or absent root: none. *)
-let durable_ids t =
+(* The durable manifest: [(next_id, floor_lsn, [(level, id, meta blob)])].
+   Absent, foreign or torn root (truncated varint, blob length past the
+   end): [None], read as an empty tree. *)
+let read_manifest t =
   let root = Pagestore.Store.read_root t.store in
-  if String.length root < 4 || String.sub root 0 4 <> "PLSM" then []
+  if String.length root < 4 || String.sub root 0 4 <> "PLSM" then None
   else
     match
-      let _next, pos = Repro_util.Varint.read root 4 in
-      let _floor, pos = Repro_util.Varint.read root pos in
+      let next_id, pos = Repro_util.Varint.read root 4 in
+      let floor, pos = Repro_util.Varint.read root pos in
       let n, pos = Repro_util.Varint.read root pos in
       let pos = ref pos in
-      List.init n (fun _ ->
-          let _lvl, p = Repro_util.Varint.read root !pos in
-          let id, p = Repro_util.Varint.read root p in
-          let len, p = Repro_util.Varint.read root p in
-          pos := p + len;
-          id)
+      let runs =
+        List.init n (fun _ ->
+            let lvl, p = Repro_util.Varint.read root !pos in
+            let id, p = Repro_util.Varint.read root p in
+            let len, p = Repro_util.Varint.read root p in
+            pos := p + len;
+            (lvl, id, String.sub root p len))
+      in
+      (next_id, floor, runs)
     with
-    | ids -> ids
-    | exception Invalid_argument _ ->
-        (* torn root: truncated varint or blob length past the end *)
-        []
+    | m -> Some m
+    | exception Invalid_argument _ -> None
+
+(* Ids listed in the durable manifest right now — the set of runs whose
+   regions must survive a crash. *)
+let durable_ids t =
+  match read_manifest t with
+  | Some (_, _, runs) -> List.map (fun (_, id, _) -> id) runs
+  | None -> []
 
 (* {1 Bloom filters} *)
 
@@ -373,14 +406,16 @@ let resolve_runs t ~lvl ids =
                t.policy.Compaction_policy.p_name id lvl))
     ids
 
-let comp_pull t ~lvl comp =
-  let it = Component.iterator comp in
+let comp_pull t ~lvl ?from comp =
+  let it = Component.iterator ?from comp in
   fun () -> guard t ~lvl (fun () -> Sstable.Reader.iter_next_full it)
 
 (* Pull a list of key-disjoint components (sorted by min key) as one
-   ordered stream. *)
-let chain_pull t ~lvl comps =
+   ordered stream, opening each only when the previous one runs dry;
+   [from] positions the first. *)
+let chain_pull t ~lvl ?from comps =
   let remaining = ref comps in
+  let from = ref from in
   let cur = ref None in
   let rec next () =
     match !cur with
@@ -395,7 +430,8 @@ let chain_pull t ~lvl comps =
         | [] -> None
         | c :: rest ->
             remaining := rest;
-            cur := Some (comp_pull t ~lvl c);
+            cur := Some (comp_pull t ~lvl ?from:!from c);
+            from := None;
             next ())
   in
   next
@@ -593,82 +629,127 @@ let ensure_active t =
 
 (* {1 Pacing: the per-write scheduler window} *)
 
-let charge t ~hard_default sc_dt =
-  let sc = t.scratch in
-  if t.in_hard then sc.sc_hard_us <- sc.sc_hard_us +. sc_dt
-  else
-    match hard_default with
-    | `Merge1 -> sc.sc_merge1_us <- sc.sc_merge1_us +. sc_dt
-    | `Merge2 -> sc.sc_merge2_us <- sc.sc_merge2_us +. sc_dt
-
-(* Hard drain: level 0 reached the stop threshold, so writes block until
-   the policy has merged it back under. The parked elective compaction
-   finishes first — its inputs may pin runs the drain jobs need. *)
-let hard_drain t =
-  t.stats.hard_stalls <- t.stats.hard_stalls + 1;
-  t.in_hard <- true;
-  Fun.protect
-    ~finally:(fun () -> t.in_hard <- false)
-    (fun () ->
-      finish_active t;
-      let fuel = ref 0 in
-      while List.length t.levels.(0) >= t.pc.pt_l0_stop do
-        incr fuel;
-        if !fuel > 10_000 then failwith "policy_tree: hard drain stuck";
-        match t.policy.Compaction_policy.p_job_at (view t) ~level:0 with
-        | Some job ->
-            start_job t job;
-            finish_active t
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "policy_tree: level 0 at %d runs >= stop %d but policy %s \
-                  is idle"
-                 (List.length t.levels.(0))
-                 t.pc.pt_l0_stop t.policy.Compaction_policy.p_name)
-      done)
+let run_job t job =
+  start_job t job;
+  finish_active t
 
 let now_us t = Pagestore.Store.now_us t.store
 
-let pace t ~write_bytes =
+(* Run [f], adding the simulated time it takes to one stall bucket; the
+   hard bucket is charged even when a crash point escapes [f]. *)
+let charge t bucket f =
+  let sc = t.scratch in
+  let t0 = now_us t in
+  let add () =
+    let dt = now_us t -. t0 in
+    match bucket with
+    | `Merge1 -> sc.sc_merge1_us <- sc.sc_merge1_us +. dt
+    | `Merge2 -> sc.sc_merge2_us <- sc.sc_merge2_us +. dt
+    | `Hard -> sc.sc_hard_us <- sc.sc_hard_us +. dt
+  in
+  match bucket with
+  | `Hard -> Fun.protect ~finally:add f
+  | `Merge1 | `Merge2 ->
+      f ();
+      add ()
+
+(* Hard drain: level 0 reached the stop threshold, so writes block until
+   the policy has merged it down to [limit] runs. The parked elective
+   compaction finishes first — its inputs may pin runs the drain jobs
+   need. *)
+let hard_drain t ~limit =
+  t.stats.hard_stalls <- t.stats.hard_stalls + 1;
+  finish_active t;
+  let fuel = ref 0 in
+  while List.length t.levels.(0) > limit do
+    incr fuel;
+    if !fuel > 10_000 then failwith "policy_tree: hard drain stuck";
+    match t.policy.Compaction_policy.p_job_at (view t) ~level:0 with
+    | Some job -> run_job t job
+    | None ->
+        failwith
+          (Printf.sprintf
+             "policy_tree: level 0 at %d runs >= stop %d but policy %s \
+              is idle"
+             (List.length t.levels.(0))
+             t.pc.pt_l0_stop t.policy.Compaction_policy.p_name)
+  done
+
+let flush_if_full t =
+  if Memtable.bytes t.mem >= Config.c0_capacity t.config then
+    charge t `Merge1 (fun () -> do_flush t)
+
+(* Spring pacing: the single active job advances by a deadline quota on
+   the memtable fill band, then a full memtable flushes and level 0 past
+   the stop threshold drains. *)
+let pace_spring t ~write_bytes =
   let capacity = Config.c0_capacity t.config in
   (* Starting a job opens iterators on every input run (seeks on the
      simulated disk), so it must land in a stall bucket too or the
      attribution would not tile the pacing window. *)
-  (let t0 = now_us t in
-   ensure_active t;
-   charge t ~hard_default:`Merge2 (now_us t -. t0));
+  charge t `Merge2 (fun () -> ensure_active t);
   (match t.active with
   | None -> ()
   | Some ac ->
       let fill = float_of_int (Memtable.bytes t.mem) /. float_of_int capacity in
       let quota =
         min t.config.Config.max_quota_per_write
-          (Scheduler.spring_quota ~write_bytes ~fill
+          (Scheduler.spring_quota ~write_bytes:(max 64 write_bytes) ~fill
              ~low:t.config.Config.low_watermark
              ~high:t.config.Config.high_watermark
              ~remaining_bytes:(max 1 (ac.ac_total_bytes - ac.ac_read_bytes))
              ~c0_capacity:capacity)
       in
-      if quota > 0 then begin
-        let t0 = now_us t in
-        step_active t ac ~quota;
-        if ac.ac_done then commit_active t ac;
-        charge t ~hard_default:`Merge2 (now_us t -. t0)
-      end);
-  if Memtable.bytes t.mem >= capacity then begin
-    let t0 = now_us t in
-    do_flush t;
-    charge t ~hard_default:`Merge1 (now_us t -. t0)
-  end;
-  if List.length t.levels.(0) >= t.pc.pt_l0_stop then begin
-    let t0 = now_us t in
-    Fun.protect
-      ~finally:(fun () ->
-        let sc = t.scratch in
-        sc.sc_hard_us <- sc.sc_hard_us +. (now_us t -. t0))
-      (fun () -> hard_drain t)
+      if quota > 0 then
+        charge t `Merge2 (fun () ->
+            step_active t ac ~quota;
+            if ac.ac_done then commit_active t ac));
+  flush_if_full t;
+  if List.length t.levels.(0) >= t.pc.pt_l0_stop then
+    charge t `Hard (fun () -> hard_drain t ~limit:(t.pc.pt_l0_stop - 1))
+
+(* Credit pacing, 2012 LevelDB's background thread: each written byte
+   earns [credit_per_byte] compaction bytes (capped at twice the level-1
+   target); while credit is positive the policy's pick runs whole. At
+   [slowdown_at] level-0 runs every write sleeps [slowdown_us], time the
+   compaction thread spends at full disk bandwidth; at the stop
+   threshold the write blocks until level 0 is back at the trigger. *)
+let pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us =
+  flush_if_full t;
+  t.credit <-
+    Float.min
+      (2.0 *. float_of_int t.pc.pt_base_bytes)
+      (t.credit +. (float_of_int write_bytes *. credit_per_byte));
+  let l0 = List.length t.levels.(0) in
+  if l0 >= t.pc.pt_l0_stop then begin
+    charge t `Hard (fun () -> hard_drain t ~limit:t.pc.pt_l0_trigger);
+    t.credit <- 0.0
   end
+  else begin
+    if l0 >= slowdown_at then begin
+      t.stats.slowdown_writes <- t.stats.slowdown_writes + 1;
+      charge t `Hard (fun () -> Simdisk.Disk.advance (disk t) slowdown_us);
+      t.credit <-
+        t.credit
+        +. (slowdown_us /. 1e6
+           *. (Simdisk.Disk.profile (disk t)).Simdisk.Profile.write_mb_per_s
+           *. 1e6)
+    end;
+    if t.credit > 0.0 then
+      match t.policy.Compaction_policy.p_pick (view t) with
+      | Some job ->
+          let before = t.stats.bytes_compacted in
+          charge t `Merge2 (fun () -> run_job t job);
+          t.credit <-
+            t.credit -. float_of_int (t.stats.bytes_compacted - before)
+      | None -> ()
+  end
+
+let pace t ~write_bytes =
+  match t.pc.pt_pacing with
+  | Spring -> pace_spring t ~write_bytes
+  | Credit { credit_per_byte; slowdown_at; slowdown_us } ->
+      pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us
 
 let before_write t ~write_bytes =
   let sc = t.scratch in
@@ -699,7 +780,7 @@ let before_write t ~write_bytes =
 
 let write_entry t key entry =
   let bytes = String.length key + Kv.Entry.payload_bytes entry in
-  before_write t ~write_bytes:(max 64 bytes);
+  before_write t ~write_bytes:bytes;
   let t_wal = now_us t in
   let lsn =
     Pagestore.Wal.append
@@ -729,7 +810,7 @@ let write_batch t ops =
         (fun a (k, e) -> a + String.length k + Kv.Entry.payload_bytes e)
         0 ops
     in
-    before_write t ~write_bytes:(max 64 bytes);
+    before_write t ~write_bytes:bytes;
     let t_wal = now_us t in
     let lsn =
       Pagestore.Wal.append (Pagestore.Store.wal t.store) (Tree.encode_ops ops)
@@ -743,11 +824,11 @@ let write_batch t ops =
 (* {1 Read path}
 
    Visit record states newest-first: memtable, then every level top
-   down. Within a level, runs are visited newest id first — required
-   where runs overlap (level 0, tiered levels), harmless where they are
-   key-disjoint (at most one can contain the key, and Bloom filters
-   skip the rest). Early termination stops at the first base record or
-   tombstone (§3.1.1). *)
+   down. Within a level, the runs whose key range covers the key are
+   visited newest id first — required where runs overlap (level 0,
+   tiered levels); where they are key-disjoint at most one is left.
+   Early termination stops at the first base record or tombstone
+   (§3.1.1). *)
 
 let lookup_entry t key =
   let early = t.config.Config.early_termination in
@@ -767,7 +848,12 @@ let lookup_entry t key =
   let lvl = ref 0 in
   while (not !stop) && !lvl < t.pc.pt_max_levels do
     let runs =
-      List.sort (fun a b -> Int.compare b.pr_id a.pr_id) t.levels.(!lvl)
+      List.filter
+        (fun r ->
+          String.compare (run_min_key r) key <= 0
+          && String.compare key (run_max_key r) <= 0)
+        t.levels.(!lvl)
+      |> List.sort (fun a b -> Int.compare b.pr_id a.pr_id)
     in
     List.iter
       (fun r ->
@@ -780,12 +866,7 @@ let lookup_entry t key =
   done;
   !result
 
-let interpret t = function
-  | None -> None
-  | Some (Kv.Entry.Base v) -> Some v
-  | Some Kv.Entry.Tombstone -> None
-  | Some (Kv.Entry.Delta ds) ->
-      Kv.Entry.resolve t.config.Config.resolver ~base:None ds
+let interpret t e = Kv.Entry.value t.config.Config.resolver e
 
 let get t key =
   t.stats.gets <- t.stats.gets + 1;
@@ -806,52 +887,61 @@ let insert_if_absent t key value =
 
 (* {1 Scans} *)
 
-let mem_pull mem ~from =
-  let cursor = ref from in
-  fun () ->
-    match Memtable.peek_geq_lsn mem !cursor with
-    | Some (k, _, _) as r ->
-        cursor := k ^ "\000";
-        r
-    | None -> None
-
-let scan_pull t ~lvl comp ~from =
-  let it = Component.iterator ~from comp in
-  fun () -> guard t ~lvl (fun () -> Sstable.Reader.iter_next_full it)
+(* One level's scan sources, freshest first. Runs whose key ranges are
+   pairwise disjoint (judged from their min/max keys) chain into a
+   single source that skips runs ending before [from] and positions
+   only the first: a short scan seeks once per such level. Overlapping
+   runs (level 0, tiers) each get a source, newest id first. *)
+let level_sources t ~lvl ~from =
+  let by_min =
+    List.sort
+      (fun a b -> String.compare (run_min_key a) (run_min_key b))
+      t.levels.(lvl)
+  in
+  let rec disjoint = function
+    | a :: (b :: _ as rest) ->
+        String.compare (run_max_key a) (run_min_key b) < 0 && disjoint rest
+    | [ _ ] | [] -> true
+  in
+  match by_min with
+  | [] -> []
+  | _ when disjoint by_min ->
+      [
+        chain_pull t ~lvl ~from
+          (List.filter_map
+             (fun r ->
+               if String.compare (run_max_key r) from >= 0 then Some r.pr_comp
+               else None)
+             by_min);
+      ]
+  | _ ->
+      List.map
+        (fun r -> comp_pull t ~lvl ~from r.pr_comp)
+        (List.sort (fun a b -> Int.compare b.pr_id a.pr_id) by_min)
 
 let scan t start n =
   t.stats.scans <- t.stats.scans + 1;
-  let sources = ref [] in
-  for lvl = t.pc.pt_max_levels - 1 downto 0 do
-    List.iter
-      (fun r -> sources := scan_pull t ~lvl r.pr_comp ~from:start :: !sources)
-      (List.sort
-         (fun a b -> Int.compare a.pr_id b.pr_id)
-         t.levels.(lvl))
-  done;
   (* Freshest first: the memtable shadows every run, then levels top
-     down with newer ids in front (the same order [lookup_entry] uses). *)
-  sources := mem_pull t.mem ~from:start :: !sources;
+     down (the same order [lookup_entry] uses). *)
+  let sources =
+    Memtable.pull_from t.mem ~from:start
+    :: List.concat_map
+         (fun lvl -> level_sources t ~lvl ~from:start)
+         (List.init t.pc.pt_max_levels Fun.id)
+  in
   let merge =
     Sstable.Merge_iter.create ~resolver:t.config.Config.resolver
       ~drop_tombstones:true
-      (List.mapi (fun i pull -> (i, pull)) !sources)
+      (List.mapi (fun i pull -> (i, pull)) sources)
   in
+  (* drop_tombstones output is Base-only: deltas arrive resolved *)
   let rec collect acc k =
     if k = 0 then List.rev acc
     else
       match Sstable.Merge_iter.next merge with
       | None -> List.rev acc
-      | Some (key, entry, _) -> (
-          match
-            match entry with
-            | Kv.Entry.Base v -> Some v
-            | Kv.Entry.Tombstone -> None
-            | Kv.Entry.Delta ds ->
-                Kv.Entry.resolve t.config.Config.resolver ~base:None ds
-          with
-          | Some v -> collect ((key, v) :: acc) (k - 1)
-          | None -> collect acc k)
+      | Some (key, Kv.Entry.Base v, _) -> collect ((key, v) :: acc) (k - 1)
+      | Some (_, (Kv.Entry.Delta _ | Kv.Entry.Tombstone), _) -> collect acc k
   in
   collect [] n
 
@@ -866,8 +956,7 @@ let maintenance t =
     if !fuel > 100_000 then failwith "policy_tree: maintenance stuck";
     match t.policy.Compaction_policy.p_pick (view t) with
     | Some job ->
-        start_job t job;
-        finish_active t;
+        run_job t job;
         settle ()
     | None -> ()
   in
@@ -898,7 +987,6 @@ let crash_and_recover ?(verify = false) t =
          if not (List.mem r.pr_id durable) then Component.free r.pr_comp))
     t.levels;
   Pagestore.Store.crash t.store;
-  let root = Pagestore.Store.read_root t.store in
   let policy =
     match Compaction_policy.of_name t.policy.Compaction_policy.p_name with
     | Some p -> p
@@ -911,19 +999,12 @@ let crash_and_recover ?(verify = false) t =
       t.stats.recoveries_mid_compaction + 1
   else
     fresh.stats.recoveries_mid_compaction <- t.stats.recoveries_mid_compaction;
-  (if String.length root >= 4 && String.sub root 0 4 = "PLSM" then begin
-     let next_id, pos = Repro_util.Varint.read root 4 in
-     let floor, pos = Repro_util.Varint.read root pos in
+  (match read_manifest t with
+  | None -> ()
+  | Some (next_id, floor, runs) ->
      fresh.next_id <- next_id;
      fresh.floor_lsn <- floor;
-     let n, pos = Repro_util.Varint.read root pos in
-     let pos = ref pos in
-     for _ = 1 to n do
-       let lvl, p = Repro_util.Varint.read root !pos in
-       let id, p = Repro_util.Varint.read root p in
-       let len, p = Repro_util.Varint.read root p in
-       let blob = String.sub root p len in
-       pos := p + len;
+     List.iter (fun (lvl, id, blob) ->
        let sst =
          match Sstable.Reader.of_meta t.store blob with
          | sst -> sst
@@ -963,12 +1044,11 @@ let crash_and_recover ?(verify = false) t =
        if lvl < fresh.pc.pt_max_levels then
          fresh.levels.(lvl) <- { pr_id = id; pr_comp = comp } :: fresh.levels.(lvl)
        else
-         failwith "policy_tree: manifest level out of range"
-     done;
+         failwith "policy_tree: manifest level out of range")
+       runs;
      Array.iteri
        (fun lvl runs -> fresh.levels.(lvl) <- level_order lvl runs)
-       fresh.levels
-   end);
+       fresh.levels);
   (* Replay the log into a fresh memtable. Every record with
      lsn < floor is durably folded into a committed level-0 run (flushes
      are atomic), so the floor filter alone prevents double-apply —
@@ -1030,6 +1110,8 @@ let metrics t =
           s.user_bytes);
       counter reg "ptree.hard_stalls" ~help:"level-0 stop-threshold drains"
         (fun () -> s.hard_stalls);
+      counter reg "ptree.slowdown_writes" ~help:"writes delayed by level 0"
+        (fun () -> s.slowdown_writes);
       counter reg "ptree.recoveries" ~help:"crash recoveries (lifetime)"
         (fun () -> s.recoveries);
       counter reg "ptree.recoveries_mid_compaction"

@@ -7,13 +7,13 @@
     compaction disciplines differ only in the one decision the design
     space varies.
 
-    Pacing reuses the spring-and-gear controllers from {!Scheduler}: a
-    {!Scheduler.spring_quota} deadline controller on the memtable fill
-    band drains compaction debt before C0 fills, and level-0 pressure
-    beyond the stop threshold triggers a hard drain — so every policy
-    gets the same bounded-latency treatment and the same
-    merge1/merge2/hard stall attribution ({!Tree.stall_breakdown}) that
-    feeds {!Obs.Episodes} via {!on_stall}.
+    Pacing is a {!pacing} variant: the {!Scheduler.spring_quota}
+    deadline controller on the memtable fill band, or 2012 LevelDB's
+    byte-credit background thread with level-0 slowdown. Either way
+    level-0 pressure beyond the stop threshold triggers a hard drain,
+    and every write gets the same merge1/merge2/hard stall attribution
+    ({!Tree.stall_breakdown}) that feeds {!Obs.Episodes} via
+    {!on_stall}.
 
     Durability matches the other engines: logical WAL + force-written
     manifest root. A flush builds one level-0 run, commits the manifest
@@ -24,12 +24,29 @@
     {!Tree.Corruption}); mid-log WAL rot is fatal, torn tails are
     truncated — never a wrong answer. *)
 
+(** How compaction work enters the write path.
+    - [Spring]: one job in flight, stepped by {!Scheduler.spring_quota}
+      each write; level 0 at [pt_l0_stop] drains to just under it.
+    - [Credit]: 2012 LevelDB. Each written byte earns [credit_per_byte]
+      compaction bytes (capped at 2 × [pt_base_bytes]); while credit is
+      positive the policy's pick runs whole. From [slowdown_at] level-0
+      runs every write waits [slowdown_us] (hard time) and earns that
+      long at full disk write bandwidth; at [pt_l0_stop] the write
+      drains level 0 down to [pt_l0_trigger] and the credit resets. *)
+type pacing =
+  | Spring
+  | Credit of {
+      credit_per_byte : float;
+      slowdown_at : int;
+      slowdown_us : float;
+    }
+
 (** Shape knobs the policy sees ({!Compaction_policy.view}):
     [pt_l0_trigger]/[pt_l0_stop] level-0 run-count thresholds (urgent /
     hard-stall), [pt_fanout] the size ratio and tiering width T,
     [pt_base_bytes] the level-1 byte target, [pt_file_bytes] output
     split granularity for range-partitioned policies, [pt_max_levels]
-    the level count. *)
+    the level count; [pt_pacing] the write-path discipline. *)
 type pconfig = {
   pt_l0_trigger : int;
   pt_l0_stop : int;
@@ -37,10 +54,20 @@ type pconfig = {
   pt_base_bytes : int;
   pt_file_bytes : int;
   pt_max_levels : int;
+  pt_pacing : pacing;
 }
 
-(** Trigger 4, stop 8, fanout 4, base 256 KiB, 64 KiB files, 6 levels. *)
+(** Trigger 4, stop 8, fanout 4, base 256 KiB, 64 KiB files, 6 levels,
+    spring pacing. *)
 val default_pconfig : pconfig
+
+(** The paper's §5 comparator, 2012 LevelDB: triggers 4/8/12 (compact /
+    slowdown / stop), ratio 10, 7 levels, 10 MiB level 1, 2 MiB files,
+    credit 10 bytes per written byte, 1 ms slowdown. Run it with
+    {!Compaction_policy.leveldb_seed} and a {!Config.t} with
+    [bloom_bits_per_key = 0] (LevelDB 2012 had no filters; its memtable
+    was 4 MiB). *)
+val leveldb_pconfig : pconfig
 
 type stats = {
   mutable flushes : int;
@@ -48,7 +75,8 @@ type stats = {
   mutable bytes_flushed : int;  (** level-0 run output bytes *)
   mutable bytes_compacted : int;  (** lifetime compaction input bytes *)
   mutable user_bytes : int;  (** logical key+payload bytes accepted *)
-  mutable hard_stalls : int;
+  mutable hard_stalls : int;  (** level-0 stop-threshold drains *)
+  mutable slowdown_writes : int;  (** [Credit] writes delayed by level 0 *)
   mutable recoveries : int;
   mutable recoveries_mid_compaction : int;
       (** recoveries that rolled back an in-flight compaction — the
@@ -76,13 +104,13 @@ val create :
   ?config:Config.t -> ?pconfig:pconfig -> policy:Compaction_policy.t ->
   Pagestore.Store.t -> t
 
-(* The constructor-argument accessors mirror {!Tree}'s surface; kept
-   exported for embedders even while only [stats] has external callers. *)
-val config : t -> Config.t [@@lint.allow "U001"]
+(* The constructor-argument accessors mirror {!Tree}'s surface; [pconfig]
+   and [policy] are kept exported for embedders. *)
+val config : t -> Config.t
 val pconfig : t -> pconfig [@@lint.allow "U001"]
 val policy : t -> Compaction_policy.t [@@lint.allow "U001"]
-val store : t -> Pagestore.Store.t [@@lint.allow "U001"]
-val disk : t -> Simdisk.Disk.t [@@lint.allow "U001"]
+val store : t -> Pagestore.Store.t
+val disk : t -> Simdisk.Disk.t
 val stats : t -> stats
 
 val put : t -> string -> string -> unit
@@ -138,8 +166,8 @@ val check_invariant : t -> string option
 
 type level_info = { li_level : int; li_runs : int; li_bytes : int }
 
-(* level shape for reports; mirrors {!Partitioned.levels} *)
-val levels : t -> level_info list [@@lint.allow "U001"]
+(** Per-level run count and bytes, level 0 first. *)
+val levels : t -> level_info list
 
 (** Run bytes across all levels (space-amplification numerator). *)
 val total_run_bytes : t -> int

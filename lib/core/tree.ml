@@ -880,13 +880,7 @@ let read_version t key =
               in
               first [ ("C1", t.c1); ("C1'", t.c1_prime); ("C2", t.c2) ]))
 
-let interpret t = function
-  | None -> None
-  | Some (Kv.Entry.Base v) -> Some v
-  | Some Kv.Entry.Tombstone -> None
-  | Some (Kv.Entry.Delta ds) ->
-      (* no base record anywhere below: resolve against nothing *)
-      Kv.Entry.resolve t.config.Config.resolver ~base:None ds
+let interpret t e = Kv.Entry.value t.config.Config.resolver e
 
 (** [get t key] point lookup: at most ~1 seek on a settled tree thanks to
     Bloom filters and early termination. *)
@@ -929,15 +923,6 @@ let insert_if_absent t key value =
 
 (** {1 Scans} *)
 
-let mem_pull mem ~from =
-  let cursor = ref from in
-  fun () ->
-    match Memtable.peek_geq_lsn mem !cursor with
-    | Some (k, _, _) as r ->
-        cursor := k ^ "\000";
-        r
-    | None -> None
-
 let skiplist_pull sl ~from =
   let cursor = ref from in
   fun () ->
@@ -956,14 +941,14 @@ let scan_sources t start =
   List.filteri
     (fun _ -> Option.is_some)
     [
-      Some (mem_pull t.c0 ~from:start);
+      Some (Memtable.pull_from t.c0 ~from:start);
       (match t.merge1 with
       | Some m ->
           Option.map
             (fun s -> skiplist_pull s ~from:start)
             (Merge_process.c0_shadow m)
       | None -> None);
-      Option.map (fun f -> mem_pull f ~from:start) t.frozen;
+      Option.map (fun f -> Memtable.pull_from f ~from:start) t.frozen;
       Option.map (fun c -> component_pull t ~level:"C1" c ~from:start) t.c1;
       Option.map (fun c -> component_pull t ~level:"C1'" c ~from:start) t.c1_prime;
       Option.map (fun c -> component_pull t ~level:"C2" c ~from:start) t.c2;

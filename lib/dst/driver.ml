@@ -294,52 +294,6 @@ let partitioned ~seed () =
     net = None;
   }
 
-let leveldb ~seed () =
-  let store, faults = mk_store ~fault_seed:seed () in
-  let config =
-    {
-      Leveldb_sim.Leveldb.default_config with
-      Leveldb_sim.Leveldb.memtable_bytes = 16 * 1024;
-      file_bytes = 16 * 1024;
-      base_level_bytes = 64 * 1024;
-      extent_pages = 8;
-      seed;
-    }
-  in
-  let db = Leveldb_sim.Leveldb.create ~config store in
-  {
-    name = "leveldb";
-    caps = caps_baseline;
-    get = (fun k -> Leveldb_sim.Leveldb.get db k);
-    put = (fun k v -> Leveldb_sim.Leveldb.put db k v);
-    delete = (fun k -> Leveldb_sim.Leveldb.delete db k);
-    apply_delta = (fun k d -> Leveldb_sim.Leveldb.apply_delta db k d);
-    rmw =
-      (fun k s -> Leveldb_sim.Leveldb.read_modify_write db k (append_rmw s));
-    insert_if_absent = (fun k v -> Leveldb_sim.Leveldb.insert_if_absent db k v);
-    scan = (fun start n -> Leveldb_sim.Leveldb.scan db start n);
-    write_batch = (fun _ -> invalid_arg "leveldb driver: batch is emulated");
-    maintenance = (fun () -> Leveldb_sim.Leveldb.maintenance db);
-    flush = None;
-    crash_recover = None;
-    begin_txn = None;
-    catch_up = None;
-    failover = None;
-    follower_scan = None;
-    follower_get = None;
-    follower_stale = None;
-    fenced_rejects = None;
-    crash_follower = None;
-    scrub = None;
-    counts = None;
-    mask_scans = true;
-    last_stall = None;
-    metrics_dump = (fun () -> Obs.Metrics.dump (Leveldb_sim.Leveldb.metrics db));
-    faults;
-    follower_faults = None;
-    net = None;
-  }
-
 let btree ~seed () =
   let store, faults = mk_store ~fault_seed:seed () in
   let bt = Btree_baseline.Btree.create store in
@@ -397,6 +351,7 @@ let small_pconfig =
     pt_base_bytes = 32 * 1024;
     pt_file_bytes = 16 * 1024;
     pt_max_levels = 5;
+    pt_pacing = Blsm.Policy_tree.Spring;
   }
 
 let counts_of_pstats (s : Blsm.Policy_tree.stats) =
@@ -410,20 +365,11 @@ let counts_of_pstats (s : Blsm.Policy_tree.stats) =
     n_checked_inserts = s.Blsm.Policy_tree.checked_inserts;
   }
 
-let policy_tree ~policy_name ~seed () =
+let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
   let store, faults = mk_store ~fault_seed:seed () in
-  let policy =
-    match Blsm.Compaction_policy.of_name policy_name with
-    | Some p -> p
-    | None -> invalid_arg ("Dst.Driver.policy_tree: unknown policy " ^ policy_name)
-  in
-  let pt =
-    ref
-      (Blsm.Policy_tree.create ~config:(small_config seed)
-         ~pconfig:small_pconfig ~policy store)
-  in
+  let pt = ref (Blsm.Policy_tree.create ~config ~pconfig ~policy store) in
   {
-    name = "policy-" ^ policy_name;
+    name;
     caps = caps_policy;
     get = (fun k -> Blsm.Policy_tree.get !pt k);
     put = (fun k v -> Blsm.Policy_tree.put !pt k v);
@@ -456,6 +402,36 @@ let policy_tree ~policy_name ~seed () =
     follower_faults = None;
     net = None;
   }
+
+let policy_tree ~policy_name ~seed () =
+  let policy =
+    match Blsm.Compaction_policy.of_name policy_name with
+    | Some p -> p
+    | None -> invalid_arg ("Dst.Driver.policy_tree: unknown policy " ^ policy_name)
+  in
+  ptree_driver ~name:("policy-" ^ policy_name) ~config:(small_config seed)
+    ~pconfig:small_pconfig ~policy ~seed ()
+
+(* The 2012 LevelDB configuration at DST scale: 16 KiB memtable and
+   files, 64 KiB level 1, no Bloom filters, credit pacing. *)
+let leveldb ~seed () =
+  ptree_driver ~name:"leveldb"
+    ~config:
+      {
+        Blsm.Config.default with
+        Blsm.Config.c0_bytes = 16 * 1024;
+        bloom_bits_per_key = 0;
+        extent_pages = 8;
+        seed;
+      }
+    ~pconfig:
+      {
+        Blsm.Policy_tree.leveldb_pconfig with
+        Blsm.Policy_tree.pt_file_bytes = 16 * 1024;
+        pt_base_bytes = 64 * 1024;
+      }
+    ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+    ~seed ()
 
 (* DST shape for the replication supervisor: timeouts and backoff small
    against the per-step clock tick, staleness bound tight enough that a
@@ -597,9 +573,11 @@ let caps_of_name name =
   match name with
   | "blsm" | "blsm-gear" | "blsm-naive" -> Some caps_tree
   | "partitioned" -> Some caps_partitioned
-  | "btree" | "leveldb" -> Some caps_baseline
+  | "btree" -> Some caps_baseline
   | "replicated" -> Some caps_replicated
-  | _ -> if List.mem name policy_names then Some caps_policy else None
+  | _ ->
+      if name = "leveldb" || List.mem name policy_names then Some caps_policy
+      else None
 
 (** [make name ~seed] is a fresh-engine factory, or [None] for an
     unknown driver name. *)

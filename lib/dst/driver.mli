@@ -102,7 +102,12 @@ val blsm :
   ?scheduler:Blsm.Config.scheduler_kind -> name:string -> seed:int -> unit -> t
 
 val partitioned : seed:int -> unit -> t
+
+(** {!Blsm.Policy_tree.leveldb_pconfig} at DST scale, with the full
+    policy-tree capability surface (crash, scrub, batch, counters,
+    stall attribution). *)
 val leveldb : seed:int -> unit -> t
+
 val btree : seed:int -> unit -> t
 val replicated : seed:int -> unit -> t
 

@@ -25,6 +25,14 @@ let resolve (r : resolver) ~base deltas =
   | [] -> base
   | _ -> List.fold_left (fun acc d -> Some (r ~base:acc d)) base deltas
 
+(** [value r e] is the user-visible value of a looked-up record state:
+    absent and deleted are [None]; a delta chain with no base record
+    below it resolves against nothing. *)
+let value (r : resolver) = function
+  | None | Some Tombstone -> None
+  | Some (Base v) -> Some v
+  | Some (Delta ds) -> resolve r ~base:None ds
+
 (** [merge r ~newer ~older] combines two states of one record where
     [newer] shadows [older]. Updates to the same tuple are placed in tree
     levels consistent with their ordering (§3.1.1), so during a merge the

@@ -22,6 +22,11 @@ val append_resolver : resolver
 (** [resolve r ~base deltas] folds [deltas] (oldest first) over [base]. *)
 val resolve : resolver -> base:string option -> string list -> string option
 
+(** [value r e] is the user-visible value of a looked-up record state:
+    [None] when absent or deleted; deltas with no base below them
+    resolve against nothing. *)
+val value : resolver -> t option -> string option
+
 (** [merge r ~newer ~older] combines two states of one record where
     [newer] shadows [older] — during merges the component closer to C0 is
     always [newer] (§3.1.1). Base/Tombstone absorb; Delta composes. *)

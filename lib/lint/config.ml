@@ -132,7 +132,6 @@ let default_library_wrappers =
     ("Sstable", "lib/sstable");
     ("Simnet", "lib/simnet");
     ("Btree_baseline", "lib/btree");
-    ("Leveldb_sim", "lib/leveldb_sim");
     ("Ycsb", "lib/ycsb");
     ("Lint", "lib/lint");
   ]
@@ -140,7 +139,7 @@ let default_library_wrappers =
 (* Rule D003: every .mli-exported value of these modules is an engine op
    clients call; none may transitively reach a nondeterminism source. *)
 let default_engine_surface_modules =
-  [ "Tree"; "Partitioned"; "Policy_tree"; "Leveldb"; "Btree" ]
+  [ "Tree"; "Partitioned"; "Policy_tree"; "Btree" ]
 
 (* Rule E001: protocol boundaries and the exceptions allowed to cross
    them.  Everything else leaking is the PR 6 bug class — a failure

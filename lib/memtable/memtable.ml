@@ -107,6 +107,17 @@ let peek_geq_lsn t key =
   | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
   | None -> None
 
+(** [pull_from t ~from] streams the live bindings with key >= [from] in
+    order, with LSNs: a merge-iterator source over the memtable. *)
+let pull_from t ~from =
+  let cursor = ref from in
+  fun () ->
+    match peek_geq_lsn t !cursor with
+    | Some (k, _, _) as r ->
+        cursor := k ^ "\000";
+        r
+    | None -> None
+
 (** [peek_geq t key] inspects without consuming. *)
 let peek_geq t key =
   match Skiplist.succ_geq t.sl key with

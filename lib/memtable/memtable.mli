@@ -50,6 +50,10 @@ val peek_geq : t -> string -> (string * Kv.Entry.t) option
 (** As {!peek_geq}, with the newest contributing LSN. *)
 val peek_geq_lsn : t -> string -> (string * Kv.Entry.t * int) option
 
+(** [pull_from t ~from] streams the live bindings with key >= [from] in
+    key order, with LSNs: a merge-iterator source over the memtable. *)
+val pull_from : t -> from:string -> unit -> (string * Kv.Entry.t * int) option
+
 (** [oldest_lsn t] is the smallest LSN any live entry depends on — the
     WAL truncation point. O(n); called once per merge completion. *)
 val oldest_lsn : t -> int option

@@ -4,7 +4,7 @@
     hot-path representation and register *closures* over them; the
     registry samples every metric only when a dump is requested. This is
     the "thin compatibility shim" pattern: [Tree.stats],
-    [Simdisk.Disk] counters, [Faults] counters and [Leveldb.stats] stay
+    [Simdisk.Disk] counters, [Faults] counters and [Policy_tree.stats] stay
     untouched, and the registry provides the single named namespace and
     the single pair of writers (text and JSON) over all of them.
 

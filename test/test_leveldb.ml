@@ -1,9 +1,11 @@
-(* LevelDB-sim tests: level structure, compaction invariants, model-based
-   random ops, read-cost (no Bloom filters => multi-seek reads), L0
-   slowdown/stop behaviour. *)
+(* LevelDB-configuration tests ([Policy_tree.leveldb_pconfig] with the
+   leveldb-seed policy and no Bloom filters): level structure,
+   compaction invariants, model-based random ops, read cost (no Bloom
+   filters => multi-seek reads), short-scan seeks, L0 slowdown/stop
+   behaviour. *)
 
 let check = Alcotest.check
-module L = Leveldb_sim.Leveldb
+module L = Blsm.Policy_tree
 module SMap = Map.Make (String)
 
 let mk_store ?(buffer_pages = 128) () =
@@ -16,15 +18,26 @@ let mk_store ?(buffer_pages = 128) () =
 
 let small_config =
   {
-    L.default_config with
-    L.memtable_bytes = 16 * 1024;
-    file_bytes = 16 * 1024;
-    base_level_bytes = 64 * 1024;
-    level_ratio = 4.0;
+    Blsm.Config.default with
+    Blsm.Config.c0_bytes = 16 * 1024;
+    bloom_bits_per_key = 0;
     extent_pages = 8;
   }
 
-let mk () = L.create ~config:small_config (mk_store ())
+let small_pconfig =
+  {
+    L.leveldb_pconfig with
+    L.pt_file_bytes = 16 * 1024;
+    pt_base_bytes = 64 * 1024;
+    pt_fanout = 4.0;
+  }
+
+let create ?(pconfig = small_pconfig) store =
+  L.create ~config:small_config ~pconfig
+    ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+    store
+
+let mk () = create (mk_store ())
 
 let value i = Printf.sprintf "v%06d-%s" i (String.make 60 'x')
 
@@ -69,7 +82,7 @@ let test_levels_disjoint_below_l0 () =
   List.iter
     (fun info ->
       let i = info.L.li_level in
-      if i >= 1 && info.L.li_files > 1 then begin
+      if i >= 1 && info.L.li_runs > 1 then begin
         (* reconstruct ranges via scan of level metadata *)
         ()
       end)
@@ -95,36 +108,104 @@ let test_deletes_survive_compactions () =
 
 let test_multi_level_reads_cost_multiple_seeks () =
   (* tiny buffer pool so reads are cold *)
-  let t = L.create ~config:small_config (mk_store ~buffer_pages:4 ()) in
+  let t = create (mk_store ~buffer_pages:4 ()) in
   load t 4000;
   L.maintenance t;
-  (* estimate says reads touch >1 component: LevelDB has no bloom filters *)
-  let est = L.read_cost_estimate t (Repro_util.Keygen.key_of_id 100) in
-  if est < 2 then Alcotest.failf "expected multi-level read cost, got %d" est;
   let disk = L.disk t in
-  let before = Simdisk.Disk.snapshot disk in
+  let seeks_of f =
+    let before = Simdisk.Disk.snapshot disk in
+    f ();
+    (Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk)).Simdisk.Disk.seeks
+  in
+  (* one cold read touches >1 component: LevelDB has no bloom filters *)
+  let one =
+    seeks_of (fun () -> ignore (L.get t (Repro_util.Keygen.key_of_id 100)))
+  in
+  if one < 2 then Alcotest.failf "expected a multi-level read, got %d seeks" one;
   let n = 200 in
-  for i = 0 to n - 1 do
-    ignore (L.get t (Repro_util.Keygen.key_of_id (i * 17)))
-  done;
-  let d = Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk) in
-  let per_read = float_of_int d.Simdisk.Disk.seeks /. float_of_int n in
+  let seeks =
+    seeks_of (fun () ->
+        for i = 0 to n - 1 do
+          ignore (L.get t (Repro_util.Keygen.key_of_id (i * 17)))
+        done)
+  in
+  let per_read = float_of_int seeks /. float_of_int n in
   if per_read <= 1.05 then
     Alcotest.failf "LevelDB reads should cost >1 seek (got %.2f)" per_read
 
-let test_l0_stop_stalls_writes () =
-  (* insert fast with a tiny compaction budget: L0 must hit the stop
-     threshold and stall *)
-  let config =
-    { small_config with
-      L.l0_compaction_trigger = 2; l0_slowdown = 3; l0_stop = 4;
-      compaction_credit_per_byte = 1.5 }
-  in
-  let t = L.create ~config (mk_store ()) in
+(* A short scan opens one lazily chained source per key-disjoint level:
+   on a cold pool it seeks at most once per non-empty deep level plus
+   once per (overlapping) level-0 run, however many runs each level
+   holds. *)
+let test_short_scan_seeks_per_level () =
+  let t = create (mk_store ~buffer_pages:4 ()) in
   load t 4000;
+  L.maintenance t;
+  (* two flushes' worth of overwrites: level-0 runs over the same keys *)
+  for i = 0 to 399 do
+    L.put t (Repro_util.Keygen.key_of_id (i * 10)) (value i)
+  done;
+  let levels = L.levels t in
+  let deep =
+    List.filter (fun li -> li.L.li_level > 0 && li.L.li_runs > 0) levels
+  in
+  let l0_runs = (List.hd levels).L.li_runs in
+  if List.length deep < 2 || List.exists (fun li -> li.L.li_runs < 2) deep
+  then Alcotest.fail "layout needs >= 2 deep levels of >= 2 runs each";
+  let bound = List.length deep + l0_runs in
+  let disk = L.disk t in
+  for i = 0 to 39 do
+    let start = Repro_util.Keygen.key_of_id (i * 97) in
+    let before = Simdisk.Disk.snapshot disk in
+    let rows = L.scan t start 1 in
+    let seeks =
+      (Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk)).Simdisk.Disk.seeks
+    in
+    check Alcotest.int "one row" 1 (List.length rows);
+    if seeks > bound then
+      Alcotest.failf "scan from %s: %d seeks > %d (levels %s)" start seeks bound
+        (String.concat ","
+           (List.map (fun li -> string_of_int li.L.li_runs) levels))
+  done
+
+let test_l0_stop_stalls_writes () =
+  (* insert fast with a tiny compaction budget: L0 must reach the
+     slowdown threshold; with no credit at all (and the slowdown moved to
+     the stop threshold) only the hard stop drains it. Either way every
+     write's stall attribution tiles its pacing window. *)
+  let run ~credit_per_byte ~slowdown_at =
+    let pconfig =
+      { small_pconfig with
+        L.pt_l0_trigger = 2; pt_l0_stop = 4;
+        pt_pacing =
+          L.Credit { credit_per_byte; slowdown_at; slowdown_us = 1000.0 } }
+    in
+    let t = create ~pconfig (mk_store ()) in
+    for i = 0 to 3999 do
+      L.put t (Repro_util.Keygen.key_of_id i) (value i);
+      let sb = L.last_stall t in
+      let parts =
+        sb.Blsm.Tree.sb_merge1_us +. sb.Blsm.Tree.sb_merge2_us
+        +. sb.Blsm.Tree.sb_hard_us
+      in
+      if Float.abs (parts -. sb.Blsm.Tree.sb_total_us) > 1e-6 then
+        Alcotest.failf "write %d: stall parts %.3f <> total %.3f" i parts
+          sb.Blsm.Tree.sb_total_us
+    done;
+    t
+  in
+  let s = L.stats (run ~credit_per_byte:1.5 ~slowdown_at:3) in
+  check Alcotest.bool "slowdowns occurred" true (s.L.slowdown_writes > 0);
+  let t = run ~credit_per_byte:0.0 ~slowdown_at:4 in
   let s = L.stats t in
-  check Alcotest.bool "slowdowns or stops occurred" true
-    (s.L.slowdown_writes > 0 || s.L.stop_stalls > 0)
+  check Alcotest.bool "stops occurred" true (s.L.hard_stalls > 0);
+  check Alcotest.int "no slowdowns below the stop" 0 s.L.slowdown_writes;
+  if (List.hd (L.levels t)).L.li_runs >= 4 then
+    Alcotest.fail "level 0 left at the stop threshold";
+  for i = 0 to 3999 do
+    if L.get t (Repro_util.Keygen.key_of_id i) <> Some (value i) then
+      Alcotest.failf "lost key %d" i
+  done
 
 let test_scan_across_levels () =
   let t = mk () in
@@ -244,20 +325,23 @@ let test_seeded_mixed_workload_regression () =
 
 (* Pinned byte-identity regression for the compaction-policy extraction:
    the seed policy (score-based level pick + round-robin compaction
-   pointer) now lives behind [Blsm.Compaction_policy], and this test pins
+   pointer) lives behind [Blsm.Compaction_policy], and this test pins
    the engine's observable behaviour — stats counters, per-level file
    layout, simulated clock, and logical contents — on a fixed seeded
    workload. Any drift in victim selection, merge order or install order
-   shows up as a changed digest here. Values captured on the pre-refactor
-   engine. *)
+   shows up as a changed digest here. Rows and digest date from the
+   standalone LevelDB engine; [bytes_compacted] and the clock moved when
+   it became a [Policy_tree] configuration (tombstones drop only when a
+   job consumes its whole target level; flushes and compactions commit
+   the manifest). *)
 let test_policy_extraction_byte_identity () =
   (* small L1 target so deeper-level compactions run and the round-robin
      compaction pointer advances — the selection state the extraction
      moves into the policy closure *)
-  let config =
-    { small_config with L.base_level_bytes = 16 * 1024; level_ratio = 3.0 }
+  let pconfig =
+    { small_pconfig with L.pt_base_bytes = 16 * 1024; pt_fanout = 3.0 }
   in
-  let t = L.create ~config (mk_store ()) in
+  let t = create ~pconfig (mk_store ()) in
   let prng = Repro_util.Prng.of_int 77 in
   for i = 0 to 5999 do
     let key = Printf.sprintf "key%03d" (Repro_util.Prng.int prng 400) in
@@ -274,7 +358,7 @@ let test_policy_extraction_byte_identity () =
   let level_profile =
     L.levels t
     |> List.map (fun li ->
-           Printf.sprintf "L%d:%d:%d" li.L.li_level li.L.li_files li.L.li_bytes)
+           Printf.sprintf "L%d:%d:%d" li.L.li_level li.L.li_runs li.L.li_bytes)
     |> String.concat ","
   in
   let contents = L.scan t "" 10_000 in
@@ -291,14 +375,14 @@ let test_policy_extraction_byte_identity () =
   check Alcotest.int "flushes" 24 s.L.flushes;
   check Alcotest.int "compactions" 16 s.L.compactions;
   check Alcotest.int "slowdown_writes" 0 s.L.slowdown_writes;
-  check Alcotest.int "stop_stalls" 0 s.L.stop_stalls;
-  check Alcotest.int "bytes_compacted" 437163 s.L.bytes_compacted;
+  check Alcotest.int "stop_stalls" 0 s.L.hard_stalls;
+  check Alcotest.int "bytes_compacted" 438003 s.L.bytes_compacted;
   check Alcotest.string "level profile"
     "L0:0:0,L1:1:942,L2:2:23310,L3:0:0,L4:0:0,L5:0:0,L6:0:0" level_profile;
   check Alcotest.int "rows" 344 (List.length contents);
   check Alcotest.string "scan digest" "3a1f77f916bff74cb60b63bbc4c6e7e7"
     scan_digest;
-  check (Alcotest.float 0.001) "simulated clock" 63695.616 clock
+  check (Alcotest.float 0.001) "simulated clock" 68719.520 clock
 
 let () =
   Alcotest.run "leveldb"
@@ -311,6 +395,8 @@ let () =
           Alcotest.test_case "levels sorted" `Quick test_levels_disjoint_below_l0;
           Alcotest.test_case "deletes survive" `Quick test_deletes_survive_compactions;
           Alcotest.test_case "multi-seek reads" `Quick test_multi_level_reads_cost_multiple_seeks;
+          Alcotest.test_case "short scan seeks per level" `Quick
+            test_short_scan_seeks_per_level;
           Alcotest.test_case "L0 stalls" `Quick test_l0_stop_stalls_writes;
           Alcotest.test_case "scan across levels" `Quick test_scan_across_levels;
           Alcotest.test_case "seeded mixed-workload regression" `Quick

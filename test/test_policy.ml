@@ -7,8 +7,9 @@
    - differential test: the same seeded workload under all four
      policies plus the seed snowshovel (the spring-paced bLSM tree)
      yields identical logical contents, pinned at 3 seeds;
-   - crash safety: recovery mid-sequence preserves oracle agreement and
-     the structural invariant. *)
+   - crash safety: recovery mid-sequence preserves oracle agreement, the
+     structural invariant and a clean scrub, for every policy and for
+     the LevelDB configuration. *)
 
 let policies = [ "tiered"; "leveled"; "lazy-leveled"; "partial" ]
 
@@ -208,16 +209,35 @@ let test_diff_seed s () = run_differential s 1200
 
 (* --- crash mid-sequence keeps the policies honest ------------------ *)
 
+(* A fresh tree per crash input: each spring-paced policy, plus the
+   2012 LevelDB configuration (credit pacing, no Bloom filters). *)
+let crash_tree name ~seed store =
+  if name = "leveldb" then
+    Blsm.Policy_tree.create
+      ~config:
+        {
+          (Dst.Driver.small_config seed) with
+          Blsm.Config.bloom_bits_per_key = 0;
+        }
+      ~pconfig:
+        {
+          Blsm.Policy_tree.leveldb_pconfig with
+          Blsm.Policy_tree.pt_file_bytes = 16 * 1024;
+          pt_base_bytes = 64 * 1024;
+        }
+      ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+      store
+  else
+    Blsm.Policy_tree.create
+      ~config:(Dst.Driver.small_config seed)
+      ~pconfig:Dst.Driver.small_pconfig
+      ~policy:(Option.get (Blsm.Compaction_policy.of_name name))
+      store
+
 let test_crash_recovery policy_name () =
   let seed = 2024 in
   let store, _ = Dst.Driver.mk_store ~fault_seed:seed () in
-  let policy = Option.get (Blsm.Compaction_policy.of_name policy_name) in
-  let t =
-    ref
-      (Blsm.Policy_tree.create
-         ~config:(Dst.Driver.small_config seed)
-         ~pconfig:Dst.Driver.small_pconfig ~policy store)
-  in
+  let t = ref (crash_tree policy_name ~seed store) in
   let oracle = Dst.Oracle.create () in
   let prng = Repro_util.Prng.of_int (seed lxor 0xC4A5) in
   for i = 1 to 600 do
@@ -241,7 +261,11 @@ let test_crash_recovery policy_name () =
   Alcotest.(check bool)
     (policy_name ^ ": recoveries counted")
     true
-    ((Blsm.Policy_tree.stats !t).Blsm.Policy_tree.recoveries >= 6)
+    ((Blsm.Policy_tree.stats !t).Blsm.Policy_tree.recoveries >= 6);
+  Alcotest.(check bool)
+    (policy_name ^ ": scrub clean after crashes")
+    true
+    (snd (Blsm.Policy_tree.scrub !t))
 
 let () =
   Alcotest.run "policy"
@@ -259,5 +283,5 @@ let () =
         List.map
           (fun p ->
             Alcotest.test_case (p ^ " recovery") `Quick (test_crash_recovery p))
-          policies );
+          (policies @ [ "leveldb" ]) );
     ]
