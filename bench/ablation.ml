@@ -35,7 +35,7 @@ let scheduler_ablation scale profile =
         (Repro_util.Histogram.percentile h 99.0)
         (Repro_util.Histogram.percentile h 99.9)
         (float_of_int (Repro_util.Histogram.max_value h) /. 1000.)
-        (Blsm.Tree.stats tree).Blsm.Tree.hard_stalls)
+        (Blsm.Tree.merge_stats tree).Blsm.Tree.hard_stalls)
     [
       ("naive", Blsm.Config.Naive, true);
       ("gear", Blsm.Config.Gear, false);
@@ -100,10 +100,10 @@ let snowshovel_ablation scale profile =
         insert_run scale profile ~tweak:(fun c ->
             { c with Blsm.Config.snowshovel = snow; scheduler = sched })
       in
-      let s = Blsm.Tree.stats tree in
-      let merges = max 1 s.Blsm.Tree.merge1_completions in
+      let s = Blsm.Tree.stats tree and ms = Blsm.Tree.merge_stats tree in
+      let merges = max 1 ms.Blsm.Tree.merge1_completions in
       Printf.printf "%-14s %10.0f %14d %16d\n" name r.Ycsb.Runner.ops_per_sec
-        s.Blsm.Tree.merge1_completions
+        ms.Blsm.Tree.merge1_completions
         (s.Blsm.Tree.user_bytes_written / merges))
     [ ("on(spring)", true, Blsm.Config.Spring); ("off(gear)", false, Blsm.Config.Gear) ]
 
@@ -208,7 +208,7 @@ let r_sweep_ablation scale profile =
       in
       Blsm.Tree.flush tree;
       let d = Simdisk.Disk.snapshot (Blsm.Tree.disk tree) in
-      let s = Blsm.Tree.stats tree in
+      let s = Blsm.Tree.merge_stats tree in
       Printf.printf "%-12s %12.0f %12.2f %9d/%d
 " name r.Ycsb.Runner.ops_per_sec
         (float_of_int (d.Simdisk.Disk.seq_write_bytes + d.Simdisk.Disk.random_write_bytes)

@@ -43,7 +43,7 @@ let run scale profile =
     Ycsb.Runner.load ldb ks2 ~n ~timeseries_bucket_us:bucket_us ~seed:scale.Scale.seed ()
   in
   print_timeseries "LevelDB (partition scheduler)" r_ldb;
-  let s = Blsm.Policy_tree.stats ldb_tree in
+  let s = Blsm.Policy_tree.engine_stats ldb_tree in
   Printf.printf "LevelDB level-0 pauses: %d stop-stalls, %d slowdown writes\n"
     s.Blsm.Policy_tree.hard_stalls s.Blsm.Policy_tree.slowdown_writes;
   Printf.printf

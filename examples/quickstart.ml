@@ -69,9 +69,9 @@ let () =
       (String.make 200 (Char.chr (97 + (i mod 26))))
   done;
   Blsm.Tree.flush tree;
-  let s = Blsm.Tree.stats tree in
+  let s = Blsm.Tree.stats tree and ms = Blsm.Tree.merge_stats tree in
   Printf.printf "stats: %d puts, %d merges (C0:C1), %d merges (C1':C2)\n"
-    s.Blsm.Tree.puts s.Blsm.Tree.merge1_completions s.Blsm.Tree.merge2_completions;
+    s.Blsm.Tree.puts ms.Blsm.Tree.merge1_completions ms.Blsm.Tree.merge2_completions;
   print_endline "tree levels after 5k bulk writes (flushed):";
   List.iter
     (fun l ->

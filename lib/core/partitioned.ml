@@ -206,14 +206,14 @@ let levels t =
 
 let total_hard_stalls t =
   Array.fold_left
-    (fun acc p -> acc + (Tree.stats p).Tree.hard_stalls)
+    (fun acc p -> acc + (Tree.merge_stats p).Tree.hard_stalls)
     0 t.partitions
 
 let total_merges t =
   Array.fold_left
     (fun acc p ->
-      acc + (Tree.stats p).Tree.merge1_completions
-      + (Tree.stats p).Tree.merge2_completions)
+      let ms = Tree.merge_stats p in
+      acc + ms.Tree.merge1_completions + ms.Tree.merge2_completions)
     0 t.partitions
 
 let disk t = Pagestore.Store.disk t.store
@@ -240,6 +240,7 @@ let metrics t =
   let reg = Obs.Metrics.create () in
   let open Obs.Metrics in
   let sum f = Array.fold_left (fun a p -> a + f (Tree.stats p)) 0 t.partitions in
+  let sum_ms f = Array.fold_left (fun a p -> a + f (Tree.merge_stats p)) 0 t.partitions in
   counter reg "partitioned.partitions" ~help:"partition count" (fun () ->
       Array.length t.partitions);
   counter reg "partitioned.puts" ~help:"blind writes, all partitions"
@@ -256,13 +257,13 @@ let metrics t =
     (fun () -> sum (fun s -> s.Tree.rmws));
   counter reg "partitioned.merge1_completions"
     ~help:"C0:C1 runs committed, all partitions" (fun () ->
-      sum (fun s -> s.Tree.merge1_completions));
+      sum_ms (fun s -> s.Tree.merge1_completions));
   counter reg "partitioned.merge2_completions"
     ~help:"C1':C2 merges committed, all partitions" (fun () ->
-      sum (fun s -> s.Tree.merge2_completions));
+      sum_ms (fun s -> s.Tree.merge2_completions));
   counter reg "partitioned.hard_stalls"
     ~help:"writes that hit a C0 hard limit, all partitions" (fun () ->
-      sum (fun s -> s.Tree.hard_stalls));
+      sum_ms (fun s -> s.Tree.hard_stalls));
   counter reg "partitioned.corruptions_detected"
     ~help:"checksum mismatches seen, all partitions" (fun () ->
       sum (fun s -> s.Tree.corruptions_detected));

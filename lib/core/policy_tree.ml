@@ -9,8 +9,10 @@
    runs inside the write path (merge2 time) — stepped in spring-quota
    quanta, or as whole jobs against a LevelDB-style byte credit — and
    level-0 pressure past the stop threshold triggers a synchronous hard
-   drain (hard time) — the same stall-attribution contract as {!Tree},
-   so the stability observatory instruments every policy for free. *)
+   drain (hard time). The write path, newest-first reads, stall window,
+   recovery mount and typed corruption are the {!Lsm_shell}'s, shared
+   with {!Tree}, so the stability observatory instruments every policy
+   for free. *)
 
 type pacing =
   | Spring
@@ -53,64 +55,15 @@ let leveldb_pconfig =
       Credit { credit_per_byte = 10.0; slowdown_at = 8; slowdown_us = 1000.0 };
   }
 
-type stats = {
+type engine_stats = {
   mutable flushes : int;
   mutable compactions : int;
   mutable bytes_flushed : int;
   mutable bytes_compacted : int;
-  mutable user_bytes : int;
   mutable hard_stalls : int;
   mutable slowdown_writes : int;
   mutable recoveries : int;
   mutable recoveries_mid_compaction : int;
-  mutable corruptions_detected : int;
-  mutable quarantined_runs : int;
-  mutable puts : int;
-  mutable gets : int;
-  mutable deletes : int;
-  mutable deltas : int;
-  mutable scans : int;
-  mutable rmws : int;
-  mutable checked_inserts : int;
-  mutable stall_merge1_us : float;
-  mutable stall_merge2_us : float;
-  mutable stall_hard_us : float;
-}
-
-let fresh_stats () =
-  {
-    flushes = 0;
-    compactions = 0;
-    bytes_flushed = 0;
-    bytes_compacted = 0;
-    user_bytes = 0;
-    hard_stalls = 0;
-    slowdown_writes = 0;
-    recoveries = 0;
-    recoveries_mid_compaction = 0;
-    corruptions_detected = 0;
-    quarantined_runs = 0;
-    puts = 0;
-    gets = 0;
-    deletes = 0;
-    deltas = 0;
-    scans = 0;
-    rmws = 0;
-    checked_inserts = 0;
-    stall_merge1_us = 0.0;
-    stall_merge2_us = 0.0;
-    stall_hard_us = 0.0;
-  }
-
-(* Per-write stall scratch, reset by [before_write]; mirrors
-   {!Tree.stall_breakdown} so both engines feed the same episode
-   detectors. *)
-type scratch = {
-  mutable sc_merge1_us : float;
-  mutable sc_merge2_us : float;
-  mutable sc_hard_us : float;
-  mutable sc_wal_us : float;
-  mutable sc_total_us : float;
 }
 
 type prun = { pr_id : int; pr_comp : Component.t }
@@ -137,16 +90,15 @@ type t = {
   pc : pconfig;
   policy : Compaction_policy.t;
   store : Pagestore.Store.t;
-  mutable mem : Memtable.t;
+  mem : Memtable.t;
   levels : prun list array;  (* level 0 newest-first; deeper by min key *)
   mutable next_id : int;
   mutable floor_lsn : int;  (* WAL floor recorded in the manifest *)
   mutable active : active option;
   mutable flush_builder : Sstable.Builder.t option;  (* crash rollback *)
   mutable credit : float;  (* [Credit] pacing: compaction bytes earned *)
-  scratch : scratch;
-  stats : stats;
-  mutable stall_observer : (Tree.stall_breakdown -> unit) option;
+  sh : Lsm_shell.t;
+  es : engine_stats;
   mutable metrics : Obs.Metrics.t option;
 }
 
@@ -155,7 +107,8 @@ let pconfig t = t.pc
 let policy t = t.policy
 let store t = t.store
 let disk t = Pagestore.Store.disk t.store
-let stats t = t.stats
+let stats t = Lsm_shell.stats t.sh
+let engine_stats t = t.es
 
 let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy
     store =
@@ -175,39 +128,18 @@ let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy
     active = None;
     flush_builder = None;
     credit = 0.0;
-    scratch =
-      {
-        sc_merge1_us = 0.0;
-        sc_merge2_us = 0.0;
-        sc_hard_us = 0.0;
-        sc_wal_us = 0.0;
-        sc_total_us = 0.0;
-      };
-    stats = fresh_stats ();
-    stall_observer = None;
+    sh = Lsm_shell.create config store;
+    es =
+      { flushes = 0; compactions = 0; bytes_flushed = 0; bytes_compacted = 0;
+        hard_stalls = 0; slowdown_writes = 0; recoveries = 0;
+        recoveries_mid_compaction = 0 };
     metrics = None;
   }
 
-let last_stall t =
-  {
-    Tree.sb_merge1_us = t.scratch.sc_merge1_us;
-    sb_merge2_us = t.scratch.sc_merge2_us;
-    sb_hard_us = t.scratch.sc_hard_us;
-    sb_wal_us = t.scratch.sc_wal_us;
-    sb_total_us = t.scratch.sc_total_us;
-  }
-
-let on_stall t f = t.stall_observer <- Some f
-
-(* Convert a checksum failure into the typed tree-level error, naming
-   the level it came from; {!Simdisk.Faults.Crash_point} passes through. *)
+let last_stall t = Lsm_shell.last_stall t.sh
+let on_stall t f = Lsm_shell.on_stall t.sh f
 let level_name lvl = "P" ^ string_of_int lvl
-
-let guard t ~lvl f =
-  try f ()
-  with Sstable.Sst_format.Corrupt { what; page } ->
-    t.stats.corruptions_detected <- t.stats.corruptions_detected + 1;
-    raise (Tree.Corruption { level = level_name lvl; what; page_or_lsn = page })
+let guard t ~lvl f = Lsm_shell.guard t.sh ~level:(level_name lvl) f
 
 (* {1 Level bookkeeping} *)
 
@@ -338,6 +270,20 @@ let mk_bloom t ~expected_items =
          ~expected_items:(max 16 expected_items) ())
   else None
 
+(* Seal a finished builder into a mounted, not-yet-committed run. *)
+let seal t b bloom =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  let bloom_blob =
+    if t.config.Config.persist_bloom then Option.map Bloom.to_string bloom
+    else None
+  in
+  let footer = Sstable.Builder.finish ?bloom_blob b ~timestamp:id in
+  let sst =
+    Sstable.Reader.open_in_ram t.store footer ~index:(Sstable.Builder.index_blob b)
+  in
+  { pr_id = id; pr_comp = Component.of_sst ?bloom sst }
+
 (* {1 Flush: memtable -> one level-0 run}
 
    Atomic: the whole memtable streams into a single run, the manifest
@@ -369,22 +315,11 @@ let do_flush t =
     t.flush_builder <- None
   end
   else begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    let bloom_blob =
-      if t.config.Config.persist_bloom then Option.map Bloom.to_string bloom
-      else None
-    in
-    let footer = Sstable.Builder.finish ?bloom_blob b ~timestamp:id in
-    let sst =
-      Sstable.Reader.open_in_ram t.store footer
-        ~index:(Sstable.Builder.index_blob b)
-    in
+    let run = seal t b bloom in
     t.flush_builder <- None;
-    let comp = Component.of_sst ?bloom sst in
-    t.levels.(0) <- { pr_id = id; pr_comp = comp } :: t.levels.(0);
-    t.stats.flushes <- t.stats.flushes + 1;
-    t.stats.bytes_flushed <- t.stats.bytes_flushed + Component.data_bytes comp;
+    t.levels.(0) <- run :: t.levels.(0);
+    t.es.flushes <- t.es.flushes + 1;
+    t.es.bytes_flushed <- t.es.bytes_flushed + run_bytes run;
     t.floor_lsn <- floor;
     commit_manifest t;
     Pagestore.Wal.truncate wal ~upto_lsn:floor
@@ -406,14 +341,13 @@ let resolve_runs t ~lvl ids =
                t.policy.Compaction_policy.p_name id lvl))
     ids
 
-let comp_pull t ~lvl ?from comp =
-  let it = Component.iterator ?from comp in
-  fun () -> guard t ~lvl (fun () -> Sstable.Reader.iter_next_full it)
+let comp_pull t ~lvl ~from comp =
+  Lsm_shell.component_pull t.sh ~level:(level_name lvl) ~from comp
 
 (* Pull a list of key-disjoint components (sorted by min key) as one
    ordered stream, opening each only when the previous one runs dry;
    [from] positions the first. *)
-let chain_pull t ~lvl ?from comps =
+let chain_pull t ~lvl ~from comps =
   let remaining = ref comps in
   let from = ref from in
   let cur = ref None in
@@ -430,7 +364,7 @@ let chain_pull t ~lvl ?from comps =
         | [] -> None
         | c :: rest ->
             remaining := rest;
-            cur := Some (comp_pull t ~lvl ?from:!from c);
+            cur := Some (comp_pull t ~lvl ~from:!from c);
             from := None;
             next ())
   in
@@ -468,7 +402,7 @@ let start_job t (job : Compaction_policy.job) =
   in
   let sources =
     List.mapi
-      (fun i r -> (i, comp_pull t ~lvl:job.j_level r.pr_comp))
+      (fun i r -> (i, comp_pull t ~lvl:job.j_level ~from:None r.pr_comp))
       inputs_desc
     @
     match overlaps with
@@ -481,7 +415,7 @@ let start_job t (job : Compaction_policy.job) =
         in
         [
           ( List.length inputs_desc,
-            chain_pull t ~lvl:job.j_target
+            chain_pull t ~lvl:job.j_target ~from:None
               (List.map (fun r -> r.pr_comp) sorted) );
         ]
   in
@@ -519,22 +453,7 @@ let rotate_output t ac =
   | None -> ()
   | Some b ->
       if Sstable.Builder.record_count b = 0 then Sstable.Builder.abandon b
-      else begin
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        let bloom_blob =
-          if t.config.Config.persist_bloom then
-            Option.map Bloom.to_string ac.ac_bloom
-          else None
-        in
-        let footer = Sstable.Builder.finish ?bloom_blob b ~timestamp:id in
-        let sst =
-          Sstable.Reader.open_in_ram t.store footer
-            ~index:(Sstable.Builder.index_blob b)
-        in
-        let comp = Component.of_sst ?bloom:ac.ac_bloom sst in
-        ac.ac_outputs <- { pr_id = id; pr_comp = comp } :: ac.ac_outputs
-      end);
+      else ac.ac_outputs <- seal t b ac.ac_bloom :: ac.ac_outputs);
   ac.ac_builder <- None;
   ac.ac_bloom <- None
 
@@ -602,8 +521,8 @@ let commit_active t ac =
       @ List.filter
           (fun r -> not (List.mem r.pr_id gone_overlaps))
           t.levels.(job.Compaction_policy.j_target));
-  t.stats.compactions <- t.stats.compactions + 1;
-  t.stats.bytes_compacted <- t.stats.bytes_compacted + ac.ac_total_bytes;
+  t.es.compactions <- t.es.compactions + 1;
+  t.es.bytes_compacted <- t.es.bytes_compacted + ac.ac_total_bytes;
   commit_manifest t;
   List.iter (fun r -> Component.free r.pr_comp) ac.ac_inputs;
   List.iter (fun r -> Component.free r.pr_comp) ac.ac_overlaps
@@ -633,32 +552,14 @@ let run_job t job =
   start_job t job;
   finish_active t
 
-let now_us t = Pagestore.Store.now_us t.store
-
-(* Run [f], adding the simulated time it takes to one stall bucket; the
-   hard bucket is charged even when a crash point escapes [f]. *)
-let charge t bucket f =
-  let sc = t.scratch in
-  let t0 = now_us t in
-  let add () =
-    let dt = now_us t -. t0 in
-    match bucket with
-    | `Merge1 -> sc.sc_merge1_us <- sc.sc_merge1_us +. dt
-    | `Merge2 -> sc.sc_merge2_us <- sc.sc_merge2_us +. dt
-    | `Hard -> sc.sc_hard_us <- sc.sc_hard_us +. dt
-  in
-  match bucket with
-  | `Hard -> Fun.protect ~finally:add f
-  | `Merge1 | `Merge2 ->
-      f ();
-      add ()
+let charge t bucket f = Lsm_shell.charge t.sh bucket f
 
 (* Hard drain: level 0 reached the stop threshold, so writes block until
    the policy has merged it down to [limit] runs. The parked elective
    compaction finishes first — its inputs may pin runs the drain jobs
    need. *)
 let hard_drain t ~limit =
-  t.stats.hard_stalls <- t.stats.hard_stalls + 1;
+  t.es.hard_stalls <- t.es.hard_stalls + 1;
   finish_active t;
   let fuel = ref 0 in
   while List.length t.levels.(0) > limit do
@@ -727,7 +628,7 @@ let pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us =
   end
   else begin
     if l0 >= slowdown_at then begin
-      t.stats.slowdown_writes <- t.stats.slowdown_writes + 1;
+      t.es.slowdown_writes <- t.es.slowdown_writes + 1;
       charge t `Hard (fun () -> Simdisk.Disk.advance (disk t) slowdown_us);
       t.credit <-
         t.credit
@@ -738,10 +639,10 @@ let pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us =
     if t.credit > 0.0 then
       match t.policy.Compaction_policy.p_pick (view t) with
       | Some job ->
-          let before = t.stats.bytes_compacted in
+          let before = t.es.bytes_compacted in
           charge t `Merge2 (fun () -> run_job t job);
           t.credit <-
-            t.credit -. float_of_int (t.stats.bytes_compacted - before)
+            t.credit -. float_of_int (t.es.bytes_compacted - before)
       | None -> ()
   end
 
@@ -751,139 +652,44 @@ let pace t ~write_bytes =
   | Credit { credit_per_byte; slowdown_at; slowdown_us } ->
       pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us
 
-let before_write t ~write_bytes =
-  let sc = t.scratch in
-  sc.sc_merge1_us <- 0.0;
-  sc.sc_merge2_us <- 0.0;
-  sc.sc_hard_us <- 0.0;
-  sc.sc_wal_us <- 0.0;
-  sc.sc_total_us <- 0.0;
-  let t0 = now_us t in
-  pace t ~write_bytes;
-  sc.sc_total_us <- now_us t -. t0;
-  t.stats.stall_merge1_us <- t.stats.stall_merge1_us +. sc.sc_merge1_us;
-  t.stats.stall_merge2_us <- t.stats.stall_merge2_us +. sc.sc_merge2_us;
-  t.stats.stall_hard_us <- t.stats.stall_hard_us +. sc.sc_hard_us;
-  match t.stall_observer with
-  | None -> ()
-  | Some f ->
-      f
-        {
-          Tree.sb_merge1_us = sc.sc_merge1_us;
-          sb_merge2_us = sc.sc_merge2_us;
-          sb_hard_us = sc.sc_hard_us;
-          sb_wal_us = 0.0;
-          sb_total_us = sc.sc_total_us;
-        }
-
 (* {1 Write path} *)
 
-let write_entry t key entry =
-  let bytes = String.length key + Kv.Entry.payload_bytes entry in
-  before_write t ~write_bytes:bytes;
-  let t_wal = now_us t in
-  let lsn =
-    Pagestore.Wal.append
-      (Pagestore.Store.wal t.store)
-      (Tree.encode_ops [ (key, entry) ])
-  in
-  t.scratch.sc_wal_us <- t.scratch.sc_wal_us +. (now_us t -. t_wal);
-  Memtable.write t.mem ~lsn key entry;
-  t.stats.user_bytes <- t.stats.user_bytes + bytes
-
-let put t key value =
-  t.stats.puts <- t.stats.puts + 1;
-  write_entry t key (Kv.Entry.Base value)
-
-let delete t key =
-  t.stats.deletes <- t.stats.deletes + 1;
-  write_entry t key Kv.Entry.Tombstone
-
-let apply_delta t key d =
-  t.stats.deltas <- t.stats.deltas + 1;
-  write_entry t key (Kv.Entry.Delta [ d ])
-
-let write_batch t ops =
-  if ops <> [] then begin
-    let bytes =
-      List.fold_left
-        (fun a (k, e) -> a + String.length k + Kv.Entry.payload_bytes e)
-        0 ops
-    in
-    before_write t ~write_bytes:bytes;
-    let t_wal = now_us t in
-    let lsn =
-      Pagestore.Wal.append (Pagestore.Store.wal t.store) (Tree.encode_ops ops)
-    in
-    t.scratch.sc_wal_us <- t.scratch.sc_wal_us +. (now_us t -. t_wal);
-    List.iter (fun (key, entry) -> Memtable.write t.mem ~lsn key entry) ops;
-    t.stats.puts <- t.stats.puts + List.length ops;
-    t.stats.user_bytes <- t.stats.user_bytes + bytes
-  end
+let write t = Lsm_shell.write t.sh ~pace:(pace t) ~memtable:(fun () -> t.mem)
+let put t = Lsm_shell.put t.sh ~write:(write t)
+let delete t = Lsm_shell.delete t.sh ~write:(write t)
+let apply_delta t = Lsm_shell.apply_delta t.sh ~write:(write t)
+let write_batch t ops = Lsm_shell.write_batch t.sh ~write:(write t) ops
 
 (* {1 Read path}
 
-   Visit record states newest-first: memtable, then every level top
-   down. Within a level, the runs whose key range covers the key are
-   visited newest id first — required where runs overlap (level 0,
-   tiered levels); where they are key-disjoint at most one is left.
-   Early termination stops at the first base record or tombstone
-   (§3.1.1). *)
+   Record states newest-first: memtable, then every level top down.
+   Within a level, the runs whose key range covers the key are visited
+   newest id first — required where runs overlap (level 0, tiered
+   levels); where they are key-disjoint at most one is left. A level's
+   runs are filtered only if the lookup reaches it. *)
 
-let lookup_entry t key =
-  let early = t.config.Config.early_termination in
-  let resolver = t.config.Config.resolver in
-  let result = ref None in
-  let stop = ref false in
-  let absorb e =
-    (match !result with
-    | None -> result := Some e
-    | Some newer -> result := Some (Kv.Entry.merge resolver ~newer ~older:e));
-    if early then
-      match !result with
-      | Some (Kv.Entry.Base _ | Kv.Entry.Tombstone) -> stop := true
-      | _ -> ()
+let sources t key absorb =
+  let rec from lvl =
+    lvl < t.pc.pt_max_levels
+    && (List.filter
+          (fun r ->
+            String.compare (run_min_key r) key <= 0
+            && String.compare key (run_max_key r) <= 0)
+          t.levels.(lvl)
+       |> List.sort (fun a b -> Int.compare b.pr_id a.pr_id)
+       |> List.exists (fun r ->
+              absorb (guard t ~lvl (fun () -> Component.get r.pr_comp key)))
+       || from (lvl + 1))
   in
-  (match Memtable.get t.mem key with Some e -> absorb e | None -> ());
-  let lvl = ref 0 in
-  while (not !stop) && !lvl < t.pc.pt_max_levels do
-    let runs =
-      List.filter
-        (fun r ->
-          String.compare (run_min_key r) key <= 0
-          && String.compare key (run_max_key r) <= 0)
-        t.levels.(!lvl)
-      |> List.sort (fun a b -> Int.compare b.pr_id a.pr_id)
-    in
-    List.iter
-      (fun r ->
-        if not !stop then
-          match guard t ~lvl:!lvl (fun () -> Component.get r.pr_comp key) with
-          | Some e -> absorb e
-          | None -> ())
-      runs;
-    incr lvl
-  done;
-  !result
+  absorb (Memtable.get t.mem key) || from 0
 
-let interpret t e = Kv.Entry.value t.config.Config.resolver e
-
-let get t key =
-  t.stats.gets <- t.stats.gets + 1;
-  interpret t (lookup_entry t key)
+let get t key = Lsm_shell.get t.sh (sources t key)
 
 let read_modify_write t key f =
-  t.stats.rmws <- t.stats.rmws + 1;
-  let v = interpret t (lookup_entry t key) in
-  write_entry t key (Kv.Entry.Base (f v))
+  Lsm_shell.read_modify_write t.sh ~write:(write t) (sources t key) key f
 
 let insert_if_absent t key value =
-  t.stats.checked_inserts <- t.stats.checked_inserts + 1;
-  match interpret t (lookup_entry t key) with
-  | Some _ -> false
-  | None ->
-      write_entry t key (Kv.Entry.Base value);
-      true
+  Lsm_shell.insert_if_absent t.sh ~write:(write t) (sources t key) key value
 
 (* {1 Scans} *)
 
@@ -907,7 +713,7 @@ let level_sources t ~lvl ~from =
   | [] -> []
   | _ when disjoint by_min ->
       [
-        chain_pull t ~lvl ~from
+        chain_pull t ~lvl ~from:(Some from)
           (List.filter_map
              (fun r ->
                if String.compare (run_max_key r) from >= 0 then Some r.pr_comp
@@ -916,34 +722,19 @@ let level_sources t ~lvl ~from =
       ]
   | _ ->
       List.map
-        (fun r -> comp_pull t ~lvl ~from r.pr_comp)
+        (fun r -> comp_pull t ~lvl ~from:(Some from) r.pr_comp)
         (List.sort (fun a b -> Int.compare b.pr_id a.pr_id) by_min)
 
+(* Freshest first: the memtable shadows every run, then levels top down
+   (the order [sources] uses). *)
 let scan t start n =
-  t.stats.scans <- t.stats.scans + 1;
-  (* Freshest first: the memtable shadows every run, then levels top
-     down (the same order [lookup_entry] uses). *)
-  let sources =
-    Memtable.pull_from t.mem ~from:start
-    :: List.concat_map
-         (fun lvl -> level_sources t ~lvl ~from:start)
-         (List.init t.pc.pt_max_levels Fun.id)
-  in
-  let merge =
-    Sstable.Merge_iter.create ~resolver:t.config.Config.resolver
-      ~drop_tombstones:true
-      (List.mapi (fun i pull -> (i, pull)) sources)
-  in
-  (* drop_tombstones output is Base-only: deltas arrive resolved *)
-  let rec collect acc k =
-    if k = 0 then List.rev acc
-    else
-      match Sstable.Merge_iter.next merge with
-      | None -> List.rev acc
-      | Some (key, Kv.Entry.Base v, _) -> collect ((key, v) :: acc) (k - 1)
-      | Some (_, (Kv.Entry.Delta _ | Kv.Entry.Tombstone), _) -> collect acc k
-  in
-  collect [] n
+  Lsm_shell.scan t.sh
+    (fun () ->
+      Memtable.pull_from t.mem ~from:start
+      :: List.concat_map
+           (fun lvl -> level_sources t ~lvl ~from:start)
+           (List.init t.pc.pt_max_levels Fun.id))
+    n
 
 (* {1 Maintenance} *)
 
@@ -993,92 +784,51 @@ let crash_and_recover ?(verify = false) t =
     | None -> t.policy
   in
   let fresh = create ~config:t.config ~pconfig:t.pc ~policy t.store in
-  fresh.stats.recoveries <- t.stats.recoveries + 1;
-  if mid_compaction then
-    fresh.stats.recoveries_mid_compaction <-
-      t.stats.recoveries_mid_compaction + 1
-  else
-    fresh.stats.recoveries_mid_compaction <- t.stats.recoveries_mid_compaction;
+  fresh.es.recoveries <- t.es.recoveries + 1;
+  fresh.es.recoveries_mid_compaction <-
+    (t.es.recoveries_mid_compaction + if mid_compaction then 1 else 0);
   (match read_manifest t with
   | None -> ()
   | Some (next_id, floor, runs) ->
-     fresh.next_id <- next_id;
-     fresh.floor_lsn <- floor;
-     List.iter (fun (lvl, id, blob) ->
-       let sst =
-         match Sstable.Reader.of_meta t.store blob with
-         | sst -> sst
-         | exception Sstable.Sst_format.Corrupt { what; page } ->
-             (* manifest metadata or index rotted: unreadable without it *)
-             fresh.stats.corruptions_detected <-
-               fresh.stats.corruptions_detected + 1;
-             raise
-               (Tree.Corruption
-                  { level = level_name lvl; what; page_or_lsn = page })
-       in
-       let errs = if verify then Sstable.Reader.verify sst else [] in
-       (* A rotted Bloom blob is derived data: build_bloom masks it by
-          rebuilding from a scan. Count it, ignore it. *)
-       let bloom_errs, real_errs =
-         List.partition (fun (what, _) -> what = "bloom blob checksum") errs
-       in
-       fresh.stats.corruptions_detected <-
-         fresh.stats.corruptions_detected + List.length bloom_errs;
-       let comp =
-         match real_errs with
-         | [] ->
-             let bloom =
-               Component.build_bloom ~kind:t.config.Config.bloom_kind
-                 ~bits_per_key:t.config.Config.bloom_bits_per_key sst
-             in
-             Component.of_sst ?bloom sst
-         | _ :: _ ->
-             (* Quarantine: mount it bloomless — good pages stay
-                readable, rotted ones raise on touch (the rebuild scan
-                would trip over the bad page). *)
-             fresh.stats.corruptions_detected <-
-               fresh.stats.corruptions_detected + List.length real_errs;
-             fresh.stats.quarantined_runs <- fresh.stats.quarantined_runs + 1;
-             Component.of_sst sst
-       in
-       if lvl < fresh.pc.pt_max_levels then
-         fresh.levels.(lvl) <- { pr_id = id; pr_comp = comp } :: fresh.levels.(lvl)
-       else
-         failwith "policy_tree: manifest level out of range")
-       runs;
-     Array.iteri
-       (fun lvl runs -> fresh.levels.(lvl) <- level_order lvl runs)
-       fresh.levels);
-  (* Replay the log into a fresh memtable. Every record with
-     lsn < floor is durably folded into a committed level-0 run (flushes
-     are atomic), so the floor filter alone prevents double-apply —
-     crucially for deltas, which are not idempotent. *)
-  let wal = Pagestore.Store.wal t.store in
-  (match
-     Pagestore.Wal.replay wal ~from_lsn:fresh.floor_lsn (fun lsn payload ->
-         if lsn >= fresh.floor_lsn then
-           List.iter
-             (fun (key, entry) -> Memtable.write fresh.mem ~lsn key entry)
-             (Tree.decode_ops payload))
-   with
-  | () -> ()
-  | exception Pagestore.Wal.Corrupt { what; lsn } ->
-      fresh.stats.corruptions_detected <- fresh.stats.corruptions_detected + 1;
-      raise (Tree.Corruption { level = "WAL"; what; page_or_lsn = lsn }));
+      fresh.next_id <- next_id;
+      fresh.floor_lsn <- floor;
+      (* Every flushed record is truncated from the log, so no run is
+         ever covered by it: rot quarantines, it never drops a run. *)
+      List.iter
+        (fun (lvl, id, blob) ->
+          if lvl >= fresh.pc.pt_max_levels then
+            failwith "policy_tree: manifest level out of range";
+          Option.iter
+            (fun comp ->
+              fresh.levels.(lvl) <- { pr_id = id; pr_comp = comp } :: fresh.levels.(lvl))
+            (Lsm_shell.mount fresh.sh ~level:(level_name lvl) ~verify
+               ~covered:(fun _ -> false) blob))
+        runs;
+      Array.iteri
+        (fun lvl runs -> fresh.levels.(lvl) <- level_order lvl runs)
+        fresh.levels);
+  (* Replay the log into the memtable. Every record with lsn < floor is
+     durably folded into a committed level-0 run (flushes are atomic),
+     so the floor filter alone prevents double-apply — crucially for
+     deltas, which are not idempotent. *)
+  Lsm_shell.replay fresh.sh ~from_lsn:fresh.floor_lsn (fun lsn ops ->
+      if lsn >= fresh.floor_lsn then
+        List.iter (fun (key, entry) -> Memtable.write fresh.mem ~lsn key entry) ops);
   fresh
 
 (* {1 Scrubbing} *)
 
-let scrub t =
-  let errs = ref 0 in
-  Array.iter
-    (List.iter (fun r ->
-         errs := !errs + List.length (Sstable.Reader.verify r.pr_comp.Component.sst)))
-    t.levels;
-  let _checked, wal_errs = Pagestore.Wal.verify (Pagestore.Store.wal t.store) in
-  errs := !errs + List.length wal_errs;
-  t.stats.corruptions_detected <- t.stats.corruptions_detected + !errs;
-  (!errs, !errs = 0)
+let live_runs t =
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun lvl runs -> List.map (fun r -> (level_name lvl, r.pr_comp)) runs)
+          t.levels))
+
+let scrub t = Lsm_shell.scrub t.sh (live_runs t)
+
+let component_footers t =
+  List.map (fun (level, c) -> (level, Sstable.Reader.footer c.Component.sst)) (live_runs t)
 
 (* {1 Metrics} *)
 
@@ -1087,41 +837,31 @@ let metrics t =
   | Some m -> m
   | None ->
       let reg = Obs.Metrics.create () in
-      let s = t.stats in
+      let s = stats t and es = t.es in
       let counter = Obs.Metrics.counter in
-      counter reg "ptree.puts" ~help:"put operations" (fun () -> s.puts);
-      counter reg "ptree.gets" ~help:"get operations" (fun () -> s.gets);
-      counter reg "ptree.deletes" ~help:"delete operations" (fun () ->
-          s.deletes);
-      counter reg "ptree.deltas" ~help:"delta operations" (fun () -> s.deltas);
-      counter reg "ptree.scans" ~help:"scan operations" (fun () -> s.scans);
-      counter reg "ptree.rmws" ~help:"read-modify-writes" (fun () -> s.rmws);
-      counter reg "ptree.checked_inserts" ~help:"insert-if-absent calls"
-        (fun () -> s.checked_inserts);
+      Lsm_shell.register_metrics t.sh reg ~prefix:"ptree";
       counter reg "ptree.flushes" ~help:"memtable flushes" (fun () ->
-          s.flushes);
+          es.flushes);
       counter reg "ptree.compactions" ~help:"policy jobs executed" (fun () ->
-          s.compactions);
+          es.compactions);
       counter reg "ptree.bytes_flushed" ~help:"level-0 output bytes" (fun () ->
-          s.bytes_flushed);
+          es.bytes_flushed);
       counter reg "ptree.bytes_compacted" ~help:"compaction input bytes"
-        (fun () -> s.bytes_compacted);
+        (fun () -> es.bytes_compacted);
       counter reg "ptree.user_bytes" ~help:"logical bytes accepted" (fun () ->
-          s.user_bytes);
+          s.user_bytes_written);
       counter reg "ptree.hard_stalls" ~help:"level-0 stop-threshold drains"
-        (fun () -> s.hard_stalls);
+        (fun () -> es.hard_stalls);
       counter reg "ptree.slowdown_writes" ~help:"writes delayed by level 0"
-        (fun () -> s.slowdown_writes);
+        (fun () -> es.slowdown_writes);
       counter reg "ptree.recoveries" ~help:"crash recoveries (lifetime)"
-        (fun () -> s.recoveries);
+        (fun () -> es.recoveries);
       counter reg "ptree.recoveries_mid_compaction"
         ~help:"recoveries that rolled back an in-flight compaction" (fun () ->
-          s.recoveries_mid_compaction);
-      counter reg "ptree.corruptions_detected" ~help:"checksum mismatches seen"
-        (fun () -> s.corruptions_detected);
+          es.recoveries_mid_compaction);
       counter reg "ptree.quarantined_runs"
         ~help:"corrupt runs mounted read-around at recovery" (fun () ->
-          s.quarantined_runs);
+          s.quarantined_components);
       counter reg "ptree.run_bytes" ~help:"bytes across all runs" (fun () ->
           total_run_bytes t);
       counter reg "ptree.runs" ~help:"run count across all levels" (fun () ->

@@ -12,7 +12,7 @@
     byte-credit background thread with level-0 slowdown. Either way
     level-0 pressure beyond the stop threshold triggers a hard drain,
     and every write gets the same merge1/merge2/hard stall attribution
-    ({!Tree.stall_breakdown}) that feeds {!Obs.Episodes} via
+    ({!Lsm_shell.stall_breakdown}) that feeds {!Obs.Episodes} via
     {!on_stall}.
 
     Durability matches the other engines: logical WAL + force-written
@@ -21,8 +21,11 @@
     compactions are pure reorganizations and never touch the WAL, and an
     interrupted one is rolled back wholesale at recovery. Corrupt runs
     found at recovery are quarantined (reads of rotted pages raise
-    {!Tree.Corruption}); mid-log WAL rot is fatal, torn tails are
-    truncated — never a wrong answer. *)
+    {!Lsm_shell.Corruption}); mid-log WAL rot is fatal, torn tails are
+    truncated — never a wrong answer. The write path, read stack,
+    stall window, recovery mount and typed corruption
+    ({!Lsm_shell.Corruption}, levels ["P<n>"] and ["WAL"]) are the
+    {!Lsm_shell}'s, shared with {!Tree}. *)
 
 (** How compaction work enters the write path.
     - [Spring]: one job in flight, stepped by {!Scheduler.spring_quota}
@@ -69,30 +72,18 @@ val default_pconfig : pconfig
     was 4 MiB). *)
 val leveldb_pconfig : pconfig
 
-type stats = {
+(** This engine's own counters; the shared ones are {!stats}. *)
+type engine_stats = {
   mutable flushes : int;
   mutable compactions : int;
   mutable bytes_flushed : int;  (** level-0 run output bytes *)
   mutable bytes_compacted : int;  (** lifetime compaction input bytes *)
-  mutable user_bytes : int;  (** logical key+payload bytes accepted *)
   mutable hard_stalls : int;  (** level-0 stop-threshold drains *)
   mutable slowdown_writes : int;  (** [Credit] writes delayed by level 0 *)
   mutable recoveries : int;
   mutable recoveries_mid_compaction : int;
       (** recoveries that rolled back an in-flight compaction — the
           crash-during-merge repro predicate *)
-  mutable corruptions_detected : int;
-  mutable quarantined_runs : int;
-  mutable puts : int;
-  mutable gets : int;
-  mutable deletes : int;
-  mutable deltas : int;
-  mutable scans : int;
-  mutable rmws : int;
-  mutable checked_inserts : int;
-  mutable stall_merge1_us : float;  (** pacing time spent flushing *)
-  mutable stall_merge2_us : float;  (** pacing time spent compacting *)
-  mutable stall_hard_us : float;  (** level-0 hard-drain time *)
 }
 
 type t
@@ -111,7 +102,8 @@ val pconfig : t -> pconfig [@@lint.allow "U001"]
 val policy : t -> Compaction_policy.t [@@lint.allow "U001"]
 val store : t -> Pagestore.Store.t
 val disk : t -> Simdisk.Disk.t
-val stats : t -> stats
+val stats : t -> Lsm_shell.stats
+val engine_stats : t -> engine_stats
 
 val put : t -> string -> string -> unit
 val delete : t -> string -> unit
@@ -134,23 +126,26 @@ val flush : t -> unit
 val maintenance : t -> unit
 
 (** Power-fail the store and reopen from manifest + WAL replay. The
-    returned tree is fresh (stats zeroed except the recovery counters,
+    returned tree is fresh (counters zeroed except the recovery counters,
     which accumulate across generations); an in-flight compaction is
-    rolled back. [verify] checksums every run page at mount; corrupt
-    runs are quarantined. May raise {!Tree.Corruption}. *)
+    rolled back. [verify] checksums every run page at mount; a run that
+    fails it, or the Bloom rebuild scan, is quarantined. May raise
+    {!Lsm_shell.Corruption}. *)
 val crash_and_recover : ?verify:bool -> t -> t
 
-(** [(checksum errors, clean)] over every run page, Bloom blob and the
-    WAL. *)
-val scrub : t -> int * bool
+(** Verifies every run page, Bloom blob and live WAL record; errors are
+    reported at level ["P<n>"] / ["WAL"]. *)
+val scrub : t -> Lsm_shell.scrub_report
 
-(** Stall attribution of the last write, tiling its pacing window —
-    same contract as {!Tree.last_stall}. *)
-val last_stall : t -> Tree.stall_breakdown
+(** Footer of every mounted run, level 0 first (["P0"], ["P1"], ...) —
+    extents and page layout for fault tests. *)
+val component_footers : t -> (string * Sstable.Sst_format.footer) list
 
-(** Observer called once per pacing decision (stall-episode detectors);
-    same hook {!Tree.on_stall} exposes, kept for observatory parity. *)
-val on_stall : t -> (Tree.stall_breakdown -> unit) -> unit
+(** Stall attribution of the last write, tiling its pacing window. *)
+val last_stall : t -> Lsm_shell.stall_breakdown
+
+(** Observer called once per pacing decision (stall-episode detectors). *)
+val on_stall : t -> (Lsm_shell.stall_breakdown -> unit) -> unit
   [@@lint.allow "U001"]
 
 (** [ptree.*] counters plus the store stack; built once and cached. *)

@@ -12,13 +12,9 @@
     threads sharing the disk with the application, and it makes every
     stall visible as write latency (see DESIGN.md §1). *)
 
-(** Detected damage that could not be masked: a checksum mismatch in the
-    named level that recovery could neither rebuild from the log nor
-    readers route around. "No silent garbage" — the failure surfaces as
-    this typed exception, never as a wrong answer. *)
-exception Corruption of { level : string; what : string; page_or_lsn : int }
+exception Corruption = Lsm_shell.Corruption
 
-type stats = {
+type stats = Lsm_shell.stats = {
   mutable puts : int;
   mutable gets : int;
   mutable deletes : int;
@@ -27,43 +23,20 @@ type stats = {
   mutable rmws : int;
   mutable checked_inserts : int;
   mutable checked_insert_seekfree : int;
-      (** insert-if-not-exists resolved purely by Bloom filters *)
-  mutable merge1_completions : int;
-  mutable merge2_completions : int;
-  mutable promotions : int;
-  mutable hard_stalls : int;  (** writes that hit the C0 hard limit *)
   mutable user_bytes_written : int;
   mutable corruptions_detected : int;
-      (** checksum mismatches seen (reads, recovery, scrubs) *)
   mutable component_rebuilds : int;
-      (** corrupt components dropped and rebuilt from WAL replay *)
   mutable quarantined_components : int;
-      (** corrupt components mounted read-around at recovery *)
   mutable scrubs : int;
-  mutable bloom_negative : int;
-      (** lookups a component's Bloom filter answered for free, summed
-          over retired components (live components add their own) *)
-  mutable bloom_false_positive : int;
-      (** filter said maybe, the component read said no — the wasted
-          I/O the filter exists to avoid; same retirement accounting *)
   stall_us : Repro_util.Histogram.t;
-      (** synchronous merge time charged to each write *)
-  (* Cumulative stall attribution (simulated µs): where the pacing time
-     recorded in [stall_us] actually went. merge1 + merge2 + hard tile
-     the histogram's total within float rounding. WAL and recovery time
-     are charged to writes / recovery outside the pacing window. *)
   mutable stall_merge1_us : float;
   mutable stall_merge2_us : float;
   mutable stall_hard_us : float;
-  mutable wal_us : float;  (** WAL append/group-commit time, all writes *)
-  mutable recovery_us : float;  (** replay + component-rebuild time *)
+  mutable wal_us : float;
+  mutable recovery_us : float;
 }
 
-(** Per-operation stall attribution: how the last write's pacing time
-    ([total_us], the sample added to [stall_us]) divides across causes.
-    [merge1_us + merge2_us + hard_us = total_us] within float rounding;
-    [wal_us] is the WAL append time, charged outside the pacing window. *)
-type stall_breakdown = {
+type stall_breakdown = Lsm_shell.stall_breakdown = {
   sb_merge1_us : float;
   sb_merge2_us : float;
   sb_hard_us : float;
@@ -71,19 +44,20 @@ type stall_breakdown = {
   sb_total_us : float;
 }
 
-(* Mutable scratch behind {!stall_breakdown}, reset per write. *)
-type stall_scratch = {
-  mutable sc_merge1_us : float;
-  mutable sc_merge2_us : float;
-  mutable sc_hard_us : float;
-  mutable sc_wal_us : float;
-  mutable sc_total_us : float;
+type merge_stats = {
+  mutable merge1_completions : int;
+  mutable merge2_completions : int;
+  mutable promotions : int;
+  mutable hard_stalls : int;
+  mutable bloom_negative : int;
+  mutable bloom_false_positive : int;
 }
 
 type t = {
   config : Config.t;
   store : Pagestore.Store.t;
   root_slot : string;  (** journal slot / WAL-client id on shared stores *)
+  sh : Lsm_shell.t;
   mutable c0 : Memtable.t;
   mutable frozen : Memtable.t option;  (** C0' (gear scheduler only) *)
   mutable c1 : Component.t option;
@@ -92,8 +66,7 @@ type t = {
   mutable merge1 : Merge_process.c0_merge option;
   mutable merge2 : Merge_process.c12 option;
   mutable timestamp : int;
-  stats : stats;
-  scratch : stall_scratch;
+  ms : merge_stats;
   mutable in_hard_stall : bool;
       (** inside {!force_space} / the naive drain: merge time is a
           hard-stall wait, whichever merge performs it *)
@@ -101,41 +74,9 @@ type t = {
       (** writes raise {!Write_fenced}; replication raises the fence on
           a primary while a snapshot cursor copy is in flight *)
   mutable metrics_cache : Obs.Metrics.t option;
-  mutable stall_observer : (stall_breakdown -> unit) option;
-      (** invoked after every pacing decision with the finalized
-          attribution — stall-episode detectors hook in here *)
 }
 
 exception Write_fenced
-
-let make_stats () =
-  {
-    puts = 0;
-    gets = 0;
-    deletes = 0;
-    deltas = 0;
-    scans = 0;
-    rmws = 0;
-    checked_inserts = 0;
-    checked_insert_seekfree = 0;
-    merge1_completions = 0;
-    merge2_completions = 0;
-    promotions = 0;
-    hard_stalls = 0;
-    user_bytes_written = 0;
-    corruptions_detected = 0;
-    component_rebuilds = 0;
-    quarantined_components = 0;
-    scrubs = 0;
-    bloom_negative = 0;
-    bloom_false_positive = 0;
-    stall_us = Repro_util.Histogram.create ();
-    stall_merge1_us = 0.0;
-    stall_merge2_us = 0.0;
-    stall_hard_us = 0.0;
-    wal_us = 0.0;
-    recovery_us = 0.0;
-  }
 
 let create ?(config = Config.default) ?(root_slot = "") store =
   (* hold the shared log from this point: records this tree buffers in
@@ -145,6 +86,7 @@ let create ?(config = Config.default) ?(root_slot = "") store =
     config;
     store;
     root_slot;
+    sh = Lsm_shell.create config store;
     c0 = Memtable.create ~seed:config.Config.seed ~resolver:config.Config.resolver ();
     frozen = None;
     c1 = None;
@@ -153,29 +95,19 @@ let create ?(config = Config.default) ?(root_slot = "") store =
     merge1 = None;
     merge2 = None;
     timestamp = 0;
-    stats = make_stats ();
-    scratch =
-      { sc_merge1_us = 0.0; sc_merge2_us = 0.0; sc_hard_us = 0.0;
-        sc_wal_us = 0.0; sc_total_us = 0.0 };
+    ms =
+      { merge1_completions = 0; merge2_completions = 0; promotions = 0;
+        hard_stalls = 0; bloom_negative = 0; bloom_false_positive = 0 };
     in_hard_stall = false;
     write_fenced = false;
     metrics_cache = None;
-    stall_observer = None;
   }
 
-let stats t = t.stats
+let stats t = Lsm_shell.stats t.sh
+let merge_stats t = t.ms
 let set_write_fence t fenced = t.write_fenced <- fenced
-
-let last_stall t =
-  {
-    sb_merge1_us = t.scratch.sc_merge1_us;
-    sb_merge2_us = t.scratch.sc_merge2_us;
-    sb_hard_us = t.scratch.sc_hard_us;
-    sb_wal_us = t.scratch.sc_wal_us;
-    sb_total_us = t.scratch.sc_total_us;
-  }
-
-let on_stall t f = t.stall_observer <- Some f
+let last_stall t = Lsm_shell.last_stall t.sh
+let on_stall t f = Lsm_shell.on_stall t.sh f
 let store t = t.store
 let disk t = Pagestore.Store.disk t.store
 let config t = t.config
@@ -204,6 +136,12 @@ let c0_fill t =
   float_of_int (Memtable.bytes t.c0)
   /. float_of_int (Config.c0_capacity t.config)
 
+(* The mounted on-disk components, newest level first. *)
+let live_components t =
+  List.filter_map
+    (fun (name, c) -> Option.map (fun c -> (name, c)) c)
+    [ ("C1", t.c1); ("C1'", t.c1_prime); ("C2", t.c2) ]
+
 (** {1 Root metadata (commit record)} *)
 
 let encode_root t =
@@ -225,48 +163,9 @@ let encode_root t =
 let commit_root t =
   Pagestore.Store.commit_root ~slot:t.root_slot t.store (encode_root t)
 
-(* Convert a low-level checksum failure into the tree-level typed error,
-   naming the component (or site) it came from. Readers verify before
-   decoding, so rot either surfaces here or is masked — never returned as
-   data. {!Simdisk.Faults.Crash_point} passes through untouched. *)
-let guard t ~level f =
-  try f ()
-  with Sstable.Sst_format.Corrupt { what; page } ->
-    t.stats.corruptions_detected <- t.stats.corruptions_detected + 1;
-    raise (Corruption { level; what; page_or_lsn = page })
-
-(** {1 Write-ahead log records}
-
-    One log record carries an atomic batch of operations (usually a
-    single one): replay applies a record's operations together, which is
-    what makes {!write_batch} all-or-nothing across crashes — the ACID
-    building block §4.4.2 attributes to the logical log. *)
-
-let encode_ops ops =
-  let buf = Buffer.create 64 in
-  Repro_util.Varint.write buf (List.length ops);
-  List.iter
-    (fun (key, entry) ->
-      Repro_util.Varint.write buf (String.length key);
-      Buffer.add_string buf key;
-      Kv.Entry.encode buf entry)
-    ops;
-  Buffer.contents buf
-
-let decode_ops s =
-  let count, pos = Repro_util.Varint.read s 0 in
-  let pos = ref pos in
-  let rec go n acc =
-    if n = 0 then List.rev acc
-    else begin
-      let klen, p = Repro_util.Varint.read s !pos in
-      let key = String.sub s p klen in
-      let entry, p = Kv.Entry.decode s (p + klen) in
-      pos := p;
-      go (n - 1) ((key, entry) :: acc)
-    end
-  in
-  go count []
+let guard t ~level f = Lsm_shell.guard t.sh ~level f
+let encode_ops = Lsm_shell.encode_ops
+let decode_ops = Lsm_shell.decode_ops
 
 (** {1 Merge lifecycle} *)
 
@@ -286,7 +185,7 @@ let try_promote t =
           (guard t ~level:"C2" (fun () ->
                Merge_process.create_c12 ~config:t.config ~store:t.store
                  ~c1_prime:c1 ~c2:t.c2));
-      t.stats.promotions <- t.stats.promotions + 1;
+      t.ms.promotions <- t.ms.promotions + 1;
       commit_root t;
       true
   | _ -> false
@@ -353,9 +252,9 @@ let start_merge1 t =
    into the tree's stats (live components report their own; the metrics
    registry sums both) before releasing its extents. *)
 let retire_component t (c : Component.t) =
-  t.stats.bloom_negative <- t.stats.bloom_negative + c.Component.bloom_negative;
-  t.stats.bloom_false_positive <-
-    t.stats.bloom_false_positive + c.Component.bloom_false_positive;
+  t.ms.bloom_negative <- t.ms.bloom_negative + c.Component.bloom_negative;
+  t.ms.bloom_false_positive <-
+    t.ms.bloom_false_positive + c.Component.bloom_false_positive;
   Component.free c
 
 let complete_merge1 t m =
@@ -382,7 +281,7 @@ let complete_merge1 t m =
   (* On a shared store (partitioned trees), only records below every
      tree's floor may be dropped. *)
   Pagestore.Wal.propose_truncate wal ~client:t.root_slot ~upto_lsn:floor;
-  t.stats.merge1_completions <- t.stats.merge1_completions + 1;
+  t.ms.merge1_completions <- t.ms.merge1_completions + 1;
   ignore (try_promote t)
 
 let complete_merge2 t m =
@@ -396,7 +295,7 @@ let complete_merge2 t m =
   commit_root t;
   retire_component t old_c1p;
   (match old_c2 with Some c -> retire_component t c | None -> ());
-  t.stats.merge2_completions <- t.stats.merge2_completions + 1;
+  t.ms.merge2_completions <- t.ms.merge2_completions + 1;
   ignore (try_promote t)
 
 (* Advance merge1 by [quota] input bytes; starts a run when appropriate. *)
@@ -423,30 +322,17 @@ let do_step_merge2 t ~quota =
           `Completed)
   | None -> `Idle
 
-(* Stall attribution: every quantum of synchronous merge work is timed on
-   the simulated clock and charged to a cause. The clock only advances
-   inside disk operations, and during pacing those all happen inside
-   these two wrappers — so the per-cause sums tile the pacing window
-   exactly (within float-addition rounding). Work done while
-   [in_hard_stall] is a hard-stall *wait* regardless of which merge
-   performs it: the write is blocked on space, not electively pacing. *)
+(* Stall attribution: every quantum of synchronous merge work is charged
+   to a cause. Work done while [in_hard_stall] is a hard-stall *wait*
+   regardless of which merge performs it: the write is blocked on space,
+   not electively pacing. *)
 let step_merge1 t ~quota =
-  let t0 = Pagestore.Store.now_us t.store in
-  let r = do_step_merge1 t ~quota in
-  let dt = Pagestore.Store.now_us t.store -. t0 in
-  let sc = t.scratch in
-  if t.in_hard_stall then sc.sc_hard_us <- sc.sc_hard_us +. dt
-  else sc.sc_merge1_us <- sc.sc_merge1_us +. dt;
-  r
+  Lsm_shell.charge t.sh (if t.in_hard_stall then `Hard else `Merge1) (fun () ->
+      do_step_merge1 t ~quota)
 
 let step_merge2 t ~quota =
-  let t0 = Pagestore.Store.now_us t.store in
-  let r = do_step_merge2 t ~quota in
-  let dt = Pagestore.Store.now_us t.store -. t0 in
-  let sc = t.scratch in
-  if t.in_hard_stall then sc.sc_hard_us <- sc.sc_hard_us +. dt
-  else sc.sc_merge2_us <- sc.sc_merge2_us +. dt;
-  r
+  Lsm_shell.charge t.sh (if t.in_hard_stall then `Hard else `Merge2) (fun () ->
+      do_step_merge2 t ~quota)
 
 (** {1 Progress estimators} *)
 
@@ -499,7 +385,7 @@ let pace_merge2 t ~cap =
    merges forward until space frees; this is the unbounded-latency path
    that good pacing is supposed to avoid (Table 1, last row). *)
 let force_space t =
-  t.stats.hard_stalls <- t.stats.hard_stalls + 1;
+  t.ms.hard_stalls <- t.ms.hard_stalls + 1;
   let cap = Config.c0_capacity t.config in
   let guard = ref 0 in
   let was_hard = t.in_hard_stall in
@@ -529,7 +415,7 @@ let pace_naive t ~write_bytes:_ =
      C1':C2 merge it is waiting on) completes — the unbounded write pause
      every level scheduler exists to avoid. *)
   if Memtable.bytes t.c0 >= Config.c0_capacity t.config then begin
-    t.stats.hard_stalls <- t.stats.hard_stalls + 1;
+    t.ms.hard_stalls <- t.ms.hard_stalls + 1;
     let guard = ref 0 in
     let drained () =
       Memtable.is_empty t.c0
@@ -636,17 +522,12 @@ let scheduler_name = function
   | Config.Gear -> "gear"
   | Config.Spring -> "spring"
 
-let before_write t ~write_bytes =
-  let sc = t.scratch in
-  sc.sc_merge1_us <- 0.0;
-  sc.sc_merge2_us <- 0.0;
-  sc.sc_hard_us <- 0.0;
-  sc.sc_wal_us <- 0.0;
-  sc.sc_total_us <- 0.0;
+(* The pacing decision for one write: a fenced tree refuses it, then
+   one trace event carries the §4.1 inputs the scheduler acts on. *)
+let pace t ~write_bytes =
+  if t.write_fenced then raise Write_fenced;
   let tr = Pagestore.Store.trace t.store in
   if Obs.Trace.enabled tr then
-    (* one event per pacing decision, carrying the §4.1 inputs the
-       scheduler is about to act on *)
     Obs.Trace.instant tr ~cat:"sched" ~name:"pace"
       ~args:
         [ ("scheduler", Obs.Trace.S (scheduler_name t.config.Config.scheduler));
@@ -655,89 +536,22 @@ let before_write t ~write_bytes =
           ("inprogress2", Obs.Trace.F (merge2_inprogress t));
           ("outprogress1", Obs.Trace.F (outprogress1 t));
           ("write_bytes", Obs.Trace.I write_bytes) ];
-  let t0 = Pagestore.Store.now_us t.store in
-  (match t.config.Config.scheduler with
+  match t.config.Config.scheduler with
   | Config.Naive -> pace_naive t ~write_bytes
   | Config.Gear -> pace_gear t ~write_bytes
-  | Config.Spring -> pace_spring t ~write_bytes);
-  let dt = Pagestore.Store.now_us t.store -. t0 in
-  sc.sc_total_us <- dt;
-  t.stats.stall_merge1_us <- t.stats.stall_merge1_us +. sc.sc_merge1_us;
-  t.stats.stall_merge2_us <- t.stats.stall_merge2_us +. sc.sc_merge2_us;
-  t.stats.stall_hard_us <- t.stats.stall_hard_us +. sc.sc_hard_us;
-  Repro_util.Histogram.add t.stats.stall_us (int_of_float dt);
-  match t.stall_observer with
-  | None -> ()
-  | Some f ->
-      f
-        {
-          sb_merge1_us = sc.sc_merge1_us;
-          sb_merge2_us = sc.sc_merge2_us;
-          sb_hard_us = sc.sc_hard_us;
-          sb_wal_us = 0.0;
-          sb_total_us = sc.sc_total_us;
-        }
+  | Config.Spring -> pace_spring t ~write_bytes
+
+let before_write t ~write_bytes =
+  Lsm_shell.stall_window t.sh (fun () -> pace t ~write_bytes)
 
 (** {1 Write path} *)
 
-(* Emit the write's span: wall-to-wall duration plus the stall
-   attribution the breakdown scratch accumulated during this write. *)
-let emit_write_span t tr ~op ~ts =
-  let sc = t.scratch in
-  Obs.Trace.complete tr ~cat:"tree" ~name:op ~ts_us:ts
-    ~dur_us:(Obs.Trace.now_us tr -. ts)
-    ~args:
-      [ ("stall_us", Obs.Trace.F sc.sc_total_us);
-        ("merge1_us", Obs.Trace.F sc.sc_merge1_us);
-        ("merge2_us", Obs.Trace.F sc.sc_merge2_us);
-        ("hard_us", Obs.Trace.F sc.sc_hard_us);
-        ("wal_us", Obs.Trace.F sc.sc_wal_us);
-        ("c0_fill", Obs.Trace.F (c0_fill t)) ]
+let write t =
+  Lsm_shell.write t.sh
+    ~pace:(fun ~write_bytes -> pace t ~write_bytes:(max 64 write_bytes))
+    ~memtable:(fun () -> t.c0)
 
-let write_entry ?(op = "put") t key entry =
-  if t.write_fenced then raise Write_fenced;
-  let tr = Pagestore.Store.trace t.store in
-  let traced = Obs.Trace.enabled tr in
-  let ts = if traced then Obs.Trace.now_us tr else 0.0 in
-  let bytes = String.length key + Kv.Entry.payload_bytes entry in
-  before_write t ~write_bytes:(max 64 bytes);
-  let t_wal = Pagestore.Store.now_us t.store in
-  let lsn =
-    Pagestore.Wal.append (Pagestore.Store.wal t.store) (encode_ops [ (key, entry) ])
-  in
-  let wal_dt = Pagestore.Store.now_us t.store -. t_wal in
-  t.scratch.sc_wal_us <- t.scratch.sc_wal_us +. wal_dt;
-  t.stats.wal_us <- t.stats.wal_us +. wal_dt;
-  Memtable.write t.c0 ~lsn key entry;
-  t.stats.user_bytes_written <- t.stats.user_bytes_written + bytes;
-  if traced then emit_write_span t tr ~op ~ts
-
-(** [write_batch t ops] applies [ops] atomically: one log record covers
-    the whole batch, so after a crash either every operation is recovered
-    or none is. Operations apply in list order (later entries for the
-    same key win). *)
-let write_batch t ops =
-  if t.write_fenced then raise Write_fenced;
-  if ops <> [] then begin
-    let tr = Pagestore.Store.trace t.store in
-    let traced = Obs.Trace.enabled tr in
-    let ts = if traced then Obs.Trace.now_us tr else 0.0 in
-    let bytes =
-      List.fold_left
-        (fun a (k, e) -> a + String.length k + Kv.Entry.payload_bytes e)
-        0 ops
-    in
-    before_write t ~write_bytes:(max 64 bytes);
-    let t_wal = Pagestore.Store.now_us t.store in
-    let lsn = Pagestore.Wal.append (Pagestore.Store.wal t.store) (encode_ops ops) in
-    let wal_dt = Pagestore.Store.now_us t.store -. t_wal in
-    t.scratch.sc_wal_us <- t.scratch.sc_wal_us +. wal_dt;
-    t.stats.wal_us <- t.stats.wal_us +. wal_dt;
-    List.iter (fun (key, entry) -> Memtable.write t.c0 ~lsn key entry) ops;
-    t.stats.puts <- t.stats.puts + List.length ops;
-    t.stats.user_bytes_written <- t.stats.user_bytes_written + bytes;
-    if traced then emit_write_span t tr ~op:"batch" ~ts
-  end
+let write_batch t ops = Lsm_shell.write_batch t.sh ~write:(write t) ops
 
 (** [absorb_batch t ~lsn ops] folds into C0 a batch slice that was
     already durably logged elsewhere — the per-partition half of
@@ -748,178 +562,68 @@ let write_batch t ops =
     filter, so atomicity across the trees rides the single record. *)
 let absorb_batch t ~lsn ops =
   if t.write_fenced then raise Write_fenced;
-  if ops <> [] then begin
-    let bytes =
-      List.fold_left
-        (fun a (k, e) -> a + String.length k + Kv.Entry.payload_bytes e)
-        0 ops
-    in
-    List.iter (fun (key, entry) -> Memtable.write t.c0 ~lsn key entry) ops;
-    t.stats.puts <- t.stats.puts + List.length ops;
-    t.stats.user_bytes_written <- t.stats.user_bytes_written + bytes
-  end
+  List.iter (fun (key, entry) -> Memtable.write t.c0 ~lsn key entry) ops;
+  let s = stats t in
+  s.puts <- s.puts + List.length ops;
+  s.user_bytes_written <- s.user_bytes_written + Lsm_shell.payload_bytes ops
 
-(** [put t key value]: blind write — insert or overwrite, zero seeks. *)
-let put t key value =
-  t.stats.puts <- t.stats.puts + 1;
-  write_entry t key (Kv.Entry.Base value)
-
-(** [delete t key]: blind tombstone write. *)
-let delete t key =
-  t.stats.deletes <- t.stats.deletes + 1;
-  write_entry ~op:"delete" t key Kv.Entry.Tombstone
-
-(** [apply_delta t key d]: zero-seek delta write (§2.3); the delta is
-    resolved against the base record by reads and merges. *)
-let apply_delta t key d =
-  t.stats.deltas <- t.stats.deltas + 1;
-  write_entry ~op:"delta" t key (Kv.Entry.Delta [ d ])
+let put t = Lsm_shell.put t.sh ~write:(write t)
+let delete t = Lsm_shell.delete t.sh ~write:(write t)
+let apply_delta t = Lsm_shell.apply_delta t.sh ~write:(write t)
 
 (** {1 Read path} *)
 
-let shadow_lookup t key =
-  match t.merge1 with
-  | Some m -> (
-      match Merge_process.c0_shadow m with
-      | Some shadow ->
-          Option.map fst (Memtable.Skiplist.find shadow key)
-      | None -> None)
-  | None -> None
+(* The snowshovel shadow of the running C0:C1 merge, if any. *)
+let shadow t = Option.bind t.merge1 Merge_process.c0_shadow
 
-let frozen_lookup t key =
-  match t.frozen with Some f -> Memtable.get f key | None -> None
-
-(* Visit record states newest-first. Early termination (§3.1.1) stops at
-   the first base record or tombstone; the ablation visits everything and
-   merges, which costs extra seeks for frequently-updated keys. *)
-let lookup_entry t key =
-  let early = t.config.Config.early_termination in
-  let sources =
-    [
-      (fun () -> Memtable.get t.c0 key);
-      (fun () -> shadow_lookup t key);
-      (fun () -> frozen_lookup t key);
-      (fun () ->
-        guard t ~level:"C1" (fun () ->
-            Option.bind t.c1 (fun c -> Component.get c key)));
-      (fun () ->
-        guard t ~level:"C1'" (fun () ->
-            Option.bind t.c1_prime (fun c -> Component.get c key)));
-      (fun () ->
-        guard t ~level:"C2" (fun () ->
-            Option.bind t.c2 (fun c -> Component.get c key)));
-    ]
+(* Record states newest-first: C0, the shadow, C0', then the on-disk
+   components. *)
+let sources t key absorb =
+  let comp level c =
+    absorb (Option.bind c (fun c -> guard t ~level (fun () -> Component.get c key)))
   in
-  let rec visit acc = function
-    | [] -> acc
-    | src :: rest -> (
-        match src () with
-        | None -> visit acc rest
-        | Some e ->
-            let acc =
-              match acc with
-              | None -> Some e
-              | Some newer -> Some (Kv.Entry.merge t.config.Config.resolver ~newer ~older:e)
-            in
-            if early then
-              match acc with
-              | Some (Kv.Entry.Base _ | Kv.Entry.Tombstone) -> acc
-              | _ -> visit acc rest
-            else visit acc rest)
-  in
-  visit None sources
+  absorb (Memtable.get t.c0 key)
+  || absorb (Option.bind (shadow t) (fun s -> Option.map fst (Memtable.Skiplist.find s key)))
+  || absorb (Option.bind t.frozen (fun f -> Memtable.get f key))
+  || comp "C1" t.c1 || comp "C1'" t.c1_prime || comp "C2" t.c2
 
 (* Newest LSN affecting [key]'s visible state: C0/shadow slots track it
    directly; durable components store it per record. 0 = never written
    (within retained history). OCC validation compares these. *)
 let read_version t key =
-  let c0_v =
-    match Memtable.peek_geq_lsn t.c0 key with
+  let mem_lsn m =
+    match Memtable.peek_geq_lsn m key with
     | Some (k, _, lsn) when String.equal k key -> Some lsn
     | _ -> None
   in
-  match c0_v with
-  | Some v -> v
-  | None -> (
-      let shadow_v =
-        match t.merge1 with
-        | Some m -> (
-            match Merge_process.c0_shadow m with
-            | Some shadow ->
-                Option.map snd (Memtable.Skiplist.find shadow key)
-            | None -> None)
-        | None -> None
-      in
-      match shadow_v with
-      | Some v -> v
-      | None -> (
-          let frozen_v =
-            match t.frozen with
-            | Some f -> (
-                match Memtable.peek_geq_lsn f key with
-                | Some (k, _, lsn) when String.equal k key -> Some lsn
-                | _ -> None)
-            | None -> None
-          in
-          match frozen_v with
-          | Some v -> v
-          | None ->
-              let comp level c =
-                Option.bind c (fun c ->
-                    if not (Component.maybe_contains c key) then None
-                    else
-                      guard t ~level (fun () ->
-                          match Sstable.Reader.get_with_lsn c.Component.sst key with
-                          | Some (_, lsn) -> Some lsn
-                          | None -> None))
-              in
-              let rec first = function
-                | [] -> 0
-                | (level, c) :: rest -> (
-                    match comp level c with Some v -> v | None -> first rest)
-              in
-              first [ ("C1", t.c1); ("C1'", t.c1_prime); ("C2", t.c2) ]))
-
-let interpret t e = Kv.Entry.value t.config.Config.resolver e
+  let comp_lsn (level, c) () =
+    if not (Component.maybe_contains c key) then None
+    else
+      guard t ~level (fun () ->
+          Option.map snd (Sstable.Reader.get_with_lsn c.Component.sst key))
+  in
+  List.to_seq
+    ((fun () -> mem_lsn t.c0)
+    :: (fun () -> Option.bind (shadow t) (fun s -> Option.map snd (Memtable.Skiplist.find s key)))
+    :: (fun () -> Option.bind t.frozen mem_lsn)
+    :: List.map comp_lsn (live_components t))
+  |> Seq.find_map (fun probe -> probe ())
+  |> Option.value ~default:0
 
 (** [get t key] point lookup: at most ~1 seek on a settled tree thanks to
     Bloom filters and early termination. *)
-let get t key =
-  t.stats.gets <- t.stats.gets + 1;
-  let tr = Pagestore.Store.trace t.store in
-  if not (Obs.Trace.enabled tr) then interpret t (lookup_entry t key)
-  else begin
-    let ts = Obs.Trace.now_us tr in
-    let r = interpret t (lookup_entry t key) in
-    Obs.Trace.complete tr ~cat:"tree" ~name:"get" ~ts_us:ts
-      ~dur_us:(Obs.Trace.now_us tr -. ts)
-      ~args:[ ("found", Obs.Trace.B (r <> None)) ];
-    r
-  end
+let get t key = Lsm_shell.get t.sh (sources t key)
 
 (** [read_modify_write t key f] reads, applies [f], writes back: the
     B-Tree-equivalent primitive (1 seek vs InnoDB's 2, Table 1). *)
 let read_modify_write t key f =
-  t.stats.rmws <- t.stats.rmws + 1;
-  let v = interpret t (lookup_entry t key) in
-  write_entry ~op:"rmw" t key (Kv.Entry.Base (f v))
+  Lsm_shell.read_modify_write t.sh ~write:(write t) (sources t key) key f
 
 (** [insert_if_absent t key value] checks for the key and inserts only if
     missing. The check consults C0 and the Bloom filters; when every
     filter says "absent" the whole operation performs zero seeks (§3.1.2). *)
 let insert_if_absent t key value =
-  t.stats.checked_inserts <- t.stats.checked_inserts + 1;
-  let disk = Pagestore.Store.disk t.store in
-  let before = (Simdisk.Disk.snapshot disk).Simdisk.Disk.seeks in
-  let existing = interpret t (lookup_entry t key) in
-  let after = (Simdisk.Disk.snapshot disk).Simdisk.Disk.seeks in
-  if after = before then
-    t.stats.checked_insert_seekfree <- t.stats.checked_insert_seekfree + 1;
-  match existing with
-  | Some _ -> false
-  | None ->
-      write_entry ~op:"insert_if_absent" t key (Kv.Entry.Base value);
-      true
+  Lsm_shell.insert_if_absent t.sh ~write:(write t) (sources t key) key value
 
 (** {1 Scans} *)
 
@@ -932,75 +636,26 @@ let skiplist_pull sl ~from =
         Some (k, e, lsn)
     | None -> None
 
-let component_pull t ~level c ~from =
-  guard t ~level (fun () ->
-      let it = Component.iterator ~from c in
-      fun () -> guard t ~level (fun () -> Sstable.Reader.iter_next_full it))
-
-let scan_sources t start =
-  List.filteri
-    (fun _ -> Option.is_some)
+let scan_sources t start () =
+  let comp level = Option.map (Lsm_shell.component_pull t.sh ~level ~from:(Some start)) in
+  List.filter_map Fun.id
     [
       Some (Memtable.pull_from t.c0 ~from:start);
-      (match t.merge1 with
-      | Some m ->
-          Option.map
-            (fun s -> skiplist_pull s ~from:start)
-            (Merge_process.c0_shadow m)
-      | None -> None);
+      Option.map (fun s -> skiplist_pull s ~from:start) (shadow t);
       Option.map (fun f -> Memtable.pull_from f ~from:start) t.frozen;
-      Option.map (fun c -> component_pull t ~level:"C1" c ~from:start) t.c1;
-      Option.map (fun c -> component_pull t ~level:"C1'" c ~from:start) t.c1_prime;
-      Option.map (fun c -> component_pull t ~level:"C2" c ~from:start) t.c2;
+      comp "C1" t.c1;
+      comp "C1'" t.c1_prime;
+      comp "C2" t.c2;
     ]
-  |> List.map Option.get
-  |> List.mapi (fun i pull -> (i, pull))
 
-(** A streaming range cursor over the merged tree. The cursor reflects
-    the components live at creation; do not interleave writes with
-    cursor pulls (single-writer discipline, as for merges). *)
-type cursor = { cursor_merge : Sstable.Merge_iter.t }
+type cursor = Lsm_shell.cursor
 
-(** [cursor t ?from ()] opens a cursor at the smallest key >= [from]. *)
-let cursor ?(from = "") t =
-  t.stats.scans <- t.stats.scans + 1;
-  {
-    cursor_merge =
-      Sstable.Merge_iter.create ~resolver:t.config.Config.resolver
-        ~drop_tombstones:true (scan_sources t from);
-  }
-
-(** [cursor_next c] yields the next live record, deltas resolved. *)
-let rec cursor_next c =
-  match Sstable.Merge_iter.next c.cursor_merge with
-  | None -> None
-  | Some (key, Kv.Entry.Base v, _) -> Some (key, v)
-  | Some (_, (Kv.Entry.Delta _ | Kv.Entry.Tombstone), _) ->
-      (* drop_tombstones output is Base-only; defensive *)
-      cursor_next c
+let cursor ?(from = "") t = Lsm_shell.cursor t.sh (scan_sources t from)
+let cursor_next = Lsm_shell.cursor_next
 
 (** [scan t start n] returns up to [n] live records with key >= [start],
     fully resolved. Touches every component: 2-3 seeks (§3.3). *)
-let scan t start n =
-  let tr = Pagestore.Store.trace t.store in
-  let traced = Obs.Trace.enabled tr in
-  let ts = if traced then Obs.Trace.now_us tr else 0.0 in
-  let c = cursor ~from:start t in
-  let rec collect acc k =
-    if k = 0 then List.rev acc
-    else
-      match cursor_next c with
-      | None -> List.rev acc
-      | Some row -> collect (row :: acc) (k - 1)
-  in
-  let rows = collect [] n in
-  if traced then
-    Obs.Trace.complete tr ~cat:"tree" ~name:"scan" ~ts_us:ts
-      ~dur_us:(Obs.Trace.now_us tr -. ts)
-      ~args:
-        [ ("requested", Obs.Trace.I n);
-          ("returned", Obs.Trace.I (List.length rows)) ];
-  rows
+let scan t start n = Lsm_shell.scan t.sh (scan_sources t start) n
 
 (** {1 Maintenance, flush, recovery} *)
 
@@ -1044,15 +699,14 @@ let flush t =
     by scanning — they are not persisted, §4.4.3), and the logical log
     replayed into a fresh C0.
 
-    Recovery tolerates corruption found on the way back up. A component
-    whose footer, index, or (with [~verify:true], which checksums every
-    page at mount) data fails verification is handled by coverage: if the
-    log still holds everything folded into it ([min_lsn] has not been
-    truncated away, under [Full] durability), the component is dropped and
-    its contents rebuilt by the replay below — the log is the authority.
-    Otherwise an openable component is quarantined (mounted; only reads
-    that touch a rotted page fail, with the typed {!Corruption}), and an
-    unopenable one is a typed recovery failure. Never a wrong answer. *)
+    Recovery tolerates corruption found on the way back up
+    ({!Lsm_shell.mount}): a component that fails verification — footer,
+    index, Bloom rebuild scan, or with [~verify:true] any data page — is
+    dropped and rebuilt by the replay below when the log still holds
+    everything folded into it ([min_lsn] not yet truncated away, under
+    [Full] durability); otherwise it is quarantined (only reads that
+    touch a rotted page fail, with the typed {!Corruption}), or, when
+    unopenable, a typed recovery failure. Never a wrong answer. *)
 let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
   let t_rec = Pagestore.Store.now_us t.store in
   (* abort in-flight merge transactions: their output regions are freed,
@@ -1063,7 +717,7 @@ let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
   let root = Pagestore.Store.read_root ~slot:t.root_slot t.store in
   let fresh = create ~config:t.config ~root_slot:t.root_slot t.store in
   let wal = Pagestore.Store.wal t.store in
-  let rebuilds = ref 0 in
+  let s = stats fresh in
   (if String.length root >= 4 && String.sub root 0 4 = "BLSM" then begin
      let ts, pos = Repro_util.Varint.read root 4 in
      fresh.timestamp <- ts;
@@ -1077,81 +731,15 @@ let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
           && f.min_lsn > 0
           && f.min_lsn >= Pagestore.Wal.truncated_to wal)
      in
-     let note () =
-       fresh.stats.corruptions_detected <- fresh.stats.corruptions_detected + 1
-     in
-     let drop_component (f : Sstable.Sst_format.footer) =
-       List.iter
-         (fun (start, length) ->
-           Pagestore.Store.free_region t.store
-             { Pagestore.Region_allocator.start; length })
-         f.extents;
-       fresh.stats.component_rebuilds <- fresh.stats.component_rebuilds + 1;
-       incr rebuilds;
-       None
-     in
-     let read_opt ~level () =
+     let read_opt ~level =
        let len, p = Repro_util.Varint.read root !pos in
-       if len = 0 then begin
-         pos := p;
-         None
-       end
-       else begin
-         let blob = String.sub root p len in
-         pos := p + len;
-         let footer =
-           (* The root is force-written and tiny; a garbled footer means
-              the metadata itself rotted. No extents to rebuild from. *)
-           match Sstable.Sst_format.decode_footer blob with
-           | f -> f
-           | exception Sstable.Sst_format.Corrupt { what; page } ->
-               note ();
-               raise (Corruption { level; what; page_or_lsn = page })
-         in
-         match Sstable.Reader.open_from_disk t.store footer with
-         | exception Sstable.Sst_format.Corrupt { what; page } ->
-             (* index blob rotted: unreadable without it *)
-             note ();
-             if covered footer then drop_component footer
-             else raise (Corruption { level; what; page_or_lsn = page })
-         | sst -> (
-             let errs = if verify then Sstable.Reader.verify sst else [] in
-             (* A rotted Bloom blob is derived data: build_bloom masks it
-                by rebuilding from a scan, so it never justifies dropping
-                or quarantining the component. Count it, ignore it. *)
-             fresh.stats.corruptions_detected <-
-               fresh.stats.corruptions_detected
-               + List.length
-                   (List.filter
-                      (fun (what, _) -> what = "bloom blob checksum")
-                      errs);
-             let errs =
-               List.filter (fun (what, _) -> what <> "bloom blob checksum") errs
-             in
-             match errs with
-             | [] ->
-                 let bloom =
-                   Component.build_bloom ~kind:t.config.Config.bloom_kind
-                     ~bits_per_key:t.config.Config.bloom_bits_per_key sst
-                 in
-                 Some (Component.of_sst ?bloom sst)
-             | _ :: _ ->
-                 fresh.stats.corruptions_detected <-
-                   fresh.stats.corruptions_detected + List.length errs;
-                 if covered footer then drop_component footer
-                 else begin
-                   (* Quarantine: mount it — good pages stay readable,
-                      rotted ones raise on touch. Bloomless: the rebuild
-                      scan would trip over the bad page. *)
-                   fresh.stats.quarantined_components <-
-                     fresh.stats.quarantined_components + 1;
-                   Some (Component.of_sst sst)
-                 end)
-       end
+       pos := p + len;
+       if len = 0 then None
+       else Lsm_shell.mount fresh.sh ~level ~verify ~covered (String.sub root p len)
      in
-     fresh.c1 <- read_opt ~level:"C1" ();
-     fresh.c1_prime <- read_opt ~level:"C1'" ();
-     fresh.c2 <- read_opt ~level:"C2" ();
+     fresh.c1 <- read_opt ~level:"C1";
+     fresh.c1_prime <- read_opt ~level:"C1'";
+     fresh.c2 <- read_opt ~level:"C2";
      (* a C1':C2 merge was in flight at the crash: restart it from scratch
         (its uncommitted output was rolled back above) *)
      match fresh.c1_prime with
@@ -1169,62 +757,45 @@ let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
      lsn <= that is covered. Base/Tombstone replays would be idempotent,
      but replaying a covered *delta* would apply it twice. *)
   let durable_lsn key =
-    let check = function
-      | Some c -> (
-          (* A rotted page in a quarantined component reads as "unknown":
-             replay the record. Reads of that key hit the bad page and
-             raise the typed error anyway, so this cannot turn into a
-             silent double-apply. *)
-          match Sstable.Reader.get_with_lsn c.Component.sst key with
-          | Some (_, lsn) -> Some lsn
-          | None -> None
-          | exception Sstable.Sst_format.Corrupt _ ->
-              fresh.stats.corruptions_detected <-
-                fresh.stats.corruptions_detected + 1;
-              None)
-      | None -> None
-    in
-    match check fresh.c1 with
-    | Some l -> l
-    | None -> (
-        match check fresh.c1_prime with
-        | Some l -> l
-        | None -> ( match check fresh.c2 with Some l -> l | None -> 0))
+    List.find_map
+      (fun ((_ : string), c) ->
+        (* A rotted page in a quarantined component reads as "unknown":
+           replay the record. Reads of that key hit the bad page and raise
+           the typed error anyway, so this cannot turn into a silent
+           double-apply. *)
+        match Sstable.Reader.get_with_lsn c.Component.sst key with
+        | r -> Option.map snd r
+        | exception Sstable.Sst_format.Corrupt _ ->
+            s.corruptions_detected <- s.corruptions_detected + 1;
+            None)
+      (live_components fresh)
+    |> Option.value ~default:0
   in
-  (match
-     Pagestore.Wal.replay wal ~from_lsn:0 (fun lsn payload ->
-         List.iter
-           (fun (key, entry) ->
-             (* [should_replay] scopes a shared log to this tree's key range
-                (partitioned stores); singleton trees replay everything *)
-             if should_replay key && lsn > durable_lsn key then
-               Memtable.write fresh.c0 ~lsn key entry)
-           (decode_ops payload))
-   with
-  | () -> ()
-  | exception Pagestore.Wal.Corrupt { what; lsn } ->
-      (* mid-log rot: power loss cannot explain it, and silently skipping
-         a record would resurrect overwritten state *)
-      fresh.stats.corruptions_detected <- fresh.stats.corruptions_detected + 1;
-      raise (Corruption { level = "WAL"; what; page_or_lsn = lsn }));
-  if !rebuilds > 0 then commit_root fresh;
+  (* [should_replay] scopes a shared log to this tree's key range
+     (partitioned stores); singleton trees replay everything *)
+  Lsm_shell.replay fresh.sh ~from_lsn:0 (fun lsn ops ->
+      List.iter
+        (fun (key, entry) ->
+          if should_replay key && lsn > durable_lsn key then
+            Memtable.write fresh.c0 ~lsn key entry)
+        ops);
+  if s.component_rebuilds > 0 then commit_root fresh;
   let rec_dt = Pagestore.Store.now_us t.store -. t_rec in
-  fresh.stats.recovery_us <- fresh.stats.recovery_us +. rec_dt;
+  s.recovery_us <- s.recovery_us +. rec_dt;
   let tr = Pagestore.Store.trace t.store in
   if Obs.Trace.enabled tr then
     Obs.Trace.complete tr ~cat:"tree" ~name:"recovery" ~ts_us:t_rec
       ~dur_us:rec_dt
       ~args:
-        [ ("rebuilds", Obs.Trace.I !rebuilds);
+        [ ("rebuilds", Obs.Trace.I s.component_rebuilds);
           ("replayed_c0_bytes", Obs.Trace.I (Memtable.bytes fresh.c0)) ];
   fresh
 
 (** {1 Scrubbing} *)
 
-type scrub_report = {
+type scrub_report = Lsm_shell.scrub_report = {
   scrub_errors : (string * string * int) list;
-      (** (level, what, page-or-lsn) per mismatch *)
-  scrub_wal_records : int;  (** live log records checked *)
+  scrub_wal_records : int;
   scrub_clean : bool;
 }
 
@@ -1233,26 +804,7 @@ type scrub_report = {
     record — and reports what it found, without touching tree state.
     The on-demand form of the background scrubbing a production store
     would run; pairs with {!crash_and_recover}'s [~verify]. *)
-let scrub t =
-  t.stats.scrubs <- t.stats.scrubs + 1;
-  let comp name = function
-    | None -> []
-    | Some c ->
-        List.map
-          (fun (what, page) -> (name, what, page))
-          (Sstable.Reader.verify c.Component.sst)
-  in
-  let wal_records, wal_errs =
-    Pagestore.Wal.verify (Pagestore.Store.wal t.store)
-  in
-  let errors =
-    comp "C1" t.c1 @ comp "C1'" t.c1_prime @ comp "C2" t.c2
-    @ List.map (fun (what, lsn) -> ("WAL", what, lsn)) wal_errs
-  in
-  t.stats.corruptions_detected <-
-    t.stats.corruptions_detected + List.length errors;
-  { scrub_errors = errors; scrub_wal_records = wal_records;
-    scrub_clean = errors = [] }
+let scrub t = Lsm_shell.scrub t.sh (live_components t)
 
 (** {1 Introspection} *)
 
@@ -1264,59 +816,34 @@ type level_info = {
 }
 
 let levels t =
-  let comp name = function
-    | None -> []
-    | Some c ->
-        [
-          {
-            level = name;
-            bytes = Component.data_bytes c;
-            records = Component.record_count c;
-            level_timestamp = Component.timestamp c;
-          };
-        ]
-  in
-  [
-    {
-      level = "C0";
-      bytes = Memtable.bytes t.c0;
-      records = Memtable.count t.c0;
-      level_timestamp = 0;
-    };
-  ]
-  @ comp "C1" t.c1 @ comp "C1'" t.c1_prime @ comp "C2" t.c2
+  { level = "C0"; bytes = Memtable.bytes t.c0; records = Memtable.count t.c0;
+    level_timestamp = 0 }
+  :: List.map
+       (fun (level, c) ->
+         { level; bytes = Component.data_bytes c; records = Component.record_count c;
+           level_timestamp = Component.timestamp c })
+       (live_components t)
 
 (** Footer of each mounted on-disk component, newest level first —
     extents and page layout for scrub tooling and fault tests. *)
 let component_footers t =
-  let comp name = function
-    | None -> []
-    | Some c -> [ (name, Sstable.Reader.footer c.Component.sst) ]
-  in
-  comp "C1" t.c1 @ comp "C1'" t.c1_prime @ comp "C2" t.c2
+  List.map (fun (name, c) -> (name, Sstable.Reader.footer c.Component.sst)) (live_components t)
 
 (** Total bloom-filter RAM currently allocated (Appendix A overhead). *)
 let bloom_bytes t =
   List.fold_left
-    (fun acc c ->
-      match c with
-      | Some { Component.bloom = Some b; _ } -> acc + Bloom.size_bytes b
-      | _ -> acc)
-    0
-    [ t.c1; t.c1_prime; t.c2 ]
+    (fun acc (_, c) ->
+      match c.Component.bloom with Some b -> acc + Bloom.size_bytes b | None -> acc)
+    0 (live_components t)
 
 (* Bloom-filter outcome totals: retired components' counters (folded into
-   stats by [retire_component]) plus the live components' own. *)
+   [merge_stats] by [retire_component]) plus the live components' own. *)
 let bloom_counters t =
   List.fold_left
-    (fun (neg, fp) c ->
-      match c with
-      | Some c ->
-          ( neg + c.Component.bloom_negative,
-            fp + c.Component.bloom_false_positive )
-      | None -> (neg, fp))
-    (t.stats.bloom_negative, t.stats.bloom_false_positive)
-    [ t.c1; t.c1_prime; t.c2 ]
+    (fun (neg, fp) (_, c) ->
+      (neg + c.Component.bloom_negative, fp + c.Component.bloom_false_positive))
+    (t.ms.bloom_negative, t.ms.bloom_false_positive)
+    (live_components t)
 
 (** Lookups any Bloom filter answered "absent" for free — tree lifetime,
     retired components included. *)
@@ -1338,36 +865,23 @@ let metrics t =
   | None ->
       let reg = Obs.Metrics.create () in
       let open Obs.Metrics in
-      let s = t.stats in
-      counter reg "tree.puts" ~help:"blind writes" (fun () -> s.puts);
-      counter reg "tree.gets" ~help:"point lookups" (fun () -> s.gets);
-      counter reg "tree.deletes" ~help:"tombstone writes" (fun () -> s.deletes);
-      counter reg "tree.deltas" ~help:"delta writes" (fun () -> s.deltas);
-      counter reg "tree.scans" ~help:"range scans" (fun () -> s.scans);
-      counter reg "tree.rmws" ~help:"read-modify-writes" (fun () -> s.rmws);
-      counter reg "tree.checked_inserts" ~help:"insert-if-absent calls"
-        (fun () -> s.checked_inserts);
-      counter reg "tree.checked_insert_seekfree"
-        ~help:"insert-if-absent resolved by Bloom filters alone" (fun () ->
-          s.checked_insert_seekfree);
+      let s = stats t and ms = t.ms in
+      Lsm_shell.register_metrics t.sh reg ~prefix:"tree";
       counter reg "tree.merge1_completions" ~help:"C0:C1 runs committed"
-        (fun () -> s.merge1_completions);
+        (fun () -> ms.merge1_completions);
       counter reg "tree.merge2_completions" ~help:"C1':C2 merges committed"
-        (fun () -> s.merge2_completions);
+        (fun () -> ms.merge2_completions);
       counter reg "tree.promotions" ~help:"C1 -> C1' promotions" (fun () ->
-          s.promotions);
+          ms.promotions);
       counter reg "tree.hard_stalls" ~help:"writes that hit the C0 hard limit"
-        (fun () -> s.hard_stalls);
+        (fun () -> ms.hard_stalls);
       counter reg "tree.user_bytes_written" ~help:"application payload bytes"
         (fun () -> s.user_bytes_written);
-      counter reg "tree.corruptions_detected" ~help:"checksum mismatches seen"
-        (fun () -> s.corruptions_detected);
       counter reg "tree.component_rebuilds" ~help:"components rebuilt from WAL"
         (fun () -> s.component_rebuilds);
       counter reg "tree.quarantined_components"
         ~help:"corrupt components mounted read-around" (fun () ->
           s.quarantined_components);
-      counter reg "tree.scrubs" ~help:"scrub passes" (fun () -> s.scrubs);
       histogram reg "tree.stall_us" ~help:"per-write pacing time, µs"
         s.stall_us;
       gauge reg "tree.stall.merge1_us" ~help:"pacing time spent in merge1, µs"

@@ -23,9 +23,11 @@ type t
     this typed exception, never as a wrong answer. *)
 exception Corruption of { level : string; what : string; page_or_lsn : int }
 
-(** Operation and merge counters. [stall_us] records the synchronous
-    merge time charged to each write (the scheduler's backpressure). *)
-type stats = {
+(** The engine shell's counters ({!Lsm_shell.stats}): operations,
+    corruption handling, and the stall attribution — [stall_us] records
+    the pacing time charged to each write, and its merge1/merge2/hard
+    totals tile it. *)
+type stats = Lsm_shell.stats = {
   mutable puts : int;
   mutable gets : int;
   mutable deletes : int;
@@ -35,40 +37,37 @@ type stats = {
   mutable checked_inserts : int;
   mutable checked_insert_seekfree : int;
       (** insert-if-not-exists calls resolved purely by Bloom filters *)
+  mutable user_bytes_written : int;
+  mutable corruptions_detected : int;
+  mutable component_rebuilds : int;
+  mutable quarantined_components : int;
+  mutable scrubs : int;
+  stall_us : Repro_util.Histogram.t;
+  mutable stall_merge1_us : float;
+  mutable stall_merge2_us : float;
+  mutable stall_hard_us : float;
+  mutable wal_us : float;
+  mutable recovery_us : float;
+}
+
+(** bLSM's own counters. *)
+type merge_stats = {
   mutable merge1_completions : int;  (** C0:C1 runs committed *)
   mutable merge2_completions : int;  (** C1':C2 merges committed *)
   mutable promotions : int;  (** C1 -> C1' handoffs *)
   mutable hard_stalls : int;  (** writes that hit the C0 hard limit *)
-  mutable user_bytes_written : int;
-  mutable corruptions_detected : int;
-      (** checksum mismatches seen (reads, recovery, scrubs) *)
-  mutable component_rebuilds : int;
-      (** corrupt components dropped and rebuilt from WAL replay *)
-  mutable quarantined_components : int;
-      (** corrupt components mounted read-around at recovery *)
-  mutable scrubs : int;
   mutable bloom_negative : int;
       (** Bloom "absent" answers from retired components (live ones are
           summed in by {!bloom_negative_total}) *)
   mutable bloom_false_positive : int;
       (** Bloom maybes refuted by the read, retired components *)
-  stall_us : Repro_util.Histogram.t;
-  mutable stall_merge1_us : float;
-      (** cumulative pacing time spent in merge1 quanta, simulated µs *)
-  mutable stall_merge2_us : float;
-      (** cumulative pacing time spent in merge2 quanta *)
-  mutable stall_hard_us : float;
-      (** cumulative pacing time spent waiting out hard C0 stalls *)
-  mutable wal_us : float;
-      (** cumulative WAL append / group-commit time (outside pacing) *)
-  mutable recovery_us : float;  (** replay + component-rebuild time *)
 }
 
 (** Per-operation stall attribution: how the last write's pacing time
     divided across causes. [merge1_us + merge2_us + hard_us = total_us]
     within float rounding ([total_us] is the sample added to
     [stall_us]); [wal_us] is WAL append time, charged outside pacing. *)
-type stall_breakdown = {
+type stall_breakdown = Lsm_shell.stall_breakdown = {
   sb_merge1_us : float;
   sb_merge2_us : float;
   sb_hard_us : float;
@@ -86,6 +85,7 @@ val config : t -> Config.t
 val store : t -> Pagestore.Store.t
 val disk : t -> Simdisk.Disk.t
 val stats : t -> stats
+val merge_stats : t -> merge_stats
 
 (** Stall attribution of the most recent write (valid after any
     [put]/[delete]/[apply_delta]/[read_modify_write]/batch). *)
@@ -205,7 +205,8 @@ val flush : t -> unit
 
     Corruption found on the way back up is tolerated: a component that
     fails verification ([~verify:true] checksums every page at mount;
-    the default only validates footers and index blobs) is rebuilt from
+    the default checks footers, index blobs and whatever the Bloom
+    rebuild scan reads) is rebuilt from
     WAL replay when the log still covers it, quarantined (reads touching
     rotted pages raise {!Corruption}) when openable but uncovered, and a
     typed {!Corruption} failure otherwise. Mid-log WAL rot also raises
@@ -215,7 +216,7 @@ val crash_and_recover : ?should_replay:(string -> bool) -> ?verify:bool -> t -> 
 
 (** {1 Scrubbing} *)
 
-type scrub_report = {
+type scrub_report = Lsm_shell.scrub_report = {
   scrub_errors : (string * string * int) list;
       (** (level, what, page-or-lsn) per checksum mismatch *)
   scrub_wal_records : int;  (** live log records checked *)

@@ -13,16 +13,6 @@
     engine per candidate plan, and determinism comes from everything —
     store, tree config, fault PRNG — being seeded from the plan seed. *)
 
-type counts = {
-  n_puts : int;
-  n_gets : int;
-  n_deletes : int;
-  n_deltas : int;
-  n_scans : int;
-  n_rmws : int;
-  n_checked_inserts : int;
-}
-
 (** Handle for one open OCC transaction. *)
 type txn_handle = {
   tx_get : string -> string option;
@@ -65,13 +55,15 @@ type t = {
   fenced_rejects : (unit -> int) option;
       (** primary-side count of stale-epoch requests refused *)
   crash_follower : (unit -> unit) option;
-  scrub : (unit -> int * bool) option;  (** (checksum errors, clean) *)
-  counts : (unit -> counts) option;
-      (** live op counters, compared against the interpreter's mirror *)
+  scrub : (unit -> Blsm.Lsm_shell.scrub_report list) option;
+      (** one report per engine shell (partitions scrub separately) *)
+  counts : (unit -> Blsm.Lsm_shell.stats list) option;
+      (** the engine shells' live op counters (one per partition),
+          compared against the interpreter's mirror *)
   mask_scans : bool;
       (** scans counter moves outside the op stream (chained partition
           scans); skip it in the counter check *)
-  last_stall : (unit -> Blsm.Tree.stall_breakdown) option;
+  last_stall : (unit -> Blsm.Lsm_shell.stall_breakdown) option;
   metrics_dump : unit -> string;
       (** deterministic registry dump for the byte-identity check *)
   faults : Simdisk.Faults.t;  (** (primary) store's fault plan *)
@@ -117,28 +109,6 @@ let small_config ?(scheduler = Blsm.Config.Spring) seed =
     bloom_kind = Bloom.Blocked;
     page_format = Sstable.Sst_format.V2;
     seed;
-  }
-
-let counts_of_stats (s : Blsm.Tree.stats) =
-  {
-    n_puts = s.Blsm.Tree.puts;
-    n_gets = s.Blsm.Tree.gets;
-    n_deletes = s.Blsm.Tree.deletes;
-    n_deltas = s.Blsm.Tree.deltas;
-    n_scans = s.Blsm.Tree.scans;
-    n_rmws = s.Blsm.Tree.rmws;
-    n_checked_inserts = s.Blsm.Tree.checked_inserts;
-  }
-
-let add_counts a b =
-  {
-    n_puts = a.n_puts + b.n_puts;
-    n_gets = a.n_gets + b.n_gets;
-    n_deletes = a.n_deletes + b.n_deletes;
-    n_deltas = a.n_deltas + b.n_deltas;
-    n_scans = a.n_scans + b.n_scans;
-    n_rmws = a.n_rmws + b.n_rmws;
-    n_checked_inserts = a.n_checked_inserts + b.n_checked_inserts;
   }
 
 let append_rmw suffix = fun v -> Option.value v ~default:"" ^ suffix
@@ -187,14 +157,12 @@ let caps_baseline =
 (* ------------------------------------------------------------------ *)
 (* Constructors *)
 
-let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
-  let store, faults = mk_store ~fault_seed:seed () in
-  let tree =
-    ref (Blsm.Tree.create ~config:(small_config ~scheduler seed) store)
-  in
+(* A driver over one bLSM tree; [tree] follows recoveries (and, for the
+   replication pair, failovers). *)
+let tree_driver ~name ~caps ~faults tree =
   {
     name;
-    caps = caps_tree;
+    caps;
     get = (fun k -> Blsm.Tree.get !tree k);
     put = (fun k v -> Blsm.Tree.put !tree k v);
     delete = (fun k -> Blsm.Tree.delete !tree k);
@@ -215,12 +183,8 @@ let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
     follower_stale = None;
     fenced_rejects = None;
     crash_follower = None;
-    scrub =
-      Some
-        (fun () ->
-          let r = Blsm.Tree.scrub !tree in
-          (List.length r.Blsm.Tree.scrub_errors, r.Blsm.Tree.scrub_clean));
-    counts = Some (fun () -> counts_of_stats (Blsm.Tree.stats !tree));
+    scrub = Some (fun () -> [ Blsm.Tree.scrub !tree ]);
+    counts = Some (fun () -> [ Blsm.Tree.stats !tree ]);
     mask_scans = false;
     last_stall = Some (fun () -> Blsm.Tree.last_stall !tree);
     metrics_dump = (fun () -> Obs.Metrics.dump (Blsm.Tree.metrics !tree));
@@ -228,6 +192,11 @@ let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
     follower_faults = None;
     net = None;
   }
+
+let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
+  let store, faults = mk_store ~fault_seed:seed () in
+  tree_driver ~name ~caps:caps_tree ~faults
+    (ref (Blsm.Tree.create ~config:(small_config ~scheduler seed) store))
 
 let partitioned ~seed () =
   let store, faults = mk_store ~fault_seed:seed () in
@@ -263,29 +232,9 @@ let partitioned ~seed () =
     follower_stale = None;
     fenced_rejects = None;
     crash_follower = None;
-    scrub =
-      Some
-        (fun () ->
-          let rs = Blsm.Partitioned.scrub !pt in
-          ( List.fold_left
-              (fun a r -> a + List.length r.Blsm.Tree.scrub_errors)
-              0 rs,
-            List.for_all (fun r -> r.Blsm.Tree.scrub_clean) rs ));
+    scrub = Some (fun () -> Blsm.Partitioned.scrub !pt);
     counts =
-      Some
-        (fun () ->
-          Array.fold_left
-            (fun acc s -> add_counts acc (counts_of_stats s))
-            {
-              n_puts = 0;
-              n_gets = 0;
-              n_deletes = 0;
-              n_deltas = 0;
-              n_scans = 0;
-              n_rmws = 0;
-              n_checked_inserts = 0;
-            }
-            (Blsm.Partitioned.partition_stats !pt));
+      Some (fun () -> Array.to_list (Blsm.Partitioned.partition_stats !pt));
     mask_scans = true;
     last_stall = None;
     metrics_dump = (fun () -> Obs.Metrics.dump (Blsm.Partitioned.metrics !pt));
@@ -354,17 +303,6 @@ let small_pconfig =
     pt_pacing = Blsm.Policy_tree.Spring;
   }
 
-let counts_of_pstats (s : Blsm.Policy_tree.stats) =
-  {
-    n_puts = s.Blsm.Policy_tree.puts;
-    n_gets = s.Blsm.Policy_tree.gets;
-    n_deletes = s.Blsm.Policy_tree.deletes;
-    n_deltas = s.Blsm.Policy_tree.deltas;
-    n_scans = s.Blsm.Policy_tree.scans;
-    n_rmws = s.Blsm.Policy_tree.rmws;
-    n_checked_inserts = s.Blsm.Policy_tree.checked_inserts;
-  }
-
 let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
   let store, faults = mk_store ~fault_seed:seed () in
   let pt = ref (Blsm.Policy_tree.create ~config ~pconfig ~policy store) in
@@ -393,8 +331,8 @@ let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
     follower_stale = None;
     fenced_rejects = None;
     crash_follower = None;
-    scrub = Some (fun () -> Blsm.Policy_tree.scrub !pt);
-    counts = Some (fun () -> counts_of_pstats (Blsm.Policy_tree.stats !pt));
+    scrub = Some (fun () -> [ Blsm.Policy_tree.scrub !pt ]);
+    counts = Some (fun () -> [ Blsm.Policy_tree.stats !pt ]);
     mask_scans = false;
     last_stall = Some (fun () -> Blsm.Policy_tree.last_stall !pt);
     metrics_dump = (fun () -> Obs.Metrics.dump (Blsm.Policy_tree.metrics !pt));
@@ -495,14 +433,7 @@ let replicated ~seed () =
   Blsm.Repl_server.register_metrics netreg server;
   Blsm.Replication.register_metrics netreg (fun () -> !fol);
   {
-    name = "replicated";
-    caps = caps_replicated;
-    get = (fun k -> Blsm.Tree.get !ptree k);
-    put = (fun k v -> Blsm.Tree.put !ptree k v);
-    delete = (fun k -> Blsm.Tree.delete !ptree k);
-    apply_delta = (fun k d -> Blsm.Tree.apply_delta !ptree k d);
-    rmw = (fun k s -> Blsm.Tree.read_modify_write !ptree k (append_rmw s));
-    insert_if_absent = (fun k v -> Blsm.Tree.insert_if_absent !ptree k v);
+    (tree_driver ~name:"replicated" ~caps:caps_replicated ~faults ptree) with
     scan =
       (* clamp to "\001": a promoted primary's tree carries its
          follower-era "\000…" bookkeeping keys, which must never
@@ -512,9 +443,6 @@ let replicated ~seed () =
           if String.compare start "\001" < 0 then "\001" else start
         in
         Blsm.Tree.scan !ptree from n);
-    write_batch = (fun ops -> Blsm.Tree.write_batch !ptree ops);
-    maintenance = (fun () -> Blsm.Tree.maintenance !ptree);
-    flush = Some (fun () -> Blsm.Tree.flush !ptree);
     (* Crash_recover always power-fails node A, whatever its current
        role (its store owns [faults], so injected crash points land
        there); Crash_follower is node B, symmetrically. *)
@@ -523,7 +451,6 @@ let replicated ~seed () =
         (fun () ->
           if !a_is_primary then recover_primary ()
           else fol := Blsm.Replication.crash_and_recover !fol);
-    begin_txn = Some (fun () -> tree_txn !ptree ());
     catch_up = Some (fun () -> Blsm.Replication.sync !fol);
     failover = Some failover;
     follower_scan =
@@ -540,20 +467,12 @@ let replicated ~seed () =
         (fun () ->
           if !a_is_primary then fol := Blsm.Replication.crash_and_recover !fol
           else recover_primary ());
-    scrub =
-      Some
-        (fun () ->
-          let r = Blsm.Tree.scrub !ptree in
-          (List.length r.Blsm.Tree.scrub_errors, r.Blsm.Tree.scrub_clean));
-    counts = Some (fun () -> counts_of_stats (Blsm.Tree.stats !ptree));
     (* resync scans the primary through a cursor; a follower crash midway
        leaves that bump untracked, so the scans counter is unreliable *)
     mask_scans = true;
-    last_stall = Some (fun () -> Blsm.Tree.last_stall !ptree);
     metrics_dump =
       (fun () ->
         Obs.Metrics.dump (Blsm.Tree.metrics !ptree) ^ Obs.Metrics.dump netreg);
-    faults;
     follower_faults = Some follower_faults;
     net = Some (net, node_a, node_b);
   }

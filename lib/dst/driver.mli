@@ -12,18 +12,6 @@
     config, fault PRNG).  The shrinker relies on this to rebuild a
     fresh, byte-identical engine for every candidate plan. *)
 
-(** Mirror of the op counters an engine reports; the interpreter keeps
-    its own copy and the two must agree at every checkpoint. *)
-type counts = {
-  n_puts : int;
-  n_gets : int;
-  n_deletes : int;
-  n_deltas : int;
-  n_scans : int;
-  n_rmws : int;
-  n_checked_inserts : int;
-}
-
 (** Handle for one open OCC transaction. *)
 type txn_handle = {
   tx_get : string -> string option;
@@ -64,13 +52,15 @@ type t = {
   fenced_rejects : (unit -> int) option;
       (** primary-side stale-epoch rejections *)
   crash_follower : (unit -> unit) option;
-  scrub : (unit -> int * bool) option;
-      (** [(pages_checked, clean)] full-tree checksum sweep *)
-  counts : (unit -> counts) option;
+  scrub : (unit -> Blsm.Lsm_shell.scrub_report list) option;
+      (** full-tree checksum sweep, one report per engine shell *)
+  counts : (unit -> Blsm.Lsm_shell.stats list) option;
+      (** the engine shells' live op counters; the interpreter keeps its
+          own mirror and the two must agree at every checkpoint *)
   mask_scans : bool;
       (** engine cannot serve consistent scans mid-merge; the
           interpreter skips scan equivalence for it *)
-  last_stall : (unit -> Blsm.Tree.stall_breakdown) option;
+  last_stall : (unit -> Blsm.Lsm_shell.stall_breakdown) option;
   metrics_dump : unit -> string;
   faults : Simdisk.Faults.t;  (** fault plan armed on the primary store *)
   follower_faults : Simdisk.Faults.t option;

@@ -21,7 +21,7 @@
 
     Rot discipline: once a lost-write or bit-flip fault has fired, the
     run enters {e rot mode}: typed corruption raises
-    ({!Blsm.Tree.Corruption}, WAL/SSTable [Corrupt]) become legitimate
+    ({!Blsm.Tree.Corruption}, WAL [Corrupt]) become legitimate
     outcomes (counted, never ignored silently) and counter checks are
     masked — but value comparisons still hold, because detected
     corruption must surface as an exception, never as a wrong answer.
@@ -39,33 +39,12 @@ type outcome = {
   rot : bool;
 }
 
-(* The interpreter's mirror of the engine's per-op counters. *)
-type exp = {
-  mutable e_puts : int;
-  mutable e_gets : int;
-  mutable e_deletes : int;
-  mutable e_deltas : int;
-  mutable e_scans : int;
-  mutable e_rmws : int;
-  mutable e_checked : int;
-}
-
-let zero_exp () =
-  {
-    e_puts = 0;
-    e_gets = 0;
-    e_deletes = 0;
-    e_deltas = 0;
-    e_scans = 0;
-    e_rmws = 0;
-    e_checked = 0;
-  }
-
 type st = {
   d : Driver.t;
   plan : Plan.t;
   oracle : Oracle.t;
-  exp : exp;
+  mutable exp : Blsm.Lsm_shell.stats;
+      (* the interpreter's own mirror of the engine's op counters *)
   buf : Buffer.t;
   mutable violations : string list;  (* reversed *)
   mutable rot : bool;
@@ -103,10 +82,11 @@ let show = function
   | None -> "None"
   | Some s -> Printf.sprintf "%S" (trunc s)
 
+(* Typed corruption only: an engine that lets a raw SSTable decoder
+   [Corrupt] escape breaks the "never untyped" contract, and that is a
+   violation even in rot mode. *)
 let is_corruption = function
-  | Blsm.Tree.Corruption _ | Pagestore.Wal.Corrupt _
-  | Sstable.Sst_format.Corrupt _ ->
-      true
+  | Blsm.Tree.Corruption _ | Pagestore.Wal.Corrupt _ -> true
   | _ -> false
 
 let injected_rot f =
@@ -128,14 +108,7 @@ let update_rot st =
     end
   end
 
-let reset_exp st =
-  st.exp.e_puts <- 0;
-  st.exp.e_gets <- 0;
-  st.exp.e_deletes <- 0;
-  st.exp.e_deltas <- 0;
-  st.exp.e_scans <- 0;
-  st.exp.e_rmws <- 0;
-  st.exp.e_checked <- 0
+let reset_exp st = st.exp <- Blsm.Lsm_shell.fresh_stats ()
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)
@@ -370,7 +343,7 @@ let exec_txn st i t_ops t_interleave begin_txn =
           | None ->
               if not (List.mem_assoc k !tracked) then
                 tracked := (k, !interleave_done) :: !tracked;
-              st.exp.e_gets <- st.exp.e_gets + 1;
+              st.exp.gets <- st.exp.gets + 1;
               Oracle.get st.oracle k
         in
         let record k e =
@@ -383,7 +356,7 @@ let exec_txn st i t_ops t_interleave begin_txn =
           | Some (k, v) ->
               d.Driver.put k v;
               Oracle.put st.oracle k v;
-              st.exp.e_puts <- st.exp.e_puts + 1;
+              st.exp.puts <- st.exp.puts + 1;
               interleave_done := true
         in
         let ops = Array.of_list t_ops in
@@ -432,7 +405,7 @@ let exec_txn st i t_ops t_interleave begin_txn =
                 | `Tomb -> Oracle.delete st.oracle k)
               (List.rev !order);
             let nwrites = Hashtbl.length writes in
-            st.exp.e_puts <- st.exp.e_puts + nwrites;
+            st.exp.puts <- st.exp.puts + nwrites;
             if nwrites > 0 then check_stall st i
         | `Conflict ->
             if not expected_conflict then
@@ -451,7 +424,7 @@ let checkpoint st i ~label =
          d.Driver.scan "" 1_000_000)
    with
   | `Ok rows ->
-      st.exp.e_scans <- st.exp.e_scans + 1;
+      st.exp.scans <- st.exp.scans + 1;
       let expect = Oracle.bindings st.oracle in
       if rows <> expect then
         violation st i
@@ -468,7 +441,7 @@ let checkpoint st i ~label =
       let k, v = bind.(Repro_util.Prng.int prng (Array.length bind)) in
       match guarded st i ~what:"checkpoint get" (fun () -> d.Driver.get k) with
       | `Ok got ->
-          st.exp.e_gets <- st.exp.e_gets + 1;
+          st.exp.gets <- st.exp.gets + 1;
           (* the sampled binding may predate an interrupted checkpoint's
              recovery only if the write was unacked — impossible here:
              the oracle holds acked writes only *)
@@ -482,7 +455,7 @@ let checkpoint st i ~label =
     let k = Printf.sprintf "nokey%03d" (Repro_util.Prng.int prng 1000) in
     match guarded st i ~what:"checkpoint get" (fun () -> d.Driver.get k) with
     | `Ok got ->
-        st.exp.e_gets <- st.exp.e_gets + 1;
+        st.exp.gets <- st.exp.gets + 1;
         let expect = Oracle.get st.oracle k in
         if got <> expect then
           violation st i "checkpoint absent-get %s: engine=%s oracle=%s" k
@@ -492,18 +465,20 @@ let checkpoint st i ~label =
   (* 3. engine op counters vs the interpreter's mirror *)
   (match d.Driver.counts with
   | Some counts when (not st.rot) && not st.counts_masked ->
-      let c = counts () in
-      let chk name got want =
-        if got <> want then
-          violation st i "counter %s: engine=%d interpreter=%d" name got want
+      let shells = counts () in
+      let chk name (field : Blsm.Lsm_shell.stats -> int) =
+        let got = List.fold_left (fun a s -> a + field s) 0 shells in
+        if got <> field st.exp then
+          violation st i "counter %s: engine=%d interpreter=%d" name got
+            (field st.exp)
       in
-      chk "puts" c.Driver.n_puts st.exp.e_puts;
-      chk "gets" c.Driver.n_gets st.exp.e_gets;
-      chk "deletes" c.Driver.n_deletes st.exp.e_deletes;
-      chk "deltas" c.Driver.n_deltas st.exp.e_deltas;
-      if not d.Driver.mask_scans then chk "scans" c.Driver.n_scans st.exp.e_scans;
-      chk "rmws" c.Driver.n_rmws st.exp.e_rmws;
-      chk "checked_inserts" c.Driver.n_checked_inserts st.exp.e_checked
+      chk "puts" (fun s -> s.puts);
+      chk "gets" (fun s -> s.gets);
+      chk "deletes" (fun s -> s.deletes);
+      chk "deltas" (fun s -> s.deltas);
+      if not d.Driver.mask_scans then chk "scans" (fun s -> s.scans);
+      chk "rmws" (fun s -> s.rmws);
+      chk "checked_inserts" (fun s -> s.checked_inserts)
   | _ -> ());
   (* 4. replication convergence after catch-up *)
   match (d.Driver.catch_up, d.Driver.follower_scan) with
@@ -563,13 +538,13 @@ let exec_step st i (step : Plan.step) =
       match guarded st i ~what:"put" (fun () -> d.Driver.put k v) with
       | `Ok () ->
           Oracle.put st.oracle k v;
-          st.exp.e_puts <- st.exp.e_puts + 1;
+          st.exp.puts <- st.exp.puts + 1;
           check_stall st i
       | `Crashed | `Corrupt -> ())
   | Plan.Get k -> (
       match guarded st i ~what:"get" (fun () -> d.Driver.get k) with
       | `Ok got ->
-          st.exp.e_gets <- st.exp.e_gets + 1;
+          st.exp.gets <- st.exp.gets + 1;
           let expect = Oracle.get st.oracle k in
           if got <> expect then
             violation st i "get %s: engine=%s oracle=%s" k (show got)
@@ -579,14 +554,14 @@ let exec_step st i (step : Plan.step) =
       match guarded st i ~what:"delete" (fun () -> d.Driver.delete k) with
       | `Ok () ->
           Oracle.delete st.oracle k;
-          st.exp.e_deletes <- st.exp.e_deletes + 1;
+          st.exp.deletes <- st.exp.deletes + 1;
           check_stall st i
       | `Crashed | `Corrupt -> ())
   | Plan.Delta (k, dl) -> (
       match guarded st i ~what:"delta" (fun () -> d.Driver.apply_delta k dl) with
       | `Ok () ->
           Oracle.delta st.oracle k dl;
-          st.exp.e_deltas <- st.exp.e_deltas + 1;
+          st.exp.deltas <- st.exp.deltas + 1;
           check_stall st i
       | `Crashed | `Corrupt -> ())
   | Plan.Rmw (k, s) -> (
@@ -594,7 +569,7 @@ let exec_step st i (step : Plan.step) =
       | `Ok () ->
           Oracle.read_modify_write st.oracle k (fun v ->
               Option.value v ~default:"" ^ s);
-          st.exp.e_rmws <- st.exp.e_rmws + 1;
+          st.exp.rmws <- st.exp.rmws + 1;
           check_stall st i
       | `Crashed | `Corrupt -> ())
   | Plan.Insert_if_absent (k, v) -> (
@@ -603,7 +578,7 @@ let exec_step st i (step : Plan.step) =
       with
       | `Ok inserted ->
           let expect = Oracle.insert_if_absent st.oracle k v in
-          st.exp.e_checked <- st.exp.e_checked + 1;
+          st.exp.checked_inserts <- st.exp.checked_inserts + 1;
           if inserted <> expect then
             violation st i "ifabsent %s: engine=%b oracle=%b" k inserted
               expect;
@@ -612,7 +587,7 @@ let exec_step st i (step : Plan.step) =
   | Plan.Scan (k, n) -> (
       match guarded st i ~what:"scan" (fun () -> d.Driver.scan k n) with
       | `Ok rows ->
-          st.exp.e_scans <- st.exp.e_scans + 1;
+          st.exp.scans <- st.exp.scans + 1;
           let expect = Oracle.scan st.oracle k n in
           if rows <> expect then
             violation st i "scan %s %d: engine %d rows, oracle %d%s" k n
@@ -627,7 +602,7 @@ let exec_step st i (step : Plan.step) =
         with
         | `Ok () ->
             List.iter (fun (k, e) -> Oracle.apply_entry st.oracle k e) entries;
-            st.exp.e_puts <- st.exp.e_puts + List.length entries;
+            st.exp.puts <- st.exp.puts + List.length entries;
             check_stall st i
         | `Crashed | `Corrupt -> ())
       else
@@ -742,8 +717,14 @@ let exec_step st i (step : Plan.step) =
       | None -> ()
       | Some sc -> (
           match guarded st i ~what:"scrub" (fun () -> sc ()) with
-          | `Ok (errors, clean) ->
-              if (not st.rot) && not clean then
+          | `Ok reports ->
+              let errors =
+                List.fold_left
+                  (fun a (r : Blsm.Lsm_shell.scrub_report) ->
+                    a + List.length r.scrub_errors)
+                  0 reports
+              in
+              if (not st.rot) && errors > 0 then
                 violation st i "scrub found %d errors without injected rot"
                   errors
               else if errors > 0 then
@@ -771,7 +752,7 @@ let run (d : Driver.t) (plan : Plan.t) : outcome =
       d;
       plan;
       oracle = Oracle.create ();
-      exp = zero_exp ();
+      exp = Blsm.Lsm_shell.fresh_stats ();
       buf = Buffer.create 4096;
       violations = [];
       rot = false;

@@ -14,6 +14,8 @@
          sections may not reach a pacing-quota producer.
    U001  dead exports — a lib/ [.mli] value referenced nowhere outside
          its own module is dead surface.
+   L001  stale config — an E001 boundary or Y001 critical section that
+         names no function of the call graph.
 
    Messages deliberately contain no line numbers: the baseline key is
    (file, rule, message), and witness chains are function names only,
@@ -323,8 +325,34 @@ let u001 (g : Callgraph.t) ~(ref_units : Extract.unit_info list) =
     exports
 
 (* ---------------------------------------------------------------- *)
+(* L001: stale config *)
+
+(* An E001 boundary or Y001 critical section that names no function in
+   the call graph leaves its rule silently vacuous — typically the code
+   moved and the config did not follow. *)
+let l001 (g : Callgraph.t) =
+  List.filter_map
+    (fun (func, entry) ->
+      match Callgraph.nodes_by_qualified g func with
+      | _ :: _ -> None
+      | [] ->
+          Some
+            (find ~file:"lib/lint/config.ml" ~line:1 ~rule:"L001"
+               (Printf.sprintf
+                  "%s %s resolves to no function in the call graph; the \
+                   rule checks nothing there — point the entry at the code \
+                   that now holds it"
+                  entry func)))
+    (List.map
+       (fun (bd : Config.boundary) -> (bd.bd_func, "E001 boundary"))
+       g.cg_config.boundaries
+    @ List.map
+        (fun (func, _) -> (func, "Y001 critical section"))
+        g.cg_config.critical_sections)
+
+(* ---------------------------------------------------------------- *)
 
 let run ~(graph : Callgraph.t) ~ref_units =
   List.sort Finding.compare
     (d003 graph @ e001 graph @ c003 graph @ y001 graph
-    @ u001 graph ~ref_units)
+    @ u001 graph ~ref_units @ l001 graph)

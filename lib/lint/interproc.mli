@@ -11,6 +11,8 @@
       reach a pacing-quota producer.
     - U001: lib/ [.mli] exports referenced nowhere outside their own
       module are dead surface.
+    - L001: every E001 boundary and Y001 critical section in the config
+      must resolve to a function of the call graph.
 
     Messages contain no line numbers (witness chains are function names
     only), so the line-free baseline key stays stable under unrelated

@@ -3,10 +3,13 @@
     Subsystems keep their existing cheap mutable stat records as the
     hot-path representation and register *closures* over them; the
     registry samples every metric only when a dump is requested. This is
-    the "thin compatibility shim" pattern: [Tree.stats],
-    [Simdisk.Disk] counters, [Faults] counters and [Policy_tree.stats] stay
-    untouched, and the registry provides the single named namespace and
-    the single pair of writers (text and JSON) over all of them.
+    the "thin compatibility shim" pattern: the engine shell's counters
+    ([Lsm_shell.stats], behind both [Tree.stats] and [Policy_tree.stats],
+    registered by [Lsm_shell.register_metrics] under each engine's
+    prefix), each engine's own counters, [Simdisk.Disk] counters and
+    [Faults] counters stay untouched, and the registry provides the
+    single named namespace and the single pair of writers (text and
+    JSON) over all of them.
 
     Dump output is sorted by metric name, so it is deterministic and
     diff-friendly. Histograms expand into

@@ -227,7 +227,7 @@ let test_timestamps_increase () =
   List.iter (fun x -> if x <= 0 then Alcotest.fail "timestamp not set") ts;
   check Alcotest.bool "merges happened"
     true
-    ((Blsm.Tree.stats t).Blsm.Tree.merge1_completions > 0)
+    ((Blsm.Tree.merge_stats t).Blsm.Tree.merge1_completions > 0)
 
 let test_tombstones_elided_at_bottom () =
   let t = mk_tree () in
@@ -399,7 +399,7 @@ let test_snowshovel_sorted_input_streams () =
     Blsm.Tree.put t (Repro_util.Keygen.ordered_key_of_id i) (value i)
   done;
   Blsm.Tree.flush t;
-  let s = Blsm.Tree.stats t in
+  let s = Blsm.Tree.merge_stats t in
   (* sorted input -> long runs -> few C0:C1 merges relative to data moved *)
   if s.Blsm.Tree.merge1_completions = 0 then Alcotest.fail "no merges at all";
   for i = 0 to 4999 do
@@ -460,13 +460,13 @@ let test_gear_bounds_latency_vs_naive () =
 
 let test_spring_avoids_hard_stalls_uniform () =
   let t, _ = insert_latencies (small_config ~scheduler:Blsm.Config.Spring ()) 6000 in
-  let s = Blsm.Tree.stats t in
+  let s = Blsm.Tree.merge_stats t in
   if s.Blsm.Tree.hard_stalls > 2 then
     Alcotest.failf "spring hit the hard limit %d times" s.Blsm.Tree.hard_stalls
 
 let test_naive_hits_hard_stalls () =
   let t, _ = insert_latencies (small_config ~scheduler:Blsm.Config.Naive ()) 6000 in
-  let s = Blsm.Tree.stats t in
+  let s = Blsm.Tree.merge_stats t in
   if s.Blsm.Tree.hard_stalls = 0 then
     Alcotest.fail "naive scheduler should hit the C0 hard limit"
 

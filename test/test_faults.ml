@@ -230,6 +230,171 @@ let test_bloom_rot_masked () =
     (s.Blsm.Tree.corruptions_detected > 0);
   check_model ~what:"bloom rot masked" !tree !model
 
+(* Recovery without [~verify] still rebuilds each Bloom filter by
+   scanning its component, and that scan is where rot in a data page
+   shows up. It must be handled like a verified page error: drop and
+   rebuild from the log when it covers the component, quarantine
+   otherwise — never an untyped decoder exception out of recovery. *)
+
+let load_and_rot ?(durability = Pagestore.Wal.Full) ~pin () =
+  let store = mk_store ~durability () in
+  let wal = Pagestore.Store.wal store in
+  if pin then Pagestore.Wal.register_client wal ~client:"pin";
+  let tree = Blsm.Tree.create ~config:(small_config ()) store in
+  let model = ref SMap.empty in
+  for i = 0 to 999 do
+    let k = Printf.sprintf "key%04d" (i mod 250) in
+    let v = Printf.sprintf "v%06d-%s" i (String.make 50 'u') in
+    Blsm.Tree.put tree k v;
+    model := SMap.add k v !model
+  done;
+  Blsm.Tree.flush tree;
+  Pagestore.Wal.sync wal;
+  let _, f = first_data_component tree in
+  Alcotest.(check bool) "flipped" true
+    (Pagestore.Store.corrupt_page store (page_at f 0) ~byte:300 ~bit:4);
+  (tree, !model)
+
+let test_unverified_recovery_rebuilds () =
+  let tree, model = load_and_rot ~pin:true () in
+  let tree = Blsm.Tree.crash_and_recover tree in
+  let s = Blsm.Tree.stats tree in
+  Alcotest.(check bool) "rot counted" true (s.Blsm.Tree.corruptions_detected > 0);
+  Alcotest.(check bool) "covered component rebuilt from the log" true
+    (s.Blsm.Tree.component_rebuilds >= 1);
+  check_model ~what:"after unverified rebuild" tree model
+
+let test_unverified_recovery_quarantines () =
+  let tree, model =
+    load_and_rot ~durability:Pagestore.Wal.Degraded ~pin:false ()
+  in
+  let tree = Blsm.Tree.crash_and_recover tree in
+  Alcotest.(check bool) "uncovered component quarantined" true
+    ((Blsm.Tree.stats tree).Blsm.Tree.quarantined_components >= 1);
+  let loud = count_loud_reads tree model in
+  Alcotest.(check bool) "the rotted page is loud, the rest readable" true
+    (loud > 0 && loud < SMap.cardinal model)
+
+let test_unverified_policy_recovery_quarantines () =
+  let store = mk_store () in
+  let t =
+    Blsm.Policy_tree.create ~config:(small_config ())
+      ~policy:(Blsm.Compaction_policy.leveled ()) store
+  in
+  for i = 0 to 199 do
+    Blsm.Policy_tree.put t (Printf.sprintf "key%04d" i) (String.make 40 'p')
+  done;
+  Blsm.Policy_tree.flush t;
+  let _, f = List.hd (Blsm.Policy_tree.component_footers t) in
+  Alcotest.(check bool) "flipped" true
+    (Pagestore.Store.corrupt_page store (page_at f 0) ~byte:300 ~bit:4);
+  let t = Blsm.Policy_tree.crash_and_recover t in
+  let s = Blsm.Policy_tree.stats t in
+  Alcotest.(check bool) "rot counted" true (s.Blsm.Tree.corruptions_detected > 0);
+  Alcotest.(check int) "run quarantined" 1 s.Blsm.Tree.quarantined_components;
+  match Blsm.Policy_tree.get t "key0000" with
+  | _ -> Alcotest.fail "a read of the rotted page must raise"
+  | exception Blsm.Tree.Corruption { level = "P0"; _ } -> ()
+
+(* Every engine raises the typed error, naming the rotted level and
+   counting it, when a scan or a compaction opens an iterator on a run
+   whose data pages rotted: [load] leaves the engine with flushed runs
+   (for a policy tree, enough level-0 runs that its next pick compacts
+   them), [compact] makes the engine merge them. *)
+
+type rot_row = {
+  engine : string;
+  load : unit -> Pagestore.Store.t * (unit -> unit) * (unit -> unit);
+      (** store, scan, compact *)
+  footers : unit -> (string * Sstable.Sst_format.footer) list;
+  corruptions : unit -> int;
+}
+
+let tree_row () =
+  let store = mk_store () in
+  let tree = Blsm.Tree.create ~config:(small_config ()) store in
+  let put i = Blsm.Tree.put tree (Printf.sprintf "key%04d" i) (String.make 60 't') in
+  {
+    engine = "tree";
+    load =
+      (fun () ->
+        for i = 0 to 299 do put i done;
+        Blsm.Tree.flush tree;
+        ( store,
+          (fun () -> ignore (Blsm.Tree.scan tree "" 100_000)),
+          fun () ->
+            for i = 300 to 999 do put i done;
+            Blsm.Tree.flush tree ));
+    footers =
+      (fun () ->
+        List.filter (fun (l, _) -> l = "C1") (Blsm.Tree.component_footers tree));
+    corruptions =
+      (fun () -> (Blsm.Tree.stats tree).Blsm.Tree.corruptions_detected);
+  }
+
+let policy_row ~engine ~config ~pconfig ~policy =
+  let store = mk_store () in
+  let t = Blsm.Policy_tree.create ~config ~pconfig ~policy store in
+  {
+    engine;
+    load =
+      (fun () ->
+        for run = 0 to pconfig.Blsm.Policy_tree.pt_l0_trigger - 1 do
+          for i = 0 to 19 do
+            Blsm.Policy_tree.put t
+              (Printf.sprintf "key%02d-%04d" i run)
+              (String.make 40 'p')
+          done;
+          Blsm.Policy_tree.flush t
+        done;
+        ( store,
+          (fun () -> ignore (Blsm.Policy_tree.scan t "" 100_000)),
+          fun () -> Blsm.Policy_tree.maintenance t ));
+    footers = (fun () -> Blsm.Policy_tree.component_footers t);
+    corruptions =
+      (fun () -> (Blsm.Policy_tree.stats t).Blsm.Tree.corruptions_detected);
+  }
+
+let rot_rows () =
+  tree_row ()
+  :: List.map
+       (fun name ->
+         policy_row ~engine:name ~config:(Dst.Driver.small_config 7)
+           ~pconfig:Dst.Driver.small_pconfig
+           ~policy:(Option.get (Blsm.Compaction_policy.of_name name)))
+       [ "tiered"; "leveled"; "lazy-leveled"; "partial" ]
+  @ [
+      policy_row ~engine:"leveldb"
+        ~config:{ (small_config ()) with Blsm.Config.bloom_bits_per_key = 0 }
+        ~pconfig:Blsm.Policy_tree.leveldb_pconfig
+        ~policy:(Blsm.Compaction_policy.leveldb_seed ());
+    ]
+
+let expect_typed_rot row ~what ~levels f =
+  let before = row.corruptions () in
+  (match f () with
+  | () -> Alcotest.failf "%s: %s over a rotted run returned normally" row.engine what
+  | exception Blsm.Tree.Corruption { level; _ } ->
+      if not (List.mem level levels) then
+        Alcotest.failf "%s: %s blamed level %s" row.engine what level);
+  if row.corruptions () <= before then
+    Alcotest.failf "%s: %s did not count the corruption" row.engine what
+
+let test_typed_rot_every_engine () =
+  List.iter
+    (fun row ->
+      let store, scan, compact = row.load () in
+      let rotted = row.footers () in
+      if rotted = [] then Alcotest.failf "%s: no run to rot" row.engine;
+      List.iter
+        (fun ((_ : string), f) ->
+          ignore (Pagestore.Store.corrupt_page store (page_at f 0) ~byte:200 ~bit:2))
+        rotted;
+      let levels = List.map fst rotted in
+      expect_typed_rot row ~what:"scan" ~levels scan;
+      expect_typed_rot row ~what:"compaction" ~levels compact)
+    (rot_rows ())
+
 (* ------------------------------------------------------------------ *)
 (* Degraded durability: the group-commit window is real. With no merges
    (default-sized C0) the log is the only durability, so recovery after
@@ -460,6 +625,14 @@ let () =
           Alcotest.test_case "bit flip -> quarantine (uncovered)" `Quick
             test_bitflip_quarantine;
           Alcotest.test_case "bloom rot is masked" `Quick test_bloom_rot_masked;
+          Alcotest.test_case "unverified recovery -> rebuild" `Quick
+            test_unverified_recovery_rebuilds;
+          Alcotest.test_case "unverified recovery -> quarantine" `Quick
+            test_unverified_recovery_quarantines;
+          Alcotest.test_case "unverified policy recovery -> quarantine" `Quick
+            test_unverified_policy_recovery_quarantines;
+          Alcotest.test_case "typed rot on every engine" `Quick
+            test_typed_rot_every_engine;
         ] );
       ( "wal",
         [

@@ -65,7 +65,7 @@ let test_data_survives_compactions () =
   let t = mk () in
   load t 3000;
   L.maintenance t;
-  let s = L.stats t in
+  let s = L.engine_stats t in
   check Alcotest.bool "flushes happened" true (s.L.flushes > 0);
   check Alcotest.bool "compactions happened" true (s.L.compactions > 0);
   for i = 0 to 2999 do
@@ -194,10 +194,10 @@ let test_l0_stop_stalls_writes () =
     done;
     t
   in
-  let s = L.stats (run ~credit_per_byte:1.5 ~slowdown_at:3) in
+  let s = L.engine_stats (run ~credit_per_byte:1.5 ~slowdown_at:3) in
   check Alcotest.bool "slowdowns occurred" true (s.L.slowdown_writes > 0);
   let t = run ~credit_per_byte:0.0 ~slowdown_at:4 in
-  let s = L.stats t in
+  let s = L.engine_stats t in
   check Alcotest.bool "stops occurred" true (s.L.hard_stalls > 0);
   check Alcotest.int "no slowdowns below the stop" 0 s.L.slowdown_writes;
   if (List.hd (L.levels t)).L.li_runs >= 4 then
@@ -354,7 +354,7 @@ let test_policy_extraction_byte_identity () =
     | _ -> ignore (L.scan t key 4)
   done;
   L.maintenance t;
-  let s = L.stats t in
+  let s = L.engine_stats t in
   let level_profile =
     L.levels t
     |> List.map (fun li ->

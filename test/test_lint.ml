@@ -200,9 +200,13 @@ let test_baseline_missing_file () =
 (* S001 and the runner *)
 
 let test_s001_tree () =
+  (* the fixture tree holds none of the repo's boundary / critical-section
+     functions, so those entries would only be stale config (L001) here *)
+  let config =
+    { Lint.Config.default with boundaries = []; critical_sections = [] }
+  in
   let fs =
-    Lint.Runner.run ~config:Lint.Config.default
-      ~root:"lint_fixtures/s001_tree" [ "lib" ]
+    Lint.Runner.run ~config ~root:"lint_fixtures/s001_tree" [ "lib" ]
   in
   check slist "exactly the interface-less module is flagged" [ "S001" ]
     (rules_of fs);
@@ -431,6 +435,30 @@ let test_y001_binding_allow () =
   check Alcotest.int "allow on the binding silences Y001" 0
     (List.length (only "Y001" fs))
 
+(* --- L001: stale config --- *)
+
+let test_l001_stale_entries () =
+  let config =
+    {
+      Lint.Config.default with
+      boundaries =
+        [ { Lint.Config.bd_func = "Driver.vanished"; bd_allowed = []; bd_why = "" } ];
+      critical_sections =
+        [ ("Wal.append", "WAL-append critical section");
+          ("Tree.moved_away", "manifest-commit critical section") ];
+    }
+  in
+  let fs, _ =
+    Lint.Runner.analyze ~config (y001_units ~inside:false ~allow:false)
+  in
+  let msgs = List.map (fun f -> f.Lint.Finding.msg) (only "L001" fs) in
+  check Alcotest.int "one finding per unresolved entry" 2 (List.length msgs);
+  List.iter
+    (fun sub ->
+      if not (List.exists (contains ~sub) msgs) then
+        Alcotest.failf "no L001 finding names %s" sub)
+    [ "E001 boundary Driver.vanished"; "Y001 critical section Tree.moved_away" ]
+
 (* --- U001: dead exports --- *)
 
 let u001_units =
@@ -644,6 +672,8 @@ let () =
           Alcotest.test_case "C003 pure clean" `Quick test_c003_pure_clean;
           Alcotest.test_case "C003 site allow" `Quick test_c003_site_allow;
           Alcotest.test_case "Y001 fires" `Quick test_y001_fires;
+          Alcotest.test_case "L001 stale config entries" `Quick
+            test_l001_stale_entries;
           Alcotest.test_case "Y001 outside clean" `Quick
             test_y001_outside_clean;
           Alcotest.test_case "Y001 binding allow" `Quick

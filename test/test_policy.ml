@@ -261,11 +261,11 @@ let test_crash_recovery policy_name () =
   Alcotest.(check bool)
     (policy_name ^ ": recoveries counted")
     true
-    ((Blsm.Policy_tree.stats !t).Blsm.Policy_tree.recoveries >= 6);
+    ((Blsm.Policy_tree.engine_stats !t).Blsm.Policy_tree.recoveries >= 6);
   Alcotest.(check bool)
     (policy_name ^ ": scrub clean after crashes")
     true
-    (snd (Blsm.Policy_tree.scrub !t))
+    (Blsm.Policy_tree.scrub !t).Blsm.Lsm_shell.scrub_clean
 
 let () =
   Alcotest.run "policy"
