@@ -60,6 +60,9 @@ type t = {
   stats : stats;
   scratch : scratch;
   mutable observer : (stall_breakdown -> unit) option;
+  mutable scan_iters : Sstable.Reader.iter list option;
+      (* [Some] while {!scan} runs: the component iterators it opened,
+         closed when it returns so their page buffers are reused *)
 }
 
 let fresh_stats () =
@@ -94,6 +97,7 @@ let create config store =
       { sc_merge1_us = 0.0; sc_merge2_us = 0.0; sc_hard_us = 0.0;
         sc_wal_us = 0.0; sc_total_us = 0.0 };
     observer = None;
+    scan_iters = None;
   }
 
 let stats sh = sh.stats
@@ -311,6 +315,7 @@ type pull = unit -> (string * Kv.Entry.t * int) option
 let component_pull sh ~level ~from c : pull =
   guard sh ~level (fun () ->
       let it = Component.iterator ?from c in
+      Option.iter (fun its -> sh.scan_iters <- Some (it :: its)) sh.scan_iters;
       fun () -> guard sh ~level (fun () -> Sstable.Reader.iter_next_full it))
 
 type cursor = Sstable.Merge_iter.t
@@ -332,15 +337,21 @@ let scan sh sources n =
   let tr = Pagestore.Store.trace sh.store in
   let traced = Obs.Trace.enabled tr in
   let ts = if traced then Obs.Trace.now_us tr else 0.0 in
-  let c = cursor sh sources in
-  let rec collect acc k =
+  let rec collect c acc k =
     if k = 0 then List.rev acc
     else
       match cursor_next c with
       | None -> List.rev acc
-      | Some row -> collect (row :: acc) (k - 1)
+      | Some row -> collect c (row :: acc) (k - 1)
   in
-  let rows = collect [] n in
+  sh.scan_iters <- Some [];
+  let rows =
+    Fun.protect
+      ~finally:(fun () ->
+        Option.iter (List.iter Sstable.Reader.iter_close) sh.scan_iters;
+        sh.scan_iters <- None)
+      (fun () -> collect (cursor sh sources) [] n)
+  in
   if traced then
     Obs.Trace.complete tr ~cat:"tree" ~name:"scan" ~ts_us:ts
       ~dur_us:(Obs.Trace.now_us tr -. ts)

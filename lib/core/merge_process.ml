@@ -58,10 +58,10 @@ let record_bytes key entry =
   String.length key + Kv.Entry.encoded_size entry
 
 let peek_c0 m =
-  let excl = match m.cursor with None -> "" | Some k -> k ^ "\000" in
-  match m.source with
-  | Live { mem; _ } -> Memtable.peek_geq_lsn mem excl
-  | Frozen mem -> Memtable.peek_geq_lsn mem excl
+  let mem = match m.source with Live { mem; _ } | Frozen mem -> mem in
+  match m.cursor with
+  | None -> Memtable.peek_geq_lsn mem ""
+  | Some k -> Memtable.peek_gt_lsn mem k
 
 let take_c0 m (key, entry, lsn) =
   m.mem_bytes_read <- m.mem_bytes_read + record_bytes key entry;

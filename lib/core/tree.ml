@@ -628,11 +628,16 @@ let insert_if_absent t key value =
 (** {1 Scans} *)
 
 let skiplist_pull sl ~from =
-  let cursor = ref from in
+  let last = ref None in
   fun () ->
-    match Memtable.Skiplist.succ_geq sl !cursor with
+    let next =
+      match !last with
+      | None -> Memtable.Skiplist.succ_geq sl from
+      | Some k -> Memtable.Skiplist.succ_gt sl k
+    in
+    match next with
     | Some (k, (e, lsn)) ->
-        cursor := k ^ "\000";
+        last := Some k;
         Some (k, e, lsn)
     | None -> None
 

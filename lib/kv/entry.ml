@@ -97,6 +97,39 @@ let decode s pos =
       go [] pos n
   | c -> invalid_arg (Printf.sprintf "Entry.decode: bad tag %d" (Char.code c))
 
+(** [decode_exact s pos ~stop] parses the entry that fills [pos, stop)
+    exactly, materializing only its payload strings. Raises
+    [Invalid_argument] on a bad tag, a length that overruns [stop], or
+    bytes left over before [stop] — a malformed frame, never a guess. *)
+let decode_exact s pos ~stop =
+  let open Repro_util in
+  if pos >= stop || stop > String.length s then
+    invalid_arg "Entry.decode_exact: empty frame";
+  match String.unsafe_get s pos with
+  | '\000' ->
+      let len = Varint.read_within s (pos + 1) ~stop in
+      let p = pos + 1 + Varint.size len in
+      if len <> stop - p then invalid_arg "Entry.decode_exact: value length";
+      Base (String.sub s p len)
+  | '\001' ->
+      if pos + 1 <> stop then invalid_arg "Entry.decode_exact: trailing bytes";
+      Tombstone
+  | '\002' ->
+      let n = Varint.read_within s (pos + 1) ~stop in
+      let rec go acc p n =
+        if n = 0 then
+          if p <> stop then invalid_arg "Entry.decode_exact: trailing bytes"
+          else Delta (List.rev acc)
+        else
+          let len = Varint.read_within s p ~stop in
+          let q = p + Varint.size len in
+          if len > stop - q then invalid_arg "Entry.decode_exact: delta length";
+          go (String.sub s q len :: acc) (q + len) (n - 1)
+      in
+      go [] (pos + 1 + Varint.size n) n
+  | c ->
+      invalid_arg (Printf.sprintf "Entry.decode_exact: bad tag %d" (Char.code c))
+
 let encoded_size e =
   let open Repro_util in
   match e with

@@ -45,6 +45,11 @@ val encode : Buffer.t -> t -> unit
 (** [decode s pos] parses an entry at [pos]: [(entry, next_pos)]. *)
 val decode : string -> int -> t * int
 
+(** [decode_exact s pos ~stop] parses the entry filling [pos, stop)
+    exactly, in place. Raises [Invalid_argument] on a bad tag, an
+    overrunning length or trailing bytes. *)
+val decode_exact : string -> int -> stop:int -> t
+
 val encoded_size : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -41,13 +41,16 @@ let is_empty t = Skiplist.is_empty t.sl
     it. The slot keeps the *oldest* LSN it still depends on, because replay
     must restart from there to rebuild the composed state. *)
 let write t ~lsn key entry =
-  let previous = ref None in
+  (* One descent: the update callback sees the old state and settles the
+     byte delta there. *)
+  let delta = ref 0 in
   ignore
     (Skiplist.update t.sl key (fun existing ->
          match existing with
-         | None -> { entry; lsn; lsn_newest = lsn }
+         | None ->
+             delta := entry_bytes key entry;
+             { entry; lsn; lsn_newest = lsn }
          | Some slot ->
-             previous := Some (entry_bytes key slot.entry);
              let merged =
                Kv.Entry.merge t.resolver ~newer:entry ~older:slot.entry
              in
@@ -56,17 +59,12 @@ let write t ~lsn key entry =
                | Kv.Entry.Delta _ -> slot.lsn (* still depends on older state *)
                | Kv.Entry.Base _ | Kv.Entry.Tombstone -> lsn
              in
+             delta := entry_bytes key merged - entry_bytes key slot.entry;
              slot.entry <- merged;
              slot.lsn <- oldest;
              slot.lsn_newest <- max slot.lsn_newest lsn;
              slot));
-  let added = entry_bytes key (match Skiplist.find t.sl key with
-      | Some s -> s.entry
-      | None -> entry)
-  in
-  (match !previous with
-  | Some old_bytes -> t.bytes <- t.bytes - old_bytes + added
-  | None -> t.bytes <- t.bytes + added)
+  t.bytes <- t.bytes + !delta
 
 let get t key =
   match Skiplist.find t.sl key with Some s -> Some s.entry | None -> None
@@ -107,16 +105,25 @@ let peek_geq_lsn t key =
   | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
   | None -> None
 
+(** [peek_gt_lsn t key] is {!peek_geq_lsn} for the smallest key > [key]. *)
+let peek_gt_lsn t key =
+  match Skiplist.succ_gt t.sl key with
+  | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
+  | None -> None
+
 (** [pull_from t ~from] streams the live bindings with key >= [from] in
-    order, with LSNs: a merge-iterator source over the memtable. *)
+    order, with LSNs: a merge-iterator source over the memtable. The
+    cursor is the last key returned; each pull resumes strictly past it. *)
 let pull_from t ~from =
-  let cursor = ref from in
+  let last = ref None in
   fun () ->
-    match peek_geq_lsn t !cursor with
-    | Some (k, _, _) as r ->
-        cursor := k ^ "\000";
-        r
-    | None -> None
+    let r =
+      match !last with
+      | None -> peek_geq_lsn t from
+      | Some k -> peek_gt_lsn t k
+    in
+    (match r with Some (k, _, _) -> last := Some k | None -> ());
+    r
 
 (** [peek_geq t key] inspects without consuming. *)
 let peek_geq t key =

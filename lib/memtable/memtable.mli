@@ -50,6 +50,9 @@ val peek_geq : t -> string -> (string * Kv.Entry.t) option
 (** As {!peek_geq}, with the newest contributing LSN. *)
 val peek_geq_lsn : t -> string -> (string * Kv.Entry.t * int) option
 
+(** As {!peek_geq_lsn}, for the smallest key > [key]. *)
+val peek_gt_lsn : t -> string -> (string * Kv.Entry.t * int) option
+
 (** [pull_from t ~from] streams the live bindings with key >= [from] in
     key order, with LSNs: a merge-iterator source over the memtable. *)
 val pull_from : t -> from:string -> unit -> (string * Kv.Entry.t * int) option

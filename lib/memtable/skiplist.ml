@@ -24,6 +24,9 @@ type 'a node = {
 type 'a t = {
   head : 'a node;
   nil : 'a node; (* unique per list; compared with [==] only *)
+  preds : 'a node array;
+      (* predecessor scratch for [update]/[remove], reused by every call:
+         levels [0, level) are rewritten by each descent before use *)
   prng : Repro_util.Prng.t;
   mutable level : int; (* highest level in use, >= 1 *)
   mutable length : int;
@@ -31,9 +34,11 @@ type 'a t = {
 
 let create ?(seed = 42) () =
   let nil = { key = ""; value = Obj.magic 0; forward = [||] } in
+  let head = { key = ""; value = Obj.magic 0; forward = Array.make max_level nil } in
   {
-    head = { key = ""; value = Obj.magic 0; forward = Array.make max_level nil };
+    head;
     nil;
+    preds = Array.make max_level head;
     prng = Repro_util.Prng.of_int seed;
     level = 1;
     length = 0;
@@ -82,10 +87,12 @@ let find t key =
   if n != t.nil && String.equal n.key key then Some n.value else None
 
 (** [update t key f] inserts or modifies in one descent: [f None] for a
-    fresh key, [f (Some old)] to replace. Returns the previous value. *)
+    fresh key, [f (Some old)] to replace. Returns the previous value.
+    [f] must not modify [t]: the descent's predecessors are still in use
+    when it runs. *)
 let update t key f =
-  let update_arr = Array.make max_level t.head in
-  let pred = find_predecessors t key update_arr in
+  let preds = t.preds in
+  let pred = find_predecessors t key preds in
   let n = pred.forward.(0) in
   if n != t.nil && String.equal n.key key then begin
     let old = n.value in
@@ -96,14 +103,14 @@ let update t key f =
     let lvl = random_level t in
     if lvl > t.level then begin
       for l = t.level to lvl - 1 do
-        update_arr.(l) <- t.head
+        preds.(l) <- t.head
       done;
       t.level <- lvl
     end;
     let node = { key; value = f None; forward = Array.make lvl t.nil } in
     for l = 0 to lvl - 1 do
-      node.forward.(l) <- update_arr.(l).forward.(l);
-      update_arr.(l).forward.(l) <- node
+      node.forward.(l) <- preds.(l).forward.(l);
+      preds.(l).forward.(l) <- node
     done;
     t.length <- t.length + 1;
     None
@@ -114,13 +121,13 @@ let set t key v = ignore (update t key (fun _ -> v))
 
 (** [remove t key] deletes the binding, returning the removed value. *)
 let remove t key =
-  let update_arr = Array.make max_level t.head in
-  let _ = find_predecessors t key update_arr in
-  let n = update_arr.(0).forward.(0) in
+  let preds = t.preds in
+  let _ = find_predecessors t key preds in
+  let n = preds.(0).forward.(0) in
   if n != t.nil && String.equal n.key key then begin
     for l = 0 to Array.length n.forward - 1 do
-      if update_arr.(l).forward.(l) == n then
-        update_arr.(l).forward.(l) <- n.forward.(l)
+      if preds.(l).forward.(l) == n then
+        preds.(l).forward.(l) <- n.forward.(l)
     done;
     while t.level > 1 && t.head.forward.(t.level - 1) == t.nil do
       t.level <- t.level - 1
@@ -139,6 +146,14 @@ let min_binding t =
     the snowshovel cursor's primitive. *)
 let succ_geq t key =
   let n = (find_floor t key).forward.(0) in
+  if n == t.nil then None else Some (n.key, n.value)
+
+(** [succ_gt t key] returns the smallest binding with key > [key]: the
+    resume step of an ordered pull whose cursor is the last key it
+    returned. *)
+let succ_gt t key =
+  let n = (find_floor t key).forward.(0) in
+  let n = if n != t.nil && String.equal n.key key then n.forward.(0) else n in
   if n == t.nil then None else Some (n.key, n.value)
 
 (** [iter_from t key f] applies [f] to bindings with key >= [key], in

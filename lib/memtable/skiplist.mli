@@ -13,7 +13,8 @@ val is_empty : 'a t -> bool
 val find : 'a t -> string -> 'a option
 
 (** [update t key f] inserts or modifies in one descent: [f None] for a
-    fresh key, [f (Some old)] to replace. Returns the previous value. *)
+    fresh key, [f (Some old)] to replace. Returns the previous value.
+    [f] must not modify [t]. *)
 val update : 'a t -> string -> ('a option -> 'a) -> 'a option
 
 (** [set t key v] binds unconditionally. *)
@@ -26,6 +27,9 @@ val min_binding : 'a t -> (string * 'a) option
 
 (** [succ_geq t key] is the smallest binding with key >= [key]. *)
 val succ_geq : 'a t -> string -> (string * 'a) option
+
+(** [succ_gt t key] is the smallest binding with key > [key]. *)
+val succ_gt : 'a t -> string -> (string * 'a) option
 
 (** [iter_from t key f] applies [f] to bindings with key >= [key], in
     order, while [f] returns [true]. *)

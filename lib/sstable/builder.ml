@@ -25,8 +25,8 @@ type t = {
   mutable record_count : int;
   mutable tombstone_count : int;
   mutable data_bytes : int;
-  mutable min_key : string option;
-  mutable max_key : string option;
+  mutable min_key : string;  (* meaningful once [record_count > 0] *)
+  mutable max_key : string;
   mutable min_lsn : int;  (* over records with a real lsn; 0 when none *)
   mutable max_lsn : int;
   (* index under construction: first and last keys starting in each data
@@ -38,6 +38,8 @@ type t = {
   (* previous key starting in the current page — the V2 prefix-compression
      reference; "" at a restart boundary *)
   mutable prev_key : string;
+  (* the record being added, encoded once; reused for every record *)
+  record : Buffer.t;
 }
 
 let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
@@ -59,8 +61,8 @@ let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
     record_count = 0;
     tombstone_count = 0;
     data_bytes = 0;
-    min_key = None;
-    max_key = None;
+    min_key = "";
+    max_key = "";
     min_lsn = 0;
     max_lsn = 0;
     index_rev = [];
@@ -68,6 +70,7 @@ let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
     current_page_first_key = None;
     current_page_last_key = "";
     prev_key = "";
+    record = Buffer.create 256;
   }
 
 let ensure_stream t =
@@ -112,12 +115,10 @@ let flush_page t ~upcoming_cont =
     folded into it; see {!Sst_format}). Keys must be strictly
     increasing. *)
 let add ?(lsn = 0) t key entry =
-  (match t.max_key with
-  | Some last when String.compare key last <= 0 ->
-      invalid_arg "Builder.add: keys must be strictly increasing"
-  | _ -> ());
-  if t.min_key = None then t.min_key <- Some key;
-  t.max_key <- Some key;
+  if t.record_count > 0 && String.compare key t.max_key <= 0 then
+    invalid_arg "Builder.add: keys must be strictly increasing";
+  if t.record_count = 0 then t.min_key <- key;
+  t.max_key <- key;
   if lsn > 0 then begin
     if t.min_lsn = 0 || lsn < t.min_lsn then t.min_lsn <- lsn;
     if lsn > t.max_lsn then t.max_lsn <- lsn
@@ -131,9 +132,10 @@ let add ?(lsn = 0) t key entry =
      encoding: V2 prefix compression is relative to the previous key of
      the page the record actually starts in. *)
   if t.page_off >= t.page_size then flush_page t ~upcoming_cont:0;
-  let buf = Buffer.create 64 in
+  let record = t.record in
+  Buffer.clear record;
   (match t.format with
-  | Sst_format.V1 -> Sst_format.encode_record buf key ~lsn entry
+  | Sst_format.V1 -> Sst_format.encode_record record key ~lsn entry
   | Sst_format.V2 ->
       (* Restart (full key) on the first record of each page and every
          restart_interval-th start after it. *)
@@ -141,21 +143,20 @@ let add ?(lsn = 0) t key entry =
         if t.n_starts mod Sst_format.restart_interval = 0 then ""
         else t.prev_key
       in
-      Sst_format.encode_record_v2 buf ~prev key ~lsn entry);
-  let record = Buffer.contents buf in
-  t.data_bytes <- t.data_bytes + String.length record;
+      Sst_format.encode_record_v2 record ~prev key ~lsn entry);
+  let len = Buffer.length record in
+  t.data_bytes <- t.data_bytes + len;
   t.n_starts <- t.n_starts + 1;
   if t.current_page_first_key = None then t.current_page_first_key <- Some key;
   t.current_page_last_key <- key;
   t.prev_key <- key;
-  let len = String.length record in
   let off = ref 0 in
   while !off < len do
     let space = t.page_size - t.page_off in
     if space = 0 then flush_page t ~upcoming_cont:(len - !off)
     else begin
       let n = min space (len - !off) in
-      Bytes.blit_string record !off t.page_buf t.page_off n;
+      Buffer.blit record !off t.page_buf t.page_off n;
       t.page_off <- t.page_off + n;
       off := !off + n
     end
@@ -238,8 +239,8 @@ let finish ?(bloom_blob = "") t ~timestamp =
       data_bytes = t.data_bytes;
       min_lsn = t.min_lsn;
       max_lsn = t.max_lsn;
-      min_key = Option.value t.min_key ~default:"";
-      max_key = Option.value t.max_key ~default:"";
+      min_key = t.min_key;
+      max_key = t.max_key;
       extents =
         List.map
           (fun (r : Pagestore.Region_allocator.region) -> (r.start, r.length))

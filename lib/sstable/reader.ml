@@ -13,6 +13,10 @@ type t = {
   fence : Sst_format.Fence.t;
       (** page-locating fence pointers in Eytzinger order (V2 fences also
           carry per-page zone maps) *)
+  mutable spare_pages : Bytes.t list;
+      (** page buffers of released streaming iterators, taken by the next
+          ones: a 4 KiB buffer is a major-heap block, and one per scan
+          source per scan paces the GC into long slices *)
 }
 
 let footer t = t.footer
@@ -72,7 +76,7 @@ let open_in_ram store (footer : Sst_format.footer) ~index =
   let take = footer.data_pages + footer.index_pages + footer.bloom_pages in
   let pages = pages_of_extents footer.extents ~take in
   let fence = parse_index ~version:footer.version index footer.index_entries in
-  { store; footer; pages; fence }
+  { store; footer; pages; fence; spare_pages = [] }
 
 (** [open_from_disk store footer] reopens a component after recovery,
     re-reading the index pages (charged as sequential I/O). The index
@@ -118,7 +122,7 @@ let open_from_disk store (footer : Sst_format.footer) =
          { what = "index blob checksum";
            page = (if footer.index_pages > 0 then pages.(footer.data_pages) else -1) });
   let fence = parse_index ~version:footer.version blob footer.index_entries in
-  { store; footer; pages; fence }
+  { store; footer; pages; fence; spare_pages = [] }
 
 (** [of_meta store blob] reopens from the engine's commit-root metadata. *)
 let of_meta store blob = open_from_disk store (Sst_format.decode_footer blob)
@@ -193,7 +197,11 @@ let locate_linear t key =
    there is no frame whose verification could be remembered. *)
 type source =
   | Cached of { mutable pin : Pagestore.Store.pin option }
-  | Streaming of { sbuf : Bytes.t; mutable slast : int (* last page id *) }
+  | Streaming of {
+      sbuf : Bytes.t;
+      mutable slast : int; (* last page id *)
+      mutable held : bool; (* [sbuf] not yet handed back to the reader *)
+    }
 
 (* A pull stream of record bytes starting at chain position [bpos],
    concatenating page payloads. *)
@@ -209,13 +217,23 @@ type byte_stream = {
      Streams starting at a page head need no seed (the first start of a
      page is always a restart); mid-page resumes seed it explicitly. *)
   mutable prev : string;
+  (* The framed record body: [body.[body_pos, body_stop)]. It aliases the
+     current page when the record lies whole in it; a record spanning
+     pages is gathered into [scratch] (grown on demand, reused). *)
+  mutable body : string;
+  mutable body_pos : int;
+  mutable body_stop : int;
+  mutable scratch : Bytes.t;
 }
 
 let page_size t = Pagestore.Store.page_size t.store
 
-(* Release a cached stream's pin. Safe to call repeatedly; a no-op for
-   streaming sources. Every stream must end up released, or the pinned
-   frame is lost to the pool for good. *)
+(* Release a cached stream's pin, or hand a streaming one's page buffer
+   back to its reader. Safe to call repeatedly. Every cached stream must
+   end up released, or the pinned frame is lost to the pool for good; an
+   abandoned streaming one just leaves its buffer to the GC. A released
+   streaming stream is put at the end of the component, so it never
+   touches the buffer again. *)
 let release bs =
   match bs.src with
   | Cached c -> (
@@ -224,7 +242,15 @@ let release bs =
           Pagestore.Store.unpin p;
           c.pin <- None
       | None -> ())
-  | Streaming _ -> ()
+  | Streaming s ->
+      if s.held then begin
+        s.held <- false;
+        bs.bpos <- bs.reader.footer.Sst_format.data_pages;
+        bs.buf <- "";
+        bs.off <- 0;
+        bs.limit <- 0;
+        bs.reader.spare_pages <- s.sbuf :: bs.reader.spare_pages
+      end
 
 let fetch_page bs pos ~first =
   let t = bs.reader in
@@ -262,10 +288,19 @@ let fetch_page bs pos ~first =
 let stream_at t ~cached pos =
   let src =
     if cached then Cached { pin = None }
-    else Streaming { sbuf = Bytes.create (page_size t); slast = -10 }
+    else
+      let sbuf =
+        match t.spare_pages with
+        | b :: rest ->
+            t.spare_pages <- rest;
+            b
+        | [] -> Bytes.create (page_size t)
+      in
+      Streaming { sbuf; slast = -10; held = true }
   in
   { reader = t; src; bpos = pos; buf = ""; off = 0; limit = 0;
-    started = false; prev = "" }
+    started = false; prev = ""; body = ""; body_pos = 0; body_stop = 0;
+    scratch = Bytes.empty }
 
 exception End_of_component
 
@@ -291,63 +326,159 @@ let read_byte bs =
   bs.off <- bs.off + 1;
   Char.code c
 
+(* The body-length varint, which may straddle a page end. *)
 let read_varint bs =
-  let rec go acc shift =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
     let b = read_byte bs in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b < 0x80 then acc else go acc (shift + 7)
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7F) lsl !shift);
+    shift := !shift + 7;
+    more := b >= 0x80
+  done;
+  !acc
 
-let read_string bs n =
-  let out = Bytes.create n in
+let truncated bs =
+  Sst_format.Corrupt
+    {
+      what = "sstable truncated mid-record (data pages end inside a record body)";
+      page = bs.bpos;
+    }
+
+(* Copy a body of [len] bytes that runs past the current page into
+   [scratch], pulling continuation pages. A length that exceeds every
+   byte left in the data pages is refused before any allocation. *)
+let gather bs len =
+  let t = bs.reader in
+  let left =
+    bs.limit - bs.off
+    + ((t.footer.Sst_format.data_pages - bs.bpos)
+      * Sst_format.payload_capacity ~page_size:(page_size t))
+  in
+  if len > left then raise (truncated bs);
+  if Bytes.length bs.scratch < len then
+    bs.scratch <- Bytes.create (max len (2 * Bytes.length bs.scratch));
   let filled = ref 0 in
-  while !filled < n do
+  while !filled < len do
     if bs.off >= bs.limit then refill bs ~continuation:true;
-    let avail = bs.limit - bs.off in
-    let take = min avail (n - !filled) in
-    Bytes.blit_string bs.buf bs.off out !filled take;
+    let take = min (bs.limit - bs.off) (len - !filled) in
+    Bytes.blit_string bs.buf bs.off bs.scratch !filled take;
     bs.off <- bs.off + take;
     filled := !filled + take
   done;
-  Bytes.unsafe_to_string out
+  bs.body <- Bytes.unsafe_to_string bs.scratch;
+  bs.body_pos <- 0;
+  bs.body_stop <- len
 
-(* Zero padding at the tail of the final data page decodes as a 0-length
-   varint; real records always have body_len >= 1, so 0 means "no more
-   records" (padding only ever occurs on the last data page). A stream
-   that reports no more records releases its pin. *)
-let next_record bs =
+(* Frame the next record: on [true] its body is
+   [bs.body.[body_pos, body_stop)], in place in the current page when it
+   lies whole there. Zero padding at the tail of the final data page
+   decodes as a 0-length varint; real records always have body_len >= 1,
+   so 0 means "no more records" (padding only ever occurs on the last
+   data page). A stream that reports no more records releases its pin.
+   Running out of data pages mid-record means the file is truncated:
+   that surfaces as typed corruption, because End_of_component is the
+   internal record-boundary protocol and must never escape the reader
+   (rule E001: it would cross the driver / replication boundaries as an
+   unhandled exception instead of a corruption answer). *)
+let next_frame bs =
   match read_varint bs with
-  | exception End_of_component -> None (* refill already released *)
+  | exception End_of_component -> false (* refill already released *)
   | 0 ->
       release bs;
-      None
-  | body_len -> (
-      (* The varint promised [body_len] more bytes; running out of data
-         pages mid-record means the file is truncated.  Surface that as
-         typed corruption — End_of_component is the internal
-         record-boundary protocol and must never escape the reader
-         (rule E001: it would cross the driver / replication boundaries
-         as an unhandled exception instead of a corruption answer). *)
-      let body =
-        match read_string bs body_len with
-        | exception End_of_component ->
-            raise
-              (Sst_format.Corrupt
-                 {
-                   what =
-                     "sstable truncated mid-record (data pages end inside \
-                      a record body)";
-                   page = bs.bpos;
-                 })
-        | body -> body
+      false
+  | len when len < 0 ->
+      raise (Sst_format.Corrupt { what = "record length varint"; page = bs.bpos })
+  | len ->
+      if len <= bs.limit - bs.off then begin
+        bs.body <- bs.buf;
+        bs.body_pos <- bs.off;
+        bs.body_stop <- bs.off + len;
+        bs.off <- bs.body_stop
+      end
+      else (try gather bs len with End_of_component -> raise (truncated bs));
+      true
+
+(* Decode the framed body. *)
+let decode_frame bs =
+  match bs.reader.footer.Sst_format.version with
+  | Sst_format.V1 ->
+      Sst_format.decode_body_at bs.body bs.body_pos ~stop:bs.body_stop
+  | Sst_format.V2 ->
+      let ((k, _, _) as r) =
+        Sst_format.decode_body_v2_at ~prev:bs.prev bs.body bs.body_pos
+          ~stop:bs.body_stop
       in
-      match bs.reader.footer.Sst_format.version with
-      | Sst_format.V1 -> Some (Sst_format.decode_body body)
-      | Sst_format.V2 ->
-          let ((k, _, _) as r) = Sst_format.decode_body_v2 ~prev:bs.prev body in
-          bs.prev <- k;
-          Some r)
+      bs.prev <- k;
+      r
+
+let next_record bs = if next_frame bs then Some (decode_frame bs) else None
+
+(* Compare the key stored at [pos, pos+len) of [s] with [key], without
+   materializing it. Loops over local refs allocate nothing (a local
+   recursive function would allocate its closure on every call). *)
+let cmp_key_at s pos len key =
+  let klen = String.length key in
+  let n = if len < klen then len else klen in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < n do
+    c := Char.compare (String.unsafe_get s (pos + !i)) (String.unsafe_get key !i);
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare len klen
+
+(* Compare the composite key prev[0,shared) ++ s[pos, pos+suffix_len)
+   against [key] without materializing it (the V2 walk's hot loop). *)
+let cmp_composite prev shared s pos suffix_len key =
+  let klen = String.length key in
+  let total = shared + suffix_len in
+  let n = if total < klen then total else klen in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < n do
+    let ci =
+      if !i < shared then String.unsafe_get prev !i
+      else String.unsafe_get s (pos + !i - shared)
+    in
+    c := Char.compare ci (String.unsafe_get key !i);
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare total klen
+
+let malformed_frame bs what =
+  raise (Sst_format.Corrupt { what; page = bs.bpos })
+
+(* A varint field of the framed body, bounded by its end. *)
+let frame_field bs pos =
+  match Repro_util.Varint.read_within bs.body pos ~stop:bs.body_stop with
+  | v -> v
+  | exception Invalid_argument _ -> malformed_frame bs "record field overruns its body"
+
+(* Is the framed record's key below [key]? Compared in place; a skipped
+   V2 record's key is still materialized (its bytes only, never its
+   entry): it is the next record's prefix reference. *)
+let frame_key_below bs key =
+  let s = bs.body and pos = bs.body_pos and stop = bs.body_stop in
+  match bs.reader.footer.Sst_format.version with
+  | Sst_format.V1 ->
+      let klen = frame_field bs pos in
+      let kp = pos + Repro_util.Varint.size klen in
+      if klen > stop - kp then malformed_frame bs "record key overruns its body";
+      cmp_key_at s kp klen key < 0
+  | Sst_format.V2 ->
+      let shared = frame_field bs pos in
+      let p = pos + Repro_util.Varint.size shared in
+      let slen = frame_field bs p in
+      let p = p + Repro_util.Varint.size slen in
+      if slen > stop - p then malformed_frame bs "record key overruns its body";
+      if shared > String.length bs.prev then
+        malformed_frame bs "shared prefix exceeds previous key";
+      cmp_composite bs.prev shared s p slen key < 0
+      && begin
+           let k = Bytes.create (shared + slen) in
+           Bytes.blit_string bs.prev 0 k 0 shared;
+           Bytes.blit_string s p k shared slen;
+           bs.prev <- Bytes.unsafe_to_string k;
+           true
+         end
 
 (** {1 Iterators} *)
 
@@ -389,13 +520,12 @@ let make_iter t ~cached ?from () =
         (match need_skip with
         | None -> ()
         | Some key ->
-            (* advance past records < key *)
+            (* Step over records < key by their length prefix, comparing
+               keys in place; only the first record >= key is decoded. *)
             let rec skip () =
-              match next_record bs with
-              | None -> it.stream <- None
-              | Some (k, _, _) as r when String.compare k key >= 0 ->
-                  it.pending <- r
-              | Some _ -> skip ()
+              if not (next_frame bs) then it.stream <- None
+              else if frame_key_below bs key then skip ()
+              else it.pending <- Some (decode_frame bs)
             in
             skip ());
         it
@@ -431,8 +561,8 @@ let iterator ?from t = make_iter t ~cached:false ?from ()
 let cached_iterator ?from t = make_iter t ~cached:true ?from ()
 
 (** [iter_close it] releases the iterator's resources (a cached
-    iterator's pinned frame). Exhausted iterators release themselves;
-    closing is idempotent. *)
+    iterator's pinned frame, a streaming iterator's page buffer).
+    Exhausted iterators release themselves; closing is idempotent. *)
 let iter_close it =
   (match it.stream with Some bs -> release bs | None -> ());
   it.stream <- None;
@@ -446,21 +576,6 @@ let iter_close it =
     per-record decode before the target, no re-CRC on pool hits. The
     linear decode survives as {!get_linear_with_lsn}, the reference the
     property tests hold the fast path to. *)
-
-(* Compare the key stored at [pos, pos+len) of [s] with [key], without
-   materializing it. *)
-let cmp_key_at s pos len key =
-  let klen = String.length key in
-  let n = if len < klen then len else klen in
-  let rec go i =
-    if i = n then compare len klen
-    else
-      let c =
-        Char.compare (String.unsafe_get s (pos + i)) (String.unsafe_get key i)
-      in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
 
 (* Probing a restart point within one page. Only the final restart can be
    [Unreadable]: its record spills past the page end before the key does. *)
@@ -491,15 +606,13 @@ let probe_key s psz start key =
             if kp + key_len > psz || kp + key_len > p + body_len then Unreadable
             else Cmp (cmp_key_at s kp key_len key))
 
-(* Decode the record at [start] entirely from page bytes; the caller has
-   checked it does not spill. *)
+(* Decode the entry and LSN of the record at [start] in place; the caller
+   has checked that it does not spill and that its key lies inside its
+   body. The tail must fill the framed body exactly. *)
 let decode_at s start =
   let body_len, p = Repro_util.Varint.read s start in
-  ignore body_len;
   let key_len, kp = Repro_util.Varint.read s p in
-  let lsn, lp = Repro_util.Varint.read s (kp + key_len) in
-  let entry, _ = Kv.Entry.decode s lp in
-  (entry, lsn)
+  Sst_format.decode_value_at s (kp + key_len) ~stop:(p + body_len)
 
 let complete_at s psz start =
   match Repro_util.Varint.read s start with
@@ -555,24 +668,6 @@ let search_page page starts key =
         if complete_at s psz starts.(0) then Absent
         else Resume { off = starts.(0); prev = "" }
   end
-
-(* Compare the composite key prev[0,shared) ++ s[pos, pos+suffix_len)
-   against [key] without materializing it (the V2 walk's hot loop). *)
-let cmp_composite prev shared s pos suffix_len key =
-  let klen = String.length key in
-  let total = shared + suffix_len in
-  let n = if total < klen then total else klen in
-  let rec go i =
-    if i = n then Int.compare total klen
-    else
-      let ci =
-        if i < shared then String.unsafe_get prev i
-        else String.unsafe_get s (pos + i - shared)
-      in
-      let c = Char.compare ci (String.unsafe_get key i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
 
 (* V2 in-page search: binary-search the restart points (every
    restart_interval-th start stores its full key, the first always),
@@ -643,15 +738,20 @@ let search_page_v2 page starts key =
                   | exception Invalid_argument _ -> Resume { off = start; prev }
                   | suffix_len, p ->
                       if p + suffix_len > psz then Resume { off = start; prev }
+                      else if shared > String.length prev then
+                        raise
+                          (Sst_format.Corrupt
+                             { what = "shared prefix exceeds previous key";
+                               page = -1 })
                       else
                         let c = cmp_composite prev shared s p suffix_len key in
                         if c > 0 then Absent
                         else if c = 0 then begin
                           if body_end <= psz then
-                            let lsn, lp =
-                              Repro_util.Varint.read s (p + suffix_len)
+                            let entry, lsn =
+                              Sst_format.decode_value_at s (p + suffix_len)
+                                ~stop:body_end
                             in
-                            let entry, _ = Kv.Entry.decode s lp in
                             Found (entry, lsn)
                           else Resume { off = start; prev }
                         end

@@ -86,8 +86,10 @@ val iterator : ?from:string -> t -> iter
     iterator is abandoned before exhaustion. *)
 val cached_iterator : ?from:string -> t -> iter
 
-(** Release an iterator's resources (a cached iterator's pinned frame).
-    Exhausted iterators release themselves; closing is idempotent. *)
+(** Release an iterator's resources: a cached iterator's pinned frame, a
+    streaming iterator's page buffer (reused by the component's next
+    streaming iterator). Exhausted iterators release themselves; closing
+    is idempotent. *)
 val iter_close : iter -> unit
 
 val iter_next : iter -> (string * Kv.Entry.t) option

@@ -146,57 +146,105 @@ let shared_prefix_len a b =
   done;
   !i
 
+(** {1 Record codec}
+
+    Records are written once, straight into the caller's buffer: the body
+    length is known up front from the field sizes, so no body is staged
+    and copied. They are read in place: the [_at] decoders parse a body
+    lying at [[pos, stop)] of any byte string (a pinned page, a streamed
+    page, or a scratch gathering a record that spans pages) and
+    materialize only the key and the entry's strings. Every field is
+    checked against [stop], and the entry must end exactly there, so a
+    body whose framed length disagrees with its fields — short, long, or
+    with a bad entry tag — raises {!Corrupt} instead of decoding
+    garbage or escaping as [Invalid_argument]. *)
+
+module Varint = Repro_util.Varint
+
 (** [encode_record buf key ~lsn entry] appends one framed record. *)
 let encode_record buf key ~lsn entry =
-  let body = Buffer.create (String.length key + 16) in
-  Repro_util.Varint.write body (String.length key);
-  Buffer.add_string body key;
-  Repro_util.Varint.write body lsn;
-  Kv.Entry.encode body entry;
-  Repro_util.Varint.write buf (Buffer.length body);
-  Buffer.add_buffer buf body
-
-(** [decode_body s] parses a record body into [(key, entry, lsn)]. *)
-let decode_body s =
-  let key_len, pos = Repro_util.Varint.read s 0 in
-  let key = String.sub s pos key_len in
-  let lsn, pos = Repro_util.Varint.read s (pos + key_len) in
-  let entry, _ = Kv.Entry.decode s pos in
-  (key, entry, lsn)
+  let klen = String.length key in
+  Varint.write buf
+    (Varint.size klen + klen + Varint.size lsn + Kv.Entry.encoded_size entry);
+  Varint.write buf klen;
+  Buffer.add_string buf key;
+  Varint.write buf lsn;
+  Kv.Entry.encode buf entry
 
 (** [encode_record_v2 buf ~prev key ~lsn entry] appends one framed V2
     record. [prev] is the key of the previous record starting in the same
     page — pass [""] to force a restart (full key stored). *)
 let encode_record_v2 buf ~prev key ~lsn entry =
   let shared = shared_prefix_len prev key in
-  let body = Buffer.create (String.length key + 16) in
-  Repro_util.Varint.write body shared;
-  Repro_util.Varint.write body (String.length key - shared);
-  Buffer.add_substring body key shared (String.length key - shared);
-  Repro_util.Varint.write body lsn;
-  Kv.Entry.encode body entry;
-  Repro_util.Varint.write buf (Buffer.length body);
-  Buffer.add_buffer buf body
+  let slen = String.length key - shared in
+  Varint.write buf
+    (Varint.size shared + Varint.size slen + slen + Varint.size lsn
+    + Kv.Entry.encoded_size entry);
+  Varint.write buf shared;
+  Varint.write buf slen;
+  Buffer.add_substring buf key shared slen;
+  Varint.write buf lsn;
+  Kv.Entry.encode buf entry
 
-(** [decode_body_v2 ~prev s] parses a V2 record body, reconstructing the
-    key from [prev]'s first [shared] bytes plus the stored suffix. *)
-let decode_body_v2 ~prev s =
-  let shared, pos = Repro_util.Varint.read s 0 in
-  let suffix_len, pos = Repro_util.Varint.read s pos in
-  let key =
-    if shared = 0 then String.sub s pos suffix_len
-    else begin
-      if shared > String.length prev then
-        raise (Corrupt { what = "shared prefix exceeds previous key"; page = -1 });
-      let b = Bytes.create (shared + suffix_len) in
-      Bytes.blit_string prev 0 b 0 shared;
-      Bytes.blit_string s pos b shared suffix_len;
-      Bytes.unsafe_to_string b
-    end
-  in
-  let lsn, pos = Repro_util.Varint.read s (pos + suffix_len) in
-  let entry, _ = Kv.Entry.decode s pos in
-  (key, entry, lsn)
+let malformed what = raise (Corrupt { what; page = -1 })
+
+(* The entry that ends every body, after the [lsn] varint at [pos].
+   Callers turn [Invalid_argument] into {!Corrupt}. *)
+let entry_after_lsn s pos lsn ~stop =
+  Kv.Entry.decode_exact s (pos + Varint.size lsn) ~stop
+
+(** [decode_value_at s pos ~stop] parses the [[varint lsn][entry]] tail
+    of a body (V1 and V2 alike) that fills [[pos, stop)] exactly: the
+    point lookup's decode once the key has been compared in place. *)
+let decode_value_at s pos ~stop =
+  match
+    let lsn = Varint.read_within s pos ~stop in
+    (entry_after_lsn s pos lsn ~stop, lsn)
+  with
+  | r -> r
+  | exception Invalid_argument _ -> malformed "record value overruns its body"
+
+(** [decode_body_at s pos ~stop] parses the V1 body at [[pos, stop)] into
+    [(key, entry, lsn)]. *)
+let decode_body_at s pos ~stop =
+  match
+    let klen = Varint.read_within s pos ~stop in
+    let kp = pos + Varint.size klen in
+    if klen > stop - kp then invalid_arg "key overruns body";
+    let lp = kp + klen in
+    let lsn = Varint.read_within s lp ~stop in
+    (String.sub s kp klen, entry_after_lsn s lp lsn ~stop, lsn)
+  with
+  | r -> r
+  | exception Invalid_argument _ -> malformed "record body overruns its frame"
+
+(** [decode_body_v2_at ~prev s pos ~stop] parses the V2 body at
+    [[pos, stop)], reconstructing the key from [prev]'s first [shared]
+    bytes plus the stored suffix. *)
+let decode_body_v2_at ~prev s pos ~stop =
+  match
+    let shared = Varint.read_within s pos ~stop in
+    let p = pos + Varint.size shared in
+    let slen = Varint.read_within s p ~stop in
+    let p = p + Varint.size slen in
+    if slen > stop - p then invalid_arg "key suffix overruns body";
+    if shared > String.length prev then
+      malformed "shared prefix exceeds previous key";
+    let key =
+      if shared = 0 then String.sub s p slen
+      else begin
+        let b = Bytes.create (shared + slen) in
+        Bytes.blit_string prev 0 b 0 shared;
+        Bytes.blit_string s p b shared slen;
+        Bytes.unsafe_to_string b
+      end
+    in
+    let lp = p + slen in
+    let lsn = Varint.read_within s lp ~stop in
+    (key, entry_after_lsn s lp lsn ~stop, lsn)
+  with
+  | r -> r
+  | exception Invalid_argument _ -> malformed "record body overruns its frame"
 
 (** {1 Fence pointers}
 

@@ -48,11 +48,10 @@ val restart_interval : int
 val shared_prefix_len : string -> string -> int
 [@@lint.allow "U001"] (* format-inspection helper for tooling *)
 
-(** [encode_record buf key ~lsn entry] appends one framed record. *)
+(** [encode_record buf key ~lsn entry] appends one framed record,
+    encoding each field once (the body length comes from the field
+    sizes). *)
 val encode_record : Buffer.t -> string -> lsn:int -> Kv.Entry.t -> unit
-
-(** [decode_body s] parses a record body: [(key, entry, lsn)]. *)
-val decode_body : string -> string * Kv.Entry.t * int
 
 (** [encode_record_v2 buf ~prev key ~lsn entry] appends one framed V2
     record; [prev] is the previous key starting in the same page ([""]
@@ -60,10 +59,25 @@ val decode_body : string -> string * Kv.Entry.t * int
 val encode_record_v2 :
   Buffer.t -> prev:string -> string -> lsn:int -> Kv.Entry.t -> unit
 
-(** [decode_body_v2 ~prev s] parses a V2 body, reconstructing the key
-    from [prev]'s shared prefix plus the stored suffix. Raises
-    {!Corrupt} if the shared length exceeds [prev] (rotted varint). *)
-val decode_body_v2 : prev:string -> string -> string * Kv.Entry.t * int
+(** {2 In-place decoders}
+
+    Each parses a record body lying at [[pos, stop)] of [s] without
+    copying it out, materializing only the key and the entry. Every
+    field must end by [stop] and the entry exactly at it; otherwise they
+    raise {!Corrupt} (a short or long body, a bad entry tag). *)
+
+(** [decode_body_at s pos ~stop] parses a V1 body: [(key, entry, lsn)]. *)
+val decode_body_at : string -> int -> stop:int -> string * Kv.Entry.t * int
+
+(** [decode_body_v2_at ~prev s pos ~stop] parses a V2 body, rebuilding
+    the key from [prev]'s shared prefix plus the stored suffix. Also
+    raises {!Corrupt} if the shared length exceeds [prev]. *)
+val decode_body_v2_at :
+  prev:string -> string -> int -> stop:int -> string * Kv.Entry.t * int
+
+(** [decode_value_at s pos ~stop] parses the [[varint lsn][entry]] tail
+    shared by V1 and V2 bodies: [(entry, lsn)]. *)
+val decode_value_at : string -> int -> stop:int -> Kv.Entry.t * int
 
 (** Per-table fence pointers: the page index in RAM, laid out in
     Eytzinger (BFS) order so the page-locating floor search walks a

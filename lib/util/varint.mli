@@ -8,6 +8,12 @@ val write : Buffer.t -> int -> unit
     [Invalid_argument] on truncated or oversized input. *)
 val read : string -> int -> int * int
 
+(** [read_within s pos ~stop] decodes the minimal varint at [pos], which
+    must end before [stop]; the next field starts [size v] bytes on.
+    Returns the value alone (no tuple). Raises [Invalid_argument] if it
+    is truncated by [stop], overlong, or negative. *)
+val read_within : string -> int -> stop:int -> int
+
 val read_bytes : bytes -> int -> int * int
 [@@lint.allow "U001"] (* bytes variant kept beside [read] *)
 

@@ -342,6 +342,37 @@ let test_tiny_pool_pin_release () =
     Sstable.Reader.iter_close it (* idempotent *)
   done
 
+let test_stream_buffer_reuse () =
+  (* A closed or exhausted streaming iterator hands its page buffer to
+     the component's next one. Interleave iterators so a buffer changes
+     hands while others are mid-page: every stream must still yield
+     exactly its records, and a closed one nothing more. *)
+  let store = mk_store ~page_size:256 () in
+  let records =
+    List.init 60 (fun i ->
+        (Printf.sprintf "key%03d" i, Kv.Entry.Base (String.make (20 + (i * 7 mod 150)) 'v')))
+  in
+  let sst = build store records in
+  let from k = List.filter (fun (k', _) -> String.compare k' k >= 0) records in
+  let pull it n = List.init n (fun _ -> Option.get (Sstable.Reader.iter_next it)) in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let drop n l = List.filteri (fun i _ -> i >= n) l in
+  let a = Sstable.Reader.iterator sst in
+  check Alcotest.bool "a head" true (pull a 5 = take 5 records);
+  let b = Sstable.Reader.iterator ~from:"key020" sst in
+  check Alcotest.bool "b head" true (pull b 3 = take 3 (from "key020"));
+  Sstable.Reader.iter_close b;
+  check Alcotest.bool "closed b ends" true (Sstable.Reader.iter_next b = None);
+  (* c takes b's buffer; a must not see it move *)
+  let c = Sstable.Reader.iterator ~from:"key040" sst in
+  check Alcotest.bool "c all" true (records_of_iter c = from "key040");
+  check Alcotest.bool "a rest" true (records_of_iter a = drop 5 records);
+  (* both exhausted: two spares now, taken by two live streams *)
+  let d = Sstable.Reader.iterator sst and e = Sstable.Reader.iterator ~from:"key030" sst in
+  check Alcotest.bool "d head" true (pull d 10 = take 10 records);
+  check Alcotest.bool "e all" true (records_of_iter e = from "key030");
+  check Alcotest.bool "d rest" true (records_of_iter d = drop 10 records)
+
 let mk_prop_get_equals_linear ~name ~format =
   (* The indexed search (restart binary search in V1, restart search plus
      prefix reconstruction and zone maps in V2) must be observationally
@@ -386,28 +417,71 @@ let prop_restart_get_equals_linear =
   mk_prop_get_equals_linear ~name:"restart get = linear get"
     ~format:Sstable.Sst_format.V1
 
+let records_full_of_iter it =
+  let rec go acc =
+    match Sstable.Reader.iter_next_full it with
+    | None -> List.rev acc
+    | Some r -> go (r :: acc)
+  in
+  go []
+
 let mk_prop_roundtrip ~name ~format =
+  (* Build/iterate/get roundtrip over a Base/Delta/Tombstone mix with
+     stored LSNs, 0-300 B values on 128 B pages (records and their
+     body-length varints split across page ends), plus random [from]
+     probes through both iterators: the in-place skip loop and the
+     spilled-record fallback must yield exactly the input suffix. *)
   QCheck.Test.make ~name ~count:60
     QCheck.(
-      list_of_size
-        Gen.(1 -- 100)
-        (pair (int_range 0 9999) (int_range 0 300)))
-    (fun pairs ->
+      pair
+        (list_of_size
+           Gen.(1 -- 100)
+           (quad (int_range 0 9999) (int_range 0 300) (int_range 0 5)
+              (int_range 0 100_000)))
+        (list_of_size Gen.(0 -- 8) (int_range 0 9999)))
+    (fun (quads, probes) ->
       let module M = Map.Make (String) in
+      let entry_of vlen kind =
+        match kind with
+        | 0 -> Kv.Entry.Tombstone
+        | 1 -> Kv.Entry.Delta [ String.make (vlen / 2) 'd'; String.make (vlen mod 7) 'e' ]
+        | _ -> Kv.Entry.Base (String.make vlen 'v')
+      in
       let m =
         List.fold_left
-          (fun m (k, vlen) ->
-            M.add (Printf.sprintf "key%05d" k) (Kv.Entry.Base (String.make vlen 'v')) m)
-          M.empty pairs
+          (fun m (k, vlen, kind, lsn) ->
+            M.add (Printf.sprintf "key%05d" k) (entry_of vlen kind, lsn) m)
+          M.empty quads
       in
-      let records = M.bindings m in
+      let full = List.map (fun (k, (e, lsn)) -> (k, e, lsn)) (M.bindings m) in
+      let records = List.map (fun (k, e, _) -> (k, e)) full in
       let store = mk_store ~page_size:128 () in
-      let sst = build store ~format ~extent_pages:4 records in
-      let out = records_of_iter (Sstable.Reader.iterator sst) in
-      out = records
+      let b = Sstable.Builder.create ~format ~extent_pages:4 store in
+      List.iter (fun (k, e, lsn) -> Sstable.Builder.add ~lsn b k e) full;
+      let footer = Sstable.Builder.finish b ~timestamp:1 in
+      let sst =
+        Sstable.Reader.open_in_ram store footer
+          ~index:(Sstable.Builder.index_blob b)
+      in
+      let from_ok from =
+        let want = List.filter (fun (k, _, _) -> String.compare k from >= 0) full in
+        let cached = Sstable.Reader.cached_iterator ~from sst in
+        let got_cached = records_full_of_iter cached in
+        Sstable.Reader.iter_close cached;
+        records_full_of_iter (Sstable.Reader.iterator ~from sst) = want
+        && got_cached = want
+      in
+      records_of_iter (Sstable.Reader.iterator sst) = records
+      && records_full_of_iter (Sstable.Reader.cached_iterator sst) = full
       && List.for_all
-           (fun (k, e) -> Sstable.Reader.get sst k = Some e)
-           records)
+           (fun (k, e, lsn) -> Sstable.Reader.get_with_lsn sst k = Some (e, lsn))
+           full
+      && List.for_all
+           (fun p ->
+             from_ok (Printf.sprintf "key%05d" p)
+             && from_ok (Printf.sprintf "key%05dx" p))
+           probes
+      && from_ok "" && from_ok "zzz")
 
 let prop_roundtrip =
   mk_prop_roundtrip ~name:"sstable build/iterate roundtrip"
@@ -468,10 +542,10 @@ let v2_roundtrip_one ~prev key entry lsn =
   let s = Buffer.contents buf in
   let body_len, off = read_varint s 0 in
   if off + body_len <> String.length s then failwith "framing length mismatch";
-  Sstable.Sst_format.decode_body_v2 ~prev (String.sub s off body_len)
+  Sstable.Sst_format.decode_body_v2_at ~prev s off ~stop:(off + body_len)
 
 let prop_v2_body_roundtrip =
-  (* encode_record_v2/decode_body_v2 over a tiny alphabet so shared
+  (* encode_record_v2/decode_body_v2_at over a tiny alphabet so shared
      prefixes of every length (0 .. full key) occur, empty strings
      included. *)
   let gen =
@@ -508,7 +582,9 @@ let test_v2_prefix_edge_cases () =
     (Kv.Entry.Base "v");
   let s = Buffer.contents buf in
   let body_len, off = read_varint s 0 in
-  match Sstable.Sst_format.decode_body_v2 ~prev:"ab" (String.sub s off body_len) with
+  match
+    Sstable.Sst_format.decode_body_v2_at ~prev:"ab" s off ~stop:(off + body_len)
+  with
   | exception Sstable.Sst_format.Corrupt _ -> ()
   | _ -> Alcotest.fail "oversized shared length not detected"
 
@@ -735,6 +811,332 @@ let prop_merge_equals_map_union =
       in
       out = M.bindings expected)
 
+(* ------------------------------------------------------------------ *)
+(* Malformed bodies on CRC-valid pages *)
+
+(* Rewrite a stored data page through [edit] and re-seal its checksum,
+   so the page verifies but carries the edited record bytes. The platter
+   copy is edited through the bit-rot hook, one flip per differing bit,
+   and the pool is dropped so the next read loads it. *)
+let patch_page store id edit =
+  let psz = Pagestore.Store.page_size store in
+  let old = Bytes.create psz in
+  Pagestore.Store.read_page_direct store id old;
+  let b = Bytes.copy old in
+  edit b;
+  Sstable.Sst_format.seal_page b;
+  for i = 0 to psz - 1 do
+    let x = Char.code (Bytes.get old i) lxor Char.code (Bytes.get b i) in
+    for bit = 0 to 7 do
+      if x land (1 lsl bit) <> 0 then
+        ignore (Pagestore.Store.corrupt_page store id ~byte:i ~bit)
+    done
+  done;
+  Pagestore.Store.crash store
+
+let data_chain footer =
+  List.concat_map
+    (fun (start, len) -> List.init len (fun i -> start + i))
+    footer.Sstable.Sst_format.extents
+  |> List.filteri (fun i _ -> i < footer.Sstable.Sst_format.data_pages)
+  |> Array.of_list
+
+(* Where byte [j] of the last record's frame lives: (chain position,
+   page offset). The frame starts at the final record start of the last
+   page that has one and runs on through continuation payloads. *)
+let last_frame_locator store footer =
+  let psz = Pagestore.Store.page_size store in
+  let chain = data_chain footer in
+  let buf = Bytes.create psz in
+  let rec last_start pos =
+    Pagestore.Store.read_page_direct store chain.(pos) buf;
+    let starts = Sstable.Sst_format.record_starts buf in
+    if Array.length starts > 0 then (pos, starts.(Array.length starts - 1))
+    else last_start (pos - 1)
+  in
+  let pos0, st = last_start (Array.length chain - 1) in
+  let payload = psz - Sstable.Sst_format.header_bytes in
+  fun j ->
+    if st + j < psz then (pos0, st + j)
+    else
+      let r = st + j - psz in
+      (pos0 + 1 + (r / payload), Sstable.Sst_format.header_bytes + (r mod payload))
+
+type malformation = Len_plus_one | Len_minus_one | Bad_tag
+
+let malformation_name = function
+  | Len_plus_one -> "body_len+1"
+  | Len_minus_one -> "body_len-1"
+  | Bad_tag -> "bad tag"
+
+(* Build [records], malform the last one, and require a typed Corrupt
+   from the streaming iterator, the cached iterator and the point
+   lookup alike. *)
+let check_malformed ~format ~page_size ~records what =
+  let label =
+    Printf.sprintf "%s %s %dB" (malformation_name what)
+      (match format with Sstable.Sst_format.V1 -> "V1" | V2 -> "V2")
+      page_size
+  in
+  let store = mk_store ~page_size () in
+  let sst = build store ~format records in
+  let footer = Sstable.Reader.footer sst in
+  let chain = data_chain footer in
+  let at = last_frame_locator store footer in
+  let key, entry = List.nth records (List.length records - 1) in
+  let edit j f =
+    let pos, off = at j in
+    patch_page store chain.(pos) (fun b -> Bytes.set b off (f (Bytes.get b off)))
+  in
+  (match what with
+  | Len_plus_one | Len_minus_one ->
+      (* the body-length varint's low byte: +-1 must not carry *)
+      let pos, off = at 0 in
+      let buf = Bytes.create page_size in
+      Pagestore.Store.read_page_direct store chain.(pos) buf;
+      let low = Char.code (Bytes.get buf off) land 0x7f in
+      if low = 0 || low = 0x7f then Alcotest.failf "%s: varint would carry" label;
+      let d = if what = Len_plus_one then 1 else -1 in
+      edit 0 (fun c -> Char.chr (Char.code c + d))
+  | Bad_tag ->
+      (* the entry ends every body (V1 and V2): its tag sits
+         [encoded_size entry] bytes before the frame's end *)
+      let byte j =
+        let pos, off = at j in
+        let buf = Bytes.create page_size in
+        Pagestore.Store.read_page_direct store chain.(pos) buf;
+        Bytes.get buf off
+      in
+      let body_len, vlen = read_varint (String.init 3 byte) 0 in
+      let tag = vlen + body_len - Kv.Entry.encoded_size entry in
+      edit tag (fun _ -> '\009'));
+  let expect path f =
+    match f () with
+    | exception Sstable.Sst_format.Corrupt _ -> ()
+    | exception e ->
+        Alcotest.failf "%s via %s: untyped %s" label path (Printexc.to_string e)
+    | () -> Alcotest.failf "%s via %s: decoded without error" label path
+  in
+  expect "iterator" (fun () ->
+      ignore (records_full_of_iter (Sstable.Reader.iterator sst)));
+  expect "cached_iterator" (fun () ->
+      ignore (records_full_of_iter (Sstable.Reader.cached_iterator sst)));
+  expect "get" (fun () -> ignore (Sstable.Reader.get sst key))
+
+let test_malformed_bodies_typed () =
+  (* In-page: the last record sits whole in a 4 KiB page, followed by
+     zero padding. Spilled: 300 B values on 128 B pages, so the last
+     record's body runs across three pages. *)
+  let in_page =
+    List.init 5 (fun i ->
+        (Printf.sprintf "key%d" i, Kv.Entry.Base (String.make 100 'v')))
+  in
+  let spilled =
+    List.init 3 (fun i ->
+        (Printf.sprintf "key%d" i, Kv.Entry.Base (String.make 300 'w')))
+  in
+  List.iter
+    (fun format ->
+      List.iter
+        (fun what ->
+          check_malformed ~format ~page_size:4096 ~records:in_page what;
+          check_malformed ~format ~page_size:128 ~records:spilled what)
+        [ Len_plus_one; Len_minus_one; Bad_tag ])
+    [ Sstable.Sst_format.V1; v2 ]
+
+let test_body_decoders_reject_bad_framing () =
+  (* The in-place decoders themselves: every field bounded by [stop], the
+     entry ending exactly there. *)
+  let frame key entry =
+    let b = Buffer.create 64 in
+    Sstable.Sst_format.encode_record b key ~lsn:300 entry;
+    let s = Buffer.contents b in
+    let body_len, off = read_varint s 0 in
+    (s ^ "\000", off, off + body_len)
+  in
+  let corrupt name f =
+    match f () with
+    | exception Sstable.Sst_format.Corrupt _ -> ()
+    | _ -> Alcotest.failf "%s: not rejected" name
+  in
+  let s, pos, stop = frame "key" (Kv.Entry.Delta [ "ab"; "c" ]) in
+  check Alcotest.bool "exact frame decodes" true
+    (Sstable.Sst_format.decode_body_at s pos ~stop
+    = ("key", Kv.Entry.Delta [ "ab"; "c" ], 300));
+  corrupt "short" (fun () -> Sstable.Sst_format.decode_body_at s pos ~stop:(stop - 1));
+  corrupt "long" (fun () -> Sstable.Sst_format.decode_body_at s pos ~stop:(stop + 1));
+  corrupt "past string" (fun () ->
+      Sstable.Sst_format.decode_body_at s pos ~stop:(String.length s + 1));
+  corrupt "value tail long" (fun () ->
+      Sstable.Sst_format.decode_value_at s (pos + 4) ~stop:(stop + 1));
+  let s, pos, stop = frame "k" Kv.Entry.Tombstone in
+  corrupt "tombstone long" (fun () ->
+      Sstable.Sst_format.decode_body_at s pos ~stop:(stop + 1));
+  corrupt "v2 long" (fun () ->
+      Sstable.Sst_format.decode_body_v2_at ~prev:"" s pos ~stop:(stop + 1))
+
+(* ------------------------------------------------------------------ *)
+(* On-disk bytes, pinned *)
+
+(* A fixed record set over all three entry kinds, LSNs up to three
+   varint bytes, 0-309 B values (128 B pages split records and their
+   length varints) and keys of varying shared prefix (V2). *)
+let pinned_records =
+  List.init 60 (fun i ->
+      let key =
+        Printf.sprintf "pin/%03d/%s" (i * 7) (String.make (i mod 5) 'k')
+      in
+      let entry =
+        if i mod 11 = 5 then Kv.Entry.Tombstone
+        else if i mod 7 = 3 then
+          Kv.Entry.Delta [ "d"; String.make (i mod 13) 'e' ]
+        else
+          Kv.Entry.Base
+            (String.init (i * 53 mod 310) (fun j ->
+                 Char.chr (97 + ((i + j) mod 26))))
+      in
+      (key, entry, i * i * 97 mod 70000))
+
+(* CRC32C of every data page (chain order), of the index blob and of the
+   footer blob. *)
+let format_digest ~format ~page_size =
+  let store = mk_store ~page_size () in
+  let b = Sstable.Builder.create ~format ~extent_pages:8 store in
+  List.iter (fun (k, e, lsn) -> Sstable.Builder.add ~lsn b k e) pinned_records;
+  let footer = Sstable.Builder.finish b ~timestamp:3 in
+  let crc = Repro_util.Crc32c.string in
+  let buf = Bytes.create page_size in
+  let pages =
+    Array.to_list (data_chain footer)
+    |> List.map (fun id ->
+           Pagestore.Store.read_page_direct store id buf;
+           crc (Bytes.to_string buf))
+  in
+  ( pages,
+    crc (Sstable.Builder.index_blob b),
+    crc (Sstable.Sst_format.encode_footer footer) )
+
+let pinned_digests =
+  [
+    ( Sstable.Sst_format.V1, 4096,
+      [ 0x910efdd9; 0x015efb49 ], 0xcadbce75, 0xa0d96722 );
+    ( Sstable.Sst_format.V1, 128,
+      [
+        0xbf35f6ef; 0x92152127; 0x817d05f3; 0x20c25297; 0x165a7fdb; 0xb022326f;
+        0xf581892c; 0x09142850; 0x6f9070c1; 0x0a65d818; 0xdbe19108; 0xe01190c7;
+        0x4758b377; 0x417b2209; 0x238357b5; 0x43eaa8d6; 0x1f6fa4db; 0x83d12aff;
+        0x008736ff; 0x6cd4cc6f; 0xe0de9109; 0xa380842a; 0x7855b992; 0x207513f7;
+        0xebc4a5e3; 0xdeaccc0a; 0x04f6f5ad; 0x417b2209; 0xc0180b0e; 0x963116e4;
+        0xf2ec5d3b; 0x59b9ada9; 0xe4042ade; 0x611ee219; 0x96380ff1; 0x6f9070c1;
+        0x0a65d818; 0xc83554cf; 0x7855b992; 0xb5c993a1; 0x9a0be2b5; 0xb2350ae4;
+        0x0a65d818; 0x2405380d; 0x48c4e64b; 0xc70aa998; 0x5593ddcf; 0x0c82734f;
+        0x83d12aff; 0xab551ae4; 0x404092c4; 0x38d914c9; 0xf36db107; 0x6efef786;
+        0x063030c3; 0x7855b992; 0xa103bae7; 0x4f10ff84; 0x36352c34; 0x26b3f146;
+        0x3273c80b; 0x20ed248f; 0x684c95a0; 0x26b3f146; 0x20ed248f; 0xcac907b6;
+      ],
+      0x738a45e7, 0x60af3324 );
+    ( Sstable.Sst_format.V2, 4096,
+      [ 0x99e208fb; 0x04610b58 ], 0xd7712ec8, 0x3d258835 );
+    ( Sstable.Sst_format.V2, 128,
+      [
+        0xe0af9828; 0x5a83f375; 0x6efef786; 0x6832064e; 0x2ce5d109; 0x4ad6d835;
+        0x417b2209; 0x5b93a310; 0x4e742ace; 0x1a77862d; 0xfadeb8ee; 0x9ce73afc;
+        0xd81fcfb6; 0x4a209909; 0x1452f7aa; 0x8bda91d1; 0xf3162a33; 0x5e00faf7;
+        0x76029033; 0x6cd4cc6f; 0x95b21b88; 0x90c705cd; 0xb29d35b3; 0xe6b0d114;
+        0x9bc1f8f7; 0x4ffd6372; 0xb29d35b3; 0xc70a59e5; 0xff271499; 0x90c705cd;
+        0x12c7a1a5; 0x05130756; 0x99b79bb6; 0x6cd4cc6f; 0xea79769d; 0xfb906130;
+        0x5fb84351; 0x4e742ace; 0x1a77862d; 0x19026ff5; 0x03af9909; 0x6909d375;
+        0x417b2209; 0x9b1b1489; 0x83d12aff; 0x0517ce7c; 0xb4076d06; 0x395716ac;
+        0xa5068001; 0x61c1df3e; 0x6cd4cc6f; 0x6bfac57f; 0x4172bb0a; 0x8d576c8a;
+        0x23fb1a07; 0x0a65d818; 0x0d5c8198; 0x5452d097; 0xf5023eb1; 0x18b382df;
+        0xc7c16c14; 0x7855b992; 0x07fd7bbb; 0x90c705cd; 0xe528df82; 0x125b6538;
+      ],
+      0xb2a03a55, 0xbbf282ae );
+  ]
+
+let test_pinned_bytes () =
+  (* Any encoder change that moves a byte of the on-disk format — page,
+     index or footer, either version — fails here. *)
+  List.iter
+    (fun (format, page_size, pages, index, footer) ->
+      let label =
+        Printf.sprintf "%s %dB"
+          (match format with Sstable.Sst_format.V1 -> "V1" | V2 -> "V2")
+          page_size
+      in
+      let pages', index', footer' = format_digest ~format ~page_size in
+      check (Alcotest.list Alcotest.int) (label ^ " data page crcs") pages pages';
+      check Alcotest.int (label ^ " index crc") index index';
+      check Alcotest.int (label ^ " footer crc") footer footer')
+    pinned_digests
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets *)
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* Heap words of a string of [n] bytes: header plus padded payload. *)
+let string_words n = 1 + ((n + 8) / 8)
+
+let test_builder_alloc_budget () =
+  (* Builder.add encodes each record once into a reused buffer and blits
+     it into the page: no per-record Buffer, body copy or string. What is
+     left past warm-up is per-page bookkeeping (index entry, simulated
+     clock) amortized over the page's records — about 8 words on 4 KiB
+     pages; a per-record copy of a 1 KB record alone is ~130. The
+     platter's page copies are too large for the minor heap and do not
+     count here. *)
+  let store = mk_store ~page_size:4096 ~buffer_pages:8 () in
+  let b = Sstable.Builder.create ~extent_pages:1024 store in
+  let value = Kv.Entry.Base (String.make 1000 'v') in
+  let keys = Array.init 2400 (Printf.sprintf "key%06d") in
+  for i = 0 to 399 do
+    Sstable.Builder.add b keys.(i) value
+  done;
+  let n = 2000 in
+  let w0 = minor_words () in
+  for i = 400 to 400 + n - 1 do
+    Sstable.Builder.add b keys.(i) value
+  done;
+  let per_record = (minor_words () - w0) / n in
+  let budget = 16 in
+  if per_record > budget then
+    Alcotest.failf "Builder.add: %d words/record, budget %d" per_record budget
+
+let test_iter_alloc_budget () =
+  (* An in-page pull materializes the key, the value and the result
+     ([Some] of a [(key, entry, lsn)] tuple around [Base value]) and
+     nothing else: no body copy, no varint tuples. *)
+  List.iter
+    (fun (format, cached) ->
+      let store = mk_store ~page_size:4096 () in
+      let records =
+        List.init 30 (fun i ->
+            (Printf.sprintf "key%04d" i, Kv.Entry.Base (String.make 90 'v')))
+      in
+      let sst = build store ~format records in
+      let it =
+        if cached then Sstable.Reader.cached_iterator sst
+        else Sstable.Reader.iterator sst
+      in
+      ignore (Sstable.Reader.iter_next_full it);
+      (* records 1..20 lie whole in the first page, already fetched *)
+      let n = 20 in
+      let w0 = minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Sstable.Reader.iter_next_full it))
+      done;
+      let words = minor_words () - w0 in
+      let per_record = string_words 7 + string_words 90 + 2 + 4 + 2 in
+      Sstable.Reader.iter_close it;
+      if words > n * per_record then
+        Alcotest.failf "iter_next_full (%s, %s): %d words for %d records, budget %d"
+          (match format with Sstable.Sst_format.V1 -> "V1" | V2 -> "V2")
+          (if cached then "cached" else "streaming")
+          words n (n * per_record))
+    [ (Sstable.Sst_format.V1, false); (Sstable.Sst_format.V1, true);
+      (v2, false); (v2, true) ]
+
 let () =
   Alcotest.run "sstable"
     [
@@ -763,6 +1165,7 @@ let () =
             test_truncated_mid_record_is_typed_corrupt;
           Alcotest.test_case "verified once" `Quick test_verified_once_semantics;
           Alcotest.test_case "tiny pool pins" `Quick test_tiny_pool_pin_release;
+          Alcotest.test_case "stream buffer reuse" `Quick test_stream_buffer_reuse;
           QCheck_alcotest.to_alcotest prop_restart_get_equals_linear;
         ] );
       ( "v2",
@@ -780,6 +1183,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_v2_body_roundtrip;
           QCheck_alcotest.to_alcotest prop_v2_get_equals_linear;
           QCheck_alcotest.to_alcotest prop_v2_roundtrip;
+        ] );
+      ( "format",
+        [
+          Alcotest.test_case "malformed bodies typed" `Quick
+            test_malformed_bodies_typed;
+          Alcotest.test_case "decoders reject bad framing" `Quick
+            test_body_decoders_reject_bad_framing;
+          Alcotest.test_case "pinned on-disk bytes" `Quick test_pinned_bytes;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "builder add budget" `Quick test_builder_alloc_budget;
+          Alcotest.test_case "iter_next_full budget" `Quick test_iter_alloc_budget;
         ] );
       ( "merge_iter",
         [
