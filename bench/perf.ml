@@ -43,6 +43,16 @@ let[@lint.allow "D001"] time_best ~repeats ~iters f =
   done;
   !best
 
+(* Minor-heap words per call of [f], after one warm-up call. Allocation
+   counts are exact, unlike wall time, so they are gated exactly. *)
+let words_per_call ~iters f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
 type kernel = {
   k_name : string;
   k_ns : float;
@@ -63,10 +73,11 @@ let mk_store ~buffer_pages () =
 (* ------------------------------------------------------------------ *)
 (* Macro kernels *)
 
+(* Returns (ns/op, words/op). *)
 let crc_kernel ~repeats ~iters =
   let payload = String.make 4096 'x' in
-  time_best ~repeats ~iters (fun () ->
-      ignore (Repro_util.Crc32c.string payload))
+  let f () = ignore (Repro_util.Crc32c.string payload) in
+  (time_best ~repeats ~iters f, words_per_call ~iters f)
 
 (* Warmed point lookup: every page of a 10k-record component fits in the
    pool, so after warmup each get is pure CPU — fence search, one pool
@@ -175,9 +186,10 @@ let fence_kernel ~repeats ~iters =
   in
   (ey, bs)
 
-(* Bloom membership ns/op on a YCSB-C-style read-only mix (95% present /
-   5% absent) plus exact false-positive counts for both layouts at equal
-   bits/key. Hashing is deterministic, so the FP counts are exact. *)
+(* Bloom membership ns/op and minor words/op on a YCSB-C-style read-only
+   mix (95% present / 5% absent) plus exact false-positive counts for
+   both layouts at equal bits/key. Hashing is deterministic, so the FP
+   counts are exact. *)
 let bloom_fp_probes = 200_000
 
 let bloom_kernels ~repeats ~iters =
@@ -198,11 +210,13 @@ let bloom_kernels ~repeats ~iters =
   in
   let time b =
     let i = ref 0 in
-    time_best ~repeats ~iters (fun () ->
-        incr i;
-        ignore (Bloom.mem b probes.(!i land (nprobes - 1))))
+    let f () =
+      incr i;
+      ignore (Bloom.mem b probes.(!i land (nprobes - 1)))
+    in
+    (time_best ~repeats ~iters f, words_per_call ~iters f)
   in
-  let ns_std = time std and ns_blk = time blk in
+  let std_cost = time std and blk_cost = time blk in
   let fp b =
     let c = ref 0 in
     for i = 0 to bloom_fp_probes - 1 do
@@ -210,7 +224,7 @@ let bloom_kernels ~repeats ~iters =
     done;
     !c
   in
-  (ns_std, ns_blk, fp std, fp blk)
+  (std_cost, blk_cost, fp std, fp blk)
 
 (* Cold read-path simulated I/O, V1 vs V2 on identical records: full
    scan and tail scan (prefix compression shrinks pages; the fence's
@@ -373,6 +387,7 @@ let gate_lookup_warm_v2_ns = 2200.0 (* measured ~1.2us; ~1.8x headroom *)
 let gate_tail_scan_v2_bytes = 114_688 (* exact: 28 pages x 4 KiB *)
 
 (* CRC32C of a 4 KiB page on the SSE4.2 kernel: measured 730-780 ns
+   with one serial chain and 220-260 ns with three interleaved chains
    (quick mode, 2-vCPU x86-64 host), against ~4,300 ns for the former
    OCaml slice-by-16 table loop on the same host. Applied only when that
    kernel is the one selected, so a silent fallback to tables on an
@@ -385,7 +400,7 @@ type gate = { g_name : string; g_value : float; g_limit : float; g_ok : bool }
 let gate name value limit =
   { g_name = name; g_value = value; g_limit = limit; g_ok = value <= limit }
 
-let write_pr7_json ~path ~seed ~kernels ~fp_std ~fp_blk ~v1_io ~v2_io
+let write_pr7_json ~path ~seed ~kernels ~alloc ~fp_std ~fp_blk ~v1_io ~v2_io
     ~zone_probes ~gates =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -408,6 +423,15 @@ let write_pr7_json ~path ~seed ~kernels ~fp_std ~fp_blk ~v1_io ~v2_io
         (json_escape name) ns (json_escape base_name) base_ns (base_ns /. ns)
         (if idx = n - 1 then "" else ","))
     kernels;
+  out "  ],\n";
+  out "  \"alloc\": [\n";
+  let na = List.length alloc in
+  List.iteri
+    (fun idx (name, (ns, words)) ->
+      out "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"minor_words_per_op\": %.2f}%s\n"
+        (json_escape name) ns words
+        (if idx = na - 1 then "" else ","))
+    alloc;
   out "  ],\n";
   out
     "  \"bloom_fp\": {\"probes\": %d, \"standard\": %d, \"blocked\": %d, \
@@ -452,7 +476,7 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
   let macro name ns =
     { k_name = name; k_ns = ns; k_baseline = baseline_ns name; k_group = "macro" }
   in
-  let crc = crc_kernel ~repeats ~iters in
+  let ((crc, _) as crc_cost) = crc_kernel ~repeats ~iters in
   let lookup_ns, io = lookup_kernel ~repeats ~iters () in
   let insert, trace_noop_ok = insert_kernel ~repeats ~iters:(iters * 2) in
   let skiplist = skiplist_kernel ~repeats ~iters:(iters * 2) in
@@ -500,7 +524,10 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
   Scale.section "Read-path kernels (fence / Bloom layouts / scan+miss I/O)";
   let lookup_v2_ns, io_v2 = lookup_kernel ~format:Sstable.Sst_format.V2 ~repeats ~iters () in
   let fence_ey, fence_bin = fence_kernel ~repeats ~iters:(iters * 4) in
-  let bloom_std, bloom_blk, fp_std, fp_blk = bloom_kernels ~repeats ~iters:(iters * 4) in
+  let ((bloom_std, bloom_std_words) as bloom_std_cost),
+      ((bloom_blk, bloom_blk_words) as bloom_blk_cost), fp_std, fp_blk =
+    bloom_kernels ~repeats ~iters:(iters * 4)
+  in
   let v1_io, v2_io, zone_probes = readpath_section () in
   let io_v2_ok =
     io_v2.Simdisk.Disk.seeks = 0
@@ -521,6 +548,17 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       Printf.printf "%-44s %12.1f ns/op  (%s %10.1f, x%.2f)\n" name ns bname
         bns (bns /. ns))
     pr7_kernels;
+  let alloc =
+    [
+      ("bloom.mem.standard", bloom_std_cost);
+      ("bloom.mem.blocked", bloom_blk_cost);
+      ("crc32c.4KiB", crc_cost);
+    ]
+  in
+  List.iter
+    (fun (name, (ns, words)) ->
+      Printf.printf "%-44s %12.1f ns/op  %6.2f minor words/op\n" name ns words)
+    alloc;
   Printf.printf "bloom fp @ %d absent probes: standard %d, blocked %d (x%.2f)\n"
     bloom_fp_probes fp_std fp_blk
     (float_of_int fp_blk /. float_of_int (max 1 fp_std));
@@ -541,6 +579,8 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       gate "bloom.blocked.fp_vs_standard"
         (float_of_int fp_blk)
         (2.0 *. float_of_int fp_std);
+      gate "bloom.mem.standard.words" bloom_std_words 0.0;
+      gate "bloom.mem.blocked.words" bloom_blk_words 0.0;
       gate "scan.v2_vs_v1.tail_bytes"
         (float_of_int v2_io.rp_tail_scan_bytes)
         (float_of_int v1_io.rp_tail_scan_bytes);
@@ -550,7 +590,7 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       [ gate "crc32c.4KiB" crc gate_crc32c_4k_sse42_ns ]
     else []
   in
-  write_pr7_json ~path:"BENCH_PR7.json" ~seed:s.Scale.seed ~kernels:pr7_kernels
+  write_pr7_json ~path:"BENCH_PR7.json" ~seed:s.Scale.seed ~kernels:pr7_kernels ~alloc
     ~fp_std ~fp_blk ~v1_io ~v2_io ~zone_probes ~gates;
   Printf.printf "wrote BENCH_PR7.json\n";
   let failed = List.filter (fun g -> not g.g_ok) gates in

@@ -35,26 +35,30 @@ type t = {
   mutable inserted : int;
 }
 
-(* 64-bit FNV-1a over the key, then two mixes to derive h1/h2. *)
-let fnv1a s =
+(* 64-bit FNV-1a over the key, then two mixes to derive h1/h2. A
+   closure-free loop over a local ref, inlined into its callers: the
+   compiler keeps every Int64 unboxed, so hashing a key allocates
+   nothing. *)
+let[@inline] fnv1a s =
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001B3L
+  done;
   !h
 
-let mix h =
+let[@inline] mix h =
   let h = Int64.logxor h (Int64.shift_right_logical h 33) in
   let h = Int64.mul h 0xFF51AFD7ED558CCDL in
   Int64.logxor h (Int64.shift_right_logical h 29)
 
-let hash_pair key =
-  let h = fnv1a key in
-  let h1 = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL) in
-  let h2 = Int64.to_int (Int64.logand (mix h) 0x3FFFFFFFFFFFFFFFL) in
-  (h1, h2 lor 1 (* odd stride hits every bit position *))
+let[@inline] hash1 h = Int64.to_int (Int64.logand h 0x3FFFFFFFFFFFFFFFL)
+
+(* Odd, so the stride hits every bit position. *)
+let[@inline] hash2 h =
+  Int64.to_int (Int64.logand (mix h) 0x3FFFFFFFFFFFFFFFL) lor 1
 
 (** [create ~expected_items ~bits_per_item ()] sizes the filter for
     [expected_items] insertions. [bits_per_item] defaults to 10 (the
@@ -83,16 +87,15 @@ let get_bit t i =
   let byte = i lsr 3 and bit = i land 7 in
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
-(* Reduce both hashes below nbits so the probe arithmetic cannot
-   overflow; a zero stride would probe one bit repeatedly, so avoid it. *)
-let probes t key =
-  let h1, h2 = hash_pair key in
-  let h1 = h1 mod t.nbits in
-  let h2 =
-    let h = h2 mod t.nbits in
-    if h = 0 then 1 else h
-  in
-  (h1, h2)
+(* Standard layout: probe i is (h1 + i*h2) mod nbits, both hashes first
+   reduced below nbits so the arithmetic cannot overflow (a zero stride
+   would probe one bit repeatedly, so it becomes 1). The probes walk
+   [b := b + stride], less nbits on wrap: b and the stride are both
+   below nbits, so one subtraction is the whole reduction and probe i
+   lands on exactly (h1 + i*h2) mod nbits, with no division per probe. *)
+let[@inline] standard_stride t h2 =
+  let h = h2 mod t.nbits in
+  if h = 0 then 1 else h
 
 (* Blocked layout: h1 picks the 512-bit block; each derived value yields
    two 9-bit in-block positions, so ceil(k/2) derived hashes cover all k
@@ -105,61 +108,66 @@ let probes t key =
    false-positive rate lands several times above the block-load-variance
    bound; the per-step multiply gives pair i the effective multiplier
    K^(i+1), decorrelating the windows (measured FP sits at the Poisson
-   floor, ~1.15x Standard). [f] receives absolute bit positions;
-   iteration stops early when [f] returns false (the membership test's
-   short-circuit; inserts always return true). *)
+   floor, ~1.15x Standard). [add] and [mem] each run this walk inline,
+   so a probe builds no closure. *)
 let blocked_mul = 0x2545F4914F6CDD1D
 
-let blocked_probe t h1 h2 f =
-  let nblocks = t.nbits / block_bits in
-  let base = h1 mod nblocks * block_bits in
-  let npairs = (t.hashes + 1) / 2 in
-  let g = ref h2 in
-  let continue_ = ref true in
-  let i = ref 0 in
-  while !continue_ && !i < npairs do
-    g := !g * blocked_mul land max_int;
-    let v = !g lsr 38 in
-    if not (f (base + (v land (block_bits - 1)))) then continue_ := false
-    else if
-      (2 * !i) + 1 < t.hashes
-      && not (f (base + (v lsr 9 land (block_bits - 1))))
-    then continue_ := false
-    else incr i
-  done;
-  !continue_
+let[@inline] blocked_base t h1 = h1 mod (t.nbits / block_bits) * block_bits
+let[@inline] blocked_step g = g * blocked_mul land max_int
+let[@inline] blocked_first base v = base + (v land (block_bits - 1))
+let[@inline] blocked_second base v = base + (v lsr 9 land (block_bits - 1))
 
 (** [add t key] inserts [key]. Updates are monotonic (bits only go 0->1),
     which is why bLSM readers never need to be insulated from concurrent
     filter updates (§4.4.3). *)
 let add t key =
+  let h = fnv1a key in
   (match t.kind with
   | Standard ->
-      let h1, h2 = probes t key in
-      for i = 0 to t.hashes - 1 do
-        set_bit t ((h1 + (i * h2)) mod t.nbits)
+      let stride = standard_stride t (hash2 h) in
+      let b = ref (hash1 h mod t.nbits) in
+      for _ = 1 to t.hashes do
+        set_bit t !b;
+        b := !b + stride;
+        if !b >= t.nbits then b := !b - t.nbits
       done
   | Blocked ->
-      let h1, h2 = hash_pair key in
-      ignore
-        (blocked_probe t h1 h2 (fun pos ->
-             set_bit t pos;
-             true)
-          : bool));
+      let base = blocked_base t (hash1 h) in
+      let g = ref (hash2 h) in
+      for i = 0 to ((t.hashes + 1) / 2) - 1 do
+        g := blocked_step !g;
+        let v = !g lsr 38 in
+        set_bit t (blocked_first base v);
+        if (2 * i) + 1 < t.hashes then set_bit t (blocked_second base v)
+      done);
   t.inserted <- t.inserted + 1
 
 (** [mem t key] is [false] only if [key] was definitely never added. *)
 let mem t key =
+  let h = fnv1a key in
   match t.kind with
   | Standard ->
-      let h1, h2 = probes t key in
-      let rec go i =
-        i >= t.hashes || (get_bit t ((h1 + (i * h2)) mod t.nbits) && go (i + 1))
-      in
-      go 0
+      let stride = standard_stride t (hash2 h) in
+      let b = ref (hash1 h mod t.nbits) and i = ref 0 in
+      while !i < t.hashes && get_bit t !b do
+        b := !b + stride;
+        if !b >= t.nbits then b := !b - t.nbits;
+        incr i
+      done;
+      !i >= t.hashes
   | Blocked ->
-      let h1, h2 = hash_pair key in
-      blocked_probe t h1 h2 (fun pos -> get_bit t pos)
+      let base = blocked_base t (hash1 h) in
+      let npairs = (t.hashes + 1) / 2 in
+      let g = ref (hash2 h) and i = ref 0 and hit = ref true in
+      while !hit && !i < npairs do
+        g := blocked_step !g;
+        let v = !g lsr 38 in
+        hit :=
+          get_bit t (blocked_first base v)
+          && ((2 * !i) + 1 >= t.hashes || get_bit t (blocked_second base v));
+        incr i
+      done;
+      !hit
 
 let inserted t = t.inserted
 
@@ -188,13 +196,34 @@ let to_string t =
   Buffer.add_bytes buf t.bits;
   Buffer.contents buf
 
+(* A persisted blob is trusted only once its header is consistent with
+   what [create] can produce and with its own length: a blob that passed
+   its checksum can still carry a bad header (a writer bug, a different
+   encoder), and a probe of such a filter would divide by zero or read
+   out of bounds. *)
 let of_string s =
   let kind, start =
     if String.length s > 0 && Char.equal s.[0] '\000' then (Blocked, 1)
     else (Standard, 0)
   in
-  let nbits, pos = Repro_util.Varint.read s start in
-  let hashes, pos = Repro_util.Varint.read s pos in
-  let inserted, pos = Repro_util.Varint.read s pos in
-  let bits = Bytes.of_string (String.sub s pos ((nbits + 7) / 8)) in
-  { kind; bits; nbits; hashes; inserted }
+  match
+    let nbits, pos = Repro_util.Varint.read s start in
+    let hashes, pos = Repro_util.Varint.read s pos in
+    let inserted, pos = Repro_util.Varint.read s pos in
+    (nbits, hashes, inserted, pos)
+  with
+  | exception Invalid_argument _ -> Error "truncated header"
+  | nbits, hashes, inserted, pos ->
+      let nbytes = (nbits + 7) / 8 in
+      let whole_blocks =
+        match kind with Standard -> true | Blocked -> nbits mod block_bits = 0
+      in
+      if nbits < 64 then Error "fewer than 64 bits"
+      else if not whole_blocks then
+        Error "blocked bit count not a multiple of 512"
+      else if hashes < 1 then Error "no hash functions"
+      else if String.length s - pos <> nbytes then
+        Error "bit array length mismatch"
+      else
+        let bits = Bytes.of_string (String.sub s pos nbytes) in
+        Ok { kind; bits; nbits; hashes; inserted }

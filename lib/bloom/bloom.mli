@@ -49,4 +49,10 @@ val expected_fp_rate : t -> float
     Standard form, whose leading nbits varint is >= 64). *)
 
 val to_string : t -> string
-val of_string : string -> t
+
+(** [of_string s] decodes {!to_string}'s output. [Error why] unless the
+    header is one {!create} can produce and the bit array has exactly the
+    length it states: at least 64 bits, whole 512-bit blocks for
+    [Blocked], at least one hash, [(nbits + 7) / 8] bytes and nothing
+    after them. *)
+val of_string : string -> (t, string) result

@@ -17,13 +17,15 @@ let of_sst ?bloom sst = { sst; bloom; bloom_negative = 0; bloom_false_positive =
 (** [build_bloom ~bits_per_key sst] recovers a component's filter: reads
     the persisted copy when the component carries one (1.25 B/key of
     sequential I/O), otherwise rebuilds by scanning the whole component —
-    the §4.4.3 trade-off, selectable via {!Config.t.persist_bloom}. *)
+    the §4.4.3 trade-off, selectable via {!Config.t.persist_bloom}. A
+    persisted copy that fails its checksum or does not decode is derived
+    data gone bad: it is dropped and rebuilt the same way. *)
 let build_bloom ?(kind = Bloom.Standard) ~bits_per_key sst =
   if bits_per_key = 0 then None
   else
-    match Sstable.Reader.load_bloom_blob sst with
-    | Some blob -> Some (Bloom.of_string blob)
-    | None ->
+    match Option.map Bloom.of_string (Sstable.Reader.load_bloom_blob sst) with
+    | Some (Ok bloom) -> Some bloom
+    | None | Some (Error _) ->
     begin
     let bloom =
       Bloom.create ~kind ~bits_per_item:bits_per_key

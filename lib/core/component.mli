@@ -15,9 +15,10 @@ type t = {
 val of_sst : ?bloom:Bloom.t -> Sstable.Reader.t -> t
 
 (** [build_bloom ?kind ~bits_per_key sst] recovers a component's filter:
-    the persisted copy when one exists, else a fresh filter of layout
-    [kind] (default [Standard]) populated by scanning the component.
-    [None] when [bits_per_key = 0]. *)
+    the persisted copy when one exists and decodes (checksum and header
+    both valid), else a fresh filter of layout [kind] (default
+    [Standard]) populated by scanning the component. [None] when
+    [bits_per_key = 0]. *)
 val build_bloom :
   ?kind:Bloom.kind -> bits_per_key:int -> Sstable.Reader.t -> Bloom.t option
 

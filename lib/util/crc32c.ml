@@ -4,8 +4,9 @@
     torn writes, mirroring the checks Stasis performs for bLSM (§4.4.2).
 
     The fold runs in C ([crc32c_stubs.c]): on x86-64 CPUs with SSE4.2 it
-    uses the [crc32] instruction, 8 bytes per instruction; elsewhere a
-    portable slice-by-8 table loop. The kernel is picked once, at first
+    uses the [crc32] instruction, 8 bytes per instruction, as three
+    interleaved chains over long slices; elsewhere a portable slice-by-8
+    table loop. The kernel is picked once, at first
     use. Both compute the same function, so stored checksums do not
     depend on the host. The bounds check below is the only guard before
     the stub reads raw memory. *)

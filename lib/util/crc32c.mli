@@ -1,7 +1,8 @@
 (** CRC32C (Castagnoli) checksums. Page headers and log records carry a
     CRC so recovery can detect torn writes (§4.4.2). The fold runs in a C
-    kernel: the SSE4.2 [crc32] instruction on x86-64 CPUs that have it, a
-    portable slice-by-8 table loop elsewhere, picked once at first use.
+    kernel: the SSE4.2 [crc32] instruction on x86-64 CPUs that have it
+    (three interleaved chains over long slices), a portable slice-by-8
+    table loop elsewhere, picked once at first use.
     Both give identical values, so the on-disk format does not depend on
     the host. *)
 

@@ -230,6 +230,77 @@ let test_bloom_rot_masked () =
     (s.Blsm.Tree.corruptions_detected > 0);
   check_model ~what:"bloom rot masked" !tree !model
 
+(* A persisted Bloom blob can pass its checksum and still not decode: a
+   Blocked filter of 64 bits (no whole block), a truncated bit array,
+   trailing bytes. That is derived data gone bad, like a rotted blob:
+   [Component.build_bloom] and a mount rebuild the filter from a
+   component scan instead of raising out of recovery. *)
+let test_malformed_bloom_blob_rebuilt () =
+  let keys = List.init 300 (Printf.sprintf "key%04d") in
+  let good =
+    let b = Bloom.create ~expected_items:(List.length keys) () in
+    List.iter (Bloom.add b) keys;
+    Bloom.to_string b
+  in
+  let header fields =
+    let buf = Buffer.create 8 in
+    List.iter (Repro_util.Varint.write buf) fields;
+    Buffer.contents buf
+  in
+  (* A rebuilt filter holds every key and answers absent keys mostly
+     no; the all-ones garbage blob would answer yes to everything. *)
+  let check_rebuilt what bloom =
+    Alcotest.(check int) (what ^ ": rebuilt from a scan") (List.length keys)
+      (Bloom.inserted bloom);
+    List.iter
+      (fun k -> if not (Bloom.mem bloom k) then Alcotest.failf "%s: lost %s" what k)
+      keys;
+    let fps =
+      List.length
+        (List.filter (Bloom.mem bloom) (List.init 1000 (Printf.sprintf "absent%04d")))
+    in
+    if fps > 50 then Alcotest.failf "%s: %d false positives in 1000" what fps
+  in
+  List.iter
+    (fun (what, bloom_blob) ->
+      let store = mk_store () in
+      let b = Sstable.Builder.create ~extent_pages:8 store in
+      List.iter (fun k -> Sstable.Builder.add b k (Kv.Entry.Base ("v" ^ k))) keys;
+      let footer = Sstable.Builder.finish ~bloom_blob b ~timestamp:1 in
+      (match
+         Blsm.Component.build_bloom ~bits_per_key:10
+           (Sstable.Reader.open_from_disk store footer)
+       with
+      | Some bloom -> check_rebuilt what bloom
+      | None -> Alcotest.failf "%s: no filter" what);
+      let sh = Blsm.Lsm_shell.create (small_config ()) store in
+      match
+        Blsm.Lsm_shell.mount sh ~level:"C1" ~verify:true
+          ~covered:(fun _ -> false)
+          (Sstable.Sst_format.encode_footer footer)
+      with
+      | None -> Alcotest.failf "%s: component dropped" what
+      | Some c ->
+          let s = Blsm.Lsm_shell.stats sh in
+          Alcotest.(check int) (what ^ ": nothing quarantined") 0
+            s.Blsm.Lsm_shell.quarantined_components;
+          (match c.Blsm.Component.bloom with
+          | Some bloom -> check_rebuilt what bloom
+          | None -> Alcotest.failf "%s: mounted without a filter" what);
+          List.iter
+            (fun k ->
+              match Blsm.Component.get c k with
+              | Some (Kv.Entry.Base v) when String.equal v ("v" ^ k) -> ()
+              | _ -> Alcotest.failf "%s: wrong answer for %s" what k)
+            keys;
+          if Blsm.Component.get c "absent" <> None then
+            Alcotest.failf "%s: absent key found" what)
+    [
+      ("blocked 64 bits", "\000" ^ header [ 64; 7; 0 ] ^ String.make 8 '\255');
+      ("truncated", String.sub good 0 (String.length good - 1));
+      ("trailing bytes", good ^ "\000");
+    ]
+
 (* Recovery without [~verify] still rebuilds each Bloom filter by
    scanning its component, and that scan is where rot in a data page
    shows up. It must be handled like a verified page error: drop and
@@ -625,6 +696,8 @@ let () =
           Alcotest.test_case "bit flip -> quarantine (uncovered)" `Quick
             test_bitflip_quarantine;
           Alcotest.test_case "bloom rot is masked" `Quick test_bloom_rot_masked;
+          Alcotest.test_case "malformed bloom blob is rebuilt" `Quick
+            test_malformed_bloom_blob_rebuilt;
           Alcotest.test_case "unverified recovery -> rebuild" `Quick
             test_unverified_recovery_rebuilds;
           Alcotest.test_case "unverified recovery -> quarantine" `Quick

@@ -109,13 +109,13 @@ let test_crc_bytes_slice () =
 
 (* Both C kernels — the dispatching [update] (the SSE4.2 [crc32]
    instruction on hosts that have it) and the portable slice-by-8 table
-   loop — are checked against an independent bit-at-a-time CRC32C. Each
-   folds 8-byte blocks and then a bytewise tail, so every length from 0
-   to a few hundred at every start offset modulo 8 reaches each regime
-   at each alignment. *)
-let crc_reference s =
+   loop — are checked against an independent bit-at-a-time CRC32C. Below
+   768 bytes each folds 8-byte blocks and then a bytewise tail, so every
+   length from 0 to a few hundred at every start offset modulo 8 reaches
+   each regime at each alignment. *)
+let crc_reference_from crc s =
   let poly = 0x82F63B78 in
-  let crc = ref 0xFFFFFFFF in
+  let crc = ref crc in
   String.iter
     (fun ch ->
       crc := !crc lxor Char.code ch;
@@ -124,7 +124,9 @@ let crc_reference s =
         else crc := !crc lsr 1
       done)
     s;
-  !crc lxor 0xFFFFFFFF
+  !crc
+
+let crc_reference s = crc_reference_from 0xFFFFFFFF s lxor 0xFFFFFFFF
 
 let crc_kernels =
   [ ("dispatch", Crc32c.update); ("slice8", Crc32c.update_slice8) ]
@@ -163,6 +165,49 @@ let test_crc_incremental_compose () =
           done)
         crc_kernels)
     crc_kernels
+
+(* The SSE4.2 kernel folds 3 x 1024 B and then 3 x 256 B as three
+   interleaved chains joined by zero-shift tables, and finishes with one
+   chain. Lengths around 768, 3072, 3840 and a 4 KiB page cross each
+   regime boundary; every start offset modulo 8 shifts the 8-byte loads
+   inside them. The dispatching kernel is checked against slice-by-8 and
+   the bitwise reference, from the initial state and from a random one. *)
+let crc_3way_lengths =
+  List.concat_map
+    (fun (lo, hi) -> List.init (hi - lo + 1) (fun i -> lo + i))
+    [ (760, 780); (3064, 3080); (3832, 3848); (4090, 4100); (8191, 8193) ]
+
+let test_crc_three_way_regimes () =
+  let prng = Prng.of_int 4242 in
+  let long = 10_000 + Prng.int prng 6_000 in
+  let buf = String.init (long + 8) (fun _ -> Char.chr (Prng.int prng 256)) in
+  let states = [ 0xFFFFFFFF; Prng.int prng 0x1_0000_0000 ] in
+  List.iter
+    (fun len ->
+      for off = 0 to 7 do
+        List.iter
+          (fun st ->
+            let fast = Crc32c.update st buf off len in
+            let table = Crc32c.update_slice8 st buf off len in
+            if fast <> table then
+              Alcotest.failf "dispatch vs slice8: off %d len %d state %x" off len st;
+            if fast <> crc_reference_from st (String.sub buf off len) then
+              Alcotest.failf "dispatch vs bitwise: off %d len %d state %x" off len st)
+          states
+      done)
+    (crc_3way_lengths @ [ long ])
+
+let test_crc_three_way_compose () =
+  let prng = Prng.of_int 17 in
+  let s = String.init 8193 (fun _ -> Char.chr (Prng.int prng 256)) in
+  let n = String.length s in
+  let whole = Crc32c.update_slice8 0xFFFFFFFF s 0 n in
+  List.iter
+    (fun cut ->
+      let c = Crc32c.update 0xFFFFFFFF s 0 cut in
+      if Crc32c.update c s cut (n - cut) <> whole then
+        Alcotest.failf "cut %d" cut)
+    [ 0; 767; 768; 3072; 4095 ]
 
 let test_crc_standard_vectors () =
   (* RFC 3720 §B.4 test patterns, plus the CRC catalogue check value. *)
@@ -549,6 +594,8 @@ let () =
             test_crc_matches_bitwise_reference;
           Alcotest.test_case "incremental compose" `Quick
             test_crc_incremental_compose;
+          Alcotest.test_case "three-way regimes" `Quick test_crc_three_way_regimes;
+          Alcotest.test_case "three-way compose" `Quick test_crc_three_way_compose;
           Alcotest.test_case "standard vectors" `Quick test_crc_standard_vectors;
           Alcotest.test_case "kernel name" `Quick test_crc_kernel_name;
           Alcotest.test_case "out-of-range slices" `Quick test_crc_out_of_range;
