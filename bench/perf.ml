@@ -87,9 +87,9 @@ let lookup_records = 10_000
 
 let lookup_key i = Printf.sprintf "key%08d" (i * 7919 mod lookup_records)
 
-let build_lookup_sst ?(format = Sstable.Sst_format.V1) () =
+let build_lookup_sst () =
   let store = mk_store ~buffer_pages:1024 () in
-  let b = Sstable.Builder.create ~format ~extent_pages:256 store in
+  let b = Sstable.Builder.create ~extent_pages:256 store in
   for i = 0 to lookup_records - 1 do
     Sstable.Builder.add b
       (Printf.sprintf "key%08d" i)
@@ -100,8 +100,8 @@ let build_lookup_sst ?(format = Sstable.Sst_format.V1) () =
     Sstable.Reader.open_in_ram store footer
       ~index:(Sstable.Builder.index_blob b) )
 
-let lookup_kernel ?format ~repeats ~iters () =
-  let store, sst = build_lookup_sst ?format () in
+let lookup_kernel ~repeats ~iters =
+  let store, sst = build_lookup_sst () in
   (* warm the pool: touch every key once *)
   for i = 0 to lookup_records - 1 do
     ignore (Sstable.Reader.get sst (lookup_key i))
@@ -143,7 +143,7 @@ let insert_kernel ~repeats ~iters =
   (ns, Obs.Trace.events_emitted (Pagestore.Store.trace store) = 0)
 
 (* ------------------------------------------------------------------ *)
-(* PR-7 read-path kernels: fence search, Bloom layouts, scan/miss I/O *)
+(* PR-7 read-path kernels: fence search, Bloom probe *)
 
 (* Eytzinger fence descent vs the pre-PR-7 shape (binary search over the
    sorted first-key array), same keys, same probe stream. *)
@@ -153,7 +153,7 @@ let fence_kernel ~repeats ~iters =
   let n = 32_768 in
   let keys = Array.init n (Printf.sprintf "key%08d") in
   let pos = Array.init n (fun i -> i) in
-  let fence = Sstable.Sst_format.Fence.of_sorted ~keys ~pos () in
+  let fence = Sstable.Sst_format.Fence.of_sorted ~keys ~pos in
   let nprobes = 8192 in
   let probes =
     Array.init nprobes (fun i -> Printf.sprintf "key%08d" (i * 7919 mod n))
@@ -187,139 +187,32 @@ let fence_kernel ~repeats ~iters =
   (ey, bs)
 
 (* Bloom membership ns/op and minor words/op on a YCSB-C-style read-only
-   mix (95% present / 5% absent) plus exact false-positive counts for
-   both layouts at equal bits/key. Hashing is deterministic, so the FP
-   counts are exact. *)
+   mix (95% present / 5% absent), plus the exact false-positive count at
+   10 bits/key (hashing is deterministic). *)
 let bloom_fp_probes = 200_000
 
-let bloom_kernels ~repeats ~iters =
+let bloom_kernel ~repeats ~iters =
   let n = 100_000 in
-  let mk kind =
-    let b = Bloom.create ~kind ~expected_items:n () in
-    for i = 0 to n - 1 do
-      Bloom.add b (Printf.sprintf "user%010d" i)
-    done;
-    b
-  in
-  let std = mk Bloom.Standard and blk = mk Bloom.Blocked in
+  let b = Bloom.create ~expected_items:n () in
+  for i = 0 to n - 1 do
+    Bloom.add b (Printf.sprintf "user%010d" i)
+  done;
   let nprobes = 8192 in
   let probes =
     Array.init nprobes (fun i ->
         if i mod 20 = 0 then Printf.sprintf "miss%010d" i
         else Printf.sprintf "user%010d" (i * 7919 mod n))
   in
-  let time b =
-    let i = ref 0 in
-    let f () =
-      incr i;
-      ignore (Bloom.mem b probes.(!i land (nprobes - 1)))
-    in
-    (time_best ~repeats ~iters f, words_per_call ~iters f)
+  let i = ref 0 in
+  let f () =
+    incr i;
+    ignore (Bloom.mem b probes.(!i land (nprobes - 1)))
   in
-  let std_cost = time std and blk_cost = time blk in
-  let fp b =
-    let c = ref 0 in
-    for i = 0 to bloom_fp_probes - 1 do
-      if Bloom.mem b (Printf.sprintf "absent%010d" i) then incr c
-    done;
-    !c
-  in
-  (std_cost, blk_cost, fp std, fp blk)
-
-(* Cold read-path simulated I/O, V1 vs V2 on identical records: full
-   scan and tail scan (prefix compression shrinks pages; the fence's
-   zone maps let a mid-table start skip the floor page) and zone-mapped
-   point misses (answered with zero I/O under V2). Sizes are fixed —
-   independent of --quick — so the byte counts are exact regression
-   gates, not statistics. *)
-type readpath_io = {
-  rp_data_pages : int;
-  rp_full_scan_bytes : int;
-  rp_tail_scan_bytes : int;
-  rp_zone_miss_bytes : int;
-}
-
-let readpath_records = 20_000
-
-let build_readpath_sst format =
-  let store = mk_store ~buffer_pages:1024 () in
-  let b = Sstable.Builder.create ~format ~extent_pages:256 store in
-  for i = 0 to readpath_records - 1 do
-    Sstable.Builder.add b
-      (Printf.sprintf "key%08d" i)
-      (Kv.Entry.Base (String.make 100 'v'))
+  let fp = ref 0 in
+  for i = 0 to bloom_fp_probes - 1 do
+    if Bloom.mem b (Printf.sprintf "absent%010d" i) then incr fp
   done;
-  let footer = Sstable.Builder.finish b ~timestamp:1 in
-  ( store,
-    footer,
-    Sstable.Reader.open_in_ram store footer
-      ~index:(Sstable.Builder.index_blob b) )
-
-let readpath_measure (store, footer, sst) ~zone_probes =
-  let disk = Pagestore.Store.disk store in
-  let read_bytes d =
-    d.Simdisk.Disk.seq_read_bytes + d.Simdisk.Disk.random_read_bytes
-  in
-  let cold f =
-    Pagestore.Store.crash store;
-    let before = Simdisk.Disk.snapshot disk in
-    f ();
-    read_bytes (Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk))
-  in
-  let drain it =
-    let n = ref 0 in
-    let rec go () =
-      match Sstable.Reader.iter_next it with
-      | None -> ()
-      | Some _ ->
-          incr n;
-          go ()
-    in
-    go ();
-    !n
-  in
-  let full_scan_bytes =
-    cold (fun () ->
-        if drain (Sstable.Reader.iterator sst) <> readpath_records then
-          failwith "perf: full scan lost records")
-  in
-  let tail_from = Printf.sprintf "key%08dx" (readpath_records - 1001) in
-  let tail_scan_bytes =
-    cold (fun () ->
-        if drain (Sstable.Reader.iterator ~from:tail_from sst) <> 1000 then
-          failwith "perf: tail scan lost records")
-  in
-  let zone_miss_bytes =
-    cold (fun () ->
-        List.iter
-          (fun p ->
-            match Sstable.Reader.get sst p with
-            | None -> ()
-            | Some _ -> failwith "perf: gap probe found a record")
-          zone_probes)
-  in
-  {
-    rp_data_pages = footer.Sstable.Sst_format.data_pages;
-    rp_full_scan_bytes = full_scan_bytes;
-    rp_tail_scan_bytes = tail_scan_bytes;
-    rp_zone_miss_bytes = zone_miss_bytes;
-  }
-
-(* V1 vs V2 on identical records. The miss-probe set is the gaps the V2
-   fence's zone maps reject (key sorts after its floor page's last key):
-   free under V2, one page read each under V1. Both versions measure the
-   exact same keys. *)
-let readpath_section () =
-  let ((_, _, v2_sst) as v2) = build_readpath_sst Sstable.Sst_format.V2 in
-  let zone_probes =
-    List.filter
-      (fun p -> Sstable.Reader.locate v2_sst p = None)
-      (List.init readpath_records (fun i -> Printf.sprintf "key%08d!" i))
-  in
-  if List.length zone_probes < 10 then failwith "perf: no zone-rejected gaps";
-  let v2_io = readpath_measure v2 ~zone_probes in
-  let v1_io = readpath_measure (build_readpath_sst Sstable.Sst_format.V1) ~zone_probes in
-  (v1_io, v2_io, List.length zone_probes)
+  ((time_best ~repeats ~iters f, words_per_call ~iters f), !fp)
 
 let skiplist_kernel ~repeats ~iters =
   let sl = Memtable.Skiplist.create () in
@@ -377,14 +270,7 @@ let write_json ~path ~kernels ~io_ok ~trace_noop_ok ~crc_kernel =
 
 (* ------------------------------------------------------------------ *)
 (* PR-7 regression gates (checked on every `bench perf` run; the
-   @perf-smoke alias fails when one trips). The wall-clock gate's
-   recorded baseline carries deliberate headroom — best-of-N on a shared
-   container still jitters — so it only trips on gross regressions; the
-   byte-count gates are simulated-I/O counters, deterministic and exact,
-   and get the tight 10% bound. Recorded 2026-08-07 on the PR-7 read
-   path (quick mode, best of 3). *)
-let gate_lookup_warm_v2_ns = 2200.0 (* measured ~1.2us; ~1.8x headroom *)
-let gate_tail_scan_v2_bytes = 114_688 (* exact: 28 pages x 4 KiB *)
+   @perf-smoke alias fails when one trips). *)
 
 (* CRC32C of a 4 KiB page on the SSE4.2 kernel: measured 730-780 ns
    with one serial chain and 220-260 ns with three interleaved chains
@@ -400,8 +286,7 @@ type gate = { g_name : string; g_value : float; g_limit : float; g_ok : bool }
 let gate name value limit =
   { g_name = name; g_value = value; g_limit = limit; g_ok = value <= limit }
 
-let write_pr7_json ~path ~seed ~kernels ~alloc ~fp_std ~fp_blk ~v1_io ~v2_io
-    ~zone_probes ~gates =
+let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -409,10 +294,7 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp_std ~fp_blk ~v1_io ~v2_io
   out "  \"harness\": \"bench perf\",\n";
   out "  \"units\": \"ns_per_op\",\n";
   out "  \"seed\": %d,\n" seed;
-  out
-    "  \"config\": {\"page_size\": 4096, \"bloom_bits_per_key\": 10, \
-     \"restart_interval\": %d, \"bloom_block_bits\": %d, \"records\": %d},\n"
-    Sstable.Sst_format.restart_interval Bloom.block_bits readpath_records;
+  out "  \"config\": {\"bloom_bits_per_key\": 10},\n";
   out "  \"kernels\": [\n";
   let n = List.length kernels in
   List.iteri
@@ -433,29 +315,8 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp_std ~fp_blk ~v1_io ~v2_io
         (if idx = na - 1 then "" else ","))
     alloc;
   out "  ],\n";
-  out
-    "  \"bloom_fp\": {\"probes\": %d, \"standard\": %d, \"blocked\": %d, \
-     \"blocked_over_standard\": %.2f},\n"
-    bloom_fp_probes fp_std fp_blk
-    (float_of_int fp_blk /. float_of_int (max 1 fp_std));
-  let io_obj tag io =
-    out
-      "    \"%s\": {\"data_pages\": %d, \"full_scan_bytes\": %d, \
-       \"tail_scan_bytes\": %d, \"zone_gap_miss_bytes\": %d}"
-      tag io.rp_data_pages io.rp_full_scan_bytes io.rp_tail_scan_bytes
-      io.rp_zone_miss_bytes
-  in
-  out "  \"cold_io\": {\n";
-  io_obj "v1" v1_io;
-  out ",\n";
-  io_obj "v2" v2_io;
-  out ",\n";
-  out "    \"zone_gap_probes\": %d,\n" zone_probes;
-  out "    \"tail_scan_bytes_saved\": %d,\n"
-    (v1_io.rp_tail_scan_bytes - v2_io.rp_tail_scan_bytes);
-  out "    \"full_scan_bytes_saved\": %d\n"
-    (v1_io.rp_full_scan_bytes - v2_io.rp_full_scan_bytes);
-  out "  },\n";
+  out "  \"bloom_fp\": {\"probes\": %d, \"false_positives\": %d},\n"
+    bloom_fp_probes fp;
   out "  \"gates\": [\n";
   let ng = List.length gates in
   List.iteri
@@ -477,7 +338,7 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
     { k_name = name; k_ns = ns; k_baseline = baseline_ns name; k_group = "macro" }
   in
   let ((crc, _) as crc_cost) = crc_kernel ~repeats ~iters in
-  let lookup_ns, io = lookup_kernel ~repeats ~iters () in
+  let lookup_ns, io = lookup_kernel ~repeats ~iters in
   let insert, trace_noop_ok = insert_kernel ~repeats ~iters:(iters * 2) in
   let skiplist = skiplist_kernel ~repeats ~iters:(iters * 2) in
   let io_ok =
@@ -521,77 +382,34 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
   write_json ~path:out ~kernels ~io_ok ~trace_noop_ok ~crc_kernel;
   Printf.printf "wrote %s\n" out;
   (* ---- PR-7 read-path sections ---- *)
-  Scale.section "Read-path kernels (fence / Bloom layouts / scan+miss I/O)";
-  let lookup_v2_ns, io_v2 = lookup_kernel ~format:Sstable.Sst_format.V2 ~repeats ~iters () in
+  Scale.section "Read-path kernels (fence / Bloom probe)";
   let fence_ey, fence_bin = fence_kernel ~repeats ~iters:(iters * 4) in
-  let ((bloom_std, bloom_std_words) as bloom_std_cost),
-      ((bloom_blk, bloom_blk_words) as bloom_blk_cost), fp_std, fp_blk =
-    bloom_kernels ~repeats ~iters:(iters * 4)
+  let ((_, bloom_words) as bloom_cost), fp =
+    bloom_kernel ~repeats ~iters:(iters * 4)
   in
-  let v1_io, v2_io, zone_probes = readpath_section () in
-  let io_v2_ok =
-    io_v2.Simdisk.Disk.seeks = 0
-    && io_v2.Simdisk.Disk.seq_read_bytes = 0
-    && io_v2.Simdisk.Disk.random_read_bytes = 0
-  in
-  if not io_v2_ok then
-    Printf.printf "WARNING: warmed V2 lookups charged simulated I/O\n";
   let pr7_kernels =
-    [
-      ("fence.locate.eytzinger", fence_ey, "sorted-array binary search", fence_bin);
-      ("sstable.point_lookup.warm.v2", lookup_v2_ns, "v1 same process", lookup_ns);
-      ("bloom.mem.blocked", bloom_blk, "bloom.mem.standard", bloom_std);
-    ]
+    [ ("fence.locate.eytzinger", fence_ey, "sorted-array binary search", fence_bin) ]
   in
   List.iter
     (fun (name, ns, bname, bns) ->
       Printf.printf "%-44s %12.1f ns/op  (%s %10.1f, x%.2f)\n" name ns bname
         bns (bns /. ns))
     pr7_kernels;
-  let alloc =
-    [
-      ("bloom.mem.standard", bloom_std_cost);
-      ("bloom.mem.blocked", bloom_blk_cost);
-      ("crc32c.4KiB", crc_cost);
-    ]
-  in
+  let alloc = [ ("bloom.mem.standard", bloom_cost); ("crc32c.4KiB", crc_cost) ] in
   List.iter
     (fun (name, (ns, words)) ->
       Printf.printf "%-44s %12.1f ns/op  %6.2f minor words/op\n" name ns words)
     alloc;
-  Printf.printf "bloom fp @ %d absent probes: standard %d, blocked %d (x%.2f)\n"
-    bloom_fp_probes fp_std fp_blk
-    (float_of_int fp_blk /. float_of_int (max 1 fp_std));
-  Printf.printf
-    "cold io: v1 pages=%d full=%dB tail=%dB gap-miss=%dB | v2 pages=%d full=%dB \
-     tail=%dB gap-miss=%dB (%d gap probes)\n"
-    v1_io.rp_data_pages v1_io.rp_full_scan_bytes v1_io.rp_tail_scan_bytes
-    v1_io.rp_zone_miss_bytes v2_io.rp_data_pages v2_io.rp_full_scan_bytes
-    v2_io.rp_tail_scan_bytes v2_io.rp_zone_miss_bytes zone_probes;
+  Printf.printf "bloom fp @ %d absent probes: %d\n" bloom_fp_probes fp;
   let gates =
-    [
-      gate "sstable.point_lookup.warm.v2.ns" lookup_v2_ns
-        (gate_lookup_warm_v2_ns *. 1.1);
-      gate "scan.v2.cold_tail.bytes"
-        (float_of_int v2_io.rp_tail_scan_bytes)
-        (float_of_int gate_tail_scan_v2_bytes *. 1.1);
-      gate "miss.v2.zone.bytes" (float_of_int v2_io.rp_zone_miss_bytes) 0.0;
-      gate "bloom.blocked.fp_vs_standard"
-        (float_of_int fp_blk)
-        (2.0 *. float_of_int fp_std);
-      gate "bloom.mem.standard.words" bloom_std_words 0.0;
-      gate "bloom.mem.blocked.words" bloom_blk_words 0.0;
-      gate "scan.v2_vs_v1.tail_bytes"
-        (float_of_int v2_io.rp_tail_scan_bytes)
-        (float_of_int v1_io.rp_tail_scan_bytes);
-    ]
-    @
-    if String.equal crc_kernel "sse4.2" then
-      [ gate "crc32c.4KiB" crc gate_crc32c_4k_sse42_ns ]
-    else []
+    gate "bloom.mem.standard.words" bloom_words 0.0
+    ::
+    (if String.equal crc_kernel "sse4.2" then
+       [ gate "crc32c.4KiB" crc gate_crc32c_4k_sse42_ns ]
+     else [])
   in
   write_pr7_json ~path:"BENCH_PR7.json" ~seed:s.Scale.seed ~kernels:pr7_kernels ~alloc
-    ~fp_std ~fp_blk ~v1_io ~v2_io ~zone_probes ~gates;
+    ~fp ~gates;
   Printf.printf "wrote BENCH_PR7.json\n";
   let failed = List.filter (fun g -> not g.g_ok) gates in
   List.iter

@@ -6,27 +6,17 @@
     (§3.1). Updates are monotonic (bits only go 0 -> 1), so readers never
     need to be insulated from concurrent updates. *)
 
-(** Filter memory layout. [Standard]: k probes spread over the whole bit
-    array (the seed's filter, best false-positive rate). [Blocked]: all
-    of a key's probes confined to one 64-byte block chosen by h1, two
-    9-bit probe positions carved from each derived hash — one cache
-    line per membership test and half the hash arithmetic, at a small
-    block-load-variance false-positive penalty (same bits-per-key
-    budget). *)
-type kind = Standard | Blocked
-
-(** Bits per cache-line block of the {!Blocked} layout (512). *)
-val block_bits : int
+(** The filter layout. There is one: k probes spread over the whole bit
+    array. The type stays so that configurations naming the layout
+    ([Blsm.Config.t.bloom_kind], which the perfbench replay passes on)
+    keep building. *)
+type kind = Standard
 
 type t
 
-(** [create ?kind ?bits_per_item ~expected_items ()] sizes the filter
-    for [expected_items] insertions. [bits_per_item] defaults to 10,
-    [kind] to {!Standard}; {!Blocked} rounds the array up to whole
-    512-bit blocks. *)
-val create : ?kind:kind -> ?bits_per_item:int -> expected_items:int -> unit -> t
-
-val kind : t -> kind
+(** [create ?bits_per_item ~expected_items ()] sizes the filter for
+    [expected_items] insertions. [bits_per_item] defaults to 10. *)
+val create : ?bits_per_item:int -> expected_items:int -> unit -> t
 
 (** [add t key] inserts [key]; there is no delete (components are
     append-only). *)
@@ -44,15 +34,13 @@ val expected_fp_rate : t -> float
 
 (** {1 Serialization} — tests, tooling, and the optional persisted-filter
     path; bLSM's default does not persist filters (rebuilt by post-crash
-    scans, §4.4.3). The [Standard] encoding is byte-identical to the
-    seed's; [Blocked] is flagged by a leading 0x00 (impossible for the
-    Standard form, whose leading nbits varint is >= 64). *)
+    scans, §4.4.3). The encoding is byte-identical to the seed's:
+    [varint nbits][varint hashes][varint inserted][bits]. *)
 
 val to_string : t -> string
 
 (** [of_string s] decodes {!to_string}'s output. [Error why] unless the
     header is one {!create} can produce and the bit array has exactly the
-    length it states: at least 64 bits, whole 512-bit blocks for
-    [Blocked], at least one hash, [(nbits + 7) / 8] bytes and nothing
-    after them. *)
+    length it states: at least 64 bits, at least one hash,
+    [(nbits + 7) / 8] bytes and nothing after them. *)
 val of_string : string -> (t, string) result

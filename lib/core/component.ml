@@ -20,7 +20,7 @@ let of_sst ?bloom sst = { sst; bloom; bloom_negative = 0; bloom_false_positive =
     the §4.4.3 trade-off, selectable via {!Config.t.persist_bloom}. A
     persisted copy that fails its checksum or does not decode is derived
     data gone bad: it is dropped and rebuilt the same way. *)
-let build_bloom ?(kind = Bloom.Standard) ~bits_per_key sst =
+let build_bloom ?kind:(_ : Bloom.kind option) ~bits_per_key sst =
   if bits_per_key = 0 then None
   else
     match Option.map Bloom.of_string (Sstable.Reader.load_bloom_blob sst) with
@@ -28,7 +28,7 @@ let build_bloom ?(kind = Bloom.Standard) ~bits_per_key sst =
     | None | Some (Error _) ->
     begin
     let bloom =
-      Bloom.create ~kind ~bits_per_item:bits_per_key
+      Bloom.create ~bits_per_item:bits_per_key
         ~expected_items:(Sstable.Reader.record_count sst)
         ()
     in

@@ -55,16 +55,11 @@ type t = {
           recovery reads 1.25 B/key instead of rescanning the component.
           The paper chose not to persist (§4.4.3); off by default. *)
   bloom_kind : Bloom.kind;
-      (** filter memory layout: [Standard] (whole-array probes, the
-          seed's filter) or [Blocked] (one 64-byte block per key, two
-          derived probes per hash — one cache line per membership test
-          at the same bits-per-key budget) *)
+      (** the one filter layout, [Standard]; named by the perfbench
+          replay, which passes it to {!Component.build_bloom} *)
   page_format : Sstable.Sst_format.version;
-      (** SSTable page/record layout for newly built components: [V1]
-          (full key per record, the seed's bytes) or [V2] (prefix-
-          compressed keys with restart points, per-page zone maps).
-          Existing components are read by their own footer's version,
-          so the two formats coexist in one store. *)
+      (** the one page layout, [V1] (full key per record); named by the
+          perfbench replay, which passes it to {!Sstable.Builder.create} *)
   resolver : Kv.Entry.resolver;
   seed : int;
   repl : repl;

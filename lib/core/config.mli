@@ -58,12 +58,11 @@ type t = {
           1.25 B/key instead of rescanning; the paper chose rebuild-on-
           recovery (§4.4.3), so this is off by default *)
   bloom_kind : Bloom.kind;
-      (** filter memory layout: [Standard] whole-array probes or
-          [Blocked] one-cache-line-per-key double-probe blocks *)
+      (** the one filter layout, [Standard]; kept because the perfbench
+          replay passes it to [Component.build_bloom] *)
   page_format : Sstable.Sst_format.version;
-      (** SSTable layout for newly built components ([V1]: the seed's
-          bytes; [V2]: prefix-compressed keys + zone maps); existing
-          components are read by their own footer's version *)
+      (** the one page layout, [V1]; kept because the perfbench replay
+          passes it to [Sstable.Builder.create] *)
   resolver : Kv.Entry.resolver;  (** how deltas apply to base records *)
   seed : int;  (** PRNG seed (skip-list levels); fixes runs *)
   repl : repl;  (** replication supervisor policy *)

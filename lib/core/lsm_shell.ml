@@ -401,7 +401,7 @@ let mount sh ~level ~verify ~covered blob =
         if errs <> [] then (errs, None)
         else
           match
-            Component.build_bloom ~kind:sh.config.Config.bloom_kind
+            Component.build_bloom
               ~bits_per_key:sh.config.Config.bloom_bits_per_key sst
           with
           | bloom -> ([], bloom)

@@ -94,8 +94,7 @@ let create_c0_merge ~config ~store ~source ~c1 ~run_cap ~expected_items =
   let bloom =
     if Config.bloom_enabled config then
       Some
-        (Bloom.create ~kind:config.Config.bloom_kind
-           ~bits_per_item:config.Config.bloom_bits_per_key
+        (Bloom.create ~bits_per_item:config.Config.bloom_bits_per_key
            ~expected_items ())
     else None
   in
@@ -117,8 +116,7 @@ let create_c0_merge ~config ~store ~source ~c1 ~run_cap ~expected_items =
     c1_peek;
     c1_total;
     builder =
-      Sstable.Builder.create ~format:config.Config.page_format
-        ~extent_pages:config.Config.extent_pages store;
+      Sstable.Builder.create ~extent_pages:config.Config.extent_pages store;
     bloom;
     run_cap;
     denom = source_bytes + c1_total;
@@ -295,8 +293,7 @@ let create_c12_merge ~config ~store ~c1_prime ~c2 =
   let bloom12 =
     if Config.bloom_enabled config then
       Some
-        (Bloom.create ~kind:config.Config.bloom_kind
-           ~bits_per_item:config.Config.bloom_bits_per_key
+        (Bloom.create ~bits_per_item:config.Config.bloom_bits_per_key
            ~expected_items:(max 1 expected) ())
     else None
   in
@@ -320,8 +317,7 @@ let create_c12_merge ~config ~store ~c1_prime ~c2 =
       c2;
       merge;
       builder12 =
-        Sstable.Builder.create ~format:config.Config.page_format
-          ~extent_pages:config.Config.extent_pages store;
+        Sstable.Builder.create ~extent_pages:config.Config.extent_pages store;
       bloom12;
       total12;
       read12 = 0;

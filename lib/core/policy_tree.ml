@@ -265,8 +265,7 @@ let durable_ids t =
 let mk_bloom t ~expected_items =
   if Config.bloom_enabled t.config then
     Some
-      (Bloom.create ~kind:t.config.Config.bloom_kind
-         ~bits_per_item:t.config.Config.bloom_bits_per_key
+      (Bloom.create ~bits_per_item:t.config.Config.bloom_bits_per_key
          ~expected_items:(max 16 expected_items) ())
   else None
 
@@ -296,8 +295,7 @@ let do_flush t =
   let wal = Pagestore.Store.wal t.store in
   let floor = Pagestore.Wal.next_lsn wal in
   let b =
-    Sstable.Builder.create ~format:t.config.Config.page_format
-      ~extent_pages:t.config.Config.extent_pages t.store
+    Sstable.Builder.create ~extent_pages:t.config.Config.extent_pages t.store
   in
   t.flush_builder <- Some b;
   let bloom = mk_bloom t ~expected_items:(Memtable.count t.mem) in
@@ -485,7 +483,7 @@ let step_active t ac ~quota =
           | Some b -> b
           | None ->
               let b =
-                Sstable.Builder.create ~format:t.config.Config.page_format
+                Sstable.Builder.create
                   ~extent_pages:t.config.Config.extent_pages t.store
               in
               ac.ac_builder <- Some b;

@@ -2,10 +2,10 @@
 
     The host for {!Compaction_policy}: a memtable + WAL in front of an
     array of levels of {!Component} runs (Bloom filters, fence pointers,
-    V2 pages — the shared read stack), with *victim selection* delegated
-    entirely to the policy and everything else shared so the four
-    compaction disciplines differ only in the one decision the design
-    space varies.
+    the one page format — the shared read stack), with *victim
+    selection* delegated entirely to the policy and everything else
+    shared so the four compaction disciplines differ only in the one
+    decision the design space varies.
 
     Pacing is a {!pacing} variant: the {!Scheduler.spring_quota}
     deadline controller on the memtable fill band, or 2012 LevelDB's

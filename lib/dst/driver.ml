@@ -92,11 +92,9 @@ let mk_store ~fault_seed () =
   (store, faults)
 
 (* The crash-test tree shape: a C0 small enough that short plans push
-   data through both merge levels. The DST trees run the V2 page format
-   (prefix-compressed keys, zone maps) and blocked Bloom filters so the
-   new read-path layout lives under the full oracle + fault battery; the
-   btree/leveldb baselines keep the seed defaults, giving mixed-format
-   coverage in every smoke run. *)
+   data through both merge levels. Pages and Bloom filters are the one
+   on-disk format every engine and benchmark writes, so the oracle and
+   fault battery check the same bytes the benchmarks time. *)
 let small_config ?(scheduler = Blsm.Config.Spring) seed =
   {
     Blsm.Config.default with
@@ -106,8 +104,6 @@ let small_config ?(scheduler = Blsm.Config.Spring) seed =
     scheduler;
     snowshovel = scheduler <> Blsm.Config.Gear;
     max_quota_per_write = 128 * 1024;
-    bloom_kind = Bloom.Blocked;
-    page_format = Sstable.Sst_format.V2;
     seed;
   }
 
@@ -289,8 +285,8 @@ let btree ~seed () =
 (* The policy-tree shape: small thresholds and file sizes so short
    plans drive every policy through flushes, multi-level compactions
    and the level-0 stop threshold, with room below [max_levels] for
-   cascades. Shares [small_config]'s store-side knobs (V2 pages,
-   blocked Blooms, spring watermarks) so the policies inherit the same
+   cascades. Shares [small_config]'s store-side knobs (extent size,
+   Bloom budget, spring watermarks) so the policies inherit the same
    read stack and pacing as the bLSM drivers. *)
 let small_pconfig =
   {

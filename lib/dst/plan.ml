@@ -215,8 +215,8 @@ let gen_op prng (caps : caps) p i =
   else if r < 69 then Insert_if_absent (key (), value ())
   else if r < 75 then Scan (key (), 1 + Repro_util.Prng.int prng 12)
   else if r < 77 then
-    (* long_scan: spans many pages, so V2 zone-map page skipping and
-       cross-page prefix reconstruction run under the oracle *)
+    (* long_scan: spans many pages, so page-crossing records and
+       multi-page merge iteration run under the oracle *)
     Scan (key (), 40 + Repro_util.Prng.int prng 160)
   else if r < 84 then gen_batch prng p i
   else if r < 89 then

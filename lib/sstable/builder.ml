@@ -8,7 +8,6 @@
 
 type t = {
   store : Pagestore.Store.t;
-  format : Sst_format.version;
   extent_pages : int;
   page_size : int;
   payload : int;
@@ -29,24 +28,20 @@ type t = {
   mutable max_key : string;
   mutable min_lsn : int;  (* over records with a real lsn; 0 when none *)
   mutable max_lsn : int;
-  (* index under construction: first and last keys starting in each data
-     page (the latter is the V2 zone map) plus the page position *)
-  mutable index_rev : (string * int * string) list;
+  (* index under construction: first key starting in each data page plus
+     the page position *)
+  mutable index_rev : (string * int) list;
   mutable page_pos : int; (* position of the page under construction *)
   mutable current_page_first_key : string option;
-  mutable current_page_last_key : string;
-  (* previous key starting in the current page — the V2 prefix-compression
-     reference; "" at a restart boundary *)
-  mutable prev_key : string;
   (* the record being added, encoded once; reused for every record *)
   record : Buffer.t;
 }
 
-let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
+let create ?format:(_ : Sst_format.version option) ?(extent_pages = 1024)
+    store =
   let page_size = Pagestore.Store.page_size store in
   {
     store;
-    format;
     extent_pages;
     page_size;
     payload = Sst_format.payload_capacity ~page_size;
@@ -68,8 +63,6 @@ let create ?(format = Sst_format.V1) ?(extent_pages = 1024) store =
     index_rev = [];
     page_pos = 0;
     current_page_first_key = None;
-    current_page_last_key = "";
-    prev_key = "";
     record = Buffer.create 256;
   }
 
@@ -100,16 +93,13 @@ let flush_page t ~upcoming_cont =
   t.pages_in_extent <- t.pages_in_extent + 1;
   t.chain <- id :: t.chain;
   (match t.current_page_first_key with
-  | Some k ->
-      t.index_rev <- (k, t.page_pos, t.current_page_last_key) :: t.index_rev
+  | Some k -> t.index_rev <- (k, t.page_pos) :: t.index_rev
   | None -> ());
   t.page_pos <- t.page_pos + 1;
   t.page_off <- Sst_format.header_bytes;
   t.n_starts <- 0;
   t.cont_len <- min upcoming_cont t.payload;
-  t.current_page_first_key <- None;
-  t.current_page_last_key <- "";
-  t.prev_key <- ""
+  t.current_page_first_key <- None
 
 (** [add t ?lsn key entry] appends one record ([lsn]: newest WAL record
     folded into it; see {!Sst_format}). Keys must be strictly
@@ -128,28 +118,15 @@ let add ?(lsn = 0) t key entry =
   | Kv.Entry.Tombstone -> t.tombstone_count <- t.tombstone_count + 1
   | _ -> ());
   (* The record starts in the current page (start a new page only if the
-     current one has no room for even one byte). Decide this before
-     encoding: V2 prefix compression is relative to the previous key of
-     the page the record actually starts in. *)
+     current one has no room for even one byte). *)
   if t.page_off >= t.page_size then flush_page t ~upcoming_cont:0;
   let record = t.record in
   Buffer.clear record;
-  (match t.format with
-  | Sst_format.V1 -> Sst_format.encode_record record key ~lsn entry
-  | Sst_format.V2 ->
-      (* Restart (full key) on the first record of each page and every
-         restart_interval-th start after it. *)
-      let prev =
-        if t.n_starts mod Sst_format.restart_interval = 0 then ""
-        else t.prev_key
-      in
-      Sst_format.encode_record_v2 record ~prev key ~lsn entry);
+  Sst_format.encode_record record key ~lsn entry;
   let len = Buffer.length record in
   t.data_bytes <- t.data_bytes + len;
   t.n_starts <- t.n_starts + 1;
   if t.current_page_first_key = None then t.current_page_first_key <- Some key;
-  t.current_page_last_key <- key;
-  t.prev_key <- key;
   let off = ref 0 in
   while !off < len do
     let space = t.page_size - t.page_off in
@@ -168,21 +145,15 @@ let record_count t = t.record_count
 let data_bytes t = t.data_bytes
 
 (* Serialize the index as a raw byte stream packed across whole pages
-   (no record framing needed: entries are self-delimiting varints). V1
-   entries are (first_key, pos) — bytes unchanged from the seed; V2
-   appends each page's zone map (last key starting in it). *)
+   (no record framing needed: entries are self-delimiting varints). Each
+   entry is (first_key, pos). *)
 let index_blob t =
   let buf = Buffer.create 4096 in
   List.iter
-    (fun (key, pos, last) ->
+    (fun (key, pos) ->
       Repro_util.Varint.write buf (String.length key);
       Buffer.add_string buf key;
-      Repro_util.Varint.write buf pos;
-      match t.format with
-      | Sst_format.V1 -> ()
-      | Sst_format.V2 ->
-          Repro_util.Varint.write buf (String.length last);
-          Buffer.add_string buf last)
+      Repro_util.Varint.write buf pos)
     (List.rev t.index_rev);
   Buffer.contents buf
 
@@ -232,8 +203,7 @@ let finish ?(bloom_blob = "") t ~timestamp =
   in
   let footer =
     {
-      Sst_format.version = t.format;
-      timestamp;
+      Sst_format.timestamp;
       record_count = t.record_count;
       tombstone_count = t.tombstone_count;
       data_bytes = t.data_bytes;

@@ -9,10 +9,8 @@
 type t
 
 (** [create ?format ?extent_pages store] starts an empty component.
-    [format] selects the page/record layout (default {!Sst_format.V1},
-    the seed's bytes; [V2] prefix-compresses keys and records per-page
-    zone maps — see {!Sst_format.version}). [extent_pages] is the
-    contiguous allocation unit (default 1024). *)
+    [format] names the one page layout and changes nothing.
+    [extent_pages] is the contiguous allocation unit (default 1024). *)
 val create :
   ?format:Sst_format.version -> ?extent_pages:int -> Pagestore.Store.t -> t
 

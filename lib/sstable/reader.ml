@@ -11,8 +11,7 @@ type t = {
   footer : Sst_format.footer;
   pages : int array;  (** page ids of the whole chain, in logical order *)
   fence : Sst_format.Fence.t;
-      (** page-locating fence pointers in Eytzinger order (V2 fences also
-          carry per-page zone maps) *)
+      (** page-locating fence pointers in Eytzinger order *)
   mutable spare_pages : Bytes.t list;
       (** page buffers of released streaming iterators, taken by the next
           ones: a 4 KiB buffer is a major-heap block, and one per scan
@@ -42,16 +41,10 @@ let pages_of_extents extents ~take =
   assert (!i = take);
   arr
 
-(* Parse the index blob into the RAM fence: V1 entries are
-   (first_key, pos); V2 entries append the page zone map. *)
-let parse_index ~version blob n =
+(* Parse the index blob into the RAM fence: entries are (first_key, pos). *)
+let parse_index blob n =
   let keys = Array.make n "" in
   let poss = Array.make n 0 in
-  let maxes =
-    match (version : Sst_format.version) with
-    | V1 -> None
-    | V2 -> Some (Array.make n "")
-  in
   let pos = ref 0 in
   for i = 0 to n - 1 do
     let klen, p = Repro_util.Varint.read blob !pos in
@@ -59,15 +52,9 @@ let parse_index ~version blob n =
     let ppos, p = Repro_util.Varint.read blob (p + klen) in
     keys.(i) <- key;
     poss.(i) <- ppos;
-    pos := p;
-    match maxes with
-    | None -> ()
-    | Some m ->
-        let mlen, p = Repro_util.Varint.read blob !pos in
-        m.(i) <- String.sub blob p mlen;
-        pos := p + mlen
+    pos := p
   done;
-  Sst_format.Fence.of_sorted ?maxes ~keys ~pos:poss ()
+  Sst_format.Fence.of_sorted ~keys ~pos:poss
 
 (** [open_in_ram store footer ~index] builds a reader from a freshly built
     component whose index the builder still has in RAM (the common case:
@@ -75,7 +62,7 @@ let parse_index ~version blob n =
 let open_in_ram store (footer : Sst_format.footer) ~index =
   let take = footer.data_pages + footer.index_pages + footer.bloom_pages in
   let pages = pages_of_extents footer.extents ~take in
-  let fence = parse_index ~version:footer.version index footer.index_entries in
+  let fence = parse_index index footer.index_entries in
   { store; footer; pages; fence; spare_pages = [] }
 
 (** [open_from_disk store footer] reopens a component after recovery,
@@ -121,7 +108,7 @@ let open_from_disk store (footer : Sst_format.footer) =
       (Sst_format.Corrupt
          { what = "index blob checksum";
            page = (if footer.index_pages > 0 then pages.(footer.data_pages) else -1) });
-  let fence = parse_index ~version:footer.version blob footer.index_entries in
+  let fence = parse_index blob footer.index_entries in
   { store; footer; pages; fence; spare_pages = [] }
 
 (** [of_meta store blob] reopens from the engine's commit-root metadata. *)
@@ -159,33 +146,20 @@ let free t =
         { Pagestore.Region_allocator.start; length })
     t.footer.Sst_format.extents
 
-(* Rightmost fence slot whose first key <= [key]; None if key precedes
-   everything. Eytzinger descent over the RAM fence (the seed binary-
-   searched the sorted index arrays here). *)
-let index_floor t key = Sst_format.Fence.locate t.fence key
-
 (** [locate t key]: chain position of the data page a lookup for [key]
-    must consult ([None]: key precedes the table, or — V2 — the page
-    zone map already proves the key absent). Exposed for the fence
-    property tests and the perf harness. *)
+    must consult, by Eytzinger descent over the RAM fence ([None]: key
+    precedes the table). Exposed for the fence property tests and the
+    perf harness. *)
 let locate t key =
-  match Sst_format.Fence.locate t.fence key with
-  | None -> None
-  | Some slot -> (
-      match Sst_format.Fence.zone_max t.fence slot with
-      | Some zmax when String.compare key zmax > 0 -> None
-      | _ -> Some (Sst_format.Fence.page_pos t.fence slot))
+  Option.map (Sst_format.Fence.page_pos t.fence)
+    (Sst_format.Fence.locate t.fence key)
 
 (** [locate_linear t key] mirrors {!locate} over the linear in-order
     fence walk — the reference the QCheck properties hold {!locate} to
     (as {!get_linear} is to {!get}). *)
 let locate_linear t key =
-  match Sst_format.Fence.locate_linear t.fence key with
-  | None -> None
-  | Some slot -> (
-      match Sst_format.Fence.zone_max t.fence slot with
-      | Some zmax when String.compare key zmax > 0 -> None
-      | _ -> Some (Sst_format.Fence.page_pos t.fence slot))
+  Option.map (Sst_format.Fence.page_pos t.fence)
+    (Sst_format.Fence.locate_linear t.fence key)
 
 (** {1 Page byte streams} *)
 
@@ -213,10 +187,6 @@ type byte_stream = {
   mutable off : int;
   mutable limit : int;
   mutable started : bool;
-  (* V2 prefix-compression reference: key of the record decoded last.
-     Streams starting at a page head need no seed (the first start of a
-     page is always a restart); mid-page resumes seed it explicitly. *)
-  mutable prev : string;
   (* The framed record body: [body.[body_pos, body_stop)]. It aliases the
      current page when the record lies whole in it; a record spanning
      pages is gathered into [scratch] (grown on demand, reused). *)
@@ -299,7 +269,7 @@ let stream_at t ~cached pos =
       Streaming { sbuf; slast = -10; held = true }
   in
   { reader = t; src; bpos = pos; buf = ""; off = 0; limit = 0;
-    started = false; prev = ""; body = ""; body_pos = 0; body_stop = 0;
+    started = false; body = ""; body_pos = 0; body_stop = 0;
     scratch = Bytes.empty }
 
 exception End_of_component
@@ -400,16 +370,7 @@ let next_frame bs =
 
 (* Decode the framed body. *)
 let decode_frame bs =
-  match bs.reader.footer.Sst_format.version with
-  | Sst_format.V1 ->
-      Sst_format.decode_body_at bs.body bs.body_pos ~stop:bs.body_stop
-  | Sst_format.V2 ->
-      let ((k, _, _) as r) =
-        Sst_format.decode_body_v2_at ~prev:bs.prev bs.body bs.body_pos
-          ~stop:bs.body_stop
-      in
-      bs.prev <- k;
-      r
+  Sst_format.decode_body_at bs.body bs.body_pos ~stop:bs.body_stop
 
 let next_record bs = if next_frame bs then Some (decode_frame bs) else None
 
@@ -426,23 +387,6 @@ let cmp_key_at s pos len key =
   done;
   if !c <> 0 then !c else Int.compare len klen
 
-(* Compare the composite key prev[0,shared) ++ s[pos, pos+suffix_len)
-   against [key] without materializing it (the V2 walk's hot loop). *)
-let cmp_composite prev shared s pos suffix_len key =
-  let klen = String.length key in
-  let total = shared + suffix_len in
-  let n = if total < klen then total else klen in
-  let i = ref 0 and c = ref 0 in
-  while !c = 0 && !i < n do
-    let ci =
-      if !i < shared then String.unsafe_get prev !i
-      else String.unsafe_get s (pos + !i - shared)
-    in
-    c := Char.compare ci (String.unsafe_get key !i);
-    incr i
-  done;
-  if !c <> 0 then !c else Int.compare total klen
-
 let malformed_frame bs what =
   raise (Sst_format.Corrupt { what; page = bs.bpos })
 
@@ -452,33 +396,14 @@ let frame_field bs pos =
   | v -> v
   | exception Invalid_argument _ -> malformed_frame bs "record field overruns its body"
 
-(* Is the framed record's key below [key]? Compared in place; a skipped
-   V2 record's key is still materialized (its bytes only, never its
-   entry): it is the next record's prefix reference. *)
+(* Is the framed record's key below [key]? Compared in place. *)
 let frame_key_below bs key =
-  let s = bs.body and pos = bs.body_pos and stop = bs.body_stop in
-  match bs.reader.footer.Sst_format.version with
-  | Sst_format.V1 ->
-      let klen = frame_field bs pos in
-      let kp = pos + Repro_util.Varint.size klen in
-      if klen > stop - kp then malformed_frame bs "record key overruns its body";
-      cmp_key_at s kp klen key < 0
-  | Sst_format.V2 ->
-      let shared = frame_field bs pos in
-      let p = pos + Repro_util.Varint.size shared in
-      let slen = frame_field bs p in
-      let p = p + Repro_util.Varint.size slen in
-      if slen > stop - p then malformed_frame bs "record key overruns its body";
-      if shared > String.length bs.prev then
-        malformed_frame bs "shared prefix exceeds previous key";
-      cmp_composite bs.prev shared s p slen key < 0
-      && begin
-           let k = Bytes.create (shared + slen) in
-           Bytes.blit_string bs.prev 0 k 0 shared;
-           Bytes.blit_string s p k shared slen;
-           bs.prev <- Bytes.unsafe_to_string k;
-           true
-         end
+  let pos = bs.body_pos in
+  let klen = frame_field bs pos in
+  let kp = pos + Repro_util.Varint.size klen in
+  if klen > bs.body_stop - kp then
+    malformed_frame bs "record key overruns its body";
+  cmp_key_at bs.body kp klen key < 0
 
 (** {1 Iterators} *)
 
@@ -492,43 +417,27 @@ let make_iter t ~cached ?from () =
   else begin
     let start_pos, need_skip =
       match from with
-      | None -> (Some 0, None)
+      | None -> (0, None)
       | Some key -> (
-          match index_floor t key with
-          | None -> (Some 0, None) (* key precedes component: start at 0 *)
-          | Some slot -> (
-              match Sst_format.Fence.zone_max t.fence slot with
-              | Some zmax when String.compare key zmax > 0 -> (
-                  (* Zone-map skip: every record starting in the floor
-                     page precedes [key], so begin at the next fenced
-                     page — whose first key is > [key] by the floor
-                     property, so no record-skip loop is needed either.
-                     The floor page's platter bytes are never read. *)
-                  match Sst_format.Fence.succ_slot t.fence slot with
-                  | None -> (None, None) (* key past the whole table *)
-                  | Some s ->
-                      (Some (Sst_format.Fence.page_pos t.fence s), None))
-              | _ ->
-                  (Some (Sst_format.Fence.page_pos t.fence slot), Some key)))
+          match locate t key with
+          | None -> (0, None) (* key precedes component: start at 0 *)
+          | Some pos -> (pos, Some key))
     in
-    match start_pos with
-    | None -> { stream = None; pending = None }
-    | Some pos ->
-        let bs = stream_at t ~cached pos in
-        (try refill bs ~continuation:false with End_of_component -> ());
-        let it = { stream = Some bs; pending = None } in
-        (match need_skip with
-        | None -> ()
-        | Some key ->
-            (* Step over records < key by their length prefix, comparing
-               keys in place; only the first record >= key is decoded. *)
-            let rec skip () =
-              if not (next_frame bs) then it.stream <- None
-              else if frame_key_below bs key then skip ()
-              else it.pending <- Some (decode_frame bs)
-            in
-            skip ());
-        it
+    let bs = stream_at t ~cached start_pos in
+    (try refill bs ~continuation:false with End_of_component -> ());
+    let it = { stream = Some bs; pending = None } in
+    (match need_skip with
+    | None -> ()
+    | Some key ->
+        (* Step over records < key by their length prefix, comparing keys
+           in place; only the first record >= key is decoded. *)
+        let rec skip () =
+          if not (next_frame bs) then it.stream <- None
+          else if frame_key_below bs key then skip ()
+          else it.pending <- Some (decode_frame bs)
+        in
+        skip ());
+    it
   end
 
 (** [iter_next_full it] pulls the next record with its stored LSN. *)
@@ -587,12 +496,8 @@ type probe = Cmp of int | Unreadable
    other way would touch a different set of pages than the seed's linear
    decode — the restart search must leave the simulated-I/O accounting
    byte-identical, so every page-crossing case defers to the same loop
-   the seed ran. [prev] seeds the resumed stream's prefix-compression
-   reference ("" under V1, which stores full keys). *)
-type page_verdict =
-  | Found of Kv.Entry.t * int
-  | Absent
-  | Resume of { off : int; prev : string }
+   the seed ran. *)
+type page_verdict = Found of Kv.Entry.t * int | Absent | Resume of int
 
 let probe_key s psz start key =
   match Repro_util.Varint.read s start with
@@ -646,133 +551,34 @@ let search_page page starts key =
     done;
     let i = !lo in
     match probe_key s psz starts.(i) key with
-    | Unreadable -> Resume { off = starts.(i); prev = "" }
+    | Unreadable -> Resume starts.(i)
     | Cmp 0 ->
         if complete_at s psz starts.(i) then
           let e, lsn = decode_at s starts.(i) in
           Found (e, lsn)
-        else Resume { off = starts.(i); prev = "" }
+        else Resume starts.(i)
     | Cmp c when c < 0 ->
         (* All readable keys up to [i] are < key. The linear scan stops at
            record [i+1] if it exists, is whole, and its key settles the
            question; otherwise it crossed into later pages. *)
-        if i + 1 >= n then Resume { off = starts.(i); prev = "" }
+        if i + 1 >= n then Resume starts.(i)
         else if
           complete_at s psz starts.(i + 1)
           && probe_key s psz starts.(i + 1) key <> Unreadable
         then Absent
-        else Resume { off = starts.(i + 1); prev = "" }
+        else Resume starts.(i + 1)
     | Cmp _ ->
         (* key < first restart: the linear scan stops at record 0 — whole
            in this page, or it crossed. *)
         if complete_at s psz starts.(0) then Absent
-        else Resume { off = starts.(0); prev = "" }
-  end
-
-(* V2 in-page search: binary-search the restart points (every
-   restart_interval-th start stores its full key, the first always),
-   then forward-decode within one interval, reconstructing keys from
-   shared prefixes. Unlike the V1 search there is no legacy I/O budget
-   to match — a question settled by in-page bytes is answered in-page;
-   only records whose key or entry bytes genuinely spill past the page
-   end defer to the resumed stream, carrying the reconstruction
-   reference in [prev]. *)
-let search_page_v2 page starts key =
-  let s = Bytes.unsafe_to_string page in
-  let psz = String.length s in
-  let n = Array.length starts in
-  if n = 0 then Absent
-  else begin
-    let interval = Sst_format.restart_interval in
-    (* (suffix offset, length) of the restart record r's full key
-       ([shared = 0]); None when the bytes run past the page end. *)
-    let restart_key r =
-      let start = starts.(r * interval) in
-      match Repro_util.Varint.read s start with
-      | exception Invalid_argument _ -> None
-      | _body_len, p -> (
-          match Repro_util.Varint.read s p with
-          | exception Invalid_argument _ -> None
-          | _shared, p -> (
-              match Repro_util.Varint.read s p with
-              | exception Invalid_argument _ -> None
-              | suffix_len, p ->
-                  if p + suffix_len > psz then None else Some (p, suffix_len)))
-    in
-    let nr = (n + interval - 1) / interval in
-    let probe_restart r =
-      match restart_key r with
-      | None -> 1 (* sorts high; settled by the walk's Resume *)
-      | Some (kp, klen) -> cmp_key_at s kp klen key
-    in
-    let lo = ref 0 and hi = ref (nr - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if probe_restart mid <= 0 then lo := mid else hi := mid - 1
-    done;
-    if
-      !lo = 0
-      && (match restart_key 0 with
-         | None -> false (* spills past the page: the walk must Resume *)
-         | Some (kp, klen) -> cmp_key_at s kp klen key > 0)
-    then
-      (* key precedes the page's first key: readable and > key. *)
-      Absent
-    else begin
-      (* Forward walk from the chosen restart. It self-terminates: the
-         next restart's key is > [key] (binary-search invariant), and
-         past the last start every later key lives in a later fenced
-         page whose first key is > [key] (floor property). *)
-      let rec walk i prev =
-        if i >= n then Absent
-        else begin
-          let start = starts.(i) in
-          match Repro_util.Varint.read s start with
-          | exception Invalid_argument _ -> Resume { off = start; prev }
-          | body_len, p -> (
-              let body_end = p + body_len in
-              match Repro_util.Varint.read s p with
-              | exception Invalid_argument _ -> Resume { off = start; prev }
-              | shared, p -> (
-                  match Repro_util.Varint.read s p with
-                  | exception Invalid_argument _ -> Resume { off = start; prev }
-                  | suffix_len, p ->
-                      if p + suffix_len > psz then Resume { off = start; prev }
-                      else if shared > String.length prev then
-                        raise
-                          (Sst_format.Corrupt
-                             { what = "shared prefix exceeds previous key";
-                               page = -1 })
-                      else
-                        let c = cmp_composite prev shared s p suffix_len key in
-                        if c > 0 then Absent
-                        else if c = 0 then begin
-                          if body_end <= psz then
-                            let entry, lsn =
-                              Sst_format.decode_value_at s (p + suffix_len)
-                                ~stop:body_end
-                            in
-                            Found (entry, lsn)
-                          else Resume { off = start; prev }
-                        end
-                        else begin
-                          let b = Bytes.create (shared + suffix_len) in
-                          Bytes.blit_string prev 0 b 0 shared;
-                          Bytes.blit_string s p b shared suffix_len;
-                          walk (i + 1) (Bytes.unsafe_to_string b)
-                        end))
-        end
-      in
-      walk (!lo * interval) ""
-    end
+        else Resume starts.(0)
   end
 
 (* Continue the seed's linear find loop at payload offset [off] of chain
    position [pos]: decode records (pulling continuation pages through the
    pool as sequential accesses, exactly as the seed charged them) until
-   the key matches or passes by. [prev] seeds the V2 prefix-compression
-   reference ("" under V1). *)
-let linear_from t pos off ~prev key =
+   the key matches or passes by. *)
+let linear_from t pos off key =
   let bs = stream_at t ~cached:true pos in
   Fun.protect
     ~finally:(fun () -> release bs)
@@ -781,7 +587,6 @@ let linear_from t pos off ~prev key =
       | exception End_of_component -> None
       | () ->
           bs.off <- off;
-          bs.prev <- prev;
           let rec find () =
             match next_record bs with
             | None -> None
@@ -802,29 +607,22 @@ let get_with_lsn t key =
     || String.compare key t.footer.Sst_format.max_key > 0
   then None
   else
-    (* [locate] folds in the V2 zone-map check: a key past the floor
-       page's last starting key is reported absent with zero I/O. *)
     match locate t key with
     | None -> None
     | Some pos ->
         let id = t.pages.(pos) in
-        let search =
-          match t.footer.Sst_format.version with
-          | Sst_format.V1 -> search_page
-          | Sst_format.V2 -> search_page_v2
-        in
         let verdict =
           Pagestore.Store.with_page_starts t.store id ~seq:false
             ~verify:(fun b -> Sst_format.verify_page_bytes b ~page:id)
             ~derive:Sst_format.record_starts
-            (fun page starts -> search page starts key)
+            (fun page starts -> search_page page starts key)
         in
         (* Resolve page-crossing cases outside the pinned-page callback so
            the lookup never stacks pins (tiny pools stay workable). *)
         (match verdict with
         | Found (e, lsn) -> Some (e, lsn)
         | Absent -> None
-        | Resume { off; prev } -> linear_from t pos off ~prev key)
+        | Resume off -> linear_from t pos off key)
 
 (** [get_linear_with_lsn t key] is the seed's linear lookup — decode
     records from the page's first restart until the key passes by. Kept

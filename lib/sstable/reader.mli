@@ -66,8 +66,8 @@ val get_linear : t -> string -> Kv.Entry.t option
 val get_linear_with_lsn : t -> string -> (Kv.Entry.t * int) option
 
 (** [locate t key]: chain position of the data page a lookup for [key]
-    must consult — Eytzinger fence descent plus (V2) the zone-map check;
-    [None] means the key is provably absent without any I/O. *)
+    must consult, by Eytzinger fence descent; [None] means the key
+    precedes the table. *)
 val locate : t -> string -> int option
 
 (** Reference linear fence walk mirroring {!locate} (the QCheck

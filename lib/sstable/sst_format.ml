@@ -116,36 +116,6 @@ let record_starts b =
   done;
   starts
 
-(** {1 Format versions}
-
-    [V1] is the seed's layout: every record body carries its full key.
-    [V2] prefix-compresses keys within a page (LevelDB-style): a body is
-    [varint shared][varint suffix_len][suffix][varint lsn][entry], where
-    [shared] counts bytes reused from the previous record's key. Every
-    {!restart_interval}-th record starting in a page — and always the
-    first — is a restart ([shared = 0]), so the reader can binary-search
-    restarts and only forward-decode within one interval. The outer
-    [varint body_len][body] framing is identical in both versions, so
-    {!record_starts}, page spill, and CRC handling are version-blind.
-    V2 components are stamped with the "SST2" footer magic; V1 bytes are
-    unchanged, so existing components reopen as before. *)
-type version = V1 | V2
-
-(** Every [restart_interval]-th record starting in a page stores its full
-    key (a restart point); the 15 in between store only their suffix. *)
-let restart_interval = 16
-
-(** Length of the longest common prefix of [a] and [b]. *)
-let shared_prefix_len a b =
-  let n = min (String.length a) (String.length b) in
-  let i = ref 0 in
-  while
-    !i < n && Char.equal (String.unsafe_get a !i) (String.unsafe_get b !i)
-  do
-    incr i
-  done;
-  !i
-
 (** {1 Record codec}
 
     Records are written once, straight into the caller's buffer: the body
@@ -161,6 +131,10 @@ let shared_prefix_len a b =
 
 module Varint = Repro_util.Varint
 
+(** The one page/record layout (full key per record); named only by
+    configurations. *)
+type version = V1
+
 (** [encode_record buf key ~lsn entry] appends one framed record. *)
 let encode_record buf key ~lsn entry =
   let klen = String.length key in
@@ -168,21 +142,6 @@ let encode_record buf key ~lsn entry =
     (Varint.size klen + klen + Varint.size lsn + Kv.Entry.encoded_size entry);
   Varint.write buf klen;
   Buffer.add_string buf key;
-  Varint.write buf lsn;
-  Kv.Entry.encode buf entry
-
-(** [encode_record_v2 buf ~prev key ~lsn entry] appends one framed V2
-    record. [prev] is the key of the previous record starting in the same
-    page — pass [""] to force a restart (full key stored). *)
-let encode_record_v2 buf ~prev key ~lsn entry =
-  let shared = shared_prefix_len prev key in
-  let slen = String.length key - shared in
-  Varint.write buf
-    (Varint.size shared + Varint.size slen + slen + Varint.size lsn
-    + Kv.Entry.encoded_size entry);
-  Varint.write buf shared;
-  Varint.write buf slen;
-  Buffer.add_substring buf key shared slen;
   Varint.write buf lsn;
   Kv.Entry.encode buf entry
 
@@ -194,8 +153,8 @@ let entry_after_lsn s pos lsn ~stop =
   Kv.Entry.decode_exact s (pos + Varint.size lsn) ~stop
 
 (** [decode_value_at s pos ~stop] parses the [[varint lsn][entry]] tail
-    of a body (V1 and V2 alike) that fills [[pos, stop)] exactly: the
-    point lookup's decode once the key has been compared in place. *)
+    of a body that fills [[pos, stop)] exactly: the point lookup's decode
+    once the key has been compared in place. *)
 let decode_value_at s pos ~stop =
   match
     let lsn = Varint.read_within s pos ~stop in
@@ -204,7 +163,7 @@ let decode_value_at s pos ~stop =
   | r -> r
   | exception Invalid_argument _ -> malformed "record value overruns its body"
 
-(** [decode_body_at s pos ~stop] parses the V1 body at [[pos, stop)] into
+(** [decode_body_at s pos ~stop] parses the body at [[pos, stop)] into
     [(key, entry, lsn)]. *)
 let decode_body_at s pos ~stop =
   match
@@ -218,39 +177,10 @@ let decode_body_at s pos ~stop =
   | r -> r
   | exception Invalid_argument _ -> malformed "record body overruns its frame"
 
-(** [decode_body_v2_at ~prev s pos ~stop] parses the V2 body at
-    [[pos, stop)], reconstructing the key from [prev]'s first [shared]
-    bytes plus the stored suffix. *)
-let decode_body_v2_at ~prev s pos ~stop =
-  match
-    let shared = Varint.read_within s pos ~stop in
-    let p = pos + Varint.size shared in
-    let slen = Varint.read_within s p ~stop in
-    let p = p + Varint.size slen in
-    if slen > stop - p then invalid_arg "key suffix overruns body";
-    if shared > String.length prev then
-      malformed "shared prefix exceeds previous key";
-    let key =
-      if shared = 0 then String.sub s p slen
-      else begin
-        let b = Bytes.create (shared + slen) in
-        Bytes.blit_string prev 0 b 0 shared;
-        Bytes.blit_string s p b shared slen;
-        Bytes.unsafe_to_string b
-      end
-    in
-    let lp = p + slen in
-    let lsn = Varint.read_within s lp ~stop in
-    (key, entry_after_lsn s lp lsn ~stop, lsn)
-  with
-  | r -> r
-  | exception Invalid_argument _ -> malformed "record body overruns its frame"
-
 (** {1 Fence pointers}
 
-    The per-table page index (first key starting in each data page, plus
-    — for V2 — the last key starting in it, the page's zone map) held in
-    RAM in Eytzinger (BFS) order: slot 1 is the median, slots [2k]/[2k+1]
+    The per-table page index (first key starting in each data page) held
+    in RAM in Eytzinger (BFS) order: slot 1 is the median, slots [2k]/[2k+1]
     its children. The floor search then touches a root-to-leaf path whose
     prefix is shared by every lookup (top of the array stays in cache)
     and whose branch direction feeds straight into the next index —
@@ -261,42 +191,31 @@ module Fence = struct
   type t = {
     keys : string array;  (** 1-indexed Eytzinger order; slot 0 unused *)
     pos : int array;  (** chain position of the slot's data page *)
-    maxes : string array;  (** zone maps ([[||]] when absent: V1) *)
     n : int;
   }
 
   let length t = t.n
   let key t slot = t.keys.(slot)
   let page_pos t slot = t.pos.(slot)
-  let has_zone_maps t = Array.length t.maxes > 0
 
-  (** Zone map: the largest key of any record starting in the slot's
-      page. [None] when the format carries no zone maps (V1). *)
-  let zone_max t slot =
-    if Array.length t.maxes = 0 then None else Some t.maxes.(slot)
-
-  (** [of_sorted ?maxes ~keys ~pos ()] lays the sorted index out in
+  (** [of_sorted ~keys ~pos] lays the sorted index out in
       Eytzinger order (in-order traversal of the implicit tree visits
       slots in sorted key order). *)
-  let of_sorted ?maxes ~keys ~pos () =
+  let of_sorted ~keys ~pos =
     let n = Array.length keys in
     let ekeys = Array.make (n + 1) "" in
     let epos = Array.make (n + 1) 0 in
-    let emax =
-      match maxes with Some _ -> Array.make (n + 1) "" | None -> [||]
-    in
     let rec fill k j =
       if k > n then j
       else begin
         let j = fill (2 * k) j in
         ekeys.(k) <- keys.(j);
         epos.(k) <- pos.(j);
-        (match maxes with Some m -> emax.(k) <- m.(j) | None -> ());
         fill ((2 * k) + 1) (j + 1)
       end
     in
     ignore (fill 1 0 : int);
-    { keys = ekeys; pos = epos; maxes = emax; n }
+    { keys = ekeys; pos = epos; n }
 
     (** Smallest slot in key order (the leftmost tree node). *)
   let first_slot t =
@@ -374,7 +293,6 @@ end
     their commit root, sealed by a trailing CRC32C of its own. *)
 
 type footer = {
-  version : version;  (** page/record layout; encoded as the magic *)
   timestamp : int;  (** logical timestamp, bumped per merge (§4.4.1) *)
   record_count : int;
   tombstone_count : int;
@@ -396,11 +314,11 @@ type footer = {
   bloom_crc : int;  (** CRC32C of the Bloom blob *)
 }
 
+let magic = "SSTF"
+
 let encode_footer f =
   let buf = Buffer.create 256 in
-  (* The layout version rides in the magic: V1 footers stay byte-identical
-     to the seed's, so pre-existing components reopen unchanged. *)
-  Buffer.add_string buf (match f.version with V1 -> "SSTF" | V2 -> "SST2");
+  Buffer.add_string buf magic;
   let w = Repro_util.Varint.write buf in
   w f.timestamp;
   w f.record_count;
@@ -431,15 +349,8 @@ let encode_footer f =
   Buffer.contents buf
 
 let decode_footer s =
-  let version =
-    if String.length s < 4 then
-      raise (Corrupt { what = "footer magic"; page = -1 })
-    else
-      match String.sub s 0 4 with
-      | "SSTF" -> V1
-      | "SST2" -> V2
-      | _ -> raise (Corrupt { what = "footer magic"; page = -1 })
-  in
+  if String.length s < 4 || String.sub s 0 4 <> magic then
+    raise (Corrupt { what = "footer magic"; page = -1 });
   let pos = ref 4 in
   let r () =
     let v, p = Repro_util.Varint.read s !pos in
@@ -482,7 +393,7 @@ let decode_footer s =
     let bloom_crc = r () in
     let body_end = !pos in
     let stored_crc = r () in
-    ( { version; timestamp; record_count; tombstone_count; data_bytes;
+    ( { timestamp; record_count; tombstone_count; data_bytes;
         min_lsn; max_lsn; min_key; max_key; extents; data_pages; index_pages;
         index_entries; index_bytes; index_crc; bloom_pages; bloom_bytes;
         bloom_crc },

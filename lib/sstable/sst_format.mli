@@ -32,32 +32,16 @@ val verify_page_bytes : Bytes.t -> page:int -> unit
     final offset may belong to a record spilling past the page end. *)
 val record_starts : Bytes.t -> int array
 
-(** Page/record layout version. [V1]: full key per record (the seed's
-    format, bytes unchanged). [V2]: keys prefix-compressed within a page
-    (restart points every {!restart_interval} records) and a per-page
-    zone map (last key starting in the page) in the index; stamped with
-    the "SST2" footer magic. The outer record framing is identical, so
-    {!record_starts} and spill handling are version-blind. *)
-type version = V1 | V2
-
-(** Every [restart_interval]-th record starting in a V2 page stores its
-    full key; the ones between store only a suffix. *)
-val restart_interval : int
-
-(** Length of the longest common prefix. *)
-val shared_prefix_len : string -> string -> int
-[@@lint.allow "U001"] (* format-inspection helper for tooling *)
+(** The page/record layout. There is one: every record stores its full
+    key. The type stays so that configurations naming the layout
+    ([Blsm.Config.t.page_format], which the perfbench replay passes on)
+    keep building. *)
+type version = V1
 
 (** [encode_record buf key ~lsn entry] appends one framed record,
     encoding each field once (the body length comes from the field
     sizes). *)
 val encode_record : Buffer.t -> string -> lsn:int -> Kv.Entry.t -> unit
-
-(** [encode_record_v2 buf ~prev key ~lsn entry] appends one framed V2
-    record; [prev] is the previous key starting in the same page ([""]
-    forces a restart). *)
-val encode_record_v2 :
-  Buffer.t -> prev:string -> string -> lsn:int -> Kv.Entry.t -> unit
 
 (** {2 In-place decoders}
 
@@ -66,17 +50,11 @@ val encode_record_v2 :
     field must end by [stop] and the entry exactly at it; otherwise they
     raise {!Corrupt} (a short or long body, a bad entry tag). *)
 
-(** [decode_body_at s pos ~stop] parses a V1 body: [(key, entry, lsn)]. *)
+(** [decode_body_at s pos ~stop] parses a body: [(key, entry, lsn)]. *)
 val decode_body_at : string -> int -> stop:int -> string * Kv.Entry.t * int
 
-(** [decode_body_v2_at ~prev s pos ~stop] parses a V2 body, rebuilding
-    the key from [prev]'s shared prefix plus the stored suffix. Also
-    raises {!Corrupt} if the shared length exceeds [prev]. *)
-val decode_body_v2_at :
-  prev:string -> string -> int -> stop:int -> string * Kv.Entry.t * int
-
-(** [decode_value_at s pos ~stop] parses the [[varint lsn][entry]] tail
-    shared by V1 and V2 bodies: [(entry, lsn)]. *)
+(** [decode_value_at s pos ~stop] parses a body's [[varint lsn][entry]]
+    tail: [(entry, lsn)]. *)
 val decode_value_at : string -> int -> stop:int -> Kv.Entry.t * int
 
 (** Per-table fence pointers: the page index in RAM, laid out in
@@ -87,11 +65,9 @@ val decode_value_at : string -> int -> stop:int -> Kv.Entry.t * int
 module Fence : sig
   type t
 
-  (** [of_sorted ?maxes ~keys ~pos ()] builds the fence from the sorted
-      index arrays (first key starting in each page, its chain position,
-      and optionally the page zone maps). *)
-  val of_sorted :
-    ?maxes:string array -> keys:string array -> pos:int array -> unit -> t
+  (** [of_sorted ~keys ~pos] builds the fence from the sorted index
+      arrays (first key starting in each page and its chain position). *)
+  val of_sorted : keys:string array -> pos:int array -> t
 
   (** Number of fenced pages. *)
   val length : t -> int
@@ -101,13 +77,6 @@ module Fence : sig
 
   (** Chain position of the slot's data page. *)
   val page_pos : t -> int -> int
-
-  (** Largest key starting in the slot's page; [None] when the format
-      carries no zone maps (V1). *)
-  val zone_max : t -> int -> string option
-
-  val has_zone_maps : t -> bool
-  [@@lint.allow "U001"] (* format-inspection probe *)
 
   (** Slot of the rightmost fence key [<= key] ([None]: key precedes the
       table). Branch-free Eytzinger descent. *)
@@ -128,7 +97,6 @@ end
     extents, index location, blob checksums. Doubles as the commit-root
     metadata blob; sealed by a trailing CRC of its own. *)
 type footer = {
-  version : version;  (** layout version, encoded as the footer magic *)
   timestamp : int;
   record_count : int;
   tombstone_count : int;
@@ -150,6 +118,6 @@ type footer = {
 
 val encode_footer : footer -> string
 
-(** Raises {!Corrupt} on bad magic, garbled encoding, or checksum
+(** Raises {!Corrupt} on bad magic (anything but ["SSTF"]), garbled encoding, or checksum
     mismatch. *)
 val decode_footer : string -> footer

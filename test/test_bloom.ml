@@ -56,104 +56,65 @@ let test_serialization_roundtrip () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Blocked (cache-line) layout *)
+(* The retired cache-line-blocked layout's cases, on the one layout:
+   sizes off its 512-bit block grid, its 0x00-led encoding, and filters
+   loaded past their design size. *)
 
-let test_blocked_membership () =
-  let b = Bloom.create ~kind:Bloom.Blocked ~expected_items:1000 () in
-  check Alcotest.bool "kind" true (Bloom.kind b = Bloom.Blocked);
-  for i = 0 to 999 do
-    Bloom.add b (Printf.sprintf "key%06d" i)
-  done;
-  for i = 0 to 999 do
-    if not (Bloom.mem b (Printf.sprintf "key%06d" i)) then
-      Alcotest.failf "blocked false negative for key%06d" i
-  done
+let test_membership_off_block_grid () =
+  (* 64 (the floor), 70, 510, 520, 10_000 bits: none a whole number of
+     512-bit blocks *)
+  List.iter
+    (fun n ->
+      let b = Bloom.create ~expected_items:n () in
+      for i = 0 to n - 1 do
+        Bloom.add b (Printf.sprintf "key%06d" i)
+      done;
+      for i = 0 to n - 1 do
+        if not (Bloom.mem b (Printf.sprintf "key%06d" i)) then
+          Alcotest.failf "n=%d: false negative for key%06d" n i
+      done)
+    [ 1; 7; 51; 52; 1000 ]
 
-let test_blocked_sizing_block_multiple () =
-  let b = Bloom.create ~kind:Bloom.Blocked ~expected_items:1000 ~bits_per_item:10 () in
-  let bits = Bloom.size_bytes b * 8 in
-  check Alcotest.int "whole blocks" 0 (bits mod Bloom.block_bits);
-  if bits < 10 * 1000 then Alcotest.fail "blocked filter under-sized"
+let test_sizing_not_block_rounded () =
+  (* (bits + 7) / 8 bytes, never rounded up to a 64-byte block *)
+  List.iter
+    (fun (n, bytes) ->
+      check Alcotest.int (Printf.sprintf "n=%d" n) bytes
+        (Bloom.size_bytes (Bloom.create ~expected_items:n ~bits_per_item:10 ())))
+    [ (1, 8); (52, 65); (1000, 1250); (1003, 1254) ]
 
-let test_blocked_fp_within_2x_standard () =
-  (* Same keys, same bits-per-key budget: the blocked layout pays only a
-     block-load-variance penalty, bounded well under 2x the standard
-     filter's measured false-positive count. Hashing is deterministic, so
-     these counts are exact, not statistical. *)
-  let n = 20_000 and probes = 50_000 in
-  let std = Bloom.create ~expected_items:n () in
-  let blk = Bloom.create ~kind:Bloom.Blocked ~expected_items:n () in
-  for i = 0 to n - 1 do
-    let k = Printf.sprintf "present%08d" i in
-    Bloom.add std k;
-    Bloom.add blk k
-  done;
-  let count b =
-    let fps = ref 0 in
-    for i = 0 to probes - 1 do
-      if Bloom.mem b (Printf.sprintf "absent%08d" i) then incr fps
-    done;
-    !fps
-  in
-  let std_fps = count std and blk_fps = count blk in
-  if blk_fps > 2 * std_fps then
-    Alcotest.failf "blocked fp count %d > 2x standard %d" blk_fps std_fps;
-  (* and it is still a working filter: below the paper's 1.5%% slack *)
-  let rate = float_of_int blk_fps /. float_of_int probes in
-  if rate > 0.015 then Alcotest.failf "blocked fp rate %.4f > 0.015" rate
+let test_serialization_never_marker_led () =
+  (* No filter [create] makes encodes with a leading 0x00 (its bit count
+     is at least 64, so its first varint byte is not zero), and the same
+     bytes behind the blocked layout's 0x00 marker do not decode. *)
+  List.iter
+    (fun n ->
+      let b = Bloom.create ~expected_items:n () in
+      for i = 0 to n - 1 do
+        Bloom.add b (string_of_int i)
+      done;
+      let s = Bloom.to_string b in
+      if s.[0] = '\000' then Alcotest.failf "n=%d: 0x00-led encoding" n;
+      let b' = decode s in
+      check Alcotest.int "inserted preserved" n (Bloom.inserted b');
+      for i = 0 to n - 1 do
+        if not (Bloom.mem b' (string_of_int i)) then Alcotest.fail "lost key"
+      done;
+      match Bloom.of_string ("\000" ^ s) with
+      | Ok _ -> Alcotest.failf "n=%d: 0x00-led blob accepted" n
+      | Error _ -> ())
+    [ 1; 52; 500 ]
 
-let test_blocked_serialization_roundtrip () =
-  let b = Bloom.create ~kind:Bloom.Blocked ~expected_items:500 () in
-  for i = 0 to 499 do
-    Bloom.add b (string_of_int i)
-  done;
-  let s = Bloom.to_string b in
-  check Alcotest.char "blocked marker" '\000' s.[0];
-  let b' = decode s in
-  check Alcotest.bool "kind preserved" true (Bloom.kind b' = Bloom.Blocked);
-  check Alcotest.int "inserted preserved" 500 (Bloom.inserted b');
-  for i = 0 to 499 do
-    if not (Bloom.mem b' (string_of_int i)) then Alcotest.fail "lost key"
-  done;
-  (* standard serialization stays marker-free (seed byte-compat) *)
-  let std = Bloom.create ~expected_items:500 () in
-  Bloom.add std "k";
-  if (Bloom.to_string std).[0] = '\000' then
-    Alcotest.fail "standard encoding gained a marker byte"
-
-let prop_blocked_no_false_negatives =
+let prop_no_false_negatives_overloaded =
+  (* sized for fewer keys than it holds, the filter still finds them all *)
   QCheck.Test.make ~name:"blocked: no false negatives" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 200) string_small)
-    (fun keys ->
+    QCheck.(pair (list_of_size Gen.(1 -- 200) string_small) (int_range 1 200))
+    (fun (keys, expected) ->
       let b =
-        Bloom.create ~kind:Bloom.Blocked ~expected_items:(List.length keys) ()
+        Bloom.create ~expected_items:(min expected (List.length keys)) ()
       in
       List.iter (Bloom.add b) keys;
       List.for_all (Bloom.mem b) keys)
-
-let prop_blocked_fp_bounded =
-  (* At equal bits/key over varying key populations, the blocked filter's
-     measured false-positive count stays within 2x of the standard one
-     (small additive slack absorbs tiny-count quantization). *)
-  QCheck.Test.make ~name:"blocked: fp within 2x of standard" ~count:10
-    QCheck.(int_range 0 1000)
-    (fun salt ->
-      let n = 5000 and probes = 10_000 in
-      let std = Bloom.create ~expected_items:n () in
-      let blk = Bloom.create ~kind:Bloom.Blocked ~expected_items:n () in
-      for i = 0 to n - 1 do
-        let k = Printf.sprintf "s%d-%06d" salt i in
-        Bloom.add std k;
-        Bloom.add blk k
-      done;
-      let count b =
-        let fps = ref 0 in
-        for i = 0 to probes - 1 do
-          if Bloom.mem b (Printf.sprintf "a%d-%06d" salt i) then incr fps
-        done;
-        !fps
-      in
-      count blk <= (2 * count std) + 20)
 
 (* ------------------------------------------------------------------ *)
 (* Bit identity with the seed's probe arithmetic, and zero allocation *)
@@ -161,23 +122,20 @@ let prop_blocked_fp_bounded =
 let pinned_keys = Array.init 10_000 (Printf.sprintf "key%06d")
 let pinned_probes = Array.init 10_000 (Printf.sprintf "probe%06d")
 
-let pinned_filter kind =
-  let b = Bloom.create ~kind ~expected_items:(Array.length pinned_keys) () in
+let pinned_filter () =
+  let b = Bloom.create ~expected_items:(Array.length pinned_keys) () in
   Array.iter (Bloom.add b) pinned_keys;
   b
 
 let test_pinned_filter_bytes () =
-  (* The CRC32C of each layout's serialized filter over a fixed key set,
-     as the seed's hashing and probe arithmetic produced it. A change to
-     the hash, the probe walk or the encoding moves it. *)
-  List.iter
-    (fun (name, kind, crc) ->
-      check Alcotest.int name crc
-        (Repro_util.Crc32c.string (Bloom.to_string (pinned_filter kind))))
-    [ ("standard", Bloom.Standard, 0xAFC16723); ("blocked", Bloom.Blocked, 0x812FBFE0) ]
+  (* The CRC32C of the serialized filter over a fixed key set, as the
+     seed's hashing and probe arithmetic produced it. A change to the
+     hash, the probe walk or the encoding moves it. *)
+  check Alcotest.int "standard" 0xAFC16723
+    (Repro_util.Crc32c.string (Bloom.to_string (pinned_filter ())))
 
 (* The seed's probes, written as it wrote them: an FNV-1a fold through
-   [String.iter], a modulo per Standard probe, and the Blocked walk. *)
+   [String.iter] and a modulo per probe. *)
 module Seed = struct
   let fnv1a s =
     let h = ref 0xCBF29CE484222325L in
@@ -205,77 +163,57 @@ module Seed = struct
     let h2 = match h2 mod nbits with 0 -> 1 | h -> h in
     List.init hashes (fun i -> (h1 + (i * h2)) mod nbits)
 
-  let blocked_positions ~nbits ~hashes key =
-    let h1, h2 = hash_pair key in
-    let base = h1 mod (nbits / 512) * 512 in
-    let g = ref h2 in
-    List.concat
-      (List.init ((hashes + 1) / 2) (fun i ->
-           g := !g * 0x2545F4914F6CDD1D land max_int;
-           let v = !g lsr 38 in
-           base + (v land 511)
-           :: (if (2 * i) + 1 < hashes then [ base + (v lsr 9 land 511) ] else [])))
 end
 
 (* Membership read straight off the serialized bits. *)
 let seed_mem blob key =
-  let kind, start = if blob.[0] = '\000' then (Bloom.Blocked, 1) else (Bloom.Standard, 0) in
-  let nbits, pos = Repro_util.Varint.read blob start in
+  let nbits, pos = Repro_util.Varint.read blob 0 in
   let hashes, pos = Repro_util.Varint.read blob pos in
   let _inserted, pos = Repro_util.Varint.read blob pos in
-  let positions =
-    match kind with
-    | Bloom.Standard -> Seed.standard_positions ~nbits ~hashes key
-    | Bloom.Blocked -> Seed.blocked_positions ~nbits ~hashes key
-  in
   List.for_all
     (fun b -> Char.code blob.[pos + (b lsr 3)] land (1 lsl (b land 7)) <> 0)
-    positions
+    (Seed.standard_positions ~nbits ~hashes key)
 
 let test_mem_matches_seed_formula () =
-  List.iter
-    (fun kind ->
-      let b = pinned_filter kind in
-      let blob = Bloom.to_string b in
-      let positives = ref 0 in
-      Array.iter
-        (fun key ->
-          let expect = seed_mem blob key in
-          if expect then incr positives;
-          if Bloom.mem b key <> expect then Alcotest.failf "mem %S" key)
-        (Array.append pinned_probes (Array.sub pinned_keys 0 100));
-      (* absent probes do hit set bits sometimes: the comparison covers
-         both answers *)
-      if !positives <= 100 then Alcotest.fail "no false positive to compare")
-    [ Bloom.Standard; Bloom.Blocked ]
+  let b = pinned_filter () in
+  let blob = Bloom.to_string b in
+  let positives = ref 0 in
+  Array.iter
+    (fun key ->
+      let expect = seed_mem blob key in
+      if expect then incr positives;
+      if Bloom.mem b key <> expect then Alcotest.failf "mem %S" key)
+    (Array.append pinned_probes (Array.sub pinned_keys 0 100));
+  (* absent probes do hit set bits sometimes: the comparison covers both
+     answers *)
+  if !positives <= 100 then Alcotest.fail "no false positive to compare"
 
 (* Loops, not [Array.iter] closures: the count must be the probes' own. *)
 let test_probes_allocate_nothing () =
   let minor_words () = int_of_float (Gc.minor_words ()) in
   let extra = Array.init 1000 (Printf.sprintf "extra%06d") in
-  List.iter
-    (fun (name, kind) ->
-      let b = pinned_filter kind in
-      let w0 = minor_words () in
-      for i = 0 to Array.length pinned_probes - 1 do
-        ignore (Sys.opaque_identity (Bloom.mem b pinned_probes.(i)))
-      done;
-      let mem_words = minor_words () - w0 in
-      let w0 = minor_words () in
-      for i = 0 to Array.length extra - 1 do
-        Bloom.add b extra.(i)
-      done;
-      let add_words = minor_words () - w0 in
-      check Alcotest.int (name ^ " mem words") 0 mem_words;
-      check Alcotest.int (name ^ " add words") 0 add_words)
-    [ ("standard", Bloom.Standard); ("blocked", Bloom.Blocked) ]
+  let b = pinned_filter () in
+  let w0 = minor_words () in
+  for i = 0 to Array.length pinned_probes - 1 do
+    ignore (Sys.opaque_identity (Bloom.mem b pinned_probes.(i)))
+  done;
+  let mem_words = minor_words () - w0 in
+  let w0 = minor_words () in
+  for i = 0 to Array.length extra - 1 do
+    Bloom.add b extra.(i)
+  done;
+  let add_words = minor_words () - w0 in
+  check Alcotest.int "standard mem words" 0 mem_words;
+  check Alcotest.int "standard add words" 0 add_words
 
 (* ------------------------------------------------------------------ *)
 (* Malformed persisted blobs *)
 
-let blob ?(blocked = false) ~nbits ~hashes ~bytes () =
+(* [marker] prepends a 0x00 byte, the leading byte of the retired
+   cache-line-blocked layout: such a blob reads as nbits = 0. *)
+let blob ?(marker = false) ~nbits ~hashes ~bytes () =
   let buf = Buffer.create 16 in
-  if blocked then Buffer.add_char buf '\000';
+  if marker then Buffer.add_char buf '\000';
   Repro_util.Varint.write buf nbits;
   Repro_util.Varint.write buf hashes;
   Repro_util.Varint.write buf 0;
@@ -283,11 +221,11 @@ let blob ?(blocked = false) ~nbits ~hashes ~bytes () =
   Buffer.contents buf
 
 let test_malformed_blobs_rejected () =
-  let good = Bloom.to_string (pinned_filter Bloom.Blocked) in
+  let good = Bloom.to_string (pinned_filter ()) in
   let bad =
     [
-      ("blocked 64 bits", blob ~blocked:true ~nbits:64 ~hashes:7 ~bytes:8 ());
-      ("blocked 700 bits", blob ~blocked:true ~nbits:700 ~hashes:7 ~bytes:88 ());
+      ("0x00-led 64 bits", blob ~marker:true ~nbits:64 ~hashes:7 ~bytes:8 ());
+      ("0x00-led 512 bits", blob ~marker:true ~nbits:512 ~hashes:7 ~bytes:64 ());
       ("under 64 bits", blob ~nbits:32 ~hashes:7 ~bytes:4 ());
       ("no hashes", blob ~nbits:64 ~hashes:0 ~bytes:8 ());
       ("short bit array", blob ~nbits:640 ~hashes:7 ~bytes:79 ());
@@ -303,9 +241,8 @@ let test_malformed_blobs_rejected () =
       | Ok _ -> Alcotest.failf "%s: accepted" name
       | Error _ -> ())
     bad;
-  (* the smallest well-formed blobs of each layout still decode *)
-  ignore (decode (blob ~nbits:64 ~hashes:1 ~bytes:8 ()));
-  ignore (decode (blob ~blocked:true ~nbits:512 ~hashes:7 ~bytes:64 ()))
+  (* the smallest well-formed blob still decodes *)
+  ignore (decode (blob ~nbits:64 ~hashes:1 ~bytes:8 ()))
 
 let prop_no_false_negatives =
   QCheck.Test.make ~name:"no false negatives" ~count:100
@@ -341,12 +278,10 @@ let () =
         ] );
       ( "blocked",
         [
-          Alcotest.test_case "membership" `Quick test_blocked_membership;
-          Alcotest.test_case "sizing" `Quick test_blocked_sizing_block_multiple;
-          Alcotest.test_case "fp within 2x" `Quick test_blocked_fp_within_2x_standard;
-          Alcotest.test_case "serialization" `Quick test_blocked_serialization_roundtrip;
-          QCheck_alcotest.to_alcotest prop_blocked_no_false_negatives;
-          QCheck_alcotest.to_alcotest prop_blocked_fp_bounded;
+          Alcotest.test_case "membership" `Quick test_membership_off_block_grid;
+          Alcotest.test_case "sizing" `Quick test_sizing_not_block_rounded;
+          Alcotest.test_case "serialization" `Quick test_serialization_never_marker_led;
+          QCheck_alcotest.to_alcotest prop_no_false_negatives_overloaded;
         ] );
       ( "identity",
         [

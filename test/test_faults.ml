@@ -231,7 +231,8 @@ let test_bloom_rot_masked () =
   check_model ~what:"bloom rot masked" !tree !model
 
 (* A persisted Bloom blob can pass its checksum and still not decode: a
-   Blocked filter of 64 bits (no whole block), a truncated bit array,
+   blob led by 0x00 (the retired cache-line-blocked layout's marker,
+   which reads as a filter of fewer than 64 bits), a truncated bit array,
    trailing bytes. That is derived data gone bad, like a rotted blob:
    [Component.build_bloom] and a mount rebuild the filter from a
    component scan instead of raising out of recovery. *)
@@ -296,7 +297,7 @@ let test_malformed_bloom_blob_rebuilt () =
           if Blsm.Component.get c "absent" <> None then
             Alcotest.failf "%s: absent key found" what)
     [
-      ("blocked 64 bits", "\000" ^ header [ 64; 7; 0 ] ^ String.make 8 '\255');
+      ("0x00-led 64 bits", "\000" ^ header [ 64; 7; 0 ] ^ String.make 8 '\255');
       ("truncated", String.sub good 0 (String.length good - 1));
       ("trailing bytes", good ^ "\000");
     ]

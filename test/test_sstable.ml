@@ -16,9 +16,8 @@ let mk_store ?(buffer_pages = 64) ?(page_size = 256) () =
       }
     Simdisk.Profile.hdd_raid0
 
-let build store ?(format = Sstable.Sst_format.V1) ?(extent_pages = 8)
-    ?(timestamp = 1) records =
-  let b = Sstable.Builder.create ~format ~extent_pages store in
+let build store ?(extent_pages = 8) ?(timestamp = 1) records =
+  let b = Sstable.Builder.create ~extent_pages store in
   List.iter (fun (k, e) -> Sstable.Builder.add b k e) records;
   let footer = Sstable.Builder.finish b ~timestamp in
   let index = Sstable.Builder.index_blob b in
@@ -275,9 +274,7 @@ let test_truncated_mid_record_is_typed_corrupt () =
   (* One record whose body spans several 256-byte pages, so a footer
      one page short ends mid-body. *)
   let big = String.make 700 'v' in
-  let b =
-    Sstable.Builder.create ~format:Sstable.Sst_format.V1 ~extent_pages:4 store
-  in
+  let b = Sstable.Builder.create ~extent_pages:4 store in
   Sstable.Builder.add b "k" (Kv.Entry.Base big);
   let footer = Sstable.Builder.finish b ~timestamp:1 in
   let index = Sstable.Builder.index_blob b in
@@ -373,12 +370,12 @@ let test_stream_buffer_reuse () =
   check Alcotest.bool "e all" true (records_of_iter e = from "key030");
   check Alcotest.bool "d rest" true (records_of_iter d = drop 10 records)
 
-let mk_prop_get_equals_linear ~name ~format =
-  (* The indexed search (restart binary search in V1, restart search plus
-     prefix reconstruction and zone maps in V2) must be observationally
-     identical to the seed's linear decode — for present keys, absent keys
-     between records, and keys off both ends — across record mixes that
-     exercise page spills (128-byte pages, values up to 300 bytes). *)
+let mk_prop_get_equals_linear ~name ~key =
+  (* The restart binary search must be observationally identical to the
+     seed's linear decode — for present keys, absent keys between
+     records, and keys off both ends — across record mixes that exercise
+     page spills (128-byte pages, values up to 300 bytes). [key] maps a
+     drawn integer to its key, so key shape is an input too. *)
   QCheck.Test.make ~name ~count:60
     QCheck.(
       pair
@@ -389,33 +386,30 @@ let mk_prop_get_equals_linear ~name ~format =
       let m =
         List.fold_left
           (fun m (k, vlen) ->
-            M.add
-              (Printf.sprintf "key%05d" k)
-              (Kv.Entry.Base (String.make vlen 'v'))
+            M.add (key k) (Kv.Entry.Base (String.make vlen 'v'))
               m)
           M.empty pairs
       in
       let records = M.bindings m in
       let store = mk_store ~page_size:128 () in
-      let sst = build store ~format ~extent_pages:4 records in
-      let agree key =
-        Sstable.Reader.get sst key = Sstable.Reader.get_linear sst key
-        && Sstable.Reader.get_with_lsn sst key
-           = Sstable.Reader.get_linear_with_lsn sst key
-        && Sstable.Reader.locate sst key = Sstable.Reader.locate_linear sst key
+      let sst = build store ~extent_pages:4 records in
+      let agree k =
+        Sstable.Reader.get sst k = Sstable.Reader.get_linear sst k
+        && Sstable.Reader.get_with_lsn sst k
+           = Sstable.Reader.get_linear_with_lsn sst k
+        && Sstable.Reader.locate sst k = Sstable.Reader.locate_linear sst k
       in
       List.for_all (fun (k, _) -> agree k) records
       && List.for_all
            (fun p ->
              (* probe keys hit present records, gaps, and both ends *)
-             agree (Printf.sprintf "key%05d" p)
-             && agree (Printf.sprintf "key%05dx" p))
+             agree (key p) && agree (key p ^ "x"))
            probes
       && agree "" && agree "zzz")
 
 let prop_restart_get_equals_linear =
   mk_prop_get_equals_linear ~name:"restart get = linear get"
-    ~format:Sstable.Sst_format.V1
+    ~key:(Printf.sprintf "key%05d")
 
 let records_full_of_iter it =
   let rec go acc =
@@ -425,7 +419,7 @@ let records_full_of_iter it =
   in
   go []
 
-let mk_prop_roundtrip ~name ~format =
+let mk_prop_roundtrip ~name ~key =
   (* Build/iterate/get roundtrip over a Base/Delta/Tombstone mix with
      stored LSNs, 0-300 B values on 128 B pages (records and their
      body-length varints split across page ends), plus random [from]
@@ -450,13 +444,13 @@ let mk_prop_roundtrip ~name ~format =
       let m =
         List.fold_left
           (fun m (k, vlen, kind, lsn) ->
-            M.add (Printf.sprintf "key%05d" k) (entry_of vlen kind, lsn) m)
+            M.add (key k) (entry_of vlen kind, lsn) m)
           M.empty quads
       in
       let full = List.map (fun (k, (e, lsn)) -> (k, e, lsn)) (M.bindings m) in
       let records = List.map (fun (k, e, _) -> (k, e)) full in
       let store = mk_store ~page_size:128 () in
-      let b = Sstable.Builder.create ~format ~extent_pages:4 store in
+      let b = Sstable.Builder.create ~extent_pages:4 store in
       List.iter (fun (k, e, lsn) -> Sstable.Builder.add ~lsn b k e) full;
       let footer = Sstable.Builder.finish b ~timestamp:1 in
       let sst =
@@ -476,26 +470,99 @@ let mk_prop_roundtrip ~name ~format =
       && List.for_all
            (fun (k, e, lsn) -> Sstable.Reader.get_with_lsn sst k = Some (e, lsn))
            full
-      && List.for_all
-           (fun p ->
-             from_ok (Printf.sprintf "key%05d" p)
-             && from_ok (Printf.sprintf "key%05dx" p))
-           probes
+      && List.for_all (fun p -> from_ok (key p) && from_ok (key p ^ "x")) probes
       && from_ok "" && from_ok "zzz")
 
 let prop_roundtrip =
   mk_prop_roundtrip ~name:"sstable build/iterate roundtrip"
-    ~format:Sstable.Sst_format.V1
+    ~key:(Printf.sprintf "key%05d")
 
 (* ------------------------------------------------------------------ *)
-(* V2 pages: prefix compression, zone maps, Eytzinger fence pointers *)
+(* Shared-prefix keys: the input the retired prefix-compressed ("v2")
+   page layout was built for, run through the one page layout. Keys
+   share a prefix longer than a small page, so key bytes alone spill. *)
 
-let v2 = Sstable.Sst_format.V2
+let shared_prefix = "tenant-0042/" ^ String.make 300 'p' ^ "/"
+let prefixed fmt = Printf.ksprintf (fun k -> shared_prefix ^ k) fmt
 
-let prop_v2_get_equals_linear =
-  mk_prop_get_equals_linear ~name:"v2 get = linear get" ~format:v2
+let prop_prefix_get_equals_linear =
+  mk_prop_get_equals_linear ~name:"v2 get = linear get" ~key:(prefixed "%05d")
 
-let prop_v2_roundtrip = mk_prop_roundtrip ~name:"v2 build/iterate roundtrip" ~format:v2
+let prop_prefix_roundtrip =
+  mk_prop_roundtrip ~name:"v2 build/iterate roundtrip" ~key:(prefixed "%05d")
+
+let test_prefix_build_and_get () =
+  let store = mk_store () in
+  let records =
+    List.init 100 (fun i ->
+        (prefixed "key%04d" i, Kv.Entry.Base (Printf.sprintf "val%d" i)))
+  in
+  let sst = build store records in
+  check Alcotest.int "record count" 100 (Sstable.Reader.record_count sst);
+  List.iter
+    (fun (k, e) ->
+      check (Alcotest.option entry_testable) k (Some e) (Sstable.Reader.get sst k))
+    records;
+  check (Alcotest.option entry_testable) "absent" None
+    (Sstable.Reader.get sst (prefixed "key5000"));
+  check (Alcotest.option entry_testable) "bare prefix" None
+    (Sstable.Reader.get sst shared_prefix);
+  check (Alcotest.option entry_testable) "between keys" None
+    (Sstable.Reader.get sst (prefixed "key0042x"))
+
+let test_prefix_spanning_pages () =
+  (* 256-byte pages, 313-byte keys and 1000-byte values: key and value
+     of every record both cross page ends *)
+  let store = mk_store ~page_size:256 () in
+  let records =
+    List.init 20 (fun i ->
+        (prefixed "key%02d" i, Kv.Entry.Base (String.make 1000 (Char.chr (65 + i)))))
+  in
+  let sst = build store records in
+  List.iter
+    (fun (k, e) ->
+      check (Alcotest.option entry_testable) k (Some e) (Sstable.Reader.get sst k))
+    records;
+  check Alcotest.bool "iteration" true
+    (records_of_iter (Sstable.Reader.iterator sst) = records)
+
+let test_prefix_iteration_from () =
+  let store = mk_store () in
+  let records = List.init 50 (fun i -> (prefixed "k%03d" i, Kv.Entry.Base "v")) in
+  let sst = build store records in
+  let from k = records_of_iter (Sstable.Reader.iterator ~from:k sst) in
+  let out = from (prefixed "k025") in
+  check Alcotest.int "25 remaining" 25 (List.length out);
+  check Alcotest.string "starts at k025" (prefixed "k025") (fst (List.hd out));
+  check Alcotest.string "next key" (prefixed "k026")
+    (fst (List.hd (from (prefixed "k025x"))));
+  check Alcotest.int "bare prefix: everything" 50 (List.length (from shared_prefix));
+  check Alcotest.int "prefix minus a byte: everything" 50
+    (List.length
+       (from (String.sub shared_prefix 0 (String.length shared_prefix - 1))));
+  check Alcotest.int "past the prefix: nothing" 0
+    (List.length (from (shared_prefix ^ "z")))
+
+let test_prefix_reopen_from_meta () =
+  let store = mk_store () in
+  let records =
+    List.init 200 (fun i -> (prefixed "key%05d" i, Kv.Entry.Base (String.make 50 'v')))
+  in
+  let sst = build store records in
+  let blob = Sstable.Reader.meta_blob sst in
+  check Alcotest.string "one footer magic" "SSTF" (String.sub blob 0 4);
+  Pagestore.Store.crash store;
+  let sst' = Sstable.Reader.of_meta store blob in
+  check Alcotest.int "count preserved" 200 (Sstable.Reader.record_count sst');
+  let f = Sstable.Reader.footer sst' in
+  check Alcotest.string "min key" (fst (List.hd records)) f.Sstable.Sst_format.min_key;
+  List.iter
+    (fun (k, e) ->
+      check (Alcotest.option entry_testable) k (Some e) (Sstable.Reader.get sst' k))
+    records
+
+(* ------------------------------------------------------------------ *)
+(* Eytzinger fence pointers *)
 
 let prop_fence_locate_equals_linear =
   (* The branch-free Eytzinger descent must agree with the in-order
@@ -513,7 +580,7 @@ let prop_fence_locate_equals_linear =
           (S.elements (S.of_list (List.map (Printf.sprintf "k%03d") ks)))
       in
       let pos = Array.mapi (fun i _ -> i * 3) keys in
-      let f = Sstable.Sst_format.Fence.of_sorted ~keys ~pos () in
+      let f = Sstable.Sst_format.Fence.of_sorted ~keys ~pos in
       let open Sstable.Sst_format.Fence in
       let agree k = locate f k = locate_linear f k in
       let rec walk acc = function
@@ -535,183 +602,6 @@ let read_varint s off =
     if b >= 0x80 then go (off + 1) (shift + 7) acc else (acc, off + 1)
   in
   go off 0 0
-
-let v2_roundtrip_one ~prev key entry lsn =
-  let buf = Buffer.create 64 in
-  Sstable.Sst_format.encode_record_v2 buf ~prev key ~lsn entry;
-  let s = Buffer.contents buf in
-  let body_len, off = read_varint s 0 in
-  if off + body_len <> String.length s then failwith "framing length mismatch";
-  Sstable.Sst_format.decode_body_v2_at ~prev s off ~stop:(off + body_len)
-
-let prop_v2_body_roundtrip =
-  (* encode_record_v2/decode_body_v2_at over a tiny alphabet so shared
-     prefixes of every length (0 .. full key) occur, empty strings
-     included. *)
-  let gen =
-    QCheck.Gen.(
-      let k = string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 10) in
-      quad k k (0 -- 60) (0 -- 5000))
-  in
-  QCheck.Test.make ~name:"v2 body roundtrip (prefix compression)" ~count:400
-    (QCheck.make gen)
-    (fun (prev, key, vlen, lsn) ->
-      let entry =
-        if vlen = 0 then Kv.Entry.Tombstone else Kv.Entry.Base (String.make vlen 'v')
-      in
-      v2_roundtrip_one ~prev key entry lsn = (key, entry, lsn))
-
-let test_v2_prefix_edge_cases () =
-  let rt ~prev key entry lsn =
-    let k', e', l' = v2_roundtrip_one ~prev key entry lsn in
-    check Alcotest.string "key" key k';
-    check entry_testable "entry" entry e';
-    check Alcotest.int "lsn" lsn l'
-  in
-  rt ~prev:"" "" Kv.Entry.Tombstone 0;
-  rt ~prev:"" "key0000" (Kv.Entry.Base "v") 1;
-  (* shared prefix equals the whole key: suffix is empty *)
-  rt ~prev:"key0042" "key0042" (Kv.Entry.Base "x") 7;
-  rt ~prev:"key0042" "key0042x" (Kv.Entry.Base "y") 8;
-  (* key is a proper prefix of prev *)
-  rt ~prev:"key0042x" "key0099" (Kv.Entry.Delta [ "d" ]) 9;
-  rt ~prev:"abc" "abd" (Kv.Entry.Base "") 0;
-  (* a rotted shared-length varint (> |prev|) must raise, not fabricate *)
-  let buf = Buffer.create 16 in
-  Sstable.Sst_format.encode_record_v2 buf ~prev:"abcdef" "abcdefg" ~lsn:0
-    (Kv.Entry.Base "v");
-  let s = Buffer.contents buf in
-  let body_len, off = read_varint s 0 in
-  match
-    Sstable.Sst_format.decode_body_v2_at ~prev:"ab" s off ~stop:(off + body_len)
-  with
-  | exception Sstable.Sst_format.Corrupt _ -> ()
-  | _ -> Alcotest.fail "oversized shared length not detected"
-
-let test_v2_build_and_get () =
-  let store = mk_store () in
-  let records =
-    List.init 100 (fun i ->
-        (Printf.sprintf "key%04d" i, Kv.Entry.Base (Printf.sprintf "val%d" i)))
-  in
-  let sst = build store ~format:v2 records in
-  check Alcotest.int "record count" 100 (Sstable.Reader.record_count sst);
-  List.iter
-    (fun (k, e) ->
-      check (Alcotest.option entry_testable) k (Some e) (Sstable.Reader.get sst k))
-    records;
-  check (Alcotest.option entry_testable) "absent" None (Sstable.Reader.get sst "key5000");
-  check (Alcotest.option entry_testable) "below range" None (Sstable.Reader.get sst "aaa");
-  check (Alcotest.option entry_testable) "between keys" None
-    (Sstable.Reader.get sst "key0042x")
-
-let test_v2_spanning_pages () =
-  (* 256-byte pages, 1000-byte values: every record spans ~4 pages, so
-     prefix chains restart across spills *)
-  let store = mk_store ~page_size:256 () in
-  let records =
-    List.init 20 (fun i ->
-        (Printf.sprintf "key%02d" i, Kv.Entry.Base (String.make 1000 (Char.chr (65 + i)))))
-  in
-  let sst = build store ~format:v2 records in
-  List.iter
-    (fun (k, e) ->
-      check (Alcotest.option entry_testable) k (Some e) (Sstable.Reader.get sst k))
-    records;
-  check Alcotest.int "iteration count" 20
-    (List.length (records_of_iter (Sstable.Reader.iterator sst)))
-
-let test_v2_iteration_from () =
-  let store = mk_store () in
-  let records = List.init 50 (fun i -> (Printf.sprintf "k%03d" i, Kv.Entry.Base "v")) in
-  let sst = build store ~format:v2 records in
-  let out = records_of_iter (Sstable.Reader.iterator ~from:"k025" sst) in
-  check Alcotest.int "25 remaining" 25 (List.length out);
-  check Alcotest.string "starts at k025" "k025" (fst (List.hd out));
-  let out = records_of_iter (Sstable.Reader.iterator ~from:"k025x" sst) in
-  check Alcotest.string "next key" "k026" (fst (List.hd out));
-  let out = records_of_iter (Sstable.Reader.iterator ~from:"a" sst) in
-  check Alcotest.int "everything" 50 (List.length out);
-  let out = records_of_iter (Sstable.Reader.iterator ~from:"z" sst) in
-  check Alcotest.int "nothing" 0 (List.length out)
-
-let test_v2_reopen_from_meta () =
-  let store = mk_store () in
-  let records =
-    List.init 200 (fun i -> (Printf.sprintf "key%05d" i, Kv.Entry.Base (String.make 50 'v')))
-  in
-  let sst = build store ~format:v2 records in
-  let blob = Sstable.Reader.meta_blob sst in
-  Pagestore.Store.crash store;
-  let sst' = Sstable.Reader.of_meta store blob in
-  let f = Sstable.Reader.footer sst' in
-  check Alcotest.bool "SST2 magic survives reopen" true
-    (f.Sstable.Sst_format.version = v2);
-  check Alcotest.int "count preserved" 200 (Sstable.Reader.record_count sst');
-  List.iter
-    (fun (k, e) ->
-      check (Alcotest.option entry_testable) k (Some e) (Sstable.Reader.get sst' k))
-    records
-
-let read_bytes_of d =
-  d.Simdisk.Disk.seq_read_bytes + d.Simdisk.Disk.random_read_bytes
-
-let test_v2_zone_map_miss_zero_io () =
-  (* A point miss whose key sorts after its floor page's zone max is
-     answered from the in-RAM fence alone: no page read even cold. *)
-  let store = mk_store ~page_size:256 ~buffer_pages:4 () in
-  let records =
-    List.init 200 (fun i ->
-        (Printf.sprintf "key%04d" (i * 2), Kv.Entry.Base (String.make 40 'v')))
-  in
-  let sst = build store ~format:v2 records in
-  let rejected =
-    List.filter_map
-      (fun (k, _) ->
-        let p = k ^ "!" in
-        match Sstable.Reader.locate sst p with None -> Some p | Some _ -> None)
-      records
-  in
-  (* every page's last key generates one such probe *)
-  if List.length rejected < 3 then
-    Alcotest.failf "expected zone-rejected probes, got %d" (List.length rejected);
-  List.iter
-    (fun p ->
-      check (Alcotest.option Alcotest.int) ("linear agrees on " ^ p) None
-        (Sstable.Reader.locate_linear sst p))
-    rejected;
-  Pagestore.Store.crash store;
-  let disk = Pagestore.Store.disk store in
-  let before = Simdisk.Disk.snapshot disk in
-  List.iter
-    (fun p -> check (Alcotest.option entry_testable) p None (Sstable.Reader.get sst p))
-    rejected;
-  let d = Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk) in
-  check Alcotest.int "zero bytes read" 0 (read_bytes_of d)
-
-let test_v2_scan_zone_skip_bytes () =
-  (* A tail scan must not pay for the pages the fence lets it skip:
-     cold bytes-read for the last 10 records is a small fraction of a
-     cold full scan. *)
-  let store = mk_store ~page_size:256 ~buffer_pages:4 () in
-  let records =
-    List.init 300 (fun i ->
-        (Printf.sprintf "key%04d" i, Kv.Entry.Base (String.make 60 'v')))
-  in
-  let sst = build store ~format:v2 records in
-  let disk = Pagestore.Store.disk store in
-  Pagestore.Store.crash store;
-  let before = Simdisk.Disk.snapshot disk in
-  let out = records_of_iter (Sstable.Reader.iterator ~from:"key0289x" sst) in
-  check Alcotest.int "tail records" 10 (List.length out);
-  let tail = read_bytes_of (Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk)) in
-  Pagestore.Store.crash store;
-  let before = Simdisk.Disk.snapshot disk in
-  let all = records_of_iter (Sstable.Reader.iterator sst) in
-  check Alcotest.int "all records" 300 (List.length all);
-  let full = read_bytes_of (Simdisk.Disk.diff before (Simdisk.Disk.snapshot disk)) in
-  if tail * 5 > full then
-    Alcotest.failf "tail scan read %d bytes vs full scan %d" tail full
 
 (* -------------------------------------------------------------------- *)
 (* Merge iterator *)
@@ -872,14 +762,10 @@ let malformation_name = function
 (* Build [records], malform the last one, and require a typed Corrupt
    from the streaming iterator, the cached iterator and the point
    lookup alike. *)
-let check_malformed ~format ~page_size ~records what =
-  let label =
-    Printf.sprintf "%s %s %dB" (malformation_name what)
-      (match format with Sstable.Sst_format.V1 -> "V1" | V2 -> "V2")
-      page_size
-  in
+let check_malformed ~page_size ~records what =
+  let label = Printf.sprintf "%s %dB" (malformation_name what) page_size in
   let store = mk_store ~page_size () in
-  let sst = build store ~format records in
+  let sst = build store records in
   let footer = Sstable.Reader.footer sst in
   let chain = data_chain footer in
   let at = last_frame_locator store footer in
@@ -899,8 +785,8 @@ let check_malformed ~format ~page_size ~records what =
       let d = if what = Len_plus_one then 1 else -1 in
       edit 0 (fun c -> Char.chr (Char.code c + d))
   | Bad_tag ->
-      (* the entry ends every body (V1 and V2): its tag sits
-         [encoded_size entry] bytes before the frame's end *)
+      (* the entry ends every body: its tag sits [encoded_size entry]
+         bytes before the frame's end *)
       let byte j =
         let pos, off = at j in
         let buf = Bytes.create page_size in
@@ -936,17 +822,16 @@ let test_malformed_bodies_typed () =
         (Printf.sprintf "key%d" i, Kv.Entry.Base (String.make 300 'w')))
   in
   List.iter
-    (fun format ->
-      List.iter
-        (fun what ->
-          check_malformed ~format ~page_size:4096 ~records:in_page what;
-          check_malformed ~format ~page_size:128 ~records:spilled what)
-        [ Len_plus_one; Len_minus_one; Bad_tag ])
-    [ Sstable.Sst_format.V1; v2 ]
+    (fun what ->
+      check_malformed ~page_size:4096 ~records:in_page what;
+      check_malformed ~page_size:128 ~records:spilled what)
+    [ Len_plus_one; Len_minus_one; Bad_tag ]
 
 let test_body_decoders_reject_bad_framing () =
   (* The in-place decoders themselves: every field bounded by [stop], the
-     entry ending exactly there. *)
+     entry ending exactly there. The footer decoder accepts only the
+     "SSTF" magic: a footer stamped "SST2" (the retired prefix-compressed
+     layout) or too short to hold a magic is typed corruption. *)
   let frame key entry =
     let b = Buffer.create 64 in
     Sstable.Sst_format.encode_record b key ~lsn:300 entry;
@@ -972,15 +857,27 @@ let test_body_decoders_reject_bad_framing () =
   let s, pos, stop = frame "k" Kv.Entry.Tombstone in
   corrupt "tombstone long" (fun () ->
       Sstable.Sst_format.decode_body_at s pos ~stop:(stop + 1));
-  corrupt "v2 long" (fun () ->
-      Sstable.Sst_format.decode_body_v2_at ~prev:"" s pos ~stop:(stop + 1))
+  let store = mk_store () in
+  let footer =
+    Sstable.Reader.meta_blob (build store [ ("k", Kv.Entry.Base "v") ])
+  in
+  let magic_rejected name blob =
+    match Sstable.Sst_format.decode_footer blob with
+    | exception Sstable.Sst_format.Corrupt { what = "footer magic"; _ } -> ()
+    | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: footer decoded" name
+  in
+  ignore (Sstable.Sst_format.decode_footer footer);
+  magic_rejected "SST2 magic"
+    ("SST2" ^ String.sub footer 4 (String.length footer - 4));
+  magic_rejected "short blob" "SS"
 
 (* ------------------------------------------------------------------ *)
 (* On-disk bytes, pinned *)
 
 (* A fixed record set over all three entry kinds, LSNs up to three
    varint bytes, 0-309 B values (128 B pages split records and their
-   length varints) and keys of varying shared prefix (V2). *)
+   length varints) and keys of varying shared prefix. *)
 let pinned_records =
   List.init 60 (fun i ->
       let key =
@@ -999,9 +896,9 @@ let pinned_records =
 
 (* CRC32C of every data page (chain order), of the index blob and of the
    footer blob. *)
-let format_digest ~format ~page_size =
+let format_digest ~page_size =
   let store = mk_store ~page_size () in
-  let b = Sstable.Builder.create ~format ~extent_pages:8 store in
+  let b = Sstable.Builder.create ~extent_pages:8 store in
   List.iter (fun (k, e, lsn) -> Sstable.Builder.add ~lsn b k e) pinned_records;
   let footer = Sstable.Builder.finish b ~timestamp:3 in
   let crc = Repro_util.Crc32c.string in
@@ -1018,9 +915,8 @@ let format_digest ~format ~page_size =
 
 let pinned_digests =
   [
-    ( Sstable.Sst_format.V1, 4096,
-      [ 0x910efdd9; 0x015efb49 ], 0xcadbce75, 0xa0d96722 );
-    ( Sstable.Sst_format.V1, 128,
+    (4096, [ 0x910efdd9; 0x015efb49 ], 0xcadbce75, 0xa0d96722);
+    ( 128,
       [
         0xbf35f6ef; 0x92152127; 0x817d05f3; 0x20c25297; 0x165a7fdb; 0xb022326f;
         0xf581892c; 0x09142850; 0x6f9070c1; 0x0a65d818; 0xdbe19108; 0xe01190c7;
@@ -1035,36 +931,15 @@ let pinned_digests =
         0x3273c80b; 0x20ed248f; 0x684c95a0; 0x26b3f146; 0x20ed248f; 0xcac907b6;
       ],
       0x738a45e7, 0x60af3324 );
-    ( Sstable.Sst_format.V2, 4096,
-      [ 0x99e208fb; 0x04610b58 ], 0xd7712ec8, 0x3d258835 );
-    ( Sstable.Sst_format.V2, 128,
-      [
-        0xe0af9828; 0x5a83f375; 0x6efef786; 0x6832064e; 0x2ce5d109; 0x4ad6d835;
-        0x417b2209; 0x5b93a310; 0x4e742ace; 0x1a77862d; 0xfadeb8ee; 0x9ce73afc;
-        0xd81fcfb6; 0x4a209909; 0x1452f7aa; 0x8bda91d1; 0xf3162a33; 0x5e00faf7;
-        0x76029033; 0x6cd4cc6f; 0x95b21b88; 0x90c705cd; 0xb29d35b3; 0xe6b0d114;
-        0x9bc1f8f7; 0x4ffd6372; 0xb29d35b3; 0xc70a59e5; 0xff271499; 0x90c705cd;
-        0x12c7a1a5; 0x05130756; 0x99b79bb6; 0x6cd4cc6f; 0xea79769d; 0xfb906130;
-        0x5fb84351; 0x4e742ace; 0x1a77862d; 0x19026ff5; 0x03af9909; 0x6909d375;
-        0x417b2209; 0x9b1b1489; 0x83d12aff; 0x0517ce7c; 0xb4076d06; 0x395716ac;
-        0xa5068001; 0x61c1df3e; 0x6cd4cc6f; 0x6bfac57f; 0x4172bb0a; 0x8d576c8a;
-        0x23fb1a07; 0x0a65d818; 0x0d5c8198; 0x5452d097; 0xf5023eb1; 0x18b382df;
-        0xc7c16c14; 0x7855b992; 0x07fd7bbb; 0x90c705cd; 0xe528df82; 0x125b6538;
-      ],
-      0xb2a03a55, 0xbbf282ae );
   ]
 
 let test_pinned_bytes () =
   (* Any encoder change that moves a byte of the on-disk format — page,
-     index or footer, either version — fails here. *)
+     index or footer — fails here. *)
   List.iter
-    (fun (format, page_size, pages, index, footer) ->
-      let label =
-        Printf.sprintf "%s %dB"
-          (match format with Sstable.Sst_format.V1 -> "V1" | V2 -> "V2")
-          page_size
-      in
-      let pages', index', footer' = format_digest ~format ~page_size in
+    (fun (page_size, pages, index, footer) ->
+      let label = Printf.sprintf "%dB" page_size in
+      let pages', index', footer' = format_digest ~page_size in
       check (Alcotest.list Alcotest.int) (label ^ " data page crcs") pages pages';
       check Alcotest.int (label ^ " index crc") index index';
       check Alcotest.int (label ^ " footer crc") footer footer')
@@ -1108,13 +983,13 @@ let test_iter_alloc_budget () =
      ([Some] of a [(key, entry, lsn)] tuple around [Base value]) and
      nothing else: no body copy, no varint tuples. *)
   List.iter
-    (fun (format, cached) ->
+    (fun cached ->
       let store = mk_store ~page_size:4096 () in
       let records =
         List.init 30 (fun i ->
             (Printf.sprintf "key%04d" i, Kv.Entry.Base (String.make 90 'v')))
       in
-      let sst = build store ~format records in
+      let sst = build store records in
       let it =
         if cached then Sstable.Reader.cached_iterator sst
         else Sstable.Reader.iterator sst
@@ -1130,12 +1005,10 @@ let test_iter_alloc_budget () =
       let per_record = string_words 7 + string_words 90 + 2 + 4 + 2 in
       Sstable.Reader.iter_close it;
       if words > n * per_record then
-        Alcotest.failf "iter_next_full (%s, %s): %d words for %d records, budget %d"
-          (match format with Sstable.Sst_format.V1 -> "V1" | V2 -> "V2")
+        Alcotest.failf "iter_next_full (%s): %d words for %d records, budget %d"
           (if cached then "cached" else "streaming")
           words n (n * per_record))
-    [ (Sstable.Sst_format.V1, false); (Sstable.Sst_format.V1, true);
-      (v2, false); (v2, true) ]
+    [ false; true ]
 
 let () =
   Alcotest.run "sstable"
@@ -1154,6 +1027,7 @@ let () =
           Alcotest.test_case "lookup seek cost" `Quick test_point_lookup_seek_cost;
           Alcotest.test_case "free releases space" `Quick test_free_releases_space;
           QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_fence_locate_equals_linear;
         ] );
       ( "restarts",
         [
@@ -1170,19 +1044,12 @@ let () =
         ] );
       ( "v2",
         [
-          Alcotest.test_case "build and get" `Quick test_v2_build_and_get;
-          Alcotest.test_case "spanning pages" `Quick test_v2_spanning_pages;
-          Alcotest.test_case "iterate from" `Quick test_v2_iteration_from;
-          Alcotest.test_case "reopen from meta" `Quick test_v2_reopen_from_meta;
-          Alcotest.test_case "prefix edge cases" `Quick test_v2_prefix_edge_cases;
-          Alcotest.test_case "zone map miss zero io" `Quick
-            test_v2_zone_map_miss_zero_io;
-          Alcotest.test_case "scan zone skip bytes" `Quick
-            test_v2_scan_zone_skip_bytes;
-          QCheck_alcotest.to_alcotest prop_fence_locate_equals_linear;
-          QCheck_alcotest.to_alcotest prop_v2_body_roundtrip;
-          QCheck_alcotest.to_alcotest prop_v2_get_equals_linear;
-          QCheck_alcotest.to_alcotest prop_v2_roundtrip;
+          Alcotest.test_case "build and get" `Quick test_prefix_build_and_get;
+          Alcotest.test_case "spanning pages" `Quick test_prefix_spanning_pages;
+          Alcotest.test_case "iterate from" `Quick test_prefix_iteration_from;
+          Alcotest.test_case "reopen from meta" `Quick test_prefix_reopen_from_meta;
+          QCheck_alcotest.to_alcotest prop_prefix_get_equals_linear;
+          QCheck_alcotest.to_alcotest prop_prefix_roundtrip;
         ] );
       ( "format",
         [
