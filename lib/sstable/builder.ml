@@ -139,8 +139,6 @@ let add ?(lsn = 0) t key entry =
     end
   done
 
-let record_count t = t.record_count
-
 (** User-data bytes written so far (merge progress accounting). *)
 let data_bytes t = t.data_bytes
 

@@ -20,8 +20,6 @@ val create :
     raises [Invalid_argument] otherwise. *)
 val add : ?lsn:int -> t -> string -> Kv.Entry.t -> unit
 
-val record_count : t -> int
-
 (** User-data bytes written so far (merge progress accounting). *)
 val data_bytes : t -> int
 
