@@ -37,10 +37,13 @@ let min_key t =
       | _ -> acc)
     None t.sources
 
-(** [next t] produces the next surviving record in key order. *)
-let rec next t =
+type group = Record of string * Kv.Entry.t * int | Elided | End
+
+(** [next_group t] folds the next key group: the surviving record, or
+    [Elided] when the bottom level drops it. *)
+let next_group t =
   match min_key t with
-  | None -> None
+  | None -> End
   | Some key ->
       (* Fold all sources at [key], freshest first; the output record's
          LSN is the newest contributing one. *)
@@ -61,14 +64,21 @@ let rec next t =
       let entry = Option.get !merged in
       if t.drop_tombstones then
         match entry with
-        | Kv.Entry.Tombstone -> next t (* elide at the bottom level *)
+        | Kv.Entry.Tombstone -> Elided (* elide at the bottom level *)
         | Kv.Entry.Delta ds -> (
             (* No base below us: the delta stream resolves against nothing. *)
             match Kv.Entry.resolve t.resolver ~base:None ds with
-            | Some v -> Some (key, Kv.Entry.Base v, !lsn)
-            | None -> next t)
-        | Kv.Entry.Base _ -> Some (key, entry, !lsn)
-      else Some (key, entry, !lsn)
+            | Some v -> Record (key, Kv.Entry.Base v, !lsn)
+            | None -> Elided)
+        | Kv.Entry.Base _ -> Record (key, entry, !lsn)
+      else Record (key, entry, !lsn)
+
+(** [next t] produces the next surviving record in key order. *)
+let rec next t =
+  match next_group t with
+  | Record (k, e, lsn) -> Some (k, e, lsn)
+  | Elided -> next t
+  | End -> None
 
 (** [drain t f] pulls every record through [f] (bulk builds, tests). *)
 let drain t f =

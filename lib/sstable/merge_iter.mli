@@ -18,6 +18,17 @@ val create :
   (int * (unit -> (string * Kv.Entry.t * int) option)) list ->
   t
 
+(** One key group folded across every source: the surviving record
+    (with the newest contributing LSN), a group the bottom level drops
+    ([Elided]: a tombstone, or deltas with nothing to apply to), or the
+    end of every input. *)
+type group = Record of string * Kv.Entry.t * int | Elided | End
+
+(** [next_group t] folds the next key group. A caller metering its work
+    per group stops within one group of its budget, however long a run
+    of elided keys is. *)
+val next_group : t -> group
+
 (** [next t] is the next surviving record in key order, with the newest
     contributing LSN. *)
 val next : t -> (string * Kv.Entry.t * int) option
