@@ -244,11 +244,6 @@ let run_grid ~quick ~seed =
     pols;
   List.rev !cells
 
-type gate = { g_name : string; g_value : float; g_limit : float; g_ok : bool }
-
-let gate_max name value limit =
-  { g_name = name; g_value = value; g_limit = limit; g_ok = value <= limit }
-
 let report ~seed ~quick cells ~gates =
   let buf = Buffer.create 8_192 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -287,11 +282,7 @@ let report ~seed ~quick cells ~gates =
   let ng = List.length gates in
   List.iteri
     (fun i g ->
-      out
-        "    {\"name\": \"%s\", \"value\": %.3f, \"limit\": %.3f, \"ok\": \
-         %b}%s\n"
-        g.g_name g.g_value g.g_limit g.g_ok
-        (if i = ng - 1 then "" else ","))
+      out "    %s%s\n" (Gate.to_json ~digits:3 g) (if i = ng - 1 then "" else ","))
     gates;
   out "  ]\n";
   out "}\n";
@@ -309,7 +300,7 @@ let run ?(out = "BENCH_PR9.json") (s : Scale.t) =
     List.length (List.filter (fun c -> not c.c_oracle_ok) cells)
   in
   let gates =
-    gate_max "grid.oracle_mismatched_cells" (float_of_int mismatches) 0.0
+    Gate.at_most "grid.oracle_mismatched_cells" (float_of_int mismatches) 0.0
     ::
     (if not quick then []
      else
@@ -317,7 +308,7 @@ let run ?(out = "BENCH_PR9.json") (s : Scale.t) =
          (fun c ->
            if c.c_workload = "overwrite" then
              Some
-               (gate_max
+               (Gate.at_most
                   (Printf.sprintf "grid.%s.%s.overwrite.p999_us" c.c_engine
                      c.c_ratio)
                   (float_of_int (H.percentile c.c_lat 99.9))
@@ -332,12 +323,9 @@ let run ?(out = "BENCH_PR9.json") (s : Scale.t) =
   let gates =
     gates
     @ [
-        {
-          g_name = "grid.same_seed_byte_identical";
-          g_value = (if identical then 1.0 else 0.0);
-          g_limit = 1.0;
-          g_ok = identical;
-        };
+        Gate.at_least "grid.same_seed_byte_identical"
+          (if identical then 1.0 else 0.0)
+          1.0;
       ]
   in
   let doc = report ~seed ~quick cells ~gates in
@@ -356,10 +344,4 @@ let run ?(out = "BENCH_PR9.json") (s : Scale.t) =
         c.c_worst_window_p999 c.c_write_amp c.c_space_amp
         (if c.c_oracle_ok then "" else "  ORACLE MISMATCH"))
     cells;
-  let failed = List.filter (fun g -> not g.g_ok) gates in
-  List.iter
-    (fun g ->
-      Printf.printf "GATE FAILED: %s = %.3f vs limit %.3f\n" g.g_name g.g_value
-        g.g_limit)
-    failed;
-  if failed <> [] then exit 1
+  Gate.exit_on_failure ~digits:3 gates

@@ -229,17 +229,6 @@ let skiplist_kernel ~repeats ~iters =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf " "
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ~path ~kernels ~io_ok ~trace_noop_ok ~crc_kernel =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -255,7 +244,7 @@ let write_json ~path ~kernels ~io_ok ~trace_noop_ok ~crc_kernel =
   List.iteri
     (fun idx k ->
       out "    {\"name\": \"%s\", \"group\": \"%s\", \"ns_per_op\": %.1f, \"ops_per_sec\": %.0f"
-        (json_escape k.k_name) k.k_group k.k_ns
+        (Gate.json_escape k.k_name) k.k_group k.k_ns
         (if k.k_ns > 0.0 then 1e9 /. k.k_ns else 0.0);
       (match k.k_baseline with
       | Some b ->
@@ -281,11 +270,6 @@ let write_json ~path ~kernels ~io_ok ~trace_noop_ok ~crc_kernel =
    to it. *)
 let gate_crc32c_4k_sse42_ns = 1500.0
 
-type gate = { g_name : string; g_value : float; g_limit : float; g_ok : bool }
-
-let gate name value limit =
-  { g_name = name; g_value = value; g_limit = limit; g_ok = value <= limit }
-
 let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -302,7 +286,7 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
       out
         "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"baseline\": \"%s\", \
          \"baseline_ns_per_op\": %.1f, \"speedup\": %.2f}%s\n"
-        (json_escape name) ns (json_escape base_name) base_ns (base_ns /. ns)
+        (Gate.json_escape name) ns (Gate.json_escape base_name) base_ns (base_ns /. ns)
         (if idx = n - 1 then "" else ","))
     kernels;
   out "  ],\n";
@@ -311,7 +295,7 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
   List.iteri
     (fun idx (name, (ns, words)) ->
       out "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"minor_words_per_op\": %.2f}%s\n"
-        (json_escape name) ns words
+        (Gate.json_escape name) ns words
         (if idx = na - 1 then "" else ","))
     alloc;
   out "  ],\n";
@@ -321,9 +305,7 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
   let ng = List.length gates in
   List.iteri
     (fun idx g ->
-      out "    {\"name\": \"%s\", \"value\": %.1f, \"limit\": %.1f, \"ok\": %b}%s\n"
-        (json_escape g.g_name) g.g_value g.g_limit g.g_ok
-        (if idx = ng - 1 then "" else ","))
+      out "    %s%s\n" (Gate.to_json ~digits:1 g) (if idx = ng - 1 then "" else ","))
     gates;
   out "  ]\n";
   out "}\n";
@@ -402,19 +384,13 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
     alloc;
   Printf.printf "bloom fp @ %d absent probes: %d\n" bloom_fp_probes fp;
   let gates =
-    gate "bloom.mem.standard.words" bloom_words 0.0
+    Gate.at_most "bloom.mem.standard.words" bloom_words 0.0
     ::
     (if String.equal crc_kernel "sse4.2" then
-       [ gate "crc32c.4KiB" crc gate_crc32c_4k_sse42_ns ]
+       [ Gate.at_most "crc32c.4KiB" crc gate_crc32c_4k_sse42_ns ]
      else [])
   in
   write_pr7_json ~path:"BENCH_PR7.json" ~seed:s.Scale.seed ~kernels:pr7_kernels ~alloc
     ~fp ~gates;
   Printf.printf "wrote BENCH_PR7.json\n";
-  let failed = List.filter (fun g -> not g.g_ok) gates in
-  List.iter
-    (fun g ->
-      Printf.printf "GATE FAILED: %s = %.1f > limit %.1f\n" g.g_name g.g_value
-        g.g_limit)
-    failed;
-  if failed <> [] then exit 1
+  Gate.exit_on_failure ~digits:1 gates

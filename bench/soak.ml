@@ -46,14 +46,6 @@ let gate_open_p999_us = 2_000.0 (* measured 944 us, overwrite epoch *)
 let gate_max_queue = 400.0 (* measured peak depth 251, latest-skew *)
 let gate_min_open_over_closed = 1.2 (* measured 5.76x *)
 
-type gate = { g_name : string; g_value : float; g_limit : float; g_ok : bool }
-
-let gate_max name value limit =
-  { g_name = name; g_value = value; g_limit = limit; g_ok = value <= limit }
-
-let gate_min name value limit =
-  { g_name = name; g_value = value; g_limit = limit; g_ok = value >= limit }
-
 type epoch_result = {
   er_name : string;
   er_open : Ycsb.Open_loop.result;
@@ -201,18 +193,6 @@ let run_once ~seed () =
 (* ------------------------------------------------------------------ *)
 (* Report *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf " "
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let hist_json h =
   Printf.sprintf
     "{\"count\": %d, \"mean_us\": %.1f, \"p50_us\": %d, \"p99_us\": %d, \
@@ -241,7 +221,7 @@ let report ~seed (r : soak_result) ~gates =
   out
     "  \"closed_loop\": {\"label\": \"%s\", \"ops\": %d, \"ops_per_sec\": \
      %.1f, \"latency\": %s},\n"
-    (json_escape c.Ycsb.Runner.label)
+    (Gate.json_escape c.Ycsb.Runner.label)
     c.Ycsb.Runner.ops c.Ycsb.Runner.ops_per_sec
     (hist_json c.Ycsb.Runner.latency);
   out "  \"epochs\": [\n";
@@ -314,16 +294,12 @@ let report ~seed (r : soak_result) ~gates =
      %.1f, \"open_p999_us\": %.1f, \"open_over_closed\": %.2f},\n"
     closed_p999 open_p999
     (open_p999 /. Float.max 1.0 closed_p999);
-  out "  \"metrics_excerpt\": \"%s\",\n" (json_escape r.sr_metrics_excerpt);
+  out "  \"metrics_excerpt\": \"%s\",\n" (Gate.json_escape r.sr_metrics_excerpt);
   out "  \"gates\": [\n";
   let ng = List.length gates in
   List.iteri
     (fun i g ->
-      out
-        "    {\"name\": \"%s\", \"value\": %.3f, \"limit\": %.3f, \"ok\": \
-         %b}%s\n"
-        (json_escape g.g_name) g.g_value g.g_limit g.g_ok
-        (if i = ng - 1 then "" else ","))
+      out "    %s%s\n" (Gate.to_json ~digits:3 g) (if i = ng - 1 then "" else ","))
     gates;
   out "  ]\n";
   out "}\n";
@@ -375,18 +351,18 @@ let run ?(out = "BENCH_PR8.json") (s : Scale.t) =
   in
   let gates =
     [
-      gate_min "soak.epoch_windows.nonempty" (float_of_int min_epoch_windows)
+      Gate.at_least "soak.epoch_windows.nonempty" (float_of_int min_epoch_windows)
         3.0;
-      gate_min "soak.episodes.count" (float_of_int (List.length r.sr_episodes))
+      Gate.at_least "soak.episodes.count" (float_of_int (List.length r.sr_episodes))
         1.0;
-      gate_max "soak.episode.attribution_tiling_err_us" worst_tile 0.5;
-      gate_max "soak.episode.sum_vs_fed_err_us"
+      Gate.at_most "soak.episode.attribution_tiling_err_us" worst_tile 0.5;
+      Gate.at_most "soak.episode.sum_vs_fed_err_us"
         (Float.abs (ep_sum -. r.sr_fed_total_us))
         1.0;
-      gate_max "soak.open.overwrite.p999_us" open_p999 gate_open_p999_us;
-      gate_max "soak.open.max_queue_depth" (float_of_int worst_queue)
+      Gate.at_most "soak.open.overwrite.p999_us" open_p999 gate_open_p999_us;
+      Gate.at_most "soak.open.max_queue_depth" (float_of_int worst_queue)
         gate_max_queue;
-      gate_min "soak.open_over_closed.p999"
+      Gate.at_least "soak.open_over_closed.p999"
         (open_p999 /. Float.max 1.0 closed_p999)
         gate_min_open_over_closed;
     ]
@@ -398,7 +374,7 @@ let run ?(out = "BENCH_PR8.json") (s : Scale.t) =
   let identical = String.equal doc doc2 in
   let gates =
     gates
-    @ [ gate_min "soak.same_seed_byte_identical"
+    @ [ Gate.at_least "soak.same_seed_byte_identical"
           (if identical then 1.0 else 0.0)
           1.0 ]
   in
@@ -427,10 +403,4 @@ let run ?(out = "BENCH_PR8.json") (s : Scale.t) =
   Printf.printf "closed p99.9 %.0f us vs open p99.9 %.0f us (x%.2f)\n"
     closed_p999 open_p999
     (open_p999 /. Float.max 1.0 closed_p999);
-  let failed = List.filter (fun g -> not g.g_ok) gates in
-  List.iter
-    (fun g ->
-      Printf.printf "GATE FAILED: %s = %.3f vs limit %.3f\n" g.g_name g.g_value
-        g.g_limit)
-    failed;
-  if failed <> [] then exit 1
+  Gate.exit_on_failure ~digits:3 gates
