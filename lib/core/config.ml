@@ -59,7 +59,7 @@ type t = {
           replay, which passes it to {!Component.build_bloom} *)
   page_format : Sstable.Sst_format.version;
       (** the one page layout, [V1] (full key per record); named by the
-          perfbench replay, which passes it to {!Sstable.Builder.create} *)
+          perfbench replay, which passes it to the SSTable builder *)
   resolver : Kv.Entry.resolver;
   seed : int;
   repl : repl;
