@@ -47,9 +47,6 @@ type t = {
   max_quota_per_write : int;
       (** cap on synchronous merge bytes charged to one write: bounds
           per-write latency under the gear/spring schedulers *)
-  run_cap_factor : float;
-      (** end a C0:C1 run early once output exceeds this multiple of the
-          C1 target (prevents unbounded runs under sorted inserts) *)
   persist_bloom : bool;
       (** write each component's Bloom filter to disk at merge commit so
           recovery reads 1.25 B/key instead of rescanning the component.
@@ -90,7 +87,6 @@ let default =
     high_watermark = 0.90;
     extent_pages = 512;
     max_quota_per_write = 4 * 1024 * 1024;
-    run_cap_factor = 1.25;
     persist_bloom = false;
     bloom_kind = Bloom.Standard;
     page_format = Sstable.Sst_format.V1;

@@ -50,9 +50,6 @@ type t = {
   max_quota_per_write : int;
       (** cap on synchronous merge bytes charged to one write: bounds
           per-write latency under the gear/spring schedulers *)
-  run_cap_factor : float;
-      (** end a C0:C1 run early once output exceeds this multiple of the
-          C1 target (prevents unbounded runs under sorted inserts) *)
   persist_bloom : bool;
       (** write Bloom filters to disk at merge commit so recovery reads
           1.25 B/key instead of rescanning; the paper chose rebuild-on-

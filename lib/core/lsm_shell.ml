@@ -418,16 +418,102 @@ let mount sh ~level ~verify ~covered blob =
             Some (Component.of_sst sst)
           end)
 
-(* Mid-log rot: power loss cannot explain it, and silently skipping a
-   record would resurrect overwritten state. A torn tail is truncated by
-   the log itself. *)
-let replay sh ~from_lsn f =
-  match
-    Pagestore.Wal.replay (Pagestore.Store.wal sh.store) ~from_lsn (fun lsn payload ->
-        f lsn (decode_ops payload))
-  with
+(* {2 The manifest (§4.4 commit record)}
+
+   "LSMM" | stamp | floor_lsn | count | (level, blob length, footer blob)*
+   | u32 LE CRC32C of every byte before it. The seal catches any flipped
+   bit and all but 2^-32 of torn prefixes; the bounds checks the rest. *)
+
+type manifest = { stamp : int; floor_lsn : int; components : (int * string) list }
+
+let magic = "LSMM"
+
+let encode_manifest m =
+  let buf = Buffer.create 512 in
+  let w = Repro_util.Varint.write buf in
+  Buffer.add_string buf magic;
+  List.iter w [ m.stamp; m.floor_lsn; List.length m.components ];
+  List.iter
+    (fun (level, blob) ->
+      List.iter w [ level; String.length blob ];
+      Buffer.add_string buf blob)
+    m.components;
+  Buffer.add_int32_le buf (Int32.of_int (Repro_util.Crc32c.string (Buffer.contents buf)));
+  Buffer.contents buf
+
+let decode_manifest ~levels s =
+  let bad what = raise (Corruption { level = "manifest"; what; page_or_lsn = -1 }) in
+  let body = String.length s - 4 in
+  if body < String.length magic || not (String.starts_with ~prefix:magic s) then bad "magic";
+  if
+    Int32.to_int (String.get_int32_le s body) land 0xFFFF_FFFF
+    <> Repro_util.Crc32c.update 0xFFFF_FFFF s 0 body lxor 0xFFFF_FFFF
+  then bad "seal";
+  let pos = ref (String.length magic) in
+  let int () =
+    match Repro_util.Varint.read_within s !pos ~stop:body with
+    | v -> pos := !pos + Repro_util.Varint.size v; v
+    | exception Invalid_argument _ -> bad "encoding"
+  in
+  let stamp = int () in
+  let floor_lsn = int () in
+  let entry _ =
+    let level = int () in
+    let len = int () in
+    if level >= levels then bad "level out of range";
+    if len > body - !pos then bad "blob past the end";
+    pos := !pos + len;
+    (level, String.sub s (!pos - len) len)
+  in
+  let components = List.init (int ()) entry in
+  if !pos <> body then bad "trailing bytes";
+  { stamp; floor_lsn; components }
+
+(* An absent root is an empty tree; anything else must decode. *)
+let read_manifest sh ~slot ~levels =
+  match Pagestore.Store.read_root ~slot sh.store with
+  | "" -> { stamp = 1; floor_lsn = 0; components = [] }
+  | root -> decode_manifest ~levels root
+
+let commit_manifest sh ~slot ~stamp ~floor_lsn components =
+  let components = List.map (fun (level, c) -> (level, Component.meta_blob c)) components in
+  Pagestore.Store.commit_root ~slot sh.store (encode_manifest { stamp; floor_lsn; components })
+
+let recover sh ~slot ~level_names ~verify ~covered ~install ~memtable ~keep =
+  let t0 = now sh in
+  Pagestore.Store.crash sh.store;
+  let m = read_manifest sh ~slot ~levels:(Array.length level_names) in
+  let mount_entry (level, blob) =
+    Option.map (fun c -> (level, c)) (mount sh ~level:level_names.(level) ~verify ~covered blob)
+  in
+  let mounted = List.filter_map mount_entry m.components in
+  install mounted;
+  (* Mid-log rot: power loss cannot explain it, and silently skipping a
+     record would resurrect overwritten state. A torn tail is truncated
+     by the log itself. *)
+  (match
+     Pagestore.Wal.replay (Pagestore.Store.wal sh.store) ~from_lsn:m.floor_lsn
+       (fun lsn payload ->
+         List.iter
+           (fun (key, entry) -> if keep lsn key then Memtable.write memtable ~lsn key entry)
+           (decode_ops payload))
+   with
   | () -> ()
-  | exception Pagestore.Wal.Corrupt { what; lsn } -> corrupt sh ~level:"WAL" what lsn
+  | exception Pagestore.Wal.Corrupt { what; lsn } -> corrupt sh ~level:"WAL" what lsn);
+  (* A dropped component's regions are free again: commit the set
+     without it before anything can reuse them. *)
+  if List.compare_lengths mounted m.components < 0 then
+    commit_manifest sh ~slot ~stamp:m.stamp ~floor_lsn:m.floor_lsn mounted;
+  let s = sh.stats in
+  let dt = now sh -. t0 in
+  s.recovery_us <- s.recovery_us +. dt;
+  let tr = Pagestore.Store.trace sh.store in
+  if Obs.Trace.enabled tr then
+    Obs.Trace.complete tr ~cat:"tree" ~name:"recovery" ~ts_us:t0 ~dur_us:dt
+      ~args:
+        [ ("rebuilds", Obs.Trace.I s.component_rebuilds);
+          ("replayed_c0_bytes", Obs.Trace.I (Memtable.bytes memtable)) ];
+  m
 
 (* {1 Scrubbing} *)
 
@@ -470,4 +556,6 @@ let register_metrics sh reg ~prefix =
       s.checked_insert_seekfree);
   counter "corruptions_detected" "checksum mismatches seen" (fun () ->
       s.corruptions_detected);
-  counter "scrubs" "scrub passes" (fun () -> s.scrubs)
+  counter "scrubs" "scrub passes" (fun () -> s.scrubs);
+  Obs.Metrics.gauge reg (prefix ^ ".recovery_us") ~help:"recovery replay/rebuild time, µs"
+    (fun () -> s.recovery_us)

@@ -8,8 +8,9 @@
       termination at the first base record or tombstone (§3.1.1).
     - {b Stall window}: each write's pacing time is split into merge1,
       merge2 and hard buckets that tile it exactly.
-    - {b Recovery}: committed components are mounted clean, dropped for
-      log replay to rebuild, or quarantined; the log replays typed.
+    - {b Commit and recovery}: one sealed manifest per root slot names
+      the live components; recovery mounts each clean, drops it for log
+      replay to rebuild, or quarantines it, then replays the log typed.
     - {b Failures}: checksum damage anywhere surfaces as {!Corruption}
       naming its level, and is counted — never untyped, never silent.
 
@@ -166,9 +167,43 @@ val mount :
   t -> level:string -> verify:bool ->
   covered:(Sstable.Sst_format.footer -> bool) -> string -> Component.t option
 
-(** [replay t ~from_lsn f] feeds every live log record to [f]; mid-log
-    rot raises {!Corruption} at level ["WAL"]. *)
-val replay : t -> from_lsn:int -> (int -> (string * Kv.Entry.t) list -> unit) -> unit
+(** The commit record of §4.4, one per root slot, sealed by a trailing
+    CRC32C like the SSTable footer. *)
+type manifest = {
+  stamp : int;  (** next component timestamp to issue *)
+  floor_lsn : int;  (** every record below it is folded into a component *)
+  components : (int * string) list;  (** (level index, footer blob) *)
+}
+
+val encode_manifest : manifest -> string
+
+(** Raises {!Corruption} at level ["manifest"] on a bad magic, seal or
+    bound, or a level outside [[0, levels)]; uncounted, as recovery
+    cannot go on to return the engine that would count it. *)
+val decode_manifest : levels:int -> string -> manifest
+
+(** [slot]'s committed manifest; an absent root is the empty tree
+    (stamp 1, floor 0). Malformed roots raise as {!decode_manifest}. *)
+val read_manifest : t -> slot:string -> levels:int -> manifest
+
+(** Force-writes the manifest of [(level index, component)]s, level
+    order, into [slot], charged as {!Pagestore.Store.commit_root}. *)
+val commit_manifest :
+  t -> slot:string -> stamp:int -> floor_lsn:int -> (int * Component.t) list -> unit
+
+(** The one recovery sequence, on a fresh engine's shell once the engine
+    abandoned its in-flight merges: {!Pagestore.Store.crash}; read
+    [slot]'s manifest; {!mount} each entry as [level_names.(level)] with
+    [covered]; [install] the mounted ones; replay the log from
+    [floor_lsn] into [memtable], keeping ops where [keep lsn key]
+    (mid-log rot raises {!Corruption} at ["WAL"]); re-commit without the
+    dropped components; charge [recovery_us] and emit the
+    [tree]/[recovery] span. Returns the manifest read. *)
+val recover :
+  t -> slot:string -> level_names:string array -> verify:bool ->
+  covered:(Sstable.Sst_format.footer -> bool) ->
+  install:((int * Component.t) list -> unit) ->
+  memtable:Memtable.t -> keep:(int -> string -> bool) -> manifest
 
 (** {1 Scrubbing} *)
 
@@ -189,5 +224,6 @@ val encode_ops : (string * Kv.Entry.t) list -> string
 val decode_ops : string -> (string * Kv.Entry.t) list
 
 (** Registers [<prefix>.puts] ... [<prefix>.checked_insert_seekfree],
-    [<prefix>.corruptions_detected] and [<prefix>.scrubs]. *)
+    [<prefix>.corruptions_detected], [<prefix>.scrubs] and the
+    [<prefix>.recovery_us] gauge. *)
 val register_metrics : t -> Obs.Metrics.t -> prefix:string -> unit

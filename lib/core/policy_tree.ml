@@ -16,7 +16,7 @@
    quanta, or as whole jobs against a LevelDB-style byte credit — and
    level-0 pressure past the stop threshold triggers a synchronous hard
    drain (hard time). The write path, newest-first reads, stall window,
-   recovery mount and typed corruption are the {!Lsm_shell}'s, shared
+   manifest, recovery sequence and typed corruption are the {!Lsm_shell}'s, shared
    with {!Tree}, so the stability observatory instruments every policy
    for free. *)
 
@@ -91,7 +91,7 @@ type t = {
   store : Pagestore.Store.t;
   mem : Memtable.t;
   levels : prun list array;  (* level 0 newest-first; deeper by min key *)
-  mutable next_id : int;
+  mutable stamp : int;  (* next run id (= component timestamp) to issue *)
   mutable floor_lsn : int;  (* WAL floor recorded in the manifest *)
   mutable active : active option;
   mutable flushing : Merge_process.t option;  (* crash rollback *)
@@ -122,7 +122,7 @@ let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy
       Memtable.create ~seed:config.Config.seed
         ~resolver:config.Config.resolver ();
     levels = Array.make pconfig.pt_max_levels [];
-    next_id = 1;
+    stamp = 1;
     floor_lsn = 0;
     active = None;
     flushing = None;
@@ -199,65 +199,18 @@ let total_run_bytes t =
     (fun a runs -> List.fold_left (fun a r -> a + run_bytes r) a runs)
     0 t.levels
 
-(* {1 Manifest}
+(* Every run with its level index, level order. *)
+let live_levels t =
+  List.concat
+    (Array.to_list
+       (Array.mapi (fun lvl runs -> List.map (fun r -> (lvl, r.pr_comp)) runs) t.levels))
 
-   "PLSM" | next_id | floor_lsn | run count | (level, id, meta blob)*.
-   Force-written through the store root, so recovery sees a physically
-   consistent set of committed runs plus the exact WAL floor the last
-   flush made durable. *)
+(* {1 Manifest}: every run, with the WAL floor the last flush made
+   durable, in the shell's sealed manifest on the default root slot. *)
 
-let commit_manifest t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "PLSM";
-  Repro_util.Varint.write buf t.next_id;
-  Repro_util.Varint.write buf t.floor_lsn;
-  let all = ref [] in
-  Array.iteri
-    (fun lvl runs -> List.iter (fun r -> all := (lvl, r) :: !all) runs)
-    t.levels;
-  let all = List.rev !all in
-  Repro_util.Varint.write buf (List.length all);
-  List.iter
-    (fun (lvl, r) ->
-      Repro_util.Varint.write buf lvl;
-      Repro_util.Varint.write buf r.pr_id;
-      let blob = Component.meta_blob r.pr_comp in
-      Repro_util.Varint.write buf (String.length blob);
-      Buffer.add_string buf blob)
-    all;
-  Pagestore.Store.commit_root t.store (Buffer.contents buf)
-
-(* The durable manifest: [(next_id, floor_lsn, [(level, id, meta blob)])].
-   Absent, foreign or torn root (truncated varint, blob length past the
-   end): [None], read as an empty tree. *)
-let read_manifest t =
-  let root = Pagestore.Store.read_root t.store in
-  if String.length root < 4 || String.sub root 0 4 <> "PLSM" then None
-  else
-    match
-      let next_id, pos = Repro_util.Varint.read root 4 in
-      let floor, pos = Repro_util.Varint.read root pos in
-      let n, pos = Repro_util.Varint.read root pos in
-      let pos = ref pos in
-      let runs =
-        List.init n (fun _ ->
-            let lvl, p = Repro_util.Varint.read root !pos in
-            let id, p = Repro_util.Varint.read root p in
-            let len, p = Repro_util.Varint.read root p in
-            pos := p + len;
-            (lvl, id, String.sub root p len))
-      in
-      (next_id, floor, runs)
-    with
-    | m -> Some m
-    | exception Invalid_argument _ -> None
-
-(* Ids listed in the durable manifest right now — the set of runs whose
-   regions must survive a crash. *)
-let durable_ids t =
-  match read_manifest t with
-  | Some (_, _, runs) -> List.map (fun (_, id, _) -> id) runs
-  | None -> []
+let commit t =
+  Lsm_shell.commit_manifest t.sh ~slot:"" ~stamp:t.stamp ~floor_lsn:t.floor_lsn
+    (live_levels t)
 
 (* {1 Merges}
 
@@ -266,8 +219,8 @@ let durable_ids t =
    16). *)
 
 let next_id t () =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = t.stamp in
+  t.stamp <- id + 1;
   id
 
 let start_merge t ~label ~args ~input ~keys ~split =
@@ -275,8 +228,8 @@ let start_merge t ~label ~args ~input ~keys ~split =
     ~bloom_items:(max 16 keys) ~output:(Merge_process.Runs split)
     ~stamp:(next_id t)
 
-let runs_of comps =
-  List.map (fun c -> { pr_id = Component.timestamp c; pr_comp = c }) comps
+let run_of c = { pr_id = Component.timestamp c; pr_comp = c }
+let runs_of = List.map run_of
 
 (* {1 Flush: memtable -> one level-0 run}
 
@@ -311,7 +264,7 @@ let do_flush t =
       t.es.bytes_flushed <-
         List.fold_left (fun a r -> a + run_bytes r) t.es.bytes_flushed runs;
       t.floor_lsn <- floor;
-      commit_manifest t;
+      commit t;
       Pagestore.Wal.truncate wal ~upto_lsn:floor
 
 let flush t = if not (Memtable.is_empty t.mem) then do_flush t
@@ -455,7 +408,7 @@ let commit_active t ac =
   t.es.bytes_compacted <-
     List.fold_left (fun a r -> a + run_bytes r) t.es.bytes_compacted
       (ac.ac_inputs @ ac.ac_overlaps);
-  commit_manifest t;
+  commit t;
   List.iter (fun r -> Component.free r.pr_comp) ac.ac_inputs;
   List.iter (fun r -> Component.free r.pr_comp) ac.ac_overlaps
 
@@ -699,12 +652,14 @@ let crash_and_recover ?(verify = false) t =
      survive. *)
   Option.iter (fun ac -> Merge_process.abandon ac.ac_merge) t.active;
   Option.iter Merge_process.abandon t.flushing;
-  let durable = durable_ids t in
+  let durable =
+    List.map snd (Lsm_shell.read_manifest t.sh ~slot:"" ~levels:t.pc.pt_max_levels).components
+  in
   Array.iter
     (List.iter (fun r ->
-         if not (List.mem r.pr_id durable) then Component.free r.pr_comp))
+         let blob = Component.meta_blob r.pr_comp in
+         if not (List.exists (String.equal blob) durable) then Component.free r.pr_comp))
     t.levels;
-  Pagestore.Store.crash t.store;
   let policy =
     match Compaction_policy.of_name t.policy.Compaction_policy.p_name with
     | Some p -> p
@@ -714,43 +669,28 @@ let crash_and_recover ?(verify = false) t =
   fresh.es.recoveries <- t.es.recoveries + 1;
   fresh.es.recoveries_mid_compaction <-
     (t.es.recoveries_mid_compaction + if mid_compaction then 1 else 0);
-  (match read_manifest t with
-  | None -> ()
-  | Some (next_id, floor, runs) ->
-      fresh.next_id <- next_id;
-      fresh.floor_lsn <- floor;
-      (* Every flushed record is truncated from the log, so no run is
-         ever covered by it: rot quarantines, it never drops a run. *)
-      List.iter
-        (fun (lvl, id, blob) ->
-          if lvl >= fresh.pc.pt_max_levels then
-            failwith "policy_tree: manifest level out of range";
-          Option.iter
-            (fun comp ->
-              fresh.levels.(lvl) <- { pr_id = id; pr_comp = comp } :: fresh.levels.(lvl))
-            (Lsm_shell.mount fresh.sh ~level:(level_name lvl) ~verify
-               ~covered:(fun _ -> false) blob))
-        runs;
-      Array.iteri
-        (fun lvl runs -> fresh.levels.(lvl) <- level_order lvl runs)
-        fresh.levels);
-  (* Replay the log into the memtable. Every record with lsn < floor is
-     durably folded into a committed level-0 run (flushes are atomic),
-     so the floor filter alone prevents double-apply — crucially for
-     deltas, which are not idempotent. *)
-  Lsm_shell.replay fresh.sh ~from_lsn:fresh.floor_lsn (fun lsn ops ->
-      if lsn >= fresh.floor_lsn then
-        List.iter (fun (key, entry) -> Memtable.write fresh.mem ~lsn key entry) ops);
+  let install =
+    List.iter (fun (lvl, c) ->
+        fresh.levels.(lvl) <- level_order lvl (run_of c :: fresh.levels.(lvl)))
+  in
+  (* Every flushed record is truncated from the log, so no run is ever
+     covered by it: rot quarantines, it never drops a run. Every record
+     below the floor is durably folded into a committed level-0 run
+     (flushes are atomic), so replaying from the floor alone prevents
+     double-apply — crucially for deltas, which are not idempotent. *)
+  let m =
+    Lsm_shell.recover fresh.sh ~slot:""
+      ~level_names:(Array.init t.pc.pt_max_levels level_name)
+      ~verify ~covered:(fun _ -> false) ~install ~memtable:fresh.mem
+      ~keep:(fun _ _ -> true)
+  in
+  fresh.stamp <- m.Lsm_shell.stamp;
+  fresh.floor_lsn <- m.floor_lsn;
   fresh
 
 (* {1 Scrubbing} *)
 
-let live_runs t =
-  List.concat
-    (Array.to_list
-       (Array.mapi
-          (fun lvl runs -> List.map (fun r -> (level_name lvl, r.pr_comp)) runs)
-          t.levels))
+let live_runs t = List.map (fun (lvl, c) -> (level_name lvl, c)) (live_levels t)
 
 let scrub t = Lsm_shell.scrub t.sh (live_runs t)
 

@@ -15,16 +15,16 @@
     ({!Lsm_shell.stall_breakdown}) that feeds {!Obs.Episodes} via
     {!on_stall}.
 
-    Durability matches the other engines: logical WAL + force-written
-    manifest root. A flush builds one level-0 run, commits the manifest
+    Durability matches the other engines: logical WAL + the shell's
+    sealed manifest. A flush builds one level-0 run, commits the manifest
     (with the WAL floor it makes durable), then truncates the log;
     compactions are pure reorganizations and never touch the WAL, and an
     interrupted one is rolled back wholesale at recovery. Corrupt runs
     found at recovery are quarantined (reads of rotted pages raise
     {!Lsm_shell.Corruption}); mid-log WAL rot is fatal, torn tails are
     truncated — never a wrong answer. The write path, read stack,
-    stall window, recovery mount and typed corruption
-    ({!Lsm_shell.Corruption}, levels ["P<n>"] and ["WAL"]) are the
+    stall window, manifest, recovery sequence and typed corruption
+    ({!Lsm_shell.Corruption}, levels ["P<n>"], ["WAL"], ["manifest"]) are the
     {!Lsm_shell}'s, shared with {!Tree}. *)
 
 (** How compaction work enters the write path.
@@ -130,7 +130,8 @@ val maintenance : t -> unit
     which accumulate across generations); an in-flight compaction is
     rolled back. [verify] checksums every run page at mount; a run that
     fails it, or the Bloom rebuild scan, is quarantined. May raise
-    {!Lsm_shell.Corruption}. *)
+    {!Lsm_shell.Corruption} (level ["manifest"] for a malformed
+    manifest). *)
 val crash_and_recover : ?verify:bool -> t -> t
 
 (** Verifies every run page, Bloom blob and live WAL record; errors are

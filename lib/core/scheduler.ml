@@ -18,12 +18,6 @@ let outprogress ~inprogress ~ci_bytes ~ram_bytes ~r =
     let sweeps = float_of_int (ci_bytes / max 1 ram_bytes) in
     min 1.0 ((inprogress +. sweeps) /. r_ceil)
 
-(** Gear pacing: the upstream fill fraction may not outrun the downstream
-    merge's progress. Returns how far downstream progress lags (a fraction
-    of total merge work that must run now), 0 if no work is owed. *)
-let gear_lag ~upstream_fill ~downstream_inprogress =
-  Float.max 0.0 (upstream_fill -. downstream_inprogress)
-
 (** Spring pacing (deadline controller): finish [remaining_bytes] of merge
     input before C0 climbs from [fill] to [high]. Below [low] the merge
     pauses entirely — that is the spring absorbing load dips (§4.3).
@@ -38,10 +32,3 @@ let spring_quota ~write_bytes ~fill ~low ~high ~remaining_bytes ~c0_capacity =
     let rate = float_of_int remaining_bytes /. headroom_bytes in
     int_of_float (Float.ceil (float_of_int write_bytes *. rate))
   end
-
-(** Quota owed by gear-style lag coupling, in bytes of the downstream
-    merge's input. Slightly overshoots ([slack]) so the downstream merge
-    stays ahead instead of oscillating around the constraint. *)
-let lag_quota ~lag ~total_bytes ?(slack = 1.02) () =
-  if lag <= 0.0 then 0
-  else int_of_float (Float.ceil (lag *. slack *. float_of_int total_bytes))

@@ -12,11 +12,6 @@
 val outprogress :
   inprogress:float -> ci_bytes:int -> ram_bytes:int -> r:float -> float
 
-(** [gear_lag ~upstream_fill ~downstream_inprogress] is how far the
-    downstream merge lags the upstream fill (0 when no work is owed):
-    the gear constraint is [upstream_fill <= downstream_inprogress]. *)
-val gear_lag : upstream_fill:float -> downstream_inprogress:float -> float
-
 (** [spring_quota ~write_bytes ~fill ~low ~high ~remaining_bytes
     ~c0_capacity] is the deadline controller of the spring-and-gear
     scheduler: merge bytes owed for one write so that [remaining_bytes]
@@ -30,8 +25,3 @@ val spring_quota :
   remaining_bytes:int ->
   c0_capacity:int ->
   int
-
-(** [lag_quota ~lag ~total_bytes ()] converts a gear lag into input
-    bytes, with a small overshoot ([slack], default 1.02) to avoid
-    oscillating on the constraint. *)
-val lag_quota : lag:float -> total_bytes:int -> ?slack:float -> unit -> int

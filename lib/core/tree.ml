@@ -73,7 +73,7 @@ type t = {
   mutable c2 : Component.t option;
   mutable merge1 : run1 option;
   mutable merge2 : Merge_process.t option;  (** C1':C2, inputs [c1_prime], [c2] *)
-  mutable timestamp : int;
+  mutable stamp : int;  (** next component timestamp to issue *)
   ms : merge_stats;
   mutable in_hard_stall : bool;
       (** inside {!force_space} / the naive drain: merge time is a
@@ -102,7 +102,7 @@ let create ?(config = Config.default) ?(root_slot = "") store =
     c2 = None;
     merge1 = None;
     merge2 = None;
-    timestamp = 0;
+    stamp = 1;
     ms =
       { merge1_completions = 0; merge2_completions = 0; promotions = 0;
         hard_stalls = 0; bloom_negative = 0; bloom_false_positive = 0 };
@@ -145,32 +145,23 @@ let c0_fill t =
   float_of_int (Memtable.bytes t.c0)
   /. float_of_int (Config.c0_capacity t.config)
 
-(* The mounted on-disk components, newest level first. *)
-let live_components t =
+(* Manifest level indexes 0, 1, 2 are C1, C1', C2. *)
+let level_names = [| "C1"; "C1'"; "C2" |]
+
+(* The mounted on-disk components by level index, newest level first. *)
+let live_levels t =
   List.filter_map
-    (fun (name, c) -> Option.map (fun c -> (name, c)) c)
-    [ ("C1", t.c1); ("C1'", t.c1_prime); ("C2", t.c2) ]
+    (fun (lvl, c) -> Option.map (fun c -> (lvl, c)) c)
+    [ (0, t.c1); (1, t.c1_prime); (2, t.c2) ]
 
-(** {1 Root metadata (commit record)} *)
+let live_components t =
+  List.map (fun (lvl, c) -> (level_names.(lvl), c)) (live_levels t)
 
-let encode_root t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "BLSM";
-  Repro_util.Varint.write buf t.timestamp;
-  let opt = function
-    | None -> Repro_util.Varint.write buf 0
-    | Some c ->
-        let blob = Component.meta_blob c in
-        Repro_util.Varint.write buf (String.length blob);
-        Buffer.add_string buf blob
-  in
-  opt t.c1;
-  opt t.c1_prime;
-  opt t.c2;
-  Buffer.contents buf
-
-let commit_root t =
-  Pagestore.Store.commit_root ~slot:t.root_slot t.store (encode_root t)
+(* Replay always starts at LSN 0 (floor 0): a rotted component the log
+   still covers is rebuilt from records older than any floor. *)
+let commit t =
+  Lsm_shell.commit_manifest t.sh ~slot:t.root_slot ~stamp:t.stamp ~floor_lsn:0
+    (live_levels t)
 
 let guard t ~level f = Lsm_shell.guard t.sh ~level f
 let encode_ops = Lsm_shell.encode_ops
@@ -179,8 +170,9 @@ let decode_ops = Lsm_shell.decode_ops
 (** {1 Merge lifecycle} *)
 
 let next_timestamp t () =
-  t.timestamp <- t.timestamp + 1;
-  t.timestamp
+  let ts = t.stamp in
+  t.stamp <- ts + 1;
+  ts
 
 (* The C1':C2 merge. C2 is the bottom level, so tombstones are elided
    and orphan deltas resolve to base records (§3.1.1). *)
@@ -214,7 +206,7 @@ let try_promote t =
       t.c1 <- None;
       t.merge2 <- Some (start_merge2 t ~c1_prime:c1 ~c2:t.c2);
       t.ms.promotions <- t.ms.promotions + 1;
-      commit_root t;
+      commit t;
       true
   | _ -> false
 
@@ -232,6 +224,10 @@ let source_has_data t =
     match t.frozen with
     | Some f -> not (Memtable.is_empty f)
     | None -> not (Memtable.is_empty t.c0) (* a swap would have work to do *)
+
+(* A live C0:C1 run ends early once its output passes this multiple of
+   the C1 target, so sorted inserts cannot grow one run without bound. *)
+let run_cap_factor = 1.25
 
 (* Begin a C0:C1 run. With snowshoveling the live C0 is the source; the
    gear scheduler instead freezes the current C0 into C0' and opens a
@@ -263,8 +259,7 @@ let start_merge1 t =
       if not t.config.Config.snowshovel then max_int
       else
         max
-          (int_of_float
-             (t.config.Config.run_cap_factor *. float_of_int (target_c1_bytes t)))
+          (int_of_float (run_cap_factor *. float_of_int (target_c1_bytes t)))
           (component_bytes t.c1 + 1)
     in
     let merge =
@@ -309,7 +304,7 @@ let complete_merge1 t r =
   (match r.r1_source with
   | Live _ -> () (* shadow entries are now durable in the new C1 *)
   | Frozen _ -> t.frozen <- None (* C0' contents are useless, discard *));
-  commit_root t;
+  commit t;
   (match r.r1_old_c1 with Some c -> retire_component t c | None -> ());
   (* Log truncation: everything older than the oldest entry still live in
      C0 is covered by the freshly committed component. Snowshoveling keeps
@@ -331,7 +326,7 @@ let complete_merge2 t m =
   t.c2 <- Some (sealed m);
   t.c1_prime <- None;
   t.merge2 <- None;
-  commit_root t;
+  commit t;
   Option.iter (retire_component t) old_c1p;
   Option.iter (retire_component t) old_c2;
   t.ms.merge2_completions <- t.ms.merge2_completions + 1;
@@ -554,11 +549,6 @@ let pace_spring t ~write_bytes =
       done);
   if Memtable.bytes t.c0 >= budget then force_space t
 
-let scheduler_name = function
-  | Config.Naive -> "naive"
-  | Config.Gear -> "gear"
-  | Config.Spring -> "spring"
-
 (* The pacing decision for one write: a fenced tree refuses it, then
    one trace event carries the §4.1 inputs the scheduler acts on. *)
 let pace t ~write_bytes =
@@ -567,7 +557,7 @@ let pace t ~write_bytes =
   if Obs.Trace.enabled tr then
     Obs.Trace.instant tr ~cat:"sched" ~name:"pace"
       ~args:
-        [ ("scheduler", Obs.Trace.S (scheduler_name t.config.Config.scheduler));
+        [ ("scheduler", Obs.Trace.S (Config.scheduler_name t.config.Config.scheduler));
           ("c0_fill", Obs.Trace.F (c0_fill t));
           ("inprogress1", Obs.Trace.F (merge1_inprogress t));
           ("inprogress2", Obs.Trace.F (merge2_inprogress t));
@@ -738,64 +728,45 @@ let flush t =
     ()
   done
 
-(** [crash_and_recover t] simulates power loss and runs recovery: the
-    buffer pool and all in-memory tree state vanish; the committed root is
-    read back, components reopened (indexes re-read, Bloom filters rebuilt
-    by scanning — they are not persisted, §4.4.3), and the logical log
-    replayed into a fresh C0.
-
-    Recovery tolerates corruption found on the way back up
-    ({!Lsm_shell.mount}): a component that fails verification — footer,
-    index, Bloom rebuild scan, or with [~verify:true] any data page — is
-    dropped and rebuilt by the replay below when the log still holds
-    everything folded into it ([min_lsn] not yet truncated away, under
-    [Full] durability); otherwise it is quarantined (only reads that
-    touch a rotted page fail, with the typed {!Corruption}), or, when
-    unopenable, a typed recovery failure. Never a wrong answer. *)
+(* Power loss, then the shell's recovery sequence ({!Lsm_shell.recover})
+   with the tree's parts: which rotted components replay can rebuild,
+   the C1':C2 restart, and the per-key replay filter. *)
 let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
-  let t_rec = Pagestore.Store.now_us t.store in
   (* abort in-flight merge transactions: their output regions are freed,
      exactly as Stasis would roll back an uncommitted merge *)
   Option.iter (fun r -> Merge_process.abandon r.r1_merge) t.merge1;
   Option.iter Merge_process.abandon t.merge2;
-  Pagestore.Store.crash t.store;
-  let root = Pagestore.Store.read_root ~slot:t.root_slot t.store in
   let fresh = create ~config:t.config ~root_slot:t.root_slot t.store in
   let wal = Pagestore.Store.wal t.store in
   let s = stats fresh in
-  (if String.length root >= 4 && String.sub root 0 4 = "BLSM" then begin
-     let ts, pos = Repro_util.Varint.read root 4 in
-     fresh.timestamp <- ts;
-     let pos = ref pos in
-     (* Everything folded into the component is still in the log: it can
-        be dropped and recovered by replay. Degraded durability may have
-        lost acked-by-merge records, so only Full qualifies. *)
-     let covered (f : Sstable.Sst_format.footer) =
-       f.record_count = 0
-       || (Pagestore.Wal.durability wal = Pagestore.Wal.Full
-          && f.min_lsn > 0
-          && f.min_lsn >= Pagestore.Wal.truncated_to wal)
-     in
-     let read_opt ~level =
-       let len, p = Repro_util.Varint.read root !pos in
-       pos := p + len;
-       if len = 0 then None
-       else Lsm_shell.mount fresh.sh ~level ~verify ~covered (String.sub root p len)
-     in
-     fresh.c1 <- read_opt ~level:"C1";
-     fresh.c1_prime <- read_opt ~level:"C1'";
-     fresh.c2 <- read_opt ~level:"C2";
-     (* a C1':C2 merge was in flight at the crash: restart it from scratch
-        (its uncommitted output was rolled back above) *)
-     match fresh.c1_prime with
-     | Some c1p -> fresh.merge2 <- Some (start_merge2 fresh ~c1_prime:c1p ~c2:fresh.c2)
-     | None -> ()
-   end);
-  (* Replay the logical log into C0, skipping records whose effect is
-     already durable in a committed component: every component record
-     carries the newest LSN folded into it, so a WAL record with
-     lsn <= that is covered. Base/Tombstone replays would be idempotent,
-     but replaying a covered *delta* would apply it twice. *)
+  (* Everything folded into the component is still in the log: it can be
+     dropped and recovered by replay. Degraded durability may have lost
+     acked-by-merge records, so only Full qualifies. *)
+  let covered (f : Sstable.Sst_format.footer) =
+    f.record_count = 0
+    || (Pagestore.Wal.durability wal = Pagestore.Wal.Full
+       && f.min_lsn > 0
+       && f.min_lsn >= Pagestore.Wal.truncated_to wal)
+  in
+  let install comps =
+    List.iter
+      (fun (lvl, c) ->
+        match lvl with
+        | 0 -> fresh.c1 <- Some c
+        | 1 -> fresh.c1_prime <- Some c
+        | _ -> fresh.c2 <- Some c)
+      comps;
+    (* a C1':C2 merge was in flight at the crash: restart it from scratch
+       (its uncommitted output was rolled back above) *)
+    Option.iter
+      (fun c1p -> fresh.merge2 <- Some (start_merge2 fresh ~c1_prime:c1p ~c2:fresh.c2))
+      fresh.c1_prime
+  in
+  (* Skip records whose effect is already durable in a committed
+     component: every component record carries the newest LSN folded into
+     it, so a WAL record with lsn <= that is covered. Base/Tombstone
+     replays would be idempotent, but replaying a covered *delta* would
+     apply it twice. *)
   let durable_lsn key =
     List.find_map
       (fun ((_ : string), c) ->
@@ -811,24 +782,14 @@ let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
       (live_components fresh)
     |> Option.value ~default:0
   in
-  (* [should_replay] scopes a shared log to this tree's key range
-     (partitioned stores); singleton trees replay everything *)
-  Lsm_shell.replay fresh.sh ~from_lsn:0 (fun lsn ops ->
-      List.iter
-        (fun (key, entry) ->
-          if should_replay key && lsn > durable_lsn key then
-            Memtable.write fresh.c0 ~lsn key entry)
-        ops);
-  if s.component_rebuilds > 0 then commit_root fresh;
-  let rec_dt = Pagestore.Store.now_us t.store -. t_rec in
-  s.recovery_us <- s.recovery_us +. rec_dt;
-  let tr = Pagestore.Store.trace t.store in
-  if Obs.Trace.enabled tr then
-    Obs.Trace.complete tr ~cat:"tree" ~name:"recovery" ~ts_us:t_rec
-      ~dur_us:rec_dt
-      ~args:
-        [ ("rebuilds", Obs.Trace.I s.component_rebuilds);
-          ("replayed_c0_bytes", Obs.Trace.I (Memtable.bytes fresh.c0)) ];
+  let m =
+    Lsm_shell.recover fresh.sh ~slot:t.root_slot ~level_names ~verify ~covered
+      ~install ~memtable:fresh.c0
+      (* [should_replay] scopes a shared log to this tree's key range
+         (partitioned stores); singleton trees replay everything *)
+      ~keep:(fun lsn key -> should_replay key && lsn > durable_lsn key)
+  in
+  fresh.stamp <- m.Lsm_shell.stamp;
   fresh
 
 (** {1 Scrubbing} *)
@@ -932,8 +893,6 @@ let metrics t =
         (fun () -> s.stall_hard_us);
       gauge reg "tree.wal_us" ~help:"WAL append/group-commit time, µs"
         (fun () -> s.wal_us);
-      gauge reg "tree.recovery_us" ~help:"recovery replay/rebuild time, µs"
-        (fun () -> s.recovery_us);
       gauge reg "tree.c0_fill" ~help:"C0 fill fraction" (fun () -> c0_fill t);
       gauge reg "tree.c0_bytes" ~help:"C0 bytes" (fun () ->
           float_of_int (Memtable.bytes t.c0));

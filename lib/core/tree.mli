@@ -196,7 +196,7 @@ val flush : t -> unit
 
 (** [crash_and_recover t] simulates power loss and runs recovery: the
     buffer pool and all in-memory tree state vanish; in-flight merge
-    output is rolled back; the committed root is read back, components
+    output is rolled back; the committed manifest is read back, components
     reopened (indexes re-read, Bloom filters rebuilt by scanning —
     §4.4.3), and the logical log replayed into a fresh C0.
     [should_replay] scopes a shared log to this tree's key range
@@ -209,9 +209,10 @@ val flush : t -> unit
     rebuild scan reads) is rebuilt from
     WAL replay when the log still covers it, quarantined (reads touching
     rotted pages raise {!Corruption}) when openable but uncovered, and a
-    typed {!Corruption} failure otherwise. Mid-log WAL rot also raises
-    {!Corruption}; a torn log *tail* is truncated silently — that is
-    ordinary power loss. *)
+    typed {!Corruption} failure otherwise. A malformed manifest raises
+    {!Corruption} at level ["manifest"], mid-log WAL rot at ["WAL"]; a
+    torn log *tail* is truncated silently — that is ordinary power
+    loss. *)
 val crash_and_recover : ?should_replay:(string -> bool) -> ?verify:bool -> t -> t
 
 (** {1 Scrubbing} *)

@@ -112,7 +112,7 @@ let default_io_sources = [ "Platter"; "Pagestore.Platter"; "Unix" ]
    charge merge-work quanta to the caller (pacing).  Rule Y001 forbids
    that inside manifest-commit / WAL-append critical sections. *)
 let default_stall_sources =
-  [ "Scheduler.spring_quota"; "Scheduler.lag_quota"; "Scheduler.gear_lag" ]
+  [ "Scheduler.spring_quota" ]
 
 (* dune library wrapper modules: a reference to [Blsm.Tree.put] is the
    same function as [Tree.put] seen from inside lib/core.  The directory
@@ -185,9 +185,8 @@ let default_critical_sections =
   [
     ("Wal.append", "WAL-append critical section");
     ("Wal.sync", "WAL group-commit critical section");
-    ("Tree.commit_root", "manifest-commit critical section");
+    ("Lsm_shell.commit_manifest", "manifest-commit critical section");
     ("Store.commit_root", "root-commit critical section");
-    ("Policy_tree.commit_manifest", "manifest-commit critical section");
   ]
 
 (* Rule F001: the effect analysis stops at an [external] — it cannot

@@ -467,6 +467,99 @@ let test_typed_rot_every_engine () =
       expect_typed_rot row ~what:"compaction" ~levels compact)
     (rot_rows ())
 
+(* Every engine commits through the shell's sealed manifest. Its own
+   committed manifest, cut at every non-empty proper prefix (the store
+   spells "no root" as the empty one) or with any single bit flipped,
+   must fail recovery with the typed error — never an untyped exception,
+   never a silently emptier tree. The intact manifest then recovers. *)
+
+let manifest_rows () =
+  let load put =
+    for i = 0 to 2999 do put (Printf.sprintf "key%04d" i) (String.make 60 'm') done
+  in
+  let tree =
+    let store = mk_store () in
+    let t = Blsm.Tree.create ~config:(small_config ()) store in
+    load (Blsm.Tree.put t);
+    Blsm.Tree.flush t;
+    ("tree", store, "", fun () -> Blsm.Tree.get (Blsm.Tree.crash_and_recover t))
+  in
+  let partitioned =
+    let store = mk_store () in
+    let t =
+      Blsm.Partitioned.create ~config:(small_config ()) ~boundaries:[ "key1500" ] store
+    in
+    load (Blsm.Partitioned.put t);
+    Blsm.Partitioned.flush t;
+    ( "partitioned",
+      store,
+      "partition-000",
+      fun () -> Blsm.Partitioned.get (Blsm.Partitioned.crash_and_recover t) )
+  in
+  let policy =
+    let store = mk_store () in
+    let t =
+      Blsm.Policy_tree.create ~config:(small_config ())
+        ~policy:(Blsm.Compaction_policy.leveled ()) store
+    in
+    load (Blsm.Policy_tree.put t);
+    Blsm.Policy_tree.maintenance t;
+    ( "policy-leveled",
+      store,
+      "",
+      fun () -> Blsm.Policy_tree.get (Blsm.Policy_tree.crash_and_recover t) )
+  in
+  [ tree; partitioned; policy ]
+
+let test_malformed_manifest_typed () =
+  List.iter
+    (fun (engine, store, slot, recover) ->
+      let root = Pagestore.Store.read_root ~slot store in
+      if root = "" then Alcotest.failf "%s: no manifest committed" engine;
+      let expect what bad =
+        Pagestore.Store.commit_root ~slot store bad;
+        match recover () with
+        | (_ : string -> string option) ->
+            Alcotest.failf "%s: recovered from a manifest with %s" engine what
+        | exception Blsm.Tree.Corruption { level = "manifest"; _ } -> ()
+      in
+      for len = 1 to String.length root - 1 do
+        expect (Printf.sprintf "its first %d bytes" len) (String.sub root 0 len)
+      done;
+      String.iteri
+        (fun i c ->
+          for bit = 0 to 7 do
+            let flipped = Bytes.of_string root in
+            Bytes.set flipped i (Char.chr (Char.code c lxor (1 lsl bit)));
+            expect
+              (Printf.sprintf "bit %d of byte %d flipped" bit i)
+              (Bytes.to_string flipped)
+          done)
+        root;
+      Pagestore.Store.commit_root ~slot store root;
+      Alcotest.(check (option string))
+        (engine ^ ": intact manifest recovers")
+        (Some (String.make 60 'm'))
+        (recover () "key0042"))
+    (manifest_rows ())
+
+(* The codec round-trips, and a sealed manifest naming a level the
+   engine does not have is typed corruption too. *)
+let prop_manifest_roundtrip =
+  QCheck.Test.make ~name:"manifest codec round-trips" ~count:300
+    QCheck.(triple pos_int pos_int (small_list (pair (int_bound 6) string)))
+    (fun (stamp, floor_lsn, components) ->
+      let m = { Blsm.Lsm_shell.stamp; floor_lsn; components } in
+      let blob = Blsm.Lsm_shell.encode_manifest m in
+      Blsm.Lsm_shell.decode_manifest ~levels:7 blob = m
+      &&
+      let top = List.fold_left (fun a (lvl, _) -> max a lvl) (-1) components in
+      top < 0
+      ||
+      match Blsm.Lsm_shell.decode_manifest ~levels:top blob with
+      | _ -> false
+      | exception Blsm.Tree.Corruption { level = "manifest"; _ } -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Degraded durability: the group-commit window is real. With no merges
    (default-sized C0) the log is the only durability, so recovery after
@@ -707,6 +800,8 @@ let () =
             test_unverified_policy_recovery_quarantines;
           Alcotest.test_case "typed rot on every engine" `Quick
             test_typed_rot_every_engine;
+          Alcotest.test_case "malformed manifest is typed" `Quick
+            test_malformed_manifest_typed;
         ] );
       ( "wal",
         [
@@ -719,6 +814,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_torn_tail_acked_prefix;
           QCheck_alcotest.to_alcotest prop_bitflip_never_silent;
+          QCheck_alcotest.to_alcotest prop_manifest_roundtrip;
         ] );
       ("matrix", [ Alcotest.test_case "scheduler x durability" `Quick test_fault_matrix ]);
     ]

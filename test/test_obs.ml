@@ -150,17 +150,18 @@ let test_trace_file_sink () =
 (* -------------------------------------------------------------------- *)
 (* Tree integration: attribution and determinism *)
 
+let mk_store () =
+  Pagestore.Store.create
+    ~config:
+      {
+        Pagestore.Store.cfg_page_size = 4096;
+        cfg_buffer_pages = 1024;
+        cfg_durability = Pagestore.Wal.Full;
+      }
+    Simdisk.Profile.ssd_raid0
+
 let mk_tree ?(scheduler = Blsm.Config.Spring) ?(c0_kb = 64) () =
-  let store =
-    Pagestore.Store.create
-      ~config:
-        {
-          Pagestore.Store.cfg_page_size = 4096;
-          cfg_buffer_pages = 1024;
-          cfg_durability = Pagestore.Wal.Full;
-        }
-      Simdisk.Profile.ssd_raid0
-  in
+  let store = mk_store () in
   Blsm.Tree.create
     ~config:
       {
@@ -208,14 +209,42 @@ let test_attribution_naive_hard_stalls () =
     ((Blsm.Tree.merge_stats tree).hard_stalls > 0);
   check Alcotest.bool "hard time attributed" true (s.stall_hard_us > 0.0)
 
+(* Both LSM hosts recover through the shell: each charges the replay to
+   [recovery_us], exports it as [<prefix>.recovery_us] and emits the
+   [recovery] span. *)
 let test_recovery_time_attributed () =
-  let tree = mk_tree () in
-  for i = 0 to 200 do
-    Blsm.Tree.put tree (Repro_util.Keygen.key_of_id i) (String.make 100 'v')
-  done;
-  let fresh = Blsm.Tree.crash_and_recover tree in
-  check Alcotest.bool "recovery_us > 0" true
-    ((Blsm.Tree.stats fresh).recovery_us > 0.0)
+  let load put =
+    for i = 0 to 200 do put (Repro_util.Keygen.key_of_id i) (String.make 100 'v') done
+  in
+  let tree_input () =
+    let tree = mk_tree () in
+    load (Blsm.Tree.put tree);
+    ( Blsm.Tree.store tree,
+      fun () ->
+        let fresh = Blsm.Tree.crash_and_recover tree in
+        ((Blsm.Tree.stats fresh).recovery_us, Blsm.Tree.metrics fresh) )
+  in
+  let policy_input () =
+    let store = mk_store () in
+    let t = Blsm.Policy_tree.create ~policy:(Blsm.Compaction_policy.leveled ()) store in
+    load (Blsm.Policy_tree.put t);
+    ( store,
+      fun () ->
+        let fresh = Blsm.Policy_tree.crash_and_recover t in
+        ((Blsm.Policy_tree.stats fresh).recovery_us, Blsm.Policy_tree.metrics fresh) )
+  in
+  List.iter
+    (fun (prefix, input) ->
+      let store, recover = input () in
+      let finish = Obs.Trace.enable_buffer (Pagestore.Store.trace store) ~format:Obs.Trace.Jsonl in
+      let recovery_us, reg = recover () in
+      let trace = finish () in
+      check Alcotest.bool (prefix ^ ": recovery_us > 0") true (recovery_us > 0.0);
+      let line = Printf.sprintf "%s.recovery_us %.3f\n" prefix recovery_us in
+      check Alcotest.bool (prefix ^ ": " ^ line) true (contains (Obs.Metrics.dump reg) line);
+      check Alcotest.bool (prefix ^ ": recovery span") true
+        (contains trace "{\"name\":\"recovery\""))
+    [ ("tree", tree_input); ("ptree", policy_input) ]
 
 let traced_run ~seed ~ops =
   let tree = mk_tree () in

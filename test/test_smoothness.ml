@@ -219,21 +219,6 @@ let test_outprogress_range_and_monotonicity () =
     prev := v
   done
 
-let prop_gear_lag_bounds =
-  QCheck.Test.make ~name:"gear lag in [0,1], zero when ahead" ~count:300
-    QCheck.(pair (float_range 0.0 1.0) (float_range 0.0 1.0))
-    (fun (fill, inp) ->
-      let lag = Blsm.Scheduler.gear_lag ~upstream_fill:fill ~downstream_inprogress:inp in
-      lag >= 0.0 && lag <= 1.0 && (inp >= fill) = (lag = 0.0))
-
-let prop_lag_quota_proportional =
-  QCheck.Test.make ~name:"lag quota proportional to lag" ~count:200
-    QCheck.(pair (float_range 0.001 1.0) (int_range 1000 10_000_000))
-    (fun (lag, total) ->
-      let q = Blsm.Scheduler.lag_quota ~lag ~total_bytes:total () in
-      let expected = lag *. float_of_int total in
-      float_of_int q >= expected && float_of_int q <= (expected *. 1.1) +. 2.0)
-
 (* --- bounded quanta through elided records ------------------------ *)
 
 (* Every [<name>] span in a JSONL trace, as (quota, consumed) input
@@ -353,8 +338,6 @@ let () =
           Alcotest.test_case "policy job, bottom tombstones" `Quick
             test_smooth_policy_bottom_tombstones;
           Alcotest.test_case "outprogress range" `Quick test_outprogress_range_and_monotonicity;
-          QCheck_alcotest.to_alcotest prop_gear_lag_bounds;
-          QCheck_alcotest.to_alcotest prop_lag_quota_proportional;
         ] );
       ( "bounded quanta",
         [
