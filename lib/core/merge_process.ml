@@ -197,11 +197,66 @@ let merge_input ~resolver ~drop_tombstones ~total pulls =
     total = (fun () -> total);
   }
 
+(** {2 The snowshovel shadow} *)
+
+module Shadow = struct
+  type record = string * Kv.Entry.t * int
+
+  (* [recs.(0 .. len-1)] in strictly increasing key order. *)
+  type t = { mutable recs : record array; mutable len : int }
+
+  let dummy : record = ("", Kv.Entry.Tombstone, 0)
+
+  let create ~capacity = { recs = Array.make (max 1 capacity) dummy; len = 0 }
+
+  let key_at t i =
+    let k, _, _ = t.recs.(i) in
+    k
+
+  let append t ((key, _, _) as r) =
+    if t.len > 0 && String.compare key (key_at t (t.len - 1)) <= 0 then
+      invalid_arg "Merge_process.Shadow.append: keys must increase";
+    if t.len = Array.length t.recs then begin
+      let recs = Array.make (2 * t.len) dummy in
+      Array.blit t.recs 0 recs 0 t.len;
+      t.recs <- recs
+    end;
+    t.recs.(t.len) <- r;
+    t.len <- t.len + 1
+
+  (* Index of the first record with key >= [key]. *)
+  let lower_bound t key =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) lsr 1 in
+        if String.compare (key_at t mid) key < 0 then go (mid + 1) hi
+        else go lo mid
+    in
+    go 0 t.len
+
+  let find t key =
+    let i = lower_bound t key in
+    if i < t.len && String.equal (key_at t i) key then Some t.recs.(i) else None
+
+  let pull_from t ~from =
+    let i = ref (lower_bound t from) in
+    fun () ->
+      (* Until the first record is returned, a record appended since the
+         pull opened may still sort below [from]. *)
+      while !i < t.len && String.compare (key_at t !i) from < 0 do
+        incr i
+      done;
+      if !i < t.len then begin
+        let r = t.recs.(!i) in
+        incr i;
+        Some r
+      end
+      else None
+end
+
 type c0_source =
-  | Live of {
-      mem : Memtable.t;
-      shadow : (Kv.Entry.t * int) Memtable.Skiplist.t;
-    }
+  | Live of { mem : Memtable.t; shadow : Shadow.t }
   | Frozen of Memtable.t
 
 (* The snowshovel cursor is "the lowest key that comes after the last
@@ -209,7 +264,9 @@ type c0_source =
    input, so a fresh C0 insert of an already-emitted key waits for the
    next run instead of breaking output order. Only a C0-only tail may
    end the run early, once the output holds [run_cap] bytes: C1 must be
-   drained because it is freed at commit. *)
+   drained because it is freed at commit. A live C0 record is peeked and
+   then popped at the same cursor, so the memtable's remembered
+   successor turns both into the one descent that unlinks it. *)
 let c0_input ~resolver ~source ~c1 ~run_cap =
   let mem = match source with Live { mem; _ } | Frozen mem -> mem in
   let meter = ref 0 in
@@ -221,12 +278,14 @@ let c0_input ~resolver ~source ~c1 ~run_cap =
   in
   let c1_total = match c1 with Some c -> Component.data_bytes c | None -> 0 in
   let denom = Memtable.bytes mem + c1_total in
-  let take_c0 (key, entry, lsn) =
+  let take_c0 ((key, entry, _) as r) =
     meter := !meter + record_bytes key entry;
     match source with
     | Live { mem; shadow } ->
-        ignore (Memtable.remove mem key);
-        Memtable.Skiplist.set shadow key (entry, lsn)
+        ignore
+          (if !started then Memtable.pop_next mem !cursor
+           else Memtable.consume_geq_lsn mem "");
+        Shadow.append shadow r
     | Frozen _ -> ()
   in
   let advance_c1 key entry =

@@ -88,6 +88,31 @@ val merge_input :
   (unit -> (string * Kv.Entry.t * int) option) list ->
   input
 
+(** The snowshovel shadow: records a live C0:C1 run has consumed from
+    C0 but not yet committed, kept readable until the merge commits.
+    The run consumes keys in strictly increasing order, so the shadow is
+    an append-only sorted array searched by bisection. *)
+module Shadow : sig
+  type t
+
+  (** [create ~capacity] is an empty shadow with room for [capacity]
+      records before it grows. *)
+  val create : capacity:int -> t
+
+  (** [append t (key, entry, lsn)] adds a record.
+      @raise Invalid_argument unless [key] is greater than every key
+      already held. *)
+  val append : t -> string * Kv.Entry.t * int -> unit
+
+  (** [find t key] is [key]'s record (key, entry, newest LSN), if held. *)
+  val find : t -> string -> (string * Kv.Entry.t * int) option
+
+  (** [pull_from t ~from] streams the records with key >= [from] in key
+      order, including those appended after the pull opened (a scan
+      cursor living across merge steps). *)
+  val pull_from : t -> from:string -> unit -> (string * Kv.Entry.t * int) option
+end
+
 (** The C0 side of a C0:C1 merge. With snowshoveling ({!Live}) the
     source re-queries the live memtable on every record, so inserts
     landing ahead of the cursor join the current run (§4.2); consumed
@@ -97,8 +122,7 @@ val merge_input :
 type c0_source =
   | Live of {
       mem : Memtable.t;
-      shadow : (Kv.Entry.t * int) Memtable.Skiplist.t;
-          (** consumed-but-uncommitted records (entry, newest lsn) *)
+      shadow : Shadow.t;  (** consumed-but-uncommitted records *)
     }
   | Frozen of Memtable.t
 

@@ -240,7 +240,7 @@ let start_merge1 t =
     let source =
       if t.config.Config.snowshovel then
         Merge_process.Live
-          { mem = t.c0; shadow = Memtable.Skiplist.create ~seed:t.config.Config.seed () }
+          { mem = t.c0; shadow = Merge_process.Shadow.create ~capacity:(Memtable.count t.c0) }
       else begin
         (match t.frozen with
         | Some _ -> ()
@@ -606,6 +606,12 @@ let shadow t =
   | Some { r1_source = Live { shadow; _ }; _ } -> Some shadow
   | Some { r1_source = Frozen _; _ } | None -> None
 
+(* [key]'s record in the snowshovel shadow, if any. *)
+let shadow_find t key =
+  match shadow t with
+  | Some s -> Merge_process.Shadow.find s key
+  | None -> None
+
 (* Record states newest-first: C0, the shadow, C0', then the on-disk
    components. *)
 let sources t key absorb =
@@ -613,7 +619,7 @@ let sources t key absorb =
     absorb (Option.bind c (fun c -> guard t ~level (fun () -> Component.get c key)))
   in
   absorb (Memtable.get t.c0 key)
-  || absorb (Option.bind (shadow t) (fun s -> Option.map fst (Memtable.Skiplist.find s key)))
+  || absorb (Option.map (fun (_, e, _) -> e) (shadow_find t key))
   || absorb (Option.bind t.frozen (fun f -> Memtable.get f key))
   || comp "C1" t.c1 || comp "C1'" t.c1_prime || comp "C2" t.c2
 
@@ -621,11 +627,6 @@ let sources t key absorb =
    directly; durable components store it per record. 0 = never written
    (within retained history). OCC validation compares these. *)
 let read_version t key =
-  let mem_lsn m =
-    match Memtable.peek_geq_lsn m key with
-    | Some (k, _, lsn) when String.equal k key -> Some lsn
-    | _ -> None
-  in
   let comp_lsn (level, c) () =
     if not (Component.maybe_contains c key) then None
     else
@@ -633,9 +634,9 @@ let read_version t key =
           Option.map snd (Sstable.Reader.get_with_lsn c.Component.sst key))
   in
   List.to_seq
-    ((fun () -> mem_lsn t.c0)
-    :: (fun () -> Option.bind (shadow t) (fun s -> Option.map snd (Memtable.Skiplist.find s key)))
-    :: (fun () -> Option.bind t.frozen mem_lsn)
+    ((fun () -> Memtable.newest_lsn t.c0 key)
+    :: (fun () -> Option.map (fun (_, _, lsn) -> lsn) (shadow_find t key))
+    :: (fun () -> Option.bind t.frozen (fun f -> Memtable.newest_lsn f key))
     :: List.map comp_lsn (live_components t))
   |> Seq.find_map (fun probe -> probe ())
   |> Option.value ~default:0
@@ -657,26 +658,12 @@ let insert_if_absent t key value =
 
 (** {1 Scans} *)
 
-let skiplist_pull sl ~from =
-  let last = ref None in
-  fun () ->
-    let next =
-      match !last with
-      | None -> Memtable.Skiplist.succ_geq sl from
-      | Some k -> Memtable.Skiplist.succ_gt sl k
-    in
-    match next with
-    | Some (k, (e, lsn)) ->
-        last := Some k;
-        Some (k, e, lsn)
-    | None -> None
-
 let scan_sources t start () =
   let comp level = Option.map (Lsm_shell.component_pull t.sh ~level ~from:(Some start)) in
   List.filter_map Fun.id
     [
       Some (Memtable.pull_from t.c0 ~from:start);
-      Option.map (fun s -> skiplist_pull s ~from:start) (shadow t);
+      Option.map (fun s -> Merge_process.Shadow.pull_from s ~from:start) (shadow t);
       Option.map (fun f -> Memtable.pull_from f ~from:start) t.frozen;
       comp "C1" t.c1;
       comp "C1'" t.c1_prime;

@@ -4,10 +4,17 @@
     efficient ordered scans (§2.3.1). Tracks its own RAM footprint so that
     the merge schedulers can compute fill fractions, and records the WAL
     LSN of each live entry so log truncation can be delayed exactly as long
-    as snowshoveling keeps old entries live (§4.4.2). *)
+    as snowshoveling keeps old entries live (§4.4.2).
+
+    Two structures share each record's mutable [slot]: a hash index by key
+    serves point reads, in-place overwrites and removal in O(1), and the
+    skip list keeps key order for scans, the snowshovel cursor and
+    {!oldest_lsn}. Only a fresh key or a removal touches the skip list. *)
 
 module Skiplist = Skiplist
 (** Re-export: the skip list is part of this library's public surface. *)
+
+module Index = Hashtbl.Make (String)
 
 type slot = {
   mutable entry : Kv.Entry.t;
@@ -17,8 +24,17 @@ type slot = {
 
 type t = {
   sl : slot Skiplist.t;
+  index : slot Index.t;
   resolver : Kv.Entry.resolver;
   mutable bytes : int;
+  mutable version : int;
+      (** bumped by every insert of a fresh key and every removal *)
+  mutable succ_of : string;
+  mutable succ : (string * slot) option;
+      (** the smallest binding with key > [succ_of], as of [succ_version]:
+          the ordered consumer's next record, kept so that peeking it and
+          popping it cost the one descent that unlinks it *)
+  mutable succ_version : int;
 }
 
 (* Approximate per-record RAM overhead: skip-list node, pointers, slot. *)
@@ -28,7 +44,16 @@ let entry_bytes key entry =
   String.length key + Kv.Entry.encoded_size entry + node_overhead
 
 let create ?(seed = 42) ~resolver () =
-  { sl = Skiplist.create ~seed (); resolver; bytes = 0 }
+  {
+    sl = Skiplist.create ~seed ();
+    index = Index.create 1024;
+    resolver;
+    bytes = 0;
+    version = 0;
+    succ_of = "";
+    succ = None;
+    succ_version = -1;
+  }
 
 let count t = Skiplist.length t.sl
 
@@ -39,97 +64,107 @@ let is_empty t = Skiplist.is_empty t.sl
 (** [write t ~lsn key entry] applies one logical write. A [Delta] composes
     with any state already buffered in C0; [Base] and [Tombstone] replace
     it. The slot keeps the *oldest* LSN it still depends on, because replay
-    must restart from there to rebuild the composed state. *)
+    must restart from there to rebuild the composed state. A key already
+    in C0 is rewritten in place through the index; only a fresh key is
+    inserted into the skip list. *)
 let write t ~lsn key entry =
-  (* One descent: the update callback sees the old state and settles the
-     byte delta there. *)
-  let delta = ref 0 in
-  ignore
-    (Skiplist.update t.sl key (fun existing ->
-         match existing with
-         | None ->
-             delta := entry_bytes key entry;
-             { entry; lsn; lsn_newest = lsn }
-         | Some slot ->
-             let merged =
-               Kv.Entry.merge t.resolver ~newer:entry ~older:slot.entry
-             in
-             let oldest =
-               match entry with
-               | Kv.Entry.Delta _ -> slot.lsn (* still depends on older state *)
-               | Kv.Entry.Base _ | Kv.Entry.Tombstone -> lsn
-             in
-             delta := entry_bytes key merged - entry_bytes key slot.entry;
-             slot.entry <- merged;
-             slot.lsn <- oldest;
-             slot.lsn_newest <- max slot.lsn_newest lsn;
-             slot));
-  t.bytes <- t.bytes + !delta
+  match Index.find_opt t.index key with
+  | Some slot ->
+      let merged = Kv.Entry.merge t.resolver ~newer:entry ~older:slot.entry in
+      t.bytes <- t.bytes + entry_bytes key merged - entry_bytes key slot.entry;
+      slot.entry <- merged;
+      (match entry with
+      | Kv.Entry.Delta _ -> () (* still depends on the older state *)
+      | Kv.Entry.Base _ | Kv.Entry.Tombstone -> slot.lsn <- lsn);
+      if lsn > slot.lsn_newest then slot.lsn_newest <- lsn
+  | None ->
+      let slot = { entry; lsn; lsn_newest = lsn } in
+      Skiplist.set t.sl key slot;
+      Index.add t.index key slot;
+      t.bytes <- t.bytes + entry_bytes key entry;
+      t.version <- t.version + 1
 
 let get t key =
-  match Skiplist.find t.sl key with Some s -> Some s.entry | None -> None
+  match Index.find_opt t.index key with Some s -> Some s.entry | None -> None
 
-(** [remove t key] physically drops a key (used when a consumed entry is
-    moved into C1, not for logical deletes — those are tombstone writes). *)
-let remove t key =
-  match Skiplist.remove t.sl key with
-  | Some s ->
-      t.bytes <- t.bytes - entry_bytes key s.entry;
-      Some s.entry
+(** [newest_lsn t key] is the newest LSN folded into [key]'s record, if
+    [key] is in C0. *)
+let newest_lsn t key =
+  match Index.find_opt t.index key with
+  | Some s -> Some s.lsn_newest
   | None -> None
 
-(** [consume_geq_lsn t key] pops the smallest binding with key >= [key]
-    (the snowshovel primitive), also yielding the newest LSN folded into
-    it. [None] when no key remains at or after the cursor (run wraps). *)
+let remember_succ t key succ =
+  t.succ_of <- key;
+  t.succ <- succ;
+  t.succ_version <- t.version
+
+(* The smallest binding with key > [key]: the remembered successor when
+   no insert or removal has happened since and [key] lies in
+   [succ_of, succ), otherwise one descent. *)
+let succ_gt t key =
+  if
+    t.succ_version = t.version
+    && String.compare t.succ_of key <= 0
+    && match t.succ with Some (k, _) -> String.compare key k < 0 | None -> true
+  then t.succ
+  else begin
+    let succ = Skiplist.succ_gt t.sl key in
+    remember_succ t key succ;
+    succ
+  end
+
+(* Physically drop a consumed record (merge consumption, not a logical
+   delete — those are tombstone writes), remembering its successor;
+   returns the record with its newest LSN. *)
+let unlink t key slot =
+  let succ = Skiplist.remove_succ t.sl key in
+  Index.remove t.index key;
+  t.bytes <- t.bytes - entry_bytes key slot.entry;
+  t.version <- t.version + 1;
+  remember_succ t key succ;
+  Some (key, slot.entry, slot.lsn_newest)
+
+(** [consume_geq_lsn t key] pops the smallest binding with key >= [key],
+    also yielding the newest LSN folded into it. [None] when no key
+    remains at or after [key]. *)
 let consume_geq_lsn t key =
   match Skiplist.succ_geq t.sl key with
-  | Some (k, slot) ->
-      ignore (Skiplist.remove t.sl k);
-      t.bytes <- t.bytes - entry_bytes k slot.entry;
-      Some (k, slot.entry, slot.lsn_newest)
+  | Some (k, slot) -> unlink t k slot
   | None -> None
 
-let consume_geq t key =
-  match consume_geq_lsn t key with Some (k, e, _) -> Some (k, e) | None -> None
+(** [pop_next t key] pops exactly the binding [peek_gt_lsn t key] returns:
+    the snowshovel step (§4.2). After a peek at the same cursor, or a
+    previous pop of the cursor's key, the whole pop is one descent. *)
+let pop_next t key =
+  match succ_gt t key with Some (k, slot) -> unlink t k slot | None -> None
 
-(** [consume_min t] pops the overall smallest binding. *)
-let consume_min t =
-  match Skiplist.min_binding t.sl with
-  | Some (k, _) -> consume_geq t k
+let lsn_record = function
+  | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
   | None -> None
 
 (** [peek_geq_lsn t key] inspects without consuming, with the newest
     contributing LSN. *)
-let peek_geq_lsn t key =
-  match Skiplist.succ_geq t.sl key with
-  | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
-  | None -> None
+let peek_geq_lsn t key = lsn_record (Skiplist.succ_geq t.sl key)
 
 (** [peek_gt_lsn t key] is {!peek_geq_lsn} for the smallest key > [key]. *)
-let peek_gt_lsn t key =
-  match Skiplist.succ_gt t.sl key with
-  | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
-  | None -> None
+let peek_gt_lsn t key = lsn_record (succ_gt t key)
 
 (** [pull_from t ~from] streams the live bindings with key >= [from] in
     order, with LSNs: a merge-iterator source over the memtable. The
-    cursor is the last key returned; each pull resumes strictly past it. *)
+    cursor is the last key returned; each pull resumes strictly past it.
+    A scan never asks twice for the same successor, so it bypasses the
+    remembered one and leaves it to the snowshovel. *)
 let pull_from t ~from =
   let last = ref None in
   fun () ->
     let r =
       match !last with
       | None -> peek_geq_lsn t from
-      | Some k -> peek_gt_lsn t k
+      | Some k -> lsn_record (Skiplist.succ_gt t.sl k)
     in
     (match r with Some (k, _, _) -> last := Some k | None -> ());
     r
-
-(** [peek_geq t key] inspects without consuming. *)
-let peek_geq t key =
-  match Skiplist.succ_geq t.sl key with
-  | Some (k, slot) -> Some (k, slot.entry)
-  | None -> None
 
 (** [oldest_lsn t] is the smallest LSN any live entry depends on, or [None]
     when empty. O(n); called once per merge completion to pick the WAL
@@ -139,14 +174,3 @@ let oldest_lsn t =
       match acc with
       | None -> Some slot.lsn
       | Some m -> Some (min m slot.lsn))
-
-(** [iter_from t key f] visits bindings with key >= [key] in order while
-    [f] returns [true]; the read and scan paths use this. *)
-let iter_from t key f =
-  Skiplist.iter_from t.sl key (fun k slot -> f k slot.entry)
-
-let iter t f = Skiplist.iter t.sl (fun k slot -> f k slot.entry)
-
-let fold t init f = Skiplist.fold t.sl init (fun acc k slot -> f acc k slot.entry)
-
-let to_list t = List.map (fun (k, s) -> (k, s.entry)) (Skiplist.to_list t.sl)

@@ -25,7 +25,7 @@ type 'a t = {
   head : 'a node;
   nil : 'a node; (* unique per list; compared with [==] only *)
   preds : 'a node array;
-      (* predecessor scratch for [update]/[remove], reused by every call:
+      (* predecessor scratch for [set]/[remove_succ], reused by every call:
          levels [0, level) are rewritten by each descent before use *)
   prng : Repro_util.Prng.t;
   mutable level : int; (* highest level in use, >= 1 *)
@@ -81,24 +81,20 @@ let find_floor t key =
   done;
   !x
 
+let binding t n = if n == t.nil then None else Some (n.key, n.value)
+
 (** [find t key] returns the stored value, if any. *)
 let find t key =
   let n = (find_floor t key).forward.(0) in
   if n != t.nil && String.equal n.key key then Some n.value else None
 
-(** [update t key f] inserts or modifies in one descent: [f None] for a
-    fresh key, [f (Some old)] to replace. Returns the previous value.
-    [f] must not modify [t]: the descent's predecessors are still in use
-    when it runs. *)
-let update t key f =
+(** [set t key v] binds [key] to [v] in one descent, replacing any
+    previous value. *)
+let set t key v =
   let preds = t.preds in
   let pred = find_predecessors t key preds in
   let n = pred.forward.(0) in
-  if n != t.nil && String.equal n.key key then begin
-    let old = n.value in
-    n.value <- f (Some old);
-    Some old
-  end
+  if n != t.nil && String.equal n.key key then n.value <- v
   else begin
     let lvl = random_level t in
     if lvl > t.level then begin
@@ -107,77 +103,44 @@ let update t key f =
       done;
       t.level <- lvl
     end;
-    let node = { key; value = f None; forward = Array.make lvl t.nil } in
+    let node = { key; value = v; forward = Array.make lvl t.nil } in
     for l = 0 to lvl - 1 do
       node.forward.(l) <- preds.(l).forward.(l);
       preds.(l).forward.(l) <- node
     done;
-    t.length <- t.length + 1;
-    None
+    t.length <- t.length + 1
   end
 
-(** [set t key v] is [update] ignoring the previous value. *)
-let set t key v = ignore (update t key (fun _ -> v))
-
-(** [remove t key] deletes the binding, returning the removed value. *)
-let remove t key =
+(** [remove_succ t key] deletes [key]'s binding, if any, and returns the
+    smallest binding with key > [key], in the one descent that found the
+    unlinked node's predecessors: a consumer walking the list in order
+    removes a record and learns the next one together. *)
+let remove_succ t key =
   let preds = t.preds in
-  let _ = find_predecessors t key preds in
-  let n = preds.(0).forward.(0) in
+  let pred = find_predecessors t key preds in
+  let n = pred.forward.(0) in
   if n != t.nil && String.equal n.key key then begin
     for l = 0 to Array.length n.forward - 1 do
-      if preds.(l).forward.(l) == n then
-        preds.(l).forward.(l) <- n.forward.(l)
+      preds.(l).forward.(l) <- n.forward.(l)
     done;
     while t.level > 1 && t.head.forward.(t.level - 1) == t.nil do
       t.level <- t.level - 1
     done;
     t.length <- t.length - 1;
-    Some n.value
+    binding t n.forward.(0)
   end
-  else None
-
-(** [min_binding t] is the smallest key, if any. *)
-let min_binding t =
-  let n = t.head.forward.(0) in
-  if n == t.nil then None else Some (n.key, n.value)
+  else binding t n
 
 (** [succ_geq t key] returns the smallest binding with key >= [key]:
     the snowshovel cursor's primitive. *)
-let succ_geq t key =
-  let n = (find_floor t key).forward.(0) in
-  if n == t.nil then None else Some (n.key, n.value)
+let succ_geq t key = binding t (find_floor t key).forward.(0)
 
 (** [succ_gt t key] returns the smallest binding with key > [key]: the
     resume step of an ordered pull whose cursor is the last key it
     returned. *)
 let succ_gt t key =
   let n = (find_floor t key).forward.(0) in
-  let n = if n != t.nil && String.equal n.key key then n.forward.(0) else n in
-  if n == t.nil then None else Some (n.key, n.value)
-
-(** [iter_from t key f] applies [f] to bindings with key >= [key], in
-    order, while [f] returns [true]. *)
-let iter_from t key f =
-  (* Position near key first to avoid O(n) prefix walk. *)
-  let rec go n =
-    if n != t.nil then
-      if String.compare n.key key >= 0 then begin
-        if f n.key n.value then go n.forward.(0)
-      end
-      else go n.forward.(0)
-  in
-  go (find_floor t key).forward.(0)
-
-(** [iter t f] applies [f] to all bindings in key order. *)
-let iter t f =
-  let rec go n =
-    if n != t.nil then begin
-      f n.key n.value;
-      go n.forward.(0)
-    end
-  in
-  go t.head.forward.(0)
+  binding t (if n != t.nil && String.equal n.key key then n.forward.(0) else n)
 
 (** [fold t init f] folds bindings in key order. *)
 let fold t init f =
@@ -185,5 +148,3 @@ let fold t init f =
     if n == t.nil then acc else go (f acc n.key n.value) n.forward.(0)
   in
   go init t.head.forward.(0)
-
-let to_list t = List.rev (fold t [] (fun acc k v -> (k, v) :: acc))

@@ -12,18 +12,12 @@ val is_empty : 'a t -> bool
 
 val find : 'a t -> string -> 'a option
 
-(** [update t key f] inserts or modifies in one descent: [f None] for a
-    fresh key, [f (Some old)] to replace. Returns the previous value.
-    [f] must not modify [t]. *)
-val update : 'a t -> string -> ('a option -> 'a) -> 'a option
-
-(** [set t key v] binds unconditionally. *)
+(** [set t key v] binds unconditionally, in one descent. *)
 val set : 'a t -> string -> 'a -> unit
 
-(** [remove t key] deletes the binding, returning the removed value. *)
-val remove : 'a t -> string -> 'a option
-
-val min_binding : 'a t -> (string * 'a) option
+(** [remove_succ t key] deletes [key]'s binding, if any, and returns the
+    smallest binding with key > [key] — one descent for both. *)
+val remove_succ : 'a t -> string -> (string * 'a) option
 
 (** [succ_geq t key] is the smallest binding with key >= [key]. *)
 val succ_geq : 'a t -> string -> (string * 'a) option
@@ -31,10 +25,5 @@ val succ_geq : 'a t -> string -> (string * 'a) option
 (** [succ_gt t key] is the smallest binding with key > [key]. *)
 val succ_gt : 'a t -> string -> (string * 'a) option
 
-(** [iter_from t key f] applies [f] to bindings with key >= [key], in
-    order, while [f] returns [true]. *)
-val iter_from : 'a t -> string -> (string -> 'a -> bool) -> unit
-
-val iter : 'a t -> (string -> 'a -> unit) -> unit
+(** [fold t init f] folds the bindings in key order. *)
 val fold : 'a t -> 'b -> ('b -> string -> 'a -> 'b) -> 'b
-val to_list : 'a t -> (string * 'a) list
