@@ -5,8 +5,7 @@
    block, --quick quarters everything like any other experiment. *)
 
 let drivers =
-  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb";
-    "replicated" ]
+  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb" ]
 
 let run (scale : Scale.t) =
   let steps = max 50 (min 600 (scale.Scale.ops / 16)) in

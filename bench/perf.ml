@@ -244,7 +244,7 @@ let write_json ~path ~kernels ~io_ok ~trace_noop_ok ~crc_kernel =
   List.iteri
     (fun idx k ->
       out "    {\"name\": \"%s\", \"group\": \"%s\", \"ns_per_op\": %.1f, \"ops_per_sec\": %.0f"
-        (Gate.json_escape k.k_name) k.k_group k.k_ns
+        (Obs.Json.escape k.k_name) k.k_group k.k_ns
         (if k.k_ns > 0.0 then 1e9 /. k.k_ns else 0.0);
       (match k.k_baseline with
       | Some b ->
@@ -286,7 +286,7 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
       out
         "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"baseline\": \"%s\", \
          \"baseline_ns_per_op\": %.1f, \"speedup\": %.2f}%s\n"
-        (Gate.json_escape name) ns (Gate.json_escape base_name) base_ns (base_ns /. ns)
+        (Obs.Json.escape name) ns (Obs.Json.escape base_name) base_ns (base_ns /. ns)
         (if idx = n - 1 then "" else ","))
     kernels;
   out "  ],\n";
@@ -295,7 +295,7 @@ let write_pr7_json ~path ~seed ~kernels ~alloc ~fp ~gates =
   List.iteri
     (fun idx (name, (ns, words)) ->
       out "    {\"name\": \"%s\", \"ns_per_op\": %.1f, \"minor_words_per_op\": %.2f}%s\n"
-        (Gate.json_escape name) ns words
+        (Obs.Json.escape name) ns words
         (if idx = na - 1 then "" else ","))
     alloc;
   out "  ],\n";

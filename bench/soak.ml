@@ -221,7 +221,7 @@ let report ~seed (r : soak_result) ~gates =
   out
     "  \"closed_loop\": {\"label\": \"%s\", \"ops\": %d, \"ops_per_sec\": \
      %.1f, \"latency\": %s},\n"
-    (Gate.json_escape c.Ycsb.Runner.label)
+    (Obs.Json.escape c.Ycsb.Runner.label)
     c.Ycsb.Runner.ops c.Ycsb.Runner.ops_per_sec
     (hist_json c.Ycsb.Runner.latency);
   out "  \"epochs\": [\n";
@@ -294,7 +294,7 @@ let report ~seed (r : soak_result) ~gates =
      %.1f, \"open_p999_us\": %.1f, \"open_over_closed\": %.2f},\n"
     closed_p999 open_p999
     (open_p999 /. Float.max 1.0 closed_p999);
-  out "  \"metrics_excerpt\": \"%s\",\n" (Gate.json_escape r.sr_metrics_excerpt);
+  out "  \"metrics_excerpt\": \"%s\",\n" (Obs.Json.escape r.sr_metrics_excerpt);
   out "  \"gates\": [\n";
   let ng = List.length gates in
   List.iteri

@@ -96,72 +96,6 @@ let dst_main = function
       print_endline dst_usage;
       2
 
-(* ------------------------------------------------------------------ *)
-(* `blsm_cli simnet [seed]`: a narrated two-node replication demo over
-   the simulated network — loss, duplication, a partition with
-   bounded-staleness shedding, heal, reconvergence — ending with the
-   link and replication counters and the full net/repl metrics dump. *)
-
-let simnet_main rest =
-  let seed = match rest with s :: _ -> int_of_string s | [] -> 42 in
-  let net = Simnet.create ~seed () in
-  let store () =
-    Pagestore.Store.create
-      ~config:
-        {
-          Pagestore.Store.cfg_page_size = 4096;
-          cfg_buffer_pages = 256;
-          cfg_durability = Pagestore.Wal.Full;
-        }
-      Simdisk.Profile.ssd_raid0
-  in
-  let config = Blsm.Config.default in
-  let primary = Blsm.Tree.create ~config (store ()) in
-  let server = Blsm.Repl_server.create primary in
-  Blsm.Repl_server.attach server (Simnet.endpoint net "primary");
-  let f =
-    Blsm.Replication.follower ~config ~net ~name:"follower" ~peer:"primary"
-      (store ())
-  in
-  let reg = Obs.Metrics.create () in
-  Simnet.register_metrics reg net;
-  Blsm.Repl_server.register_metrics reg server;
-  Blsm.Replication.register_metrics reg (fun () -> f);
-  let sync_str () =
-    match Blsm.Replication.sync f with
-    | `Applied n -> Printf.sprintf "applied %d records" n
-    | `Resynced -> "bootstrapped from a snapshot"
-    | `Unreachable -> "primary unreachable"
-  in
-  Printf.printf "simnet demo, seed %d\n" seed;
-  for i = 0 to 49 do
-    Blsm.Tree.put primary (Printf.sprintf "key-%03d" i) (Printf.sprintf "v%d" i)
-  done;
-  Printf.printf "[1] 50 writes on the primary; sync: %s\n" (sync_str ());
-  Simnet.schedule_drop net ~src:"follower" ~dst:"primary" ~after:1;
-  Simnet.schedule_duplicate net ~src:"primary" ~dst:"follower" ~after:1;
-  for i = 0 to 9 do
-    Blsm.Tree.apply_delta primary (Printf.sprintf "key-%03d" i) "+delta"
-  done;
-  Printf.printf "[2] 10 deltas under loss+duplication; sync: %s\n"
-    (sync_str ());
-  Simnet.partition net "primary" "follower";
-  Blsm.Tree.put primary "key-during-partition" "unseen";
-  Printf.printf "[3] partitioned; sync: %s\n" (sync_str ());
-  Simnet.sleep net (config.Blsm.Config.repl.Blsm.Config.staleness_lease_us + 1_000);
-  (match Blsm.Replication.read f "key-000" with
-  | `Too_stale -> Printf.printf "[4] lease expired; read shed as too stale\n"
-  | `Ok _ -> Printf.printf "[4] read served (unexpected: lease still live)\n");
-  Simnet.heal net "primary" "follower";
-  Printf.printf "[5] healed; sync: %s\n" (sync_str ());
-  let rows t = Blsm.Tree.scan t "\001" 1_000_000 in
-  Printf.printf "[6] converged=%b (%d user rows each)\n"
-    (rows primary = rows (Blsm.Replication.tree f))
-    (List.length (rows primary));
-  print_string (Obs.Metrics.dump ~prefix:"net." reg);
-  print_string (Obs.Metrics.dump ~prefix:"repl." reg);
-  0
-
 let parse_args () =
   let disk = ref Simdisk.Profile.ssd_raid0 in
   let c0_kb = ref 1024 in
@@ -353,6 +287,5 @@ let lint_main rest =
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | "dst" :: rest -> exit (dst_main rest)
-  | "simnet" :: rest -> exit (simnet_main rest)
   | "lint" :: rest -> exit (lint_main rest)
   | _ -> repl ()

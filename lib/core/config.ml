@@ -2,9 +2,10 @@
 
     Defaults follow the paper's setup scaled down: a three-level tree with
     Bloom filters at 10 bits/key on both on-disk components, snowshoveling
-    on, spring-and-gear scheduling, early-terminating reads. Every
-    algorithmic choice evaluated in §3-§4 is a flag here so the ablation
-    benchmarks can isolate it. *)
+    on, the spring scheduler, early-terminating reads. Every field is a
+    paper parameter or a §3-§4 choice an ablation isolates; the two
+    single-value layout fields stay only because the perfbench replay
+    names them. *)
 
 type scheduler_kind =
   | Naive  (** no pacing: block when C0 fills, merge to completion *)
@@ -14,25 +15,6 @@ type scheduler_kind =
 type size_ratio =
   | Fixed of float
   | Adaptive  (** R = sqrt(|data| / |C0|), the 3-level optimum (§2.3.1) *)
-
-(** Replication-supervisor tuning: timeouts, backoff, transfer sizing
-    and the bounded-staleness read policy (all simulated-µs / counts). *)
-type repl = {
-  req_timeout_us : int;  (** per-request deadline before a retry *)
-  backoff_base_us : int;  (** first retry delay *)
-  backoff_cap_us : int;  (** exponential backoff ceiling *)
-  backoff_jitter : float;
-      (** jitter band: each delay is [nominal * (1 + u * jitter)],
-          [u] uniform in [0,1) from the supervisor's seeded PRNG *)
-  max_attempts : int;  (** give up ([`Unreachable]) after this many *)
-  batch_records : int;  (** WAL records per catch-up request *)
-  chunk_rows : int;  (** rows per snapshot chunk during resync *)
-  max_lag_records : int;
-      (** staleness bound: shed reads once the known lag exceeds this *)
-  staleness_lease_us : int;
-      (** shed reads when the primary has not been heard from in this
-          long, whatever the last known lag *)
-}
 
 type t = {
   c0_bytes : int;  (** RAM budget for C0 (the paper's 8 GB, scaled) *)
@@ -59,21 +41,7 @@ type t = {
           perfbench replay, which passes it to the SSTable builder *)
   resolver : Kv.Entry.resolver;
   seed : int;
-  repl : repl;
 }
-
-let default_repl =
-  {
-    req_timeout_us = 10_000;
-    backoff_base_us = 2_000;
-    backoff_cap_us = 64_000;
-    backoff_jitter = 0.25;
-    max_attempts = 10;
-    batch_records = 32;
-    chunk_rows = 256;
-    max_lag_records = 64;
-    staleness_lease_us = 200_000;
-  }
 
 let default =
   {
@@ -92,7 +60,6 @@ let default =
     page_format = Sstable.Sst_format.V1;
     resolver = Kv.Entry.append_resolver;
     seed = 42;
-    repl = default_repl;
   }
 
 let bloom_enabled t = t.bloom_bits_per_key > 0

@@ -3,8 +3,9 @@
     Defaults follow the paper: a three-level tree, Bloom filters at 10
     bits/key on both on-disk components (§3.1), snowshoveling (§4.2),
     spring-and-gear scheduling (§4.3), early-terminating reads (§3.1.1).
-    Every algorithmic choice evaluated in §3–§4 is a flag so the ablation
-    benchmarks can isolate it. *)
+    Every field is a paper parameter or a §3–§4 choice an ablation
+    isolates; [bloom_kind] and [page_format] are single-value fields
+    kept because the perfbench replay names them. *)
 
 (** Which level scheduler paces merge work into the write path (§4). *)
 type scheduler_kind =
@@ -16,25 +17,6 @@ type scheduler_kind =
 type size_ratio =
   | Fixed of float
   | Adaptive  (** R = sqrt(|data| / |C0|), the 3-level optimum (§2.3.1) *)
-
-(** Replication-supervisor tuning (all simulated-µs / record counts):
-    request deadlines, the capped-exponential retry schedule with its
-    seeded jitter band, transfer sizing, and the bounded-staleness read
-    policy a lagging follower degrades under. *)
-type repl = {
-  req_timeout_us : int;  (** per-request deadline before a retry *)
-  backoff_base_us : int;  (** first retry delay *)
-  backoff_cap_us : int;  (** exponential backoff ceiling *)
-  backoff_jitter : float;
-      (** each delay is [nominal * (1 + u * jitter)], [u] seeded
-          uniform in [0,1) *)
-  max_attempts : int;  (** give up ([`Unreachable]) after this many *)
-  batch_records : int;  (** WAL records per catch-up request *)
-  chunk_rows : int;  (** rows per snapshot chunk during resync *)
-  max_lag_records : int;  (** shed reads past this known lag *)
-  staleness_lease_us : int;
-      (** shed reads when the primary has been silent this long *)
-}
 
 type t = {
   c0_bytes : int;  (** RAM budget for C0 (the paper's 8 GB, scaled) *)
@@ -62,14 +44,10 @@ type t = {
           passes it to [Sstable.Builder.create] *)
   resolver : Kv.Entry.resolver;  (** how deltas apply to base records *)
   seed : int;  (** PRNG seed (skip-list levels); fixes runs *)
-  repl : repl;  (** replication supervisor policy *)
 }
 
 (** The paper's configuration at 8 MiB C0. *)
 val default : t
-
-(** Production-scale replication policy (the one inside {!default}). *)
-val default_repl : repl
 
 (** [bloom_enabled t] is [t.bloom_bits_per_key > 0]. *)
 val bloom_enabled : t -> bool

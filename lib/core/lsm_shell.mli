@@ -221,7 +221,6 @@ val scrub : t -> (string * Component.t) list -> scrub_report
 (** {1 Log records and metrics} *)
 
 val encode_ops : (string * Kv.Entry.t) list -> string
-val decode_ops : string -> (string * Kv.Entry.t) list
 
 (** Registers [<prefix>.puts] ... [<prefix>.checked_insert_seekfree],
     [<prefix>.corruptions_detected], [<prefix>.scrubs] and the

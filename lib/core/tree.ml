@@ -78,13 +78,8 @@ type t = {
   mutable in_hard_stall : bool;
       (** inside {!force_space} / the naive drain: merge time is a
           hard-stall wait, whichever merge performs it *)
-  mutable write_fenced : bool;
-      (** writes raise {!Write_fenced}; replication raises the fence on
-          a primary while a snapshot cursor copy is in flight *)
   mutable metrics_cache : Obs.Metrics.t option;
 }
-
-exception Write_fenced
 
 let create ?(config = Config.default) ?(root_slot = "") store =
   (* hold the shared log from this point: records this tree buffers in
@@ -107,13 +102,11 @@ let create ?(config = Config.default) ?(root_slot = "") store =
       { merge1_completions = 0; merge2_completions = 0; promotions = 0;
         hard_stalls = 0; bloom_negative = 0; bloom_false_positive = 0 };
     in_hard_stall = false;
-    write_fenced = false;
     metrics_cache = None;
   }
 
 let stats t = Lsm_shell.stats t.sh
 let merge_stats t = t.ms
-let set_write_fence t fenced = t.write_fenced <- fenced
 let last_stall t = Lsm_shell.last_stall t.sh
 let on_stall t f = Lsm_shell.on_stall t.sh f
 let store t = t.store
@@ -165,7 +158,6 @@ let commit t =
 
 let guard t ~level f = Lsm_shell.guard t.sh ~level f
 let encode_ops = Lsm_shell.encode_ops
-let decode_ops = Lsm_shell.decode_ops
 
 (** {1 Merge lifecycle} *)
 
@@ -549,10 +541,9 @@ let pace_spring t ~write_bytes =
       done);
   if Memtable.bytes t.c0 >= budget then force_space t
 
-(* The pacing decision for one write: a fenced tree refuses it, then
-   one trace event carries the §4.1 inputs the scheduler acts on. *)
+(* The pacing decision for one write: one trace event carries the §4.1
+   inputs the scheduler acts on. *)
 let pace t ~write_bytes =
-  if t.write_fenced then raise Write_fenced;
   let tr = Pagestore.Store.trace t.store in
   if Obs.Trace.enabled tr then
     Obs.Trace.instant tr ~cat:"sched" ~name:"pace"
@@ -588,7 +579,6 @@ let write_batch t ops = Lsm_shell.write_batch t.sh ~write:(write t) ops
     shared record into each tree through its own [should_replay]
     filter, so atomicity across the trees rides the single record. *)
 let absorb_batch t ~lsn ops =
-  if t.write_fenced then raise Write_fenced;
   List.iter (fun (key, entry) -> Memtable.write t.c0 ~lsn key entry) ops;
   let s = stats t in
   s.puts <- s.puts + List.length ops;

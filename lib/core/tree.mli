@@ -138,16 +138,6 @@ val before_write : t -> write_bytes:int -> unit
     {!write_batch}. *)
 val absorb_batch : t -> lsn:int -> (string * Kv.Entry.t) list -> unit
 
-(** Raised by any write while the tree's write fence is up. *)
-exception Write_fenced
-
-(** [set_write_fence t true] makes every subsequent write raise
-    {!Write_fenced} until the fence is lowered. Replication raises the
-    fence on a primary for the duration of a snapshot cursor copy — the
-    "primary must be quiescent during resync" precondition, enforced
-    rather than documented. *)
-val set_write_fence : t -> bool -> unit
-
 (** {1 Reads} *)
 
 (** [get t key]: point lookup — at most ~1 seek on a settled tree thanks
@@ -282,10 +272,10 @@ val outprogress1 : t -> float
 
 (** {1 Logical log records}
 
-    The wire format of the WAL payloads ({!Replication} tails them). *)
+    The wire format of the WAL payloads; {!Partitioned} appends one
+    record covering several trees. *)
 
 val encode_ops : (string * Kv.Entry.t) list -> string
-val decode_ops : string -> (string * Kv.Entry.t) list
 
 (** {1 Engine adapter} *)
 

@@ -2,12 +2,11 @@
     plans against.
 
     A driver wraps one engine instance — bLSM {!Blsm.Tree} under any
-    scheduler, {!Blsm.Partitioned}, the B-Tree and LevelDB baselines, or
-    a replication primary/follower pair — behind first-class fields for
-    the whole exercised surface, with optional hooks ([option] fields)
-    for capabilities that vary by engine: crash/recovery, OCC
-    transactions, replication catch-up, scrubbing, op-counter
-    introspection, stall attribution.
+    scheduler, {!Blsm.Partitioned}, the compaction-policy trees and the
+    B-Tree and LevelDB baselines — behind first-class fields for the
+    whole exercised surface, with optional hooks ([option] fields) for
+    capabilities that vary by engine: crash/recovery, OCC transactions,
+    scrubbing, op-counter introspection, stall attribution.
 
     Constructors are [unit -> t] factories: the shrinker builds a fresh
     engine per candidate plan, and determinism comes from everything —
@@ -37,24 +36,8 @@ type t = {
   maintenance : unit -> unit;
   flush : (unit -> unit) option;
   crash_recover : (unit -> unit) option;
-      (** power-fail the (primary) store and recover in place *)
+      (** power-fail the store and recover in place *)
   begin_txn : (unit -> txn_handle) option;
-  catch_up : (unit -> [ `Applied of int | `Resynced | `Unreachable ]) option;
-      (** [`Unreachable]: the supervisor's retry budget ran dry (e.g.
-          partitioned link) — converge again after the fault heals *)
-  failover : (unit -> unit) option;
-      (** promote the follower to primary; demote the deposed primary
-          to follower at its old epoch *)
-  follower_scan : (unit -> (string * string) list) option;
-      (** full logical state of the follower (position key excluded);
-          harness-side omniscient view, bypasses staleness shedding *)
-  follower_get : (string -> [ `Ok of string option | `Too_stale ]) option;
-      (** client-facing bounded-staleness read on the follower *)
-  follower_stale : (unit -> bool) option;
-      (** would the follower shed reads right now? *)
-  fenced_rejects : (unit -> int) option;
-      (** primary-side count of stale-epoch requests refused *)
-  crash_follower : (unit -> unit) option;
   scrub : (unit -> Blsm.Lsm_shell.scrub_report list) option;
       (** one report per engine shell (partitions scrub separately) *)
   counts : (unit -> Blsm.Lsm_shell.stats list) option;
@@ -66,11 +49,7 @@ type t = {
   last_stall : (unit -> Blsm.Lsm_shell.stall_breakdown) option;
   metrics_dump : unit -> string;
       (** deterministic registry dump for the byte-identity check *)
-  faults : Simdisk.Faults.t;  (** (primary) store's fault plan *)
-  follower_faults : Simdisk.Faults.t option;
-  net : (Simnet.t * string * string) option;
-      (** the simulated network and the two node names, for arming
-          link faults and advancing simulated time *)
+  faults : Simdisk.Faults.t;  (** the store's fault plan *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -132,20 +111,17 @@ let caps_tree =
   {
     Plan.c_crash = true;
     c_txn = true;
-    c_follower = false;
     c_scrub = true;
     c_batch_atomic = true;
   }
 
 let caps_partitioned = { caps_tree with Plan.c_txn = false }
-let caps_replicated = { caps_tree with Plan.c_follower = true }
 let caps_policy = { caps_tree with Plan.c_txn = false }
 
 let caps_baseline =
   {
     Plan.c_crash = false;
     c_txn = false;
-    c_follower = false;
     c_scrub = false;
     c_batch_atomic = false;
   }
@@ -153,12 +129,15 @@ let caps_baseline =
 (* ------------------------------------------------------------------ *)
 (* Constructors *)
 
-(* A driver over one bLSM tree; [tree] follows recoveries (and, for the
-   replication pair, failovers). *)
-let tree_driver ~name ~caps ~faults tree =
+(* A driver over one bLSM tree; [tree] follows recoveries. *)
+let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
+  let store, faults = mk_store ~fault_seed:seed () in
+  let tree =
+    ref (Blsm.Tree.create ~config:(small_config ~scheduler seed) store)
+  in
   {
     name;
-    caps;
+    caps = caps_tree;
     get = (fun k -> Blsm.Tree.get !tree k);
     put = (fun k v -> Blsm.Tree.put !tree k v);
     delete = (fun k -> Blsm.Tree.delete !tree k);
@@ -172,27 +151,13 @@ let tree_driver ~name ~caps ~faults tree =
     crash_recover =
       Some (fun () -> tree := Blsm.Tree.crash_and_recover ~verify:true !tree);
     begin_txn = Some (fun () -> tree_txn !tree ());
-    catch_up = None;
-    failover = None;
-    follower_scan = None;
-    follower_get = None;
-    follower_stale = None;
-    fenced_rejects = None;
-    crash_follower = None;
     scrub = Some (fun () -> [ Blsm.Tree.scrub !tree ]);
     counts = Some (fun () -> [ Blsm.Tree.stats !tree ]);
     mask_scans = false;
     last_stall = Some (fun () -> Blsm.Tree.last_stall !tree);
     metrics_dump = (fun () -> Obs.Metrics.dump (Blsm.Tree.metrics !tree));
     faults;
-    follower_faults = None;
-    net = None;
   }
-
-let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
-  let store, faults = mk_store ~fault_seed:seed () in
-  tree_driver ~name ~caps:caps_tree ~faults
-    (ref (Blsm.Tree.create ~config:(small_config ~scheduler seed) store))
 
 let partitioned ~seed () =
   let store, faults = mk_store ~fault_seed:seed () in
@@ -221,13 +186,6 @@ let partitioned ~seed () =
     crash_recover =
       Some (fun () -> pt := Blsm.Partitioned.crash_and_recover !pt);
     begin_txn = None;
-    catch_up = None;
-    failover = None;
-    follower_scan = None;
-    follower_get = None;
-    follower_stale = None;
-    fenced_rejects = None;
-    crash_follower = None;
     scrub = Some (fun () -> Blsm.Partitioned.scrub !pt);
     counts =
       Some (fun () -> Array.to_list (Blsm.Partitioned.partition_stats !pt));
@@ -235,8 +193,6 @@ let partitioned ~seed () =
     last_stall = None;
     metrics_dump = (fun () -> Obs.Metrics.dump (Blsm.Partitioned.metrics !pt));
     faults;
-    follower_faults = None;
-    net = None;
   }
 
 let btree ~seed () =
@@ -265,21 +221,12 @@ let btree ~seed () =
     flush = None;
     crash_recover = None;
     begin_txn = None;
-    catch_up = None;
-    failover = None;
-    follower_scan = None;
-    follower_get = None;
-    follower_stale = None;
-    fenced_rejects = None;
-    crash_follower = None;
     scrub = None;
     counts = None;
     mask_scans = true;
     last_stall = None;
     metrics_dump = (fun () -> "");
     faults;
-    follower_faults = None;
-    net = None;
   }
 
 (* The policy-tree shape: small thresholds and file sizes so short
@@ -320,21 +267,12 @@ let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
       Some
         (fun () -> pt := Blsm.Policy_tree.crash_and_recover ~verify:true !pt);
     begin_txn = None;
-    catch_up = None;
-    failover = None;
-    follower_scan = None;
-    follower_get = None;
-    follower_stale = None;
-    fenced_rejects = None;
-    crash_follower = None;
     scrub = Some (fun () -> [ Blsm.Policy_tree.scrub !pt ]);
     counts = Some (fun () -> [ Blsm.Policy_tree.stats !pt ]);
     mask_scans = false;
     last_stall = Some (fun () -> Blsm.Policy_tree.last_stall !pt);
     metrics_dump = (fun () -> Obs.Metrics.dump (Blsm.Policy_tree.metrics !pt));
     faults;
-    follower_faults = None;
-    net = None;
   }
 
 let policy_tree ~policy_name ~seed () =
@@ -367,112 +305,6 @@ let leveldb ~seed () =
     ~policy:(Blsm.Compaction_policy.leveldb_seed ())
     ~seed ()
 
-(* DST shape for the replication supervisor: timeouts and backoff small
-   against the per-step clock tick, staleness bound tight enough that a
-   partitioned follower goes stale within a plan. *)
-let small_repl =
-  {
-    Blsm.Config.req_timeout_us = 5_000;
-    backoff_base_us = 1_000;
-    backoff_cap_us = 8_000;
-    backoff_jitter = 0.25;
-    max_attempts = 6;
-    batch_records = 16;
-    chunk_rows = 64;
-    max_lag_records = 48;
-    staleness_lease_us = 50_000;
-  }
-
-let replicated ~seed () =
-  let pstore, faults = mk_store ~fault_seed:seed () in
-  let fstore, follower_faults = mk_store ~fault_seed:(seed + 7919) () in
-  let config = { (small_config seed) with Blsm.Config.repl = small_repl } in
-  let net =
-    Simnet.create ~seed:(seed + 104729) ~base_latency_us:100 ~jitter_us:50 ()
-  in
-  let node_a = "node-a" and node_b = "node-b" in
-  (* [ptree]/[fol] track the current primary tree / follower, wherever
-     they live; [a_is_primary] says which node holds which role. Disk
-     fault plans stay per-node: [faults] is node A's store,
-     [follower_faults] node B's. *)
-  let ptree = ref (Blsm.Tree.create ~config pstore) in
-  let server = Blsm.Repl_server.create !ptree in
-  Blsm.Repl_server.attach server (Simnet.endpoint net node_a);
-  let fol =
-    ref (Blsm.Replication.follower ~config ~net ~name:node_b ~peer:node_a fstore)
-  in
-  let a_is_primary = ref true in
-  let recover_primary () =
-    ptree := Blsm.Tree.crash_and_recover ~verify:true !ptree;
-    Blsm.Repl_server.set_tree server !ptree
-  in
-  let failover () =
-    let deposed_epoch = Blsm.Repl_server.epoch server in
-    let old_primary = !ptree in
-    let old_name = if !a_is_primary then node_a else node_b in
-    let new_name = if !a_is_primary then node_b else node_a in
-    let new_epoch = Blsm.Replication.epoch !fol + 1 in
-    ptree := Blsm.Replication.promote !fol;
-    Simnet.clear_handler (Simnet.endpoint net old_name);
-    Blsm.Repl_server.set_tree server !ptree;
-    Blsm.Repl_server.set_epoch server new_epoch;
-    Blsm.Repl_server.attach server (Simnet.endpoint net new_name);
-    fol :=
-      Blsm.Replication.demote ~config ~net ~name:old_name ~peer:new_name
-        ~epoch:deposed_epoch old_primary;
-    a_is_primary := not !a_is_primary
-  in
-  (* One metrics registry for the pair's network-visible state; thunked
-     reads survive follower/tree replacement. *)
-  let netreg = Obs.Metrics.create () in
-  Simnet.register_metrics netreg net;
-  Blsm.Repl_server.register_metrics netreg server;
-  Blsm.Replication.register_metrics netreg (fun () -> !fol);
-  {
-    (tree_driver ~name:"replicated" ~caps:caps_replicated ~faults ptree) with
-    scan =
-      (* clamp to "\001": a promoted primary's tree carries its
-         follower-era "\000…" bookkeeping keys, which must never
-         surface in user scans *)
-      (fun start n ->
-        let from =
-          if String.compare start "\001" < 0 then "\001" else start
-        in
-        Blsm.Tree.scan !ptree from n);
-    (* Crash_recover always power-fails node A, whatever its current
-       role (its store owns [faults], so injected crash points land
-       there); Crash_follower is node B, symmetrically. *)
-    crash_recover =
-      Some
-        (fun () ->
-          if !a_is_primary then recover_primary ()
-          else fol := Blsm.Replication.crash_and_recover !fol);
-    catch_up = Some (fun () -> Blsm.Replication.sync !fol);
-    failover = Some failover;
-    follower_scan =
-      (* from "\001": skips the reserved "\000…" bookkeeping keys *)
-      Some
-        (fun () ->
-          Blsm.Tree.scan (Blsm.Replication.tree !fol) "\001" 1_000_000);
-    follower_get = Some (fun k -> Blsm.Replication.read !fol k);
-    follower_stale = Some (fun () -> Blsm.Replication.is_stale !fol);
-    fenced_rejects =
-      Some (fun () -> (Blsm.Repl_server.counters server).fenced_rejects);
-    crash_follower =
-      Some
-        (fun () ->
-          if !a_is_primary then fol := Blsm.Replication.crash_and_recover !fol
-          else recover_primary ());
-    (* resync scans the primary through a cursor; a follower crash midway
-       leaves that bump untracked, so the scans counter is unreliable *)
-    mask_scans = true;
-    metrics_dump =
-      (fun () ->
-        Obs.Metrics.dump (Blsm.Tree.metrics !ptree) ^ Obs.Metrics.dump netreg);
-    follower_faults = Some follower_faults;
-    net = Some (net, node_a, node_b);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Factory *)
 
@@ -480,8 +312,7 @@ let policy_names =
   [ "policy-tiered"; "policy-leveled"; "policy-lazy-leveled"; "policy-partial" ]
 
 let all_names =
-  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb";
-    "replicated" ]
+  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb" ]
   @ policy_names
 
 let caps_of_name name =
@@ -489,7 +320,6 @@ let caps_of_name name =
   | "blsm" | "blsm-gear" | "blsm-naive" -> Some caps_tree
   | "partitioned" -> Some caps_partitioned
   | "btree" -> Some caps_baseline
-  | "replicated" -> Some caps_replicated
   | _ ->
       if name = "leveldb" || List.mem name policy_names then Some caps_policy
       else None
@@ -506,7 +336,6 @@ let make name ~seed =
   | "partitioned" -> Some (partitioned ~seed)
   | "btree" -> Some (btree ~seed)
   | "leveldb" -> Some (leveldb ~seed)
-  | "replicated" -> Some (replicated ~seed)
   | _ when List.mem name policy_names ->
       let policy_name =
         String.sub name 7 (String.length name - 7) (* strip "policy-" *)

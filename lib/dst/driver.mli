@@ -2,9 +2,9 @@
     plans against.
 
     A driver wraps one engine instance — bLSM {!Blsm.Tree} under any
-    scheduler, {!Blsm.Partitioned}, the B-Tree and LevelDB baselines, or
-    a replication primary/follower pair — behind first-class fields for
-    the whole exercised surface, with optional hooks ([option] fields)
+    scheduler, {!Blsm.Partitioned}, the compaction-policy trees and the
+    B-Tree and LevelDB baselines — behind first-class fields for the
+    whole exercised surface, with optional hooks ([option] fields)
     for capabilities that vary by engine.
 
     Invariant: constructors are [unit -> t] factories, and {e all}
@@ -39,19 +39,6 @@ type t = {
       (** drop unsynced state and rebuild from the WAL, as a real crash
           would *)
   begin_txn : (unit -> txn_handle) option;
-  catch_up : (unit -> [ `Applied of int | `Resynced | `Unreachable ]) option;
-      (** [`Unreachable]: retry budget exhausted (e.g. partitioned) *)
-  failover : (unit -> unit) option;
-      (** promote the follower; demote the deposed primary at its old
-          epoch *)
-  follower_scan : (unit -> (string * string) list) option;
-      (** omniscient harness view of the follower, bypasses staleness *)
-  follower_get : (string -> [ `Ok of string option | `Too_stale ]) option;
-      (** client-facing bounded-staleness read *)
-  follower_stale : (unit -> bool) option;
-  fenced_rejects : (unit -> int) option;
-      (** primary-side stale-epoch rejections *)
-  crash_follower : (unit -> unit) option;
   scrub : (unit -> Blsm.Lsm_shell.scrub_report list) option;
       (** full-tree checksum sweep, one report per engine shell *)
   counts : (unit -> Blsm.Lsm_shell.stats list) option;
@@ -62,11 +49,7 @@ type t = {
           interpreter skips scan equivalence for it *)
   last_stall : (unit -> Blsm.Lsm_shell.stall_breakdown) option;
   metrics_dump : unit -> string;
-  faults : Simdisk.Faults.t;  (** fault plan armed on the primary store *)
-  follower_faults : Simdisk.Faults.t option;
-  net : (Simnet.t * string * string) option;
-      (** simulated network plus the two node names (for link faults
-          and clock ticks); [Some] only for replication pairs *)
+  faults : Simdisk.Faults.t;  (** fault plan armed on the store *)
 }
 
 (** [mk_store ~fault_seed ()] builds a seeded simulated store and the
@@ -99,7 +82,6 @@ val partitioned : seed:int -> unit -> t
 val leveldb : seed:int -> unit -> t
 
 val btree : seed:int -> unit -> t
-val replicated : seed:int -> unit -> t
 
 (** The policy-tree shape shared by every [policy-*] driver. *)
 val small_pconfig : Blsm.Policy_tree.pconfig

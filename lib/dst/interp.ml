@@ -8,16 +8,14 @@
     [Checkpoint] steps and at plan end, the full battery runs:
     whole-state scan equivalence, sampled point reads, op-counter
     agreement between the engine's metrics and the interpreter's own
-    mirror, and replication convergence after catch-up.
+    mirror.
 
     Crash discipline: a {!Simdisk.Faults.Crash_point} escaping an
     operation means the machine died {e before the op was acked} (the
     WAL append is the last disk touch before the memtable write), so
     the oracle applies an op's effects only after it returns normally.
-    The interpreter then recovers the crashed store — identified by
-    which fault plan's [crashes_fired] advanced — and, for a primary
-    recovery, resets its counter mirror (a recovered tree starts with
-    fresh stats).
+    The interpreter then recovers the store and resets its counter
+    mirror (a recovered tree starts with fresh stats).
 
     Rot discipline: once a lost-write or bit-flip fault has fired, the
     run enters {e rot mode}: typed corruption raises
@@ -50,13 +48,6 @@ type st = {
   mutable rot : bool;
   mutable crashes : int;
   mutable steps_run : int;
-  mutable counts_masked : bool;
-      (* failover swaps which tree the stats come from; the mirror can
-         no longer line up, so counter checks are off for the rest *)
-  mutable dirty : bool;
-      (* acked writes since the last full sync: while set, the follower
-         may legitimately lag the oracle, so [Follower_get] checks
-         staleness discipline but not the value *)
 }
 
 let line st fmt =
@@ -95,17 +86,9 @@ let injected_rot f =
   > 0
 
 let update_rot st =
-  if not st.rot then begin
-    let fired =
-      injected_rot st.d.Driver.faults
-      || (match st.d.Driver.follower_faults with
-         | Some f -> injected_rot f
-         | None -> false)
-    in
-    if fired then begin
-      st.rot <- true;
-      line st "rot: silent-corruption fault fired; counter checks masked"
-    end
+  if (not st.rot) && injected_rot st.d.Driver.faults then begin
+    st.rot <- true;
+    line st "rot: silent-corruption fault fired; counter checks masked"
   end
 
 let reset_exp st = st.exp <- Blsm.Lsm_shell.fresh_stats ()
@@ -113,7 +96,7 @@ let reset_exp st = st.exp <- Blsm.Lsm_shell.fresh_stats ()
 (* ------------------------------------------------------------------ *)
 (* Crash recovery *)
 
-let rec recover_primary st step attempt =
+let rec recover_store st step attempt =
   match st.d.Driver.crash_recover with
   | None ->
       violation st step "crash fired but driver has no recovery";
@@ -129,7 +112,7 @@ let rec recover_primary st step attempt =
             violation st step "recovery did not converge after 8 crashes";
             raise (Stop_run "recovery did not converge")
           end
-          else recover_primary st step (attempt + 1)
+          else recover_store st step (attempt + 1)
       | exception e when is_corruption e ->
           update_rot st;
           if st.rot then begin
@@ -143,67 +126,15 @@ let rec recover_primary st step attempt =
             raise (Stop_run "corrupt recovery")
           end)
 
-let rec recover_follower st step attempt =
-  match st.d.Driver.crash_follower with
-  | None ->
-      violation st step "follower crash fired but driver has no follower";
-      raise (Stop_run "crash without recovery support")
-  | Some recover -> (
-      match recover () with
-      | () -> ()
-      | exception Simdisk.Faults.Crash_point site ->
-          st.crashes <- st.crashes + 1;
-          line st "step %d: crash at %s during follower recovery (attempt %d)"
-            step site attempt;
-          if attempt >= 8 then begin
-            violation st step
-              "follower recovery did not converge after 8 crashes";
-            raise (Stop_run "recovery did not converge")
-          end
-          else recover_follower st step (attempt + 1)
-      | exception e when is_corruption e ->
-          update_rot st;
-          if st.rot then begin
-            line st
-              "step %d: unrecoverable follower corruption (rot): %s" step
-              (Printexc.to_string e);
-            raise (Stop_run "rot made follower recovery impossible")
-          end
-          else begin
-            violation st step
-              "follower corruption during recovery without rot: %s"
-              (Printexc.to_string e);
-            raise (Stop_run "corrupt recovery")
-          end)
-
-(** Run [f]; on a crash point, recover whichever store died (identified
-    by its fault plan's [crashes_fired] advancing) and report
-    [`Crashed]; on a typed corruption raise, report [`Corrupt]
-    (tolerated only in rot mode). *)
+(** Run [f]; on a crash point, recover the store and report [`Crashed];
+    on a typed corruption raise, report [`Corrupt] (tolerated only in
+    rot mode). *)
 let guarded st step ~what f =
-  let before =
-    (Simdisk.Faults.counters st.d.Driver.faults).Simdisk.Faults.crashes_fired
-  in
   try `Ok (f ()) with
   | Simdisk.Faults.Crash_point site ->
       st.crashes <- st.crashes + 1;
-      let primary_crashed =
-        (Simdisk.Faults.counters st.d.Driver.faults)
-          .Simdisk.Faults.crashes_fired > before
-      in
-      let which =
-        if primary_crashed || st.d.Driver.crash_follower = None then begin
-          line st "step %d: crash at %s during %s" step site what;
-          `P
-        end
-        else begin
-          line st "step %d: follower crash at %s during %s" step site what;
-          `F
-        end
-      in
-      (match which with
-      | `P -> recover_primary st step 1
-      | `F -> recover_follower st step 1);
+      line st "step %d: crash at %s during %s" step site what;
+      recover_store st step 1;
       `Crashed
   | e when is_corruption e ->
       update_rot st;
@@ -268,50 +199,7 @@ let arm st faults =
             st.d.Driver.faults ~after
       | Plan.F_crash_wal { after; torn } ->
           Simdisk.Faults.schedule_crash_at_wal_append ~torn
-            st.d.Driver.faults ~after
-      | Plan.F_follower_crash_wal { after; torn } -> (
-          match st.d.Driver.follower_faults with
-          | Some ff -> Simdisk.Faults.schedule_crash_at_wal_append ~torn ff ~after
-          | None -> ())
-      | Plan.F_net_drop after -> (
-          match st.d.Driver.net with
-          | Some (net, a, b) ->
-              (* symmetric: requests and replies are both fair game *)
-              Simnet.schedule_drop net ~src:a ~dst:b ~after;
-              Simnet.schedule_drop net ~src:b ~dst:a ~after
-          | None -> ())
-      | Plan.F_net_dup after -> (
-          match st.d.Driver.net with
-          | Some (net, a, b) ->
-              Simnet.schedule_duplicate net ~src:a ~dst:b ~after;
-              Simnet.schedule_duplicate net ~src:b ~dst:a ~after
-          | None -> ())
-      | Plan.F_net_delay { after; count; extra_us } -> (
-          match st.d.Driver.net with
-          | Some (net, a, b) ->
-              Simnet.schedule_delay_burst net ~src:a ~dst:b ~after ~count
-                ~extra_us;
-              Simnet.schedule_delay_burst net ~src:b ~dst:a ~after ~count
-                ~extra_us
-          | None -> ())
-      | Plan.F_net_reorder after -> (
-          match st.d.Driver.net with
-          | Some (net, a, b) ->
-              Simnet.schedule_reorder net ~src:a ~dst:b ~after;
-              Simnet.schedule_reorder net ~src:b ~dst:a ~after
-          | None -> ())
-      | Plan.F_net_partition -> (
-          match st.d.Driver.net with
-          | Some (net, a, b) ->
-              Simnet.partition net a b;
-              line st "net: partition %s|%s" a b
-          | None -> ())
-      | Plan.F_net_heal -> (
-          match st.d.Driver.net with
-          | Some (net, a, b) ->
-              Simnet.heal net a b;
-              line st "net: heal %s|%s" a b
-          | None -> ()))
+            st.d.Driver.faults ~after)
     faults
 
 let entry_of_item = function
@@ -463,8 +351,8 @@ let checkpoint st i ~label =
     | `Crashed | `Corrupt -> ()
   done;
   (* 3. engine op counters vs the interpreter's mirror *)
-  (match d.Driver.counts with
-  | Some counts when (not st.rot) && not st.counts_masked ->
+  match d.Driver.counts with
+  | Some counts when not st.rot ->
       let shells = counts () in
       let chk name (field : Blsm.Lsm_shell.stats -> int) =
         let got = List.fold_left (fun a s -> a + field s) 0 shells in
@@ -479,45 +367,6 @@ let checkpoint st i ~label =
       if not d.Driver.mask_scans then chk "scans" (fun s -> s.scans);
       chk "rmws" (fun s -> s.rmws);
       chk "checked_inserts" (fun s -> s.checked_inserts)
-  | _ -> ());
-  (* 4. replication convergence after catch-up *)
-  match (d.Driver.catch_up, d.Driver.follower_scan) with
-  | Some cu, Some fs -> (
-      let final = label = "final" in
-      (* at the final checkpoint every link fault is healed first:
-         convergence-after-heal is mandatory, not best-effort *)
-      if final then (
-        match d.Driver.net with
-        | Some (net, a, b) ->
-            if Simnet.partitioned net a b then line st "net: final heal %s|%s" a b;
-            Simnet.clear_faults net
-        | None -> ());
-      match
-        guarded st i ~what:"checkpoint catch_up" (fun () ->
-            let r = cu () in
-            (r, fs ()))
-      with
-      | `Ok (`Unreachable, _) ->
-          if final && not st.rot then
-            violation st i "no convergence after heal: follower unreachable"
-          else if final then
-            (* rot can make the primary unserveable (every reply to a
-               batch/snapshot request dies on a corrupt page): with the
-               link healed, unreachability is the corruption surfacing,
-               not a replication bug *)
-            line st "checkpoint final: follower unreachable (rot on primary)"
-          else
-            line st "checkpoint %s step=%d: follower unreachable (faulted link)"
-              label i
-      | `Ok ((`Resynced | `Applied _) as r, rows) ->
-          st.dirty <- false;
-          let expect = Oracle.bindings st.oracle in
-          if rows <> expect then
-            violation st i
-              "replication divergence after %s (follower %d keys, oracle %d)%s"
-              (match r with `Resynced -> "resync" | _ -> "catch_up")
-              (List.length rows) (List.length expect) (first_diff rows expect)
-      | `Crashed | `Corrupt -> ())
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -526,13 +375,6 @@ let checkpoint st i ~label =
 let exec_step st i (step : Plan.step) =
   arm st step.Plan.faults;
   let d = st.d in
-  (* conservative: any mutation-bearing step marks the follower as
-     possibly behind until the next successful full sync *)
-  (match step.Plan.op with
-  | Plan.Put _ | Plan.Delete _ | Plan.Delta _ | Plan.Rmw _
-  | Plan.Insert_if_absent _ | Plan.Write_batch _ | Plan.Txn _ ->
-      st.dirty <- true
-  | _ -> ());
   match step.Plan.op with
   | Plan.Put (k, v) -> (
       match guarded st i ~what:"put" (fun () -> d.Driver.put k v) with
@@ -630,88 +472,7 @@ let exec_step st i (step : Plan.step) =
       | Some _ ->
           line st "step %d: planned crash_recover" i;
           st.crashes <- st.crashes + 1;
-          recover_primary st i 1)
-  | Plan.Crash_follower -> (
-      match d.Driver.crash_follower with
-      | None -> ()
-      | Some _ ->
-          line st "step %d: planned crash_follower" i;
-          st.crashes <- st.crashes + 1;
-          recover_follower st i 1)
-  | Plan.Catch_up -> (
-      match d.Driver.catch_up with
-      | None -> ()
-      | Some cu -> (
-          match guarded st i ~what:"catch_up" (fun () -> cu ()) with
-          | `Ok `Resynced ->
-              st.dirty <- false;
-              line st "step %d: catch_up resynced" i
-          | `Ok (`Applied _) -> st.dirty <- false
-          | `Ok `Unreachable -> line st "step %d: catch_up unreachable" i
-          | `Crashed | `Corrupt -> ()))
-  | Plan.Failover -> (
-      match (d.Driver.failover, d.Driver.catch_up) with
-      | Some fo, Some cu -> (
-          (* converge first so no acked write is stranded on the node
-             about to be deposed *)
-          match
-            guarded st i ~what:"failover pre-sync" (fun () -> cu ())
-          with
-          | `Ok `Unreachable ->
-              line st "step %d: failover skipped (follower unreachable)" i
-          | `Crashed | `Corrupt -> ()
-          | `Ok (`Applied _ | `Resynced) -> (
-              let fenced_before =
-                match d.Driver.fenced_rejects with
-                | Some fr -> fr ()
-                | None -> 0
-              in
-              fo ();
-              st.counts_masked <- true;
-              st.dirty <- true;
-              line st "step %d: failover (roles swapped, epoch raised)" i;
-              (* the deposed primary, now a follower at its old epoch,
-                 must be observably fenced on its first exchange *)
-              match
-                guarded st i ~what:"post-failover sync" (fun () -> cu ())
-              with
-              | `Ok ((`Applied _ | `Resynced) as r) ->
-                  st.dirty <- false;
-                  (match d.Driver.fenced_rejects with
-                  | Some fr when fr () <= fenced_before ->
-                      violation st i
-                        "fencing: deposed-epoch message was not rejected"
-                  | _ -> ());
-                  line st "step %d: deposed node %s at new epoch" i
-                    (match r with
-                    | `Resynced -> "resynced"
-                    | _ -> "caught up")
-              | `Ok `Unreachable ->
-                  line st "step %d: post-failover sync unreachable" i
-              | `Crashed | `Corrupt -> ()))
-      | _ -> ())
-  | Plan.Follower_get k -> (
-      match (d.Driver.follower_get, d.Driver.follower_stale) with
-      | Some fg, Some stale -> (
-          let expect_shed = stale () in
-          match guarded st i ~what:"follower_get" (fun () -> fg k) with
-          | `Ok `Too_stale ->
-              if not expect_shed then
-                violation st i
-                  "follower_get %s shed while within the staleness bound" k
-              else line st "step %d: follower_get %s -> Too_stale" i k
-          | `Ok (`Ok got) ->
-              if expect_shed then
-                violation st i
-                  "follower_get %s served beyond the staleness bound" k
-              else if not st.dirty then begin
-                let expect = Oracle.get st.oracle k in
-                if got <> expect then
-                  violation st i "follower_get %s: follower=%s oracle=%s" k
-                    (show got) (show expect)
-              end
-          | `Crashed | `Corrupt -> ())
-      | _ -> ())
+          recover_store st i 1)
   | Plan.Scrub -> (
       match d.Driver.scrub with
       | None -> ()
@@ -758,8 +519,6 @@ let run (d : Driver.t) (plan : Plan.t) : outcome =
       rot = false;
       crashes = 0;
       steps_run = 0;
-      counts_masked = false;
-      dirty = false;
     }
   in
   line st "dst: driver=%s seed=%d steps=%d" plan.Plan.driver plan.Plan.seed
@@ -769,14 +528,6 @@ let run (d : Driver.t) (plan : Plan.t) : outcome =
        (fun i step ->
          exec_step st i step;
          update_rot st;
-         (* advance the simulated network clock one step-quantum so
-            delayed traffic lands and staleness leases can expire; the
-            tick can run a server handler (late duplicated request), so
-            crash/corruption raises need the same treatment as an op *)
-         (match d.Driver.net with
-         | Some (net, _, _) ->
-             ignore (guarded st i ~what:"net tick" (fun () -> Simnet.sleep net 1_000))
-         | None -> ());
          st.steps_run <- st.steps_run + 1)
        plan.Plan.steps;
      checkpoint st (List.length plan.Plan.steps) ~label:"final"
@@ -785,19 +536,8 @@ let run (d : Driver.t) (plan : Plan.t) : outcome =
   | Stack_overflow -> violation st (-1) "stack overflow"
   | e -> violation st (-1) "unhandled exception: %s" (Printexc.to_string e));
   let pp, pw = Simdisk.Faults.pending d.Driver.faults in
-  let fp, fw =
-    match d.Driver.follower_faults with
-    | Some f -> Simdisk.Faults.pending f
-    | None -> (0, 0)
-  in
-  let np =
-    match d.Driver.net with
-    | Some (net, _, _) -> Simnet.pending_faults net
-    | None -> 0
-  in
   line st "final: steps=%d crashes=%d rot=%b pending_faults=%d violations=%d"
-    st.steps_run st.crashes st.rot
-    (pp + pw + fp + fw + np)
+    st.steps_run st.crashes st.rot (pp + pw)
     (List.length st.violations);
   Buffer.add_string st.buf
     (* Expected dump failures only: a crashed engine's registry closures

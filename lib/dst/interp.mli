@@ -8,7 +8,7 @@
     [Checkpoint] steps and at plan end, the full battery runs:
     whole-state scan equivalence, sampled point reads, op-counter
     agreement between the engine's metrics and the interpreter's own
-    mirror, and replication convergence after catch-up.
+    mirror.
 
     Crash discipline: a {!Simdisk.Faults.Crash_point} escaping an
     operation means the machine died {e before the op was acked} (the

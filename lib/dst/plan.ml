@@ -3,7 +3,7 @@
     A plan is the deterministic unit of the simulation harness: one seed
     expands to one trace of operations (the full engine surface — point
     ops, deltas, RMW, scans, atomic batches, OCC transaction blocks,
-    crash/recover, scrub, replica catch-up) with faults from the
+    crash/recover, scrub) with faults from the
     {!Simdisk.Faults} taxonomy (torn/lost/bit-flip/crash-point) armed
     between steps. The interpreter ({!Interp}) executes a plan against
     any driver in lock-step with an in-memory oracle; the shrinker
@@ -38,14 +38,6 @@ type op =
       (** [t_interleave]: a bare write slipped in halfway through the
           block — the "concurrent" mutation OCC validates against *)
   | Crash_recover
-  | Crash_follower
-  | Catch_up
-  | Failover
-      (** promote the follower to primary, demote the deposed primary
-          to follower at its old epoch (it must get fenced) *)
-  | Follower_get of string
-      (** bounded-staleness read on the follower: must answer
-          [`Too_stale] exactly when the staleness bound is exceeded *)
   | Scrub
   | Maintenance
   | Flush
@@ -53,24 +45,12 @@ type op =
 
 (** Faults armed before a step executes. [after] is the write-site
     ordinal counted from the arming point ([after = 1] fires on the very
-    next hook call), mirroring {!Simdisk.Faults}. Net faults count
-    *message sends* per directed link the same way; drop/dup/delay/
-    reorder are armed symmetrically on both directions of the
-    primary-follower link, partition/heal act immediately. *)
+    next hook call), mirroring {!Simdisk.Faults}. *)
 type fault =
   | F_lost_page of int
   | F_flip_page of int
   | F_crash_page of { after : int; torn : bool }
   | F_crash_wal of { after : int; torn : bool }
-  | F_follower_crash_wal of { after : int; torn : bool }
-      (** crash the replication follower's store mid-[catch_up] *)
-  | F_net_drop of int  (** drop the [after]-th send on the repl link *)
-  | F_net_dup of int  (** duplicate-deliver the [after]-th send *)
-  | F_net_delay of { after : int; count : int; extra_us : int }
-      (** delay a burst of [count] consecutive sends by [extra_us] *)
-  | F_net_reorder of int  (** deliver the [after]-th send late *)
-  | F_net_partition  (** cut the repl link both ways, immediately *)
-  | F_net_heal  (** heal all partitions, immediately *)
 
 type step = { faults : fault list; op : op }
 
@@ -85,7 +65,6 @@ type t = {
 type caps = {
   c_crash : bool;  (** supports crash_and_recover (and thus fault plans) *)
   c_txn : bool;
-  c_follower : bool;  (** replication pair: catch_up / follower crash *)
   c_scrub : bool;
   c_batch_atomic : bool;
       (** write_batch is one log record; otherwise emulated per-item *)
@@ -98,7 +77,6 @@ type params = {
   checkpoint_every : int;
   fault_rate : float;  (** crash-point faults per step *)
   rot_rate : float;  (** lost-write / bit-flip faults per step *)
-  net_fault_rate : float;  (** network faults per step (repl drivers) *)
 }
 
 let default_params =
@@ -109,7 +87,6 @@ let default_params =
     checkpoint_every = 40;
     fault_rate = 0.05;
     rot_rate = 0.008;
-    net_fault_rate = 0.08;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -141,11 +118,8 @@ let gen_faults prng (caps : caps) p =
       let after = 1 + Repro_util.Prng.int prng 6 in
       let f =
         match Repro_util.Prng.int prng 4 with
-        | 0 | 1 -> F_crash_wal { after; torn }
         | 2 -> F_crash_page { after; torn }
-        | _ ->
-            if caps.c_follower then F_follower_crash_wal { after; torn }
-            else F_crash_wal { after; torn }
+        | _ -> F_crash_wal { after; torn }
       in
       fs := f :: !fs
     end;
@@ -155,26 +129,6 @@ let gen_faults prng (caps : caps) p =
         (if Repro_util.Prng.bool prng then F_lost_page after
          else F_flip_page after)
         :: !fs
-    end;
-    if caps.c_follower && Repro_util.Prng.float prng < p.net_fault_rate
-    then begin
-      let after () = 1 + Repro_util.Prng.int prng 4 in
-      let f =
-        match Repro_util.Prng.int prng 10 with
-        | 0 | 1 -> F_net_drop (after ())
-        | 2 | 3 -> F_net_dup (after ())
-        | 4 | 5 ->
-            F_net_delay
-              {
-                after = after ();
-                count = 1 + Repro_util.Prng.int prng 3;
-                extra_us = 2_000 * (1 + Repro_util.Prng.int prng 8);
-              }
-        | 6 -> F_net_reorder (after ())
-        | 7 | 8 -> F_net_partition
-        | _ -> F_net_heal
-      in
-      fs := f :: !fs
     end;
     !fs
   end
@@ -223,13 +177,9 @@ let gen_op prng (caps : caps) p i =
     if caps.c_txn then gen_txn prng p i
     else Rmw (key (), Printf.sprintf "+r%d" i)
   else if r < 91 then (if caps.c_crash then Crash_recover else Maintenance)
-  else if r < 93 then (if caps.c_follower then Catch_up else Get (key ()))
-  else if r < 94 then
-    if caps.c_follower then Crash_follower else Get (key ())
-  else if r < 95 then
-    if caps.c_follower then Follower_get (key ()) else Scan (key (), 3)
+  else if r < 94 then Get (key ())
+  else if r < 95 then Scan (key (), 3)
   else if r < 96 then (if caps.c_scrub then Scrub else Scan (key (), 3))
-  else if r < 97 then (if caps.c_follower then Failover else Maintenance)
   else if r < 98 then Maintenance
   else Flush
 
@@ -264,10 +214,6 @@ let op_label = function
       Printf.sprintf "txn[%d%s]" (List.length t_ops)
         (if t_interleave = None then "" else "+interleave")
   | Crash_recover -> "crash_recover"
-  | Crash_follower -> "crash_follower"
-  | Catch_up -> "catch_up"
-  | Failover -> "failover"
-  | Follower_get k -> "follower_get " ^ k
   | Scrub -> "scrub"
   | Maintenance -> "maintenance"
   | Flush -> "flush"
@@ -280,16 +226,6 @@ let fault_label = function
       Printf.sprintf "crash_page@%d%s" after (if torn then "(torn)" else "")
   | F_crash_wal { after; torn } ->
       Printf.sprintf "crash_wal@%d%s" after (if torn then "(torn)" else "")
-  | F_follower_crash_wal { after; torn } ->
-      Printf.sprintf "follower_crash_wal@%d%s" after
-        (if torn then "(torn)" else "")
-  | F_net_drop a -> Printf.sprintf "net_drop@%d" a
-  | F_net_dup a -> Printf.sprintf "net_dup@%d" a
-  | F_net_delay { after; count; extra_us } ->
-      Printf.sprintf "net_delay@%d(x%d,+%dus)" after count extra_us
-  | F_net_reorder a -> Printf.sprintf "net_reorder@%d" a
-  | F_net_partition -> "net_partition"
-  | F_net_heal -> "net_heal"
 
 let step_label s =
   match s.faults with

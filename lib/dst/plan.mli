@@ -3,7 +3,7 @@
     A plan is the deterministic unit of the simulation harness: one seed
     expands to one trace of operations (the full engine surface — point
     ops, deltas, RMW, scans, atomic batches, OCC transaction blocks,
-    crash/recover, scrub, replica catch-up) with faults from the
+    crash/recover, scrub) with faults from the
     {!Simdisk.Faults} taxonomy (torn/lost/bit-flip/crash-point) armed
     between steps.
 
@@ -40,33 +40,18 @@ type op =
               provoke OCC conflicts *)
     }
   | Crash_recover
-  | Crash_follower
-  | Catch_up
-  | Failover
-      (** promote the follower, demote the deposed primary at its old
-          epoch — its next message must be fenced *)
-  | Follower_get of string  (** bounded-staleness read on the follower *)
   | Scrub
   | Maintenance
   | Flush
   | Checkpoint  (** run the full invariant battery here *)
 
 (** Faults armed before a step executes; page/WAL indices count from the
-    moment of arming. Net faults count message sends per directed link,
-    armed on both directions of the replication link; partition/heal
-    act immediately. *)
+    moment of arming. *)
 type fault =
   | F_lost_page of int
   | F_flip_page of int
   | F_crash_page of { after : int; torn : bool }
   | F_crash_wal of { after : int; torn : bool }
-  | F_follower_crash_wal of { after : int; torn : bool }
-  | F_net_drop of int
-  | F_net_dup of int
-  | F_net_delay of { after : int; count : int; extra_us : int }
-  | F_net_reorder of int
-  | F_net_partition
-  | F_net_heal
 
 type step = { faults : fault list; op : op }
 
@@ -76,7 +61,6 @@ type t = { driver : string; seed : int; note : string; steps : step list }
 type caps = {
   c_crash : bool;
   c_txn : bool;
-  c_follower : bool;
   c_scrub : bool;
   c_batch_atomic : bool;
 }
@@ -88,7 +72,6 @@ type params = {
   checkpoint_every : int;
   fault_rate : float;
   rot_rate : float;  (** share of faults that are lost/flip (rot) *)
-  net_fault_rate : float;  (** network faults per step (repl drivers) *)
 }
 
 val default_params : params

@@ -7,7 +7,8 @@
     closures, no engine state, so a repro from one build replays on the
     next as long as the plan grammar is compatible.
 
-    The writer escapes every non-printable byte as [\u00XX]; the reader
+    The writer escapes strings with {!Obs.Json.escape} (every
+    non-printable byte as [\u00XX]); the reader
     is a small recursive-descent parser (no JSON dependency in the
     container) that decodes exactly what the writer emits plus ordinary
     hand-edits. *)
@@ -15,23 +16,7 @@
 (* ------------------------------------------------------------------ *)
 (* Writer *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let str s = "\"" ^ escape s ^ "\""
+let str s = "\"" ^ Obs.Json.escape s ^ "\""
 
 let fault_json = function
   | Plan.F_lost_page after ->
@@ -44,22 +29,6 @@ let fault_json = function
   | Plan.F_crash_wal { after; torn } ->
       Printf.sprintf "{\"kind\":\"crash_wal\",\"after\":%d,\"torn\":%b}" after
         torn
-  | Plan.F_follower_crash_wal { after; torn } ->
-      Printf.sprintf
-        "{\"kind\":\"follower_crash_wal\",\"after\":%d,\"torn\":%b}" after
-        torn
-  | Plan.F_net_drop after ->
-      Printf.sprintf "{\"kind\":\"net_drop\",\"after\":%d}" after
-  | Plan.F_net_dup after ->
-      Printf.sprintf "{\"kind\":\"net_dup\",\"after\":%d}" after
-  | Plan.F_net_delay { after; count; extra_us } ->
-      Printf.sprintf
-        "{\"kind\":\"net_delay\",\"after\":%d,\"count\":%d,\"extra_us\":%d}"
-        after count extra_us
-  | Plan.F_net_reorder after ->
-      Printf.sprintf "{\"kind\":\"net_reorder\",\"after\":%d}" after
-  | Plan.F_net_partition -> "{\"kind\":\"net_partition\"}"
-  | Plan.F_net_heal -> "{\"kind\":\"net_heal\"}"
 
 let item_json = function
   | Plan.B_put (k, v) ->
@@ -110,11 +79,6 @@ let op_json = function
         (String.concat "," (List.map txn_op_json t_ops))
         inter
   | Plan.Crash_recover -> "{\"kind\":\"crash_recover\"}"
-  | Plan.Crash_follower -> "{\"kind\":\"crash_follower\"}"
-  | Plan.Catch_up -> "{\"kind\":\"catch_up\"}"
-  | Plan.Failover -> "{\"kind\":\"failover\"}"
-  | Plan.Follower_get k ->
-      Printf.sprintf "{\"kind\":\"follower_get\",\"key\":%s}" (str k)
   | Plan.Scrub -> "{\"kind\":\"scrub\"}"
   | Plan.Maintenance -> "{\"kind\":\"maintenance\"}"
   | Plan.Flush -> "{\"kind\":\"flush\"}"
@@ -335,8 +299,6 @@ let get_bool_opt obj name ~default =
   match field obj name with Some v -> as_bool name v | None -> default
 
 let fault_of_json j =
-  (* "after" only exists for ordinal-scheduled kinds; partition/heal
-     fire immediately and carry no fields *)
   let after () = get_int j "after" in
   let torn () = get_bool_opt j "torn" ~default:false in
   match get_str j "kind" with
@@ -344,20 +306,6 @@ let fault_of_json j =
   | "flip_page" -> Plan.F_flip_page (after ())
   | "crash_page" -> Plan.F_crash_page { after = after (); torn = torn () }
   | "crash_wal" -> Plan.F_crash_wal { after = after (); torn = torn () }
-  | "follower_crash_wal" ->
-      Plan.F_follower_crash_wal { after = after (); torn = torn () }
-  | "net_drop" -> Plan.F_net_drop (after ())
-  | "net_dup" -> Plan.F_net_dup (after ())
-  | "net_delay" ->
-      Plan.F_net_delay
-        {
-          after = after ();
-          count = get_int j "count";
-          extra_us = get_int j "extra_us";
-        }
-  | "net_reorder" -> Plan.F_net_reorder (after ())
-  | "net_partition" -> Plan.F_net_partition
-  | "net_heal" -> Plan.F_net_heal
   | k -> raise (Parse_error ("unknown fault kind " ^ k))
 
 let item_of_json j =
@@ -398,10 +346,6 @@ let op_of_json j =
       in
       Plan.Txn { t_ops; t_interleave }
   | "crash_recover" -> Plan.Crash_recover
-  | "crash_follower" -> Plan.Crash_follower
-  | "catch_up" -> Plan.Catch_up
-  | "failover" -> Plan.Failover
-  | "follower_get" -> Plan.Follower_get (get_str j "key")
   | "scrub" -> Plan.Scrub
   | "maintenance" -> Plan.Maintenance
   | "flush" -> Plan.Flush

@@ -431,23 +431,9 @@ let render_witness keys = String.concat " -> " (List.map qualified_of_key keys)
 (* ---------------------------------------------------------------- *)
 (* JSON dump (own printer: dependency-free, byte-stable) *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let json_string b s =
   Buffer.add_char b '"';
-  json_escape b s;
+  Obs.Json.add_escaped b s;
   Buffer.add_char b '"'
 
 let json_string_list b l =

@@ -4,13 +4,6 @@ type access_rule = {
   why : string;
 }
 
-type peer_rule = {
-  peer_marker : string;
-  peer_restricted : string list;
-  peer_exempt_dirs : string list;
-  peer_why : string;
-}
-
 type boundary = {
   bd_func : string;
   bd_allowed : string list;
@@ -20,7 +13,6 @@ type boundary = {
 type t = {
   scan_dirs : string list;
   access_matrix : access_rule list;
-  peer_rules : peer_rule list;
   mli_required_dirs : string list;
   mli_exempt_suffixes : string list;
   mli_exempt_modules : string list;
@@ -57,25 +49,6 @@ let default_access_matrix =
       why =
         "real-OS syscalls bypass the simulated disk and clock; lib/ \
          must stay simulation-pure";
-    };
-  ]
-
-(* Rule A002: replication code must treat the peer as remote.  Any file
-   whose basename contains the marker is replication logic; outside the
-   exempt dirs it may not reference the primary-side service module or
-   the WAL directly — peer state arrives only as Repl_msg frames through
-   the Simnet endpoint.  This is what keeps the fault injection honest:
-   a direct call would bypass every drop/delay/partition in the plan. *)
-let default_peer_rules =
-  [
-    {
-      peer_marker = "replication";
-      peer_restricted = [ "Repl_server"; "Blsm.Repl_server"; "Pagestore.Wal" ];
-      peer_exempt_dirs = [ "lib/simnet" ];
-      peer_why =
-        "replication reaches peer state only as Repl_msg frames through \
-         the Simnet endpoint; direct server/WAL access bypasses the \
-         injected network faults";
     };
   ]
 
@@ -130,7 +103,6 @@ let default_library_wrappers =
     ("Bloom", "lib/bloom");
     ("Memtable", "lib/memtable");
     ("Sstable", "lib/sstable");
-    ("Simnet", "lib/simnet");
     ("Btree_baseline", "lib/btree");
     ("Ycsb", "lib/ycsb");
     ("Lint", "lib/lint");
@@ -148,32 +120,20 @@ let default_engine_surface_modules =
 let default_boundaries =
   [
     {
-      bd_func = "Repl_server.attach";
-      bd_allowed = [ "Crash_point"; "Failure"; "Invalid_argument" ];
-      bd_why =
-        "the simnet endpoint handler: an escaping exception crosses the \
-         network instead of being a lost reply; only the simulated power \
-         failure and defensive invariant crashes (failwith/invalid_arg \
-         mean the node is wedged, and the harness recovers it) may \
-         propagate — in particular every typed storage exception must \
-         become a protocol answer";
-    };
-    {
       bd_func = "Driver.make_exn";
       bd_allowed =
         [
           "Crash_point";
           "Corruption";
           "Corrupt";
-          "Write_fenced";
           "Invalid_argument";
           "Failure";
           "Not_found";
         ];
       bd_why =
         "DST driver ops may surface only the interpreter-contract \
-         exceptions (simulated crash, typed corruption, fence, and the \
-         stdlib defensive trio)";
+         exceptions (simulated crash, typed corruption, and the stdlib \
+         defensive trio)";
     };
   ]
 
@@ -204,7 +164,6 @@ let default =
   {
     scan_dirs = [ "lib"; "bin"; "bench"; "tools" ];
     access_matrix = default_access_matrix;
-    peer_rules = default_peer_rules;
     mli_required_dirs = [ "lib" ];
     mli_exempt_suffixes = [ "_intf" ];
     mli_exempt_modules = [];

@@ -14,24 +14,11 @@ type access_rule = {
   why : string;  (** rendered in the finding message *)
 }
 
-(** One row of the A002 peer-isolation rule: files whose basename
-    contains [peer_marker] are replication logic and, outside
-    [peer_exempt_dirs], may not reference [peer_restricted] modules —
-    peer state must flow through the simnet endpoint. *)
-type peer_rule = {
-  peer_marker : string;  (** basename substring marking replication code *)
-  peer_restricted : string list;
-      (** dotted module paths such files may not reference *)
-  peer_exempt_dirs : string list;
-      (** directories exempt from the rule (the transport itself) *)
-  peer_why : string;  (** rendered in the finding message *)
-}
-
 (** One E001 protocol boundary: a function (module-qualified name) whose
     inferred may-raise set must stay inside [bd_allowed] — anything else
     leaking across it is the PR 6 bug class. *)
 type boundary = {
-  bd_func : string;  (** e.g. ["Repl_server.attach"] *)
+  bd_func : string;  (** e.g. ["Driver.make_exn"] *)
   bd_allowed : string list;  (** exception constructor names *)
   bd_why : string;  (** rendered in the finding message *)
 }
@@ -39,7 +26,6 @@ type boundary = {
 type t = {
   scan_dirs : string list;  (** directories walked by default *)
   access_matrix : access_rule list;  (** rule A001 *)
-  peer_rules : peer_rule list;  (** rule A002 *)
   mli_required_dirs : string list;
       (** rule S001: every [.ml] under these roots needs a sibling
           [.mli] *)

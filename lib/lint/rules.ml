@@ -10,9 +10,6 @@
    C002  no catch-all [try ... with _ ->]
    A001  module-access matrix: platter internals / Unix stay behind the
          Simdisk.Disk boundary
-   A002  peer isolation: replication code reaches peer state only as
-         Repl_msg frames through the Simnet endpoint (no direct
-         Repl_server / Pagestore.Wal access outside lib/simnet)
    F001  no [external] outside the vetted units of
          Config.externals_allowed (the effect analysis cannot see into C)
 
@@ -267,30 +264,6 @@ let check_a001 ctx loc path =
     ctx.config.access_matrix
 
 (* ---------------------------------------------------------------- *)
-(* A002: peer isolation for replication code *)
-
-let contains_sub s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
-  n = 0 || go 0
-
-let check_a002 ctx loc path =
-  List.iter
-    (fun (rule : Config.peer_rule) ->
-      let base = Filename.remove_extension (Filename.basename ctx.file) in
-      if
-        contains_sub base rule.peer_marker
-        && (not (dir_allowed ctx.file rule.peer_exempt_dirs))
-        && List.exists
-             (fun r -> is_prefix (String.split_on_char '.' r) path)
-             rule.peer_restricted
-      then
-        report ctx loc "A002"
-          (Printf.sprintf "reference to %s from replication file %s: %s"
-             (dotted path) ctx.file rule.peer_why))
-    ctx.config.peer_rules
-
-(* ---------------------------------------------------------------- *)
 (* F001: foreign functions outside the vetted units *)
 
 (* The unit's wrapper path: [lib/util/crc32c.ml] is [Repro_util.Crc32c];
@@ -324,8 +297,7 @@ let check_path ctx loc path =
   check_d001 ctx loc path;
   check_d002 ctx loc path;
   check_c001_ident ctx loc path;
-  check_a001 ctx loc path;
-  check_a002 ctx loc path
+  check_a001 ctx loc path
 
 let check_lid ctx loc lid =
   match path_of_lid lid with Some p -> check_path ctx loc p | None -> ()

@@ -63,26 +63,13 @@ let dump ?prefix t =
     (sorted ?prefix t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let dump_json ?prefix t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{";
   List.iteri
     (fun i m ->
       if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\n  \"%s\": " (json_escape m.m_name));
+      Buffer.add_string buf (Printf.sprintf "\n  \"%s\": " (Json.escape m.m_name));
       match m.m_value with
       | Counter f -> Buffer.add_string buf (string_of_int (f ()))
       | Gauge f -> Buffer.add_string buf (fmt_float (f ()))

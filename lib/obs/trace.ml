@@ -29,23 +29,9 @@ let fmt_float f =
   | FP_nan | FP_infinite -> "0.000"
   | _ -> Printf.sprintf "%.3f" f
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_arg buf (k, v) =
   Buffer.add_char buf '"';
-  escape buf k;
+  Json.add_escaped buf k;
   Buffer.add_string buf "\":";
   match v with
   | I i -> Buffer.add_string buf (string_of_int i)
@@ -53,15 +39,15 @@ let add_arg buf (k, v) =
   | B b -> Buffer.add_string buf (if b then "true" else "false")
   | S s ->
       Buffer.add_char buf '"';
-      escape buf s;
+      Json.add_escaped buf s;
       Buffer.add_char buf '"'
 
 let event_json ~ph ~cat ~name ~ts_us ?dur_us ~args () =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"name\":\"";
-  escape buf name;
+  Json.add_escaped buf name;
   Buffer.add_string buf "\",\"cat\":\"";
-  escape buf cat;
+  Json.add_escaped buf cat;
   Buffer.add_string buf "\",\"ph\":\"";
   Buffer.add_string buf ph;
   Buffer.add_string buf "\",\"ts\":";

@@ -348,8 +348,8 @@ let gather bs len =
    Running out of data pages mid-record means the file is truncated:
    that surfaces as typed corruption, because End_of_component is the
    internal record-boundary protocol and must never escape the reader
-   (rule E001: it would cross the driver / replication boundaries as an
-   unhandled exception instead of a corruption answer). *)
+   (rule E001: it would cross the DST driver boundary as an unhandled
+   exception instead of a corruption answer). *)
 let next_frame bs =
   match read_varint bs with
   | exception End_of_component -> false (* refill already released *)

@@ -3,10 +3,13 @@
      minimized trace that exposed a real bug before its fix);
    - the shrinker demonstrably minimizes: a deliberately-broken driver
      stub reduces from a 160-step plan to a handful of ops;
-   - pinned-seed crash-point plans for the partitioned tree and the
-     replication follower pass the full invariant battery;
+   - pinned-seed crash-point plans for the partitioned tree pass the
+     full invariant battery;
    - repro files round-trip through JSON;
-   - same-seed runs are byte-identical (the determinism contract). *)
+   - same-seed runs are byte-identical (the determinism contract), and
+     seed 1 of every driver matches a digest table pinned in this file,
+     so a change that moves DST output from one commit to the next
+     fails here. *)
 
 (* Under `dune runtest` the cwd is the test dir (deps are staged next to
    the binary); allow running from the workspace root too. *)
@@ -99,34 +102,6 @@ let partitioned_crash_plan =
       ];
   }
 
-(* Replication: deltas racing follower crashes across catch_up — the
-   shape that exposed the catch_up position-atomicity bug. *)
-let follower_crash_plan =
-  {
-    Dst.Plan.driver = "replicated";
-    seed = 1717;
-    note = "pinned: follower crash points across catch_up";
-    steps =
-      [
-        { Dst.Plan.faults = []; op = Dst.Plan.Put ("key010", "x") };
-        { Dst.Plan.faults = []; op = Dst.Plan.Delta ("key010", "+a") };
-        {
-          Dst.Plan.faults =
-            [ Dst.Plan.F_follower_crash_wal { after = 2; torn = false } ];
-          op = Dst.Plan.Catch_up;
-        };
-        { Dst.Plan.faults = []; op = Dst.Plan.Delta ("key010", "+b") };
-        {
-          Dst.Plan.faults =
-            [ Dst.Plan.F_follower_crash_wal { after = 1; torn = true } ];
-          op = Dst.Plan.Catch_up;
-        };
-        { Dst.Plan.faults = []; op = Dst.Plan.Crash_follower };
-        { Dst.Plan.faults = []; op = Dst.Plan.Catch_up };
-        { Dst.Plan.faults = []; op = Dst.Plan.Checkpoint };
-      ];
-  }
-
 let test_pinned plan () =
   let outcome = Dst.replay plan in
   if not outcome.Dst.Interp.ok then
@@ -152,8 +127,8 @@ let test_generated_seed ~driver ~seed () =
 (* --- JSON round-trip --------------------------------------------- *)
 
 let test_roundtrip () =
-  let caps = Option.get (Dst.Driver.caps_of_name "replicated") in
-  let plan = Dst.Plan.generate ~caps ~driver:"replicated" ~seed:5 () in
+  let caps = Option.get (Dst.Driver.caps_of_name "blsm") in
+  let plan = Dst.Plan.generate ~caps ~driver:"blsm" ~seed:5 () in
   let back = Dst.Repro.of_json (Dst.Repro.to_json plan) in
   Alcotest.(check bool) "JSON round-trip preserves the plan" true (plan = back);
   (* binary-ish content survives the \u escaping *)
@@ -166,7 +141,10 @@ let test_roundtrip () =
     }
   in
   let back = Dst.Repro.of_json (Dst.Repro.to_json odd) in
-  Alcotest.(check bool) "escaped bytes round-trip" true (odd = back)
+  Alcotest.(check bool) "escaped bytes round-trip" true (odd = back);
+  let every_byte = { plan with Dst.Plan.note = String.init 256 Char.chr } in
+  Alcotest.(check bool) "all 256 byte values round-trip" true
+    (every_byte = Dst.Repro.of_json (Dst.Repro.to_json every_byte))
 
 (* --- determinism: same seed, same bytes --------------------------- *)
 
@@ -179,6 +157,41 @@ let test_determinism ~driver ~seed () =
   Alcotest.(check string)
     (Printf.sprintf "same-seed reports identical (%s)" driver)
     a.Dst.Interp.report b.Dst.Interp.report
+
+(* --- pinned digests: same seed, same bytes across commits ---------- *)
+
+(* MD5 of the repro JSON of each driver's seed-1 plan followed by its
+   run report (the report ends with the engine's metrics dump). The
+   table pins generation, execution and every reported counter. A change
+   that moves DST output on purpose updates this table and lists the
+   drivers whose lines moved, and why, in CHANGES.md. *)
+let pinned_digests =
+  [
+    ("blsm", "350a415c5354a311811aea4d17afc4fb");
+    ("blsm-gear", "1e90530642da7416cb2fe79c02055516");
+    ("blsm-naive", "874167cc9a290a7df2d51941a86d5a60");
+    ("partitioned", "615309316e2bc9393b9489e6d3a43fc1");
+    ("btree", "b412ad88e568f4463586c8b10ce82d7f");
+    ("leveldb", "5ac50822501cbceca543b6cd44d38aa1");
+    ("policy-tiered", "b996c4ac524995d375482a3eca8431ae");
+    ("policy-leveled", "edc9252806305e59c255020622defe0a");
+    ("policy-lazy-leveled", "ef92ba25f32280297ba51b75be9dfd9f");
+    ("policy-partial", "81e06ac5e02e9e411180a9a57e7407f1");
+  ]
+
+let test_pinned_digests () =
+  Alcotest.(check (list string))
+    "every driver has a pinned digest" Dst.Driver.all_names
+    (List.map fst pinned_digests);
+  List.iter
+    (fun (driver, expect) ->
+      let plan, outcome = Dst.run_seed ~driver_name:driver ~seed:1 () in
+      let got =
+        Digest.to_hex
+          (Digest.string (Dst.Repro.to_json plan ^ outcome.Dst.Interp.report))
+      in
+      Alcotest.(check string) (driver ^ " seed 1 digest") expect got)
+    pinned_digests
 
 let () =
   Alcotest.run "dst"
@@ -194,12 +207,8 @@ let () =
         [
           Alcotest.test_case "partitioned crash points" `Quick
             (test_pinned partitioned_crash_plan);
-          Alcotest.test_case "follower crash points" `Quick
-            (test_pinned follower_crash_plan);
           Alcotest.test_case "partitioned seed 91" `Quick
             (test_generated_seed ~driver:"partitioned" ~seed:91);
-          Alcotest.test_case "replicated seed 91" `Quick
-            (test_generated_seed ~driver:"replicated" ~seed:91);
         ] );
       ( "format",
         [ Alcotest.test_case "JSON round-trip" `Quick test_roundtrip ] );
@@ -207,7 +216,7 @@ let () =
         [
           Alcotest.test_case "blsm" `Quick
             (test_determinism ~driver:"blsm" ~seed:11);
-          Alcotest.test_case "replicated" `Quick
-            (test_determinism ~driver:"replicated" ~seed:11);
         ] );
+      ( "pinned digests",
+        [ Alcotest.test_case "seed 1, every driver" `Quick test_pinned_digests ] );
     ]

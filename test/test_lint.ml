@@ -74,23 +74,6 @@ let test_a001_ok () =
   check slist "the public Simdisk.Disk API is open to everyone" []
     (rules_of (lint ~path:"lib/core/a001_ok.ml" "a001_ok.ml"))
 
-let test_a002_bad () =
-  check slist "service module and WAL both flagged from a replication file"
-    [ "A002"; "A002" ]
-    (rules_of (lint ~path:"lib/core/replication.ml" "a002_bad.ml"))
-
-let test_a002_non_replication_file () =
-  check slist "same references are fine when the basename is not marked" []
-    (rules_of (lint ~path:"lib/core/server_glue.ml" "a002_bad.ml"))
-
-let test_a002_exempt_dir () =
-  check slist "the transport layer itself is exempt" []
-    (rules_of (lint ~path:"lib/simnet/replication_xport.ml" "a002_bad.ml"))
-
-let test_a002_ok () =
-  check slist "simnet + Repl_msg is the legal shape" []
-    (rules_of (lint ~path:"lib/core/replication.ml" "a002_ok.ml"))
-
 let test_f001_bad () =
   check slist "top-level and nested-signature externals" [ "F001"; "F001" ]
     (rules_of (lint ~path:"lib/core/f001_bad.ml" "f001_bad.ml"))
@@ -319,18 +302,20 @@ let test_d003_export_allow () =
 
 (* --- E001: exception escape across protocol boundaries --- *)
 
-let repl body = [ ("lib/core/repl_server.ml", body) ]
+(* The boundary is the DST driver factory, [Driver.make_exn]. [Not_found]
+   is in its allowance, so the cases that must fire raise [Exit]. *)
+let driver body = [ ("lib/dst/driver.ml", body) ]
 
 let test_e001_fires () =
-  let fs, _ = analyze (repl "let attach ep = List.assoc ep []\n") in
-  assert_one_msg "stdlib raiser escapes the boundary" ~sub:"Not_found"
+  let fs, _ = analyze (driver "let make_exn ep = if ep then raise Exit else 0\n") in
+  assert_one_msg "an undeclared raise escapes the boundary" ~sub:"Exit"
     (only "E001" fs)
 
 let test_e001_allowed_exns () =
   let fs, _ =
     analyze
-      (repl
-         "let attach ep =\n\
+      (driver
+         "let make_exn ep =\n\
          \  if ep then failwith \"wedged\" else invalid_arg \"ep\"\n")
   in
   check Alcotest.int "declared crossings do not fire" 0
@@ -338,7 +323,9 @@ let test_e001_allowed_exns () =
 
 let test_e001_try_mask () =
   let fs, _ =
-    analyze (repl "let attach ep = try List.assoc ep [] with Not_found -> 0\n")
+    analyze
+      (driver
+         "let make_exn ep = try if ep then raise Exit else 0 with Exit -> 1\n")
   in
   check Alcotest.int "try/with masks the named exception" 0
     (List.length (only "E001" fs))
@@ -348,27 +335,29 @@ let test_e001_match_exception_scrutinee_only () =
      the scrutinee; a raiser in the success branch still escapes *)
   let fs, _ =
     analyze
-      (repl
-         "let second ep = List.assoc ep []\n\
-          let attach ep =\n\
-         \  match List.assoc ep [] with\n\
-         \  | exception Not_found -> 0\n\
+      (driver
+         "let second ep = if ep then raise Exit else 1\n\
+          let make_exn ep =\n\
+         \  match (if ep then raise Exit else 2) with\n\
+         \  | exception Exit -> 0\n\
          \  | v -> v + second ep\n")
   in
   assert_one_msg "success branch is not masked"
-    ~sub:"Repl_server.attach -> Repl_server.second" (only "E001" fs)
+    ~sub:"Driver.make_exn -> Driver.second" (only "E001" fs)
 
 let test_e001_rethrow_transparent () =
   let fs, _ =
     analyze
-      (repl "let attach ep = try List.assoc ep [] with e -> ignore ep; raise e\n")
+      (driver
+         "let make_exn ep =\n\
+         \  try if ep then raise Exit else 0 with e -> ignore ep; raise e\n")
   in
-  assert_one_msg "observe-and-rethrow does not absorb" ~sub:"Not_found"
+  assert_one_msg "observe-and-rethrow does not absorb" ~sub:"Exit"
     (only "E001" fs)
 
 let test_e001_catch_all_absorbs () =
   let fs, _ =
-    analyze (repl "let attach ep = try List.assoc ep [] with _ -> 0\n")
+    analyze (driver "let make_exn ep = try if ep then raise Exit else 0 with _ -> 1\n")
   in
   check Alcotest.int "catch-all masks everything (C002's beat, not E001's)" 0
     (List.length (only "E001" fs))
@@ -549,8 +538,8 @@ let test_functor_no_false_edges () =
 let test_module_name_of_path () =
   check Alcotest.string "tree.ml -> Tree" "Tree"
     (Lint.Extract.module_name_of_path "lib/core/tree.ml");
-  check Alcotest.string "repl_server.mli -> Repl_server" "Repl_server"
-    (Lint.Extract.module_name_of_path "lib/core/repl_server.mli")
+  check Alcotest.string "lsm_shell.mli -> Lsm_shell" "Lsm_shell"
+    (Lint.Extract.module_name_of_path "lib/core/lsm_shell.mli")
 
 let test_baseline_render () =
   let f =
@@ -566,11 +555,11 @@ let test_baseline_render () =
 
 let interproc_corpus =
   d003_units ~tainted:true ~allow:false
-  @ repl
-      "let second ep = List.assoc ep []\n\
-       let attach ep =\n\
-      \  match List.assoc ep [] with\n\
-      \  | exception Not_found -> 0\n\
+  @ driver
+      "let second ep = if ep then raise Exit else 1\n\
+       let make_exn ep =\n\
+      \  match (if ep then raise Exit else 2) with\n\
+      \  | exception Exit -> 0\n\
       \  | v -> v + second ep\n"
   @ c003_units ~pure:false ~allow:false
   @ y001_units ~inside:true ~allow:false
@@ -620,11 +609,6 @@ let () =
           Alcotest.test_case "A001 bad" `Quick test_a001_bad;
           Alcotest.test_case "A001 allowed dir" `Quick test_a001_allowed_dir;
           Alcotest.test_case "A001 ok" `Quick test_a001_ok;
-          Alcotest.test_case "A002 bad" `Quick test_a002_bad;
-          Alcotest.test_case "A002 unmarked file" `Quick
-            test_a002_non_replication_file;
-          Alcotest.test_case "A002 exempt dir" `Quick test_a002_exempt_dir;
-          Alcotest.test_case "A002 ok" `Quick test_a002_ok;
           Alcotest.test_case "F001 bad" `Quick test_f001_bad;
           Alcotest.test_case "F001 interface" `Quick test_f001_interface;
           Alcotest.test_case "F001 allowlisted unit" `Quick test_f001_allowlisted;

@@ -559,6 +559,42 @@ let test_episodes_from_tree_observer () =
 
 (* -------------------------------------------------------------------- *)
 
+(* --- the shared JSON string escaper, over every byte value --------- *)
+
+let test_json_escape_all_bytes () =
+  let expect c =
+    match c with
+    | '"' -> "\\\""
+    | '\\' -> "\\\\"
+    | '\n' -> "\\n"
+    | '\r' -> "\\r"
+    | '\t' -> "\\t"
+    | c when Char.code c < 0x20 || Char.code c >= 0x7f ->
+        Printf.sprintf "\\u%04x" (Char.code c)
+    | c -> String.make 1 c
+  in
+  let all = String.init 256 Char.chr in
+  String.iter
+    (fun c ->
+      Alcotest.(check string)
+        (Printf.sprintf "byte 0x%02x" (Char.code c))
+        (expect c)
+        (Obs.Json.escape (String.make 1 c)))
+    all;
+  let out = Obs.Json.escape all in
+  Alcotest.(check string) "bytes escape independently"
+    (String.concat "" (List.init 256 (fun i -> expect (Char.chr i))))
+    out;
+  Alcotest.(check bool) "output is printable ASCII (valid UTF-8)" true
+    (String.for_all (fun c -> c >= ' ' && c <= '~') out);
+  Alcotest.(check string) "spot checks"
+    "\\u0000\\u001f \\u007f\\u0080\\u00ff"
+    (Obs.Json.escape "\000\031 \127\128\255");
+  let b = Buffer.create 8 in
+  Buffer.add_char b '[';
+  Obs.Json.add_escaped b "a\"b";
+  Alcotest.(check string) "add_escaped appends" "[a\\\"b" (Buffer.contents b)
+
 let () =
   Alcotest.run "obs"
     [
@@ -574,6 +610,8 @@ let () =
             test_registry_duplicate_rejected;
           Alcotest.test_case "json shape" `Quick test_registry_json_shape;
         ] );
+      ( "json",
+        [ Alcotest.test_case "escape all 256 bytes" `Quick test_json_escape_all_bytes ] );
       ( "trace",
         [
           Alcotest.test_case "disabled is no-op" `Quick

@@ -268,8 +268,7 @@ let test_truncated_mid_record_is_typed_corrupt () =
   (* Regression for a real find of lint rule E001: when the data pages
      end inside a record body (truncated table), the reader's internal
      End_of_component record-boundary exception used to leak through
-     the cursor — across the replication and DST protocol boundaries —
-     instead of the typed Corrupt the scan contract declares. *)
+     the cursor — across the DST driver boundary — instead of the typed Corrupt the scan contract declares. *)
   let store = mk_store () in
   (* One record whose body spans several 256-byte pages, so a footer
      one page short ends mid-body. *)

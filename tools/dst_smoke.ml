@@ -9,10 +9,7 @@
    makes seed replay meaningful). Any violation prints the failing
    seed, shrinks it, and writes a repro JSON under dst/. *)
 
-let drivers =
-  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb";
-    "replicated"; "policy-tiered"; "policy-leveled"; "policy-lazy-leveled";
-    "policy-partial" ]
+let drivers = Dst.Driver.all_names
 
 let () =
   let seeds = ref 5 in
