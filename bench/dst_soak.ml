@@ -4,9 +4,6 @@
    map naturally: --ops sets steps per plan, --seed offsets the seed
    block, --quick quarters everything like any other experiment. *)
 
-let drivers =
-  [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb" ]
-
 let run (scale : Scale.t) =
   let steps = max 50 (min 600 (scale.Scale.ops / 16)) in
   let seeds = max 3 (min 40 (scale.Scale.records / 8000)) in
@@ -15,7 +12,7 @@ let run (scale : Scale.t) =
   in
   Printf.printf
     "\n== DST soak: %d drivers x %d seeds, %d steps per plan ==\n%!"
-    (List.length drivers) seeds steps;
+    (List.length Dst.Driver.all_names) seeds steps;
   let total_violations = ref 0 in
   List.iter
     (fun driver ->
@@ -42,12 +39,12 @@ let run (scale : Scale.t) =
       done;
       let dt = (Unix.gettimeofday [@lint.allow "D001"]) () -. t0 in
       Printf.printf
-        "  %-12s %3d plans  %5d crashes recovered  %2d rot runs  %s  %6.2fs (%.1f plans/s)\n%!"
+        "  %-19s %3d plans  %5d crashes recovered  %2d rot runs  %s  %6.2fs (%.1f plans/s)\n%!"
         driver seeds !crashes !rot
         (if !bad = 0 then "ok  " else Printf.sprintf "%dBAD" !bad)
         dt
         (float_of_int seeds /. dt))
-    drivers;
+    Dst.Driver.all_names;
   if !total_violations > 0 then
     Printf.printf "DST soak: %d violations — see above\n" !total_violations
   else Printf.printf "DST soak: all invariants held\n"

@@ -55,7 +55,7 @@ let p999_ceiling_us = function
   | "partial" -> 6_000.0
   | _ -> 10_000.0
 
-let policies = [ "tiered"; "leveled"; "lazy-leveled"; "partial" ]
+let policies = List.map fst Blsm.Compaction_policy.named
 let workloads = [ "fill"; "overwrite"; "mixed" ]
 
 module M = Map.Make (String)
@@ -84,7 +84,7 @@ let mk_snowshovel ~seed =
   (Blsm.Tree.engine t, fun () -> Blsm.Tree.disk_data_bytes t)
 
 let mk_policy ~policy_name ~ratio ~seed =
-  let policy = Option.get (Blsm.Compaction_policy.of_name policy_name) in
+  let policy = List.assoc policy_name Blsm.Compaction_policy.named in
   let config =
     { Blsm.Config.default with Blsm.Config.c0_bytes; seed }
   in

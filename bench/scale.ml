@@ -85,7 +85,7 @@ let leveldb s profile =
   in
   let st = store ~cache_bytes:cache profile in
   Blsm.Policy_tree.create ~config ~pconfig
-    ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+    ~policy:Blsm.Compaction_policy.leveldb_seed
     st
 
 let leveldb_engine ?(name = "LevelDB") s profile =

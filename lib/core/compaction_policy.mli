@@ -1,54 +1,56 @@
-(** Pluggable compaction policies: the *what-to-merge* decision.
+(** Compaction policies: the *what-to-merge* decision.
 
     The merge machinery in this repository is split across pacing
     ({!Scheduler}: when and how fast), mechanism ({!Merge_process},
     {!Policy_tree}: how records move), and — with this
     module — policy: which runs are merged together next. A policy is a
-    pure-ish decision procedure over a metadata snapshot of the tree
-    ({!view}): it never touches pages, iterators, or the store, so one
-    policy drives both the simulation engines and the structural
-    QCheck invariants directly.
+    pure decision over a metadata snapshot of the tree ({!view}): it
+    never touches pages, iterators, or the store, so one policy drives
+    both the simulation engines and the structural invariants directly.
 
-    Four design points from Sarkar et al.'s compaction design space are
-    provided, plus the selection logic of circa-2012 LevelDB
-    ([leveldb_seed]), which {!Policy_tree.leveldb_pconfig} runs as the
-    paper's comparator:
-
-    - {!tiered}: every level holds up to [T] overlapping runs; a full
-      level merges into one run stacked on the next level. Write-optimal,
-      read- and space-expensive.
-    - {!leveled}: one run per level, sized [base * T^(i-1)]; an overfull
-      level merges wholesale into the next. Read-optimal, high write
-      amplification.
-    - {!lazy_leveled}: tiered upper levels, one leveled run at the last
-      level — the middle ground (Dostoevsky's "lazy leveling").
-    - {!partial}: leveled shape but key-range granularity — one file
-      (plus its overlaps) moves at a time, round-robin over the key
-      space, so merges are small and pauses short.
-    - {!leveldb_seed}: LevelDB's score-based victim selection with a
-      round-robin compaction pointer. *)
+    Following Sarkar et al.'s compaction design space, a policy is one
+    point on four primitives:
+    {v
+    trigger      First_full: the shallowest level at its limit (level 0
+                 by run count, deeper levels by bytes or run count)
+                 Max_score: LevelDB's highest fill ratio, ties deeper
+    layout       Tiered | Leveled | Lazy_leveled (tiers above one sorted
+                 last level)
+    granularity  Whole_level | One_file: one run plus its overlaps,
+                 output split at v_file_bytes
+    movement     round-robin over the key space: a per-level cursor the
+                 host keeps and advances
+    v}
+    The named points:
+    {v
+    name          trigger     layout        granularity
+    tiered        First_full  Tiered        Whole_level
+    leveled       First_full  Leveled       Whole_level
+    lazy-leveled  First_full  Lazy_leveled  Whole_level
+    partial       First_full  Leveled       One_file
+    leveldb-seed  Max_score   Leveled       One_file
+    v}
+    The first four are the grid's design points ({!named});
+    {!leveldb_seed} is circa-2012 LevelDB's selection, which
+    {!Policy_tree.leveldb_pconfig} runs as the paper's comparator. *)
 
 (** Metadata of one on-disk sorted run. [run_id] is the engine's
     creation-order stamp: unique, and within a level a higher id means
     fresher data. *)
 type run = {
   run_id : int;
-  run_level : int;
   run_bytes : int;
-  run_records : int;
   run_min_key : string;
   run_max_key : string;
 }
 
 (** Snapshot the engine hands the policy. [v_levels.(i)] lists level
     [i]'s runs in the engine's storage order (level 0 newest-first;
-    deeper levels as maintained by the engine — sorted by [run_min_key]
-    for range-partitioned levels). Knobs: [v_l0_trigger] level-0 run
-    count that makes compaction urgent, [v_fanout] the size ratio /
-    tiering width T, [v_base_bytes] the level-1 byte target
+    deeper levels sorted by [run_min_key]). Knobs: [v_l0_trigger]
+    level-0 run count that makes compaction urgent, [v_fanout] the size
+    ratio / tiering width T, [v_base_bytes] the level-1 byte target
     ([target(i) = base * fanout^(i-1)]), [v_file_bytes] the output split
-    granularity for range-partitioned policies, [v_max_levels] the
-    deepest level + 1. *)
+    for [One_file] policies, [v_max_levels] the deepest level + 1. *)
 type view = {
   v_levels : run list array;
   v_l0_trigger : int;
@@ -70,53 +72,30 @@ type job = {
   j_overlaps : int list;
   j_target : int;
   j_split_bytes : int;
-  j_why : string;  (** selection cause, for traces and tests *)
 }
 
-(** A policy instance. Factories return closures so policies may carry
-    private selection state (round-robin pointers); engines create one
-    instance per tree and re-create it on crash recovery.
+type trigger = First_full | Max_score
+type layout = Tiered | Leveled | Lazy_leveled
+type granularity = Whole_level | One_file
+type t = { trigger : trigger; layout : layout; granularity : granularity }
 
-    [p_pick] chooses the most urgent job, or [None] when the tree shape
-    satisfies the policy. [p_job_at ~level] forces selection at one
-    level (hard drains of level 0). [p_check] is the structural
-    invariant the shape must satisfy at maintenance fixpoint —
-    [Some msg] describes the violation. *)
-type t = {
-  p_name : string;
-  p_pick : view -> job option;
-  p_job_at : view -> level:int -> job option;
-  p_check : view -> string option;
-}
+(** The grid's four design points, by name: [tiered], [leveled],
+    [lazy-leveled], [partial]. *)
+val named : (string * t) list
 
-(** Policy-authoring helpers and the typed per-policy factories below
-    are the pluggable-policy API: engines select policies by name
-    through {!of_name}, but a custom policy (the whole point of the
-    subsystem) is written against these. *)
+val leveldb_seed : t
 
-[@@@lint.allow "U001"]
+(** [pick p ~cursor v] chooses the most urgent job, or [None] when the
+    shape satisfies [p]. [cursor.(i)] (one entry per level, initially
+    [""]) is the min key of the last run a one-run job moved out of
+    level [i]; a [One_file] pick takes the first run past it, wrapping.
+    The host sets it when it starts such a job, as LevelDB keeps
+    [compact_pointer_]. *)
+val pick : t -> cursor:string array -> view -> job option
 
-(** [level_target v i] is level [i]'s byte budget:
-    [base * fanout^(i-1)], [max_int] for level 0. *)
-val level_target : view -> int -> int
+(** The job that merges level 0 down (hard drains). *)
+val l0_job : t -> view -> job option
 
-(** [level_bytes v i] sums the level's run sizes. *)
-val level_bytes : view -> int -> int
-
-(** [overlapping v ~level ~min_key ~max_key] lists ids of level
-    [level]'s runs whose key range intersects [min_key, max_key], in
-    storage order. *)
-val overlapping :
-  view -> level:int -> min_key:string -> max_key:string -> int list
-
-val tiered : unit -> t
-val leveled : unit -> t
-val lazy_leveled : unit -> t
-val partial : unit -> t
-val leveldb_seed : unit -> t
-
-(** Factory by name ([tiered] | [leveled] | [lazy-leveled] | [partial] |
-    [leveldb-seed]); [None] for unknown names. *)
-val of_name : string -> t option
-
-val all_names : string list
+(** The structural invariant the shape satisfies at a maintenance
+    fixpoint; [Some msg] describes the violation. *)
+val check : t -> view -> string option

@@ -88,6 +88,7 @@ type t = {
   config : Config.t;
   pc : pconfig;
   policy : Compaction_policy.t;
+  cursor : string array;  (* round-robin key per level, see [start_job] *)
   store : Pagestore.Store.t;
   mem : Memtable.t;
   levels : prun list array;  (* level 0 newest-first; deeper by min key *)
@@ -102,8 +103,6 @@ type t = {
 }
 
 let config t = t.config
-let pconfig t = t.pc
-let policy t = t.policy
 let store t = t.store
 let disk t = Pagestore.Store.disk t.store
 let stats t = Lsm_shell.stats t.sh
@@ -117,6 +116,7 @@ let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy
     config;
     pc = pconfig;
     policy;
+    cursor = Array.make pconfig.pt_max_levels "";
     store;
     mem =
       Memtable.create ~seed:config.Config.seed
@@ -158,19 +158,14 @@ let level_order lvl runs =
 let view t =
   {
     Compaction_policy.v_levels =
-      Array.mapi
-        (fun lvl runs ->
-          List.map
-            (fun r ->
-              {
-                Compaction_policy.run_id = r.pr_id;
-                run_level = lvl;
-                run_bytes = run_bytes r;
-                run_records = Component.record_count r.pr_comp;
-                run_min_key = run_min_key r;
-                run_max_key = run_max_key r;
-              })
-            runs)
+      Array.map
+        (List.map (fun r ->
+             {
+               Compaction_policy.run_id = r.pr_id;
+               run_bytes = run_bytes r;
+               run_min_key = run_min_key r;
+               run_max_key = run_max_key r;
+             }))
         t.levels;
     v_l0_trigger = t.pc.pt_l0_trigger;
     v_fanout = t.pc.pt_fanout;
@@ -179,7 +174,8 @@ let view t =
     v_max_levels = t.pc.pt_max_levels;
   }
 
-let check_invariant t = t.policy.Compaction_policy.p_check (view t)
+let check_invariant t = Compaction_policy.check t.policy (view t)
+let pick t = Compaction_policy.pick t.policy ~cursor:t.cursor (view t)
 
 type level_info = { li_level : int; li_runs : int; li_bytes : int }
 
@@ -279,8 +275,7 @@ let resolve_runs t ~lvl ids =
       | None ->
           failwith
             (Printf.sprintf
-               "policy_tree: policy %s selected unknown run %d at level %d"
-               t.policy.Compaction_policy.p_name id lvl))
+               "policy_tree: policy selected unknown run %d at level %d" id lvl))
     ids
 
 let comp_pull t ~lvl ~from comp =
@@ -335,6 +330,13 @@ let start_job t (job : Compaction_policy.job) =
     if job.j_target = job.j_level then []
     else resolve_runs t ~lvl:job.j_target job.j_overlaps
   in
+  (* The round-robin cursor, LevelDB's [compact_pointer_]: a job that
+     moves one run records its min key, so the level's next one-file
+     pick moves on past it. Every pick is started at once, so this is
+     where each pick's cursor step lands. *)
+  (match inputs with
+  | [ r ] -> t.cursor.(job.j_level) <- run_min_key r
+  | _ -> ());
   (* Freshest source wins ties: inputs come from above the target (or
      are newer runs of the same level), ordered newest id first; the
      target level's overlapping runs are older than all of them and,
@@ -427,7 +429,7 @@ let finish_active t =
 (* Start the policy's most urgent job when no compaction is in flight. *)
 let ensure_active t =
   if t.active = None then
-    match t.policy.Compaction_policy.p_pick (view t) with
+    match pick t with
     | Some job -> start_job t job
     | None -> ()
 
@@ -450,15 +452,14 @@ let hard_drain t ~limit =
   while List.length t.levels.(0) > limit do
     incr fuel;
     if !fuel > 10_000 then failwith "policy_tree: hard drain stuck";
-    match t.policy.Compaction_policy.p_job_at (view t) ~level:0 with
+    match Compaction_policy.l0_job t.policy (view t) with
     | Some job -> run_job t job
     | None ->
         failwith
           (Printf.sprintf
-             "policy_tree: level 0 at %d runs >= stop %d but policy %s \
-              is idle"
+             "policy_tree: level 0 at %d runs >= stop %d but the policy is idle"
              (List.length t.levels.(0))
-             t.pc.pt_l0_stop t.policy.Compaction_policy.p_name)
+             t.pc.pt_l0_stop)
   done
 
 let flush_if_full t =
@@ -524,7 +525,7 @@ let pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us =
            *. 1e6)
     end;
     if t.credit > 0.0 then
-      match t.policy.Compaction_policy.p_pick (view t) with
+      match pick t with
       | Some job ->
           let before = t.es.bytes_compacted in
           charge t `Merge2 (fun () -> run_job t job);
@@ -632,7 +633,7 @@ let maintenance t =
   let rec settle () =
     incr fuel;
     if !fuel > 100_000 then failwith "policy_tree: maintenance stuck";
-    match t.policy.Compaction_policy.p_pick (view t) with
+    match pick t with
     | Some job ->
         run_job t job;
         settle ()
@@ -660,12 +661,7 @@ let crash_and_recover ?(verify = false) t =
          let blob = Component.meta_blob r.pr_comp in
          if not (List.exists (String.equal blob) durable) then Component.free r.pr_comp))
     t.levels;
-  let policy =
-    match Compaction_policy.of_name t.policy.Compaction_policy.p_name with
-    | Some p -> p
-    | None -> t.policy
-  in
-  let fresh = create ~config:t.config ~pconfig:t.pc ~policy t.store in
+  let fresh = create ~config:t.config ~pconfig:t.pc ~policy:t.policy t.store in
   fresh.es.recoveries <- t.es.recoveries + 1;
   fresh.es.recoveries_mid_compaction <-
     (t.es.recoveries_mid_compaction + if mid_compaction then 1 else 0);
@@ -749,12 +745,7 @@ let metrics t =
 
 (* {1 Engine adapter} *)
 
-let engine ?name t =
-  let name =
-    match name with
-    | Some n -> n
-    | None -> "policy-" ^ t.policy.Compaction_policy.p_name
-  in
+let engine ~name t =
   {
     Kv.Kv_intf.name;
     disk = disk t;

@@ -4,8 +4,9 @@
     array of levels of {!Component} runs (Bloom filters, fence pointers,
     the one page format — the shared read stack), with *victim
     selection* delegated entirely to the policy and everything else
-    shared so the four compaction disciplines differ only in the one
-    decision the design space varies.
+    shared so the compaction policies differ only in the one decision
+    the design space varies. The host keeps the policy's round-robin
+    cursor and advances it as it starts each one-run job.
 
     Pacing is a {!pacing} variant: the {!Scheduler.spring_quota}
     deadline controller on the memtable fill band, or 2012 LevelDB's
@@ -95,11 +96,7 @@ val create :
   ?config:Config.t -> ?pconfig:pconfig -> policy:Compaction_policy.t ->
   Pagestore.Store.t -> t
 
-(* The constructor-argument accessors mirror {!Tree}'s surface; [pconfig]
-   and [policy] are kept exported for embedders. *)
 val config : t -> Config.t
-val pconfig : t -> pconfig [@@lint.allow "U001"]
-val policy : t -> Compaction_policy.t [@@lint.allow "U001"]
 val store : t -> Pagestore.Store.t
 val disk : t -> Simdisk.Disk.t
 val stats : t -> Lsm_shell.stats
@@ -152,12 +149,8 @@ val on_stall : t -> (Lsm_shell.stall_breakdown -> unit) -> unit
 (** [ptree.*] counters plus the store stack; built once and cached. *)
 val metrics : t -> Obs.Metrics.t
 
-(** Metadata snapshot the policy decides over — the input for writing
-    custom policies against {!Compaction_policy}. *)
-val view : t -> Compaction_policy.view [@@lint.allow "U001"]
-
 (** The policy's structural invariant at the current shape
-    ([p_check (view t)]). *)
+    ({!Compaction_policy.check}). *)
 val check_invariant : t -> string option
 
 type level_info = { li_level : int; li_runs : int; li_bytes : int }
@@ -169,4 +162,4 @@ val levels : t -> level_info list
 val total_run_bytes : t -> int
 
 (** [engine t] adapts the tree to the generic KV surface. *)
-val engine : ?name:string -> t -> Kv.Kv_intf.engine
+val engine : name:string -> t -> Kv.Kv_intf.engine

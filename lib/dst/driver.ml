@@ -277,7 +277,7 @@ let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
 
 let policy_tree ~policy_name ~seed () =
   let policy =
-    match Blsm.Compaction_policy.of_name policy_name with
+    match List.assoc_opt policy_name Blsm.Compaction_policy.named with
     | Some p -> p
     | None -> invalid_arg ("Dst.Driver.policy_tree: unknown policy " ^ policy_name)
   in
@@ -302,14 +302,14 @@ let leveldb ~seed () =
         Blsm.Policy_tree.pt_file_bytes = 16 * 1024;
         pt_base_bytes = 64 * 1024;
       }
-    ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+    ~policy:Blsm.Compaction_policy.leveldb_seed
     ~seed ()
 
 (* ------------------------------------------------------------------ *)
 (* Factory *)
 
 let policy_names =
-  [ "policy-tiered"; "policy-leveled"; "policy-lazy-leveled"; "policy-partial" ]
+  List.map (fun (name, _) -> "policy-" ^ name) Blsm.Compaction_policy.named
 
 let all_names =
   [ "blsm"; "blsm-gear"; "blsm-naive"; "partitioned"; "btree"; "leveldb" ]

@@ -87,7 +87,7 @@ val btree : seed:int -> unit -> t
 val small_pconfig : Blsm.Policy_tree.pconfig
 
 (** [policy_tree ~policy_name ~seed ()] wraps {!Blsm.Policy_tree} around
-    the named {!Blsm.Compaction_policy} factory. *)
+    the design point [policy_name] of {!Blsm.Compaction_policy.named}. *)
 val policy_tree : policy_name:string -> seed:int -> unit -> t
 
 (** The [policy-<name>] driver variants, one per compaction policy. *)

@@ -114,9 +114,8 @@ let default_engine_surface_modules =
   [ "Tree"; "Partitioned"; "Policy_tree"; "Btree" ]
 
 (* Rule E001: protocol boundaries and the exceptions allowed to cross
-   them.  Everything else leaking is the PR 6 bug class — a failure
-   crossing a protocol edge as an exception instead of a protocol
-   answer. *)
+   them.  Anything else leaking is an internal exception crossing a
+   protocol edge where a protocol answer belongs. *)
 let default_boundaries =
   [
     {

@@ -16,7 +16,8 @@ type access_rule = {
 
 (** One E001 protocol boundary: a function (module-qualified name) whose
     inferred may-raise set must stay inside [bd_allowed] — anything else
-    leaking across it is the PR 6 bug class. *)
+    leaking across it is an internal exception where a protocol answer
+    belongs. *)
 type boundary = {
   bd_func : string;  (** e.g. ["Driver.make_exn"] *)
   bd_allowed : string list;  (** exception constructor names *)

@@ -4,9 +4,9 @@
    D003  nondeterminism taint — no engine-surface op may transitively
          reach a D001 nondeterminism source.
    E001  exception escape — a protocol boundary's inferred may-raise
-         set must stay inside its declared allowance (the PR 6 bug
-         class: a failure crossing a protocol edge as an exception
-         instead of a protocol answer).
+         set must stay inside its declared allowance (an internal
+         exception crossing a protocol edge where a protocol answer
+         belongs).
    C003  transitive comparator purity — a *named* function passed in
          comparator position may not observe or mutate the world
          (inline comparators are C001's beat).

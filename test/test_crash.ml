@@ -336,7 +336,7 @@ let test_extents_policy_splits () =
   in
   let t =
     Blsm.Policy_tree.create ~config:(small_config ()) ~pconfig
-      ~policy:(Option.get (Blsm.Compaction_policy.of_name "partial"))
+      ~policy:(List.assoc "partial" Blsm.Compaction_policy.named)
       store
   in
   for i = 0 to 1499 do

@@ -351,7 +351,7 @@ let test_unverified_policy_recovery_quarantines () =
   let store = mk_store () in
   let t =
     Blsm.Policy_tree.create ~config:(small_config ())
-      ~policy:(Blsm.Compaction_policy.leveled ()) store
+      ~policy:(List.assoc "leveled" Blsm.Compaction_policy.named) store
   in
   for i = 0 to 199 do
     Blsm.Policy_tree.put t (Printf.sprintf "key%04d" i) (String.make 40 'p')
@@ -430,16 +430,15 @@ let policy_row ~engine ~config ~pconfig ~policy =
 let rot_rows () =
   tree_row ()
   :: List.map
-       (fun name ->
+       (fun (name, policy) ->
          policy_row ~engine:name ~config:(Dst.Driver.small_config 7)
-           ~pconfig:Dst.Driver.small_pconfig
-           ~policy:(Option.get (Blsm.Compaction_policy.of_name name)))
-       [ "tiered"; "leveled"; "lazy-leveled"; "partial" ]
+           ~pconfig:Dst.Driver.small_pconfig ~policy)
+       Blsm.Compaction_policy.named
   @ [
       policy_row ~engine:"leveldb"
         ~config:{ (small_config ()) with Blsm.Config.bloom_bits_per_key = 0 }
         ~pconfig:Blsm.Policy_tree.leveldb_pconfig
-        ~policy:(Blsm.Compaction_policy.leveldb_seed ());
+        ~policy:Blsm.Compaction_policy.leveldb_seed;
     ]
 
 let expect_typed_rot row ~what ~levels f =
@@ -500,7 +499,7 @@ let manifest_rows () =
     let store = mk_store () in
     let t =
       Blsm.Policy_tree.create ~config:(small_config ())
-        ~policy:(Blsm.Compaction_policy.leveled ()) store
+        ~policy:(List.assoc "leveled" Blsm.Compaction_policy.named) store
     in
     load (Blsm.Policy_tree.put t);
     Blsm.Policy_tree.maintenance t;

@@ -34,7 +34,7 @@ let small_pconfig =
 
 let create ?(pconfig = small_pconfig) store =
   L.create ~config:small_config ~pconfig
-    ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+    ~policy:Blsm.Compaction_policy.leveldb_seed
     store
 
 let mk () = create (mk_store ())

@@ -226,7 +226,7 @@ let test_recovery_time_attributed () =
   in
   let policy_input () =
     let store = mk_store () in
-    let t = Blsm.Policy_tree.create ~policy:(Blsm.Compaction_policy.leveled ()) store in
+    let t = Blsm.Policy_tree.create ~policy:(List.assoc "leveled" Blsm.Compaction_policy.named) store in
     load (Blsm.Policy_tree.put t);
     ( store,
       fun () ->

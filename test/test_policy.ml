@@ -1,4 +1,4 @@
-(* Compaction-policy suite (ISSUE 9):
+(* Compaction-policy suite:
    - QCheck property per policy: after any seeded op sequence the level
      shape satisfies the policy's structural invariant (tiered: <= T
      runs per tier; leveled: one run per level within size bounds;
@@ -9,9 +9,11 @@
      yields identical logical contents, pinned at 3 seeds;
    - crash safety: recovery mid-sequence preserves oracle agreement, the
      structural invariant and a clean scrub, for every policy and for
-     the LevelDB configuration. *)
+     the LevelDB configuration;
+   - pinned selection: the jobs each named point picks over a fixed
+     stream of random views, digested. *)
 
-let policies = [ "tiered"; "leveled"; "lazy-leveled"; "partial" ]
+let policies = List.map fst Blsm.Compaction_policy.named
 
 let driver_names =
   "blsm" :: List.map (fun p -> "policy-" ^ p) policies
@@ -25,7 +27,7 @@ let gen_key prng = Printf.sprintf "key%03d" (Repro_util.Prng.int prng 200)
    maintenance interleaved so runs actually pile up and merge. *)
 let run_structural ~policy_name ~seed ~n =
   let store, _ = Dst.Driver.mk_store ~fault_seed:seed () in
-  let policy = Option.get (Blsm.Compaction_policy.of_name policy_name) in
+  let policy = List.assoc policy_name Blsm.Compaction_policy.named in
   let t =
     Blsm.Policy_tree.create
       ~config:(Dst.Driver.small_config seed)
@@ -225,13 +227,13 @@ let crash_tree name ~seed store =
           Blsm.Policy_tree.pt_file_bytes = 16 * 1024;
           pt_base_bytes = 64 * 1024;
         }
-      ~policy:(Blsm.Compaction_policy.leveldb_seed ())
+      ~policy:Blsm.Compaction_policy.leveldb_seed
       store
   else
     Blsm.Policy_tree.create
       ~config:(Dst.Driver.small_config seed)
       ~pconfig:Dst.Driver.small_pconfig
-      ~policy:(Option.get (Blsm.Compaction_policy.of_name name))
+      ~policy:(List.assoc name Blsm.Compaction_policy.named)
       store
 
 let test_crash_recovery policy_name () =
@@ -267,6 +269,131 @@ let test_crash_recovery policy_name () =
     true
     (Blsm.Policy_tree.scrub !t).Blsm.Lsm_shell.scrub_clean
 
+(* --- pinned selection ---------------------------------------------- *)
+
+module P = Blsm.Compaction_policy
+
+(* A fixed-seed stream of random views: every level from 0 to
+   [v_max_levels - 1], random run counts and sizes, key-disjoint and
+   overlapping levels, random knobs. Run ids are unique; each level is
+   in the host's storage order (level 0 newest first, deeper levels by
+   min key). *)
+let gen_view prng =
+  let int = Repro_util.Prng.int prng in
+  let max_levels = 2 + int 6 in
+  let fanout = 1.0 +. (float_of_int (int 100) /. 10.0) in
+  let base = 1024 * (1 + int 64) in
+  let l0_trigger = 1 + int 6 in
+  let file_bytes = 1024 * (1 + int 32) in
+  let next_id = ref 0 in
+  let level lvl =
+    let n = int (if Repro_util.Prng.bool prng then 4 else 13) in
+    let target =
+      if lvl = 0 then base
+      else int_of_float (float_of_int base *. (fanout ** float_of_int (lvl - 1)))
+    in
+    (* a quarter of the levels sit within a byte of their target *)
+    let sizes = List.init n (fun _ -> 1 + int (max 1 (2 * target / max 1 n))) in
+    let sizes =
+      match sizes with
+      | _ :: rest when int 4 = 0 ->
+          max 1 (target - List.fold_left ( + ) 0 rest + int 3 - 1) :: rest
+      | _ -> sizes
+    in
+    let key k = Printf.sprintf "k%04d" k in
+    let disjoint = Repro_util.Prng.bool prng in
+    let pos = ref (int 50) in
+    let runs =
+      List.map
+        (fun bytes ->
+          incr next_id;
+          let lo, hi =
+            if disjoint then begin
+              let lo = !pos + 1 + int 30 in
+              let hi = lo + int 30 in
+              pos := hi;
+              (lo, hi)
+            end
+            else
+              let lo = int 1000 in
+              (lo, lo + int 300)
+          in
+          {
+            P.run_id = !next_id;
+            run_bytes = bytes;
+            run_min_key = key lo;
+            run_max_key = key hi;
+          })
+        sizes
+    in
+    if lvl = 0 then List.rev runs
+    else
+      List.stable_sort
+        (fun a b -> String.compare a.P.run_min_key b.P.run_min_key)
+        runs
+  in
+  {
+    P.v_levels = Array.init max_levels level;
+    v_l0_trigger = l0_trigger;
+    v_fanout = fanout;
+    v_base_bytes = base;
+    v_file_bytes = file_bytes;
+    v_max_levels = max_levels;
+  }
+
+let views =
+  lazy
+    (let prng = Repro_util.Prng.of_int 0x5E1EC7 in
+     List.init 2500 (fun _ -> gen_view prng))
+
+let show_job = function
+  | None -> "-"
+  | Some (j : P.job) ->
+      let ids l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf "%d[%s]+[%s]->%d/%d" j.P.j_level (ids j.P.j_inputs)
+        (ids j.P.j_overlaps) j.P.j_target j.P.j_split_bytes
+
+(* The host's cursor rule: a job that moves one run records that run's
+   min key for its level. *)
+let advance cursor (v : P.view) (j : P.job) =
+  match j.P.j_inputs with
+  | [ id ] ->
+      let r = List.find (fun r -> r.P.run_id = id) v.P.v_levels.(j.P.j_level) in
+      cursor.(j.P.j_level) <- r.P.run_min_key
+  | _ -> ()
+
+(* One line per view: the pick (the cursor advanced as the host does),
+   the level-0 job, the check verdict. *)
+let selection_digest p =
+  let cursor = Array.make 8 "" in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun v ->
+      let job = P.pick p ~cursor v in
+      Option.iter (advance cursor v) job;
+      Printf.bprintf b "%s %s %s\n" (show_job job) (show_job (P.l0_job p v))
+        (if P.check p v = None then "ok" else "bad"))
+    (Lazy.force views);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Generated with the five hand-written policy factories this selector
+   replaced; a change here is a change in which runs a policy merges. *)
+let pinned_selection =
+  [
+    ("tiered", "49cffb67146b7493a7102f0175bde6d3");
+    ("leveled", "0388f11465c98a6825e2c6c624b5f38d");
+    ("lazy-leveled", "d264a527f74e8fb70607daafc4df304b");
+    ("partial", "7464738f31dcddc261631f6a8159b858");
+    ("leveldb-seed", "fb763535b0fbd82e0d1df56a56ed5f09");
+  ]
+
+let test_pinned_selection () =
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check string) name (List.assoc name pinned_selection)
+        (selection_digest p))
+    (P.named @ [ ("leveldb-seed", P.leveldb_seed) ])
+
 let () =
   Alcotest.run "policy"
     [
@@ -284,4 +411,9 @@ let () =
           (fun p ->
             Alcotest.test_case (p ^ " recovery") `Quick (test_crash_recovery p))
           (policies @ [ "leveldb" ]) );
+      ( "selection",
+        [
+          Alcotest.test_case "pinned digests, five named points" `Quick
+            test_pinned_selection;
+        ] );
     ]

@@ -311,7 +311,7 @@ let test_policy_bottom_job_tombstone_run () =
     Blsm.Policy_tree.create
       ~config:{ config with Blsm.Config.c0_bytes = 16 * 1024 }
       ~pconfig
-      ~policy:(Option.get (Blsm.Compaction_policy.of_name "leveled"))
+      ~policy:(List.assoc "leveled" Blsm.Compaction_policy.named)
       store
   in
   let trace =
