@@ -1,6 +1,8 @@
 (** The simulated disk platter: durable page payloads. Pages written here
     survive a simulated crash; the buffer manager's dirty frames do not.
-    Absent pages read as zeroes. *)
+    Absent pages read as zeroes. Pages are kept in an arena of fixed-size
+    chunks addressed by page id; a chunk is released when its last page
+    is dropped. *)
 
 type t
 
@@ -13,13 +15,12 @@ val read : t -> Page.id -> Bytes.t -> unit
 (** [write t id src] durably stores a copy of [src] as page [id]. *)
 val write : t -> Page.id -> Bytes.t -> unit
 
-(** [drop t id] discards a page (region freed). *)
+(** [drop t id] discards a page (region freed); it reads as zeroes
+    afterwards. *)
 val drop : t -> Page.id -> unit
 
 (** [corrupt t id ~byte ~bit] flips one stored bit — simulated bit rot;
-    false when the page was never written. *)
+    false when the page is absent (never written, or dropped). *)
 val corrupt : t -> Page.id -> byte:int -> bit:int -> bool
 
-val stored_pages : t -> int
-[@@lint.allow "U001"] (* space-accounting probe beside [stored_bytes] *)
 val stored_bytes : t -> int

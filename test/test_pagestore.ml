@@ -111,6 +111,129 @@ let test_platter_write_isolated () =
   Pagestore.Platter.read p 0 dst;
   check Alcotest.bytes "isolated" (Bytes.make 8 'a') dst
 
+(* Fixed-seed random write/drop/corrupt sequences against a [Map] of page
+   contents. Ids sit at the ends and middle of five of the arena's
+   256-page chunks, so chunks empty, are released and are written again.
+   Contents are unique per write, so a dropped id that read back its old
+   bytes would differ from the zeroes the model expects. After every op,
+   every id in play is read back and [stored_bytes] is checked, and the
+   arena must hold one chunk per chunk with a present page plus a few
+   words of bookkeeping: a chunk kept after its last page is dropped
+   fails the test. *)
+module Ids = Map.Make (Int)
+
+let arena_chunk_pages = 256
+
+let platter_model ~page_size ~seed ~ops =
+  let module P = Pagestore.Platter in
+  let rng = Random.State.make [| seed |] in
+  let chunks = [| 0; 1; 2; 3; 5 |] in
+  let offsets = [| 0; 1; 2; 127; 128; 254; 255 |] in
+  let ids =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun c -> Array.map (fun o -> (c * arena_chunk_pages) + o) offsets)
+            chunks))
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let zeros = Bytes.make page_size '\000' in
+  let dst = Bytes.create page_size in
+  let chunk_words = arena_chunk_pages * page_size / 8 in
+  let p = P.create ~page_size in
+  let model = ref Ids.empty in
+  let writes = ref 0 in
+  let released = Hashtbl.create 8 in
+  let rewritten = ref 0 in
+  let live_chunk c =
+    Ids.exists (fun id _ -> id / arena_chunk_pages = c) !model
+  in
+  let drop id =
+    P.drop p id;
+    if Ids.mem id !model then begin
+      model := Ids.remove id !model;
+      let c = id / arena_chunk_pages in
+      if not (live_chunk c) then Hashtbl.replace released c ()
+    end
+  in
+  let verify step what =
+    Array.iter
+      (fun id ->
+        P.read p id dst;
+        let want = Option.value (Ids.find_opt id !model) ~default:zeros in
+        if not (Bytes.equal dst want) then
+          Alcotest.failf "page size %d, step %d (%s): page %d reads wrong bytes"
+            page_size step what id)
+      ids;
+    P.read p 1_000_000 dst;
+    if not (Bytes.equal dst zeros) then Alcotest.fail "far absent id not zero";
+    check Alcotest.int
+      (Printf.sprintf "stored_bytes at step %d" step)
+      (Ids.cardinal !model * page_size)
+      (P.stored_bytes p);
+    let live =
+      Array.fold_left (fun n c -> if live_chunk c then n + 1 else n) 0 chunks
+    in
+    let words = Obj.reachable_words (Obj.repr p) in
+    if words < live * chunk_words || words >= (live + 1) * chunk_words then
+      Alcotest.failf
+        "page size %d, step %d (%s): arena holds %d words for %d live chunks"
+        page_size step what words live
+  in
+  for step = 1 to ops do
+    let what =
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+          let id = pick ids in
+          incr writes;
+          let src =
+            Bytes.init page_size (fun i -> Char.chr ((!writes * 7 + i) land 0xFF))
+          in
+          Bytes.set_int32_le src 0 (Int32.of_int !writes);
+          let c = id / arena_chunk_pages in
+          if Hashtbl.mem released c && not (live_chunk c) then incr rewritten;
+          P.write p id src;
+          (* the platter keeps a copy: later changes to [src] are not seen *)
+          model := Ids.add id (Bytes.copy src) !model;
+          Bytes.fill src 0 page_size 'x';
+          "write"
+      | 4 | 5 ->
+          drop (pick ids);
+          "drop"
+      | 6 ->
+          (* a freed region: every page of one chunk *)
+          let c = pick chunks in
+          for id = c * arena_chunk_pages to ((c + 1) * arena_chunk_pages) - 1 do
+            drop id
+          done;
+          "drop chunk"
+      | _ ->
+          let id = if Random.State.bool rng then pick ids else 1_000_000 in
+          let byte = Random.State.int rng (page_size + 2) - 1 in
+          let bit = Random.State.int rng 8 in
+          let expect =
+            match Ids.find_opt id !model with
+            | Some b when byte >= 0 && byte < page_size ->
+                Bytes.set b byte
+                  (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
+                true
+            | _ -> false
+          in
+          check Alcotest.bool
+            (Printf.sprintf "corrupt %d byte %d at step %d" id byte step)
+            expect
+            (P.corrupt p id ~byte ~bit);
+          "corrupt"
+    in
+    verify step what
+  done;
+  if !rewritten = 0 then Alcotest.fail "no released chunk was written again"
+
+let test_platter_model () =
+  List.iter
+    (fun (page_size, seed) -> platter_model ~page_size ~seed ~ops:3000)
+    [ (128, 1); (128, 2); (4096, 3) ]
+
 (* -------------------------------------------------------------------- *)
 (* Buffer manager *)
 
@@ -438,6 +561,81 @@ let test_free_region_drops_pages () =
   if Pagestore.Store.stored_bytes store >= before then
     Alcotest.fail "platter space not reclaimed"
 
+(* -------------------------------------------------------------------- *)
+(* Allocation budgets *)
+
+(* The platter is an arena of chunks: a read blits out of its chunk and a
+   write into a chunk that already exists blits into it, so neither
+   allocates. A heap block per fresh page id would show up here as ~513
+   major words per 4 KiB write. Each measurement starts after [Gc.minor],
+   so no promotion lands inside it. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+let major_words () = int_of_float (Gc.quick_stat ()).Gc.major_words
+
+let filled_platter () =
+  let p = Pagestore.Platter.create ~page_size:4096 in
+  let src = Bytes.make 4096 'p' in
+  for id = 0 to 63 do
+    Pagestore.Platter.write p id src
+  done;
+  (p, src)
+
+let test_platter_read_alloc () =
+  let p, _ = filled_platter () in
+  let dst = Bytes.create 4096 in
+  let n = 2000 in
+  Gc.minor ();
+  let w0 = minor_words () in
+  for i = 0 to n - 1 do
+    (* present pages and, every 64th read, an absent one *)
+    Pagestore.Platter.read p (i land 127) dst
+  done;
+  check Alcotest.int "Platter.read minor words" 0 (minor_words () - w0);
+  Gc.minor ();
+  let w0 = major_words () in
+  for i = 0 to n - 1 do
+    Pagestore.Platter.read p (i land 127) dst
+  done;
+  check Alcotest.int "Platter.read major words" 0 (major_words () - w0)
+
+let test_platter_write_alloc () =
+  let p, src = filled_platter () in
+  (* ids 64..255 are fresh but lie in the chunk the first write allocated;
+     ids 0..63 are overwrites *)
+  Gc.minor ();
+  let w0 = minor_words () in
+  for id = 64 to 159 do
+    Pagestore.Platter.write p id src
+  done;
+  for id = 0 to 63 do
+    Pagestore.Platter.write p id src
+  done;
+  check Alcotest.int "Platter.write minor words" 0 (minor_words () - w0);
+  Gc.minor ();
+  let w0 = major_words () in
+  for id = 160 to 255 do
+    Pagestore.Platter.write p id src
+  done;
+  for id = 0 to 63 do
+    Pagestore.Platter.write p id src
+  done;
+  check Alcotest.int "Platter.write major words" 0 (major_words () - w0)
+
+let test_stream_write_alloc () =
+  (* A streamed page into a live chunk adds no heap block; what it does
+     allocate (simulated-clock floats) is short-lived minor garbage. *)
+  let store = mk_store ~page_size:4096 () in
+  let region = Pagestore.Store.allocate_region store ~pages:200 in
+  let ws = Pagestore.Store.open_write_stream store region in
+  let page = Bytes.make 4096 's' in
+  ignore (Pagestore.Store.stream_write ws page);
+  Gc.minor ();
+  let w0 = major_words () in
+  for _ = 2 to 200 do
+    ignore (Sys.opaque_identity (Pagestore.Store.stream_write ws page))
+  done;
+  check Alcotest.int "Store.stream_write major words" 0 (major_words () - w0)
+
 let () =
   Alcotest.run "pagestore"
     [
@@ -456,6 +654,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_platter_roundtrip;
           Alcotest.test_case "absent zero" `Quick test_platter_absent_reads_zero;
           Alcotest.test_case "write isolated" `Quick test_platter_write_isolated;
+          Alcotest.test_case "arena vs Map model" `Quick test_platter_model;
         ] );
       ( "buffer_manager",
         [
@@ -485,5 +684,11 @@ let () =
           Alcotest.test_case "stream overflow" `Quick test_stream_overflow_rejected;
           Alcotest.test_case "commit root" `Quick test_commit_root_roundtrip;
           Alcotest.test_case "free region" `Quick test_free_region_drops_pages;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "platter read budget" `Quick test_platter_read_alloc;
+          Alcotest.test_case "platter write budget" `Quick test_platter_write_alloc;
+          Alcotest.test_case "stream write budget" `Quick test_stream_write_alloc;
         ] );
     ]
