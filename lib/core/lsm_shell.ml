@@ -316,7 +316,9 @@ let component_pull sh ~level ~from c : pull =
   guard sh ~level (fun () ->
       let it = Component.iterator ?from c in
       Option.iter (fun its -> sh.scan_iters <- Some (it :: its)) sh.scan_iters;
-      fun () -> guard sh ~level (fun () -> Sstable.Reader.iter_next_full it))
+      (* one thunk per stream, not one per pull *)
+      let next () = Sstable.Reader.iter_next_full it in
+      fun () -> guard sh ~level next)
 
 type cursor = Sstable.Merge_iter.t
 

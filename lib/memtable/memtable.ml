@@ -152,7 +152,8 @@ let peek_gt_lsn t key = lsn_record (succ_gt t key)
 
 (** [pull_from t ~from] streams the live bindings with key >= [from] in
     order, with LSNs: a merge-iterator source over the memtable. The
-    cursor is the last key returned; each pull resumes strictly past it.
+    cursor is the last record returned (kept as returned, so a pull
+    allocates only its result); each pull resumes strictly past its key.
     A scan never asks twice for the same successor, so it bypasses the
     remembered one and leaves it to the snowshovel. *)
 let pull_from t ~from =
@@ -161,9 +162,9 @@ let pull_from t ~from =
     let r =
       match !last with
       | None -> peek_geq_lsn t from
-      | Some k -> lsn_record (Skiplist.succ_gt t.sl k)
+      | Some (k, _, _) -> lsn_record (Skiplist.succ_gt t.sl k)
     in
-    (match r with Some (k, _, _) -> last := Some k | None -> ());
+    (match r with Some _ -> last := r | None -> ());
     r
 
 (** [oldest_lsn t] is the smallest LSN any live entry depends on, or [None]

@@ -5,7 +5,14 @@
     {!Kv.Entry.merge} exactly as the read path would. With
     [drop_tombstones] (the bottom level) tombstones are elided and orphan
     deltas resolve into base records, preserving the all-base invariant
-    behind one-seek reads (§3.1.1). *)
+    behind one-seek reads (§3.1.1).
+
+    A key group held by a single source returns that source's own pulled
+    record: {!next} passes the same [Some] block through unchanged
+    whenever the bottom level keeps it, and allocates a record only when
+    sources share a key or a delta resolves. Each source holding the
+    group's key is pulled once, freshest first, so a caller metering its
+    pulls sees the same sequence whatever the fold does with them. *)
 
 type t
 

@@ -184,38 +184,72 @@ let decode_body_at s pos ~stop =
     its children. The floor search then touches a root-to-leaf path whose
     prefix is shared by every lookup (top of the array stays in cache)
     and whose branch direction feeds straight into the next index —
-    branch-predictable where sorted-order binary search is not. The
-    linear in-order walk {!Fence.locate_linear} is kept as the reference
-    the QCheck properties hold {!Fence.locate} to. *)
+    branch-predictable where sorted-order binary search is not.
+
+    Every fence key starts with [common], the common prefix of the first
+    and last key. Beside each key the fence keeps, unboxed in an [int
+    array], the 7 bytes that follow [common] read big-endian (zero-padded
+    past the key's end). That prefix order is monotone in key order, so a
+    descent step compares two integers and dereferences the boxed key
+    string only when the prefixes tie. The linear in-order walk
+    {!Fence.locate_linear} is kept as the reference the QCheck properties
+    hold {!Fence.locate} to. *)
 module Fence = struct
   type t = {
     keys : string array;  (** 1-indexed Eytzinger order; slot 0 unused *)
+    prefix : int array;  (** [prefix_at keys.(slot) (String.length common)] *)
     pos : int array;  (** chain position of the slot's data page *)
     n : int;
+    common : string;  (** common prefix of the smallest and largest key *)
   }
 
   let length t = t.n
   let key t slot = t.keys.(slot)
   let page_pos t slot = t.pos.(slot)
 
+  (* The 7 bytes of [s] from [off], big-endian, zero past its end: 56
+     bits, so the int stays non-negative. *)
+  let prefix_at s off =
+    let len = String.length s in
+    let p = ref 0 in
+    for i = off to off + 6 do
+      p := (!p lsl 8) lor (if i < len then Char.code (String.unsafe_get s i) else 0)
+    done;
+    !p
+
+  (* Length of the common prefix of [a] and [b]. *)
+  let mismatch a b =
+    let n = Int.min (String.length a) (String.length b) in
+    let i = ref 0 in
+    while !i < n && Char.equal (String.unsafe_get a !i) (String.unsafe_get b !i) do
+      incr i
+    done;
+    !i
+
   (** [of_sorted ~keys ~pos] lays the sorted index out in
       Eytzinger order (in-order traversal of the implicit tree visits
       slots in sorted key order). *)
   let of_sorted ~keys ~pos =
     let n = Array.length keys in
+    let common =
+      if n = 0 then "" else String.sub keys.(0) 0 (mismatch keys.(0) keys.(n - 1))
+    in
+    let c = String.length common in
     let ekeys = Array.make (n + 1) "" in
+    let eprefix = Array.make (n + 1) 0 in
     let epos = Array.make (n + 1) 0 in
     let rec fill k j =
       if k > n then j
       else begin
         let j = fill (2 * k) j in
         ekeys.(k) <- keys.(j);
+        eprefix.(k) <- prefix_at keys.(j) c;
         epos.(k) <- pos.(j);
         fill ((2 * k) + 1) (j + 1)
       end
     in
     ignore (fill 1 0 : int);
-    { keys = ekeys; pos = epos; n }
+    { keys = ekeys; prefix = eprefix; pos = epos; n; common }
 
     (** Smallest slot in key order (the leftmost tree node). *)
   let first_slot t =
@@ -227,6 +261,14 @@ module Fence = struct
       done;
       Some !j
     end
+
+  (* Largest slot in key order (the rightmost tree node); [t.n > 0]. *)
+  let last_slot t =
+    let j = ref 1 in
+    while (2 * !j) + 1 <= t.n do
+      j := (2 * !j) + 1
+    done;
+    !j
 
   (** In-order successor of [slot] ([None] at the maximum): right child's
       leftmost descendant, else the first ancestor entered from a left
@@ -248,28 +290,47 @@ module Fence = struct
       if p = 0 then None else Some p
     end
 
+  (* Sign of [key] against the keys starting with [common]: 0 when [key]
+     starts with it, else below (< 0) or above (> 0) all of them. *)
+  let against_common common key =
+    let i = mismatch common key in
+    if i = String.length common then 0
+    else if i = String.length key then -1
+    else Char.compare (String.unsafe_get key i) (String.unsafe_get common i)
+
   (** [locate t key]: the slot of the rightmost fence key [<= key]
-      ([None] if [key] precedes every fence key). Branch-free Eytzinger
-      descent: each comparison appends one path bit; at the bottom, the
-      floor is the node where the path last turned right — recovered by
-      stripping the trailing left-turn zeros and that final one bit. *)
+      ([None] if [key] precedes every fence key). A probe outside
+      [common] is settled by that one comparison. Otherwise a
+      branch-free Eytzinger descent: each step compares integer
+      prefixes (the key strings only on a tie) and appends one path bit;
+      at the bottom, the floor is the node where the path last turned
+      right — recovered by stripping the trailing left-turn zeros and
+      that final one bit. *)
   let locate t key =
     if t.n = 0 then None
-    else begin
-      let k = ref 1 in
-      while !k <= t.n do
-        k :=
-          (2 * !k)
-          + (if String.compare (Array.unsafe_get t.keys !k) key <= 0 then 1
-             else 0)
-      done;
-      let j = ref !k in
-      while !j land 1 = 0 do
-        j := !j lsr 1
-      done;
-      let j = !j lsr 1 in
-      if j = 0 then None else Some j
-    end
+    else
+      let side = against_common t.common key in
+      if side < 0 then None
+      else if side > 0 then Some (last_slot t)
+      else begin
+        let p = prefix_at key (String.length t.common) in
+        let k = ref 1 in
+        while !k <= t.n do
+          let fp = Array.unsafe_get t.prefix !k in
+          k :=
+            (2 * !k)
+            + (if fp < p
+                  || (fp = p && String.compare (Array.unsafe_get t.keys !k) key <= 0)
+               then 1
+               else 0)
+        done;
+        let j = ref !k in
+        while !j land 1 = 0 do
+          j := !j lsr 1
+        done;
+        let j = !j lsr 1 in
+        if j = 0 then None else Some j
+      end
 
   (** Reference implementation of {!locate}: walk slots in key order,
       keeping the last one whose key is [<= key]. The QCheck oracle. *)

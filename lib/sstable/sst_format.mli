@@ -61,7 +61,9 @@ val decode_value_at : string -> int -> stop:int -> Kv.Entry.t * int
     Eytzinger (BFS) order so the page-locating floor search walks a
     cache-resident, branch-predictable root-to-leaf path. Slots are
     1-indexed Eytzinger positions; in-order traversal visits them in
-    sorted key order. *)
+    sorted key order. Each slot also keeps its key's 7 bytes after the
+    fence's common prefix as an unboxed int, so the descent compares
+    integers and reads a key string only on a prefix tie. *)
 module Fence : sig
   type t
 
@@ -79,7 +81,9 @@ module Fence : sig
   val page_pos : t -> int -> int
 
   (** Slot of the rightmost fence key [<= key] ([None]: key precedes the
-      table). Branch-free Eytzinger descent. *)
+      table). A probe that does not start with the fence's common prefix
+      is settled by one comparison against it; otherwise a branch-free
+      Eytzinger descent over integer key prefixes. *)
   val locate : t -> string -> int option
 
   (** Reference linear in-order walk — the QCheck oracle {!locate} is

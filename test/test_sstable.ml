@@ -563,6 +563,55 @@ let test_prefix_reopen_from_meta () =
 (* ------------------------------------------------------------------ *)
 (* Eytzinger fence pointers *)
 
+(* [fence_agrees keys probes]: over the sorted distinct [keys], the slot
+   walk reproduces them, and [locate] equals [locate_linear] on every
+   key, every probe, and every prefix of the fence's common prefix, each
+   also with its last byte stepped down and up. *)
+let fence_agrees keys probes =
+  let module S = Set.Make (String) in
+  let keys = Array.of_list (S.elements (S.of_list keys)) in
+  let n = Array.length keys in
+  let pos = Array.mapi (fun i _ -> i * 3) keys in
+  let f = Sstable.Sst_format.Fence.of_sorted ~keys ~pos in
+  let open Sstable.Sst_format.Fence in
+  let agree k = locate f k = locate_linear f k in
+  let rec walk acc = function
+    | None -> List.rev acc
+    | Some s -> walk (key f s :: acc) (succ_slot f s)
+  in
+  let common =
+    if n = 0 then ""
+    else
+      let a = keys.(0) and b = keys.(n - 1) in
+      let i = ref 0 in
+      while !i < String.length a && !i < String.length b && a.[!i] = b.[!i] do
+        incr i
+      done;
+      String.sub a 0 !i
+  in
+  let around p =
+    let l = String.length p in
+    if l = 0 then [ p ]
+    else
+      let last = Char.code p.[l - 1] and stem = String.sub p 0 (l - 1) in
+      p
+      :: List.filter_map
+           (fun c ->
+             if c < 0 || c > 255 then None
+             else Some (stem ^ String.make 1 (Char.chr c)))
+           [ last - 1; last + 1 ]
+  in
+  let common_probes =
+    List.concat_map
+      (fun i -> around (String.sub common 0 i))
+      (List.init (String.length common + 1) Fun.id)
+  in
+  walk [] (first_slot f) = Array.to_list keys
+  && Array.for_all agree keys
+  && List.for_all agree probes
+  && List.for_all agree common_probes
+  && agree "" && agree "\255\255"
+
 let prop_fence_locate_equals_linear =
   (* The branch-free Eytzinger descent must agree with the in-order
      linear walk on every probe, and the slot traversal must reproduce
@@ -573,26 +622,54 @@ let prop_fence_locate_equals_linear =
         (list_of_size Gen.(0 -- 80) (int_range 0 999))
         (list_of_size Gen.(1 -- 30) (int_range 0 999)))
     (fun (ks, probes) ->
-      let module S = Set.Make (String) in
-      let keys =
-        Array.of_list
-          (S.elements (S.of_list (List.map (Printf.sprintf "k%03d") ks)))
-      in
-      let pos = Array.mapi (fun i _ -> i * 3) keys in
-      let f = Sstable.Sst_format.Fence.of_sorted ~keys ~pos in
-      let open Sstable.Sst_format.Fence in
-      let agree k = locate f k = locate_linear f k in
-      let rec walk acc = function
-        | None -> List.rev acc
-        | Some s -> walk (key f s :: acc) (succ_slot f s)
-      in
-      walk [] (first_slot f) = Array.to_list keys
-      && Array.for_all agree keys
-      && List.for_all
-           (fun p ->
-             agree (Printf.sprintf "k%03d" p) && agree (Printf.sprintf "k%03dq" p))
-           probes
-      && agree "" && agree "zzzz")
+      fence_agrees
+        (List.map (Printf.sprintf "k%03d") ks)
+        ("zzzz"
+        :: List.concat_map
+             (fun p -> [ Printf.sprintf "k%03d" p; Printf.sprintf "k%03dq" p ])
+             probes))
+
+(* Keys over a three-letter alphabet with [\000]: a shared stem, an
+   optional run that ties the first 7 bytes after it, and a short tail,
+   so prefixes tie often and keys differ in length. *)
+let tie_key_gen stem =
+  QCheck.Gen.(
+    map2
+      (fun long tail -> stem ^ (if long then "abababab" else "") ^ tail)
+      bool
+      (string_size ~gen:(oneofl [ '\000'; 'a'; 'b' ]) (0 -- 10)))
+
+let prop_fence_prefix_ties =
+  QCheck.Test.make ~name:"fence locate = locate_linear, prefix ties" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          string_size ~gen:(oneofl [ '\000'; 'a'; 'z' ]) (0 -- 4) >>= fun stem ->
+          pair
+            (list_size (0 -- 40) (tie_key_gen stem))
+            (list_size (1 -- 20) (tie_key_gen stem))))
+    (fun (keys, probes) ->
+      fence_agrees keys
+        (probes @ List.map (fun p -> p ^ "\000") probes
+        @ List.map (fun p -> p ^ "\255") probes))
+
+let test_fence_small () =
+  let probes =
+    [ ""; "\000"; "a"; "ab"; "abc"; "abc\000"; "abcd"; "abd"; "abb"; "b";
+      "abcdefghijk"; "\255" ]
+  in
+  List.iter
+    (fun keys ->
+      if not (fence_agrees keys probes) then
+        Alcotest.failf "fence over [%s] disagrees with the linear walk"
+          (String.concat "; " (List.map String.escaped keys)))
+    [ [];
+      [ "abc" ];
+      [ "" ];
+      [ "\000" ];
+      [ "abc"; "abc\000" ];
+      [ "abc"; "abcdefghij"; "abcdefghik" ];
+      [ "ab"; "abcdefghijklmnop"; "abcdefghijklmnoq"; "abd" ] ]
 
 let read_varint s off =
   let rec go off shift acc =
@@ -699,6 +776,137 @@ let prop_merge_equals_map_union =
           [ (0, pull_of_list (M.bindings m1)); (1, pull_of_list (M.bindings m2)) ]
       in
       out = M.bindings expected)
+
+(* The list-based fold [Merge_iter] replaced, kept as the reference its
+   output and pull order are held to: fold every source at the smallest
+   key, freshest first. *)
+module List_merge = struct
+  type source = {
+    priority : int;
+    pull : unit -> (string * Kv.Entry.t * int) option;
+    mutable cur : (string * Kv.Entry.t * int) option;
+  }
+
+  let create inputs =
+    inputs
+    |> List.map (fun (priority, pull) -> { priority; pull; cur = pull () })
+    |> List.sort (fun a b -> Int.compare a.priority b.priority)
+
+  let next_group ~drop sources =
+    let min_key =
+      List.fold_left
+        (fun acc s ->
+          match (acc, s.cur) with
+          | None, Some (k, _, _) -> Some k
+          | Some m, Some (k, _, _) when String.compare k m < 0 -> Some k
+          | _ -> acc)
+        None sources
+    in
+    match min_key with
+    | None -> Sstable.Merge_iter.End
+    | Some key -> (
+        let merged = ref None and lsn = ref 0 in
+        List.iter
+          (fun s ->
+            match s.cur with
+            | Some (k, e, l) when String.equal k key ->
+                lsn := max !lsn l;
+                (merged :=
+                   match !merged with
+                   | None -> Some e
+                   | Some newer -> Some (Kv.Entry.merge resolver ~newer ~older:e));
+                s.cur <- s.pull ()
+            | _ -> ())
+          sources;
+        let entry = Option.get !merged in
+        match entry with
+        | Kv.Entry.Tombstone when drop -> Sstable.Merge_iter.Elided
+        | Kv.Entry.Delta ds when drop -> (
+            match Kv.Entry.resolve resolver ~base:None ds with
+            | Some v -> Record (key, Kv.Entry.Base v, !lsn)
+            | None -> Elided)
+        | _ -> Record (key, entry, !lsn))
+end
+
+(* Sources over [streams], each pull logged as its input index. *)
+let logged_inputs log streams =
+  List.mapi
+    (fun i (priority, records) ->
+      let pull = pull_of_list records in
+      ( priority,
+        fun () ->
+          log := i :: !log;
+          pull () ))
+    streams
+
+let rec groups next acc =
+  match next () with
+  | Sstable.Merge_iter.End -> List.rev acc
+  | g -> groups next (g :: acc)
+
+let group_testable =
+  Alcotest.testable
+    (fun ppf -> function
+      | Sstable.Merge_iter.Record (k, e, l) ->
+          Format.fprintf ppf "Record (%S, %a, %d)" k Kv.Entry.pp e l
+      | Elided -> Format.pp_print_string ppf "Elided"
+      | End -> Format.pp_print_string ppf "End")
+    (fun a b ->
+      match (a, b) with
+      | Sstable.Merge_iter.Record (k, e, l), Sstable.Merge_iter.Record (k', e', l') ->
+          String.equal k k' && Kv.Entry.equal e e' && l = l'
+      | Elided, Elided | End, End -> true
+      | _ -> false)
+
+let prop_merge_equals_list_fold =
+  (* 1-5 sources of Base, Tombstone and Delta entries, priorities with
+     ties: the groups (with LSNs) and the order in which sources are
+     pulled match the list-based fold, so a merge metering its pulls
+     reads the same bytes at every step. [next] and [drain] see the
+     surviving records. *)
+  let entry =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun v -> Kv.Entry.Base (string_of_int v)) (0 -- 9));
+          (1, return Kv.Entry.Tombstone);
+          (2, map (fun v -> Kv.Entry.Delta [ "+" ^ string_of_int v ]) (0 -- 9)) ])
+  in
+  let stream =
+    QCheck.Gen.(
+      pair (0 -- 3)
+        (map
+           (fun l ->
+             List.sort_uniq (fun (a, _, _) (b, _, _) -> String.compare a b) l)
+           (list_size (0 -- 15)
+              (triple (map (Printf.sprintf "%02d") (0 -- 19)) entry (0 -- 50)))))
+  in
+  QCheck.Test.make ~name:"merge = list fold, pulls included" ~count:300
+    QCheck.(make Gen.(pair bool (list_size (1 -- 5) stream)))
+    (fun (drop, streams) ->
+      let log_ref = ref [] and log_new = ref [] in
+      let ref_sources = List_merge.create (logged_inputs log_ref streams) in
+      let expected = groups (fun () -> List_merge.next_group ~drop ref_sources) [] in
+      let m =
+        Sstable.Merge_iter.create ~resolver ~drop_tombstones:drop
+          (logged_inputs log_new streams)
+      in
+      let got = groups (fun () -> Sstable.Merge_iter.next_group m) [] in
+      let survivors =
+        List.filter_map
+          (function Sstable.Merge_iter.Record (k, e, l) -> Some (k, e, l) | _ -> None)
+          expected
+      in
+      let drained = ref [] in
+      Sstable.Merge_iter.drain
+        (Sstable.Merge_iter.create ~resolver ~drop_tombstones:drop
+           (logged_inputs (ref []) streams))
+        (fun k e l -> drained := (k, e, l) :: !drained);
+      check (Alcotest.list group_testable) "groups" expected got;
+      check Alcotest.(list int) "pull order" (List.rev !log_ref) (List.rev !log_new);
+      check
+        Alcotest.(list (triple string entry_testable int))
+        "drain" survivors (List.rev !drained);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Malformed bodies on CRC-valid pages *)
@@ -1009,6 +1217,45 @@ let test_iter_alloc_budget () =
           words n (n * per_record))
     [ false; true ]
 
+let test_merge_alloc_budget () =
+  (* A group held by one source passes that source's pulled record
+     through: over preallocated records, [next] allocates nothing, with
+     one source or with several whose keys never meet, at the bottom
+     level or above it. *)
+  let records =
+    Array.init 3000 (fun i ->
+        Some (Printf.sprintf "key%06d" i, Kv.Entry.Base "v", i))
+  in
+  let pull_of idxs =
+    let i = ref 0 in
+    fun () ->
+      if !i >= Array.length idxs then None
+      else begin
+        let r = records.(idxs.(!i)) in
+        incr i;
+        r
+      end
+  in
+  let every k j = Array.init (3000 / k) (fun i -> (i * k) + j) in
+  List.iter
+    (fun (label, drop, inputs) ->
+      let m = Sstable.Merge_iter.create ~resolver ~drop_tombstones:drop inputs in
+      ignore (Sstable.Merge_iter.next m);
+      let n = 900 in
+      let w0 = minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Sstable.Merge_iter.next m))
+      done;
+      let words = minor_words () - w0 in
+      if words > 0 then
+        Alcotest.failf "Merge_iter.next (%s): %d words for %d records, budget 0"
+          label words n)
+    [ ("one source", true, [ (0, pull_of (every 1 0)) ]);
+      ("one source, mid-tree", false, [ (0, pull_of (every 1 0)) ]);
+      ( "three disjoint sources",
+        true,
+        [ (2, pull_of (every 3 2)); (0, pull_of (every 3 0)); (1, pull_of (every 3 1)) ] ) ]
+
 let () =
   Alcotest.run "sstable"
     [
@@ -1027,6 +1274,8 @@ let () =
           Alcotest.test_case "free releases space" `Quick test_free_releases_space;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_fence_locate_equals_linear;
+          QCheck_alcotest.to_alcotest prop_fence_prefix_ties;
+          Alcotest.test_case "fence small and edge" `Quick test_fence_small;
         ] );
       ( "restarts",
         [
@@ -1062,6 +1311,7 @@ let () =
         [
           Alcotest.test_case "builder add budget" `Quick test_builder_alloc_budget;
           Alcotest.test_case "iter_next_full budget" `Quick test_iter_alloc_budget;
+          Alcotest.test_case "merge next budget" `Quick test_merge_alloc_budget;
         ] );
       ( "merge_iter",
         [
@@ -1071,5 +1321,6 @@ let () =
           Alcotest.test_case "orphan delta" `Quick test_merge_delta_resolution_at_bottom;
           Alcotest.test_case "three way" `Quick test_merge_three_way;
           QCheck_alcotest.to_alcotest prop_merge_equals_map_union;
+          QCheck_alcotest.to_alcotest prop_merge_equals_list_fold;
         ] );
     ]
