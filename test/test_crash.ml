@@ -358,6 +358,65 @@ let test_extents_policy_splits () =
   check_owned ~label:"policy splits, after re-run" store
     (Blsm.Policy_tree.component_footers t)
 
+(* Recovery places each mounted run by manifest order, so every level's
+   runs come back in the order they were committed in: crash at several
+   points of a workload and compare each engine's (level, timestamp)
+   list before and after. Between operations the live set is the
+   committed set: merge outputs install at their manifest commit. *)
+
+let layout footers =
+  List.map (fun (lvl, (f : Sstable.Sst_format.footer)) -> (lvl, f.timestamp)) footers
+
+let check_layouts ~label ~footers ~crash_recover ~put =
+  let shapes = ref [] in
+  for round = 1 to 8 do
+    for i = (round - 1) * 250 to (round * 250) - 1 do
+      put (extent_key i) (extent_value i)
+    done;
+    let before = layout (footers ()) in
+    shapes := List.sort_uniq String.compare (List.map fst before) :: !shapes;
+    crash_recover ();
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "%s: runs after crash %d" label round)
+      before (layout (footers ()))
+  done;
+  (* the workload reached more than one level *)
+  if not (List.exists (fun levels -> List.length levels >= 2) !shapes) then
+    Alcotest.failf "%s: never more than one level" label
+
+let test_layout_tree () =
+  List.iter
+    (fun (label, scheduler, snowshovel) ->
+      let t = ref (Blsm.Tree.create ~config:(small_config ~scheduler ~snowshovel ()) (mk_store ())) in
+      check_layouts ~label
+        ~footers:(fun () -> Blsm.Tree.component_footers !t)
+        ~crash_recover:(fun () -> t := Blsm.Tree.crash_and_recover !t)
+        ~put:(fun k v -> Blsm.Tree.put !t k v))
+    [ ("spring", Blsm.Config.Spring, true); ("gear", Blsm.Config.Gear, false) ]
+
+let test_layout_policies () =
+  let pconfig =
+    {
+      Blsm.Policy_tree.default_pconfig with
+      pt_l0_trigger = 3;
+      pt_l0_stop = 6;
+      pt_fanout = 3.0;
+      pt_base_bytes = 32 * 1024;
+      pt_file_bytes = 16 * 1024;
+      pt_max_levels = 5;
+    }
+  in
+  List.iter
+    (fun (name, policy) ->
+      let t =
+        ref (Blsm.Policy_tree.create ~config:(small_config ()) ~pconfig ~policy (mk_store ()))
+      in
+      check_layouts ~label:name
+        ~footers:(fun () -> Blsm.Policy_tree.component_footers !t)
+        ~crash_recover:(fun () -> t := Blsm.Policy_tree.crash_and_recover !t)
+        ~put:(fun k v -> Blsm.Policy_tree.put !t k v))
+    Blsm.Compaction_policy.named
+
 (* ------------------------------------------------------------------ *)
 (* Binary keys and values through the whole stack *)
 
@@ -448,6 +507,11 @@ let () =
           Alcotest.test_case "mid merge2" `Quick test_extents_merge2;
           Alcotest.test_case "mid policy compaction, splits sealed" `Quick
             test_extents_policy_splits;
+        ] );
+      ( "placement",
+        [
+          Alcotest.test_case "tree runs as committed" `Quick test_layout_tree;
+          Alcotest.test_case "policy runs as committed" `Quick test_layout_policies;
         ] );
       ( "binary_keys",
         [
