@@ -75,8 +75,6 @@ let maybe_contains t key =
 
 let iterator ?from t = Sstable.Reader.iterator ?from t.sst
 
-let cached_iterator ?from t = Sstable.Reader.cached_iterator ?from t.sst
-
 let free t = Sstable.Reader.free t.sst
 
 let meta_blob t = Sstable.Reader.meta_blob t.sst

@@ -37,10 +37,6 @@ val maybe_contains : t -> string -> bool
 (** Streaming iterator (merges, scans): bypasses the buffer pool. *)
 val iterator : ?from:string -> t -> Sstable.Reader.iter
 
-(** Iterator through the buffer pool (short scans that should cache). *)
-val cached_iterator : ?from:string -> t -> Sstable.Reader.iter
-[@@lint.allow "U001"] (* short-scan surface mirroring [iterator] *)
-
 (** [free t] releases the component's extents (superseded by a merge). *)
 val free : t -> unit
 

@@ -65,22 +65,18 @@ let create ?(config = Config.default) ?(c0_share = `Static) ~boundaries store =
 
 let partition_count t = Array.length t.partitions
 
-(* Rightmost partition whose lower bound <= key. *)
-let partition_of t key =
-  let n = Array.length t.boundaries in
-  let lo = ref 0 and hi = ref n in
-  (* find number of boundaries <= key *)
+(* The rightmost partition whose lower bound <= key: the number of
+   boundaries <= key, by binary search. *)
+let partition_index t key =
+  let lo = ref 0 and hi = ref (Array.length t.boundaries) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if String.compare t.boundaries.(mid) key <= 0 then lo := mid + 1
     else hi := mid
   done;
-  t.partitions.(!lo)
+  !lo
 
-let partition_index t key =
-  let n = Array.length t.boundaries in
-  let rec go i = if i < n && String.compare t.boundaries.(i) key <= 0 then go (i + 1) else i in
-  go 0
+let partition_of t key = t.partitions.(partition_index t key)
 
 (** {1 Point operations: routed to one partition} *)
 
@@ -175,7 +171,6 @@ let rec cursor_next c =
 let maintenance t = Array.iter Tree.maintenance t.partitions
 let flush t = Array.iter Tree.flush t.partitions
 
-(* Partition i owns [lower(i), upper(i)). *)
 let range_of t i =
   let lower = if i = 0 then None else Some t.boundaries.(i - 1) in
   let upper =

@@ -32,8 +32,15 @@ val create :
 
 val partition_count : t -> int
 
-(** [partition_index t key] is the index of the partition holding [key]. *)
+(** [partition_index t key] is the index of the partition holding [key];
+    every point operation and batch slice routes through it. *)
 val partition_index : t -> string -> int
+
+(** [range_of t i key]: partition [i] owns [key], i.e. [key] lies in
+    [[boundary (i-1), boundary i)]. Recovery replays the shared log into
+    partition [i] through this filter, so it must agree with
+    {!partition_index}. *)
+val range_of : t -> int -> string -> bool
 
 (** {1 Point operations — routed to one partition} *)
 

@@ -107,169 +107,16 @@ let save path plan =
   close_out oc
 
 (* ------------------------------------------------------------------ *)
-(* Reader: minimal recursive-descent JSON, tolerant of whitespace *)
+(* Reader: {!Obs.Json.parse} *)
 
-exception Parse_error of string
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_int of int
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let err what = raise (Parse_error (Printf.sprintf "%s at %d" what !pos)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> err (Printf.sprintf "expected %C" c)
-  in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> err "bad hex digit"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then err "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-          (if !pos >= len then err "unterminated escape";
-           let e = s.[!pos] in
-           advance ();
-           match e with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | '/' -> Buffer.add_char b '/'
-           | 'n' -> Buffer.add_char b '\n'
-           | 't' -> Buffer.add_char b '\t'
-           | 'r' -> Buffer.add_char b '\r'
-           | 'b' -> Buffer.add_char b '\b'
-           | 'f' -> Buffer.add_char b '\012'
-           | 'u' ->
-               if !pos + 4 > len then err "short \\u escape";
-               let code =
-                 (hex s.[!pos] * 4096)
-                 + (hex s.[!pos + 1] * 256)
-                 + (hex s.[!pos + 2] * 16)
-                 + hex s.[!pos + 3]
-               in
-               pos := !pos + 4;
-               if code < 256 then Buffer.add_char b (Char.chr code)
-               else
-                 (* non-latin1 codepoints don't occur in plans we write;
-                    keep a visible placeholder rather than losing bytes *)
-                 Buffer.add_char b '?'
-           | _ -> err "bad escape");
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          go ()
-    in
-    go ()
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_string (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> err "expected , or }"
-          in
-          J_obj (fields [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_list []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> err "expected , or ]"
-          in
-          J_list (elems [])
-        end
-    | Some 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | Some 'n' ->
-        pos := !pos + 4;
-        J_null
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then advance ();
-        while
-          match peek () with Some '0' .. '9' -> true | _ -> false
-        do
-          advance ()
-        done;
-        J_int (int_of_string (String.sub s start (!pos - start)))
-    | _ -> err "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  v
+exception Parse_error = Obs.Json.Parse_error
 
 (* ------------------------------------------------------------------ *)
 (* JSON -> Plan *)
 
 let field obj name =
   match obj with
-  | J_obj fields -> List.assoc_opt name fields
+  | Obs.Json.Obj fields -> List.assoc_opt name fields
   | _ -> None
 
 let need what = function
@@ -277,19 +124,19 @@ let need what = function
   | None -> raise (Parse_error ("missing field " ^ what))
 
 let as_string what = function
-  | J_string s -> s
+  | Obs.Json.Str s -> s
   | _ -> raise (Parse_error (what ^ ": expected string"))
 
 let as_int what = function
-  | J_int i -> i
+  | Obs.Json.Num lit when Option.is_some (int_of_string_opt lit) -> int_of_string lit
   | _ -> raise (Parse_error (what ^ ": expected int"))
 
 let as_bool what = function
-  | J_bool b -> b
+  | Obs.Json.Bool b -> b
   | _ -> raise (Parse_error (what ^ ": expected bool"))
 
 let as_list what = function
-  | J_list l -> l
+  | Obs.Json.Arr l -> l
   | _ -> raise (Parse_error (what ^ ": expected list"))
 
 let get_str obj name = as_string name (need name (field obj name))
@@ -341,7 +188,7 @@ let op_of_json j =
       in
       let t_interleave =
         match field j "interleave" with
-        | None | Some J_null -> None
+        | None | Some Obs.Json.Null -> None
         | Some ij -> Some (get_str ij "key", get_str ij "value")
       in
       Plan.Txn { t_ops; t_interleave }
@@ -363,9 +210,9 @@ let step_of_json j =
 (** [of_json s] parses a repro file body back into a plan. Raises
     {!Parse_error} on malformed input. *)
 let of_json (s : string) : Plan.t =
-  let j = parse_json s in
-  (match field j "dst_repro" with
-  | Some (J_int 1) -> ()
+  let j = Obs.Json.parse s in
+  (match Option.map (as_int "dst_repro") (field j "dst_repro") with
+  | Some 1 -> ()
   | _ -> raise (Parse_error "not a dst repro file (want \"dst_repro\":1)"));
   {
     Plan.driver = get_str j "driver";

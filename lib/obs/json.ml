@@ -16,3 +16,133 @@ let escape s =
   let buf = Buffer.create (String.length s + 8) in
   add_escaped buf s;
   Buffer.contents buf
+
+type t =
+  | Null
+  | Bool of bool
+  | Num of string
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+exception Parse_error of string
+
+let parse s =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail what = raise (Parse_error (Printf.sprintf "%s at byte %d" what !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+      advance ()
+    done
+  in
+  let expect c =
+    skip_ws ();
+    if peek () = Some c then advance () else fail (Printf.sprintf "expected %C" c)
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      v
+    end
+    else fail ("expected " ^ word)
+  in
+  let hex c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> fail "bad hex digit"
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      advance ();
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+          if !pos >= n then fail "unterminated escape";
+          let e = s.[!pos] in
+          advance ();
+          (match e with
+          | '"' | '\\' | '/' -> Buffer.add_char b e
+          | 'n' -> Buffer.add_char b '\n'
+          | 't' -> Buffer.add_char b '\t'
+          | 'r' -> Buffer.add_char b '\r'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' ->
+              if !pos + 4 > n then fail "short \\u escape";
+              let code = List.fold_left (fun a i -> (a * 16) + hex s.[!pos + i]) 0 [ 0; 1; 2; 3 ] in
+              pos := !pos + 4;
+              Buffer.add_char b (if code < 256 then Char.chr code else '?')
+          | _ -> fail "bad escape");
+          go ()
+      | c ->
+          Buffer.add_char b c;
+          go ()
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    while !pos < n && match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false do
+      advance ()
+    done;
+    let lit = String.sub s start (!pos - start) in
+    if Option.is_none (float_of_string_opt lit) then fail "malformed number";
+    Num lit
+  in
+  (* [items close item] reads [item]s separated by commas up to [close];
+     the opening bracket is consumed. *)
+  let items close item =
+    skip_ws ();
+    if peek () = Some close then begin
+      advance ();
+      []
+    end
+    else
+      let rec go acc =
+        let v = item () in
+        skip_ws ();
+        match peek () with
+        | Some ',' ->
+            advance ();
+            go (v :: acc)
+        | Some c when c = close ->
+            advance ();
+            List.rev (v :: acc)
+        | _ -> fail (Printf.sprintf "expected , or %c" close)
+    in
+      go []
+  in
+  let rec value () =
+    skip_ws ();
+    match peek () with
+    | Some '"' -> Str (parse_string ())
+    | Some '{' ->
+        advance ();
+        Obj
+          (items '}' (fun () ->
+               let k = parse_string () in
+               expect ':';
+               (k, value ())))
+    | Some '[' ->
+        advance ();
+        Arr (items ']' value)
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some ('-' | '0' .. '9') -> parse_number ()
+    | _ -> fail "unexpected character"
+  in
+  let v = value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing bytes";
+  v

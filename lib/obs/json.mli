@@ -14,3 +14,27 @@ val add_escaped : Buffer.t -> string -> unit
 
 (** [escape s] is the escaped body of [s] (no quotes). *)
 val escape : string -> string
+
+(** {1 Reading}
+
+    The one JSON reader (DST repro files, the Chrome trace check). *)
+
+(** A parsed value. [Num] keeps the number's literal, so an integer (a
+    seed, a count) reads back exactly with [int_of_string] and a float
+    with [float_of_string]. *)
+type t =
+  | Null
+  | Bool of bool
+  | Num of string
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+exception Parse_error of string
+
+(** [parse s] reads one value with optional surrounding whitespace.
+    Strings decode every escape {!add_escaped} writes, plus [\/], [\b]
+    and [\f]; [\uXXXX] above 0xff reads as ['?']. Raises {!Parse_error}
+    (message with the byte offset) on malformed input or trailing
+    bytes. *)
+val parse : string -> t

@@ -164,21 +164,10 @@ let ensure_verified f ~verify =
     f.verified <- true
   end
 
-(** [with_page_verified t id ~seq ~verify fn] is {!with_page}, except
-    [verify] (which must raise on a bad frame) runs only when this frame
-    was (re)read from the platter since its last verification — pool hits
-    skip the check. *)
-let with_page_verified t id ~seq ~verify fn =
-  let f = load t id ~seq in
-  take_pin t f;
-  Fun.protect
-    ~finally:(fun () -> f.pins <- f.pins - 1)
-    (fun () ->
-      ensure_verified f ~verify;
-      fn f.data)
-
-(** [with_page_starts t id ~seq ~verify ~derive fn] additionally caches
-    [derive frame_bytes] (record-start offsets, or any per-page navigation
+(** [with_page_starts t id ~seq ~verify ~derive fn] is {!with_page},
+    except [verify] (which must raise on a bad frame) runs only when this
+    frame was (re)read from the platter since its last verification — pool
+    hits skip the check — and it caches [derive frame_bytes] (record-start offsets, or any per-page navigation
     metadata) alongside the frame; [derive] runs once per load, strictly
     after [verify], so derived offsets never come from unverified bytes. *)
 let with_page_starts t id ~seq ~verify ~derive fn =

@@ -34,13 +34,9 @@ val with_page_mut : t -> Page.id -> seq:bool -> (Bytes.t -> 'a) -> 'a
 
 (** As {!with_page}, but [verify] (which must raise on a bad frame) runs
     only when this frame was read from the platter since its last
-    verification. *)
-val with_page_verified :
-  t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> (Bytes.t -> 'a) -> 'a
-
-(** As {!with_page_verified}, additionally caching [derive frame_bytes]
-    (per-page record-start offsets) alongside the frame. [derive] runs
-    once per load, strictly after [verify]. *)
+    verification, and [derive frame_bytes] (per-page record-start
+    offsets) is cached alongside the frame. [derive] runs once per load,
+    strictly after [verify]. *)
 val with_page_starts :
   t ->
   Page.id ->

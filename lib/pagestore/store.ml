@@ -160,9 +160,6 @@ let with_page_mut t id fn = Buffer_manager.with_page_mut t.buffer id ~seq:false 
     no per-access checksum, no 4 KiB copy-out (DESIGN.md "Read-path CPU
     costs"). *)
 
-let with_page_verified t id ~seq ~verify fn =
-  Buffer_manager.with_page_verified t.buffer id ~seq ~verify fn
-
 let with_page_starts t id ~seq ~verify ~derive fn =
   Buffer_manager.with_page_starts t.buffer id ~seq ~verify ~derive fn
 
@@ -220,33 +217,6 @@ let stream_write ws page_bytes =
   ws.ws_next <- ws.ws_next + 1;
   id
 
-
-type read_stream = {
-  rs_store : t;
-  mutable rs_next : Page.id;
-  rs_end : Page.id;
-  mutable rs_first : bool;
-  rs_buf : Bytes.t;
-}
-
-let open_read_stream t ~start ~length =
-  { rs_store = t; rs_next = start; rs_end = start + length; rs_first = true;
-    rs_buf = Bytes.create t.page_size }
-
-(** [stream_read rs] returns the next page's bytes, or [None] at region
-    end. The returned buffer is reused by the next call. *)
-let stream_read rs =
-  if rs.rs_next >= rs.rs_end then None
-  else begin
-    Platter.read rs.rs_store.platter rs.rs_next rs.rs_buf;
-    if rs.rs_first then begin
-      Simdisk.Disk.seek_read rs.rs_store.disk ~bytes:rs.rs_store.page_size;
-      rs.rs_first <- false
-    end
-    else Simdisk.Disk.seq_read rs.rs_store.disk ~bytes:rs.rs_store.page_size;
-    rs.rs_next <- rs.rs_next + 1;
-    Some rs.rs_buf
-  end
 
 (** [read_page_direct t id buf] copies a page from the platter without
     touching the buffer pool or the clock; the caller charges the disk.

@@ -76,14 +76,9 @@ val with_page_mut : t -> Page.id -> (Bytes.t -> 'a) -> 'a
 
 (** As {!with_page}, but [verify] (raises on a bad frame) runs only when
     the frame was read from the platter since its last verification —
-    pool hits skip it. *)
-val with_page_verified :
-  t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> (Bytes.t -> 'a) -> 'a
-[@@lint.allow "U001"] (* uncached variant of the verified-read pair *)
-
-(** As {!with_page_verified}, additionally caching [derive frame_bytes]
-    (per-page record-start offsets) alongside the frame; [derive] runs
-    once per load, strictly after [verify]. *)
+    pool hits skip it — and [derive frame_bytes] (per-page record-start
+    offsets) is cached alongside the frame; [derive] runs once per load,
+    strictly after [verify]. *)
 val with_page_starts :
   t ->
   Page.id ->
@@ -117,14 +112,6 @@ val open_write_stream : t -> Region_allocator.region -> write_stream
 (** [stream_write ws page] writes the next page of the region, returning
     its id. Fails on region overflow. *)
 val stream_write : write_stream -> Bytes.t -> Page.id
-
-type read_stream
-
-val open_read_stream : t -> start:Page.id -> length:int -> read_stream
-
-(** [stream_read rs] returns the next page (buffer reused per call), or
-    [None] at region end. *)
-val stream_read : read_stream -> Bytes.t option
 
 (** [read_page_direct t id buf] copies a page from the platter without
     touching pool or clock; the caller charges the disk. Only valid for

@@ -198,6 +198,14 @@ type byte_stream = {
 
 let page_size t = Pagestore.Store.page_size t.store
 
+(* Read page [id] into [buf] straight from the platter, bypassing the
+   pool: a sequential transfer when it follows page [last], else a seek. *)
+let read_direct t id buf ~last =
+  Pagestore.Store.read_page_direct t.store id buf;
+  let disk = Pagestore.Store.disk t.store in
+  if id = last + 1 then Simdisk.Disk.seq_read disk ~bytes:(page_size t)
+  else Simdisk.Disk.seek_read disk ~bytes:(page_size t)
+
 (* Release a cached stream's pin, or hand a streaming one's page buffer
    back to its reader. Safe to call repeatedly. Every cached stream must
    end up released, or the pinned frame is lost to the pool for good; an
@@ -245,10 +253,7 @@ let fetch_page bs pos ~first =
   | Streaming s ->
       (* Track contiguity so physically consecutive pages cost bandwidth
          only, while extent jumps and initial positioning cost a seek. *)
-      let disk = Pagestore.Store.disk t.store in
-      Pagestore.Store.read_page_direct t.store id s.sbuf;
-      if id = s.slast + 1 then Simdisk.Disk.seq_read disk ~bytes:(page_size t)
-      else Simdisk.Disk.seek_read disk ~bytes:(page_size t);
+      read_direct t id s.sbuf ~last:s.slast;
       s.slast <- id;
       Sst_format.verify_page_bytes s.sbuf ~page:id;
       bs.buf <- Bytes.unsafe_to_string s.sbuf);
@@ -674,14 +679,11 @@ let get t key =
 let verify t =
   let f = t.footer in
   let psz = page_size t in
-  let disk = Pagestore.Store.disk t.store in
   let buf = Bytes.create psz in
   let last = ref (-10) in
   let read_raw pos =
     let id = t.pages.(pos) in
-    Pagestore.Store.read_page_direct t.store id buf;
-    if id = !last + 1 then Simdisk.Disk.seq_read disk ~bytes:psz
-    else Simdisk.Disk.seek_read disk ~bytes:psz;
+    read_direct t id buf ~last:!last;
     last := id
   in
   let errors = ref [] in

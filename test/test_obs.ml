@@ -595,6 +595,32 @@ let test_json_escape_all_bytes () =
   Obs.Json.add_escaped b "a\"b";
   Alcotest.(check string) "add_escaped appends" "[a\\\"b" (Buffer.contents b)
 
+(* The reader inverts the escaper byte for byte, keeps number literals
+   exact, and rejects what the writers never produce. *)
+let test_json_parse () =
+  let all = String.init 256 Char.chr in
+  let doc =
+    Printf.sprintf "{\"s\": \"%s\", \"n\": [4611686018427387903, -2, 1.5e3], \"b\": [true, false, null], \"e\": {}}"
+      (Obs.Json.escape all)
+  in
+  (match Obs.Json.parse doc with
+  | Obs.Json.Obj
+      [ ("s", Obs.Json.Str s);
+        ("n", Obs.Json.Arr [ Obs.Json.Num big; Obs.Json.Num neg; Obs.Json.Num f ]);
+        ("b", Obs.Json.Arr [ Obs.Json.Bool true; Obs.Json.Bool false; Obs.Json.Null ]);
+        ("e", Obs.Json.Obj []) ] ->
+      Alcotest.(check string) "256 bytes round-trip" all s;
+      Alcotest.(check int) "max_int exact" max_int (int_of_string big);
+      Alcotest.(check int) "negative" (-2) (int_of_string neg);
+      Alcotest.(check (float 0.0)) "float" 1500.0 (float_of_string f)
+  | _ -> Alcotest.fail "wrong shape");
+  List.iter
+    (fun bad ->
+      match Obs.Json.parse bad with
+      | _ -> Alcotest.failf "accepted %S" bad
+      | exception Obs.Json.Parse_error _ -> ())
+    [ "{} x"; "[1,]"; "\"\\q\""; "tru"; "{\"a\" 1}"; "\"open"; "-" ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -611,7 +637,10 @@ let () =
           Alcotest.test_case "json shape" `Quick test_registry_json_shape;
         ] );
       ( "json",
-        [ Alcotest.test_case "escape all 256 bytes" `Quick test_json_escape_all_bytes ] );
+        [
+          Alcotest.test_case "escape all 256 bytes" `Quick test_json_escape_all_bytes;
+          Alcotest.test_case "parse inverts escape" `Quick test_json_parse;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "disabled is no-op" `Quick

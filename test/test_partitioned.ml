@@ -34,6 +34,32 @@ let test_routing () =
   check Alcotest.int "n -> 2" 2 (Blsm.Partitioned.partition_index t "n");
   check Alcotest.int "z -> 3" 3 (Blsm.Partitioned.partition_index t "z")
 
+(* Routing and the recovery replay filter agree: a key written to
+   partition i is replayed into partition i. Keys are drawn around the
+   boundaries: the boundaries themselves, their prefixes and one-byte
+   extensions, and random short keys. *)
+let prop_routing_matches_replay_filter =
+  let boundary_keys bs =
+    List.concat_map
+      (fun b ->
+        let n = String.length b in
+        [ b; b ^ "\000"; b ^ "a"; String.sub b 0 (max 0 (n - 1)); "" ])
+      bs
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 6) (string_size ~gen:(char_range 'a' 'e') (int_range 1 3)))
+        (list_size (int_range 1 20) (string_size ~gen:(char_range '`' 'f') (int_range 0 4))))
+  in
+  QCheck.Test.make ~name:"routing = replay filter" ~count:300
+    (QCheck.make ~print:QCheck.Print.(pair (list string) (list string)) gen)
+    (fun (boundaries, keys) ->
+      let t = Blsm.Partitioned.create ~config:small_config ~boundaries (mk_store ()) in
+      List.for_all
+        (fun k -> Blsm.Partitioned.range_of t (Blsm.Partitioned.partition_index t k) k)
+        (keys @ boundary_keys boundaries))
+
 let test_put_get_across_partitions () =
   let t = mk () in
   List.iter
@@ -343,6 +369,7 @@ let () =
           Alcotest.test_case "crash recovery" `Quick test_partitioned_crash_recovery;
           Alcotest.test_case "truncation respects all floors" `Quick
             test_partitioned_truncation_preserves_other_partitions;
+          QCheck_alcotest.to_alcotest prop_routing_matches_replay_filter;
           QCheck_alcotest.to_alcotest prop_partitioned_crash_model;
           QCheck_alcotest.to_alcotest prop_model;
         ] );
