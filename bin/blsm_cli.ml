@@ -39,6 +39,8 @@ let dst_usage =
   blsm_cli dst run <driver> <seed> [steps]
       generate + run one seeded plan; on failure, shrink and write
       dst/repro_<driver>_seed<seed>.json
+  blsm_cli dst digest [seeds]
+      one line per driver: the digest of seeds 1..seeds (default 20)
   drivers: |}
   ^ String.concat ", " Dst.Driver.all_names
 
@@ -92,6 +94,14 @@ let dst_main = function
           st.Dst.Shrink.candidates path
       end;
       code
+  | "digest" :: rest ->
+      let n = match rest with n :: _ -> int_of_string n | [] -> 20 in
+      List.iter
+        (fun driver_name ->
+          Printf.printf "%s %s\n" driver_name
+            (Dst.digest ~driver_name ~seeds:(List.init n succ)))
+        Dst.Driver.all_names;
+      0
   | _ ->
       print_endline dst_usage;
       2

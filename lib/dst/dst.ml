@@ -44,3 +44,14 @@ let replay (plan : Plan.t) =
 let shrink_failing ?budget (plan : Plan.t) =
   let mk = Driver.make_exn plan.Plan.driver ~seed:plan.Plan.seed in
   Shrink.minimize ?budget ~mk plan
+
+(** [digest ~driver_name ~seeds] is the hex MD5 over the concatenated
+    per-seed MD5s of each seed's repro JSON followed by its report: one
+    line that moves when any byte of any seed's run does. *)
+let digest ~driver_name ~seeds =
+  List.map
+    (fun seed ->
+      let plan, outcome = run_seed ~driver_name ~seed () in
+      Digest.string (Repro.to_json plan ^ outcome.Interp.report))
+    seeds
+  |> String.concat "" |> Digest.string |> Digest.to_hex

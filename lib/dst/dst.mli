@@ -40,3 +40,8 @@ val replay : Plan.t -> Interp.outcome
     of its recorded driver; returns the (possibly unchanged) plan and
     shrink statistics. *)
 val shrink_failing : ?budget:int -> Plan.t -> Plan.t * Shrink.stats
+
+(** [digest ~driver_name ~seeds] is the hex MD5 of the concatenated
+    per-seed MD5s of each seed's repro JSON followed by its run report,
+    in [seeds] order: equal digests mean byte-identical runs. *)
+val digest : driver_name:string -> seeds:int list -> string
