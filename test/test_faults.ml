@@ -274,7 +274,7 @@ let test_malformed_bloom_blob_rebuilt () =
        with
       | Some bloom -> check_rebuilt what bloom
       | None -> Alcotest.failf "%s: no filter" what);
-      let sh = Blsm.Lsm_shell.create (small_config ()) store ~level_names:[| "C1" |] in
+      let sh = Blsm.Lsm_shell.create (small_config ()) store ~level_names:[| "C1" |] ~slot:"" in
       match
         Blsm.Lsm_shell.mount sh ~level:"C1" ~verify:true
           ~covered:(fun _ -> false)
