@@ -23,8 +23,6 @@ type t = {
   scheduler : scheduler_kind;
   snowshovel : bool;  (** replacement-selection C0 draining (§4.2) *)
   early_termination : bool;  (** stop reads at the first base record (§3.1.1) *)
-  low_watermark : float;  (** spring: pause merges below this C0 fill *)
-  high_watermark : float;  (** spring: full backpressure at this fill *)
   extent_pages : int;  (** contiguous allocation unit for components *)
   max_quota_per_write : int;
       (** cap on synchronous merge bytes charged to one write: bounds
@@ -51,8 +49,6 @@ let default =
     scheduler = Spring;
     snowshovel = true;
     early_termination = true;
-    low_watermark = 0.30;
-    high_watermark = 0.90;
     extent_pages = 512;
     max_quota_per_write = 4 * 1024 * 1024;
     persist_bloom = false;

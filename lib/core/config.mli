@@ -26,8 +26,6 @@ type t = {
   snowshovel : bool;  (** replacement-selection C0 draining (§4.2) *)
   early_termination : bool;
       (** stop reads at the first base record (§3.1.1) *)
-  low_watermark : float;  (** spring: pause merges below this C0 fill *)
-  high_watermark : float;  (** spring: full backpressure at this fill *)
   extent_pages : int;  (** contiguous allocation unit for components *)
   max_quota_per_write : int;
       (** cap on synchronous merge bytes charged to one write: bounds

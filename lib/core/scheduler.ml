@@ -18,11 +18,15 @@ let outprogress ~inprogress ~ci_bytes ~ram_bytes ~r =
     let sweeps = float_of_int (ci_bytes / max 1 ram_bytes) in
     min 1.0 ((inprogress +. sweeps) /. r_ceil)
 
+(* The spring's watermark band on C0 fill (§4.3). *)
+let low = 0.30
+let high = 0.90
+
 (** Spring pacing (deadline controller): finish [remaining_bytes] of merge
     input before C0 climbs from [fill] to [high]. Below [low] the merge
     pauses entirely — that is the spring absorbing load dips (§4.3).
     Returns the merge bytes owed for a write of [write_bytes]. *)
-let spring_quota ~write_bytes ~fill ~low ~high ~remaining_bytes ~c0_capacity =
+let spring_quota ~write_bytes ~fill ~remaining_bytes ~c0_capacity =
   if fill <= low || remaining_bytes <= 0 then 0
   else begin
     let headroom_bytes =

@@ -12,16 +12,15 @@
 val outprogress :
   inprogress:float -> ci_bytes:int -> ram_bytes:int -> r:float -> float
 
-(** [spring_quota ~write_bytes ~fill ~low ~high ~remaining_bytes
-    ~c0_capacity] is the deadline controller of the spring-and-gear
-    scheduler: merge bytes owed for one write so that [remaining_bytes]
-    of merge input completes before C0 climbs from [fill] to [high].
-    Zero at or below [low] — the spring absorbing load dips (§4.3). *)
+(** [spring_quota ~write_bytes ~fill ~remaining_bytes ~c0_capacity] is
+    the deadline controller of the spring-and-gear scheduler: merge bytes
+    owed for one write so that [remaining_bytes] of merge input completes
+    before C0 fill climbs from [fill] to the high watermark, 0.90. Zero
+    at or below the low watermark, 0.30 — the spring absorbing load dips
+    (§4.3). *)
 val spring_quota :
   write_bytes:int ->
   fill:float ->
-  low:float ->
-  high:float ->
   remaining_bytes:int ->
   c0_capacity:int ->
   int
