@@ -109,14 +109,8 @@ let write_batch t ops =
       ops;
     Array.iteri
       (fun i slice ->
-        if slice <> [] then begin
-          let bytes =
-            List.fold_left
-              (fun a (k, e) -> a + String.length k + Kv.Entry.payload_bytes e)
-              0 slice
-          in
-          Tree.before_write t.partitions.(i) ~write_bytes:(max 64 bytes)
-        end)
+        if slice <> [] then
+          Tree.before_write t.partitions.(i) ~write_bytes:(Lsm_shell.payload_bytes slice))
       slices;
     let lsn =
       Pagestore.Wal.append (Pagestore.Store.wal t.store) (Tree.encode_ops ops)

@@ -121,7 +121,8 @@ val apply_delta : t -> string -> string -> unit
 val write_batch : t -> (string * Kv.Entry.t) list -> unit
 
 (** [before_write t ~write_bytes] runs the level scheduler's pacing for
-    an upcoming write of [write_bytes] payload bytes — merge quanta,
+    an upcoming write of [write_bytes] payload bytes (paced as at least
+    64, as every write is) — merge quanta,
     backpressure, hard-stall handling — and resets the per-op stall
     breakdown. Exposed for multi-tree coordinators ({!Partitioned}) that
     pace each involved tree before taking a single shared log record. *)
