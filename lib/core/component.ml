@@ -63,14 +63,10 @@ let get t key =
       | _ -> ());
       r
 
-(** [maybe_contains t key] is the filter-only check used by zero-seek
-    "insert if not exists" (§3.1.2). *)
+(** [maybe_contains t key] is the pure filter probe: no I/O, no counter. *)
 let maybe_contains t key =
   match t.bloom with
-  | Some bloom ->
-      let hit = Bloom.mem bloom key in
-      if not hit then t.bloom_negative <- t.bloom_negative + 1;
-      hit
+  | Some bloom -> Bloom.mem bloom key
   | None -> not (is_empty t)
 
 let iterator ?from t = Sstable.Reader.iterator ?from t.sst

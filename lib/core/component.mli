@@ -30,8 +30,10 @@ val timestamp : t -> int
     of absent keys usually cost zero I/O. *)
 val get : t -> string -> Kv.Entry.t option
 
-(** [maybe_contains t key] is the filter-only check behind zero-seek
-    "insert if not exists" (§3.1.2); may return false positives. *)
+(** [maybe_contains t key] probes the filter alone: [false] means [key]
+    is surely absent; may return false positives. It reads no page and
+    counts nothing, so a version probe (Txn's OCC check) does not move
+    [bloom_negative]; {!get} is the counted read. *)
 val maybe_contains : t -> string -> bool
 
 (** Streaming iterator (merges, scans): bypasses the buffer pool. *)
