@@ -7,8 +7,10 @@
     bytes read, whatever the input drops (shadowed versions, tombstones
     elided at the bottom). {!Tree}'s C0:C1 and C1':C2 merges and
     {!Policy_tree}'s compactions and flushes all run here; the hosts
-    only choose the input, the Bloom sizing and the output shape, and
-    roll back a crash with one {!abandon} per merge in flight. *)
+    only choose the input, the Bloom sizing and the output shape.
+    {!Lsm_shell.start_merge} creates each one and {!Lsm_shell.install}
+    finishes it; at a crash the shell calls one {!abandon} per merge in
+    flight. *)
 
 type progress = {
   bytes_read : int;  (** input bytes consumed so far *)
