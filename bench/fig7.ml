@@ -43,9 +43,9 @@ let run scale profile =
     Ycsb.Runner.load ldb ks2 ~n ~timeseries_bucket_us:bucket_us ~seed:scale.Scale.seed ()
   in
   print_timeseries "LevelDB (partition scheduler)" r_ldb;
-  let s = Blsm.Policy_tree.engine_stats ldb_tree in
   Printf.printf "LevelDB level-0 pauses: %d stop-stalls, %d slowdown writes\n"
-    s.Blsm.Policy_tree.hard_stalls s.Blsm.Policy_tree.slowdown_writes;
+    (Blsm.Policy_tree.stats ldb_tree).Blsm.Lsm_shell.hard_stalls
+    (Blsm.Policy_tree.engine_stats ldb_tree).Blsm.Policy_tree.slowdown_writes;
   Printf.printf
     "\nShape check: bLSM max-latency %.1fms vs LevelDB max-latency %.1fms; \
      bLSM finished %.1fx %s\n"

@@ -76,7 +76,6 @@ let mk_snowshovel ~seed =
       Blsm.Config.default with
       Blsm.Config.c0_bytes;
       scheduler = Blsm.Config.Spring;
-      snowshovel = true;
       seed;
     }
   in

@@ -80,7 +80,6 @@ let mk_tree ~seed =
       Blsm.Config.default with
       Blsm.Config.c0_bytes;
       scheduler = Blsm.Config.Spring;
-      snowshovel = true;
       seed;
     }
   in

@@ -16,14 +16,14 @@
     - naive: C0 fill saws from 0 to 1 with a full-drain stall at each
       peak. *)
 
-let run_one scale profile ~scheduler ~snowshovel ~label ~trace_file =
+let run_one scale profile ~scheduler ~label ~trace_file =
   Printf.printf "\n[%s]\n" label;
   Printf.printf "%8s %8s %10s %12s %10s %10s\n" "ops" "C0-fill" "m1-inprog"
     "outprogress1" "m2-inprog" "stall(ms)";
   let tree =
     Scale.blsm
       ~config_tweak:(fun c ->
-        { c with Blsm.Config.scheduler; snowshovel })
+        { c with Blsm.Config.scheduler })
       scale profile
   in
   (* Every pacing decision, merge quantum, and per-op span goes to the
@@ -63,12 +63,12 @@ let run scale profile =
     (Printf.sprintf
        "Figures 5-6: scheduler mechanics timeline (%s, saturated inserts)"
        profile.Simdisk.Profile.name);
-  run_one scale profile ~scheduler:Blsm.Config.Gear ~snowshovel:false
+  run_one scale profile ~scheduler:Blsm.Config.Gear
     ~label:"gear scheduler (Figure 5): merge hands mesh with C0 fill"
     ~trace_file:"fig56_gear.trace.json";
-  run_one scale profile ~scheduler:Blsm.Config.Spring ~snowshovel:true
+  run_one scale profile ~scheduler:Blsm.Config.Spring
     ~label:"spring-and-gear (Figure 6): C0 rides the watermark band"
     ~trace_file:"fig56_spring.trace.json";
-  run_one scale profile ~scheduler:Blsm.Config.Naive ~snowshovel:true
+  run_one scale profile ~scheduler:Blsm.Config.Naive
     ~label:"naive (no pacing): sawtooth fill, full-drain stalls"
     ~trace_file:"fig56_naive.trace.json"

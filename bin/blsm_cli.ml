@@ -151,7 +151,6 @@ let repl () =
       Blsm.Config.default with
       Blsm.Config.c0_bytes;
       scheduler;
-      snowshovel = scheduler <> Blsm.Config.Gear;
     }
   in
   let tree = ref (Blsm.Tree.create ~config store) in

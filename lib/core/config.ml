@@ -1,8 +1,10 @@
 (** bLSM tree configuration.
 
     Defaults follow the paper's setup scaled down: a three-level tree with
-    Bloom filters at 10 bits/key on both on-disk components, snowshoveling
-    on, the spring scheduler, early-terminating reads. Every field is a
+    Bloom filters at 10 bits/key on both on-disk components, the spring
+    scheduler, early-terminating reads. The scheduler also decides how C0
+    drains: spring and naive snowshovel, gear merges a frozen C0'.
+    Every field is a
     paper parameter or a §3-§4 choice an ablation isolates; the two
     single-value layout fields stay only because the perfbench replay
     names them. *)
@@ -21,7 +23,6 @@ type t = {
   size_ratio : size_ratio;
   bloom_bits_per_key : int;  (** 0 disables Bloom filters (ablation) *)
   scheduler : scheduler_kind;
-  snowshovel : bool;  (** replacement-selection C0 draining (§4.2) *)
   early_termination : bool;  (** stop reads at the first base record (§3.1.1) *)
   extent_pages : int;  (** contiguous allocation unit for components *)
   max_quota_per_write : int;
@@ -47,7 +48,6 @@ let default =
     size_ratio = Adaptive;
     bloom_bits_per_key = 10;
     scheduler = Spring;
-    snowshovel = true;
     early_termination = true;
     extent_pages = 512;
     max_quota_per_write = 4 * 1024 * 1024;
@@ -61,8 +61,9 @@ let default =
 let bloom_enabled t = t.bloom_bits_per_key > 0
 
 (** Effective C0 capacity: the gear scheduler partitions the write pool
-    into C0/C0', halving it (§4.2.1); snowshoveling removes the partition. *)
-let c0_capacity t = if t.snowshovel then t.c0_bytes else t.c0_bytes / 2
+    into C0/C0', halving it (§4.2.1); the snowshoveling schedulers have
+    no partition. *)
+let c0_capacity t = if t.scheduler = Gear then t.c0_bytes / 2 else t.c0_bytes
 
 let scheduler_name = function
   | Naive -> "naive"

@@ -1,8 +1,10 @@
 (** bLSM tree configuration.
 
     Defaults follow the paper: a three-level tree, Bloom filters at 10
-    bits/key on both on-disk components (§3.1), snowshoveling (§4.2),
-    spring-and-gear scheduling (§4.3), early-terminating reads (§3.1.1).
+    bits/key on both on-disk components (§3.1), spring-and-gear
+    scheduling (§4.3), early-terminating reads (§3.1.1). The scheduler
+    also decides how C0 drains: spring and naive snowshovel (§4.2), gear
+    partitions C0/C0' and merges the frozen half (§4.2.1).
     Every field is a paper parameter or a §3–§4 choice an ablation
     isolates; [bloom_kind] and [page_format] are single-value fields
     kept because the perfbench replay names them. *)
@@ -23,7 +25,6 @@ type t = {
   size_ratio : size_ratio;
   bloom_bits_per_key : int;  (** 0 disables Bloom filters (ablation) *)
   scheduler : scheduler_kind;
-  snowshovel : bool;  (** replacement-selection C0 draining (§4.2) *)
   early_termination : bool;
       (** stop reads at the first base record (§3.1.1) *)
   extent_pages : int;  (** contiguous allocation unit for components *)
@@ -51,8 +52,8 @@ val default : t
 val bloom_enabled : t -> bool
 
 (** Effective C0 capacity: the gear scheduler partitions the write pool
-    into C0/C0', halving it (§4.2.1); snowshoveling removes the
-    partition. *)
+    into C0/C0', halving it (§4.2.1); spring and naive snowshovel
+    (§4.2), so they have no partition. *)
 val c0_capacity : t -> int
 
 val scheduler_name : scheduler_kind -> string

@@ -195,7 +195,7 @@ let levels t =
 
 let total_hard_stalls t =
   Array.fold_left
-    (fun acc p -> acc + (Tree.merge_stats p).Tree.hard_stalls)
+    (fun acc p -> acc + (Tree.stats p).Tree.hard_stalls)
     0 t.partitions
 
 let total_merges t =
@@ -252,7 +252,7 @@ let metrics t =
       sum_ms (fun s -> s.Tree.merge2_completions));
   counter reg "partitioned.hard_stalls"
     ~help:"writes that hit a C0 hard limit, all partitions" (fun () ->
-      sum_ms (fun s -> s.Tree.hard_stalls));
+      sum (fun s -> s.Tree.hard_stalls));
   counter reg "partitioned.corruptions_detected"
     ~help:"checksum mismatches seen, all partitions" (fun () ->
       sum (fun s -> s.Tree.corruptions_detected));

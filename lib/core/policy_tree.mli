@@ -79,7 +79,6 @@ type engine_stats = {
   mutable compactions : int;
   mutable bytes_flushed : int;  (** level-0 run output bytes *)
   mutable bytes_compacted : int;  (** lifetime compaction input bytes *)
-  mutable hard_stalls : int;  (** level-0 stop-threshold drains *)
   mutable slowdown_writes : int;  (** [Credit] writes delayed by level 0 *)
   mutable recoveries : int;
   mutable recoveries_mid_compaction : int;

@@ -42,6 +42,7 @@ type stats = Lsm_shell.stats = {
   mutable component_rebuilds : int;
   mutable quarantined_components : int;
   mutable scrubs : int;
+  mutable hard_stalls : int;  (** writes that hit the C0 hard limit *)
   stall_us : Repro_util.Histogram.t;
   mutable stall_merge1_us : float;
   mutable stall_merge2_us : float;
@@ -55,7 +56,6 @@ type merge_stats = {
   mutable merge1_completions : int;  (** C0:C1 runs committed *)
   mutable merge2_completions : int;  (** C1':C2 merges committed *)
   mutable promotions : int;  (** C1 -> C1' handoffs *)
-  mutable hard_stalls : int;  (** writes that hit the C0 hard limit *)
 }
 
 (** Per-operation stall attribution: how the last write's pacing time

@@ -81,7 +81,6 @@ let small_config ?(scheduler = Blsm.Config.Spring) seed =
     size_ratio = Blsm.Config.Fixed 3.0;
     extent_pages = 8;
     scheduler;
-    snowshovel = scheduler <> Blsm.Config.Gear;
     max_quota_per_write = 128 * 1024;
     seed;
   }

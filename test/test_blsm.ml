@@ -14,15 +14,13 @@ let mk_store ?(buffer_pages = 256) ?(page_size = 4096) ?(durability = Pagestore.
     Simdisk.Profile.ssd_raid0
 
 (* A small tree: 32 KB C0 so merges happen after a handful of writes. *)
-let small_config ?(scheduler = Blsm.Config.Spring) ?(snowshovel = true)
-    ?(bloom = 10) ?(early = true) () =
+let small_config ?(scheduler = Blsm.Config.Spring) ?(bloom = 10) ?(early = true) () =
   {
     Blsm.Config.default with
     Blsm.Config.c0_bytes = 32 * 1024;
     size_ratio = Blsm.Config.Fixed 4.0;
     bloom_bits_per_key = bloom;
     scheduler;
-    snowshovel;
     early_termination = early;
     extent_pages = 16;
     max_quota_per_write = 256 * 1024;
@@ -252,8 +250,8 @@ let test_tombstones_elided_at_bottom () =
 
 module SMap = Map.Make (String)
 
-let model_test ~scheduler ~snowshovel ops () =
-  let config = small_config ~scheduler ~snowshovel () in
+let model_test ~scheduler ops () =
+  let config = small_config ~scheduler () in
   let t = mk_tree ~config () in
   let model = ref SMap.empty in
   let prng = Repro_util.Prng.of_int 7 in
@@ -460,7 +458,7 @@ let test_scan_past_c1_skips_it () =
 
 let test_snowshovel_sorted_input_streams () =
   (* sorted inserts: runs consume far more than one C0's worth *)
-  let config = small_config ~scheduler:Blsm.Config.Spring ~snowshovel:true () in
+  let config = small_config ~scheduler:Blsm.Config.Spring () in
   let t = mk_tree ~config () in
   for i = 0 to 4999 do
     Blsm.Tree.put t (Repro_util.Keygen.ordered_key_of_id i) (value i)
@@ -515,7 +513,7 @@ let test_gear_bounds_latency_vs_naive () =
   let n = 6000 in
   let _, gear =
     insert_latencies
-      (small_config ~scheduler:Blsm.Config.Gear ~snowshovel:false ())
+      (small_config ~scheduler:Blsm.Config.Gear ())
       n
   in
   let _, naive = insert_latencies (small_config ~scheduler:Blsm.Config.Naive ()) n in
@@ -527,13 +525,13 @@ let test_gear_bounds_latency_vs_naive () =
 
 let test_spring_avoids_hard_stalls_uniform () =
   let t, _ = insert_latencies (small_config ~scheduler:Blsm.Config.Spring ()) 6000 in
-  let s = Blsm.Tree.merge_stats t in
+  let s = Blsm.Tree.stats t in
   if s.Blsm.Tree.hard_stalls > 2 then
     Alcotest.failf "spring hit the hard limit %d times" s.Blsm.Tree.hard_stalls
 
 let test_naive_hits_hard_stalls () =
   let t, _ = insert_latencies (small_config ~scheduler:Blsm.Config.Naive ()) 6000 in
-  let s = Blsm.Tree.merge_stats t in
+  let s = Blsm.Tree.stats t in
   if s.Blsm.Tree.hard_stalls = 0 then
     Alcotest.fail "naive scheduler should hit the C0 hard limit"
 
@@ -675,6 +673,61 @@ let test_wal_truncation_bounded () =
 
 (* -------------------------------------------------------------------- *)
 
+(* -------------------------------------------------------------------- *)
+(* The shell's pacing mechanism *)
+
+(* [spend]'s stepping rule against a scripted step: every quantum is
+   [min chunk (budget - spent)], [`Spent] quanta never pass the budget,
+   [`Free] ones spend nothing, and [`Stop] ends the loop at once. Past
+   the script every step answers [`Spent]. *)
+let prop_spend_stepping_rule =
+  let chunk = Blsm.Lsm_shell.chunk in
+  QCheck.Test.make ~name:"spend: quanta, budget and stop" ~count:500
+    QCheck.(pair (int_range 0 (10 * chunk)) (small_list (int_range 0 2)))
+    (fun (budget, script) ->
+      let script = ref script and spent = ref 0 and stopped = ref false in
+      let ok = ref true in
+      Blsm.Lsm_shell.spend ~budget (fun ~quota ->
+          if !stopped || quota <> min chunk (budget - !spent) || quota <= 0 then ok := false;
+          let answer =
+            match !script with
+            | [] -> 0
+            | a :: rest ->
+                script := rest;
+                a
+          in
+          match answer with
+          | 0 ->
+              spent := !spent + quota;
+              `Spent
+          | 1 -> `Free
+          | _ ->
+              stopped := true;
+              `Stop);
+      !ok && !spent <= budget && (!stopped || !spent = budget))
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+(* One paced write while merges rest: C0 below the spring's low
+   watermark and no merge in flight, so the scheduler owes nothing. 15
+   words is what the pacing path allocated before the stepping rule
+   moved into the shell; a closure built per write would pass it. *)
+let test_rest_pacing_alloc_budget () =
+  let t = mk_tree () in
+  for i = 0 to 39 do
+    Blsm.Tree.put t (Printf.sprintf "key%03d" i) (value i)
+  done;
+  check Alcotest.bool "below the low watermark" true (Blsm.Tree.c0_fill t < 0.30);
+  let n = 10_000 in
+  let w0 = minor_words () in
+  for _ = 1 to n do
+    Blsm.Tree.before_write t ~write_bytes:100
+  done;
+  let per_write = (minor_words () - w0) / n in
+  check Alcotest.int "no merge ran" 0 (Blsm.Tree.merge_stats t).merge1_completions;
+  if per_write > 15 then
+    Alcotest.failf "paced write at rest: %d words, budget 15" per_write
+
 let () =
   Alcotest.run "blsm"
     [
@@ -703,11 +756,11 @@ let () =
       ( "model",
         [
           Alcotest.test_case "spring+snowshovel" `Quick
-            (model_test ~scheduler:Blsm.Config.Spring ~snowshovel:true 3000);
+            (model_test ~scheduler:Blsm.Config.Spring 3000);
           Alcotest.test_case "gear+frozen" `Quick
-            (model_test ~scheduler:Blsm.Config.Gear ~snowshovel:false 3000);
+            (model_test ~scheduler:Blsm.Config.Gear 3000);
           Alcotest.test_case "naive" `Quick
-            (model_test ~scheduler:Blsm.Config.Naive ~snowshovel:true 3000);
+            (model_test ~scheduler:Blsm.Config.Naive 3000);
         ] );
       ( "read_amplification",
         [
@@ -734,6 +787,8 @@ let () =
           Alcotest.test_case "outprogress formula" `Quick test_outprogress_formula;
           QCheck_alcotest.to_alcotest prop_spring_quota_monotone_in_fill;
           QCheck_alcotest.to_alcotest prop_spring_quota_zero_below_low;
+          QCheck_alcotest.to_alcotest prop_spend_stepping_rule;
+          Alcotest.test_case "rest pacing alloc budget" `Quick test_rest_pacing_alloc_budget;
         ] );
       ( "recovery",
         [

@@ -197,9 +197,8 @@ let test_l0_stop_stalls_writes () =
   let s = L.engine_stats (run ~credit_per_byte:1.5 ~slowdown_at:3) in
   check Alcotest.bool "slowdowns occurred" true (s.L.slowdown_writes > 0);
   let t = run ~credit_per_byte:0.0 ~slowdown_at:4 in
-  let s = L.engine_stats t in
-  check Alcotest.bool "stops occurred" true (s.L.hard_stalls > 0);
-  check Alcotest.int "no slowdowns below the stop" 0 s.L.slowdown_writes;
+  check Alcotest.bool "stops occurred" true ((L.stats t).hard_stalls > 0);
+  check Alcotest.int "no slowdowns below the stop" 0 (L.engine_stats t).L.slowdown_writes;
   if (List.hd (L.levels t)).L.li_runs >= 4 then
     Alcotest.fail "level 0 left at the stop threshold";
   for i = 0 to 3999 do
@@ -375,7 +374,7 @@ let test_policy_extraction_byte_identity () =
   check Alcotest.int "flushes" 24 s.L.flushes;
   check Alcotest.int "compactions" 16 s.L.compactions;
   check Alcotest.int "slowdown_writes" 0 s.L.slowdown_writes;
-  check Alcotest.int "stop_stalls" 0 s.L.hard_stalls;
+  check Alcotest.int "stop_stalls" 0 (L.stats t).hard_stalls;
   check Alcotest.int "bytes_compacted" 438003 s.L.bytes_compacted;
   check Alcotest.string "level profile"
     "L0:0:0,L1:1:942,L2:2:23310,L3:0:0,L4:0:0,L5:0:0,L6:0:0" level_profile;

@@ -168,7 +168,6 @@ let mk_tree ?(scheduler = Blsm.Config.Spring) ?(c0_kb = 64) () =
         Blsm.Config.default with
         Blsm.Config.c0_bytes = c0_kb * 1024;
         scheduler;
-        snowshovel = scheduler <> Blsm.Config.Gear;
       }
     store
 
@@ -206,8 +205,43 @@ let test_attribution_naive_hard_stalls () =
     Alcotest.failf "worst attribution error %.6f us over 0.5" worst;
   let s = Blsm.Tree.stats tree in
   check Alcotest.bool "naive run hard-stalled" true
-    ((Blsm.Tree.merge_stats tree).hard_stalls > 0);
+    (s.hard_stalls > 0);
   check Alcotest.bool "hard time attributed" true (s.stall_hard_us > 0.0)
+
+(* The shell keeps the one hard-stall counter: [stats.hard_stalls]
+   equals the [<prefix>.hard_stalls] metric, on a naive tree and on the
+   LevelDB configuration's level-0 stop (no compaction credit, so only
+   the stop drains level 0). *)
+let test_hard_stalls_counter_parity () =
+  let metric reg name =
+    match String.split_on_char ' ' (String.trim (Obs.Metrics.dump ~prefix:name reg)) with
+    | [ n; v ] when n = name -> int_of_string v
+    | _ -> Alcotest.failf "metric %s not registered" name
+  in
+  let tree, _ = saturated_run ~scheduler:Blsm.Config.Naive ~ops:2_000 () in
+  let n = (Blsm.Tree.stats tree).hard_stalls in
+  check Alcotest.bool "naive tree hard-stalled" true (n > 0);
+  check Alcotest.int "tree.hard_stalls" n (metric (Blsm.Tree.metrics tree) "tree.hard_stalls");
+  let module L = Blsm.Policy_tree in
+  let pt =
+    L.create
+      ~config:
+        { Blsm.Config.default with Blsm.Config.c0_bytes = 16 * 1024; bloom_bits_per_key = 0;
+          extent_pages = 8 }
+      ~pconfig:
+        { L.leveldb_pconfig with
+          L.pt_file_bytes = 16 * 1024; pt_base_bytes = 64 * 1024; pt_fanout = 4.0;
+          pt_l0_trigger = 2; pt_l0_stop = 4;
+          pt_pacing = L.Credit { credit_per_byte = 0.0; slowdown_at = 4; slowdown_us = 1000.0 } }
+      ~policy:Blsm.Compaction_policy.leveldb_seed (mk_store ())
+  in
+  let prng = Repro_util.Prng.of_int 11 in
+  for i = 0 to 3_999 do
+    L.put pt (Repro_util.Keygen.key_of_id i) (Repro_util.Keygen.value prng 64)
+  done;
+  let n = (L.stats pt).hard_stalls in
+  check Alcotest.bool "level-0 stop hard-stalled" true (n > 0);
+  check Alcotest.int "ptree.hard_stalls" n (metric (L.metrics pt) "ptree.hard_stalls")
 
 (* Both LSM hosts recover through the shell: each charges the replay to
    [recovery_us], exports it as [<prefix>.recovery_us] and emits the
@@ -655,6 +689,8 @@ let () =
             test_attribution_sums_spring;
           Alcotest.test_case "naive charges hard stalls" `Quick
             test_attribution_naive_hard_stalls;
+          Alcotest.test_case "hard_stalls counter = metric" `Quick
+            test_hard_stalls_counter_parity;
           Alcotest.test_case "recovery time attributed" `Quick
             test_recovery_time_attributed;
           Alcotest.test_case "deterministic traces" `Quick

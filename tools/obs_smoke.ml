@@ -55,7 +55,6 @@ let run_traced ~seed () =
       Blsm.Config.default with
       Blsm.Config.c0_bytes = 64 * 1024;
       scheduler = Blsm.Config.Spring;
-      snowshovel = true;
     }
   in
   let tree = Blsm.Tree.create ~config store in
