@@ -1,7 +1,8 @@
 (** Pacing math for the level schedulers (§4.1, §4.3).
 
     Pure functions from observed tree state to merge-work quotas; {!Tree}
-    applies them before admitting each write. Keeping them pure makes the
+    applies them before admitting each write, and {!Policy_tree}'s
+    [Spring] pacing applies {!spring_quota} to its active job. Keeping them pure makes the
     estimator properties (bounded, monotone, smooth) directly testable. *)
 
 (** [outprogress ~inprogress ~ci_bytes ~ram_bytes ~r] implements §4.1:
