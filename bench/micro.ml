@@ -61,9 +61,9 @@ let test_entry_codec =
   let e = Kv.Entry.Base (String.make 1000 'v') in
   Test.make ~name:"entry.encode+decode (sstable record)"
     (Staged.stage (fun () ->
-         let buf = Buffer.create 1100 in
-         Kv.Entry.encode buf e;
-         ignore (Kv.Entry.decode (Buffer.contents buf) 0)))
+         let b = Bytes.create (Kv.Entry.encoded_size e) in
+         ignore (Kv.Entry.write b 0 e);
+         ignore (Kv.Entry.decode (Bytes.unsafe_to_string b) 0)))
 
 let test_sstable_get =
   let store = mk_store () in

@@ -142,6 +142,33 @@ let insert_kernel ~repeats ~iters =
   in
   (ns, Obs.Trace.events_emitted (Pagestore.Store.trace store) = 0)
 
+(* Major-heap words a [Tree.put] of a 1 KB value allocates directly, on a
+   logged tree at rest (overwrites of a few YCSB-sized keys, so no merge
+   runs). The put encodes its batch straight into the WAL frame, a
+   minor-heap block, so the count is exact: 0. Promotions of the frames
+   the log keeps are not direct allocations and do not count. *)
+let put_major_words ~iters =
+  let store =
+    Pagestore.Store.create
+      ~config:
+        {
+          Pagestore.Store.cfg_page_size = 4096;
+          cfg_buffer_pages = 64;
+          cfg_durability = Pagestore.Wal.Full;
+        }
+      Simdisk.Profile.ssd_raid0
+  in
+  let tree = Blsm.Tree.create ~config:Blsm.Config.default store in
+  let keys = Array.init 8 Repro_util.Keygen.key_of_id in
+  let value = String.make 1000 'v' in
+  Array.iter (fun k -> Blsm.Tree.put tree k value) keys;
+  let _, promoted0, major0 = Gc.counters () in
+  for i = 1 to iters do
+    Blsm.Tree.put tree keys.(i land 7) value
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  ((major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int iters
+
 (* ------------------------------------------------------------------ *)
 (* PR-7 read-path kernels: fence search, Bloom probe *)
 
@@ -383,8 +410,11 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       Printf.printf "%-44s %12.1f ns/op  %6.2f minor words/op\n" name ns words)
     alloc;
   Printf.printf "bloom fp @ %d absent probes: %d\n" bloom_fp_probes fp;
+  let put_major = put_major_words ~iters in
+  Printf.printf "%-44s %12.2f major words/op\n" "tree.put.major_words" put_major;
   let gates =
     Gate.at_most "bloom.mem.standard.words" bloom_words 0.0
+    :: Gate.at_most "tree.put.major_words" put_major 0.0
     ::
     (if String.equal crc_kernel "sse4.2" then
        [ Gate.at_most "crc32c.4KiB" crc gate_crc32c_4k_sse42_ns ]

@@ -290,16 +290,35 @@ let stall_window sh pace =
    single one): replay applies a record's operations together, which is
    what makes a batch all-or-nothing across crashes. *)
 
+(* A batch's exact payload size: the count, then each key's length and
+   bytes and its entry. *)
+let ops_size ops =
+  List.fold_left
+    (fun a (key, entry) ->
+      let klen = String.length key in
+      a + Repro_util.Varint.size klen + klen + Kv.Entry.encoded_size entry)
+    (Repro_util.Varint.size (List.length ops))
+    ops
+
+let rec write_list b pos = function
+  | [] -> ()
+  | (key, entry) :: rest ->
+      let klen = String.length key in
+      let pos = Repro_util.Varint.set b pos klen in
+      Bytes.blit_string key 0 b pos klen;
+      write_list b (Kv.Entry.write b (pos + klen) entry) rest
+
+(* Write a batch's payload into [b] at [pos]: the one encoder, which
+   writes straight into the WAL frame. *)
+let write_ops ops b pos =
+  write_list b (Repro_util.Varint.set b pos (List.length ops)) ops
+
 let encode_ops ops =
-  let buf = Buffer.create 64 in
-  Repro_util.Varint.write buf (List.length ops);
-  List.iter
-    (fun (key, entry) ->
-      Repro_util.Varint.write buf (String.length key);
-      Buffer.add_string buf key;
-      Kv.Entry.encode buf entry)
-    ops;
-  Buffer.contents buf
+  let b = Bytes.create (ops_size ops) in
+  write_ops ops b 0;
+  Bytes.unsafe_to_string b
+
+let append_ops wal ops = Pagestore.Wal.append_with wal ~len:(ops_size ops) write_ops ops
 
 let decode_ops s =
   let count, pos = Repro_util.Varint.read s 0 in
@@ -328,7 +347,7 @@ let write sh ~pace ~memtable ~op ops =
   let bytes = payload_bytes ops in
   stall_window sh (fun () -> pace ~write_bytes:bytes);
   let t_wal = now sh in
-  let lsn = Pagestore.Wal.append (Pagestore.Store.wal sh.store) (encode_ops ops) in
+  let lsn = append_ops (Pagestore.Store.wal sh.store) ops in
   let wal_dt = now sh -. t_wal in
   sh.scratch.sc_wal_us <- sh.scratch.sc_wal_us +. wal_dt;
   sh.stats.wal_us <- sh.stats.wal_us +. wal_dt;

@@ -324,7 +324,19 @@ val scrub : t -> scrub_report
 
 (** {1 Log records and metrics} *)
 
+(** [encode_ops ops] is the payload of the log record for the batch
+    [ops]: a varint count, then each key (varint length and bytes) and
+    its entry. *)
 val encode_ops : (string * Kv.Entry.t) list -> string
+
+(** [decode_ops payload] is the batch a log record's payload holds:
+    the inverse of {!encode_ops}. *)
+val decode_ops : string -> (string * Kv.Entry.t) list
+
+(** [append_ops wal ops] appends the batch [ops] as one log record,
+    encoding it straight into the record's frame, and returns its LSN.
+    The frame is byte-identical to appending [encode_ops ops]. *)
+val append_ops : Pagestore.Wal.t -> (string * Kv.Entry.t) list -> int
 
 (** Registers [<prefix>.puts] ... [<prefix>.checked_insert_seekfree],
     [<prefix>.corruptions_detected], [<prefix>.scrubs],

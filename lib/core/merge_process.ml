@@ -22,8 +22,14 @@ type progress = {
 
 type outcome = [ `More | `Done ]
 
+type group =
+  | Record of string * Kv.Entry.t * int
+  | Framed of Sstable.Sst_format.Framed.t
+  | Elided
+  | End
+
 type input = {
-  pull : output_bytes:int -> Sstable.Merge_iter.group;
+  pull : output_bytes:int -> group;
   meter : int ref;
   total : unit -> int;
 }
@@ -119,6 +125,12 @@ let emit m key entry ~lsn =
   Sstable.Builder.add ~lsn (target m) key entry;
   match m.bloom with Some bl -> Bloom.add bl key | None -> ()
 
+let emit_framed m fr =
+  Sstable.Builder.add_framed (target m) fr;
+  match m.bloom with
+  | Some bl -> Bloom.add bl (Sstable.Sst_format.Framed.key fr)
+  | None -> ()
+
 let step m ~quota : outcome =
   let traced = Obs.Trace.enabled m.tr in
   let ts = if traced then Obs.Trace.now_us m.tr else 0.0 in
@@ -134,6 +146,9 @@ let step m ~quota : outcome =
       | Elided -> go ()
       | Record (key, entry, lsn) ->
           emit m key entry ~lsn;
+          go ()
+      | Framed fr ->
+          emit_framed m fr;
           go ()
   in
   let r = go () in
@@ -192,7 +207,12 @@ let merge_input ~resolver ~drop_tombstones ~total pulls =
       (List.mapi (fun i pull -> (i, metered meter pull)) pulls)
   in
   {
-    pull = (fun ~output_bytes:_ -> Sstable.Merge_iter.next_group it);
+    pull =
+      (fun ~output_bytes:_ ->
+        match Sstable.Merge_iter.next_group it with
+        | Record (key, entry, lsn) -> Record (key, entry, lsn)
+        | Elided -> Elided
+        | End -> End);
     meter;
     total = (fun () -> total);
   }
@@ -266,16 +286,30 @@ type c0_source =
    end the run early, once the output holds [run_cap] bytes: C1 must be
    drained because it is freed at commit. A live C0 record is peeked and
    then popped at the same cursor, so the memtable's remembered
-   successor turns both into the one descent that unlinks it. *)
+   successor turns both into the one descent that unlinks it.
+
+   C1 records are framed, not decoded: one that no C0 record shadows
+   goes to the output as its stored bytes ([Framed]), and only a key
+   both inputs hold is decoded and merged. The next C1 record is framed
+   as the current one is taken, before the executor writes it, so every
+   C1 page fetch lands at the same point of the pull as a decoding read
+   would put it. Two frames alternate for that: the one handed out stays
+   intact while the other takes its successor. *)
 let c0_input ~resolver ~source ~c1 ~run_cap =
   let mem = match source with Live { mem; _ } | Frozen mem -> mem in
   let meter = ref 0 in
   let c1_read = ref 0 in
   let started = ref false and cursor = ref "" in
   let c1_iter = Option.map Component.iterator c1 in
-  let c1_peek =
-    ref (match c1_iter with Some it -> Sstable.Reader.iter_next_full it | None -> None)
+  let module F = Sstable.Sst_format.Framed in
+  let fa = F.create () and fb = F.create () in
+  let ga = Framed fa and gb = Framed fb in
+  (* [fa] holds the C1 peek when [on_a], else [fb]; [c1_live]: it holds one. *)
+  let on_a = ref true in
+  let frame_next fr =
+    match c1_iter with Some it -> Sstable.Reader.iter_next_framed it fr | None -> false
   in
+  let c1_live = ref (frame_next fa) in
   let c1_total = match c1 with Some c -> Component.data_bytes c | None -> 0 in
   let denom = Memtable.bytes mem + c1_total in
   let take_c0 ((key, entry, _) as r) =
@@ -288,48 +322,50 @@ let c0_input ~resolver ~source ~c1 ~run_cap =
         Shadow.append shadow r
     | Frozen _ -> ()
   in
-  let advance_c1 key entry =
-    let n = record_bytes key entry in
+  (* Take the C1 peek and frame its successor into the other frame;
+     returns the group holding the taken record. *)
+  let take fr g ~next =
+    let n = F.record_bytes fr in
     c1_read := !c1_read + n;
     meter := !meter + n;
-    match c1_iter with
-    | Some it -> c1_peek := Sstable.Reader.iter_next_full it
-    | None -> ()
+    on_a := not !on_a;
+    c1_live := frame_next next;
+    started := true;
+    cursor := F.key fr;
+    g
   in
+  let take_c1 () = if !on_a then take fa ga ~next:fb else take fb gb ~next:fa in
   let record (key, entry, lsn) =
     started := true;
     cursor := key;
-    Sstable.Merge_iter.Record (key, entry, lsn)
+    Record (key, entry, lsn)
   in
   let pull ~output_bytes =
     let c0_next =
       if !started then Memtable.peek_gt_lsn mem !cursor
       else Memtable.peek_geq_lsn mem ""
     in
-    match (c0_next, !c1_peek) with
-    | None, None -> Sstable.Merge_iter.End
-    | Some r0, None ->
+    match c0_next with
+    | None when not !c1_live -> End
+    | None -> take_c1 ()
+    | Some r0 when not !c1_live ->
         if output_bytes >= run_cap then End
         else begin
           take_c0 r0;
           record r0
         end
-    | None, Some ((k1, e1, _) as r1) ->
-        advance_c1 k1 e1;
-        record r1
-    | Some ((k0, e0, l0) as r0), Some ((k1, e1, l1) as r1) ->
-        let c = String.compare k0 k1 in
+    | Some ((k0, e0, l0) as r0) ->
+        let f1 = if !on_a then fa else fb in
+        let c = String.compare k0 (F.key f1) in
         if c < 0 then begin
           take_c0 r0;
           record r0
         end
-        else if c > 0 then begin
-          advance_c1 k1 e1;
-          record r1
-        end
+        else if c > 0 then take_c1 ()
         else begin
+          let e1 = F.entry f1 and l1 = F.lsn f1 in
           take_c0 r0;
-          advance_c1 k1 e1;
+          ignore (take_c1 ());
           record (k0, Kv.Entry.merge resolver ~newer:e0 ~older:e1, max l0 l1)
         end
   in

@@ -19,6 +19,17 @@ type progress = {
 
 type outcome = [ `Done | `More ]
 
+(** One key group of an input: its surviving record, decoded
+    ([Record], with the newest contributing LSN) or held as the stored
+    bytes of an unchanged input record ([Framed], valid until the next
+    pull); a group the bottom level drops ([Elided]); or the end of the
+    input. *)
+type group =
+  | Record of string * Kv.Entry.t * int
+  | Framed of Sstable.Sst_format.Framed.t
+  | Elided
+  | End
+
 (** One sorted input. [pull ~output_bytes] folds the next key group in
     key order ([output_bytes]: what the merge has written so far, for a
     source that ends its run at an output cap) and advances [meter] by
@@ -26,7 +37,7 @@ type outcome = [ `Done | `More ]
     input's total bytes. The executor checks [meter] once per group, so
     a step reads at most its quota plus one group. *)
 type input = {
-  pull : output_bytes:int -> Sstable.Merge_iter.group;
+  pull : output_bytes:int -> group;
   meter : int ref;
   total : unit -> int;
 }
@@ -129,7 +140,8 @@ type c0_source =
   | Frozen of Memtable.t
 
 (** [c0_input ~resolver ~source ~c1 ~run_cap] merges [source] with the
-    old C1. Once C1 is drained the run ends early when the output holds
+    old C1. A C1 record no C0 record shadows is passed on [Framed], as
+    its stored bytes; only keys both inputs hold are decoded. Once C1 is drained the run ends early when the output holds
     [run_cap] bytes. Its total is, for {!Live}, bytes read plus what is
     left in C0 and C1 now; for {!Frozen}, |C0'| + |C1| at the start. *)
 val c0_input :

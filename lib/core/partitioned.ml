@@ -112,9 +112,7 @@ let write_batch t ops =
         if slice <> [] then
           Tree.before_write t.partitions.(i) ~write_bytes:(Lsm_shell.payload_bytes slice))
       slices;
-    let lsn =
-      Pagestore.Wal.append (Pagestore.Store.wal t.store) (Tree.encode_ops ops)
-    in
+    let lsn = Lsm_shell.append_ops (Pagestore.Store.wal t.store) ops in
     Array.iteri
       (fun i slice ->
         Tree.absorb_batch t.partitions.(i) ~lsn (List.rev slice))

@@ -64,19 +64,30 @@ let is_base = function Base _ -> true | Delta _ | Tombstone -> false
     tag byte, then: Base = varint len + bytes; Delta = varint count then
     per-delta varint len + bytes; Tombstone = nothing. *)
 
-let encode buf = function
+(* [varint length][bytes] at [pos]; the position after it. *)
+let write_string b pos v =
+  let n = String.length v in
+  let pos = Repro_util.Varint.set b pos n in
+  Bytes.blit_string v 0 b pos n;
+  pos + n
+
+(** [write b pos e] writes [e]'s wire form into [b] at [pos] and returns
+    the position after it; [b] must have [encoded_size e] bytes of room
+    there. The one entry encoder: SSTable records and WAL batches are
+    both sized up front and written in place. *)
+let write b pos e =
+  match e with
   | Base v ->
-      Buffer.add_char buf '\000';
-      Repro_util.Varint.write buf (String.length v);
-      Buffer.add_string buf v
-  | Tombstone -> Buffer.add_char buf '\001'
+      Bytes.set b pos '\000';
+      write_string b (pos + 1) v
+  | Tombstone ->
+      Bytes.set b pos '\001';
+      pos + 1
   | Delta ds ->
-      Buffer.add_char buf '\002';
-      Repro_util.Varint.write buf (List.length ds);
-      List.iter
-        (fun d ->
-          Repro_util.Varint.write buf (String.length d);
-          Buffer.add_string buf d)
+      Bytes.set b pos '\002';
+      List.fold_left
+        (fun pos d -> write_string b pos d)
+        (Repro_util.Varint.set b (pos + 1) (List.length ds))
         ds
 
 (** [decode s pos] parses an entry at [pos], returning [(entry, next_pos)]. *)
@@ -129,6 +140,34 @@ let decode_exact s pos ~stop =
       go [] (pos + 1 + Varint.size n) n
   | c ->
       invalid_arg (Printf.sprintf "Entry.decode_exact: bad tag %d" (Char.code c))
+
+(** [check_exact s pos ~stop] makes every check of {!decode_exact} and
+    builds nothing: a record passed on as its stored bytes is validated
+    exactly as a decoded one would be. Raises [Invalid_argument] where
+    {!decode_exact} would. *)
+let check_exact s pos ~stop =
+  let open Repro_util in
+  if pos >= stop || stop > String.length s then
+    invalid_arg "Entry.check_exact: empty frame";
+  match String.unsafe_get s pos with
+  | '\000' ->
+      let len = Varint.read_within s (pos + 1) ~stop in
+      if len <> stop - (pos + 1 + Varint.size len) then
+        invalid_arg "Entry.check_exact: value length"
+  | '\001' ->
+      if pos + 1 <> stop then invalid_arg "Entry.check_exact: trailing bytes"
+  | '\002' ->
+      let n = Varint.read_within s (pos + 1) ~stop in
+      let p = ref (pos + 1 + Varint.size n) in
+      for _ = 1 to n do
+        let len = Varint.read_within s !p ~stop in
+        let q = !p + Varint.size len in
+        if len > stop - q then invalid_arg "Entry.check_exact: delta length";
+        p := q + len
+      done;
+      if !p <> stop then invalid_arg "Entry.check_exact: trailing bytes"
+  | c ->
+      invalid_arg (Printf.sprintf "Entry.check_exact: bad tag %d" (Char.code c))
 
 let encoded_size e =
   let open Repro_util in

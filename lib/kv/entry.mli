@@ -40,7 +40,9 @@ val is_base : t -> bool
 
 (** {1 Wire format} — tag byte + varint-framed payloads. *)
 
-val encode : Buffer.t -> t -> unit
+(** [write b pos e] writes [e] into [b] at [pos], which must have
+    [encoded_size e] bytes of room; returns the position after it. *)
+val write : Bytes.t -> int -> t -> int
 
 (** [decode s pos] parses an entry at [pos]: [(entry, next_pos)]. *)
 val decode : string -> int -> t * int
@@ -49,6 +51,11 @@ val decode : string -> int -> t * int
     exactly, in place. Raises [Invalid_argument] on a bad tag, an
     overrunning length or trailing bytes. *)
 val decode_exact : string -> int -> stop:int -> t
+
+(** [check_exact s pos ~stop] validates the entry filling [pos, stop)
+    exactly as {!decode_exact} does, building no string. Raises
+    [Invalid_argument] where {!decode_exact} would. *)
+val check_exact : string -> int -> stop:int -> unit
 
 val encoded_size : t -> int
 

@@ -84,14 +84,14 @@ let frame_crc s =
   let c = Repro_util.Crc32c.update c s framing (String.length s - framing) in
   c lxor 0xFFFFFFFF
 
-let encode_frame ~lsn payload =
-  let len = String.length payload in
+(* The frame of a [len]-byte payload that [write x b framing] writes in
+   place: the one buffer a record's bytes are copied into. *)
+let frame ~lsn ~len write x =
   let b = Bytes.create (framing + len) in
   Page.set_u64 b 0 lsn;
   Page.set_u32 b 8 len;
-  Bytes.blit_string payload 0 b framing len;
-  let crc = frame_crc (Bytes.unsafe_to_string b) in
-  Page.set_u32 b 12 crc;
+  write x b framing;
+  Page.set_u32 b 12 (frame_crc (Bytes.unsafe_to_string b));
   Bytes.unsafe_to_string b
 
 (* [`Ok (lsn, payload)] for an intact frame; [`Torn] when the frame is
@@ -124,20 +124,22 @@ let store_record t ~lsn frame =
   t.appended_bytes <- t.appended_bytes + cost;
   t.records <- { lsn; frame } :: t.records
 
-(** [append t payload] appends one logical record, returning its LSN — the
-    acknowledgement. In [None_] durability mode the record is dropped (but
-    still assigned an LSN so callers can reason uniformly). [Full] syncs
+(** [append_with t ~len write x] appends one logical record of [len]
+    payload bytes, which [write x b pos] writes into the frame buffer [b]
+    at [pos]; returns its LSN — the acknowledgement. In [None_]
+    durability mode the record is dropped (but still assigned an LSN so
+    callers can reason uniformly) and [write] is not called. [Full] syncs
     before acking; [Degraded] syncs once per group-commit window, so the
     unsynced tail is lost if the machine dies first. A scheduled fault can
     tear or drop the in-flight record and kill the machine before the
     ack ({!Simdisk.Faults.Crash_point} propagates to the caller). *)
-let append t payload =
+let append_with t ~len write x =
   let lsn = t.next_lsn in
   t.next_lsn <- lsn + 1;
   (match t.durability with
   | None_ -> ()
   | Full | Degraded ->
-      let frame = encode_frame ~lsn payload in
+      let frame = frame ~lsn ~len write x in
       (match Simdisk.Faults.on_wal_append t.faults ~frame_bytes:(String.length frame) with
       | Simdisk.Faults.Wa_ok -> store_record t ~lsn frame
       | Simdisk.Faults.Wa_crash ->
@@ -152,6 +154,14 @@ let append t payload =
           if t.unsynced_bytes >= t.group_commit_bytes then sync t
       | None_ -> ()));
   lsn
+
+let blit_payload payload b pos =
+  Bytes.blit_string payload 0 b pos (String.length payload)
+
+(** [append t payload] appends a record whose payload is already a
+    string. *)
+let append t payload =
+  append_with t ~len:(String.length payload) blit_payload payload
 
 (** [register_client t ~client] declares a log client with a floor at
     the current truncation point: until the client proposes a higher
@@ -261,6 +271,11 @@ let crash t =
       t.bytes <- t.bytes - dropped;
       t.dropped_unsynced <- t.dropped_unsynced + List.length drop;
       t.unsynced_bytes <- 0
+
+(** [stored_frame t ~lsn] is record [lsn]'s stored frame, header
+    included (test instrumentation); [None] when the record is gone. *)
+let stored_frame t ~lsn =
+  Option.map (fun r -> r.frame) (List.find_opt (fun r -> r.lsn = lsn) t.records)
 
 (** [flip_bit t ~lsn ~byte ~bit] rots one stored bit of record [lsn]
     (test/scrub instrumentation). Returns false when the record is gone. *)

@@ -30,10 +30,17 @@ val set_faults : t -> Simdisk.Faults.t -> unit
     it. Usually the store's shared tracer. *)
 val set_trace : t -> Obs.Trace.t -> unit
 
-(** [append t payload] appends one record, returning its LSN (the ack).
-    May raise {!Simdisk.Faults.Crash_point} when a scheduled fault kills
-    the machine mid-append (the record is then torn or lost, never
+(** [append_with t ~len write x] appends one record of [len] payload
+    bytes, returning its LSN (the ack). The frame is allocated once and
+    [write x b pos] must fill [b.[pos, pos + len)] with the payload;
+    under [None_] durability it is not called. May raise
+    {!Simdisk.Faults.Crash_point} when a scheduled fault kills the
+    machine mid-append (the record is then torn or lost, never
     acked). *)
+val append_with : t -> len:int -> ('a -> Bytes.t -> int -> unit) -> 'a -> int
+
+(** [append t payload] is {!append_with} for a payload already held as a
+    string. *)
 val append : t -> string -> int
 
 (** Force a group-commit sync: everything appended so far is durable. *)
@@ -65,6 +72,10 @@ val verify : t -> int * (string * int) list
 (** Power-loss semantics for the log: under [Degraded] the unsynced
     group-commit tail is discarded. Called by [Store.crash]. *)
 val crash : t -> unit
+
+(** [stored_frame t ~lsn] is record [lsn]'s stored frame, its 16-byte
+    header included (test instrumentation); [None] when it is gone. *)
+val stored_frame : t -> lsn:int -> string option
 
 (** [flip_bit t ~lsn ~byte ~bit] rots one stored bit of record [lsn]
     (test/scrub instrumentation); false when the record is gone. *)

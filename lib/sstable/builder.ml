@@ -34,7 +34,7 @@ type t = {
   mutable page_pos : int; (* position of the page under construction *)
   mutable current_page_first_key : string option;
   (* the record being added, encoded once; reused for every record *)
-  record : Buffer.t;
+  record : Sst_format.Framed.t;
 }
 
 let create ?format:(_ : Sst_format.version option) ?(extent_pages = 1024)
@@ -63,7 +63,7 @@ let create ?format:(_ : Sst_format.version option) ?(extent_pages = 1024)
     index_rev = [];
     page_pos = 0;
     current_page_first_key = None;
-    record = Buffer.create 256;
+    record = Sst_format.Framed.create ();
   }
 
 let ensure_stream t =
@@ -101,10 +101,10 @@ let flush_page t ~upcoming_cont =
   t.cont_len <- min upcoming_cont t.payload;
   t.current_page_first_key <- None
 
-(** [add t ?lsn key entry] appends one record ([lsn]: newest WAL record
-    folded into it; see {!Sst_format}). Keys must be strictly
-    increasing. *)
-let add ?(lsn = 0) t key entry =
+(** [add_framed t fr] appends the record held in [fr] as its bytes.
+    Keys must be strictly increasing. *)
+let add_framed t fr =
+  let key = Sst_format.Framed.key fr and lsn = Sst_format.Framed.lsn fr in
   if t.record_count > 0 && String.compare key t.max_key <= 0 then
     invalid_arg "Builder.add: keys must be strictly increasing";
   if t.record_count = 0 then t.min_key <- key;
@@ -114,16 +114,13 @@ let add ?(lsn = 0) t key entry =
     if lsn > t.max_lsn then t.max_lsn <- lsn
   end;
   t.record_count <- t.record_count + 1;
-  (match entry with
-  | Kv.Entry.Tombstone -> t.tombstone_count <- t.tombstone_count + 1
-  | _ -> ());
+  if Sst_format.Framed.tombstone fr then
+    t.tombstone_count <- t.tombstone_count + 1;
   (* The record starts in the current page (start a new page only if the
      current one has no room for even one byte). *)
   if t.page_off >= t.page_size then flush_page t ~upcoming_cont:0;
-  let record = t.record in
-  Buffer.clear record;
-  Sst_format.encode_record record key ~lsn entry;
-  let len = Buffer.length record in
+  let record = Sst_format.Framed.bytes fr in
+  let len = Sst_format.Framed.length fr in
   t.data_bytes <- t.data_bytes + len;
   t.n_starts <- t.n_starts + 1;
   if t.current_page_first_key = None then t.current_page_first_key <- Some key;
@@ -133,11 +130,18 @@ let add ?(lsn = 0) t key entry =
     if space = 0 then flush_page t ~upcoming_cont:(len - !off)
     else begin
       let n = min space (len - !off) in
-      Buffer.blit record !off t.page_buf t.page_off n;
+      Bytes.blit record !off t.page_buf t.page_off n;
       t.page_off <- t.page_off + n;
       off := !off + n
     end
   done
+
+(** [add t ?lsn key entry] appends one record ([lsn]: newest WAL record
+    folded into it; see {!Sst_format}). Keys must be strictly
+    increasing. *)
+let add ?(lsn = 0) t key entry =
+  Sst_format.Framed.set t.record key ~lsn entry;
+  add_framed t t.record
 
 (** User-data bytes written so far (merge progress accounting). *)
 let data_bytes t = t.data_bytes

@@ -20,6 +20,12 @@ val create :
     raises [Invalid_argument] otherwise. *)
 val add : ?lsn:int -> t -> string -> Kv.Entry.t -> unit
 
+(** [add_framed t fr] appends the record held in [fr] as its stored
+    bytes — the merge passthrough of an unchanged input record. The
+    output bytes are those {!add} writes for the same key, LSN and
+    entry. Keys must be strictly increasing. *)
+val add_framed : t -> Sst_format.Framed.t -> unit
+
 (** User-data bytes written so far (merge progress accounting). *)
 val data_bytes : t -> int
 

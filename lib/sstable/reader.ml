@@ -461,6 +461,29 @@ let iter_next_full it =
               None
           | some -> some))
 
+(** [iter_next_framed it fr] frames the next record into [fr] without
+    decoding its value: [false] at the end. The body is validated as
+    {!iter_next_full}'s decode would validate it and copied out of the
+    stream, so [fr] stays valid however far the iterator moves on. *)
+let iter_next_framed it fr =
+  match it.pending with
+  | Some (key, entry, lsn) ->
+      it.pending <- None;
+      Sst_format.Framed.set fr key ~lsn entry;
+      true
+  | None -> (
+      match it.stream with
+      | None -> false
+      | Some bs ->
+          if next_frame bs then begin
+            Sst_format.Framed.copy_body fr bs.body bs.body_pos ~stop:bs.body_stop;
+            true
+          end
+          else begin
+            it.stream <- None;
+            false
+          end)
+
 (** [iter_next it] pulls the next record in key order. *)
 let iter_next it =
   match iter_next_full it with Some (k, e, _) -> Some (k, e) | None -> None

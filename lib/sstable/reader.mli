@@ -97,6 +97,12 @@ val iter_next : iter -> (string * Kv.Entry.t) option
 (** As {!iter_next}, also yielding the record's stored LSN. *)
 val iter_next_full : iter -> (string * Kv.Entry.t * int) option
 
+(** [iter_next_framed it fr] frames the next record into [fr] ([false]
+    at the end): validated as {!iter_next_full} validates it and copied
+    out of the stream as its wire bytes, with only the key string built.
+    [fr] stays valid however far [it] moves on. *)
+val iter_next_framed : iter -> Sst_format.Framed.t -> bool
+
 (** {1 Scrubbing} *)
 
 (** [verify t] checksums every data page and the index/Bloom blobs,

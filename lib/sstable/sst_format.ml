@@ -24,7 +24,7 @@
 
     A record on the wire is [varint body_len][body] where
     [body = varint key_len ++ key ++ varint lsn ++ entry] (see
-    {!Kv.Entry.encode}). The LSN is the newest write-ahead-log sequence
+    {!Kv.Entry.write}). The LSN is the newest write-ahead-log sequence
     number folded into the record; recovery uses it to skip WAL records
     whose effect is already durable — without it, replaying a delta that
     a committed merge already applied would apply it twice (Rose, the
@@ -118,9 +118,9 @@ let record_starts b =
 
 (** {1 Record codec}
 
-    Records are written once, straight into the caller's buffer: the body
-    length is known up front from the field sizes, so no body is staged
-    and copied. They are read in place: the [_at] decoders parse a body
+    Records are written once, into a {!Framed} buffer: the body length
+    is known up front from the field sizes, so no body is staged and
+    copied. They are read in place: the [_at] decoders parse a body
     lying at [[pos, stop)] of any byte string (a pinned page, a streamed
     page, or a scratch gathering a record that spans pages) and
     materialize only the key and the entry's strings. Every field is
@@ -134,16 +134,6 @@ module Varint = Repro_util.Varint
 (** The one page/record layout (full key per record); named only by
     configurations. *)
 type version = V1
-
-(** [encode_record buf key ~lsn entry] appends one framed record. *)
-let encode_record buf key ~lsn entry =
-  let klen = String.length key in
-  Varint.write buf
-    (Varint.size klen + klen + Varint.size lsn + Kv.Entry.encoded_size entry);
-  Varint.write buf klen;
-  Buffer.add_string buf key;
-  Varint.write buf lsn;
-  Kv.Entry.encode buf entry
 
 let malformed what = raise (Corrupt { what; page = -1 })
 
@@ -176,6 +166,86 @@ let decode_body_at s pos ~stop =
   with
   | r -> r
   | exception Invalid_argument _ -> malformed "record body overruns its frame"
+
+(** {1 Framed records}
+
+    A record held as its wire bytes [[varint body_len][body]] in a
+    reused buffer, with its key and LSN beside them. The builder appends
+    every record from one ({!Framed.set} encodes a new record into it),
+    and a merge passes an unchanged input record on through one
+    ({!Framed.copy_body} validates and copies a stored body), so a
+    record that needs no change is never decoded into a value string
+    and re-encoded. *)
+module Framed = struct
+  type t = {
+    mutable key : string;
+    mutable lsn : int;
+    mutable bytes : Bytes.t;  (** [[varint body_len][body]] *)
+    mutable len : int;
+    mutable entry_pos : int;  (** the entry's offset in [bytes] *)
+  }
+
+  let create () = { key = ""; lsn = 0; bytes = Bytes.create 256; len = 0; entry_pos = 0 }
+
+  let key t = t.key
+  let lsn t = t.lsn
+  let bytes t = t.bytes
+  let length t = t.len
+  let tombstone t = Bytes.get t.bytes t.entry_pos = '\001'
+
+  let entry t =
+    Kv.Entry.decode_exact (Bytes.unsafe_to_string t.bytes) t.entry_pos ~stop:t.len
+
+  let record_bytes t = String.length t.key + (t.len - t.entry_pos)
+
+  (* Room for [n] bytes; the old contents are dropped. *)
+  let reserve t n =
+    if Bytes.length t.bytes < n then
+      t.bytes <- Bytes.create (max n (2 * Bytes.length t.bytes))
+
+  let set t key ~lsn entry =
+    let klen = String.length key in
+    let body =
+      Varint.size klen + klen + Varint.size lsn + Kv.Entry.encoded_size entry
+    in
+    let len = Varint.size body + body in
+    reserve t len;
+    let b = t.bytes in
+    let p = Varint.set b (Varint.set b 0 body) klen in
+    Bytes.blit_string key 0 b p klen;
+    let p = Varint.set b (p + klen) lsn in
+    t.key <- key;
+    t.lsn <- lsn;
+    t.len <- len;
+    t.entry_pos <- p;
+    ignore (Kv.Entry.write b p entry)
+
+  (* A varint field of a body ending at [stop]. *)
+  let field s pos ~stop =
+    match Varint.read_within s pos ~stop with
+    | v -> v
+    | exception Invalid_argument _ -> malformed "record field overruns its body"
+
+  let copy_body t s pos ~stop =
+    let klen = field s pos ~stop in
+    let kp = pos + Varint.size klen in
+    if klen > stop - kp then malformed "record key overruns its body";
+    let lp = kp + klen in
+    let lsn = field s lp ~stop in
+    let ep = lp + Varint.size lsn in
+    (match Kv.Entry.check_exact s ep ~stop with
+    | () -> ()
+    | exception Invalid_argument _ -> malformed "record entry overruns its body");
+    let body = stop - pos in
+    let head = Varint.size body in
+    reserve t (head + body);
+    ignore (Varint.set t.bytes 0 body);
+    Bytes.blit_string s pos t.bytes head body;
+    t.key <- String.sub s kp klen;
+    t.lsn <- lsn;
+    t.len <- head + body;
+    t.entry_pos <- head + (ep - pos)
+end
 
 (** {1 Fence pointers}
 

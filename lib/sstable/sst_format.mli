@@ -38,11 +38,6 @@ val record_starts : Bytes.t -> int array
     keep building. *)
 type version = V1
 
-(** [encode_record buf key ~lsn entry] appends one framed record,
-    encoding each field once (the body length comes from the field
-    sizes). *)
-val encode_record : Buffer.t -> string -> lsn:int -> Kv.Entry.t -> unit
-
 (** {2 In-place decoders}
 
     Each parses a record body lying at [[pos, stop)] of [s] without
@@ -56,6 +51,46 @@ val decode_body_at : string -> int -> stop:int -> string * Kv.Entry.t * int
 (** [decode_value_at s pos ~stop] parses a body's [[varint lsn][entry]]
     tail: [(entry, lsn)]. *)
 val decode_value_at : string -> int -> stop:int -> Kv.Entry.t * int
+
+(** A record held as its wire bytes [[varint body_len][body]] in a
+    reused buffer, with its key and LSN. The builder appends every
+    record from one; a merge passes an unchanged input record on through
+    one, never decoding its value. *)
+module Framed : sig
+  type t
+
+  (** An empty frame; its buffer grows to the largest record it holds. *)
+  val create : unit -> t
+
+  (** [set t key ~lsn entry] encodes a record into [t], each field once
+      (the body length comes from the field sizes). *)
+  val set : t -> string -> lsn:int -> Kv.Entry.t -> unit
+
+  (** [copy_body t s pos ~stop] takes the stored body at [[pos, stop)] of
+      [s]: it checks every field against [stop] and the entry to end
+      exactly there, as {!decode_body_at} does, then copies the body
+      into [t] behind a minimal length varint. Only the key string is
+      built. Raises {!Corrupt} on a malformed body. *)
+  val copy_body : t -> string -> int -> stop:int -> unit
+
+  val key : t -> string
+  val lsn : t -> int
+
+  (** Whether the entry is a tombstone. *)
+  val tombstone : t -> bool
+
+  (** The decoded entry (a record that must be merged). *)
+  val entry : t -> Kv.Entry.t
+
+  (** Key bytes plus encoded entry bytes: what a merge meters per input
+      record. *)
+  val record_bytes : t -> int
+
+  (** The wire bytes are [[0, length t)] of [bytes t]. *)
+  val bytes : t -> Bytes.t
+
+  val length : t -> int
+end
 
 (** Per-table fence pointers: the page index in RAM, laid out in
     Eytzinger (BFS) order so the page-locating floor search walks a

@@ -16,6 +16,20 @@ let write buf n =
   done;
   Buffer.add_char buf (Char.unsafe_chr !n)
 
+(** [set b pos n] writes the varint encoding of [n] (must be >= 0) into
+    [b] at [pos] and returns the position after it: the in-place twin of
+    {!write}, for writers that size their output up front. *)
+let set b pos n =
+  if n < 0 then invalid_arg "Varint.set: negative";
+  let n = ref n and p = ref pos in
+  while !n >= 0x80 do
+    Bytes.set b !p (Char.unsafe_chr (0x80 lor (!n land 0x7F)));
+    n := !n lsr 7;
+    incr p
+  done;
+  Bytes.set b !p (Char.unsafe_chr !n);
+  !p + 1
+
 (** [read s pos] decodes a varint at [pos]; returns [(value, next_pos)].
     Raises [Invalid_argument] on truncated or oversized input. *)
 let read s pos =

@@ -4,6 +4,11 @@
 (** [write buf n] appends the varint encoding of [n >= 0]. *)
 val write : Buffer.t -> int -> unit
 
+(** [set b pos n] writes the varint encoding of [n >= 0] into [b] at
+    [pos]; returns the position after it. Raises [Invalid_argument] when
+    [b] is too short. *)
+val set : Bytes.t -> int -> int -> int
+
 (** [read s pos] decodes at [pos]: [(value, next_pos)]. Raises
     [Invalid_argument] on truncated or oversized input. *)
 val read : string -> int -> int * int

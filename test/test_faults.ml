@@ -492,6 +492,102 @@ let test_merge2_rot_names_c1_prime () =
   | exception Blsm.Tree.Corruption { level; _ } ->
       Alcotest.check Alcotest.string "level named" "C1'" level
 
+(* Rot met by the C0:C1 merge's read of C1. Each C1 record that no C0
+   record shadows passes to the output as its stored bytes, never
+   decoded, so the framing alone must catch a body that is malformed
+   under a valid page checksum. Both kinds of rot must surface as
+   [Corruption {level = "C1"}], never as a raw [Sst_format.Corrupt] or
+   [Invalid_argument], and never pass silently into the new C1. *)
+
+(* A tree whose merge1 is in flight and has read less than a third of
+   its input, over a C1 of several pages. Keys written after the first
+   merge sort after every C1 key, so the C1 records all pass through. *)
+let merge1_under_way () =
+  let store = mk_store () in
+  let config =
+    { (small_config ~scheduler:Blsm.Config.Gear ()) with
+      Blsm.Config.size_ratio = Blsm.Config.Fixed 10.0;
+      max_quota_per_write = 2048 }
+  in
+  let tree = Blsm.Tree.create ~config store in
+  let put prefix i = Blsm.Tree.put tree (Printf.sprintf "%s%05d" prefix i) (String.make 60 'm') in
+  let i = ref 0 in
+  while (Blsm.Tree.merge_stats tree).merge1_completions < 1 do
+    put "a" !i;
+    incr i
+  done;
+  let c1_pages () =
+    match List.assoc_opt "C1" (Blsm.Tree.component_footers tree) with
+    | Some f -> f.Sstable.Sst_format.data_pages
+    | None -> 0
+  in
+  let j = ref 0 in
+  while
+    not
+      (c1_pages () >= 4
+      && Blsm.Tree.merge1_inprogress tree > 0.0
+      && Blsm.Tree.merge1_inprogress tree < 0.3)
+  do
+    if !j > 50_000 then Alcotest.fail "no merge1 in flight over C1";
+    put "b" !j;
+    incr j
+  done;
+  (store, tree, List.assoc "C1" (Blsm.Tree.component_footers tree))
+
+(* Rewrite a data page under a fresh checksum: the platter takes the
+   edit as bit flips, so the page passes its CRC and is wrong. *)
+let rewrite_page store id edit =
+  let psz = Pagestore.Store.page_size store in
+  let old = Bytes.create psz in
+  Pagestore.Store.read_page_direct store id old;
+  let b = Bytes.copy old in
+  edit b;
+  Sstable.Sst_format.seal_page b;
+  for i = 0 to psz - 1 do
+    let x = Char.code (Bytes.get old i) lxor Char.code (Bytes.get b i) in
+    for bit = 0 to 7 do
+      if x land (1 lsl bit) <> 0 then
+        ignore (Pagestore.Store.corrupt_page store id ~byte:i ~bit)
+    done
+  done
+
+(* Give the first record lying whole in the page a bad entry tag. *)
+let break_entry_tag b =
+  let s = Bytes.to_string b in
+  let varint pos =
+    let rec go pos shift acc =
+      let c = Char.code s.[pos] in
+      let acc = acc lor ((c land 0x7f) lsl shift) in
+      if c >= 0x80 then go (pos + 1) (shift + 7) acc else (acc, pos + 1)
+    in
+    go pos 0 0
+  in
+  let whole start =
+    let body_len, p = varint start in
+    p + body_len <= String.length s
+  in
+  match List.find_opt whole (Array.to_list (Sstable.Sst_format.record_starts b)) with
+  | None -> Alcotest.fail "no whole record in the page"
+  | Some start ->
+      let _, p = varint start in
+      let klen, kp = varint p in
+      let _, tag = varint (kp + klen) in
+      Bytes.set b tag '\009'
+
+let test_merge1_rot_names_c1 () =
+  let expect what (store, tree, f) rot =
+    rot store (page_at f (f.Sstable.Sst_format.data_pages - 1));
+    match Blsm.Tree.maintenance tree with
+    | () -> Alcotest.failf "%s: merge1 read it without raising" what
+    | exception Blsm.Tree.Corruption { level; _ } ->
+        Alcotest.check Alcotest.string (what ^ ": level named") "C1" level
+  in
+  (* the last data page: the merge has not read it yet *)
+  expect "flipped bit" (merge1_under_way ()) (fun store id ->
+      ignore (Pagestore.Store.corrupt_page store id ~byte:200 ~bit:2));
+  expect "malformed body" (merge1_under_way ()) (fun store id ->
+      rewrite_page store id break_entry_tag)
+
 (* Every engine commits through the shell's sealed manifest. Its own
    committed manifest, cut at every non-empty proper prefix (the store
    spells "no root" as the empty one) or with any single bit flipped,
@@ -827,6 +923,7 @@ let () =
             test_typed_rot_every_engine;
           Alcotest.test_case "merge2 rot names C1'" `Quick
             test_merge2_rot_names_c1_prime;
+          Alcotest.test_case "merge1 rot names C1" `Quick test_merge1_rot_names_c1;
           Alcotest.test_case "malformed manifest is typed" `Quick
             test_malformed_manifest_typed;
         ] );

@@ -7,10 +7,14 @@ let check = Alcotest.check
 
 let entry_testable = Alcotest.testable Entry.pp Entry.equal
 
+let encode e =
+  let b = Bytes.create (Entry.encoded_size e) in
+  let stop = Entry.write b 0 e in
+  assert (stop = Bytes.length b);
+  Bytes.to_string b
+
 let roundtrip e =
-  let buf = Buffer.create 32 in
-  Entry.encode buf e;
-  let s = Buffer.contents buf in
+  let s = encode e in
   let decoded, pos = Entry.decode s 0 in
   Entry.equal e decoded && pos = String.length s && Entry.encoded_size e = pos
 
@@ -40,6 +44,21 @@ let arb_entry = QCheck.make ~print:(Fmt.to_to_string Entry.pp) gen_entry
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"entry wire roundtrip" ~count:500 arb_entry roundtrip
+
+(* [check_exact] is [decode_exact] without the strings: over an entry's
+   encoding with one byte appended, and every frame end a cut or an
+   overrun puts in reach, both accept or both reject. *)
+let prop_check_exact_agrees =
+  QCheck.Test.make ~name:"check_exact agrees with decode_exact" ~count:300
+    QCheck.(pair arb_entry (int_bound 255))
+    (fun (e, extra) ->
+      let s = encode e ^ String.make 1 (Char.chr extra) in
+      let ok f = match f () with _ -> true | exception Invalid_argument _ -> false in
+      List.for_all
+        (fun stop ->
+          ok (fun () -> ignore (Entry.decode_exact s 0 ~stop))
+          = ok (fun () -> Entry.check_exact s 0 ~stop))
+        (List.init (String.length s + 1) Fun.id))
 
 let r = Entry.append_resolver
 
@@ -109,6 +128,7 @@ let () =
         [
           Alcotest.test_case "cases" `Quick test_encode_cases;
           QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_check_exact_agrees;
         ] );
       ( "merge",
         [

@@ -424,6 +424,30 @@ let test_y001_binding_allow () =
   check Alcotest.int "allow on the binding silences Y001" 0
     (List.length (only "Y001" fs))
 
+(* The WAL frame is filled by the shell's batch writer, which the log
+   calls through a parameter: the critical section that covers the
+   frame write is the shell's [append_ops], which names the writer. *)
+let y001_frame_units ~pace =
+  [
+    ( "lib/pagestore/wal.ml",
+      "let append_with t ~len write x = ignore (t, len); write x ()\n" );
+    ( "lib/core/lsm_shell.ml",
+      (if pace then
+         "let pace () = Scheduler.spring_quota ()\n\
+          let write_ops ops b = pace (); ignore (ops, b)\n"
+       else "let write_ops ops b = ignore (ops, b)\n")
+      ^ "let append_ops wal ops = Pagestore.Wal.append_with wal ~len:0 write_ops ops\n" );
+  ]
+
+let test_y001_frame_write () =
+  let fs, _ = analyze (y001_frame_units ~pace:true) in
+  assert_one_msg "pacing inside the frame writer" ~sub:"Lsm_shell.append_ops"
+    (only "Y001" fs);
+  assert_one_msg "names the frame write" ~sub:"WAL frame-write" (only "Y001" fs);
+  let fs, _ = analyze (y001_frame_units ~pace:false) in
+  check Alcotest.int "a writer that never paces is clean" 0
+    (List.length (only "Y001" fs))
+
 (* --- L001: stale config --- *)
 
 let test_l001_stale_entries () =
@@ -656,6 +680,7 @@ let () =
           Alcotest.test_case "C003 pure clean" `Quick test_c003_pure_clean;
           Alcotest.test_case "C003 site allow" `Quick test_c003_site_allow;
           Alcotest.test_case "Y001 fires" `Quick test_y001_fires;
+          Alcotest.test_case "Y001 frame write" `Quick test_y001_frame_write;
           Alcotest.test_case "L001 stale config entries" `Quick
             test_l001_stale_entries;
           Alcotest.test_case "Y001 outside clean" `Quick

@@ -468,8 +468,8 @@ let test_snowshovel_alloc_budget () =
   in
   let pull _ =
     match input.Blsm.Merge_process.pull ~output_bytes:0 with
-    | Sstable.Merge_iter.Record _ -> ()
-    | Sstable.Merge_iter.Elided | Sstable.Merge_iter.End -> Alcotest.fail "C0 ran dry"
+    | Blsm.Merge_process.Record _ -> ()
+    | Blsm.Merge_process.(Framed _ | Elided | End) -> Alcotest.fail "C0 ran dry"
   in
   pull 0;
   let per_record = words_per_op (n - 1) pull in

@@ -1040,9 +1040,12 @@ let test_body_decoders_reject_bad_framing () =
      "SSTF" magic: a footer stamped "SST2" (the retired prefix-compressed
      layout) or too short to hold a magic is typed corruption. *)
   let frame key entry =
-    let b = Buffer.create 64 in
-    Sstable.Sst_format.encode_record b key ~lsn:300 entry;
-    let s = Buffer.contents b in
+    let fr = Sstable.Sst_format.Framed.create () in
+    Sstable.Sst_format.Framed.set fr key ~lsn:300 entry;
+    let s =
+      Bytes.sub_string (Sstable.Sst_format.Framed.bytes fr) 0
+        (Sstable.Sst_format.Framed.length fr)
+    in
     let body_len, off = read_varint s 0 in
     (s ^ "\000", off, off + body_len)
   in
@@ -1256,6 +1259,136 @@ let test_merge_alloc_budget () =
         true,
         [ (2, pull_of (every 3 2)); (0, pull_of (every 3 0)); (1, pull_of (every 3 1)) ] ) ]
 
+(* ------------------------------------------------------------------ *)
+(* C0:C1 merge passthrough: byte-identical output *)
+
+(* An unchanged C1 record is copied to the merge output as its stored
+   bytes. The output must be the very pages a decode-and-re-encode merge
+   writes: the test-local reference decodes C1, folds C0 over it and
+   re-encodes every record through [Builder.add]. *)
+let merge_config = { Blsm.Config.default with Blsm.Config.extent_pages = 8 }
+
+let resolver = merge_config.Blsm.Config.resolver
+
+let page_crcs store footer =
+  let buf = Bytes.create (Pagestore.Store.page_size store) in
+  Array.to_list (data_chain footer)
+  |> List.map (fun id ->
+         Pagestore.Store.read_page_direct store id buf;
+         Repro_util.Crc32c.string (Bytes.to_string buf))
+
+(* [c0] and [c1]: (key, entry, lsn) lists, each with distinct keys. *)
+let merged_pages ~page_size ~c0 ~c1 =
+  let sorted l = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) l in
+  let c0 = sorted c0 and c1 = sorted c1 in
+  (* the passthrough merge *)
+  let store = mk_store ~page_size ~buffer_pages:8 () in
+  let b = Sstable.Builder.create ~extent_pages:8 store in
+  List.iter (fun (k, e, lsn) -> Sstable.Builder.add ~lsn b k e) c1;
+  let footer = Sstable.Builder.finish b ~timestamp:1 in
+  let c1_sst =
+    Sstable.Reader.open_in_ram store footer ~index:(Sstable.Builder.index_blob b)
+  in
+  let mem = Memtable.create ~resolver () in
+  List.iter (fun (k, e, lsn) -> Memtable.write mem ~lsn k e) c0;
+  let input =
+    Blsm.Merge_process.c0_input ~resolver ~source:(Blsm.Merge_process.Frozen mem)
+      ~c1:(Some (Blsm.Component.of_sst c1_sst)) ~run_cap:max_int
+  in
+  let m =
+    Blsm.Merge_process.create ~config:merge_config ~store ~label:"test" ~args:[]
+      ~input ~bloom_items:100 ~output:Blsm.Merge_process.Level
+      ~stamp:(fun () -> 2)
+  in
+  while Blsm.Merge_process.step m ~quota:1000 = `More do () done;
+  let out =
+    match Blsm.Merge_process.finish m with
+    | [ c ] -> Sstable.Reader.footer c.Blsm.Component.sst
+    | _ -> Alcotest.fail "a level merge seals one component"
+  in
+  (* the reference: decode C1, fold C0 over it, re-encode *)
+  let decoded = records_full_of_iter (Sstable.Reader.iterator c1_sst) in
+  let rec fold acc c0 c1 =
+    match (c0, c1) with
+    | [], [] -> List.rev acc
+    | r :: c0, [] | [], r :: c0 -> fold (r :: acc) c0 []
+    | ((k0, e0, l0) as r0) :: c0', ((k1, e1, l1) as r1) :: c1' ->
+        let c = String.compare k0 k1 in
+        if c < 0 then fold (r0 :: acc) c0' c1
+        else if c > 0 then fold (r1 :: acc) c0 c1'
+        else
+          fold
+            ((k0, Kv.Entry.merge resolver ~newer:e0 ~older:e1, max l0 l1) :: acc)
+            c0' c1'
+  in
+  let ref_store = mk_store ~page_size ~buffer_pages:8 () in
+  let rb = Sstable.Builder.create ~extent_pages:8 ref_store in
+  List.iter (fun (k, e, lsn) -> Sstable.Builder.add ~lsn rb k e) (fold [] c0 decoded);
+  let ref_footer = Sstable.Builder.finish rb ~timestamp:2 in
+  ( (page_crcs store out, out.Sstable.Sst_format.record_count,
+     out.Sstable.Sst_format.tombstone_count, out.Sstable.Sst_format.data_bytes),
+    ( page_crcs ref_store ref_footer, ref_footer.Sstable.Sst_format.record_count,
+      ref_footer.Sstable.Sst_format.tombstone_count,
+      ref_footer.Sstable.Sst_format.data_bytes ) )
+
+(* Overlapping key sets over 0..59, every entry kind, LSNs up to three
+   varint bytes, values from empty to past a 4 KiB page. *)
+let gen_merge_side =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [ (6, 0 -- 60); (3, 100 -- 400); (1, 4000 -- 4500) ]
+      >>= fun n -> map (fun c -> String.make n c) (char_range 'a' 'z')
+    in
+    let entry =
+      frequency
+        [
+          (5, map (fun v -> Kv.Entry.Base v) value);
+          (2, return Kv.Entry.Tombstone);
+          (2, map (fun ds -> Kv.Entry.Delta ds) (list_size (1 -- 3) (string_size (0 -- 20))));
+        ]
+    in
+    map
+      (fun l ->
+        List.sort_uniq (fun (a, _, _) (b, _, _) -> String.compare a b) l)
+      (list_size (0 -- 40)
+         (triple (map (Printf.sprintf "key%03d") (0 -- 59)) entry (1 -- 70_000))))
+
+let prop_merge_passthrough_bytes ~page_size =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "c0:c1 merge = decode+re-encode, %dB pages" page_size)
+    ~count:100
+    QCheck.(make QCheck.Gen.(pair gen_merge_side gen_merge_side))
+    (fun (c0, c1) ->
+      let got, want = merged_pages ~page_size ~c0 ~c1 in
+      got = want)
+
+let test_framed_alloc_budget () =
+  (* Framing an in-page C1 record builds its key and nothing else: the
+     body is validated and copied into the reused frame. *)
+  let store = mk_store ~page_size:4096 () in
+  let records =
+    List.init 30 (fun i ->
+        (Printf.sprintf "key%04d" i, Kv.Entry.Base (String.make 90 'v')))
+  in
+  let sst = build store records in
+  let it = Sstable.Reader.iterator sst in
+  let fr = Sstable.Sst_format.Framed.create () in
+  ignore (Sstable.Reader.iter_next_framed it fr);
+  (* records 1..20 lie whole in the first page, already fetched *)
+  let n = 20 in
+  let w0 = minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Sstable.Reader.iter_next_framed it fr))
+  done;
+  let words = minor_words () - w0 in
+  Sstable.Reader.iter_close it;
+  check Alcotest.string "framed the 21st record" "key0020"
+    (Sstable.Sst_format.Framed.key fr);
+  if words > n * string_words 7 then
+    Alcotest.failf "iter_next_framed: %d words for %d records, budget %d" words n
+      (n * string_words 7)
+
 let () =
   Alcotest.run "sstable"
     [
@@ -1312,6 +1445,12 @@ let () =
           Alcotest.test_case "builder add budget" `Quick test_builder_alloc_budget;
           Alcotest.test_case "iter_next_full budget" `Quick test_iter_alloc_budget;
           Alcotest.test_case "merge next budget" `Quick test_merge_alloc_budget;
+          Alcotest.test_case "framed record budget" `Quick test_framed_alloc_budget;
+        ] );
+      ( "passthrough",
+        [
+          QCheck_alcotest.to_alcotest (prop_merge_passthrough_bytes ~page_size:4096);
+          QCheck_alcotest.to_alcotest (prop_merge_passthrough_bytes ~page_size:128);
         ] );
       ( "merge_iter",
         [
