@@ -64,6 +64,16 @@ type level = {
       (* by min key, when the runs are pairwise key-disjoint: scans *)
 }
 
+type pull = unit -> (string * Kv.Entry.t * int) option
+type memory = string -> (Kv.Entry.t option -> bool) -> bool
+
+type hooks = {
+  pace : write_bytes:int -> unit;
+  memtable : unit -> Memtable.t;
+  memory : memory;
+  memory_pulls : string -> pull list;
+}
+
 type t = {
   config : Config.t;
   store : Pagestore.Store.t;
@@ -83,6 +93,7 @@ type t = {
   mutable scan_iters : Sstable.Reader.iter list option;
       (* [Some] while {!scan} runs: the component iterators it opened,
          closed when it returns so their page buffers are reused *)
+  mutable hooks : hooks;  (* the engine's, set once by {!attach} *)
 }
 
 let fresh_stats () =
@@ -111,6 +122,10 @@ let fresh_stats () =
 
 let empty_level = { runs = []; newest = [||]; chain = Some [] }
 
+let detached _ = invalid_arg "Lsm_shell: no engine attached"
+let no_hooks = { pace = (fun ~write_bytes -> detached write_bytes); memtable = detached;
+                 memory = detached; memory_pulls = detached }
+
 let create config store ~level_names ~slot =
   {
     config;
@@ -130,8 +145,10 @@ let create config store ~level_names ~slot =
     charging = false;
     observer = None;
     scan_iters = None;
+    hooks = no_hooks;
   }
 
+let attach sh hooks = sh.hooks <- hooks
 let stats sh = sh.stats
 let now sh = Pagestore.Store.now_us sh.store
 
@@ -266,7 +283,8 @@ let hard_stall sh f =
   sh.stats.hard_stalls <- sh.stats.hard_stalls + 1;
   charge sh `Hard f
 
-let stall_window sh pace =
+(* The stall window: one write's pacing, timed and split into buckets. *)
+let pace sh ~write_bytes =
   let sc = sh.scratch in
   sc.sc_merge1_us <- 0.0;
   sc.sc_merge2_us <- 0.0;
@@ -274,7 +292,7 @@ let stall_window sh pace =
   sc.sc_wal_us <- 0.0;
   sc.sc_total_us <- 0.0;
   let t0 = now sh in
-  pace ();
+  sh.hooks.pace ~write_bytes;
   let dt = now sh -. t0 in
   sc.sc_total_us <- dt;
   let s = sh.stats in
@@ -340,20 +358,28 @@ let payload_bytes ops =
 let fill sh mem =
   float_of_int (Memtable.bytes mem) /. float_of_int (Config.c0_capacity sh.config)
 
-let write sh ~pace ~memtable ~op ops =
+let rec memtable_write mem lsn = function
+  | [] -> ()
+  | (key, entry) :: rest ->
+      Memtable.write mem ~lsn key entry;
+      memtable_write mem lsn rest
+
+let absorb sh ~lsn ops =
+  memtable_write (sh.hooks.memtable ()) lsn ops;
+  sh.stats.user_bytes_written <- sh.stats.user_bytes_written + payload_bytes ops
+
+(* Pace, log (timed as WAL time), absorb. *)
+let write sh ~op ops =
   let tr = Pagestore.Store.trace sh.store in
   let traced = Obs.Trace.enabled tr in
   let ts = if traced then Obs.Trace.now_us tr else 0.0 in
-  let bytes = payload_bytes ops in
-  stall_window sh (fun () -> pace ~write_bytes:bytes);
+  pace sh ~write_bytes:(payload_bytes ops);
   let t_wal = now sh in
   let lsn = append_ops (Pagestore.Store.wal sh.store) ops in
   let wal_dt = now sh -. t_wal in
   sh.scratch.sc_wal_us <- sh.scratch.sc_wal_us +. wal_dt;
   sh.stats.wal_us <- sh.stats.wal_us +. wal_dt;
-  let mem = memtable () in
-  List.iter (fun (key, entry) -> Memtable.write mem ~lsn key entry) ops;
-  sh.stats.user_bytes_written <- sh.stats.user_bytes_written + bytes;
+  absorb sh ~lsn ops;
   if traced then begin
     let sc = sh.scratch in
     Obs.Trace.complete tr ~cat:"tree" ~name:op ~ts_us:ts
@@ -364,32 +390,28 @@ let write sh ~pace ~memtable ~op ops =
           ("merge2_us", Obs.Trace.F sc.sc_merge2_us);
           ("hard_us", Obs.Trace.F sc.sc_hard_us);
           ("wal_us", Obs.Trace.F sc.sc_wal_us);
-          ("c0_fill", Obs.Trace.F (fill sh (memtable ()))) ]
+          ("c0_fill", Obs.Trace.F (fill sh (sh.hooks.memtable ()))) ]
   end
 
-type writer = op:string -> (string * Kv.Entry.t) list -> unit
-
-let put sh ~(write : writer) key value =
+let put sh key value =
   sh.stats.puts <- sh.stats.puts + 1;
-  write ~op:"put" [ (key, Kv.Entry.Base value) ]
+  write sh ~op:"put" [ (key, Kv.Entry.Base value) ]
 
-let delete sh ~write key =
+let delete sh key =
   sh.stats.deletes <- sh.stats.deletes + 1;
-  write ~op:"delete" [ (key, Kv.Entry.Tombstone) ]
+  write sh ~op:"delete" [ (key, Kv.Entry.Tombstone) ]
 
-let apply_delta sh ~write key d =
+let apply_delta sh key d =
   sh.stats.deltas <- sh.stats.deltas + 1;
-  write ~op:"delta" [ (key, Kv.Entry.Delta [ d ]) ]
+  write sh ~op:"delta" [ (key, Kv.Entry.Delta [ d ]) ]
 
-let write_batch sh ~write ops =
+let write_batch sh ops =
   if ops <> [] then begin
-    write ~op:"batch" ops;
+    write sh ~op:"batch" ops;
     sh.stats.puts <- sh.stats.puts + List.length ops
   end
 
 (* {1 Read path} *)
-
-type memory = string -> (Kv.Entry.t option -> bool) -> bool
 
 (* [c]'s record for [key], rot typed at [lvl]. Closure-free: a point read
    allocates nothing per component it skips or probes. *)
@@ -410,7 +432,7 @@ let rec probe_levels sh absorb key lvl =
   && (probe_runs sh absorb key lvl sh.levels.(lvl).newest 0
      || probe_levels sh absorb key (lvl + 1))
 
-let lookup sh (memory : memory) key =
+let lookup sh key =
   let early = sh.config.Config.early_termination in
   let resolver = sh.config.Config.resolver in
   let acc = ref None in
@@ -427,40 +449,40 @@ let lookup sh (memory : memory) key =
         | Kv.Entry.Base _ | Kv.Entry.Tombstone -> early
         | Kv.Entry.Delta _ -> false)
   in
-  ignore (memory key absorb || probe_levels sh absorb key 0);
+  ignore (sh.hooks.memory key absorb || probe_levels sh absorb key 0);
   !acc
 
 let value sh e = Kv.Entry.value sh.config.Config.resolver e
 
-let get sh memory key =
+let get sh key =
   sh.stats.gets <- sh.stats.gets + 1;
   let tr = Pagestore.Store.trace sh.store in
-  if not (Obs.Trace.enabled tr) then value sh (lookup sh memory key)
+  if not (Obs.Trace.enabled tr) then value sh (lookup sh key)
   else begin
     let ts = Obs.Trace.now_us tr in
-    let r = value sh (lookup sh memory key) in
+    let r = value sh (lookup sh key) in
     Obs.Trace.complete tr ~cat:"tree" ~name:"get" ~ts_us:ts
       ~dur_us:(Obs.Trace.now_us tr -. ts)
       ~args:[ ("found", Obs.Trace.B (r <> None)) ];
     r
   end
 
-let read_modify_write sh ~write memory key f =
+let read_modify_write sh key f =
   sh.stats.rmws <- sh.stats.rmws + 1;
-  let v = value sh (lookup sh memory key) in
-  write ~op:"rmw" [ (key, Kv.Entry.Base (f v)) ]
+  let v = value sh (lookup sh key) in
+  write sh ~op:"rmw" [ (key, Kv.Entry.Base (f v)) ]
 
-let insert_if_absent sh ~write memory key v =
+let insert_if_absent sh key v =
   sh.stats.checked_inserts <- sh.stats.checked_inserts + 1;
   let disk = Pagestore.Store.disk sh.store in
   let before = (Simdisk.Disk.snapshot disk).Simdisk.Disk.seeks in
-  let existing = value sh (lookup sh memory key) in
+  let existing = value sh (lookup sh key) in
   if (Simdisk.Disk.snapshot disk).Simdisk.Disk.seeks = before then
     sh.stats.checked_insert_seekfree <- sh.stats.checked_insert_seekfree + 1;
   match existing with
   | Some _ -> false
   | None ->
-      write ~op:"insert_if_absent" [ (key, Kv.Entry.Base v) ];
+      write sh ~op:"insert_if_absent" [ (key, Kv.Entry.Base v) ];
       true
 
 (* The newest stored LSN of [key] in the runs, probed in read order; a
@@ -486,8 +508,6 @@ let read_version sh memory_lsn key =
       from 0
 
 (* {1 Scans} *)
-
-type pull = unit -> (string * Kv.Entry.t * int) option
 
 let component_pull sh ~level ~from c : pull =
   guard sh ~level (fun () ->
@@ -540,23 +560,17 @@ let level_pulls sh ~from lvl =
 
 (* The memory side's pulls, then the levels top down, each opened in
    that order: a rotted run raises before any run behind it is read. *)
-let scan_pulls sh memory from =
-  let mem = memory from in
-  let rec levels lvl =
-    if lvl >= Array.length sh.levels then []
-    else
-      let pulls = level_pulls sh ~from lvl in
-      pulls @ levels (lvl + 1)
-  in
-  mem @ levels 0
+let scan_pulls sh from =
+  let mem = sh.hooks.memory_pulls from in
+  mem @ List.concat (List.init (Array.length sh.levels) (level_pulls sh ~from))
 
 type cursor = Sstable.Merge_iter.t
 
-let cursor sh memory from =
+let cursor sh from =
   sh.stats.scans <- sh.stats.scans + 1;
   Sstable.Merge_iter.create ~resolver:sh.config.Config.resolver
     ~drop_tombstones:true
-    (List.mapi (fun i pull -> (i, pull)) (scan_pulls sh memory from))
+    (List.mapi (fun i pull -> (i, pull)) (scan_pulls sh from))
 
 (* drop_tombstones output is Base-only: deltas arrive resolved *)
 let rec cursor_next c =
@@ -565,7 +579,7 @@ let rec cursor_next c =
   | Some (key, Kv.Entry.Base v, _) -> Some (key, v)
   | Some (_, (Kv.Entry.Delta _ | Kv.Entry.Tombstone), _) -> cursor_next c
 
-let scan sh memory start n =
+let scan sh start n =
   let tr = Pagestore.Store.trace sh.store in
   let traced = Obs.Trace.enabled tr in
   let ts = if traced then Obs.Trace.now_us tr else 0.0 in
@@ -582,7 +596,7 @@ let scan sh memory start n =
       ~finally:(fun () ->
         Option.iter (List.iter Sstable.Reader.iter_close) sh.scan_iters;
         sh.scan_iters <- None)
-      (fun () -> collect (cursor sh memory start) [] n)
+      (fun () -> collect (cursor sh start) [] n)
   in
   if traced then
     Obs.Trace.complete tr ~cat:"tree" ~name:"scan" ~ts_us:ts
@@ -741,7 +755,7 @@ let install sh ?floor_lsn m place =
   commit_manifest sh;
   retire sh replaced
 
-let recover (sh : t) ~crashed ~verify ~covered ~resume ~memtable ~keep =
+let recover (sh : t) ~crashed ~verify ~covered ~resume ~keep =
   (* Roll back the uncommitted merges while the allocator is coherent,
      as Stasis would abort their transactions. *)
   List.iter Merge_process.abandon crashed.merges;
@@ -771,6 +785,7 @@ let recover (sh : t) ~crashed ~verify ~covered ~resume ~memtable ~keep =
   Array.iteri (fun lvl cs -> set_runs sh lvl (List.rev cs)) placed;
   let mounted = Array.fold_left (fun a cs -> a + List.length cs) 0 placed in
   resume ();
+  let memtable = sh.hooks.memtable () in
   (* Mid-log rot: power loss cannot explain it, and silently skipping a
      record would resurrect overwritten state. A torn tail is truncated
      by the log itself. *)
@@ -841,3 +856,10 @@ let register_metrics sh reg ~prefix =
   counter "hard_stalls" "writes blocked until merges made room" (fun () -> s.hard_stalls);
   Obs.Metrics.gauge reg (prefix ^ ".recovery_us") ~help:"recovery replay/rebuild time, µs"
     (fun () -> s.recovery_us)
+
+(* {1 Engine adapter} *)
+
+let engine sh ~name ~maintenance =
+  { Kv.Kv_intf.name; disk = Pagestore.Store.disk sh.store; get = get sh; put = put sh;
+    delete = delete sh; apply_delta = apply_delta sh; read_modify_write = read_modify_write sh;
+    insert_if_absent = insert_if_absent sh; scan = scan sh; maintenance }

@@ -1,9 +1,14 @@
 (** The engine shell: the read and durability contract every LSM engine
     in the library shares, whatever its level structure.
 
-    - {b Writes}: pace, append one logical-log record per write or batch
-      (timed as WAL time), then apply to the memtable — a crash recovers
-      the whole record or none of it (§4.4).
+    - {b Hooks}: an engine hands the shell the parts that vary once, at
+      its own creation ({!attach}): its pacing policy, its live
+      memtable, and its memory side for point reads and for scans. Every
+      op below then takes the shell alone and builds no closure.
+    - {b Writes}: one path, three steps — {!pace} (the engine's policy
+      inside a stall window), append one logical-log record per write or
+      batch (timed as WAL time), then {!absorb} into the memtable — so a
+      crash recovers the whole record or none of it (§4.4).
     - {b Components}: one array of levels of {!Component.t} runs, named
       at {!create}. Engines decide where runs go; every read, the
       manifest, recovery, scrub and the Bloom totals derive from it.
@@ -25,9 +30,8 @@
       naming its level, and is counted — never untyped, never silent.
 
     An engine ({!Tree}, {!Policy_tree}) picks its merges and their
-    budgets, and passes the shell the parts that vary: its pacing function, its
-    live memtable, its memory-side sources (memtables, merge shadows),
-    each merge's input and where its outputs go. *)
+    budgets, and passes the shell each merge's input and where its
+    outputs go. *)
 
 (** Detected damage that could not be masked, in the named level (["C1"],
     ["P0"], ["WAL"], ...). Re-exported (and printed) as
@@ -88,6 +92,31 @@ val create :
 
 val stats : t -> stats
 
+(** {1 Engine hooks} *)
+
+(** [memory key absorb] probes the engine's memory side for [key], newest
+    first, passing each result to [absorb] and stopping at the first
+    [true] (early termination): chain the probes with [||]. *)
+type memory = string -> (Kv.Entry.t option -> bool) -> bool
+
+type pull = unit -> (string * Kv.Entry.t * int) option
+
+(** The parts of an engine the shell calls back. *)
+type hooks = {
+  pace : write_bytes:int -> unit;
+      (** the pacing policy for a write of [write_bytes] payload bytes *)
+  memtable : unit -> Memtable.t;
+      (** the live memtable, fetched after pacing (which may swap it) *)
+  memory : memory;  (** the memory side of a point read *)
+  memory_pulls : string -> pull list;
+      (** the memory side's scan sources from a key, freshest first *)
+}
+
+(** [attach t hooks] sets the engine's hooks: once, in the engine's
+    [create], so a recovered engine attaches its own. Until then every
+    op that needs one raises [Invalid_argument]. *)
+val attach : t -> hooks -> unit
+
 (** {1 The component set} *)
 
 (** Level [i]'s runs in the engine's order, which the manifest keeps. *)
@@ -135,10 +164,10 @@ val on_stall : t -> (stall_breakdown -> unit) -> unit
     in another [charge] it only runs [f]: the outer bucket takes it. *)
 val charge : t -> [ `Merge1 | `Merge2 | `Hard ] -> (unit -> 'a) -> 'a
 
-(** [stall_window t pace] resets the per-write attribution, times
-    [pace ()], and adds the result to the totals, the [stall_us]
-    histogram and the observer. *)
-val stall_window : t -> (unit -> unit) -> unit
+(** [pace t ~write_bytes] is one write's stall window: it resets the
+    per-write attribution, times the engine's [pace] hook, and adds the
+    result to the totals, the [stall_us] histogram and the observer. *)
+val pace : t -> write_bytes:int -> unit
 
 (** {1 Pacing mechanism} *)
 
@@ -165,27 +194,20 @@ val hard_stall : t -> (unit -> unit) -> unit
 
 (** {1 Writes} *)
 
-(** [write t ~pace ~memtable ~op ops] runs [pace ~write_bytes] in a
-    stall window, appends [ops] as one log record, and applies them
-    to [memtable ()] (fetched after pacing, which may swap it). [op]
-    names the trace span. Engines partially apply it to get the [write]
-    the functions below take. *)
-val write :
-  t ->
-  pace:(write_bytes:int -> unit) ->
-  memtable:(unit -> Memtable.t) ->
-  op:string ->
-  (string * Kv.Entry.t) list ->
-  unit
+(** [absorb t ~lsn ops] applies [ops], logged under [lsn], to the
+    engine's memtable and counts their user bytes: the last step of
+    every write, also of one shared log record over several trees. *)
+val absorb : t -> lsn:int -> (string * Kv.Entry.t) list -> unit
 
-type writer = op:string -> (string * Kv.Entry.t) list -> unit
+(** Each write is {!pace}, one log record (timed as WAL time), then
+    {!absorb}, under a [tree]/<op> trace span. *)
+val put : t -> string -> string -> unit
 
-val put : t -> write:writer -> string -> string -> unit
-val delete : t -> write:writer -> string -> unit
-val apply_delta : t -> write:writer -> string -> string -> unit
+val delete : t -> string -> unit
+val apply_delta : t -> string -> string -> unit
 
 (** One log record for the whole batch; counts each op as a put. *)
-val write_batch : t -> write:writer -> (string * Kv.Entry.t) list -> unit
+val write_batch : t -> (string * Kv.Entry.t) list -> unit
 
 (** Key + payload bytes of [ops]. *)
 val payload_bytes : (string * Kv.Entry.t) list -> int
@@ -195,19 +217,13 @@ val fill : t -> Memtable.t -> float
 
 (** {1 Reads} *)
 
-(** [memory key absorb] probes the engine's memory side for [key], newest
-    first, passing each result to [absorb] and stopping at the first
-    [true] (early termination): chain the probes with [||]. *)
-type memory = string -> (Kv.Entry.t option -> bool) -> bool
+(** [get t key]: the memory side, then the runs. *)
+val get : t -> string -> string option
 
-(** [get t memory key]: the memory side, then the runs. *)
-val get : t -> memory -> string -> string option
-
-val read_modify_write :
-  t -> write:writer -> memory -> string -> (string option -> string) -> unit
+val read_modify_write : t -> string -> (string option -> string) -> unit
 
 (** Counts a seek-free check when the lookup moved no disk head. *)
-val insert_if_absent : t -> write:writer -> memory -> string -> string -> bool
+val insert_if_absent : t -> string -> string -> bool
 
 (** [read_version t memory_lsn key]: [memory_lsn key] if [Some], else the
     stored LSN of [key]'s first record in read order, a run read only
@@ -216,8 +232,6 @@ val insert_if_absent : t -> write:writer -> memory -> string -> string -> bool
 val read_version : t -> (string -> int option) -> string -> int
 
 (** {1 Scans} *)
-
-type pull = unit -> (string * Kv.Entry.t * int) option
 
 (** [component_pull t ~level ~from c]: a stream over [c] from [from];
     the iterator open and every pull run inside {!guard}. *)
@@ -232,18 +246,18 @@ val chain : t -> level:string -> from:string option -> Component.t list -> pull
 
 type cursor
 
-(** [cursor t memory from] merges, freshest first, [memory from] and each
-    level's runs from [from]: a level of key-disjoint runs is one
+(** [cursor t from] merges, freshest first, the memory side's pulls and
+    each level's runs from [from]: a level of key-disjoint runs is one
     {!chain} of the runs not ending before [from]; overlapping runs are
     one source each, newest first. Counts a scan. *)
-val cursor : t -> (string -> pull list) -> string -> cursor
+val cursor : t -> string -> cursor
 
 (** Next live record, deltas resolved. *)
 val cursor_next : cursor -> (string * string) option
 
 (** Up to [n] live records of a fresh {!cursor}; closes the component
     iterators it opened. *)
-val scan : t -> (string -> pull list) -> string -> int -> (string * string) list
+val scan : t -> string -> int -> (string * string) list
 
 (** {1 Recovery} *)
 
@@ -300,14 +314,14 @@ val install :
     it; free [crashed]'s runs the manifest does not name; {!mount} each
     entry with [covered] and place the mounted ones in their levels in
     manifest order; [resume] (restart interrupted work over them);
-    replay the log from the floor into [memtable], keeping ops where
-    [keep lsn key] (mid-log rot raises {!Corruption} at ["WAL"]);
-    re-commit without the dropped components; charge [recovery_us] and
-    emit the [tree]/[recovery] span. *)
+    replay the log from the floor into the engine's memtable, keeping
+    ops where [keep lsn key] (mid-log rot raises {!Corruption} at
+    ["WAL"]); re-commit without the dropped components; charge
+    [recovery_us] and emit the [tree]/[recovery] span. *)
 val recover :
   t -> crashed:t -> verify:bool ->
   covered:(Sstable.Sst_format.footer -> bool) -> resume:(unit -> unit) ->
-  memtable:Memtable.t -> keep:(int -> string -> bool) -> unit
+  keep:(int -> string -> bool) -> unit
 
 (** {1 Scrubbing} *)
 
@@ -343,3 +357,9 @@ val append_ops : Pagestore.Wal.t -> (string * Kv.Entry.t) list -> int
     [<prefix>.hard_stalls] and the
     [<prefix>.recovery_us] gauge. *)
 val register_metrics : t -> Obs.Metrics.t -> prefix:string -> unit
+
+(** {1 Engine adapter} *)
+
+(** [engine t ~name ~maintenance] is the uniform benchmark interface over
+    the shell's ops, with the engine's [maintenance]. *)
+val engine : t -> name:string -> maintenance:(unit -> unit) -> Kv.Kv_intf.engine

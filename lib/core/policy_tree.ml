@@ -104,31 +104,6 @@ let engine_stats t = t.es
 
 let level_name lvl = "P" ^ string_of_int lvl
 
-let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy
-    store =
-  if pconfig.pt_max_levels < 2 then
-    invalid_arg "Policy_tree.create: pt_max_levels < 2";
-  {
-    config;
-    pc = pconfig;
-    policy;
-    cursor = Array.make pconfig.pt_max_levels "";
-    store;
-    mem =
-      Memtable.create ~seed:config.Config.seed
-        ~resolver:config.Config.resolver ();
-    active = None;
-    credit = 0.0;
-    sh =
-      Lsm_shell.create config store
-        ~level_names:(Array.init pconfig.pt_max_levels level_name) ~slot:"";
-    es =
-      { flushes = 0; compactions = 0; bytes_flushed = 0; bytes_compacted = 0;
-        slowdown_writes = 0; recoveries = 0;
-        recoveries_mid_compaction = 0 };
-    metrics = None;
-  }
-
 let last_stall t = Lsm_shell.last_stall t.sh
 let on_stall t f = Lsm_shell.on_stall t.sh f
 
@@ -448,26 +423,46 @@ let pace t ~write_bytes =
   | Credit { credit_per_byte; slowdown_at; slowdown_us } ->
       pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us
 
-(* {1 Write path} *)
+(* {1 Ops}: the shell's write and read paths. *)
 
-let write t = Lsm_shell.write t.sh ~pace:(pace t) ~memtable:(fun () -> t.mem)
-let put t = Lsm_shell.put t.sh ~write:(write t)
-let delete t = Lsm_shell.delete t.sh ~write:(write t)
-let apply_delta t = Lsm_shell.apply_delta t.sh ~write:(write t)
-let write_batch t ops = Lsm_shell.write_batch t.sh ~write:(write t) ops
+let put t key value = Lsm_shell.put t.sh key value
+let delete t key = Lsm_shell.delete t.sh key
+let apply_delta t key d = Lsm_shell.apply_delta t.sh key d
+let write_batch t ops = Lsm_shell.write_batch t.sh ops
+let get t key = Lsm_shell.get t.sh key
+let read_modify_write t key f = Lsm_shell.read_modify_write t.sh key f
+let insert_if_absent t key value = Lsm_shell.insert_if_absent t.sh key value
+let scan t start n = Lsm_shell.scan t.sh start n
 
-(* {1 Read path}: the memtable, then the shell's levels top down. *)
+(* {1 Creation}: the memtable is the whole memory side. *)
 
-let memory t key absorb = absorb (Memtable.get t.mem key)
-let get t key = Lsm_shell.get t.sh (memory t) key
-
-let read_modify_write t key f =
-  Lsm_shell.read_modify_write t.sh ~write:(write t) (memory t) key f
-
-let insert_if_absent t key value =
-  Lsm_shell.insert_if_absent t.sh ~write:(write t) (memory t) key value
-
-let scan t start n = Lsm_shell.scan t.sh (fun from -> [ Memtable.pull_from t.mem ~from ]) start n
+let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy store =
+  if pconfig.pt_max_levels < 2 then invalid_arg "Policy_tree.create: pt_max_levels < 2";
+  let mem = Memtable.create ~seed:config.Config.seed ~resolver:config.Config.resolver () in
+  let t =
+    {
+      config;
+      pc = pconfig;
+      policy;
+      cursor = Array.make pconfig.pt_max_levels "";
+      store;
+      mem;
+      active = None;
+      credit = 0.0;
+      sh =
+        Lsm_shell.create config store
+          ~level_names:(Array.init pconfig.pt_max_levels level_name) ~slot:"";
+      es =
+        { flushes = 0; compactions = 0; bytes_flushed = 0; bytes_compacted = 0;
+          slowdown_writes = 0; recoveries = 0; recoveries_mid_compaction = 0 };
+      metrics = None;
+    }
+  in
+  Lsm_shell.attach t.sh
+    { pace = pace t; memtable = (fun () -> mem);
+      memory = (fun key absorb -> absorb (Memtable.get mem key));
+      memory_pulls = (fun from -> [ Memtable.pull_from mem ~from ]) };
+  t
 
 (* {1 Maintenance} *)
 
@@ -503,7 +498,7 @@ let crash_and_recover ?(verify = false) t =
      and frees installed-but-uncommitted runs: the durable manifest is
      the authority on what must survive. *)
   Lsm_shell.recover fresh.sh ~crashed:t.sh ~verify ~covered:(fun _ -> false)
-    ~resume:ignore ~memtable:fresh.mem ~keep:(fun _ _ -> true);
+    ~resume:ignore ~keep:(fun _ _ -> true);
   fresh
 
 (* {1 Scrubbing} *)
@@ -559,16 +554,4 @@ let metrics t =
 
 (* {1 Engine adapter} *)
 
-let engine ~name t =
-  {
-    Kv.Kv_intf.name;
-    disk = disk t;
-    get = (fun k -> get t k);
-    put = (fun k v -> put t k v);
-    delete = (fun k -> delete t k);
-    apply_delta = (fun k d -> apply_delta t k d);
-    read_modify_write = (fun k f -> read_modify_write t k f);
-    insert_if_absent = (fun k v -> insert_if_absent t k v);
-    scan = (fun start n -> scan t start n);
-    maintenance = (fun () -> maintenance t);
-  }
+let engine ~name t = Lsm_shell.engine t.sh ~name ~maintenance:(fun () -> maintenance t)

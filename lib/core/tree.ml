@@ -76,23 +76,6 @@ type t = {
    run. *)
 let level_names = [| "C1"; "C1'"; "C2" |]
 
-let create ?(config = Config.default) ?(root_slot = "") store =
-  (* hold the shared log from this point: records this tree buffers in
-     C0 may not be truncated away by co-hosted trees' merges *)
-  Pagestore.Wal.register_client (Pagestore.Store.wal store) ~client:root_slot;
-  {
-    config;
-    store;
-    root_slot;
-    sh = Lsm_shell.create config store ~level_names ~slot:root_slot;
-    c0 = Memtable.create ~seed:config.Config.seed ~resolver:config.Config.resolver ();
-    frozen = None;
-    merge1 = None;
-    merge2 = None;
-    ms = { merge1_completions = 0; merge2_completions = 0; promotions = 0 };
-    metrics_cache = None;
-  }
-
 let stats t = Lsm_shell.stats t.sh
 let merge_stats t = t.ms
 let last_stall t = Lsm_shell.last_stall t.sh
@@ -452,34 +435,22 @@ let pace t ~write_bytes =
   | Config.Gear -> pace_gear t ~write_bytes
   | Config.Spring -> pace_spring t ~write_bytes
 
-let before_write t ~write_bytes =
-  Lsm_shell.stall_window t.sh (fun () -> pace t ~write_bytes)
+(** {1 Write path}: the shell's, paced by {!pace}. *)
 
-(** {1 Write path} *)
+let before_write t ~write_bytes = Lsm_shell.pace t.sh ~write_bytes
+let write_batch t ops = Lsm_shell.write_batch t.sh ops
 
-let write t =
-  Lsm_shell.write t.sh
-    ~pace:(pace t)
-    ~memtable:(fun () -> t.c0)
-
-let write_batch t ops = Lsm_shell.write_batch t.sh ~write:(write t) ops
-
-(** [absorb_batch t ~lsn ops] folds into C0 a batch slice that was
-    already durably logged elsewhere — the per-partition half of
-    {!Partitioned.write_batch}, where one shared-WAL record covers
-    several trees. The caller is responsible for pacing
-    ({!before_write}) and for the WAL append; recovery replays the
-    shared record into each tree through its own [should_replay]
-    filter, so atomicity across the trees rides the single record. *)
+(* The per-partition half of {!Partitioned.write_batch}: one shared
+   record covers several trees, and recovery replays it into each
+   through its own [should_replay] filter. *)
 let absorb_batch t ~lsn ops =
-  List.iter (fun (key, entry) -> Memtable.write t.c0 ~lsn key entry) ops;
+  Lsm_shell.absorb t.sh ~lsn ops;
   let s = stats t in
-  s.puts <- s.puts + List.length ops;
-  s.user_bytes_written <- s.user_bytes_written + Lsm_shell.payload_bytes ops
+  s.puts <- s.puts + List.length ops
 
-let put t = Lsm_shell.put t.sh ~write:(write t)
-let delete t = Lsm_shell.delete t.sh ~write:(write t)
-let apply_delta t = Lsm_shell.apply_delta t.sh ~write:(write t)
+let put t key value = Lsm_shell.put t.sh key value
+let delete t key = Lsm_shell.delete t.sh key
+let apply_delta t key d = Lsm_shell.apply_delta t.sh key d
 
 (** {1 Read path} *)
 
@@ -500,7 +471,7 @@ let shadow_find t key =
 let memory t key absorb =
   absorb (Memtable.get t.c0 key)
   || absorb (Option.map (fun (_, e, _) -> e) (shadow_find t key))
-  || absorb (Option.bind t.frozen (fun f -> Memtable.get f key))
+  || match t.frozen with Some f -> absorb (Memtable.get f key) | None -> false
 
 (* Newest LSN affecting [key]'s visible state: C0/shadow slots track it
    directly; durable components store it per record. 0 = never written
@@ -515,20 +486,11 @@ let memory_lsn t key =
 
 let read_version t key = Lsm_shell.read_version t.sh (memory_lsn t) key
 
-(** [get t key] point lookup: at most ~1 seek on a settled tree thanks to
-    Bloom filters and early termination. *)
-let get t key = Lsm_shell.get t.sh (memory t) key
+let get t key = Lsm_shell.get t.sh key
 
-(** [read_modify_write t key f] reads, applies [f], writes back: the
-    B-Tree-equivalent primitive (1 seek vs InnoDB's 2, Table 1). *)
-let read_modify_write t key f =
-  Lsm_shell.read_modify_write t.sh ~write:(write t) (memory t) key f
+let read_modify_write t key f = Lsm_shell.read_modify_write t.sh key f
 
-(** [insert_if_absent t key value] checks for the key and inserts only if
-    missing. The check consults C0 and the Bloom filters; when every
-    filter says "absent" the whole operation performs zero seeks (§3.1.2). *)
-let insert_if_absent t key value =
-  Lsm_shell.insert_if_absent t.sh ~write:(write t) (memory t) key value
+let insert_if_absent t key value = Lsm_shell.insert_if_absent t.sh key value
 
 (** {1 Scans} *)
 
@@ -540,12 +502,35 @@ let memory_pulls t from =
 
 type cursor = Lsm_shell.cursor
 
-let cursor ?(from = "") t = Lsm_shell.cursor t.sh (memory_pulls t) from
+let cursor ?(from = "") t = Lsm_shell.cursor t.sh from
 let cursor_next = Lsm_shell.cursor_next
 
-(** [scan t start n] returns up to [n] live records with key >= [start],
-    fully resolved. Touches every component: 2-3 seeks (§3.3). *)
-let scan t start n = Lsm_shell.scan t.sh (memory_pulls t) start n
+let scan t start n = Lsm_shell.scan t.sh start n
+
+(** {1 Creation} *)
+
+let create ?(config = Config.default) ?(root_slot = "") store =
+  (* hold the shared log from this point: records this tree buffers in
+     C0 may not be truncated away by co-hosted trees' merges *)
+  Pagestore.Wal.register_client (Pagestore.Store.wal store) ~client:root_slot;
+  let t =
+    {
+      config;
+      store;
+      root_slot;
+      sh = Lsm_shell.create config store ~level_names ~slot:root_slot;
+      c0 = Memtable.create ~seed:config.Config.seed ~resolver:config.Config.resolver ();
+      frozen = None;
+      merge1 = None;
+      merge2 = None;
+      ms = { merge1_completions = 0; merge2_completions = 0; promotions = 0 };
+      metrics_cache = None;
+    }
+  in
+  Lsm_shell.attach t.sh
+    { pace = pace t; memtable = (fun () -> t.c0); memory = memory t;
+      memory_pulls = memory_pulls t };
+  t
 
 (** {1 Maintenance, flush, recovery} *)
 
@@ -608,7 +593,6 @@ let crash_and_recover ?(should_replay = fun _ -> true) ?(verify = false) t =
       Option.iter
         (fun c1p -> fresh.merge2 <- Some (start_merge2 fresh ~c1_prime:c1p ~c2:(c2 fresh)))
         (c1_prime fresh))
-    ~memtable:fresh.c0
     (* [should_replay] scopes a shared log to this tree's key range
        (partitioned stores); singleton trees replay everything *)
     ~keep:(fun lsn key -> should_replay key && lsn > durable_lsn key);
@@ -734,15 +718,4 @@ let metrics t =
 (** {1 Engine adapter} *)
 
 let engine ?(name = "bLSM") t =
-  {
-    Kv.Kv_intf.name;
-    disk = disk t;
-    get = (fun k -> get t k);
-    put = (fun k v -> put t k v);
-    delete = (fun k -> delete t k);
-    apply_delta = (fun k d -> apply_delta t k d);
-    read_modify_write = (fun k f -> read_modify_write t k f);
-    insert_if_absent = (fun k v -> insert_if_absent t k v);
-    scan = (fun start n -> scan t start n);
-    maintenance = (fun () -> maintenance t);
-  }
+  Lsm_shell.engine t.sh ~name ~maintenance:(fun () -> maintenance t)

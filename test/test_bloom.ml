@@ -190,19 +190,20 @@ let test_mem_matches_seed_formula () =
 
 (* Loops, not [Array.iter] closures: the count must be the probes' own. *)
 let test_probes_allocate_nothing () =
-  let minor_words () = int_of_float (Gc.minor_words ()) in
   let extra = Array.init 1000 (Printf.sprintf "extra%06d") in
   let b = pinned_filter () in
-  let w0 = minor_words () in
-  for i = 0 to Array.length pinned_probes - 1 do
-    ignore (Sys.opaque_identity (Bloom.mem b pinned_probes.(i)))
-  done;
-  let mem_words = minor_words () - w0 in
-  let w0 = minor_words () in
-  for i = 0 to Array.length extra - 1 do
-    Bloom.add b extra.(i)
-  done;
-  let add_words = minor_words () - w0 in
+  let mem_words =
+    Alloc.minor (fun () ->
+        for i = 0 to Array.length pinned_probes - 1 do
+          ignore (Sys.opaque_identity (Bloom.mem b pinned_probes.(i)))
+        done)
+  in
+  let add_words =
+    Alloc.minor (fun () ->
+        for i = 0 to Array.length extra - 1 do
+          Bloom.add b extra.(i)
+        done)
+  in
   check Alcotest.int "standard mem words" 0 mem_words;
   check Alcotest.int "standard add words" 0 add_words
 

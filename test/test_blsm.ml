@@ -706,27 +706,21 @@ let prop_spend_stepping_rule =
               `Stop);
       !ok && !spent <= budget && (!stopped || !spent = budget))
 
-let minor_words () = int_of_float (Gc.minor_words ())
-
 (* One paced write while merges rest: C0 below the spring's low
-   watermark and no merge in flight, so the scheduler owes nothing. 15
-   words is what the pacing path allocated before the stepping rule
-   moved into the shell; a closure built per write would pass it. *)
+   watermark and no merge in flight, so the scheduler owes nothing. This
+   is [Lsm_shell.pace], the stall window over the tree's pacing hook: 10
+   words (the window's boxed float totals and the spring's fill check),
+   so a closure built per write fails it. *)
 let test_rest_pacing_alloc_budget () =
   let t = mk_tree () in
   for i = 0 to 39 do
     Blsm.Tree.put t (Printf.sprintf "key%03d" i) (value i)
   done;
   check Alcotest.bool "below the low watermark" true (Blsm.Tree.c0_fill t < 0.30);
-  let n = 10_000 in
-  let w0 = minor_words () in
-  for _ = 1 to n do
-    Blsm.Tree.before_write t ~write_bytes:100
-  done;
-  let per_write = (minor_words () - w0) / n in
+  let per_write = Alloc.per_op 10_000 (fun _ -> Blsm.Tree.before_write t ~write_bytes:100) in
   check Alcotest.int "no merge ran" 0 (Blsm.Tree.merge_stats t).merge1_completions;
-  if per_write > 15 then
-    Alcotest.failf "paced write at rest: %d words, budget 15" per_write
+  if per_write > 10 then
+    Alcotest.failf "paced write at rest: %d words, budget 10" per_write
 
 (* -------------------------------------------------------------------- *)
 (* WAL records: each batch is encoded straight into its frame *)
@@ -829,27 +823,48 @@ let prop_wal_frame_identical =
            !replayed
       && List.length !replayed = 2)
 
+(* A tree at rest: eight YCSB-sized keys with 1 KB values in C0, below
+   the spring's low watermark, no merge in flight and no run on disk.
+   The keys put the payload past 1 KiB, where the Buffer path's
+   doubling reached a 2 KiB block. *)
+let rest_keys = Array.init 8 (Printf.sprintf "user%020d")
+let kb_value = String.make 1000 'v'
+
+let tree_at_rest () =
+  let t = mk_tree () in
+  Array.iter (fun k -> Blsm.Tree.put t k kb_value) rest_keys;
+  check Alcotest.bool "below the low watermark" true (Blsm.Tree.c0_fill t < 0.30);
+  t
+
+(* The helper itself: a control loop of 2-word blocks reads exactly 2
+   per iteration, and an empty window 0, whatever the minor heap's size
+   (the @flake alias runs this at two). *)
+let test_alloc_helper_exact () =
+  check Alcotest.int "empty window" 0 (Alloc.minor ignore);
+  check Alcotest.int "control loop"
+    (2 * 100_000)
+    (Alloc.minor (fun () ->
+         for i = 1 to 100_000 do
+           ignore (Sys.opaque_identity (ref i))
+         done))
+
+let within_budget what ~budget per_op =
+  if per_op > budget then Alcotest.failf "%s: %d minor words, budget %d" what per_op budget
+
 (* A put of a 1 KB value on a tree at rest: the frame is a minor-heap
    block written once, so nothing is allocated on the major heap
    directly (the Buffer path grew a 2 KiB major block per put), and the
    minor words are the frame's plus a constant that holds no copy of
-   the value (the batch list, the WAL record, the pacing check and the
-   rest of the put's bookkeeping: 80 words today). The Buffer path spent
-   about 400 more (its growing buffers and the payload string). *)
+   the value: 46 words (the WAL append's record and simulated-disk
+   bookkeeping 24, the pacing check 10, the batch list 8, the memtable
+   overwrite 2, the boxed WAL time 2). The Buffer path spent about 400
+   more (its growing buffers and the payload string). Major words are
+   read through [Gc.counters]; minor words exactly, through [Alloc]. *)
 let test_put_alloc_budget () =
-  let t = mk_tree () in
-  let v = String.make 1000 'v' in
-  (* YCSB-sized keys: the payload passes 1 KiB, where the Buffer path's
-     doubling reached a 2 KiB block *)
-  let keys = Array.init 8 (Printf.sprintf "user%020d") in
-  Array.iter (fun k -> Blsm.Tree.put t k v) keys;
-  check Alcotest.bool "below the low watermark" true (Blsm.Tree.c0_fill t < 0.30);
-  let n = 10_000 in
-  let minor0, promoted0, major0 = Gc.counters () in
-  for i = 1 to n do
-    Blsm.Tree.put t keys.(i land 7) v
-  done;
-  let minor1, promoted1, major1 = Gc.counters () in
+  let t = tree_at_rest () in
+  let _, promoted0, major0 = Gc.counters () in
+  let per_put = Alloc.per_op 10_000 (fun i -> Blsm.Tree.put t rest_keys.(i land 7) kb_value) in
+  let _, promoted1, major1 = Gc.counters () in
   check Alcotest.int "no merge ran" 0 (Blsm.Tree.merge_stats t).merge1_completions;
   let direct_major = (major1 -. major0) -. (promoted1 -. promoted0) in
   if direct_major > 0.0 then
@@ -857,10 +872,56 @@ let test_put_alloc_budget () =
   (* frame: 16-byte header + count + key + entry, as a string block *)
   let frame_words = 1 + ((16 + 1 + 1 + 24 + 1 + 2 + 1000 + 8) / 8) in
   let budget = frame_words + 96 in
-  let per_put = int_of_float ((minor1 -. minor0) /. float_of_int n) in
   if per_put > budget then
     Alcotest.failf "put: %d minor words, budget %d (frame %d + 96)" per_put budget
       frame_words
+
+(* A delete on a tree at rest: a 7-word frame and the 46 words a put
+   spends outside its frame, less the 2-word [Base] box. *)
+let test_delete_alloc_budget () =
+  let t = tree_at_rest () in
+  within_budget "delete" ~budget:51
+    (Alloc.per_op 10_000 (fun i -> Blsm.Tree.delete t rest_keys.(i land 7)))
+
+(* Point reads answered from memory: a miss is the lookup's accumulator
+   and probe closure (8 words); a hit adds the memtable's [Some], the
+   accumulated [Some] and the returned [Some value]. *)
+let test_get_alloc_budget () =
+  let t = tree_at_rest () in
+  within_budget "get, C0 hit" ~budget:16
+    (Alloc.per_op 10_000 (fun i ->
+         ignore (Sys.opaque_identity (Blsm.Tree.get t rest_keys.(i land 7)))));
+  within_budget "get, miss" ~budget:8
+    (Alloc.per_op 10_000 (fun _ -> ignore (Sys.opaque_identity (Blsm.Tree.get t "absent"))))
+
+(* The policy host at rest: [tree_at_rest]'s keys and values in its
+   memtable, leveled policy, spring pacing. *)
+let policy_at_rest () =
+  let t =
+    Blsm.Policy_tree.create ~config:(small_config ())
+      ~policy:(List.assoc "leveled" Blsm.Compaction_policy.named) (mk_store ())
+  in
+  Array.iter (fun k -> Blsm.Policy_tree.put t k kb_value) rest_keys;
+  t
+
+(* The same 16 and 8 words as [Tree.get]. *)
+let test_policy_get_alloc_budget () =
+  let t = policy_at_rest () in
+  within_budget "policy get, memtable hit" ~budget:16
+    (Alloc.per_op 10_000 (fun i ->
+         ignore (Sys.opaque_identity (Blsm.Policy_tree.get t rest_keys.(i land 7)))));
+  within_budget "policy get, miss" ~budget:8
+    (Alloc.per_op 10_000 (fun _ ->
+         ignore (Sys.opaque_identity (Blsm.Policy_tree.get t "absent"))))
+
+(* A 1 KB put on the policy host at rest: [Tree.put]'s path, plus the
+   spring pace's [pick] over a freshly built level view on every write,
+   which costs 65 of the 241 words here (176 without it). *)
+let test_policy_put_alloc_budget () =
+  let t = policy_at_rest () in
+  within_budget "policy put" ~budget:241
+    (Alloc.per_op 10_000 (fun i -> Blsm.Policy_tree.put t rest_keys.(i land 7) kb_value));
+  check Alcotest.int "no flush ran" 0 (Blsm.Policy_tree.engine_stats t).flushes
 
 let () =
   Alcotest.run "blsm"
@@ -928,6 +989,14 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_wal_frame_identical;
           Alcotest.test_case "put alloc budget" `Quick test_put_alloc_budget;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "helper reads exact words" `Quick test_alloc_helper_exact;
+          Alcotest.test_case "delete alloc budget" `Quick test_delete_alloc_budget;
+          Alcotest.test_case "get alloc budget" `Quick test_get_alloc_budget;
+          Alcotest.test_case "policy get alloc budget" `Quick test_policy_get_alloc_budget;
+          Alcotest.test_case "policy put alloc budget" `Quick test_policy_put_alloc_budget;
         ] );
       ( "recovery",
         [

@@ -422,15 +422,6 @@ let test_shadow_rejects_non_increasing () =
 (* -------------------------------------------------------------------- *)
 (* Allocation budgets *)
 
-let minor_words () = int_of_float (Gc.minor_words ())
-
-let words_per_op n f =
-  let w0 = minor_words () in
-  for i = 0 to n - 1 do
-    f i
-  done;
-  (minor_words () - w0) / n
-
 let loaded_memtable n =
   let t = mk () in
   let keys = Array.init n (Printf.sprintf "key%06d") in
@@ -441,7 +432,7 @@ let test_get_alloc_budget () =
   (* A C0 hit is one index probe: the index's [Some slot] and the
      returned [Some entry], nothing else. *)
   let t, keys = loaded_memtable 1000 in
-  let per_op = words_per_op 10_000 (fun i -> ignore (Memtable.get t keys.(i mod 1000))) in
+  let per_op = Alloc.per_op 10_000 (fun i -> ignore (Memtable.get t keys.(i mod 1000))) in
   if per_op > 4 then Alcotest.failf "Memtable.get hit: %d words, budget 4" per_op
 
 let test_overwrite_alloc_budget () =
@@ -450,7 +441,7 @@ let test_overwrite_alloc_budget () =
   let t, keys = loaded_memtable 1000 in
   let value = Kv.Entry.Base "w" in
   let per_op =
-    words_per_op 10_000 (fun i -> Memtable.write t ~lsn:(2000 + i) keys.(i mod 1000) value)
+    Alloc.per_op 10_000 (fun i -> Memtable.write t ~lsn:(2000 + i) keys.(i mod 1000) value)
   in
   if per_op > 4 then Alcotest.failf "Memtable.write overwrite: %d words, budget 4" per_op
 
@@ -472,7 +463,7 @@ let test_snowshovel_alloc_budget () =
     | Blsm.Merge_process.(Framed _ | Elided | End) -> Alcotest.fail "C0 ran dry"
   in
   pull 0;
-  let per_record = words_per_op (n - 1) pull in
+  let per_record = Alloc.per_op (n - 1) pull in
   let budget = 21 in
   if per_record > budget then
     Alcotest.failf "snowshovel pull: %d words/record, budget %d" per_record budget;

@@ -559,7 +559,6 @@ let test_free_region_drops_pages () =
    allocates. A heap block per fresh page id would show up here as ~513
    major words per 4 KiB write. Each measurement starts after [Gc.minor],
    so no promotion lands inside it. *)
-let minor_words () = int_of_float (Gc.minor_words ())
 let major_words () = int_of_float (Gc.quick_stat ()).Gc.major_words
 
 let filled_platter () =
@@ -575,12 +574,12 @@ let test_platter_read_alloc () =
   let dst = Bytes.create 4096 in
   let n = 2000 in
   Gc.minor ();
-  let w0 = minor_words () in
-  for i = 0 to n - 1 do
-    (* present pages and, every 64th read, an absent one *)
-    Pagestore.Platter.read p (i land 127) dst
-  done;
-  check Alcotest.int "Platter.read minor words" 0 (minor_words () - w0);
+  check Alcotest.int "Platter.read minor words" 0
+    (Alloc.minor (fun () ->
+         for i = 0 to n - 1 do
+           (* present pages and, every 64th read, an absent one *)
+           Pagestore.Platter.read p (i land 127) dst
+         done));
   Gc.minor ();
   let w0 = major_words () in
   for i = 0 to n - 1 do
@@ -593,14 +592,14 @@ let test_platter_write_alloc () =
   (* ids 64..255 are fresh but lie in the chunk the first write allocated;
      ids 0..63 are overwrites *)
   Gc.minor ();
-  let w0 = minor_words () in
-  for id = 64 to 159 do
-    Pagestore.Platter.write p id src
-  done;
-  for id = 0 to 63 do
-    Pagestore.Platter.write p id src
-  done;
-  check Alcotest.int "Platter.write minor words" 0 (minor_words () - w0);
+  check Alcotest.int "Platter.write minor words" 0
+    (Alloc.minor (fun () ->
+         for id = 64 to 159 do
+           Pagestore.Platter.write p id src
+         done;
+         for id = 0 to 63 do
+           Pagestore.Platter.write p id src
+         done));
   Gc.minor ();
   let w0 = major_words () in
   for id = 160 to 255 do

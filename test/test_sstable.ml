@@ -1158,8 +1158,6 @@ let test_pinned_bytes () =
 (* ------------------------------------------------------------------ *)
 (* Allocation budgets *)
 
-let minor_words () = int_of_float (Gc.minor_words ())
-
 (* Heap words of a string of [n] bytes: header plus padded payload. *)
 let string_words n = 1 + ((n + 8) / 8)
 
@@ -1179,11 +1177,7 @@ let test_builder_alloc_budget () =
     Sstable.Builder.add b keys.(i) value
   done;
   let n = 2000 in
-  let w0 = minor_words () in
-  for i = 400 to 400 + n - 1 do
-    Sstable.Builder.add b keys.(i) value
-  done;
-  let per_record = (minor_words () - w0) / n in
+  let per_record = Alloc.per_op n (fun i -> Sstable.Builder.add b keys.(400 + i) value) in
   let budget = 16 in
   if per_record > budget then
     Alcotest.failf "Builder.add: %d words/record, budget %d" per_record budget
@@ -1207,11 +1201,12 @@ let test_iter_alloc_budget () =
       ignore (Sstable.Reader.iter_next_full it);
       (* records 1..20 lie whole in the first page, already fetched *)
       let n = 20 in
-      let w0 = minor_words () in
-      for _ = 1 to n do
-        ignore (Sys.opaque_identity (Sstable.Reader.iter_next_full it))
-      done;
-      let words = minor_words () - w0 in
+      let words =
+        Alloc.minor (fun () ->
+            for _ = 1 to n do
+              ignore (Sys.opaque_identity (Sstable.Reader.iter_next_full it))
+            done)
+      in
       let per_record = string_words 7 + string_words 90 + 2 + 4 + 2 in
       Sstable.Reader.iter_close it;
       if words > n * per_record then
@@ -1245,11 +1240,12 @@ let test_merge_alloc_budget () =
       let m = Sstable.Merge_iter.create ~resolver ~drop_tombstones:drop inputs in
       ignore (Sstable.Merge_iter.next m);
       let n = 900 in
-      let w0 = minor_words () in
-      for _ = 1 to n do
-        ignore (Sys.opaque_identity (Sstable.Merge_iter.next m))
-      done;
-      let words = minor_words () - w0 in
+      let words =
+        Alloc.minor (fun () ->
+            for _ = 1 to n do
+              ignore (Sys.opaque_identity (Sstable.Merge_iter.next m))
+            done)
+      in
       if words > 0 then
         Alcotest.failf "Merge_iter.next (%s): %d words for %d records, budget 0"
           label words n)
@@ -1377,11 +1373,12 @@ let test_framed_alloc_budget () =
   ignore (Sstable.Reader.iter_next_framed it fr);
   (* records 1..20 lie whole in the first page, already fetched *)
   let n = 20 in
-  let w0 = minor_words () in
-  for _ = 1 to n do
-    ignore (Sys.opaque_identity (Sstable.Reader.iter_next_framed it fr))
-  done;
-  let words = minor_words () - w0 in
+  let words =
+    Alloc.minor (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Sstable.Reader.iter_next_framed it fr))
+        done)
+  in
   Sstable.Reader.iter_close it;
   check Alcotest.string "framed the 21st record" "key0020"
     (Sstable.Sst_format.Framed.key fr);
