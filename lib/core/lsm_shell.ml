@@ -81,6 +81,7 @@ type t = {
   levels : level array;
   slot : string;  (* the root slot the manifest commits to *)
   mutable stamp : int;  (* next component timestamp to issue *)
+  mutable generation : int;  (* bumped by every {!set_runs} *)
   mutable floor_lsn : int;  (* every record below it is folded into a run *)
   mutable merges : Merge_process.t list;
       (* in flight, oldest first: the uncommitted output a crash rolls back *)
@@ -94,6 +95,12 @@ type t = {
       (* [Some] while {!scan} runs: the component iterators it opened,
          closed when it returns so their page buffers are reused *)
   mutable hooks : hooks;  (* the engine's, set once by {!attach} *)
+  (* The point read's accumulator: [acc] is the merged state of the
+     records absorbed so far, meaningful once [found]. [absorb] is built
+     once, over the shell, so a lookup allocates no closure or ref. *)
+  mutable found : bool;
+  mutable acc : Kv.Entry.t;
+  mutable absorb : Kv.Entry.t option -> bool;
 }
 
 let fresh_stats () =
@@ -126,7 +133,24 @@ let detached _ = invalid_arg "Lsm_shell: no engine attached"
 let no_hooks = { pace = (fun ~write_bytes -> detached write_bytes); memtable = detached;
                  memory = detached; memory_pulls = detached }
 
+(* Fold one record state, newest first, into the lookup's accumulator;
+   [true] once it settles the read (a base or tombstone with early
+   termination on). *)
+let absorb_into sh = function
+  | None -> false
+  | Some e -> (
+      let merged =
+        if sh.found then Kv.Entry.merge sh.config.Config.resolver ~newer:sh.acc ~older:e
+        else e
+      in
+      sh.found <- true;
+      sh.acc <- merged;
+      match merged with
+      | Kv.Entry.Base _ | Kv.Entry.Tombstone -> sh.config.Config.early_termination
+      | Kv.Entry.Delta _ -> false)
+
 let create config store ~level_names ~slot =
+  let sh =
   {
     config;
     store;
@@ -134,6 +158,7 @@ let create config store ~level_names ~slot =
     levels = Array.map (fun _ -> empty_level) level_names;
     slot;
     stamp = 1;
+    generation = 0;
     floor_lsn = 0;
     merges = [];
     retired_bloom_negative = 0;
@@ -146,7 +171,13 @@ let create config store ~level_names ~slot =
     observer = None;
     scan_iters = None;
     hooks = no_hooks;
+    found = false;
+    acc = Kv.Entry.Tombstone;
+    absorb = (fun _ -> false);
   }
+  in
+  sh.absorb <- absorb_into sh;
+  sh
 
 let attach sh hooks = sh.hooks <- hooks
 let stats sh = sh.stats
@@ -173,6 +204,7 @@ let covers c key =
   String.compare (min_key c) key <= 0 && String.compare key (max_key c) <= 0
 
 let runs sh lvl = sh.levels.(lvl).runs
+let generation sh = sh.generation
 
 let set_runs sh lvl runs =
   let newest = Array.of_list runs in
@@ -185,7 +217,8 @@ let set_runs sh lvl runs =
     | [ _ ] | [] -> true
   in
   sh.levels.(lvl) <-
-    { runs; newest; chain = (if disjoint by_min then Some by_min else None) }
+    { runs; newest; chain = (if disjoint by_min then Some by_min else None) };
+  sh.generation <- sh.generation + 1
 
 (* Every run with its level index, level order. *)
 let indexed sh =
@@ -368,6 +401,11 @@ let absorb sh ~lsn ops =
   memtable_write (sh.hooks.memtable ()) lsn ops;
   sh.stats.user_bytes_written <- sh.stats.user_bytes_written + payload_bytes ops
 
+(* Inlined, so a write's WAL time is added unboxed. *)
+let[@inline] charge_wal sh us =
+  sh.scratch.sc_wal_us <- sh.scratch.sc_wal_us +. us;
+  sh.stats.wal_us <- sh.stats.wal_us +. us
+
 (* Pace, log (timed as WAL time), absorb. *)
 let write sh ~op ops =
   let tr = Pagestore.Store.trace sh.store in
@@ -376,9 +414,7 @@ let write sh ~op ops =
   pace sh ~write_bytes:(payload_bytes ops);
   let t_wal = now sh in
   let lsn = append_ops (Pagestore.Store.wal sh.store) ops in
-  let wal_dt = now sh -. t_wal in
-  sh.scratch.sc_wal_us <- sh.scratch.sc_wal_us +. wal_dt;
-  sh.stats.wal_us <- sh.stats.wal_us +. wal_dt;
+  charge_wal sh (now sh -. t_wal);
   absorb sh ~lsn ops;
   if traced then begin
     let sc = sh.scratch in
@@ -422,45 +458,40 @@ let read_run sh lvl c key =
 
 (* Within a level the runs covering [key], newest first; levels top down;
    stops at the first [absorb] that returns true. *)
-let rec probe_runs sh absorb key lvl rs i =
+let rec probe_runs sh key lvl rs i =
   i < Array.length rs
-  && ((covers rs.(i) key && absorb (read_run sh lvl rs.(i) key))
-     || probe_runs sh absorb key lvl rs (i + 1))
+  && ((covers rs.(i) key && sh.absorb (read_run sh lvl rs.(i) key))
+     || probe_runs sh key lvl rs (i + 1))
 
-let rec probe_levels sh absorb key lvl =
+let rec probe_levels sh key lvl =
   lvl < Array.length sh.levels
-  && (probe_runs sh absorb key lvl sh.levels.(lvl).newest 0
-     || probe_levels sh absorb key (lvl + 1))
+  && (probe_runs sh key lvl sh.levels.(lvl).newest 0 || probe_levels sh key (lvl + 1))
 
-let lookup sh key =
-  let early = sh.config.Config.early_termination in
-  let resolver = sh.config.Config.resolver in
-  let acc = ref None in
-  let absorb = function
-    | None -> false
-    | Some e -> (
-        let merged =
-          match !acc with
-          | None -> e
-          | Some newer -> Kv.Entry.merge resolver ~newer ~older:e
-        in
-        acc := Some merged;
-        match merged with
-        | Kv.Entry.Base _ | Kv.Entry.Tombstone -> early
-        | Kv.Entry.Delta _ -> false)
-  in
-  ignore (sh.hooks.memory key absorb || probe_levels sh absorb key 0);
-  !acc
+(* Fold [key]'s states into the accumulator; [sh.found] says whether
+   any was found, [sh.acc] what they merge to. *)
+let accumulate sh key =
+  sh.found <- false;
+  ignore (sh.hooks.memory key sh.absorb || probe_levels sh key 0)
 
 let value sh e = Kv.Entry.value sh.config.Config.resolver e
+
+(* The user-visible value of [key]: the accumulator read in place. *)
+let lookup_value sh key =
+  accumulate sh key;
+  if not sh.found then None
+  else
+    match sh.acc with
+    | Kv.Entry.Base v -> Some v
+    | Kv.Entry.Tombstone -> None
+    | Kv.Entry.Delta _ as e -> value sh (Some e)
 
 let get sh key =
   sh.stats.gets <- sh.stats.gets + 1;
   let tr = Pagestore.Store.trace sh.store in
-  if not (Obs.Trace.enabled tr) then value sh (lookup sh key)
+  if not (Obs.Trace.enabled tr) then lookup_value sh key
   else begin
     let ts = Obs.Trace.now_us tr in
-    let r = value sh (lookup sh key) in
+    let r = lookup_value sh key in
     Obs.Trace.complete tr ~cat:"tree" ~name:"get" ~ts_us:ts
       ~dur_us:(Obs.Trace.now_us tr -. ts)
       ~args:[ ("found", Obs.Trace.B (r <> None)) ];
@@ -469,14 +500,14 @@ let get sh key =
 
 let read_modify_write sh key f =
   sh.stats.rmws <- sh.stats.rmws + 1;
-  let v = value sh (lookup sh key) in
+  let v = lookup_value sh key in
   write sh ~op:"rmw" [ (key, Kv.Entry.Base (f v)) ]
 
 let insert_if_absent sh key v =
   sh.stats.checked_inserts <- sh.stats.checked_inserts + 1;
   let disk = Pagestore.Store.disk sh.store in
   let before = (Simdisk.Disk.snapshot disk).Simdisk.Disk.seeks in
-  let existing = value sh (lookup sh key) in
+  let existing = lookup_value sh key in
   if (Simdisk.Disk.snapshot disk).Simdisk.Disk.seeks = before then
     sh.stats.checked_insert_seekfree <- sh.stats.checked_insert_seekfree + 1;
   match existing with

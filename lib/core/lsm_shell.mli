@@ -127,6 +127,10 @@ val runs : t -> int -> Component.t list
     {!commit_manifest}. *)
 val set_runs : t -> int -> Component.t list -> unit
 
+(** The level set's generation: {!set_runs} bumps it, so an engine can
+    tell whether anything it derived from the levels is stale. *)
+val generation : t -> int
+
 (** Every run with its level's name, level order. *)
 val components : t -> (string * Component.t) list
 
@@ -198,6 +202,11 @@ val hard_stall : t -> (unit -> unit) -> unit
     engine's memtable and counts their user bytes: the last step of
     every write, also of one shared log record over several trees. *)
 val absorb : t -> lsn:int -> (string * Kv.Entry.t) list -> unit
+
+(** [charge_wal t us] charges [us] of log-append time to the current
+    write: its stall breakdown's [sb_wal_us] and the lifetime [wal_us].
+    A shared log record's append is split across the trees it covers. *)
+val charge_wal : t -> float -> unit
 
 (** Each write is {!pace}, one log record (timed as WAL time), then
     {!absorb}, under a [tree]/<op> trace span. *)

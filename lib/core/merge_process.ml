@@ -222,12 +222,22 @@ let merge_input ~resolver ~drop_tombstones ~total pulls =
 module Shadow = struct
   type record = string * Kv.Entry.t * int
 
-  (* [recs.(0 .. len-1)] in strictly increasing key order. *)
-  type t = { mutable recs : record array; mutable len : int }
+  (* [recs.(0 .. len-1)] in strictly increasing key order. [cells] is an
+     open-addressing table of indices into [recs] (-1: empty), built
+     lazily: it holds [recs.(0 .. indexed-1)] and catches up with the
+     appends at the first {!find} after them, so a merge that no read
+     consults hashes nothing. *)
+  type t = {
+    mutable recs : record array;
+    mutable len : int;
+    mutable cells : int array;
+    mutable indexed : int;
+  }
 
   let dummy : record = ("", Kv.Entry.Tombstone, 0)
 
-  let create ~capacity = { recs = Array.make (max 1 capacity) dummy; len = 0 }
+  let create ~capacity =
+    { recs = Array.make (max 1 capacity) dummy; len = 0; cells = [||]; indexed = 0 }
 
   let key_at t i =
     let k, _, _ = t.recs.(i) in
@@ -244,6 +254,47 @@ module Shadow = struct
     t.recs.(t.len) <- r;
     t.len <- t.len + 1
 
+  (* The cell holding [key]'s record index, or the empty cell ending its
+     probe run. *)
+  let cell t key =
+    let mask = Array.length t.cells - 1 in
+    let i = ref (String.hash key land mask) in
+    while
+      let r = Array.unsafe_get t.cells !i in
+      r >= 0 && not (String.equal (key_at t r) key)
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* Hash the records appended since the last catch-up. A table that
+     would pass half full is rebuilt at four cells per record, so
+     rebuilds are rare as the shadow grows. Keys are distinct, so each
+     lands in an empty cell. *)
+  let catch_up t =
+    if t.indexed < t.len then begin
+      if 2 * t.len > Array.length t.cells then begin
+        let size = ref 16 in
+        while !size < 4 * t.len do
+          size := 2 * !size
+        done;
+        t.cells <- Array.make !size (-1);
+        t.indexed <- 0
+      end;
+      for r = t.indexed to t.len - 1 do
+        t.cells.(cell t (key_at t r)) <- r
+      done;
+      t.indexed <- t.len
+    end
+
+  let find t key =
+    if t.len = 0 then None
+    else begin
+      catch_up t;
+      let r = t.cells.(cell t key) in
+      if r >= 0 then Some t.recs.(r) else None
+    end
+
   (* Index of the first record with key >= [key]. *)
   let lower_bound t key =
     let rec go lo hi =
@@ -255,7 +306,7 @@ module Shadow = struct
     in
     go 0 t.len
 
-  let find t key =
+  let find_sorted t key =
     let i = lower_bound t key in
     if i < t.len && String.equal (key_at t i) key then Some t.recs.(i) else None
 

@@ -117,8 +117,15 @@ module Shadow : sig
       already held. *)
   val append : t -> string * Kv.Entry.t * int -> unit
 
-  (** [find t key] is [key]'s record (key, entry, newest LSN), if held. *)
+  (** [find t key] is [key]'s record (key, entry, newest LSN), if held:
+      a probe of a hash index over the records, which catches up with
+      the appends made since the last [find] when it runs, so appends
+      that no read follows hash nothing. *)
   val find : t -> string -> (string * Kv.Entry.t * int) option
+
+  (** [find_sorted t key] is {!find} by bisection over the sorted
+      records: the reference its property test holds it to. *)
+  val find_sorted : t -> string -> (string * Kv.Entry.t * int) option
 
   (** [pull_from t ~from] streams the records with key >= [from] in key
       order, including those appended after the pull opened (a scan

@@ -87,6 +87,9 @@ type t = {
   pc : pconfig;
   policy : Compaction_policy.t;
   cursor : string array;  (* round-robin key per level, see [start_job] *)
+  mutable idle_at : int;
+      (* the shell's level generation at which [pick] last found nothing
+         to do, or -1; see [pick_due] *)
   store : Pagestore.Store.t;
   mem : Memtable.t;
   mutable active : active option;
@@ -146,6 +149,21 @@ let view t =
 
 let check_invariant t = Compaction_policy.check t.policy (view t)
 let pick t = Compaction_policy.pick t.policy ~cursor:t.cursor (view t)
+
+(* [pick] reads only the levels and the cursor, so once it has found
+   nothing to do it is not run again until one of them changes: the
+   shell's level generation moves, or [start_job] steps the cursor and
+   resets [idle_at]. The writes in between build no view. *)
+let idle t = t.idle_at = Lsm_shell.generation t.sh
+
+let pick_due t =
+  if idle t then None
+  else
+    match pick t with
+    | None ->
+        t.idle_at <- Lsm_shell.generation t.sh;
+        None
+    | some -> some
 
 type level_info = { li_level : int; li_runs : int; li_bytes : int }
 
@@ -246,7 +264,9 @@ let start_job t (job : Compaction_policy.job) =
      pick moves on past it. Every pick is started at once, so this is
      where each pick's cursor step lands. *)
   (match inputs with
-  | [ r ] -> t.cursor.(job.j_level) <- run_min_key r
+  | [ r ] ->
+      t.cursor.(job.j_level) <- run_min_key r;
+      t.idle_at <- -1
   | _ -> ());
   (* Freshest source wins ties: inputs come from above the target (or
      are newer runs of the same level), ordered newest id first; the
@@ -322,7 +342,7 @@ let finish_active t =
 (* Start the policy's most urgent job when no compaction is in flight. *)
 let ensure_active t =
   if t.active = None then
-    match pick t with
+    match pick_due t with
     | Some job -> start_job t job
     | None -> ()
 
@@ -363,7 +383,8 @@ let pace_spring t ~write_bytes =
   (* Starting a job opens iterators on every input run (seeks on the
      simulated disk), so it must land in a stall bucket too or the
      attribution would not tile the pacing window. *)
-  Lsm_shell.charge t.sh `Merge2 (fun () -> ensure_active t);
+  if t.active = None && not (idle t) then
+    Lsm_shell.charge t.sh `Merge2 (fun () -> ensure_active t);
   (match t.active with
   | None -> ()
   | Some ac ->
@@ -408,7 +429,7 @@ let pace_credit t ~write_bytes ~credit_per_byte ~slowdown_at ~slowdown_us =
            *. 1e6)
     end;
     if t.credit > 0.0 then
-      match pick t with
+      match pick_due t with
       | Some job ->
           let before = t.es.bytes_compacted in
           Lsm_shell.charge t.sh `Merge2 (fun () -> run_job t job);
@@ -445,6 +466,7 @@ let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy store
       pc = pconfig;
       policy;
       cursor = Array.make pconfig.pt_max_levels "";
+      idle_at = -1;
       store;
       mem;
       active = None;

@@ -443,7 +443,8 @@ let write_batch t ops = Lsm_shell.write_batch t.sh ops
 (* The per-partition half of {!Partitioned.write_batch}: one shared
    record covers several trees, and recovery replays it into each
    through its own [should_replay] filter. *)
-let absorb_batch t ~lsn ops =
+let absorb_batch t ~lsn ~wal_us ops =
+  Lsm_shell.charge_wal t.sh wal_us;
   Lsm_shell.absorb t.sh ~lsn ops;
   let s = stats t in
   s.puts <- s.puts + List.length ops
@@ -460,17 +461,18 @@ let shadow t =
   | Some { r1_source = Live { shadow; _ }; _ } -> Some shadow
   | Some { r1_source = Frozen _; _ } | None -> None
 
-(* [key]'s record in the snowshovel shadow, if any. *)
+(* [key]'s record in the snowshovel shadow, if any: a hashed probe. *)
 let shadow_find t key =
-  match shadow t with
-  | Some s -> Merge_process.Shadow.find s key
-  | None -> None
+  match t.merge1 with
+  | Some { r1_source = Live { shadow; _ }; _ } -> Merge_process.Shadow.find shadow key
+  | Some { r1_source = Frozen _; _ } | None -> None
 
 (* Record states newest-first: C0, the shadow, C0'; the shell then reads
-   C1, C1' and C2. *)
+   C1, C1' and C2. Closure-free: a point read allocates nothing here
+   beyond the states it finds. *)
 let memory t key absorb =
   absorb (Memtable.get t.c0 key)
-  || absorb (Option.map (fun (_, e, _) -> e) (shadow_find t key))
+  || (match shadow_find t key with Some (_, e, _) -> absorb (Some e) | None -> false)
   || match t.frozen with Some f -> absorb (Memtable.get f key) | None -> false
 
 (* Newest LSN affecting [key]'s visible state: C0/shadow slots track it

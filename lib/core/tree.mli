@@ -128,11 +128,12 @@ val write_batch : t -> (string * Kv.Entry.t) list -> unit
     pace each involved tree before taking a single shared log record. *)
 val before_write : t -> write_bytes:int -> unit
 
-(** [absorb_batch t ~lsn ops] folds into C0 a batch slice already
-    durably logged under [lsn] elsewhere (one shared-WAL record covering
-    several trees). Pairs with {!before_write}; ordinary callers want
-    {!write_batch}. *)
-val absorb_batch : t -> lsn:int -> (string * Kv.Entry.t) list -> unit
+(** [absorb_batch t ~lsn ~wal_us ops] folds into C0 a batch slice
+    already durably logged under [lsn] elsewhere (one shared-WAL record
+    covering several trees), charging [wal_us] of that record's append
+    time to this tree's WAL time. Pairs with {!before_write}; ordinary
+    callers want {!write_batch}. *)
+val absorb_batch : t -> lsn:int -> wal_us:float -> (string * Kv.Entry.t) list -> unit
 
 (** {1 Reads} *)
 

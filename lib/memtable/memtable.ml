@@ -84,15 +84,16 @@ let write t ~lsn key entry =
       t.bytes <- t.bytes + entry_bytes key entry;
       t.version <- t.version + 1
 
+(* [Index.find], not [find_opt]: a hit builds only the returned [Some]. *)
 let get t key =
-  match Index.find_opt t.index key with Some s -> Some s.entry | None -> None
+  match Index.find t.index key with s -> Some s.entry | exception Not_found -> None
 
 (** [newest_lsn t key] is the newest LSN folded into [key]'s record, if
     [key] is in C0. *)
 let newest_lsn t key =
-  match Index.find_opt t.index key with
-  | Some s -> Some s.lsn_newest
-  | None -> None
+  match Index.find t.index key with
+  | s -> Some s.lsn_newest
+  | exception Not_found -> None
 
 let remember_succ t key succ =
   t.succ_of <- key;

@@ -27,7 +27,7 @@ type t = {
   platter : Platter.t;
   page_size : int;
   frames : frame array;
-  index : (Page.id, int) Hashtbl.t;
+  index : Frame_index.t;  (* page id -> frame slot *)
   mutable hand : int;
   mutable hits : int;
   mutable misses : int;
@@ -49,7 +49,7 @@ let create disk platter ~capacity_pages =
       Array.init capacity_pages (fun slot ->
           { slot; page = -1; data = Bytes.create page_size; dirty = false;
             refbit = false; pins = 0; verified = false; starts = None });
-    index = Hashtbl.create (2 * capacity_pages);
+    index = Frame_index.create ~capacity:capacity_pages;
     hand = 0;
     hits = 0;
     misses = 0;
@@ -112,13 +112,8 @@ let find_victim t =
   go (2 * n + 1)
 
 let load t id ~seq =
-  match Hashtbl.find_opt t.index id with
-  | Some fi ->
-      let f = t.frames.(fi) in
-      t.hits <- t.hits + 1;
-      f.refbit <- true;
-      f
-  | None ->
+  match Frame_index.find t.index id with
+  | -1 ->
       t.misses <- t.misses + 1;
       let f = find_victim t in
       if f.page >= 0 then begin
@@ -127,7 +122,7 @@ let load t id ~seq =
           Obs.Trace.instant t.trace ~cat:"buf" ~name:"evict"
             ~args:[ ("page", Obs.Trace.I f.page); ("dirty", Obs.Trace.B f.dirty) ];
         writeback t f;
-        Hashtbl.remove t.index f.page
+        Frame_index.remove t.index f.page
       end;
       Platter.read t.platter id f.data;
       if seq then Simdisk.Disk.seq_read t.disk ~bytes:t.page_size
@@ -137,7 +132,12 @@ let load t id ~seq =
       f.dirty <- false;
       f.verified <- false;
       f.starts <- None;
-      Hashtbl.replace t.index id f.slot;
+      Frame_index.add t.index id f.slot;
+      f
+  | fi ->
+      let f = t.frames.(fi) in
+      t.hits <- t.hits + 1;
+      f.refbit <- true;
       f
 
 (** [with_page t id ~seq f] pins page [id], applies [f] to its bytes, and
@@ -145,7 +145,13 @@ let load t id ~seq =
 let with_page t id ~seq fn =
   let f = load t id ~seq in
   take_pin t f;
-  Fun.protect ~finally:(fun () -> f.pins <- f.pins - 1) (fun () -> fn f.data)
+  match fn f.data with
+  | r ->
+      f.pins <- f.pins - 1;
+      r
+  | exception e ->
+      f.pins <- f.pins - 1;
+      raise e
 
 (** [with_page_mut] is [with_page] but marks the frame dirty. Mutation
     invalidates the verified bit and any derived metadata. *)
@@ -155,37 +161,52 @@ let with_page_mut t id ~seq fn =
   f.dirty <- true;
   f.verified <- false;
   f.starts <- None;
-  Fun.protect ~finally:(fun () -> f.pins <- f.pins - 1) (fun () -> fn f.data)
+  match fn f.data with
+  | r ->
+      f.pins <- f.pins - 1;
+      r
+  | exception e ->
+      f.pins <- f.pins - 1;
+      raise e
 
 (* Run the caller's integrity check exactly once per platter load. *)
 let ensure_verified f ~verify =
   if not f.verified then begin
-    verify f.data;
+    verify f.data ~page:f.page;
     f.verified <- true
   end
 
-(** [with_page_starts t id ~seq ~verify ~derive fn] is {!with_page},
-    except [verify] (which must raise on a bad frame) runs only when this
-    frame was (re)read from the platter since its last verification — pool
-    hits skip the check — and it caches [derive frame_bytes] (record-start offsets, or any per-page navigation
-    metadata) alongside the frame; [derive] runs once per load, strictly
-    after [verify], so derived offsets never come from unverified bytes. *)
-let with_page_starts t id ~seq ~verify ~derive fn =
+(** [with_page_starts t id ~seq ~verify ~derive fn x] is {!with_page}
+    applied to [fn frame_bytes starts x], except [verify] (which must
+    raise on a bad frame) runs only when this frame was (re)read from the
+    platter since its last verification — pool hits skip the check — and
+    it caches [derive frame_bytes] (record-start offsets, or any per-page
+    navigation metadata) alongside the frame; [derive] runs once per
+    load, strictly after [verify], so derived offsets never come from
+    unverified bytes. The caller's argument travels as [x] and the pin is
+    dropped on the way out, raised or not, so a point read builds no
+    closure here. *)
+let with_page_starts t id ~seq ~verify ~derive fn x =
   let f = load t id ~seq in
   take_pin t f;
-  Fun.protect
-    ~finally:(fun () -> f.pins <- f.pins - 1)
-    (fun () ->
-      ensure_verified f ~verify;
-      let starts =
-        match f.starts with
-        | Some a -> a
-        | None ->
-            let a = derive f.data in
-            f.starts <- Some a;
-            a
-      in
-      fn f.data starts)
+  match
+    ensure_verified f ~verify;
+    let starts =
+      match f.starts with
+      | Some a -> a
+      | None ->
+          let a = derive f.data in
+          f.starts <- Some a;
+          a
+    in
+    fn f.data starts x
+  with
+  | r ->
+      f.pins <- f.pins - 1;
+      r
+  | exception e ->
+      f.pins <- f.pins - 1;
+      raise e
 
 (** {1 Pinned access}
 
@@ -220,9 +241,9 @@ let unpin p =
 
 (** [force t id] synchronously writes page [id] back if dirty. *)
 let force t id =
-  match Hashtbl.find_opt t.index id with
-  | Some fi -> writeback t t.frames.(fi)
-  | None -> ()
+  match Frame_index.find t.index id with
+  | -1 -> ()
+  | fi -> writeback t t.frames.(fi)
 
 (** [flush_all t] writes back every dirty frame (checkpoint). *)
 let flush_all t =
@@ -232,16 +253,16 @@ let flush_all t =
     without writing them back (their region is being deallocated). *)
 let discard_region t ~start ~length =
   for id = start to start + length - 1 do
-    match Hashtbl.find_opt t.index id with
-    | Some fi ->
+    match Frame_index.find t.index id with
+    | -1 -> ()
+    | fi ->
         let f = t.frames.(fi) in
         f.page <- -1;
         f.dirty <- false;
         f.refbit <- false;
         f.verified <- false;
         f.starts <- None;
-        Hashtbl.remove t.index id
-    | None -> ()
+        Frame_index.remove t.index id
   done
 
 (** [crash t] simulates power loss: all frames vanish, dirty or not. *)
@@ -255,12 +276,15 @@ let crash t =
       f.verified <- false;
       f.starts <- None)
     t.frames;
-  Hashtbl.reset t.index
+  Frame_index.clear t.index
 
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let pins_taken t = t.pins_taken
+
+let frame_page t slot = t.frames.(slot).page
+let cached_pages t = Frame_index.bindings t.index
 
 let pinned_frames t =
   Array.fold_left (fun acc f -> if f.pins > 0 then acc + 1 else acc) 0 t.frames

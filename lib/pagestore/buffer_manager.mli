@@ -32,18 +32,24 @@ val with_page_mut : t -> Page.id -> seq:bool -> (Bytes.t -> 'a) -> 'a
     the platter, so it is still caught at the load that brings the page
     into RAM. *)
 
-(** As {!with_page}, but [verify] (which must raise on a bad frame) runs
+(** [with_page_starts t id ~seq ~verify ~derive fn x] is
+    [fn frame_bytes starts x] on page [id], pinned for the call, but
+    [verify frame_bytes ~page:id] (which must raise on a bad frame) runs
     only when this frame was read from the platter since its last
-    verification, and [derive frame_bytes] (per-page record-start
-    offsets) is cached alongside the frame. [derive] runs once per load,
-    strictly after [verify]. *)
+    verification, and [starts = derive frame_bytes] (per-page
+    record-start offsets) is cached alongside the frame. [derive] runs
+    once per load, strictly after [verify]. The pin is released whether
+    [fn] returns or raises. Passing the caller's argument as [x], and
+    top-level functions as [verify], [derive] and [fn], lets a call build
+    no closure. *)
 val with_page_starts :
   t ->
   Page.id ->
   seq:bool ->
-  verify:(Bytes.t -> unit) ->
+  verify:(Bytes.t -> page:Page.id -> unit) ->
   derive:(Bytes.t -> int array) ->
-  (Bytes.t -> int array -> 'a) ->
+  (Bytes.t -> int array -> 'k -> 'a) ->
+  'k ->
   'a
 
 (** {1 Pinned access (zero-copy reads)}
@@ -55,10 +61,10 @@ val with_page_starts :
 
 type pin
 
-(** [pin t id ~seq ~verify] loads, verifies (once per platter load), and
-    pins page [id]. The pin is released (and no frame left over-pinned)
-    if [verify] raises. *)
-val pin : t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> pin
+(** [pin t id ~seq ~verify] loads, verifies ([verify frame_bytes
+    ~page:id], once per platter load), and pins page [id]. The pin is
+    released (and no frame left over-pinned) if [verify] raises. *)
+val pin : t -> Page.id -> seq:bool -> verify:(Bytes.t -> page:Page.id -> unit) -> pin
 
 (** The pinned frame's bytes — valid until {!unpin}. Do not mutate. *)
 val pin_bytes : pin -> Bytes.t
@@ -89,3 +95,14 @@ val pins_taken : t -> int
 
 (** Frames currently held by at least one pin. *)
 val pinned_frames : t -> int
+
+(** {1 The page table}
+
+    Which frame holds a page is an int-keyed {!Frame_index}; these expose
+    it for the model tests. *)
+
+(** The page frame [slot] holds, or [-1] when empty. *)
+val frame_page : t -> int -> Page.id
+
+(** Every [(page id, frame slot)] the page table maps, by page id. *)
+val cached_pages : t -> (Page.id * int) list

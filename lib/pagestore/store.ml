@@ -159,8 +159,8 @@ let with_page_mut t id fn = Buffer_manager.with_page_mut t.buffer id ~seq:false 
     no per-access checksum, no 4 KiB copy-out (DESIGN.md "Read-path CPU
     costs"). *)
 
-let with_page_starts t id ~seq ~verify ~derive fn =
-  Buffer_manager.with_page_starts t.buffer id ~seq ~verify ~derive fn
+let with_page_starts t id ~seq ~verify ~derive fn x =
+  Buffer_manager.with_page_starts t.buffer id ~seq ~verify ~derive fn x
 
 type pin = Buffer_manager.pin
 

@@ -71,18 +71,23 @@ val with_page_mut : t -> Page.id -> (Bytes.t -> 'a) -> 'a
     no per-access checksum, no copy-out. See DESIGN.md, "Read-path CPU
     costs". *)
 
-(** As {!with_page}, but [verify] (raises on a bad frame) runs only when
+(** [with_page_starts t id ~seq ~verify ~derive fn x] is
+    [fn frame_bytes starts x] on page [id], pinned for the call, but
+    [verify frame_bytes ~page:id] (raises on a bad frame) runs only when
     the frame was read from the platter since its last verification —
-    pool hits skip it — and [derive frame_bytes] (per-page record-start
-    offsets) is cached alongside the frame; [derive] runs once per load,
-    strictly after [verify]. *)
+    pool hits skip it — and [starts = derive frame_bytes] (per-page
+    record-start offsets) is cached alongside the frame; [derive] runs
+    once per load, strictly after [verify]. The pin is released whether
+    [fn] returns or raises; with top-level functions and the caller's
+    argument as [x], the call builds no closure. *)
 val with_page_starts :
   t ->
   Page.id ->
   seq:bool ->
-  verify:(Bytes.t -> unit) ->
+  verify:(Bytes.t -> page:Page.id -> unit) ->
   derive:(Bytes.t -> int array) ->
-  (Bytes.t -> int array -> 'a) ->
+  (Bytes.t -> int array -> 'k -> 'a) ->
+  'k ->
   'a
 
 (** A pinned buffer-pool frame: the page stays resident and its bytes
@@ -90,7 +95,7 @@ val with_page_starts :
     permanently shrinks the pool. *)
 type pin
 
-val pin_page : t -> Page.id -> seq:bool -> verify:(Bytes.t -> unit) -> pin
+val pin_page : t -> Page.id -> seq:bool -> verify:(Bytes.t -> page:Page.id -> unit) -> pin
 
 (** The pinned frame's bytes — valid until {!unpin}. Do not mutate. *)
 val pinned_bytes : pin -> Bytes.t

@@ -6,6 +6,19 @@
     reads go through the buffer manager so hot pages are cached; scans and
     merges stream pages directly, leaving the pool to the read path. *)
 
+(* The point lookup's scratch, one per reader: the probe key travels in
+   and the found record's entry and LSN travel out, so the in-page
+   search builds no closure, tuple or verdict block. A reader serves one
+   lookup at a time. *)
+type probe = {
+  mutable key : string;
+  mutable vend : int;  (* after the last {!varint}: its end, or -1 *)
+  mutable entry : Kv.Entry.t;
+  mutable lsn : int;
+}
+
+let new_probe () = { key = ""; vend = 0; entry = Kv.Entry.Tombstone; lsn = 0 }
+
 type t = {
   store : Pagestore.Store.t;
   footer : Sst_format.footer;
@@ -16,6 +29,7 @@ type t = {
       (** page buffers of released streaming iterators, taken by the next
           ones: a 4 KiB buffer is a major-heap block, and one per scan
           source per scan paces the GC into long slices *)
+  probe : probe;  (** the point lookup's scratch *)
 }
 
 let footer t = t.footer
@@ -63,7 +77,7 @@ let open_in_ram store (footer : Sst_format.footer) ~index =
   let take = footer.data_pages + footer.index_pages + footer.bloom_pages in
   let pages = pages_of_extents footer.extents ~take in
   let fence = parse_index index footer.index_entries in
-  { store; footer; pages; fence; spare_pages = [] }
+  { store; footer; pages; fence; spare_pages = []; probe = new_probe () }
 
 (** [open_from_disk store footer] reopens a component after recovery,
     re-reading the index pages (charged as sequential I/O). The index
@@ -109,7 +123,7 @@ let open_from_disk store (footer : Sst_format.footer) =
          { what = "index blob checksum";
            page = (if footer.index_pages > 0 then pages.(footer.data_pages) else -1) });
   let fence = parse_index blob footer.index_entries in
-  { store; footer; pages; fence; spare_pages = [] }
+  { store; footer; pages; fence; spare_pages = []; probe = new_probe () }
 
 (** [of_meta store blob] reopens from the engine's commit-root metadata. *)
 let of_meta store blob = open_from_disk store (Sst_format.decode_footer blob)
@@ -246,7 +260,7 @@ let fetch_page bs pos ~first =
       | None -> ());
       let pin =
         Pagestore.Store.pin_page t.store id ~seq:(not first)
-          ~verify:(fun b -> Sst_format.verify_page_bytes b ~page:id)
+          ~verify:Sst_format.verify_page_bytes
       in
       c.pin <- Some pin;
       bs.buf <- Bytes.unsafe_to_string (Pagestore.Store.pinned_bytes pin)
@@ -514,92 +528,116 @@ let iter_close it =
     linear decode survives as {!get_linear_with_lsn}, the reference the
     property tests hold the fast path to. *)
 
-(* Probing a restart point within one page. Only the final restart can be
-   [Unreadable]: its record spills past the page end before the key does. *)
-type probe = Cmp of int | Unreadable
+(* The varint at [pos] of [s], decoded as [Varint.read] decodes it, with
+   the position after it left in [pr.vend] instead of a pair: [-1] where
+   [Varint.read] raises (the string ends first, or the value overflows). *)
+let varint pr s pos =
+  let len = String.length s in
+  let acc = ref 0 and shift = ref 0 and p = ref pos and more = ref true in
+  while !more do
+    if !p >= len || !shift > 62 then begin
+      pr.vend <- -1;
+      more := false
+    end
+    else begin
+      let b = Char.code (String.unsafe_get s !p) in
+      acc := !acc lor ((b land 0x7F) lsl !shift);
+      incr p;
+      if b < 0x80 then begin
+        pr.vend <- !p;
+        more := false
+      end
+      else shift := !shift + 7
+    end
+  done;
+  !acc
 
-(* What the in-page search concluded. [Resume] means the linear scan
-   must take over at payload offset [off]: the record there (or its
-   successors) needs bytes from later pages. Settling those cases in any
-   other way would touch a different set of pages than the seed's linear
-   decode — the restart search must leave the simulated-I/O accounting
-   byte-identical, so every page-crossing case defers to the same loop
-   the seed ran. *)
-type page_verdict = Found of Kv.Entry.t * int | Absent | Resume of int
+(* Probing a restart point within one page: the key comparison's sign,
+   or [unreadable] (which sorts high), and only the final restart can be
+   unreadable: its record spills past the page end before the key does. *)
+let unreadable = max_int
 
-let probe_key s psz start key =
-  match Repro_util.Varint.read s start with
-  | exception Invalid_argument _ -> Unreadable (* body-length varint split by the page end *)
-  | body_len, p ->
-      if p > psz then Unreadable
-      else (
-        match Repro_util.Varint.read s p with
-        | exception Invalid_argument _ -> Unreadable
-        | key_len, kp ->
-            if kp + key_len > psz || kp + key_len > p + body_len then Unreadable
-            else Cmp (cmp_key_at s kp key_len key))
+(* What the in-page search concluded: [found] (the record is decoded
+   into the probe), [absent], or an offset [>= 0] where the linear scan
+   must take over (a resume): the record there (or its successors) needs
+   bytes from later pages. Settling those cases in any other way would
+   touch a different set of pages than the seed's linear decode — the
+   restart search must leave the simulated-I/O accounting byte-identical,
+   so every page-crossing case defers to the same loop the seed ran. *)
+let found = -1
+let absent = -2
 
-(* Decode the entry and LSN of the record at [start] in place; the caller
-   has checked that it does not spill and that its key lies inside its
-   body. The tail must fill the framed body exactly. *)
-let decode_at s start =
-  let body_len, p = Repro_util.Varint.read s start in
-  let key_len, kp = Repro_util.Varint.read s p in
-  Sst_format.decode_value_at s (kp + key_len) ~stop:(p + body_len)
+let probe_key pr s psz start =
+  let body_len = varint pr s start in
+  let p = pr.vend in
+  if p < 0 (* body-length varint split by the page end *) || p > psz then unreadable
+  else
+    let key_len = varint pr s p in
+    let kp = pr.vend in
+    if kp < 0 || kp + key_len > psz || kp + key_len > p + body_len then unreadable
+    else cmp_key_at s kp key_len pr.key
 
-let complete_at s psz start =
-  match Repro_util.Varint.read s start with
-  | exception Invalid_argument _ -> false
-  | body_len, p -> p + body_len <= psz
+(* Decode the entry and LSN of the record at [start] into the probe; the
+   caller has checked that it does not spill and that its key lies
+   inside its body. The tail must fill the framed body exactly. *)
+let decode_at pr s start =
+  let body_len = varint pr s start in
+  let p = pr.vend in
+  let key_len = varint pr s p in
+  let vp = pr.vend + key_len and stop = p + body_len in
+  let lsn = Sst_format.lsn_at s vp ~stop in
+  pr.entry <- Sst_format.entry_after_lsn_at s vp ~lsn ~stop;
+  pr.lsn <- lsn
 
-(* Binary-search the restart array for [key]. The page was chosen by
-   index floor, so the first restart's key is <= [key]; a miss whose
-   stopping record sits whole in this page is a miss outright, because
-   the next page's first key (the next index entry) is > [key]. An
-   [Unreadable] probe sorts high; any verdict that the seed's linear
-   scan would have crossed a page boundary to reach — a spilled match,
-   a spilled stopping record, or all in-page keys < [key] (the linear
-   scan walked on and fully decoded the next page's first record before
-   giving up) — comes back as [Resume]. *)
-let search_page page starts key =
+let complete_at pr s psz start =
+  let body_len = varint pr s start in
+  pr.vend >= 0 && pr.vend + body_len <= psz
+
+(* Binary-search the restart array for the probe's key. The page was
+   chosen by index floor, so the first restart's key is <= the key; a
+   miss whose stopping record sits whole in this page is a miss outright,
+   because the next page's first key (the next index entry) is greater.
+   An unreadable probe sorts high; any verdict that the seed's linear
+   scan would have crossed a page boundary to reach — a spilled match, a
+   spilled stopping record, or all in-page keys below the key (the
+   linear scan walked on and fully decoded the next page's first record
+   before giving up) — comes back as a resume offset. *)
+let search_page page starts pr =
   let s = Bytes.unsafe_to_string page in
   let psz = String.length s in
   let n = Array.length starts in
-  if n = 0 then Absent
+  if n = 0 then absent
   else begin
-    let probe i =
-      match probe_key s psz starts.(i) key with
-      | Unreadable -> 1 (* sort high; resolved via Resume below *)
-      | Cmp c -> c
-    in
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if probe mid <= 0 then lo := mid else hi := mid - 1
+      if probe_key pr s psz starts.(mid) <= 0 then lo := mid else hi := mid - 1
     done;
     let i = !lo in
-    match probe_key s psz starts.(i) key with
-    | Unreadable -> Resume starts.(i)
-    | Cmp 0 ->
-        if complete_at s psz starts.(i) then
-          let e, lsn = decode_at s starts.(i) in
-          Found (e, lsn)
-        else Resume starts.(i)
-    | Cmp c when c < 0 ->
-        (* All readable keys up to [i] are < key. The linear scan stops at
-           record [i+1] if it exists, is whole, and its key settles the
-           question; otherwise it crossed into later pages. *)
-        if i + 1 >= n then Resume starts.(i)
-        else if
-          complete_at s psz starts.(i + 1)
-          && probe_key s psz starts.(i + 1) key <> Unreadable
-        then Absent
-        else Resume starts.(i + 1)
-    | Cmp _ ->
-        (* key < first restart: the linear scan stops at record 0 — whole
-           in this page, or it crossed. *)
-        if complete_at s psz starts.(0) then Absent
-        else Resume starts.(0)
+    let c = probe_key pr s psz starts.(i) in
+    if c = unreadable then starts.(i)
+    else if c = 0 then
+      if complete_at pr s psz starts.(i) then begin
+        decode_at pr s starts.(i);
+        found
+      end
+      else starts.(i)
+    else if c < 0 then
+      (* All readable keys up to [i] are < key. The linear scan stops at
+         record [i+1] if it exists, is whole, and its key settles the
+         question; otherwise it crossed into later pages. *)
+      if i + 1 >= n then starts.(i)
+      else if
+        complete_at pr s psz starts.(i + 1)
+        && probe_key pr s psz starts.(i + 1) <> unreadable
+      then absent
+      else starts.(i + 1)
+    else if
+      (* key < first restart: the linear scan stops at record 0 — whole
+         in this page, or it crossed. *)
+      complete_at pr s psz starts.(0)
+    then absent
+    else starts.(0)
   end
 
 (* Continue the seed's linear find loop at payload offset [off] of chain
@@ -626,31 +664,41 @@ let linear_from t pos off key =
           in
           find ())
 
-(** [get_with_lsn t key]: point lookup returning the record's stored LSN
-    (recovery's replay filter). *)
-let get_with_lsn t key =
-  if is_empty t then None
+(* Look [key] up; on [true] its entry and LSN are in [t.probe]. The
+   page search runs inside the pin; a page-crossing case is resolved
+   outside it, so the lookup never stacks pins (tiny pools stay
+   workable). *)
+let find t key =
+  if is_empty t then false
   else if
     String.compare key t.footer.Sst_format.min_key < 0
     || String.compare key t.footer.Sst_format.max_key > 0
-  then None
+  then false
   else
-    match locate t key with
-    | None -> None
-    | Some pos ->
-        let id = t.pages.(pos) in
-        let verdict =
-          Pagestore.Store.with_page_starts t.store id ~seq:false
-            ~verify:(fun b -> Sst_format.verify_page_bytes b ~page:id)
-            ~derive:Sst_format.record_starts
-            (fun page starts -> search_page page starts key)
-        in
-        (* Resolve page-crossing cases outside the pinned-page callback so
-           the lookup never stacks pins (tiny pools stay workable). *)
-        (match verdict with
-        | Found (e, lsn) -> Some (e, lsn)
-        | Absent -> None
-        | Resume off -> linear_from t pos off key)
+    let pos = Sst_format.Fence.locate_pos t.fence key in
+    if pos < 0 then false
+    else begin
+      let pr = t.probe in
+      pr.key <- key;
+      let verdict =
+        Pagestore.Store.with_page_starts t.store t.pages.(pos) ~seq:false
+          ~verify:Sst_format.verify_page_bytes ~derive:Sst_format.record_starts
+          search_page pr
+      in
+      if verdict = found then true
+      else if verdict = absent then false
+      else
+        match linear_from t pos verdict key with
+        | Some (e, lsn) ->
+            pr.entry <- e;
+            pr.lsn <- lsn;
+            true
+        | None -> false
+    end
+
+(** [get_with_lsn t key]: point lookup returning the record's stored LSN
+    (recovery's replay filter). *)
+let get_with_lsn t key = if find t key then Some (t.probe.entry, t.probe.lsn) else None
 
 (** [get_linear_with_lsn t key] is the seed's linear lookup — decode
     records from the page's first restart until the key passes by. Kept
@@ -688,8 +736,7 @@ let get_linear t key =
 
 (** [get t key] point lookup: one cached page read (one seek when the page
     is cold), plus continuation pages for records spanning pages. *)
-let get t key =
-  match get_with_lsn t key with Some (e, _) -> Some e | None -> None
+let get t key = if find t key then Some t.probe.entry else None
 
 (** {1 Scrubbing} *)
 

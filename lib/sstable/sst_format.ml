@@ -142,15 +142,19 @@ let malformed what = raise (Corrupt { what; page = -1 })
 let entry_after_lsn s pos lsn ~stop =
   Kv.Entry.decode_exact s (pos + Varint.size lsn) ~stop
 
-(** [decode_value_at s pos ~stop] parses the [[varint lsn][entry]] tail
-    of a body that fills [[pos, stop)] exactly: the point lookup's decode
-    once the key has been compared in place. *)
-let decode_value_at s pos ~stop =
-  match
-    let lsn = Varint.read_within s pos ~stop in
-    (entry_after_lsn s pos lsn ~stop, lsn)
-  with
-  | r -> r
+(** [lsn_at s pos ~stop] reads the LSN varint that opens a body's
+    [[varint lsn][entry]] tail at [pos], and [entry_after_lsn_at s pos
+    ~lsn ~stop] the entry after it, which must end exactly at [stop]:
+    the point lookup's decode once the key has been compared in place,
+    in two calls so that no pair is built. *)
+let lsn_at s pos ~stop =
+  match Varint.read_within s pos ~stop with
+  | lsn -> lsn
+  | exception Invalid_argument _ -> malformed "record value overruns its body"
+
+let entry_after_lsn_at s pos ~lsn ~stop =
+  match entry_after_lsn s pos lsn ~stop with
+  | e -> e
   | exception Invalid_argument _ -> malformed "record value overruns its body"
 
 (** [decode_body_at s pos ~stop] parses the body at [[pos, stop)] into
@@ -376,12 +380,13 @@ module Fence = struct
       at the bottom, the floor is the node where the path last turned
       right — recovered by stripping the trailing left-turn zeros and
       that final one bit. *)
-  let locate t key =
-    if t.n = 0 then None
+  (* The slot of {!locate}, 0 for [None]: slots start at 1. *)
+  let locate_slot t key =
+    if t.n = 0 then 0
     else
       let side = against_common t.common key in
-      if side < 0 then None
-      else if side > 0 then Some (last_slot t)
+      if side < 0 then 0
+      else if side > 0 then last_slot t
       else begin
         let p = prefix_at key (String.length t.common) in
         let k = ref 1 in
@@ -398,9 +403,12 @@ module Fence = struct
         while !j land 1 = 0 do
           j := !j lsr 1
         done;
-        let j = !j lsr 1 in
-        if j = 0 then None else Some j
+        !j lsr 1
       end
+
+  let locate t key = match locate_slot t key with 0 -> None | j -> Some j
+
+  let locate_pos t key = match locate_slot t key with 0 -> -1 | j -> t.pos.(j)
 
   (** Reference implementation of {!locate}: walk slots in key order,
       keeping the last one whose key is [<= key]. The QCheck oracle. *)

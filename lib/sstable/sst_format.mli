@@ -48,9 +48,13 @@ type version = V1
 (** [decode_body_at s pos ~stop] parses a body: [(key, entry, lsn)]. *)
 val decode_body_at : string -> int -> stop:int -> string * Kv.Entry.t * int
 
-(** [decode_value_at s pos ~stop] parses a body's [[varint lsn][entry]]
-    tail: [(entry, lsn)]. *)
-val decode_value_at : string -> int -> stop:int -> Kv.Entry.t * int
+(** A body's [[varint lsn][entry]] tail in two calls, building no
+    pair: [lsn_at s pos ~stop] is its LSN, and [entry_after_lsn_at s pos
+    ~lsn ~stop] the entry after that LSN's varint, which must end
+    exactly at [stop]. *)
+val lsn_at : string -> int -> stop:int -> int
+
+val entry_after_lsn_at : string -> int -> lsn:int -> stop:int -> Kv.Entry.t
 
 (** A record held as its wire bytes [[varint body_len][body]] in a
     reused buffer, with its key and LSN. The builder appends every
@@ -120,6 +124,11 @@ module Fence : sig
       is settled by one comparison against it; otherwise a branch-free
       Eytzinger descent over integer key prefixes. *)
   val locate : t -> string -> int option
+
+  (** [locate_pos t key] is the chain position of {!locate}'s slot, or
+      [-1] where it is [None]: the point read's form, which allocates
+      nothing. *)
+  val locate_pos : t -> string -> int
 
   (** Reference linear in-order walk — the QCheck oracle {!locate} is
       held to. *)

@@ -485,6 +485,39 @@ let test_mid_merge_reads_see_consumed_entries () =
   done;
   check Alcotest.int "every key readable mid-merge" 400 !ok
 
+(* The shadow's hashed [find] against the bisection over its sorted
+   records, over random appends (strictly increasing keys) interleaved
+   with finds of held, absent and not-yet-appended keys: the lazy index
+   must catch up with every append made before a find. *)
+let prop_shadow_find_bisect =
+  QCheck.Test.make ~name:"shadow find = bisection" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (1 -- 300)
+           (frequency
+              [ (3, map (fun gap -> `Append (1 + gap)) (0 -- 3)); (2, map (fun k -> `Find k) (0 -- 400)) ])))
+    (fun ops ->
+      let s = Blsm.Merge_process.Shadow.create ~capacity:2 in
+      let next = ref 0 in
+      let key i = Printf.sprintf "k%05d" i in
+      let same a b =
+        match (a, b) with
+        | None, None -> true
+        | Some (k, e, lsn), Some (k', e', lsn') ->
+            String.equal k k' && Kv.Entry.equal e e' && lsn = lsn'
+        | _ -> false
+      in
+      List.for_all
+        (function
+          | `Append gap ->
+              next := !next + gap;
+              Blsm.Merge_process.Shadow.append s (key !next, Kv.Entry.Base (key !next), !next);
+              true
+          | `Find k ->
+              same (Blsm.Merge_process.Shadow.find s (key k))
+                (Blsm.Merge_process.Shadow.find_sorted s (key k)))
+        ops)
+
 (* -------------------------------------------------------------------- *)
 (* Scheduler behaviour *)
 
@@ -883,16 +916,76 @@ let test_delete_alloc_budget () =
   within_budget "delete" ~budget:51
     (Alloc.per_op 10_000 (fun i -> Blsm.Tree.delete t rest_keys.(i land 7)))
 
-(* Point reads answered from memory: a miss is the lookup's accumulator
-   and probe closure (8 words); a hit adds the memtable's [Some], the
-   accumulated [Some] and the returned [Some value]. *)
+(* Point reads answered from memory. A miss allocates nothing: the
+   lookup's accumulator lives on the shell and its probe closure is built
+   once. A hit allocates the memtable's [Some entry] and the returned
+   [Some value]. *)
 let test_get_alloc_budget () =
   let t = tree_at_rest () in
-  within_budget "get, C0 hit" ~budget:16
+  within_budget "get, C0 hit" ~budget:4
     (Alloc.per_op 10_000 (fun i ->
          ignore (Sys.opaque_identity (Blsm.Tree.get t rest_keys.(i land 7)))));
-  within_budget "get, miss" ~budget:8
+  within_budget "get, miss" ~budget:0
     (Alloc.per_op 10_000 (fun _ -> ignore (Sys.opaque_identity (Blsm.Tree.get t "absent"))))
+
+(* Gets of one key in a window, with the buffer pool's hit and miss
+   counts across it. *)
+let pool_window t key n =
+  let bm = Pagestore.Store.buffer (Blsm.Tree.store t) in
+  let h0 = Pagestore.Buffer_manager.hits bm and m0 = Pagestore.Buffer_manager.misses bm in
+  let words = Alloc.per_op n (fun _ -> ignore (Sys.opaque_identity (Blsm.Tree.get t key))) in
+  (words, Pagestore.Buffer_manager.hits bm - h0, Pagestore.Buffer_manager.misses bm - m0)
+
+(* A get of a 1000-byte value answered from a resident C2 page: the
+   value string is 127 words, and the path around it (the reader's
+   [Some], the decoded [Base], the returned [Some]) 6 more. The pool
+   finds the frame through an int-keyed table and the page search builds
+   no closure, tuple or verdict. *)
+let test_get_pool_hit_alloc_budget () =
+  let t = mk_tree () in
+  let keys = Array.init 400 (Printf.sprintf "user%020d") in
+  Array.iter (fun k -> Blsm.Tree.put t k kb_value) keys;
+  Blsm.Tree.flush t;
+  Blsm.Tree.maintenance t;
+  (* a record that lies whole in its page: one pool access per get *)
+  let key =
+    List.find
+      (fun k ->
+        ignore (Blsm.Tree.get t k);
+        let _, hits, _ = pool_window t k 1 in
+        hits = 1)
+      (List.init 16 (fun i -> keys.(i)))
+  in
+  let covering =
+    List.filter_map
+      (fun (lvl, (f : Sstable.Sst_format.footer)) ->
+        if f.min_key <= key && key <= f.max_key then Some lvl else None)
+      (Blsm.Tree.component_footers t)
+  in
+  check (Alcotest.list Alcotest.string) "only C2 covers the key" [ "C2" ] covering;
+  check (Alcotest.option Alcotest.string) "C2 answers" (Some kb_value) (Blsm.Tree.get t key);
+  let words, hits, misses = pool_window t key 10_000 in
+  check Alcotest.int "one pool hit per get" 10_000 hits;
+  check Alcotest.int "no pool miss" 0 misses;
+  within_budget "get, pool hit" ~budget:133 words
+
+(* A get answered from the snowshovel shadow while merge1 is in flight:
+   the hashed probe, then the same [Some]s as a C0 hit plus the
+   shadow's record [Some]. *)
+let test_get_shadow_hit_alloc_budget () =
+  let t = mk_tree () in
+  let i = ref 0 in
+  while Blsm.Tree.merge1_inprogress t = 0.0 && !i < 10_000 do
+    Blsm.Tree.put t (Printf.sprintf "user%020d" !i) kb_value;
+    incr i
+  done;
+  check Alcotest.bool "merge1 in flight" true (Blsm.Tree.merge1_inprogress t > 0.0);
+  let key = Printf.sprintf "user%020d" 0 in
+  check (Alcotest.option Alcotest.string) "shadow answers" (Some kb_value) (Blsm.Tree.get t key);
+  let words, hits, misses = pool_window t key 10_000 in
+  check Alcotest.int "no pool access" 0 (hits + misses);
+  check Alcotest.bool "merge1 still in flight" true (Blsm.Tree.merge1_inprogress t > 0.0);
+  within_budget "get, shadow hit" ~budget:6 words
 
 (* The policy host at rest: [tree_at_rest]'s keys and values in its
    memtable, leveled policy, spring pacing. *)
@@ -904,22 +997,23 @@ let policy_at_rest () =
   Array.iter (fun k -> Blsm.Policy_tree.put t k kb_value) rest_keys;
   t
 
-(* The same 16 and 8 words as [Tree.get]. *)
+(* The same 4 and 0 words as [Tree.get]. *)
 let test_policy_get_alloc_budget () =
   let t = policy_at_rest () in
-  within_budget "policy get, memtable hit" ~budget:16
+  within_budget "policy get, memtable hit" ~budget:4
     (Alloc.per_op 10_000 (fun i ->
          ignore (Sys.opaque_identity (Blsm.Policy_tree.get t rest_keys.(i land 7)))));
-  within_budget "policy get, miss" ~budget:8
+  within_budget "policy get, miss" ~budget:0
     (Alloc.per_op 10_000 (fun _ ->
          ignore (Sys.opaque_identity (Blsm.Policy_tree.get t "absent"))))
 
-(* A 1 KB put on the policy host at rest: [Tree.put]'s path, plus the
-   spring pace's [pick] over a freshly built level view on every write,
-   which costs 65 of the 241 words here (176 without it). *)
+(* A 1 KB put on the policy host at rest: [Tree.put]'s path. The spring
+   pace runs [pick] over a freshly built level view only when the levels
+   or the cursor changed since its last empty pick; on every write it
+   cost 65 more words (241). *)
 let test_policy_put_alloc_budget () =
   let t = policy_at_rest () in
-  within_budget "policy put" ~budget:241
+  within_budget "policy put" ~budget:176
     (Alloc.per_op 10_000 (fun i -> Blsm.Policy_tree.put t rest_keys.(i land 7) kb_value));
   check Alcotest.int "no flush ran" 0 (Blsm.Policy_tree.engine_stats t).flushes
 
@@ -972,6 +1066,7 @@ let () =
         [
           Alcotest.test_case "sorted input streams" `Quick test_snowshovel_sorted_input_streams;
           Alcotest.test_case "mid-merge reads" `Quick test_mid_merge_reads_see_consumed_entries;
+          QCheck_alcotest.to_alcotest prop_shadow_find_bisect;
         ] );
       ( "scheduler",
         [
@@ -995,6 +1090,9 @@ let () =
           Alcotest.test_case "helper reads exact words" `Quick test_alloc_helper_exact;
           Alcotest.test_case "delete alloc budget" `Quick test_delete_alloc_budget;
           Alcotest.test_case "get alloc budget" `Quick test_get_alloc_budget;
+          Alcotest.test_case "get pool hit alloc budget" `Quick test_get_pool_hit_alloc_budget;
+          Alcotest.test_case "get shadow hit alloc budget" `Quick
+            test_get_shadow_hit_alloc_budget;
           Alcotest.test_case "policy get alloc budget" `Quick test_policy_get_alloc_budget;
           Alcotest.test_case "policy put alloc budget" `Quick test_policy_put_alloc_budget;
         ] );

@@ -625,6 +625,120 @@ let test_stream_write_alloc () =
   done;
   check Alcotest.int "Store.stream_write major words" 0 (major_words () - w0)
 
+(* A verified read drops its pin whether [verify] or the callback
+   raises; [verify] is told the page id and the callback gets its
+   argument. *)
+let test_with_page_starts_unpins_on_raise () =
+  let store = mk_store ~buffer_pages:2 () in
+  let bm = Pagestore.Store.buffer store in
+  let bad _ ~page = failwith (Printf.sprintf "bad page %d" page) in
+  let ok _ ~page:_ = () in
+  let derive _ = [||] in
+  let read ~verify fn = Pagestore.Store.with_page_starts store 3 ~seq:false ~verify ~derive fn () in
+  (match read ~verify:bad (fun _ _ () -> ()) with
+  | exception Failure msg -> check Alcotest.string "verify sees the page id" "bad page 3" msg
+  | () -> Alcotest.fail "verify did not run");
+  check Alcotest.int "no pin after a failed verify" 0 (Pagestore.Buffer_manager.pinned_frames bm);
+  (match read ~verify:ok (fun _ _ () -> raise Exit) with
+  | exception Exit -> ()
+  | () -> Alcotest.fail "callback did not raise");
+  check Alcotest.int "no pin after a raising callback" 0 (Pagestore.Buffer_manager.pinned_frames bm);
+  check Alcotest.int "the callback's argument arrives" 42
+    (Pagestore.Store.with_page_starts store 3 ~seq:false ~verify:bad ~derive (fun _ _ x -> x) 42)
+
+(* The pool's page table against a [Hashtbl] model: random adds,
+   removes and clears over a small id space (long probe runs) plus a few
+   far ids, checking every lookup, the length and the bindings after
+   each op. *)
+let prop_frame_index_model =
+  QCheck.Test.make ~name:"frame index vs Hashtbl model" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         let id = oneof [ 0 -- 40; map (fun i -> (i * 1_000_003) + 7) (0 -- 5) ] in
+         list_size (1 -- 200)
+           (frequency
+              [
+                (5, map2 (fun p s -> `Add (p, s)) id (0 -- 7));
+                (4, map (fun p -> `Remove p) id);
+                (1, return `Clear);
+              ])))
+    (fun ops ->
+      let capacity = 8 in
+      let t = Pagestore.Frame_index.create ~capacity in
+      let model = Hashtbl.create 16 in
+      let universe = List.init 41 Fun.id @ List.init 6 (fun i -> (i * 1_000_003) + 7) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add (p, s) ->
+              if Hashtbl.mem model p || Hashtbl.length model < capacity then begin
+                Pagestore.Frame_index.add t p s;
+                Hashtbl.replace model p s
+              end
+          | `Remove p ->
+              Pagestore.Frame_index.remove t p;
+              Hashtbl.remove model p
+          | `Clear ->
+              Pagestore.Frame_index.clear t;
+              Hashtbl.reset model);
+          Pagestore.Frame_index.length t = Hashtbl.length model
+          && List.for_all
+               (fun p ->
+                 Pagestore.Frame_index.find t p
+                 = Option.value (Hashtbl.find_opt model p) ~default:(-1))
+               universe
+          && Pagestore.Frame_index.bindings t
+             = List.sort compare (Hashtbl.fold (fun p s acc -> (p, s) :: acc) model []))
+        ops)
+
+(* The buffer manager's page table against a model built from its
+   frames, over random loads (evicting through CLOCK), region discards
+   and crashes: every cached page maps to the frame that holds it, no
+   entry outlives its frame, and a load hits exactly when a frame holds
+   the page. *)
+let prop_pool_index_model =
+  QCheck.Test.make ~name:"pool page table vs frames" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (1 -- 150)
+           (frequency
+              [
+                (8, map (fun p -> `Load (p mod 24)) small_nat);
+                (2, map2 (fun p n -> `Discard (p mod 24, 1 + (n mod 4))) small_nat small_nat);
+                (1, return `Crash);
+              ])))
+    (fun ops ->
+      let store = mk_store ~buffer_pages:4 ~page_size:32 () in
+      let bm = Pagestore.Store.buffer store in
+      let model () =
+        let m = Hashtbl.create 8 in
+        for slot = 0 to Pagestore.Buffer_manager.capacity bm - 1 do
+          let p = Pagestore.Buffer_manager.frame_page bm slot in
+          if p >= 0 then Hashtbl.replace m p slot
+        done;
+        m
+      in
+      List.for_all
+        (fun op ->
+          let hit_ok =
+            match op with
+            | `Load p ->
+                let resident = Hashtbl.mem (model ()) p in
+                let h0 = Pagestore.Buffer_manager.hits bm in
+                Pagestore.Store.with_page store p ignore;
+                resident = (Pagestore.Buffer_manager.hits bm = h0 + 1)
+            | `Discard (start, length) ->
+                Pagestore.Buffer_manager.discard_region bm ~start ~length;
+                true
+            | `Crash ->
+                Pagestore.Store.crash store;
+                true
+          in
+          hit_ok
+          && Pagestore.Buffer_manager.cached_pages bm
+             = List.sort compare (Hashtbl.fold (fun p s acc -> (p, s) :: acc) (model ()) []))
+        ops)
+
 let () =
   Alcotest.run "pagestore"
     [
@@ -656,6 +770,10 @@ let () =
           Alcotest.test_case "clock keeps referenced" `Quick test_buffer_clock_keeps_referenced;
           Alcotest.test_case "no space leak" `Quick test_no_space_leak;
           QCheck_alcotest.to_alcotest prop_buffer_model;
+          Alcotest.test_case "verified read unpins on raise" `Quick
+            test_with_page_starts_unpins_on_raise;
+          QCheck_alcotest.to_alcotest prop_frame_index_model;
+          QCheck_alcotest.to_alcotest prop_pool_index_model;
         ] );
       ( "wal",
         [

@@ -355,12 +355,89 @@ let prop_cursor_equals_scan =
       in
       drain [] = via_scan)
 
+(* Each partition's share of a batch's payload bytes (keys and values),
+   the weights the shared record's append time is split by. *)
+let payload_by_partition t ops =
+  let bytes = Array.make (Blsm.Partitioned.partition_count t) 0 in
+  List.iter
+    (fun op ->
+      let i = Blsm.Partitioned.partition_index t (fst op) in
+      bytes.(i) <- bytes.(i) + Blsm.Lsm_shell.payload_bytes [ op ])
+    ops;
+  bytes
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* A batch across partitions appends one shared WAL record. Its append
+   costs what a single tree's write_batch of the same ops costs, and that
+   cost is charged to the covered partitions' WAL time, split by their
+   slices' payload bytes; one tree/batch span covers each batch. *)
+let test_batch_wal_time_charged () =
+  let batches =
+    [
+      [ ("apple", Kv.Entry.Base (String.make 100 'a'));
+        ("house", Kv.Entry.Base (String.make 300 'h'));
+        ("zebra", Kv.Entry.Tombstone) ];
+      [ ("kiwi", Kv.Entry.Base (String.make 50 'k'));
+        ("mango", Kv.Entry.Base (String.make 700 'm'));
+        ("pear", Kv.Entry.Base "p");
+        ("quince", Kv.Entry.Delta [ "q" ]) ];
+      [ ("tomato", Kv.Entry.Base (String.make 2000 't')) ];
+    ]
+  in
+  let single = Blsm.Tree.create ~config:small_config (mk_store ()) in
+  let store = mk_store () in
+  let t = Blsm.Partitioned.create ~config:small_config ~boundaries:[ "g"; "n"; "t" ] store in
+  let finish = Obs.Trace.enable_buffer (Pagestore.Store.trace store) ~format:Obs.Trace.Jsonl in
+  let eps = 1e-9 in
+  List.iter
+    (fun ops ->
+      let tree_before = (Blsm.Tree.stats single).wal_us in
+      let part_before = Array.map (fun s -> s.Blsm.Tree.wal_us) (Blsm.Partitioned.partition_stats t) in
+      Blsm.Tree.write_batch single ops;
+      Blsm.Partitioned.write_batch t ops;
+      let cost = (Blsm.Tree.stats single).wal_us -. tree_before in
+      let shares =
+        Array.mapi
+          (fun i s -> s.Blsm.Tree.wal_us -. part_before.(i))
+          (Blsm.Partitioned.partition_stats t)
+      in
+      if cost <= 0.0 then Alcotest.fail "the single tree's append is free";
+      let total = Array.fold_left ( +. ) 0.0 shares in
+      if Float.abs (total -. cost) > eps then
+        Alcotest.failf "partition WAL shares sum to %g us, a single tree's append costs %g us"
+          total cost;
+      let bytes = payload_by_partition t ops in
+      let all = Array.fold_left ( + ) 0 bytes in
+      Array.iteri
+        (fun i share ->
+          let want = cost *. float_of_int bytes.(i) /. float_of_int all in
+          if Float.abs (share -. want) > eps then
+            Alcotest.failf "partition %d: %g us of WAL time, %d of %d payload bytes want %g"
+              i share bytes.(i) all want)
+        shares)
+    batches;
+  let trace = finish () in
+  let spans =
+    List.length
+      (List.filter
+         (fun line ->
+           contains line "\"name\":\"batch\""
+           && contains line "\"cat\":\"tree\"")
+         (String.split_on_char '\n' trace))
+  in
+  check Alcotest.int "one tree/batch span per batch" (List.length batches) spans
+
 let () =
   Alcotest.run "partitioned"
     [
       ( "partitioned",
         [
           Alcotest.test_case "routing" `Quick test_routing;
+          Alcotest.test_case "batch WAL time charged" `Quick test_batch_wal_time_charged;
           Alcotest.test_case "put/get across partitions" `Quick test_put_get_across_partitions;
           Alcotest.test_case "scan chains" `Quick test_scan_chains_partitions;
           Alcotest.test_case "deltas/deletes routed" `Quick test_deltas_and_deletes_routed;

@@ -1063,7 +1063,8 @@ let test_body_decoders_reject_bad_framing () =
   corrupt "past string" (fun () ->
       Sstable.Sst_format.decode_body_at s pos ~stop:(String.length s + 1));
   corrupt "value tail long" (fun () ->
-      Sstable.Sst_format.decode_value_at s (pos + 4) ~stop:(stop + 1));
+      let lsn = Sstable.Sst_format.lsn_at s (pos + 4) ~stop:(stop + 1) in
+      Sstable.Sst_format.entry_after_lsn_at s (pos + 4) ~lsn ~stop:(stop + 1));
   let s, pos, stop = frame "k" Kv.Entry.Tombstone in
   corrupt "tombstone long" (fun () ->
       Sstable.Sst_format.decode_body_at s pos ~stop:(stop + 1));
