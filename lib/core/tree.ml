@@ -484,9 +484,13 @@ let memory_lsn t key =
   | None -> (
       match shadow_find t key with
       | Some (_, _, lsn) -> Some lsn
-      | None -> Option.bind t.frozen (fun f -> Memtable.newest_lsn f key))
+      | None -> (
+          match t.frozen with Some f -> Memtable.newest_lsn f key | None -> None))
 
-let read_version t key = Lsm_shell.read_version t.sh (memory_lsn t) key
+let read_version t key =
+  match memory_lsn t key with
+  | Some lsn -> lsn
+  | None -> Lsm_shell.stored_version t.sh key
 
 let get t key = Lsm_shell.get t.sh key
 

@@ -111,34 +111,42 @@ let find_victim t =
   in
   go (2 * n + 1)
 
+(* A miss: the CLOCK victim, written back if dirty, is charged the read
+   and handed over to page [id], unverified; the caller copies the page's
+   bytes in. *)
+let claim t id ~seq =
+  t.misses <- t.misses + 1;
+  let f = find_victim t in
+  if f.page >= 0 then begin
+    t.evictions <- t.evictions + 1;
+    if Obs.Trace.enabled t.trace then
+      Obs.Trace.instant t.trace ~cat:"buf" ~name:"evict"
+        ~args:[ ("page", Obs.Trace.I f.page); ("dirty", Obs.Trace.B f.dirty) ];
+    writeback t f;
+    Frame_index.remove t.index f.page
+  end;
+  if seq then Simdisk.Disk.seq_read t.disk ~bytes:t.page_size
+  else Simdisk.Disk.seek_read t.disk ~bytes:t.page_size;
+  f.page <- id;
+  f.refbit <- true;
+  f.dirty <- false;
+  f.verified <- false;
+  f.starts <- None;
+  Frame_index.add t.index id f.slot;
+  f
+
+let hit t f =
+  t.hits <- t.hits + 1;
+  f.refbit <- true;
+  f
+
 let load t id ~seq =
   match Frame_index.find t.index id with
   | -1 ->
-      t.misses <- t.misses + 1;
-      let f = find_victim t in
-      if f.page >= 0 then begin
-        t.evictions <- t.evictions + 1;
-        if Obs.Trace.enabled t.trace then
-          Obs.Trace.instant t.trace ~cat:"buf" ~name:"evict"
-            ~args:[ ("page", Obs.Trace.I f.page); ("dirty", Obs.Trace.B f.dirty) ];
-        writeback t f;
-        Frame_index.remove t.index f.page
-      end;
+      let f = claim t id ~seq in
       Platter.read t.platter id f.data;
-      if seq then Simdisk.Disk.seq_read t.disk ~bytes:t.page_size
-      else Simdisk.Disk.seek_read t.disk ~bytes:t.page_size;
-      f.page <- id;
-      f.refbit <- true;
-      f.dirty <- false;
-      f.verified <- false;
-      f.starts <- None;
-      Frame_index.add t.index id f.slot;
       f
-  | fi ->
-      let f = t.frames.(fi) in
-      t.hits <- t.hits + 1;
-      f.refbit <- true;
-      f
+  | fi -> hit t t.frames.(fi)
 
 (** [with_page t id ~seq f] pins page [id], applies [f] to its bytes, and
     unpins. The callback must not retain the buffer. *)
@@ -169,28 +177,54 @@ let with_page_mut t id ~seq fn =
       f.pins <- f.pins - 1;
       raise e
 
-(* Run the caller's integrity check exactly once per platter load. *)
-let ensure_verified f ~verify =
+(* Run the caller's integrity check in place on a frame an unverified
+   access loaded; a verified load has already run it. *)
+let ensure_verified f ~(verify : Page.check) =
   if not f.verified then begin
-    verify f.data ~page:f.page;
+    verify f.data 0 f.data ~page:f.page;
     f.verified <- true
   end
 
+(* Page [id]'s frame, pinned and verified, for the verified accesses. A
+   miss copies the page off the platter through [verify], so its bytes
+   are checked as they are copied and read once; a hit checks in place
+   only a frame an unverified access loaded. If the check raises, the
+   pin is dropped and the frame, holding the stored bytes, stays
+   unverified. *)
+let pin_verified t id ~seq ~verify =
+  match Frame_index.find t.index id with
+  | -1 -> (
+      let f = claim t id ~seq in
+      take_pin t f;
+      match Platter.read_checked t.platter id f.data ~check:verify with
+      | () ->
+          f.verified <- true;
+          f
+      | exception e ->
+          f.pins <- f.pins - 1;
+          raise e)
+  | fi -> (
+      let f = hit t t.frames.(fi) in
+      take_pin t f;
+      match ensure_verified f ~verify with
+      | () -> f
+      | exception e ->
+          f.pins <- f.pins - 1;
+          raise e)
+
 (** [with_page_starts t id ~seq ~verify ~derive fn x] is {!with_page}
     applied to [fn frame_bytes starts x], except [verify] (which must
-    raise on a bad frame) runs only when this frame was (re)read from the
-    platter since its last verification — pool hits skip the check — and
-    it caches [derive frame_bytes] (record-start offsets, or any per-page
+    raise on a bad frame) checks the page as a miss copies it off the
+    platter, or in place on a frame an unverified access loaded — other
+    pool hits skip the check — and it caches [derive frame_bytes] (record-start offsets, or any per-page
     navigation metadata) alongside the frame; [derive] runs once per
     load, strictly after [verify], so derived offsets never come from
     unverified bytes. The caller's argument travels as [x] and the pin is
     dropped on the way out, raised or not, so a point read builds no
     closure here. *)
 let with_page_starts t id ~seq ~verify ~derive fn x =
-  let f = load t id ~seq in
-  take_pin t f;
+  let f = pin_verified t id ~seq ~verify in
   match
-    ensure_verified f ~verify;
     let starts =
       match f.starts with
       | Some a -> a
@@ -219,12 +253,7 @@ let with_page_starts t id ~seq ~verify ~derive fn x =
 type pin = { p_frame : frame; p_page : Page.id }
 
 let pin t id ~seq ~verify =
-  let f = load t id ~seq in
-  take_pin t f;
-  (try ensure_verified f ~verify
-   with e ->
-     f.pins <- f.pins - 1;
-     raise e);
+  let f = pin_verified t id ~seq ~verify in
   if Obs.Trace.enabled t.trace then
     Obs.Trace.instant t.trace ~cat:"buf" ~name:"pin"
       ~args:[ ("page", Obs.Trace.I id) ];

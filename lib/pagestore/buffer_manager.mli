@@ -34,10 +34,11 @@ val with_page_mut : t -> Page.id -> seq:bool -> (Bytes.t -> 'a) -> 'a
 
 (** [with_page_starts t id ~seq ~verify ~derive fn x] is
     [fn frame_bytes starts x] on page [id], pinned for the call, but
-    [verify frame_bytes ~page:id] (which must raise on a bad frame) runs
-    only when this frame was read from the platter since its last
-    verification, and [starts = derive frame_bytes] (per-page
-    record-start offsets) is cached alongside the frame. [derive] runs
+    [verify] (which must raise on a bad frame) checks the page while a
+    miss copies it off the platter, or in place on a frame an unverified
+    access loaded, and never on other hits; and [starts = derive
+    frame_bytes] (per-page record-start offsets) is cached alongside the
+    frame. [derive] runs
     once per load, strictly after [verify]. The pin is released whether
     [fn] returns or raises. Passing the caller's argument as [x], and
     top-level functions as [verify], [derive] and [fn], lets a call build
@@ -46,7 +47,7 @@ val with_page_starts :
   t ->
   Page.id ->
   seq:bool ->
-  verify:(Bytes.t -> page:Page.id -> unit) ->
+  verify:Page.check ->
   derive:(Bytes.t -> int array) ->
   (Bytes.t -> int array -> 'k -> 'a) ->
   'k ->
@@ -61,10 +62,11 @@ val with_page_starts :
 
 type pin
 
-(** [pin t id ~seq ~verify] loads, verifies ([verify frame_bytes
-    ~page:id], once per platter load), and pins page [id]. The pin is
-    released (and no frame left over-pinned) if [verify] raises. *)
-val pin : t -> Page.id -> seq:bool -> verify:(Bytes.t -> page:Page.id -> unit) -> pin
+(** [pin t id ~seq ~verify] loads, verifies (as a miss copies the page
+    off the platter, or in place on a frame an unverified access loaded)
+    and pins page [id]. If [verify] raises, the pin is released and the
+    frame stays unverified. *)
+val pin : t -> Page.id -> seq:bool -> verify:Page.check -> pin
 
 (** The pinned frame's bytes — valid until {!unpin}. Do not mutate. *)
 val pin_bytes : pin -> Bytes.t

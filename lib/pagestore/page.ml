@@ -9,6 +9,9 @@ let default_size = 4096
 
 type id = int
 
+(* A page format's read-side check; see page.mli. *)
+type check = Bytes.t -> int -> Bytes.t -> page:id -> unit
+
 (** Little-endian fixed-width integer accessors. *)
 
 let get_u16 b pos = Char.code (Bytes.get b pos) lor (Char.code (Bytes.get b (pos + 1)) lsl 8)

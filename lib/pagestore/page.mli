@@ -6,6 +6,14 @@ val default_size : int
 
 type id = int
 
+(** A page format's read-side check, run while a page is copied off the
+    platter: [check src pos dst ~page] copies the page at
+    [src.[pos, pos + Bytes.length dst)] into [dst] and raises unless it
+    carries a valid checksum, folding the checksum over the bytes as it
+    copies them, so they are read once. It copies the whole page before
+    it raises. [check b 0 b ~page] checks [b] in place. *)
+type check = Bytes.t -> int -> Bytes.t -> page:id -> unit
+
 val get_u16 : Bytes.t -> int -> int
 [@@lint.allow "U001"] (* accessor family kept symmetric with the setters *)
 val set_u16 : Bytes.t -> int -> int -> unit

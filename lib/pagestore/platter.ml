@@ -53,6 +53,18 @@ let read t id dst =
       dst 0 t.page_size
   else Bytes.fill dst 0 t.page_size '\000'
 
+(** [read_checked t id dst ~check] is [read t id dst] with the copy made
+    by [check], which checks the bytes as it copies them: an absent page
+    is zero-filled and checked in place. *)
+let read_checked t id dst ~(check : Page.check) =
+  if is_present t id then
+    check t.chunks.(id lsr chunk_shift) ((id land chunk_mask) * t.page_size) dst
+      ~page:id
+  else begin
+    Bytes.fill dst 0 t.page_size '\000';
+    check dst 0 dst ~page:id
+  end
+
 (** [write t id src] durably stores a copy of [src] as page [id]. *)
 let write t id src =
   if id < 0 then invalid_arg "Platter.write: negative page id";

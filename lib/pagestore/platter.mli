@@ -12,6 +12,12 @@ val page_size : t -> int
 (** [read t id dst] copies page [id] into [dst] (zero-fills if absent). *)
 val read : t -> Page.id -> Bytes.t -> unit
 
+(** [read_checked t id dst ~check] copies page [id] into [dst] through
+    [check], so the page is checked as it is copied and read once; an
+    absent page is zero-filled and checked in place. Raises what [check]
+    raises, with [dst] holding the stored bytes. *)
+val read_checked : t -> Page.id -> Bytes.t -> check:Page.check -> unit
+
 (** [write t id src] durably stores a copy of [src] as page [id]. *)
 val write : t -> Page.id -> Bytes.t -> unit
 

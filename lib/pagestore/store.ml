@@ -222,6 +222,8 @@ let stream_write ws page_bytes =
     Only valid for pages written via streams (never dirty in the pool). *)
 let read_page_direct t id buf = Platter.read t.platter id buf
 
+let read_page_checked t id buf ~check = Platter.read_checked t.platter id buf ~check
+
 (** {1 Metadata root (the journal's recovery-visible state)} *)
 
 (** [commit_root t blob] force-writes the engine's metadata (live component

@@ -73,10 +73,11 @@ val with_page_mut : t -> Page.id -> (Bytes.t -> 'a) -> 'a
 
 (** [with_page_starts t id ~seq ~verify ~derive fn x] is
     [fn frame_bytes starts x] on page [id], pinned for the call, but
-    [verify frame_bytes ~page:id] (raises on a bad frame) runs only when
-    the frame was read from the platter since its last verification —
-    pool hits skip it — and [starts = derive frame_bytes] (per-page
-    record-start offsets) is cached alongside the frame; [derive] runs
+    [verify] (raises on a bad frame) checks the page while a miss copies
+    it off the platter, in one pass, or in place on a frame an unverified
+    access loaded; other pool hits skip it. And [starts = derive
+    frame_bytes] (per-page record-start offsets) is cached alongside the
+    frame; [derive] runs
     once per load, strictly after [verify]. The pin is released whether
     [fn] returns or raises; with top-level functions and the caller's
     argument as [x], the call builds no closure. *)
@@ -84,7 +85,7 @@ val with_page_starts :
   t ->
   Page.id ->
   seq:bool ->
-  verify:(Bytes.t -> page:Page.id -> unit) ->
+  verify:Page.check ->
   derive:(Bytes.t -> int array) ->
   (Bytes.t -> int array -> 'k -> 'a) ->
   'k ->
@@ -95,7 +96,7 @@ val with_page_starts :
     permanently shrinks the pool. *)
 type pin
 
-val pin_page : t -> Page.id -> seq:bool -> verify:(Bytes.t -> page:Page.id -> unit) -> pin
+val pin_page : t -> Page.id -> seq:bool -> verify:Page.check -> pin
 
 (** The pinned frame's bytes — valid until {!unpin}. Do not mutate. *)
 val pinned_bytes : pin -> Bytes.t
@@ -119,6 +120,11 @@ val stream_write : write_stream -> Bytes.t -> Page.id
     touching pool or clock; the caller charges the disk. Only valid for
     pages written via streams (never dirty in the pool). *)
 val read_page_direct : t -> Page.id -> Bytes.t -> unit
+
+(** [read_page_checked t id buf ~check] is {!read_page_direct} with the
+    copy made by [check], which checks the page as it copies it
+    ({!Platter.read_checked}). *)
+val read_page_checked : t -> Page.id -> Bytes.t -> check:Page.check -> unit
 
 (** {1 Metadata root (the journal's recovery-visible state)} *)
 

@@ -13,11 +13,13 @@
 type probe = {
   mutable key : string;
   mutable vend : int;  (* after the last {!varint}: its end, or -1 *)
+  mutable lsn_only : bool;  (* stop at the LSN, leaving [entry] as it was *)
   mutable entry : Kv.Entry.t;
   mutable lsn : int;
 }
 
-let new_probe () = { key = ""; vend = 0; entry = Kv.Entry.Tombstone; lsn = 0 }
+let new_probe () =
+  { key = ""; vend = 0; lsn_only = false; entry = Kv.Entry.Tombstone; lsn = 0 }
 
 type t = {
   store : Pagestore.Store.t;
@@ -212,13 +214,16 @@ type byte_stream = {
 
 let page_size t = Pagestore.Store.page_size t.store
 
-(* Read page [id] into [buf] straight from the platter, bypassing the
+(* Charge a read of page [id] straight from the platter, bypassing the
    pool: a sequential transfer when it follows page [last], else a seek. *)
-let read_direct t id buf ~last =
-  Pagestore.Store.read_page_direct t.store id buf;
+let charge_direct t id ~last =
   let disk = Pagestore.Store.disk t.store in
   if id = last + 1 then Simdisk.Disk.seq_read disk ~bytes:(page_size t)
   else Simdisk.Disk.seek_read disk ~bytes:(page_size t)
+
+let read_direct t id buf ~last =
+  Pagestore.Store.read_page_direct t.store id buf;
+  charge_direct t id ~last
 
 (* Release a cached stream's pin, or hand a streaming one's page buffer
    back to its reader. Safe to call repeatedly. Every cached stream must
@@ -260,16 +265,18 @@ let fetch_page bs pos ~first =
       | None -> ());
       let pin =
         Pagestore.Store.pin_page t.store id ~seq:(not first)
-          ~verify:Sst_format.verify_page_bytes
+          ~verify:Sst_format.check_page
       in
       c.pin <- Some pin;
       bs.buf <- Bytes.unsafe_to_string (Pagestore.Store.pinned_bytes pin)
   | Streaming s ->
       (* Track contiguity so physically consecutive pages cost bandwidth
-         only, while extent jumps and initial positioning cost a seek. *)
-      read_direct t id s.sbuf ~last:s.slast;
+         only, while extent jumps and initial positioning cost a seek.
+         The page is checked as it is copied off the platter. *)
+      charge_direct t id ~last:s.slast;
       s.slast <- id;
-      Sst_format.verify_page_bytes s.sbuf ~page:id;
+      Pagestore.Store.read_page_checked t.store id s.sbuf
+        ~check:Sst_format.check_page;
       bs.buf <- Bytes.unsafe_to_string s.sbuf);
   bs.limit <- String.length bs.buf
 
@@ -577,16 +584,17 @@ let probe_key pr s psz start =
     if kp < 0 || kp + key_len > psz || kp + key_len > p + body_len then unreadable
     else cmp_key_at s kp key_len pr.key
 
-(* Decode the entry and LSN of the record at [start] into the probe; the
-   caller has checked that it does not spill and that its key lies
-   inside its body. The tail must fill the framed body exactly. *)
+(* Decode the LSN, and unless [pr.lsn_only] the entry, of the record at
+   [start] into the probe; the caller has checked that it does not spill
+   and that its key lies inside its body. The tail must fill the framed
+   body exactly. *)
 let decode_at pr s start =
   let body_len = varint pr s start in
   let p = pr.vend in
   let key_len = varint pr s p in
   let vp = pr.vend + key_len and stop = p + body_len in
   let lsn = Sst_format.lsn_at s vp ~stop in
-  pr.entry <- Sst_format.entry_after_lsn_at s vp ~lsn ~stop;
+  if not pr.lsn_only then pr.entry <- Sst_format.entry_after_lsn_at s vp ~lsn ~stop;
   pr.lsn <- lsn
 
 let complete_at pr s psz start =
@@ -664,11 +672,11 @@ let linear_from t pos off key =
           in
           find ())
 
-(* Look [key] up; on [true] its entry and LSN are in [t.probe]. The
-   page search runs inside the pin; a page-crossing case is resolved
-   outside it, so the lookup never stacks pins (tiny pools stay
-   workable). *)
-let find t key =
+(* Look [key] up; on [true] its LSN, and unless [lsn_only] its entry, are
+   in [t.probe]. The page search runs inside the pin; a page-crossing
+   case is resolved outside it, so the lookup never stacks pins (tiny
+   pools stay workable). *)
+let find t key ~lsn_only =
   if is_empty t then false
   else if
     String.compare key t.footer.Sst_format.min_key < 0
@@ -680,9 +688,10 @@ let find t key =
     else begin
       let pr = t.probe in
       pr.key <- key;
+      pr.lsn_only <- lsn_only;
       let verdict =
         Pagestore.Store.with_page_starts t.store t.pages.(pos) ~seq:false
-          ~verify:Sst_format.verify_page_bytes ~derive:Sst_format.record_starts
+          ~verify:Sst_format.check_page ~derive:Sst_format.record_starts
           search_page pr
       in
       if verdict = found then true
@@ -698,7 +707,13 @@ let find t key =
 
 (** [get_with_lsn t key]: point lookup returning the record's stored LSN
     (recovery's replay filter). *)
-let get_with_lsn t key = if find t key then Some (t.probe.entry, t.probe.lsn) else None
+let get_with_lsn t key =
+  if find t key ~lsn_only:false then Some (t.probe.entry, t.probe.lsn) else None
+
+(** [lsn_of t key]: [key]'s stored LSN, or [-1] when no record holds it.
+    The in-page search stops at the LSN and decodes no entry, so a
+    resident record costs no allocation. *)
+let lsn_of t key = if find t key ~lsn_only:true then t.probe.lsn else -1
 
 (** [get_linear_with_lsn t key] is the seed's linear lookup — decode
     records from the page's first restart until the key passes by. Kept
@@ -736,7 +751,7 @@ let get_linear t key =
 
 (** [get t key] point lookup: one cached page read (one seek when the page
     is cold), plus continuation pages for records spanning pages. *)
-let get t key = if find t key then Some t.probe.entry else None
+let get t key = if find t key ~lsn_only:false then Some t.probe.entry else None
 
 (** {1 Scrubbing} *)
 

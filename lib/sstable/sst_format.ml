@@ -66,10 +66,23 @@ let page_ok_bytes b =
   let s = Bytes.unsafe_to_string b in
   page_crc s = stored_page_crc s
 
-(** [verify_page_bytes b ~page] raises {!Corrupt} on checksum mismatch,
-    reporting [page] (the platter page id). *)
-let verify_page_bytes b ~page =
-  if not (page_ok_bytes b) then
+(** [check_page src pos dst ~page] copies the data page at [src.[pos,
+    pos + Bytes.length dst)] into [dst] and raises {!Corrupt} (reporting
+    [page], the platter page id) unless its checksum holds. The checksum
+    is folded over the bytes as they are copied, header [0,6) and payload
+    [10, page_size), the stored field copied between them; [check_page b
+    0 b ~page] checks [b] in place. The read side of the page format
+    ({!Pagestore.Page.check}). *)
+let check_page src pos dst ~page =
+  let s = Bytes.unsafe_to_string src in
+  let n = Bytes.length dst in
+  let c = Repro_util.Crc32c.copy_update 0xFFFFFFFF s pos dst 0 crc_offset in
+  Bytes.blit src (pos + crc_offset) dst crc_offset (header_bytes - crc_offset);
+  let c =
+    Repro_util.Crc32c.copy_update c s (pos + header_bytes) dst header_bytes
+      (n - header_bytes)
+  in
+  if c lxor 0xFFFFFFFF <> stored_page_crc (Bytes.unsafe_to_string dst) then
     raise (Corrupt { what = "data page checksum"; page })
 
 (** [record_starts b] derives the in-page restart points: the payload

@@ -22,9 +22,11 @@ val seal_page : Bytes.t -> unit
 (** [page_ok_bytes b] checks a data page's checksum in place. *)
 val page_ok_bytes : Bytes.t -> bool
 
-(** [verify_page_bytes b ~page] raises {!Corrupt} on mismatch, reporting
-    [page]. *)
-val verify_page_bytes : Bytes.t -> page:int -> unit
+(** [check_page src pos dst ~page] copies the data page at [src] from
+    [pos] into [dst], folding its checksum over the bytes as it copies
+    them, and raises {!Corrupt} (reporting [page]) on a mismatch, the
+    whole page copied. [check_page b 0 b ~page] checks [b] in place. *)
+val check_page : Pagestore.Page.check
 
 (** [record_starts b] derives the in-page restart points (payload offset
     of each record beginning in this page, key order) from a

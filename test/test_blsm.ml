@@ -879,7 +879,22 @@ let test_alloc_helper_exact () =
     (Alloc.minor (fun () ->
          for i = 1 to 100_000 do
            ignore (Sys.opaque_identity (ref i))
-         done))
+         done));
+  (* Direct major blocks: a 4,096-byte [Bytes.t] is 513 words and a
+     header. Ten of them, too few for [Gc.quick_stat] to see, and ten
+     thousand, across minor collections that promote the loop's refs. *)
+  check Alcotest.int "major: empty window" 0 (Alloc.major_direct ignore);
+  List.iter
+    (fun n ->
+      check Alcotest.int
+        (Printf.sprintf "major: %d direct blocks" n)
+        (514 * n)
+        (Alloc.major_direct (fun () ->
+             for i = 1 to n do
+               ignore (Sys.opaque_identity (Bytes.create 4096));
+               ignore (Sys.opaque_identity (ref i))
+             done)))
+    [ 10; 10_000 ]
 
 let within_budget what ~budget per_op =
   if per_op > budget then Alcotest.failf "%s: %d minor words, budget %d" what per_op budget
@@ -891,17 +906,19 @@ let within_budget what ~budget per_op =
    the value: 46 words (the WAL append's record and simulated-disk
    bookkeeping 24, the pacing check 10, the batch list 8, the memtable
    overwrite 2, the boxed WAL time 2). The Buffer path spent about 400
-   more (its growing buffers and the payload string). Major words are
-   read through [Gc.counters]; minor words exactly, through [Alloc]. *)
+   more (its growing buffers and the payload string). Both are read
+   exactly, through [Alloc]. *)
 let test_put_alloc_budget () =
   let t = tree_at_rest () in
-  let _, promoted0, major0 = Gc.counters () in
-  let per_put = Alloc.per_op 10_000 (fun i -> Blsm.Tree.put t rest_keys.(i land 7) kb_value) in
-  let _, promoted1, major1 = Gc.counters () in
+  let per_put = ref 0 in
+  let direct_major =
+    Alloc.major_direct (fun () ->
+        per_put := Alloc.per_op 10_000 (fun i -> Blsm.Tree.put t rest_keys.(i land 7) kb_value))
+  in
+  let per_put = !per_put in
   check Alcotest.int "no merge ran" 0 (Blsm.Tree.merge_stats t).merge1_completions;
-  let direct_major = (major1 -. major0) -. (promoted1 -. promoted0) in
-  if direct_major > 0.0 then
-    Alcotest.failf "put: %.0f words allocated on the major heap directly" direct_major;
+  if direct_major > 0 then
+    Alcotest.failf "put: %d words allocated on the major heap directly" direct_major;
   (* frame: 16-byte header + count + key + entry, as a string block *)
   let frame_words = 1 + ((16 + 1 + 1 + 24 + 1 + 2 + 1000 + 8) / 8) in
   let budget = frame_words + 96 in
@@ -941,13 +958,14 @@ let pool_window t key n =
    [Some], the decoded [Base], the returned [Some]) 6 more. The pool
    finds the frame through an int-keyed table and the page search builds
    no closure, tuple or verdict. *)
-let test_get_pool_hit_alloc_budget () =
+(* A tree whose 400 keys all sit in C2, and one of them whose record
+   lies whole in its page: one pool access per get. *)
+let resident_c2_key () =
   let t = mk_tree () in
   let keys = Array.init 400 (Printf.sprintf "user%020d") in
   Array.iter (fun k -> Blsm.Tree.put t k kb_value) keys;
   Blsm.Tree.flush t;
   Blsm.Tree.maintenance t;
-  (* a record that lies whole in its page: one pool access per get *)
   let key =
     List.find
       (fun k ->
@@ -956,6 +974,10 @@ let test_get_pool_hit_alloc_budget () =
         hits = 1)
       (List.init 16 (fun i -> keys.(i)))
   in
+  (t, key)
+
+let test_get_pool_hit_alloc_budget () =
+  let t, key = resident_c2_key () in
   let covering =
     List.filter_map
       (fun (lvl, (f : Sstable.Sst_format.footer)) ->
@@ -968,6 +990,27 @@ let test_get_pool_hit_alloc_budget () =
   check Alcotest.int "one pool hit per get" 10_000 hits;
   check Alcotest.int "no pool miss" 0 misses;
   within_budget "get, pool hit" ~budget:133 words
+
+(* [Tree.read_version] of a key held only by a resident C2 page, and of
+   a key C2's range covers but no record holds. The LSN-only lookup stops
+   at the record's LSN, and the level walk builds no closure, so neither
+   allocates: the full-record read this replaced spent 194 words on the
+   first (127 of them the value) and 53 on the second. *)
+let test_read_version_alloc () =
+  let t, key = resident_c2_key () in
+  let absent = key ^ "x" in
+  check (Alcotest.option Alcotest.string) "C2 answers" (Some kb_value) (Blsm.Tree.get t key);
+  check Alcotest.bool "stored LSN" true (Blsm.Tree.read_version t key > 0);
+  check Alcotest.int "absent: no version" 0 (Blsm.Tree.read_version t absent);
+  let bm = Pagestore.Store.buffer (Blsm.Tree.store t) in
+  let m0 = Pagestore.Buffer_manager.misses bm in
+  check Alcotest.int "read_version, resident C2 key" 0
+    (Alloc.per_op 10_000 (fun _ ->
+         ignore (Sys.opaque_identity (Blsm.Tree.read_version t key))));
+  check Alcotest.int "no pool miss" 0 (Pagestore.Buffer_manager.misses bm - m0);
+  check Alcotest.int "read_version, miss" 0
+    (Alloc.per_op 10_000 (fun _ ->
+         ignore (Sys.opaque_identity (Blsm.Tree.read_version t absent))))
 
 (* A get answered from the snowshovel shadow while merge1 is in flight:
    the hashed probe, then the same [Some]s as a C0 hit plus the
@@ -1093,6 +1136,7 @@ let () =
           Alcotest.test_case "get pool hit alloc budget" `Quick test_get_pool_hit_alloc_budget;
           Alcotest.test_case "get shadow hit alloc budget" `Quick
             test_get_shadow_hit_alloc_budget;
+          Alcotest.test_case "read_version alloc budget" `Quick test_read_version_alloc;
           Alcotest.test_case "policy get alloc budget" `Quick test_policy_get_alloc_budget;
           Alcotest.test_case "policy put alloc budget" `Quick test_policy_put_alloc_budget;
         ] );

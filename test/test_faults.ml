@@ -588,6 +588,97 @@ let test_merge1_rot_names_c1 () =
   expect "malformed body" (merge1_under_way ()) (fun store id ->
       rewrite_page store id break_entry_tag)
 
+(* Rot met by the reads that check a page while copying it off the
+   platter: a scan's streamed C2 page, a merge1 input page (covered by
+   "merge1 rot names C1" above) and a pool-loaded page. Each must raise
+   the typed error naming the level; the pool must leave the rotted
+   frame unpinned and unverified, so a second read checks it again. *)
+
+(* A tree with a C2, each key written once (so held by one run). *)
+let c2_keys = List.init 3000 (Printf.sprintf "key%04d")
+
+let c2_tree () =
+  let store = mk_store () in
+  let tree = Blsm.Tree.create ~config:(small_config ()) store in
+  List.iter (fun k -> Blsm.Tree.put tree k (String.make 60 'c')) c2_keys;
+  Blsm.Tree.flush tree;
+  match List.assoc_opt "C2" (Blsm.Tree.component_footers tree) with
+  | Some f -> (store, tree, f)
+  | None -> Alcotest.fail "no C2"
+
+let expect_level what level f =
+  match f () with
+  | _ -> Alcotest.failf "%s: read a rotted page without raising" what
+  | exception Blsm.Tree.Corruption { level = l; _ } ->
+      Alcotest.check Alcotest.string (what ^ ": level named") level l
+
+let test_fused_scan_rot_names_c2 () =
+  let store, tree, f = c2_tree () in
+  ignore
+    (Pagestore.Store.corrupt_page store (page_at f (f.Sstable.Sst_format.data_pages / 2))
+       ~byte:300 ~bit:5);
+  expect_level "scan" "C2" (fun () -> Blsm.Tree.scan tree "" 100_000)
+
+let test_fused_pool_rot_names_c2 () =
+  let store, tree, f = c2_tree () in
+  let bm = Pagestore.Store.buffer store in
+  let id = page_at f 1 in
+  let key =
+    match
+      List.find_opt
+        (fun k ->
+          let m0 = Pagestore.Buffer_manager.misses bm in
+          ignore (Blsm.Tree.get tree k);
+          Pagestore.Buffer_manager.misses bm > m0
+          && List.mem_assoc id (Pagestore.Buffer_manager.cached_pages bm))
+        c2_keys
+    with
+    | Some k -> k
+    | None -> Alcotest.fail "no key read from the page"
+  in
+  (* A crash empties the pool; recovery rebuilds the filters from
+     streamed pages, so the rot lands after it. *)
+  let tree = Blsm.Tree.crash_and_recover tree in
+  ignore (Pagestore.Store.corrupt_page store id ~byte:300 ~bit:5);
+  let bm = Pagestore.Store.buffer store in
+  expect_level "pool load" "C2" (fun () -> Blsm.Tree.get tree key);
+  Alcotest.(check bool) "the frame holds the page" true
+    (List.mem_assoc id (Pagestore.Buffer_manager.cached_pages bm));
+  Alcotest.(check int) "no pinned frame" 0 (Pagestore.Buffer_manager.pinned_frames bm);
+  (* No miss: the resident frame is checked again, in place. *)
+  let m0 = Pagestore.Buffer_manager.misses bm in
+  expect_level "pool hit on the rotted frame" "C2" (fun () -> Blsm.Tree.get tree key);
+  Alcotest.(check int) "answered by the resident frame" 0
+    (Pagestore.Buffer_manager.misses bm - m0);
+  Alcotest.(check int) "still no pinned frame" 0 (Pagestore.Buffer_manager.pinned_frames bm)
+
+(* A dropped page reads as zeroes, which fail the page check both ways. *)
+let test_fused_absent_page_fails () =
+  let store = mk_store () in
+  let region = Pagestore.Store.allocate_region store ~pages:4 in
+  let ws = Pagestore.Store.open_write_stream store region in
+  let page = Bytes.make 4096 'z' in
+  Sstable.Sst_format.seal_page page;
+  let id = Pagestore.Store.stream_write ws page in
+  let buf = Bytes.create 4096 in
+  Pagestore.Store.read_page_checked store id buf ~check:Sstable.Sst_format.check_page;
+  Alcotest.(check bytes) "a present page copies" page buf;
+  Pagestore.Store.free_region store region;
+  (match
+     Pagestore.Store.read_page_checked store id buf ~check:Sstable.Sst_format.check_page
+   with
+  | () -> Alcotest.fail "a dropped page passed the streamed check"
+  | exception Sstable.Sst_format.Corrupt { page; _ } ->
+      Alcotest.(check int) "streamed: page named" id page);
+  match Pagestore.Store.pin_page store id ~seq:false ~verify:Sstable.Sst_format.check_page with
+  | p ->
+      Pagestore.Store.unpin p;
+      Alcotest.fail "a dropped page passed the pool's check"
+  | exception Sstable.Sst_format.Corrupt { page; _ } ->
+      Alcotest.(check int) "pool: page named" id page;
+      Alcotest.(check int) "pool: no pinned frame" 0
+        (Pagestore.Buffer_manager.pinned_frames (Pagestore.Store.buffer store))
+
 (* Every engine commits through the shell's sealed manifest. Its own
    committed manifest, cut at every non-empty proper prefix (the store
    spells "no root" as the empty one) or with any single bit flipped,
@@ -924,6 +1015,10 @@ let () =
           Alcotest.test_case "merge2 rot names C1'" `Quick
             test_merge2_rot_names_c1_prime;
           Alcotest.test_case "merge1 rot names C1" `Quick test_merge1_rot_names_c1;
+          Alcotest.test_case "fused scan rot names C2" `Quick test_fused_scan_rot_names_c2;
+          Alcotest.test_case "fused pool rot names C2" `Quick test_fused_pool_rot_names_c2;
+          Alcotest.test_case "fused read of a dropped page fails" `Quick
+            test_fused_absent_page_fails;
           Alcotest.test_case "malformed manifest is typed" `Quick
             test_malformed_manifest_typed;
         ] );

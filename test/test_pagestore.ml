@@ -556,10 +556,9 @@ let test_free_region_drops_pages () =
 
 (* The platter is an arena of chunks: a read blits out of its chunk and a
    write into a chunk that already exists blits into it, so neither
-   allocates. A heap block per fresh page id would show up here as ~513
-   major words per 4 KiB write. Each measurement starts after [Gc.minor],
-   so no promotion lands inside it. *)
-let major_words () = int_of_float (Gc.quick_stat ()).Gc.major_words
+   allocates. A heap block per fresh page id would show up here as 514
+   major words per 4 KiB write. Major words are read exactly, through
+   [Alloc.major_direct]. *)
 
 let filled_platter () =
   let p = Pagestore.Platter.create ~page_size:4096 in
@@ -580,12 +579,43 @@ let test_platter_read_alloc () =
            (* present pages and, every 64th read, an absent one *)
            Pagestore.Platter.read p (i land 127) dst
          done));
-  Gc.minor ();
-  let w0 = major_words () in
-  for i = 0 to n - 1 do
-    Pagestore.Platter.read p (i land 127) dst
+  check Alcotest.int "Platter.read major words" 0
+    (Alloc.major_direct (fun () ->
+         for i = 0 to n - 1 do
+           Pagestore.Platter.read p (i land 127) dst
+         done))
+
+(* The fused read copies through the page format's check, a top-level
+   function, so it allocates no more than the plain read: sealed pages
+   (present) and, every 64th read, an absent one, which fails its check
+   before the window's tally is taken. *)
+let test_platter_read_checked_alloc () =
+  let p = Pagestore.Platter.create ~page_size:4096 in
+  let src = Bytes.make 4096 'p' in
+  Sstable.Sst_format.seal_page src;
+  for id = 0 to 63 do
+    Pagestore.Platter.write p id src
   done;
-  check Alcotest.int "Platter.read major words" 0 (major_words () - w0)
+  let dst = Bytes.create 4096 in
+  let read id =
+    Pagestore.Platter.read_checked p id dst ~check:Sstable.Sst_format.check_page
+  in
+  let n = 2000 in
+  check Alcotest.int "Platter.read_checked minor words" 0
+    (Alloc.minor (fun () ->
+         for i = 0 to n - 1 do
+           read (i land 63)
+         done));
+  check Alcotest.int "Platter.read_checked major words" 0
+    (Alloc.major_direct (fun () ->
+         for i = 0 to n - 1 do
+           read (i land 63)
+         done));
+  check Alcotest.bytes "the copy is the page" src dst;
+  match read 64 with
+  | () -> Alcotest.fail "an absent page passed its check"
+  | exception Sstable.Sst_format.Corrupt { page = 64; _ } ->
+      check Alcotest.bytes "an absent page reads as zeroes" (Bytes.make 4096 '\000') dst
 
 let test_platter_write_alloc () =
   let p, src = filled_platter () in
@@ -600,15 +630,14 @@ let test_platter_write_alloc () =
          for id = 0 to 63 do
            Pagestore.Platter.write p id src
          done));
-  Gc.minor ();
-  let w0 = major_words () in
-  for id = 160 to 255 do
-    Pagestore.Platter.write p id src
-  done;
-  for id = 0 to 63 do
-    Pagestore.Platter.write p id src
-  done;
-  check Alcotest.int "Platter.write major words" 0 (major_words () - w0)
+  check Alcotest.int "Platter.write major words" 0
+    (Alloc.major_direct (fun () ->
+         for id = 160 to 255 do
+           Pagestore.Platter.write p id src
+         done;
+         for id = 0 to 63 do
+           Pagestore.Platter.write p id src
+         done))
 
 let test_stream_write_alloc () =
   (* A streamed page into a live chunk adds no heap block; what it does
@@ -618,12 +647,11 @@ let test_stream_write_alloc () =
   let ws = Pagestore.Store.open_write_stream store region in
   let page = Bytes.make 4096 's' in
   ignore (Pagestore.Store.stream_write ws page);
-  Gc.minor ();
-  let w0 = major_words () in
-  for _ = 2 to 200 do
-    ignore (Sys.opaque_identity (Pagestore.Store.stream_write ws page))
-  done;
-  check Alcotest.int "Store.stream_write major words" 0 (major_words () - w0)
+  check Alcotest.int "Store.stream_write major words" 0
+    (Alloc.major_direct (fun () ->
+         for _ = 2 to 200 do
+           ignore (Sys.opaque_identity (Pagestore.Store.stream_write ws page))
+         done))
 
 (* A verified read drops its pin whether [verify] or the callback
    raises; [verify] is told the page id and the callback gets its
@@ -631,8 +659,8 @@ let test_stream_write_alloc () =
 let test_with_page_starts_unpins_on_raise () =
   let store = mk_store ~buffer_pages:2 () in
   let bm = Pagestore.Store.buffer store in
-  let bad _ ~page = failwith (Printf.sprintf "bad page %d" page) in
-  let ok _ ~page:_ = () in
+  let bad _ _ _ ~page = failwith (Printf.sprintf "bad page %d" page) in
+  let ok _ _ _ ~page:_ = () in
   let derive _ = [||] in
   let read ~verify fn = Pagestore.Store.with_page_starts store 3 ~seq:false ~verify ~derive fn () in
   (match read ~verify:bad (fun _ _ () -> ()) with
@@ -795,6 +823,8 @@ let () =
       ( "alloc",
         [
           Alcotest.test_case "platter read budget" `Quick test_platter_read_alloc;
+          Alcotest.test_case "platter read_checked budget" `Quick
+            test_platter_read_checked_alloc;
           Alcotest.test_case "platter write budget" `Quick test_platter_write_alloc;
           Alcotest.test_case "stream write budget" `Quick test_stream_write_alloc;
         ] );

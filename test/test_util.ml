@@ -107,12 +107,10 @@ let test_crc_bytes_slice () =
     (Crc32c.string "cdef")
     (Crc32c.bytes (Bytes.of_string s) 2 4)
 
-(* Both C kernels — the dispatching [update] (the SSE4.2 [crc32]
-   instruction on hosts that have it) and the portable slice-by-8 table
-   loop — are checked against an independent bit-at-a-time CRC32C. Below
-   768 bytes each folds 8-byte blocks and then a bytewise tail, so every
-   length from 0 to a few hundred at every start offset modulo 8 reaches
-   each regime at each alignment. *)
+(* Every kernel this host can run — the dispatching [update], each
+   carry-less-multiply width up to the selected one and the portable
+   slice-by-8 loop — is checked against an independent bit-at-a-time
+   CRC32C. *)
 let crc_reference_from crc s =
   let poly = 0x82F63B78 in
   let crc = ref crc in
@@ -129,7 +127,12 @@ let crc_reference_from crc s =
 let crc_reference s = crc_reference_from 0xFFFFFFFF s lxor 0xFFFFFFFF
 
 let crc_kernels =
-  [ ("dispatch", Crc32c.update); ("slice8", Crc32c.update_slice8) ]
+  ("dispatch", Crc32c.update)
+  :: List.filter_map
+       (fun k ->
+         if Crc32c.supported k then Some (Crc32c.name k, Crc32c.update_with k)
+         else None)
+       Crc32c.all
 
 let crc_with update s pos len = update 0xFFFFFFFF s pos len lxor 0xFFFFFFFF
 
@@ -148,7 +151,7 @@ let test_crc_matches_bitwise_reference () =
 
 let test_crc_incremental_compose () =
   (* update must be splittable at any point, including mid-block, and
-     the two kernels must share the running-state convention. *)
+     the kernels must share the running-state convention. *)
   let prng = Prng.of_int 7 in
   let s = String.init 257 (fun _ -> Char.chr (Prng.int prng 256)) in
   let whole = Crc32c.string s in
@@ -166,48 +169,118 @@ let test_crc_incremental_compose () =
         crc_kernels)
     crc_kernels
 
-(* The SSE4.2 kernel folds 3 x 1024 B and then 3 x 256 B as three
-   interleaved chains joined by zero-shift tables, and finishes with one
-   chain. Lengths around 768, 3072, 3840 and a 4 KiB page cross each
-   regime boundary; every start offset modulo 8 shifts the 8-byte loads
-   inside them. The dispatching kernel is checked against slice-by-8 and
-   the bitwise reference, from the initial state and from a random one. *)
-let crc_3way_lengths =
-  List.concat_map
-    (fun (lo, hi) -> List.init (hi - lo + 1) (fun i -> lo + i))
-    [ (760, 780); (3064, 3080); (3832, 3848); (4090, 4100); (8191, 8193) ]
+(* The folding kernels take 64-byte blocks (256-byte ones at 512 bits),
+   then 16-byte lanes, then end with the `crc32` chain; below 64 bytes
+   they run the chain alone. Every length 0-600 at every start offset
+   0-63 reaches each regime at each alignment; lengths within 16 bytes
+   of each fold boundary, around a page (4,086 and 4,096 bytes) and two
+   pages, and one random slice over 10 KiB cover the long loops. Each
+   kernel is checked against the bitwise reference and slice-by-8, from
+   the initial state and from a random one. *)
+let crc_fold_lengths =
+  List.init 601 Fun.id
+  @ List.concat_map
+      (fun b -> List.init 33 (fun i -> b - 16 + i))
+      [ 1024; 4086; 4096; 8192 ]
 
-let test_crc_three_way_regimes () =
+let test_crc_fold_boundaries () =
   let prng = Prng.of_int 4242 in
-  let long = 10_000 + Prng.int prng 6_000 in
-  let buf = String.init (long + 8) (fun _ -> Char.chr (Prng.int prng 256)) in
+  let long = 10_241 + Prng.int prng 6_000 in
+  let buf = String.init (long + 64) (fun _ -> Char.chr (Prng.int prng 256)) in
   let states = [ 0xFFFFFFFF; Prng.int prng 0x1_0000_0000 ] in
+  let lengths = crc_fold_lengths @ [ long ] in
+  let wanted = Array.make (long + 1) false in
+  List.iter (fun len -> wanted.(len) <- true) lengths;
   List.iter
-    (fun len ->
-      for off = 0 to 7 do
-        List.iter
-          (fun st ->
-            let fast = Crc32c.update st buf off len in
-            let table = Crc32c.update_slice8 st buf off len in
-            if fast <> table then
-              Alcotest.failf "dispatch vs slice8: off %d len %d state %x" off len st;
-            if fast <> crc_reference_from st (String.sub buf off len) then
-              Alcotest.failf "dispatch vs bitwise: off %d len %d state %x" off len st)
-          states
+    (fun st ->
+      for off = 0 to 63 do
+        (* The reference state after each prefix, one byte at a time. *)
+        let r = ref st in
+        for len = 0 to long do
+          if wanted.(len) then begin
+            let table = Crc32c.update_with Crc32c.Slice8 st buf off len in
+            if table <> !r then
+              Alcotest.failf "slice8 vs bitwise: off %d len %d state %x" off len st;
+            List.iter
+              (fun (kname, update) ->
+                if update st buf off len <> table then
+                  Alcotest.failf "%s vs slice8: off %d len %d state %x" kname
+                    off len st)
+              crc_kernels
+          end;
+          if len < long then r := crc_reference_from !r (String.sub buf (off + len) 1)
+        done
       done)
-    (crc_3way_lengths @ [ long ])
+    states
 
-let test_crc_three_way_compose () =
+(* A slice split at any block or lane boundary composes: every cut at a
+   multiple of 16 bytes and one byte either side of each 64-byte block. *)
+let test_crc_fold_compose () =
   let prng = Prng.of_int 17 in
   let s = String.init 8193 (fun _ -> Char.chr (Prng.int prng 256)) in
   let n = String.length s in
-  let whole = Crc32c.update_slice8 0xFFFFFFFF s 0 n in
+  let whole = Crc32c.update_with Crc32c.Slice8 0xFFFFFFFF s 0 n in
+  let cuts =
+    List.concat
+      (List.init ((n / 16) + 1) (fun i ->
+           let c = 16 * i in
+           if c mod 64 = 0 then [ c - 1; c; c + 1 ] else [ c ]))
+    |> List.filter (fun c -> c >= 0 && c <= n)
+  in
   List.iter
-    (fun cut ->
-      let c = Crc32c.update 0xFFFFFFFF s 0 cut in
-      if Crc32c.update c s cut (n - cut) <> whole then
-        Alcotest.failf "cut %d" cut)
-    [ 0; 767; 768; 3072; 4095 ]
+    (fun (kname, update) ->
+      List.iter
+        (fun cut ->
+          let c = update 0xFFFFFFFF s 0 cut in
+          if update c s cut (n - cut) <> whole then
+            Alcotest.failf "%s: cut %d" kname cut)
+        cuts)
+    crc_kernels
+
+(* The copying form of every kernel leaves exactly the source bytes in
+   the destination slice, touches nothing around it, and returns what
+   [update] gives over the copy. *)
+let crc_copy_kernels =
+  ("dispatch", Crc32c.copy_update)
+  :: List.filter_map
+       (fun k ->
+         if Crc32c.supported k then Some (Crc32c.name k, Crc32c.copy_update_with k)
+         else None)
+       Crc32c.all
+
+let test_crc_copy_update () =
+  let prng = Prng.of_int 311 in
+  let src = String.init 8400 (fun _ -> Char.chr (Prng.int prng 256)) in
+  let lengths = crc_fold_lengths in
+  List.iter
+    (fun (kname, copy) ->
+      List.iter
+        (fun len ->
+          List.iter
+            (fun (spos, dpos) ->
+              let dst = Bytes.make (len + 160) '\xA5' in
+              let st = Prng.int prng 0x1_0000_0000 in
+              let c = copy st src spos dst dpos len in
+              if Bytes.sub_string dst dpos len <> String.sub src spos len then
+                Alcotest.failf "%s: copy differs, len %d spos %d dpos %d" kname len
+                  spos dpos;
+              for i = 0 to Bytes.length dst - 1 do
+                if (i < dpos || i >= dpos + len) && Bytes.get dst i <> '\xA5' then
+                  Alcotest.failf "%s: byte %d outside the copy written, len %d"
+                    kname i len
+              done;
+              if c <> Crc32c.update st (Bytes.unsafe_to_string dst) dpos len then
+                Alcotest.failf "%s: crc differs from update, len %d spos %d dpos %d"
+                  kname len spos dpos)
+            [ (0, 0); (1, 64); (37, 5); (63, 80) ])
+        lengths;
+      (* The same slice of one buffer is folded in place. *)
+      let b = Bytes.of_string (String.sub src 0 4096) in
+      let c = copy 0xFFFFFFFF (Bytes.unsafe_to_string b) 3 b 3 4000 in
+      check Alcotest.int (kname ^ " in place") (Crc32c.update 0xFFFFFFFF src 3 4000) c;
+      check Alcotest.string (kname ^ " in place bytes") (String.sub src 0 4096)
+        (Bytes.to_string b))
+    crc_copy_kernels
 
 let test_crc_standard_vectors () =
   (* RFC 3720 §B.4 test patterns, plus the CRC catalogue check value. *)
@@ -237,30 +310,61 @@ let test_crc_standard_vectors () =
 
 let test_crc_kernel_name () =
   check Alcotest.bool "known kernel" true
-    (List.mem (Crc32c.kernel ()) [ "sse4.2"; "slice8" ])
+    (List.mem (Crc32c.kernel ()) [ "vpclmul512"; "pclmul128"; "slice8" ]);
+  check Alcotest.bool "selected kernel supported" true
+    (List.exists
+       (fun k -> Crc32c.name k = Crc32c.kernel () && Crc32c.supported k)
+       Crc32c.all);
+  check Alcotest.bool "slice8 everywhere" true (Crc32c.supported Crc32c.Slice8)
 
 (* With the C kernel, the OCaml bounds check is the only guard before
-   raw memory reads: every out-of-range slice must be refused. *)
+   raw memory reads and writes: every out-of-range slice must be
+   refused. *)
 let test_crc_out_of_range () =
   let s = "0123456789" in
   let b = Bytes.of_string s in
   let bad =
     [ (-1, 1); (0, -1); (0, 11); (5, 6); (11, 0); (1, max_int); (max_int, 1) ]
   in
+  let expect name pos len f =
+    match f () with
+    | _ -> Alcotest.failf "%s pos %d len %d accepted" name pos len
+    | exception Invalid_argument _ -> ()
+  in
   List.iter
     (fun (pos, len) ->
-      let expect name f =
-        match f () with
-        | _ -> Alcotest.failf "%s pos %d len %d accepted" name pos len
-        | exception Invalid_argument _ -> ()
-      in
+      let expect name f = expect name pos len f in
       expect "update" (fun () -> Crc32c.update 0xFFFFFFFF s pos len);
-      expect "update_slice8" (fun () -> Crc32c.update_slice8 0xFFFFFFFF s pos len);
-      expect "bytes" (fun () -> Crc32c.bytes b pos len))
+      List.iter
+        (fun k ->
+          if Crc32c.supported k then begin
+            expect ("update_with " ^ Crc32c.name k) (fun () ->
+                Crc32c.update_with k 0xFFFFFFFF s pos len);
+            expect ("copy_update_with src " ^ Crc32c.name k) (fun () ->
+                Crc32c.copy_update_with k 0 s pos (Bytes.create 20) 0 len)
+          end)
+        Crc32c.all;
+      expect "bytes" (fun () -> Crc32c.bytes b pos len);
+      (* the source slice out of range, the destination large enough *)
+      expect "copy_update src" (fun () ->
+          Crc32c.copy_update 0 s pos (Bytes.create 64) 0 len);
+      (* the destination slice out of range, the source large enough *)
+      expect "copy_update dst" (fun () ->
+          Crc32c.copy_update 0 (String.make 64 'x') 0 b pos len))
     bad;
+  (* two different overlapping slices of one buffer *)
+  let big = Bytes.make 100 'x' in
+  List.iter
+    (fun (spos, dpos) ->
+      expect "copy_update overlap" spos dpos (fun () ->
+          Crc32c.copy_update 0 (Bytes.unsafe_to_string big) spos big dpos 50))
+    [ (0, 1); (1, 0); (0, 49); (49, 0) ];
   (* the edges themselves are legal *)
   check Alcotest.int "empty at end" 0 (Crc32c.bytes b 10 0);
-  check Alcotest.int "whole" (Crc32c.string s) (Crc32c.bytes b 0 10)
+  check Alcotest.int "whole" (Crc32c.string s) (Crc32c.bytes b 0 10);
+  check Alcotest.int "adjacent slices"
+    (Crc32c.update 0 (Bytes.unsafe_to_string big) 0 50)
+    (Crc32c.copy_update 0 (Bytes.unsafe_to_string big) 0 big 50 50)
 
 (* -------------------------------------------------------------------- *)
 (* Histogram *)
@@ -594,8 +698,9 @@ let () =
             test_crc_matches_bitwise_reference;
           Alcotest.test_case "incremental compose" `Quick
             test_crc_incremental_compose;
-          Alcotest.test_case "three-way regimes" `Quick test_crc_three_way_regimes;
-          Alcotest.test_case "three-way compose" `Quick test_crc_three_way_compose;
+          Alcotest.test_case "fold boundaries" `Quick test_crc_fold_boundaries;
+          Alcotest.test_case "fold compose" `Quick test_crc_fold_compose;
+          Alcotest.test_case "copy update" `Quick test_crc_copy_update;
           Alcotest.test_case "standard vectors" `Quick test_crc_standard_vectors;
           Alcotest.test_case "kernel name" `Quick test_crc_kernel_name;
           Alcotest.test_case "out-of-range slices" `Quick test_crc_out_of_range;
