@@ -44,14 +44,17 @@ let[@lint.allow "D001"] time_best ~repeats ~iters f =
   !best
 
 (* Minor-heap words per call of [f], after one warm-up call. Allocation
-   counts are exact, unlike wall time, so they are gated exactly. *)
+   counts are exact, unlike wall time, so they are gated exactly. The
+   mean is not rounded down (as [Alloc.per_op]'s is), so one allocation
+   in [iters] calls still fails a gate of 0. *)
 let words_per_call ~iters f =
   f ();
-  let w0 = Gc.minor_words () in
-  for _ = 1 to iters do
-    f ()
-  done;
-  (Gc.minor_words () -. w0) /. float_of_int iters
+  float_of_int
+    (Alloc.minor (fun () ->
+         for _ = 1 to iters do
+           f ()
+         done))
+  /. float_of_int iters
 
 type kernel = {
   k_name : string;
@@ -162,12 +165,12 @@ let put_major_words ~iters =
   let keys = Array.init 8 Repro_util.Keygen.key_of_id in
   let value = String.make 1000 'v' in
   Array.iter (fun k -> Blsm.Tree.put tree k value) keys;
-  let _, promoted0, major0 = Gc.counters () in
-  for i = 1 to iters do
-    Blsm.Tree.put tree keys.(i land 7) value
-  done;
-  let _, promoted1, major1 = Gc.counters () in
-  ((major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int iters
+  float_of_int
+    (Alloc.major_direct (fun () ->
+         for i = 1 to iters do
+           Blsm.Tree.put tree keys.(i land 7) value
+         done))
+  /. float_of_int iters
 
 (* ------------------------------------------------------------------ *)
 (* PR-7 read-path kernels: fence search, Bloom probe *)

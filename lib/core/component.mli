@@ -32,9 +32,10 @@ val get : t -> string -> Kv.Entry.t option
 
 (** [maybe_contains t key] probes the filter alone: [false] means [key]
     is surely absent; may return false positives. It reads no page and
-    counts nothing, so a version probe (Txn's OCC check) does not move
+    counts nothing, so timing the filter on its own does not move
     [bloom_negative]; {!get} is the counted read. *)
 val maybe_contains : t -> string -> bool
+[@@lint.allow "U001"] (* perfbench's replay times the filter through it *)
 
 (** Streaming iterator (merges, scans): bypasses the buffer pool. *)
 val iterator : ?from:string -> t -> Sstable.Reader.iter

@@ -516,30 +516,6 @@ let insert_if_absent sh key v =
       write sh ~op:"insert_if_absent" [ (key, Kv.Entry.Base v) ];
       true
 
-(* [c]'s stored LSN for [key], [-1] if none, rot typed at [lvl]; read
-   only when its range covers the key and its filter may hold it. *)
-let run_lsn sh lvl c key =
-  if not (covers c key && Component.maybe_contains c key) then -1
-  else
-    match Sstable.Reader.lsn_of c.Component.sst key with
-    | lsn -> lsn
-    | exception Sstable.Sst_format.Corrupt { what; page } ->
-        corrupt sh ~level:sh.names.(lvl) what page
-
-(* The first stored LSN in read order: level [lvl]'s runs newest first
-   from run [i], then the levels below; 0 when no run holds [key].
-   Closure-free, like [probe_levels]. *)
-let rec version_from sh key lvl i =
-  if lvl >= Array.length sh.levels then 0
-  else
-    let rs = sh.levels.(lvl).newest in
-    if i >= Array.length rs then version_from sh key (lvl + 1) 0
-    else
-      let lsn = run_lsn sh lvl rs.(i) key in
-      if lsn >= 0 then lsn else version_from sh key lvl (i + 1)
-
-let stored_version sh key = version_from sh key 0 0
-
 (* {1 Scans} *)
 
 let component_pull sh ~level ~from c : pull =

@@ -234,12 +234,6 @@ val read_modify_write : t -> string -> (string option -> string) -> unit
 (** Counts a seek-free check when the lookup moved no disk head. *)
 val insert_if_absent : t -> string -> string -> bool
 
-(** [stored_version t key]: the stored LSN of [key]'s first record in
-    the runs, in read order, a run read only when its range covers the
-    key and its filter may hold it; 0 when no run holds it. Reads LSNs
-    only ({!Sstable.Reader.lsn_of}) and builds no closure. *)
-val stored_version : t -> string -> int
-
 (** {1 Scans} *)
 
 (** [component_pull t ~level ~from c]: a stream over [c] from [from];

@@ -475,23 +475,6 @@ let memory t key absorb =
   || (match shadow_find t key with Some (_, e, _) -> absorb (Some e) | None -> false)
   || match t.frozen with Some f -> absorb (Memtable.get f key) | None -> false
 
-(* Newest LSN affecting [key]'s visible state: C0/shadow slots track it
-   directly; durable components store it per record. 0 = never written
-   (within retained history). OCC validation compares these. *)
-let memory_lsn t key =
-  match Memtable.newest_lsn t.c0 key with
-  | Some _ as r -> r
-  | None -> (
-      match shadow_find t key with
-      | Some (_, _, lsn) -> Some lsn
-      | None -> (
-          match t.frozen with Some f -> Memtable.newest_lsn f key | None -> None))
-
-let read_version t key =
-  match memory_lsn t key with
-  | Some lsn -> lsn
-  | None -> Lsm_shell.stored_version t.sh key
-
 let get t key = Lsm_shell.get t.sh key
 
 let read_modify_write t key f = Lsm_shell.read_modify_write t.sh key f

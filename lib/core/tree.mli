@@ -77,6 +77,7 @@ type stall_breakdown = Lsm_shell.stall_breakdown = {
 val create : ?config:Config.t -> ?root_slot:string -> Pagestore.Store.t -> t
 
 val config : t -> Config.t
+[@@lint.allow "U001"] (* perfbench's replay reads the tree's config *)
 val store : t -> Pagestore.Store.t
 val disk : t -> Simdisk.Disk.t
 val stats : t -> stats
@@ -145,11 +146,6 @@ val get : t -> string -> string option
 (** [read_modify_write t key f] reads, applies [f], writes back — the
     B-Tree-equivalent primitive at 1 seek instead of 2 (Table 1). *)
 val read_modify_write : t -> string -> (string option -> string) -> unit
-
-(** [read_version t key] is the newest WAL LSN affecting [key]'s visible
-    state (0 if never written within retained history) — the version
-    token optimistic transactions validate against. *)
-val read_version : t -> string -> int
 
 (** [insert_if_absent t key value] inserts only if the key is missing;
     returns whether it inserted. When every Bloom filter says "absent"

@@ -5,21 +5,12 @@
     scheduler, {!Blsm.Partitioned}, the compaction-policy trees and the
     B-Tree and LevelDB baselines — behind first-class fields for the
     whole exercised surface, with optional hooks ([option] fields) for
-    capabilities that vary by engine: crash/recovery, OCC transactions,
-    scrubbing, op-counter introspection, stall attribution.
+    capabilities that vary by engine: crash/recovery, scrubbing,
+    op-counter introspection, stall attribution.
 
     Constructors are [unit -> t] factories: the shrinker builds a fresh
     engine per candidate plan, and determinism comes from everything —
     store, tree config, fault PRNG — being seeded from the plan seed. *)
-
-(** Handle for one open OCC transaction. *)
-type txn_handle = {
-  tx_get : string -> string option;
-  tx_put : string -> string -> unit;
-  tx_delete : string -> unit;
-  tx_rmw : string -> string -> unit;  (** append suffix *)
-  tx_commit : unit -> [ `Committed | `Conflict ];
-}
 
 type t = {
   name : string;
@@ -37,7 +28,6 @@ type t = {
   flush : (unit -> unit) option;
   crash_recover : (unit -> unit) option;
       (** power-fail the store and recover in place *)
-  begin_txn : (unit -> txn_handle) option;
   scrub : (unit -> Blsm.Lsm_shell.scrub_report list) option;
       (** one report per engine shell (partitions scrub separately) *)
   counts : (unit -> Blsm.Lsm_shell.stats list) option;
@@ -87,43 +77,14 @@ let small_config ?(scheduler = Blsm.Config.Spring) seed =
 
 let append_rmw suffix = fun v -> Option.value v ~default:"" ^ suffix
 
-let tree_txn tree () =
-  let tx = Blsm.Txn.begin_txn tree in
-  {
-    tx_get = (fun k -> Blsm.Txn.get tx k);
-    tx_put = (fun k v -> Blsm.Txn.put tx k v);
-    tx_delete = (fun k -> Blsm.Txn.delete tx k);
-    tx_rmw =
-      (fun k s -> Blsm.Txn.read_modify_write tx k (append_rmw s));
-    tx_commit =
-      (fun () ->
-        match Blsm.Txn.commit tx with
-        | `Committed -> `Committed
-        | `Conflict _ -> `Conflict);
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Capability table (static: generation needs caps before any engine
    instance exists) *)
 
-let caps_tree =
-  {
-    Plan.c_crash = true;
-    c_txn = true;
-    c_scrub = true;
-    c_batch_atomic = true;
-  }
-
-let caps_partitioned = { caps_tree with Plan.c_txn = false }
-let caps_policy = { caps_tree with Plan.c_txn = false }
+let caps_lsm = { Plan.c_crash = true; c_scrub = true; c_batch_atomic = true }
 
 let caps_baseline =
-  {
-    Plan.c_crash = false;
-    c_txn = false;
-    c_scrub = false;
-    c_batch_atomic = false;
-  }
+  { Plan.c_crash = false; c_scrub = false; c_batch_atomic = false }
 
 (* ------------------------------------------------------------------ *)
 (* Constructors *)
@@ -136,7 +97,7 @@ let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
   in
   {
     name;
-    caps = caps_tree;
+    caps = caps_lsm;
     get = (fun k -> Blsm.Tree.get !tree k);
     put = (fun k v -> Blsm.Tree.put !tree k v);
     delete = (fun k -> Blsm.Tree.delete !tree k);
@@ -149,7 +110,6 @@ let blsm ?(scheduler = Blsm.Config.Spring) ~name ~seed () =
     flush = Some (fun () -> Blsm.Tree.flush !tree);
     crash_recover =
       Some (fun () -> tree := Blsm.Tree.crash_and_recover ~verify:true !tree);
-    begin_txn = Some (fun () -> tree_txn !tree ());
     scrub = Some (fun () -> [ Blsm.Tree.scrub !tree ]);
     counts = Some (fun () -> [ Blsm.Tree.stats !tree ]);
     mask_scans = false;
@@ -170,7 +130,7 @@ let partitioned ~seed () =
   in
   {
     name = "partitioned";
-    caps = caps_partitioned;
+    caps = caps_lsm;
     get = (fun k -> Blsm.Partitioned.get !pt k);
     put = (fun k v -> Blsm.Partitioned.put !pt k v);
     delete = (fun k -> Blsm.Partitioned.delete !pt k);
@@ -184,7 +144,6 @@ let partitioned ~seed () =
     flush = Some (fun () -> Blsm.Partitioned.flush !pt);
     crash_recover =
       Some (fun () -> pt := Blsm.Partitioned.crash_and_recover !pt);
-    begin_txn = None;
     scrub = Some (fun () -> Blsm.Partitioned.scrub !pt);
     counts =
       Some (fun () -> Array.to_list (Blsm.Partitioned.partition_stats !pt));
@@ -219,7 +178,6 @@ let btree ~seed () =
           (Pagestore.Store.buffer (Btree_baseline.Btree.store bt)));
     flush = None;
     crash_recover = None;
-    begin_txn = None;
     scrub = None;
     counts = None;
     mask_scans = true;
@@ -250,7 +208,7 @@ let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
   let pt = ref (Blsm.Policy_tree.create ~config ~pconfig ~policy store) in
   {
     name;
-    caps = caps_policy;
+    caps = caps_lsm;
     get = (fun k -> Blsm.Policy_tree.get !pt k);
     put = (fun k v -> Blsm.Policy_tree.put !pt k v);
     delete = (fun k -> Blsm.Policy_tree.delete !pt k);
@@ -265,7 +223,6 @@ let ptree_driver ~name ~config ~pconfig ~policy ~seed () =
     crash_recover =
       Some
         (fun () -> pt := Blsm.Policy_tree.crash_and_recover ~verify:true !pt);
-    begin_txn = None;
     scrub = Some (fun () -> [ Blsm.Policy_tree.scrub !pt ]);
     counts = Some (fun () -> [ Blsm.Policy_tree.stats !pt ]);
     mask_scans = false;
@@ -315,13 +272,9 @@ let all_names =
   @ policy_names
 
 let caps_of_name name =
-  match name with
-  | "blsm" | "blsm-gear" | "blsm-naive" -> Some caps_tree
-  | "partitioned" -> Some caps_partitioned
-  | "btree" -> Some caps_baseline
-  | _ ->
-      if name = "leveldb" || List.mem name policy_names then Some caps_policy
-      else None
+  if name = "btree" then Some caps_baseline
+  else if List.mem name all_names then Some caps_lsm
+  else None
 
 (** [make name ~seed] is a fresh-engine factory, or [None] for an
     unknown driver name. *)

@@ -12,15 +12,6 @@
     config, fault PRNG).  The shrinker relies on this to rebuild a
     fresh, byte-identical engine for every candidate plan. *)
 
-(** Handle for one open OCC transaction. *)
-type txn_handle = {
-  tx_get : string -> string option;
-  tx_put : string -> string -> unit;
-  tx_delete : string -> unit;
-  tx_rmw : string -> string -> unit;
-  tx_commit : unit -> [ `Committed | `Conflict ];
-}
-
 type t = {
   name : string;
   caps : Plan.caps;  (** which plan ops the generator may emit *)
@@ -38,7 +29,6 @@ type t = {
   crash_recover : (unit -> unit) option;
       (** drop unsynced state and rebuild from the WAL, as a real crash
           would *)
-  begin_txn : (unit -> txn_handle) option;
   scrub : (unit -> Blsm.Lsm_shell.scrub_report list) option;
       (** full-tree checksum sweep, one report per engine shell *)
   counts : (unit -> Blsm.Lsm_shell.stats list) option;

@@ -3,9 +3,8 @@
     One seed expands to one plan — a workload trace with interleaved
     faults — which the interpreter executes against any engine driver in
     lock-step with an in-memory oracle, checking equivalence,
-    durability, OCC serializability and observability consistency at
-    checkpoints. Failures shrink to minimized traces saved as JSON repro
-    files.
+    durability and observability consistency at checkpoints. Failures
+    shrink to minimized traces saved as JSON repro files.
 
     See DESIGN.md §9 for the plan grammar, the invariants, the
     shrinking algorithm and replay instructions. *)

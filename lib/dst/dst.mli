@@ -3,9 +3,8 @@
     One seed expands to one plan — a workload trace with interleaved
     faults — which the interpreter executes against any engine driver in
     lock-step with an in-memory oracle, checking equivalence,
-    durability, OCC serializability and observability consistency at
-    checkpoints.  Failures shrink to minimized traces saved as JSON
-    repro files.
+    durability and observability consistency at checkpoints.  Failures
+    shrink to minimized traces saved as JSON repro files.
 
     The harness-wide invariant, asserted by [@dst-smoke] on every
     [dune runtest]: everything is a function of the seed — two calls of

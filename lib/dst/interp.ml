@@ -1,14 +1,13 @@
 (** The DST interpreter: executes a plan against a driver in lock-step
     with the {!Oracle}, checking invariants as it goes.
 
-    Per-op invariants: every read (get / scan / txn-get /
-    insert-if-absent decision) must agree with the oracle, and every
-    paced write's stall attribution must tile the pacing window
-    (merge1 + merge2 + hard = total, the obs contract). At
-    [Checkpoint] steps and at plan end, the full battery runs:
-    whole-state scan equivalence, sampled point reads, op-counter
-    agreement between the engine's metrics and the interpreter's own
-    mirror.
+    Per-op invariants: every read (get / scan / insert-if-absent
+    decision) must agree with the oracle, and every paced write's stall
+    attribution must tile the pacing window (merge1 + merge2 + hard =
+    total, the obs contract). At [Checkpoint] steps and at plan end, the
+    full battery runs: whole-state scan equivalence, sampled point
+    reads, op-counter agreement between the engine's metrics and the
+    interpreter's own mirror.
 
     Crash discipline: a {!Simdisk.Faults.Crash_point} escaping an
     operation means the machine died {e before the op was acked} (the
@@ -207,101 +206,6 @@ let entry_of_item = function
   | Plan.B_del k -> (k, Kv.Entry.Tombstone)
 
 (* ------------------------------------------------------------------ *)
-(* Transactions: mirror Txn's OCC bookkeeping move for move. *)
-
-let exec_txn st i t_ops t_interleave begin_txn =
-  let d = st.d in
-  let res =
-    guarded st i ~what:"txn" (fun () ->
-        let h = begin_txn () in
-        let writes : (string, [ `Base of string | `Tomb ]) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        let order = ref [] in
-        (* (key, interleave had already run when first tracked) *)
-        let tracked = ref [] in
-        let interleave_done = ref false in
-        (* Mirrors Txn.get: buffered Base/Tomb answers locally (no tree
-           access, no version tracked); otherwise the read goes to the
-           tree and joins the validation read-set. *)
-        let mirror_get k =
-          match Hashtbl.find_opt writes k with
-          | Some (`Base v) -> Some v
-          | Some `Tomb -> None
-          | None ->
-              if not (List.mem_assoc k !tracked) then
-                tracked := (k, !interleave_done) :: !tracked;
-              st.exp.gets <- st.exp.gets + 1;
-              Oracle.get st.oracle k
-        in
-        let record k e =
-          if not (Hashtbl.mem writes k) then order := k :: !order;
-          Hashtbl.replace writes k e
-        in
-        let do_interleave () =
-          match t_interleave with
-          | None -> ()
-          | Some (k, v) ->
-              d.Driver.put k v;
-              Oracle.put st.oracle k v;
-              st.exp.puts <- st.exp.puts + 1;
-              interleave_done := true
-        in
-        let ops = Array.of_list t_ops in
-        let mid = (Array.length ops + 1) / 2 in
-        Array.iteri
-          (fun j op ->
-            if j = mid then do_interleave ();
-            match op with
-            | Plan.T_get k ->
-                let expect = mirror_get k in
-                let got = h.Driver.tx_get k in
-                if got <> expect then
-                  violation st i "txn get %s: engine=%s oracle=%s" k
-                    (show got) (show expect)
-            | Plan.T_put (k, v) ->
-                h.Driver.tx_put k v;
-                record k (`Base v)
-            | Plan.T_delete k ->
-                h.Driver.tx_delete k;
-                record k `Tomb
-            | Plan.T_rmw (k, s) ->
-                let v = Option.value (mirror_get k) ~default:"" ^ s in
-                h.Driver.tx_rmw k s;
-                record k (`Base v))
-          ops;
-        if mid >= Array.length ops then do_interleave ();
-        (* Single-writer simulation: the only version change between
-           begin and commit is the interleaved write, so a conflict is
-           expected iff it hit a key tracked before it ran. *)
-        let expected_conflict =
-          !interleave_done
-          &&
-          match t_interleave with
-          | Some (ik, _) ->
-              List.exists (fun (k, after) -> k = ik && not after) !tracked
-          | None -> false
-        in
-        match h.Driver.tx_commit () with
-        | `Committed ->
-            if expected_conflict then
-              violation st i "occ: txn committed but a tracked read changed";
-            List.iter
-              (fun k ->
-                match Hashtbl.find writes k with
-                | `Base v -> Oracle.put st.oracle k v
-                | `Tomb -> Oracle.delete st.oracle k)
-              (List.rev !order);
-            let nwrites = Hashtbl.length writes in
-            st.exp.puts <- st.exp.puts + nwrites;
-            if nwrites > 0 then check_stall st i
-        | `Conflict ->
-            if not expected_conflict then
-              violation st i "occ: txn conflicted but no tracked read changed")
-  in
-  match res with `Ok () | `Crashed | `Corrupt -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint battery *)
 
 let checkpoint st i ~label =
@@ -462,10 +366,6 @@ let exec_step st i (step : Plan.step) =
             | `Ok () -> Oracle.apply_entry st.oracle k e
             | `Crashed | `Corrupt -> ())
           entries
-  | Plan.Txn { t_ops; t_interleave } -> (
-      match d.Driver.begin_txn with
-      | None -> ()
-      | Some begin_txn -> exec_txn st i t_ops t_interleave begin_txn)
   | Plan.Crash_recover -> (
       match d.Driver.crash_recover with
       | None -> ()

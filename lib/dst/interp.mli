@@ -1,14 +1,13 @@
 (** The DST interpreter: executes a plan against a driver in lock-step
     with the {!Oracle}, checking invariants as it goes.
 
-    Per-op invariants: every read (get / scan / txn-get /
-    insert-if-absent decision) must agree with the oracle, and every
-    paced write's stall attribution must tile the pacing window
-    (merge1 + merge2 + hard = total, the obs contract).  At
-    [Checkpoint] steps and at plan end, the full battery runs:
-    whole-state scan equivalence, sampled point reads, op-counter
-    agreement between the engine's metrics and the interpreter's own
-    mirror.
+    Per-op invariants: every read (get / scan / insert-if-absent
+    decision) must agree with the oracle, and every paced write's stall
+    attribution must tile the pacing window (merge1 + merge2 + hard =
+    total, the obs contract). At [Checkpoint] steps and at plan end, the
+    full battery runs: whole-state scan equivalence, sampled point
+    reads, op-counter agreement between the engine's metrics and the
+    interpreter's own mirror.
 
     Crash discipline: a {!Simdisk.Faults.Crash_point} escaping an
     operation means the machine died {e before the op was acked} (the

@@ -2,28 +2,17 @@
 
     A plan is the deterministic unit of the simulation harness: one seed
     expands to one trace of operations (the full engine surface — point
-    ops, deltas, RMW, scans, atomic batches, OCC transaction blocks,
-    crash/recover, scrub) with faults from the
-    {!Simdisk.Faults} taxonomy (torn/lost/bit-flip/crash-point) armed
-    between steps. The interpreter ({!Interp}) executes a plan against
-    any driver in lock-step with an in-memory oracle; the shrinker
-    ({!Shrink}) minimizes failing plans; {!Repro} round-trips them
-    through JSON seed files.
+    ops, deltas, RMW, scans, atomic batches, crash/recover, scrub) with
+    faults from the {!Simdisk.Faults} taxonomy (torn/lost/bit-flip/
+    crash-point) armed between steps. The interpreter ({!Interp})
+    executes a plan against any driver in lock-step with an in-memory
+    oracle; the shrinker ({!Shrink}) minimizes failing plans; {!Repro}
+    round-trips them through JSON seed files.
 
     The grammar is deliberately first-order data (no closures) so plans
     can be serialized, diffed, and shrunk structurally. *)
 
 type batch_item = B_put of string * string | B_del of string
-
-(** Operations inside an OCC transaction block. No [T_delta]: the
-    transaction layer buffers deltas with resolver semantics the oracle
-    would have to replicate entry-wise; the generated surface sticks to
-    the validated read/write/RMW cycle the §4.4.2 construction is for. *)
-type txn_op =
-  | T_get of string
-  | T_put of string * string
-  | T_delete of string
-  | T_rmw of string * string  (** append suffix via read-modify-write *)
 
 type op =
   | Put of string * string
@@ -34,9 +23,6 @@ type op =
   | Insert_if_absent of string * string
   | Scan of string * int
   | Write_batch of batch_item list
-  | Txn of { t_ops : txn_op list; t_interleave : (string * string) option }
-      (** [t_interleave]: a bare write slipped in halfway through the
-          block — the "concurrent" mutation OCC validates against *)
   | Crash_recover
   | Scrub
   | Maintenance
@@ -64,7 +50,6 @@ type t = {
 (** What a driver can do; gates both generation and interpretation. *)
 type caps = {
   c_crash : bool;  (** supports crash_and_recover (and thus fault plans) *)
-  c_txn : bool;
   c_scrub : bool;
   c_batch_atomic : bool;
       (** write_batch is one log record; otherwise emulated per-item *)
@@ -133,23 +118,6 @@ let gen_faults prng (caps : caps) p =
     !fs
   end
 
-let gen_txn prng (p : params) i =
-  let len = 1 + Repro_util.Prng.int prng 4 in
-  let t_ops =
-    List.init len (fun j ->
-        match Repro_util.Prng.int prng 4 with
-        | 0 -> T_get (gen_key prng p)
-        | 1 -> T_put (gen_key prng p, gen_value prng p ((i * 100) + j))
-        | 2 -> T_delete (gen_key prng p)
-        | _ -> T_rmw (gen_key prng p, Printf.sprintf "+t%d.%d" i j))
-  in
-  let t_interleave =
-    if Repro_util.Prng.int prng 5 < 3 then
-      Some (gen_key prng p, gen_value prng p ((i * 100) + 99))
-    else None
-  in
-  Txn { t_ops; t_interleave }
-
 let gen_batch prng (p : params) i =
   let len = 1 + Repro_util.Prng.int prng 5 in
   Write_batch
@@ -173,9 +141,7 @@ let gen_op prng (caps : caps) p i =
        multi-page merge iteration run under the oracle *)
     Scan (key (), 40 + Repro_util.Prng.int prng 160)
   else if r < 84 then gen_batch prng p i
-  else if r < 89 then
-    if caps.c_txn then gen_txn prng p i
-    else Rmw (key (), Printf.sprintf "+r%d" i)
+  else if r < 89 then Rmw (key (), Printf.sprintf "+r%d" i)
   else if r < 91 then (if caps.c_crash then Crash_recover else Maintenance)
   else if r < 94 then Get (key ())
   else if r < 95 then Scan (key (), 3)
@@ -210,9 +176,6 @@ let op_label = function
   | Insert_if_absent (k, _) -> "ifabsent " ^ k
   | Scan (k, n) -> Printf.sprintf "scan %s %d" k n
   | Write_batch items -> Printf.sprintf "batch[%d]" (List.length items)
-  | Txn { t_ops; t_interleave } ->
-      Printf.sprintf "txn[%d%s]" (List.length t_ops)
-        (if t_interleave = None then "" else "+interleave")
   | Crash_recover -> "crash_recover"
   | Scrub -> "scrub"
   | Maintenance -> "maintenance"

@@ -2,10 +2,9 @@
 
     A plan is the deterministic unit of the simulation harness: one seed
     expands to one trace of operations (the full engine surface — point
-    ops, deltas, RMW, scans, atomic batches, OCC transaction blocks,
-    crash/recover, scrub) with faults from the
-    {!Simdisk.Faults} taxonomy (torn/lost/bit-flip/crash-point) armed
-    between steps.
+    ops, deltas, RMW, scans, atomic batches, crash/recover, scrub) with
+    faults from the {!Simdisk.Faults} taxonomy (torn/lost/bit-flip/
+    crash-point) armed between steps.
 
     Invariants: the grammar is first-order data (no closures) so plans
     can be serialized ({!Repro}), diffed, and shrunk structurally
@@ -13,16 +12,6 @@
     params)] — same inputs, byte-identical plan. *)
 
 type batch_item = B_put of string * string | B_del of string
-
-(** Operations inside an OCC transaction block. No [T_delta]: the
-    transaction layer buffers deltas with resolver semantics the oracle
-    would have to replicate entry-wise; the generated surface sticks to
-    the validated read/write/RMW cycle the §4.4.2 construction is for. *)
-type txn_op =
-  | T_get of string
-  | T_put of string * string
-  | T_delete of string
-  | T_rmw of string * string  (** append suffix via read-modify-write *)
 
 type op =
   | Put of string * string
@@ -33,12 +22,6 @@ type op =
   | Insert_if_absent of string * string
   | Scan of string * int
   | Write_batch of batch_item list
-  | Txn of {
-      t_ops : txn_op list;
-      t_interleave : (string * string) option;
-          (** direct write raced against the open transaction, to
-              provoke OCC conflicts *)
-    }
   | Crash_recover
   | Scrub
   | Maintenance
@@ -60,7 +43,6 @@ type t = { driver : string; seed : int; note : string; steps : step list }
 (** Capability mask: which ops the generator may emit for a driver. *)
 type caps = {
   c_crash : bool;
-  c_txn : bool;
   c_scrub : bool;
   c_batch_atomic : bool;
 }

@@ -36,17 +36,6 @@ let item_json = function
         (str v)
   | Plan.B_del k -> Printf.sprintf "{\"kind\":\"b_del\",\"key\":%s}" (str k)
 
-let txn_op_json = function
-  | Plan.T_get k -> Printf.sprintf "{\"kind\":\"t_get\",\"key\":%s}" (str k)
-  | Plan.T_put (k, v) ->
-      Printf.sprintf "{\"kind\":\"t_put\",\"key\":%s,\"value\":%s}" (str k)
-        (str v)
-  | Plan.T_delete k ->
-      Printf.sprintf "{\"kind\":\"t_delete\",\"key\":%s}" (str k)
-  | Plan.T_rmw (k, s) ->
-      Printf.sprintf "{\"kind\":\"t_rmw\",\"key\":%s,\"suffix\":%s}" (str k)
-        (str s)
-
 let op_json = function
   | Plan.Put (k, v) ->
       Printf.sprintf "{\"kind\":\"put\",\"key\":%s,\"value\":%s}" (str k)
@@ -67,17 +56,6 @@ let op_json = function
   | Plan.Write_batch items ->
       Printf.sprintf "{\"kind\":\"batch\",\"items\":[%s]}"
         (String.concat "," (List.map item_json items))
-  | Plan.Txn { t_ops; t_interleave } ->
-      let inter =
-        match t_interleave with
-        | None -> ""
-        | Some (k, v) ->
-            Printf.sprintf ",\"interleave\":{\"key\":%s,\"value\":%s}"
-              (str k) (str v)
-      in
-      Printf.sprintf "{\"kind\":\"txn\",\"ops\":[%s]%s}"
-        (String.concat "," (List.map txn_op_json t_ops))
-        inter
   | Plan.Crash_recover -> "{\"kind\":\"crash_recover\"}"
   | Plan.Scrub -> "{\"kind\":\"scrub\"}"
   | Plan.Maintenance -> "{\"kind\":\"maintenance\"}"
@@ -161,14 +139,6 @@ let item_of_json j =
   | "b_del" -> Plan.B_del (get_str j "key")
   | k -> raise (Parse_error ("unknown batch item kind " ^ k))
 
-let txn_op_of_json j =
-  match get_str j "kind" with
-  | "t_get" -> Plan.T_get (get_str j "key")
-  | "t_put" -> Plan.T_put (get_str j "key", get_str j "value")
-  | "t_delete" -> Plan.T_delete (get_str j "key")
-  | "t_rmw" -> Plan.T_rmw (get_str j "key", get_str j "suffix")
-  | k -> raise (Parse_error ("unknown txn op kind " ^ k))
-
 let op_of_json j =
   match get_str j "kind" with
   | "put" -> Plan.Put (get_str j "key", get_str j "value")
@@ -181,17 +151,6 @@ let op_of_json j =
   | "batch" ->
       Plan.Write_batch
         (List.map item_of_json (as_list "items" (need "items" (field j "items"))))
-  | "txn" ->
-      let t_ops =
-        List.map txn_op_of_json
-          (as_list "ops" (need "ops" (field j "ops")))
-      in
-      let t_interleave =
-        match field j "interleave" with
-        | None | Some Obs.Json.Null -> None
-        | Some ij -> Some (get_str ij "key", get_str ij "value")
-      in
-      Plan.Txn { t_ops; t_interleave }
   | "crash_recover" -> Plan.Crash_recover
   | "scrub" -> Plan.Scrub
   | "maintenance" -> Plan.Maintenance

@@ -70,23 +70,6 @@ let simpler_op (op : Plan.op) : Plan.op list =
         if !any then [ Plan.Write_batch items' ] else []
       in
       drops @ shrunk
-  | Plan.Txn { t_ops; t_interleave } ->
-      let drop_inter =
-        if t_interleave <> None then
-          [ Plan.Txn { t_ops; t_interleave = None } ]
-        else []
-      in
-      let drop_ops =
-        List.mapi
-          (fun i _ ->
-            Plan.Txn
-              { t_ops = List.filteri (fun j _ -> j <> i) t_ops; t_interleave })
-          t_ops
-        |> List.filter (function
-             | Plan.Txn { t_ops = []; _ } -> false
-             | _ -> true)
-      in
-      drop_inter @ drop_ops
   | _ -> []
 
 (* Per-step candidates: drop all faults, drop one fault, simplify op. *)

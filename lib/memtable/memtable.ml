@@ -88,13 +88,6 @@ let write t ~lsn key entry =
 let get t key =
   match Index.find t.index key with s -> Some s.entry | exception Not_found -> None
 
-(** [newest_lsn t key] is the newest LSN folded into [key]'s record, if
-    [key] is in C0. *)
-let newest_lsn t key =
-  match Index.find t.index key with
-  | s -> Some s.lsn_newest
-  | exception Not_found -> None
-
 let remember_succ t key succ =
   t.succ_of <- key;
   t.succ <- succ;

@@ -32,10 +32,6 @@ val write : t -> lsn:int -> string -> Kv.Entry.t -> unit
 
 val get : t -> string -> Kv.Entry.t option
 
-(** [newest_lsn t key] is the newest LSN folded into [key]'s record, or
-    [None] when [key] is not in C0. *)
-val newest_lsn : t -> string -> int option
-
 (** [consume_geq_lsn t key] pops the smallest binding with key >= [key],
     with the newest LSN folded into it (stored in merge output for
     recovery's replay filter). [None] when no key remains at or after

@@ -13,13 +13,11 @@
 type probe = {
   mutable key : string;
   mutable vend : int;  (* after the last {!varint}: its end, or -1 *)
-  mutable lsn_only : bool;  (* stop at the LSN, leaving [entry] as it was *)
   mutable entry : Kv.Entry.t;
   mutable lsn : int;
 }
 
-let new_probe () =
-  { key = ""; vend = 0; lsn_only = false; entry = Kv.Entry.Tombstone; lsn = 0 }
+let new_probe () = { key = ""; vend = 0; entry = Kv.Entry.Tombstone; lsn = 0 }
 
 type t = {
   store : Pagestore.Store.t;
@@ -584,17 +582,16 @@ let probe_key pr s psz start =
     if kp < 0 || kp + key_len > psz || kp + key_len > p + body_len then unreadable
     else cmp_key_at s kp key_len pr.key
 
-(* Decode the LSN, and unless [pr.lsn_only] the entry, of the record at
-   [start] into the probe; the caller has checked that it does not spill
-   and that its key lies inside its body. The tail must fill the framed
-   body exactly. *)
+(* Decode the entry and LSN of the record at [start] into the probe; the
+   caller has checked that it does not spill and that its key lies
+   inside its body. The tail must fill the framed body exactly. *)
 let decode_at pr s start =
   let body_len = varint pr s start in
   let p = pr.vend in
   let key_len = varint pr s p in
   let vp = pr.vend + key_len and stop = p + body_len in
   let lsn = Sst_format.lsn_at s vp ~stop in
-  if not pr.lsn_only then pr.entry <- Sst_format.entry_after_lsn_at s vp ~lsn ~stop;
+  pr.entry <- Sst_format.entry_after_lsn_at s vp ~lsn ~stop;
   pr.lsn <- lsn
 
 let complete_at pr s psz start =
@@ -672,11 +669,11 @@ let linear_from t pos off key =
           in
           find ())
 
-(* Look [key] up; on [true] its LSN, and unless [lsn_only] its entry, are
-   in [t.probe]. The page search runs inside the pin; a page-crossing
-   case is resolved outside it, so the lookup never stacks pins (tiny
-   pools stay workable). *)
-let find t key ~lsn_only =
+(* Look [key] up; on [true] its entry and LSN are in [t.probe]. The
+   page search runs inside the pin; a page-crossing case is resolved
+   outside it, so the lookup never stacks pins (tiny pools stay
+   workable). *)
+let find t key =
   if is_empty t then false
   else if
     String.compare key t.footer.Sst_format.min_key < 0
@@ -688,7 +685,6 @@ let find t key ~lsn_only =
     else begin
       let pr = t.probe in
       pr.key <- key;
-      pr.lsn_only <- lsn_only;
       let verdict =
         Pagestore.Store.with_page_starts t.store t.pages.(pos) ~seq:false
           ~verify:Sst_format.check_page ~derive:Sst_format.record_starts
@@ -707,13 +703,7 @@ let find t key ~lsn_only =
 
 (** [get_with_lsn t key]: point lookup returning the record's stored LSN
     (recovery's replay filter). *)
-let get_with_lsn t key =
-  if find t key ~lsn_only:false then Some (t.probe.entry, t.probe.lsn) else None
-
-(** [lsn_of t key]: [key]'s stored LSN, or [-1] when no record holds it.
-    The in-page search stops at the LSN and decodes no entry, so a
-    resident record costs no allocation. *)
-let lsn_of t key = if find t key ~lsn_only:true then t.probe.lsn else -1
+let get_with_lsn t key = if find t key then Some (t.probe.entry, t.probe.lsn) else None
 
 (** [get_linear_with_lsn t key] is the seed's linear lookup — decode
     records from the page's first restart until the key passes by. Kept
@@ -751,7 +741,7 @@ let get_linear t key =
 
 (** [get t key] point lookup: one cached page read (one seek when the page
     is cold), plus continuation pages for records spanning pages. *)
-let get t key = if find t key ~lsn_only:false then Some t.probe.entry else None
+let get t key = if find t key then Some t.probe.entry else None
 
 (** {1 Scrubbing} *)
 

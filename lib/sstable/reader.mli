@@ -58,11 +58,6 @@ val get : t -> string -> Kv.Entry.t option
     filter (skip WAL records with lsn <= the durable one). *)
 val get_with_lsn : t -> string -> (Kv.Entry.t * int) option
 
-(** [lsn_of t key]: the stored LSN of [key]'s record, [-1] when the
-    component holds none. Decodes no entry: a record resident in the
-    pool costs no allocation. *)
-val lsn_of : t -> string -> int
-
 (** The seed's linear lookup (decode records from the page's first
     restart until the key passes by). Reference implementation the
     restart-point search is property-tested against. *)

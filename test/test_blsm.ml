@@ -413,30 +413,13 @@ let test_get_outside_c1_range () =
   let before = read_footprint t in
   List.iter
     (fun k ->
-      check (Alcotest.option Alcotest.string) ("absent " ^ k) None (Blsm.Tree.get t k);
-      check Alcotest.int ("version of " ^ k) 0 (Blsm.Tree.read_version t k))
+      check (Alcotest.option Alcotest.string) ("absent " ^ k) None (Blsm.Tree.get t k))
     [ "a"; "k-"; "k-019x"; "zzz" ];
   check Alcotest.string "no Bloom probe, no page read" before (read_footprint t);
   (* inside the range the filter is consulted *)
   ignore (Blsm.Tree.get t "k-005x");
   if String.equal before (read_footprint t) then
     Alcotest.fail "an in-range get left no trace: the probe is not observed"
-
-(* Txn's version probe reads C1's filter but is not a lookup: absent keys
-   inside C1's range leave the Bloom counters where they were, while the
-   same keys through [get] move them. *)
-let test_read_version_counts_no_negative () =
-  let t = c1_only_tree ~tail:[] in
-  let bloom () = Obs.Metrics.dump ~prefix:"bloom." (Blsm.Tree.metrics t) in
-  let absent = List.init 19 (Printf.sprintf "k-%03dx") in
-  let before = bloom () in
-  List.iter
-    (fun k -> check Alcotest.int ("version of " ^ k) 0 (Blsm.Tree.read_version t k))
-    absent;
-  check Alcotest.string "bloom.negative unchanged" before (bloom ());
-  List.iter (fun k -> ignore (Blsm.Tree.get t k)) absent;
-  if String.equal before (bloom ()) then
-    Alcotest.fail "in-range gets left no Bloom trace: the counter is not observed"
 
 let test_scan_past_c1_skips_it () =
   let t = c1_only_tree ~tail:[ "zzz-1"; "zzz-2" ] in
@@ -958,14 +941,13 @@ let pool_window t key n =
    [Some], the decoded [Base], the returned [Some]) 6 more. The pool
    finds the frame through an int-keyed table and the page search builds
    no closure, tuple or verdict. *)
-(* A tree whose 400 keys all sit in C2, and one of them whose record
-   lies whole in its page: one pool access per get. *)
-let resident_c2_key () =
+let test_get_pool_hit_alloc_budget () =
   let t = mk_tree () in
   let keys = Array.init 400 (Printf.sprintf "user%020d") in
   Array.iter (fun k -> Blsm.Tree.put t k kb_value) keys;
   Blsm.Tree.flush t;
   Blsm.Tree.maintenance t;
+  (* a record that lies whole in its page: one pool access per get *)
   let key =
     List.find
       (fun k ->
@@ -974,10 +956,6 @@ let resident_c2_key () =
         hits = 1)
       (List.init 16 (fun i -> keys.(i)))
   in
-  (t, key)
-
-let test_get_pool_hit_alloc_budget () =
-  let t, key = resident_c2_key () in
   let covering =
     List.filter_map
       (fun (lvl, (f : Sstable.Sst_format.footer)) ->
@@ -990,27 +968,6 @@ let test_get_pool_hit_alloc_budget () =
   check Alcotest.int "one pool hit per get" 10_000 hits;
   check Alcotest.int "no pool miss" 0 misses;
   within_budget "get, pool hit" ~budget:133 words
-
-(* [Tree.read_version] of a key held only by a resident C2 page, and of
-   a key C2's range covers but no record holds. The LSN-only lookup stops
-   at the record's LSN, and the level walk builds no closure, so neither
-   allocates: the full-record read this replaced spent 194 words on the
-   first (127 of them the value) and 53 on the second. *)
-let test_read_version_alloc () =
-  let t, key = resident_c2_key () in
-  let absent = key ^ "x" in
-  check (Alcotest.option Alcotest.string) "C2 answers" (Some kb_value) (Blsm.Tree.get t key);
-  check Alcotest.bool "stored LSN" true (Blsm.Tree.read_version t key > 0);
-  check Alcotest.int "absent: no version" 0 (Blsm.Tree.read_version t absent);
-  let bm = Pagestore.Store.buffer (Blsm.Tree.store t) in
-  let m0 = Pagestore.Buffer_manager.misses bm in
-  check Alcotest.int "read_version, resident C2 key" 0
-    (Alloc.per_op 10_000 (fun _ ->
-         ignore (Sys.opaque_identity (Blsm.Tree.read_version t key))));
-  check Alcotest.int "no pool miss" 0 (Pagestore.Buffer_manager.misses bm - m0);
-  check Alcotest.int "read_version, miss" 0
-    (Alloc.per_op 10_000 (fun _ ->
-         ignore (Sys.opaque_identity (Blsm.Tree.read_version t absent))))
 
 (* A get answered from the snowshovel shadow while merge1 is in flight:
    the hashed probe, then the same [Some]s as a C0 hit plus the
@@ -1102,8 +1059,6 @@ let () =
           Alcotest.test_case "blind writes seek-free" `Quick test_blind_writes_are_seek_free;
           Alcotest.test_case "get outside C1's range" `Quick test_get_outside_c1_range;
           Alcotest.test_case "scan past C1 skips it" `Quick test_scan_past_c1_skips_it;
-          Alcotest.test_case "read_version counts no negative" `Quick
-            test_read_version_counts_no_negative;
         ] );
       ( "snowshovel",
         [
@@ -1136,7 +1091,6 @@ let () =
           Alcotest.test_case "get pool hit alloc budget" `Quick test_get_pool_hit_alloc_budget;
           Alcotest.test_case "get shadow hit alloc budget" `Quick
             test_get_shadow_hit_alloc_budget;
-          Alcotest.test_case "read_version alloc budget" `Quick test_read_version_alloc;
           Alcotest.test_case "policy get alloc budget" `Quick test_policy_get_alloc_budget;
           Alcotest.test_case "policy put alloc budget" `Quick test_policy_put_alloc_budget;
         ] );

@@ -170,9 +170,9 @@ let pinned_seeds = List.init 20 succ
 
 let pinned_digests =
   [
-    ("blsm", "fc1a59af3021b748426d8e8883baf648");
-    ("blsm-gear", "9dec5e80a1dbc65862914ad809055cd1");
-    ("blsm-naive", "4490ad841b44daed35b35509ac2f1cbe");
+    ("blsm", "0b456d338cae3155d78ef0023f6906b3");
+    ("blsm-gear", "15ad2f59764d9e914ae81e79875731f3");
+    ("blsm-naive", "93118fa68e50001405db3352645e0fa4");
     ("partitioned", "3e6e9b93c0a86769e6804e699166c232");
     ("btree", "036ecba44d20bea3c93aafa69d943feb");
     ("leveldb", "b22a752417fe570c64811b3e57b3a8eb");
