@@ -13,24 +13,38 @@ let mk_store () =
         cfg_durability = Pagestore.Wal.None_ }
     Simdisk.Profile.ssd_raid0
 
-let test_skiplist =
-  (* Prebuild the list: the kernel measures one set + one find against a
-     populated structure (the C0 steady state), not 100 inserts into a
-     fresh list plus allocator traffic, which is what an earlier version
-     of this benchmark timed. *)
-  let sl = Memtable.Skiplist.create () in
-  let () =
-    for i = 0 to 9_999 do
-      Memtable.Skiplist.set sl (Printf.sprintf "key%06d" i) i
-    done
+(* C0's snowshovel steady state over [n] keys (§4.2): each op inserts a
+   fresh key and pops the next key in order past the cursor, wrapping to
+   the smallest at the end, so the order index keeps [n] keys. Keys are
+   "user" and 19 digits of an odd multiple of the op's number modulo
+   2^30 (a bijection, so no key repeats), formatted without [Printf]. *)
+let c0_insert_pop n =
+  let module O = Memtable.Order_index in
+  let ix = O.create () in
+  let key i =
+    let b = Bytes.of_string "user0000000000000000000" in
+    let v = ref ((i * 0x9E3779B1) land 0x3FFFFFFF) and j = ref 22 in
+    while !v > 0 do
+      Bytes.unsafe_set b !j (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10;
+      decr j
+    done;
+    Bytes.unsafe_to_string b
   in
-  let i = ref 0 in
-  Test.make ~name:"skiplist.set+find (table1 C0 path)"
-    (Staged.stage (fun () ->
-         incr i;
-         let k = Printf.sprintf "key%06d" (!i * 7919 mod 10_000) in
-         Memtable.Skiplist.set sl k !i;
-         ignore (Memtable.Skiplist.find sl k)))
+  for i = 0 to n - 1 do
+    O.set ix (key i) i
+  done;
+  let first () = match O.succ_geq ix "" with Some (k, _) -> k | None -> "" in
+  let next = ref (first ()) and i = ref n in
+  fun () ->
+    O.set ix (key !i) !i;
+    incr i;
+    next := match O.remove_succ ix !next with Some (k, _) -> k | None -> first ()
+
+let test_insert_pop n =
+  Test.make
+    ~name:(Printf.sprintf "order.insert+pop %d keys (C0 snowshovel path)" n)
+    (Staged.stage (c0_insert_pop n))
 
 let test_memtable_write =
   let mem = Memtable.create ~resolver:Kv.Entry.append_resolver () in
@@ -108,9 +122,11 @@ let test_blsm_put =
          incr i;
          Blsm.Tree.put tree (Repro_util.Keygen.key_of_id !i) (String.make 100 'v')))
 
-let tests =
+(* Built when run: the 10^6-key index is not set up on every start. *)
+let tests () =
   [
-    test_skiplist;
+    test_insert_pop 3_300;
+    test_insert_pop 1_000_000;
     test_memtable_write;
     test_bloom;
     test_crc;
@@ -148,7 +164,7 @@ let collect ?(quota = 0.5) () =
           (name, est) :: acc)
         results []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-    tests
+    (tests ())
 
 let run () =
   Scale.section "Bechamel micro-benchmarks (ns/run, OLS vs monotonic clock)";

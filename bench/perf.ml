@@ -18,7 +18,6 @@ let baselines =
     ("crc32c.4KiB", 14730.8);
     ("sstable.point_lookup.warm", 18632.4);
     ("tree.insert.c0", 2605.8);
-    ("skiplist.set_find.prebuilt", 1197.6);
   ]
 
 let baseline_ns name =
@@ -244,17 +243,9 @@ let bloom_kernel ~repeats ~iters =
   done;
   ((time_best ~repeats ~iters f, words_per_call ~iters f), !fp)
 
-let skiplist_kernel ~repeats ~iters =
-  let sl = Memtable.Skiplist.create () in
-  for i = 0 to 9_999 do
-    Memtable.Skiplist.set sl (Printf.sprintf "key%06d" i) i
-  done;
-  let i = ref 0 in
-  time_best ~repeats ~iters (fun () ->
-      incr i;
-      let k = Printf.sprintf "key%06d" (!i * 7919 mod 10_000) in
-      Memtable.Skiplist.set sl k !i;
-      ignore (Memtable.Skiplist.find sl k))
+(* C0's order index in the snowshovel steady state: one fresh-key insert
+   and one in-order pop per op, over [n] keys. *)
+let insert_pop_kernel ~repeats ~iters n = time_best ~repeats ~iters (Micro.c0_insert_pop n)
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -352,7 +343,8 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
   let ((crc, _) as crc_cost) = crc_kernel ~repeats ~iters in
   let lookup_ns, io = lookup_kernel ~repeats ~iters in
   let insert, trace_noop_ok = insert_kernel ~repeats ~iters:(iters * 2) in
-  let skiplist = skiplist_kernel ~repeats ~iters:(iters * 2) in
+  let insert_pop_3k3 = insert_pop_kernel ~repeats ~iters:(iters * 2) 3_300 in
+  let insert_pop_1m = insert_pop_kernel ~repeats ~iters:(iters * 2) 1_000_000 in
   let io_ok =
     io.Simdisk.Disk.seeks = 0
     && io.Simdisk.Disk.seq_read_bytes = 0
@@ -363,7 +355,8 @@ let run ?(out = "BENCH_PR2.json") (s : Scale.t) =
       macro "crc32c.4KiB" crc;
       macro "sstable.point_lookup.warm" lookup_ns;
       macro "tree.insert.c0" insert;
-      macro "skiplist.set_find.prebuilt" skiplist;
+      macro "order.insert_pop.3k3" insert_pop_3k3;
+      macro "order.insert_pop.1m" insert_pop_1m;
     ]
     @ (if quick then []
        else

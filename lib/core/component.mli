@@ -35,7 +35,6 @@ val get : t -> string -> Kv.Entry.t option
     counts nothing, so timing the filter on its own does not move
     [bloom_negative]; {!get} is the counted read. *)
 val maybe_contains : t -> string -> bool
-[@@lint.allow "U001"] (* perfbench's replay times the filter through it *)
 
 (** Streaming iterator (merges, scans): bypasses the buffer pool. *)
 val iterator : ?from:string -> t -> Sstable.Reader.iter

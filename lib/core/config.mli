@@ -42,7 +42,10 @@ type t = {
       (** the one page layout, [V1]; kept because the perfbench replay
           passes it to [Sstable.Builder.create] *)
   resolver : Kv.Entry.resolver;  (** how deltas apply to base records *)
-  seed : int;  (** PRNG seed (skip-list levels); fixes runs *)
+  seed : int;
+      (** unused: nothing in an engine is drawn at random. Kept because
+          the perfbench replay passes it to [Memtable.create] (ROADMAP
+          item 4) *)
 }
 
 (** The paper's configuration at 8 MiB C0. *)

@@ -459,7 +459,7 @@ let scan t start n = Lsm_shell.scan t.sh start n
 
 let create ?(config = Config.default) ?(pconfig = default_pconfig) ~policy store =
   if pconfig.pt_max_levels < 2 then invalid_arg "Policy_tree.create: pt_max_levels < 2";
-  let mem = Memtable.create ~seed:config.Config.seed ~resolver:config.Config.resolver () in
+  let mem = Memtable.create ~resolver:config.Config.resolver () in
   let t =
     {
       config;

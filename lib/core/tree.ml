@@ -189,7 +189,7 @@ let start_merge1 t =
       else begin
         if Option.is_none t.frozen then begin
           t.frozen <- Some t.c0;
-          t.c0 <- Memtable.create ~seed:t.config.Config.seed ~resolver:t.config.Config.resolver ()
+          t.c0 <- Memtable.create ~resolver:t.config.Config.resolver ()
         end;
         (Merge_process.Frozen (Option.get t.frozen), max_int)
       end
@@ -508,7 +508,7 @@ let create ?(config = Config.default) ?(root_slot = "") store =
       store;
       root_slot;
       sh = Lsm_shell.create config store ~level_names ~slot:root_slot;
-      c0 = Memtable.create ~seed:config.Config.seed ~resolver:config.Config.resolver ();
+      c0 = Memtable.create ~resolver:config.Config.resolver ();
       frozen = None;
       merge1 = None;
       merge2 = None;

@@ -77,7 +77,6 @@ type stall_breakdown = Lsm_shell.stall_breakdown = {
 val create : ?config:Config.t -> ?root_slot:string -> Pagestore.Store.t -> t
 
 val config : t -> Config.t
-[@@lint.allow "U001"] (* perfbench's replay reads the tree's config *)
 val store : t -> Pagestore.Store.t
 val disk : t -> Simdisk.Disk.t
 val stats : t -> stats

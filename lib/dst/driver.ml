@@ -23,7 +23,7 @@ type t = {
   insert_if_absent : string -> string -> bool;
   scan : string -> int -> (string * string) list;
   write_batch : (string * Kv.Entry.t) list -> unit;
-      (** atomic iff [caps.c_batch_atomic]; emulated per-item otherwise *)
+      (** atomic iff [caps.c_lsm]; emulated per-item otherwise *)
   maintenance : unit -> unit;
   flush : (unit -> unit) option;
   crash_recover : (unit -> unit) option;
@@ -81,10 +81,9 @@ let append_rmw suffix = fun v -> Option.value v ~default:"" ^ suffix
 (* Capability table (static: generation needs caps before any engine
    instance exists) *)
 
-let caps_lsm = { Plan.c_crash = true; c_scrub = true; c_batch_atomic = true }
+let caps_lsm = { Plan.c_lsm = true }
 
-let caps_baseline =
-  { Plan.c_crash = false; c_scrub = false; c_batch_atomic = false }
+let caps_baseline = { Plan.c_lsm = false }
 
 (* ------------------------------------------------------------------ *)
 (* Constructors *)

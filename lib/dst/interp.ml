@@ -342,7 +342,7 @@ let exec_step st i (step : Plan.step) =
       | `Crashed | `Corrupt -> ())
   | Plan.Write_batch items ->
       let entries = List.map entry_of_item items in
-      if d.Driver.caps.Plan.c_batch_atomic then (
+      if d.Driver.caps.Plan.c_lsm then (
         match
           guarded st i ~what:"write_batch" (fun () -> d.Driver.write_batch entries)
         with

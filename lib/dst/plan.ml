@@ -49,10 +49,9 @@ type t = {
 
 (** What a driver can do; gates both generation and interpretation. *)
 type caps = {
-  c_crash : bool;  (** supports crash_and_recover (and thus fault plans) *)
-  c_scrub : bool;
-  c_batch_atomic : bool;
-      (** write_batch is one log record; otherwise emulated per-item *)
+  c_lsm : bool;
+      (** crash_and_recover (and thus fault plans), scrub, and write_batch
+          as one log record (otherwise emulated per-item) *)
 }
 
 type params = {
@@ -95,7 +94,7 @@ let gen_value prng p i =
     (String.make (4 + Repro_util.Prng.int prng (max 1 p.value_bytes)) 'x')
 
 let gen_faults prng (caps : caps) p =
-  if not caps.c_crash then []
+  if not caps.c_lsm then []
   else begin
     let fs = ref [] in
     if Repro_util.Prng.float prng < p.fault_rate then begin
@@ -142,10 +141,10 @@ let gen_op prng (caps : caps) p i =
     Scan (key (), 40 + Repro_util.Prng.int prng 160)
   else if r < 84 then gen_batch prng p i
   else if r < 89 then Rmw (key (), Printf.sprintf "+r%d" i)
-  else if r < 91 then (if caps.c_crash then Crash_recover else Maintenance)
+  else if r < 91 then (if caps.c_lsm then Crash_recover else Maintenance)
   else if r < 94 then Get (key ())
   else if r < 95 then Scan (key (), 3)
-  else if r < 96 then (if caps.c_scrub then Scrub else Scan (key (), 3))
+  else if r < 96 then (if caps.c_lsm then Scrub else Scan (key (), 3))
   else if r < 98 then Maintenance
   else Flush
 

@@ -40,12 +40,10 @@ type step = { faults : fault list; op : op }
 
 type t = { driver : string; seed : int; note : string; steps : step list }
 
-(** Capability mask: which ops the generator may emit for a driver. *)
-type caps = {
-  c_crash : bool;
-  c_scrub : bool;
-  c_batch_atomic : bool;
-}
+(** Capability: which ops the generator may emit for a driver. [c_lsm]:
+    an LSM host, which crash-recovers (so fault plans apply), scrubs and
+    applies a batch as one log record; the baseline does none of these. *)
+type caps = { c_lsm : bool }
 
 type params = {
   n_steps : int;

@@ -179,6 +179,6 @@ let default =
     boundaries = default_boundaries;
     critical_sections = default_critical_sections;
     dead_export_dirs = [ "lib" ];
-    dead_export_ref_dirs = [ "lib"; "bin"; "bench"; "tools"; "test"; "examples" ];
+    dead_export_ref_dirs = [ "lib"; "bin"; "bench"; "tools"; "test"; "examples"; "perfbench" ];
     externals_allowed = default_externals_allowed;
   }

@@ -8,11 +8,13 @@
 
     Two structures share each record's mutable [slot]: a hash index by key
     serves point reads, in-place overwrites and removal in O(1), and the
-    skip list keeps key order for scans, the snowshovel cursor and
-    {!oldest_lsn}. Only a fresh key or a removal touches the skip list. *)
+    order index ({!Order_index}: sorted leaves with the snowshovel's
+    finger) keeps key order for scans, the snowshovel cursor and
+    {!oldest_lsn}. Only a fresh key or a removal touches the order
+    index. *)
 
-module Skiplist = Skiplist
-(** Re-export: the skip list is part of this library's public surface. *)
+module Order_index = Order_index
+(** Re-export: the order index is part of this library's public surface. *)
 
 module Index = Hashtbl.Make (String)
 
@@ -23,50 +25,41 @@ type slot = {
 }
 
 type t = {
-  sl : slot Skiplist.t;
+  order : slot Order_index.t;
   index : slot Index.t;
   resolver : Kv.Entry.resolver;
+  probe : Order_index.cursor;  (** {!peek_geq_lsn}'s, so it leaves the finger alone *)
   mutable bytes : int;
-  mutable version : int;
-      (** bumped by every insert of a fresh key and every removal *)
-  mutable succ_of : string;
-  mutable succ : (string * slot) option;
-      (** the smallest binding with key > [succ_of], as of [succ_version]:
-          the ordered consumer's next record, kept so that peeking it and
-          popping it cost the one descent that unlinks it *)
-  mutable succ_version : int;
 }
 
-(* Approximate per-record RAM overhead: skip-list node, pointers, slot. *)
+(* Approximate per-record RAM overhead: order-index cells, pointers, slot. *)
 let node_overhead = 64
 
 let entry_bytes key entry =
   String.length key + Kv.Entry.encoded_size entry + node_overhead
 
-let create ?(seed = 42) ~resolver () =
+(* [seed] is accepted and unused: the order index draws nothing at random. *)
+let create ?seed:_ ~resolver () =
   {
-    sl = Skiplist.create ~seed ();
+    order = Order_index.create ();
     index = Index.create 1024;
     resolver;
+    probe = Order_index.cursor ();
     bytes = 0;
-    version = 0;
-    succ_of = "";
-    succ = None;
-    succ_version = -1;
   }
 
-let count t = Skiplist.length t.sl
+let count t = Order_index.length t.order
 
 let bytes t = t.bytes
 
-let is_empty t = Skiplist.is_empty t.sl
+let is_empty t = Order_index.is_empty t.order
 
 (** [write t ~lsn key entry] applies one logical write. A [Delta] composes
     with any state already buffered in C0; [Base] and [Tombstone] replace
     it. The slot keeps the *oldest* LSN it still depends on, because replay
     must restart from there to rebuild the composed state. A key already
     in C0 is rewritten in place through the index; only a fresh key is
-    inserted into the skip list. *)
+    inserted into the order index. *)
 let write t ~lsn key entry =
   match Index.find_opt t.index key with
   | Some slot ->
@@ -79,93 +72,75 @@ let write t ~lsn key entry =
       if lsn > slot.lsn_newest then slot.lsn_newest <- lsn
   | None ->
       let slot = { entry; lsn; lsn_newest = lsn } in
-      Skiplist.set t.sl key slot;
+      Order_index.set t.order key slot;
       Index.add t.index key slot;
-      t.bytes <- t.bytes + entry_bytes key entry;
-      t.version <- t.version + 1
+      t.bytes <- t.bytes + entry_bytes key entry
 
 (* [Index.find], not [find_opt]: a hit builds only the returned [Some]. *)
 let get t key =
   match Index.find t.index key with s -> Some s.entry | exception Not_found -> None
 
-let remember_succ t key succ =
-  t.succ_of <- key;
-  t.succ <- succ;
-  t.succ_version <- t.version
+(* The finger's record, with its newest LSN. *)
+let at_finger t =
+  let slot = Order_index.value t.order in
+  Some (Order_index.key t.order, slot.entry, slot.lsn_newest)
 
-(* The smallest binding with key > [key]: the remembered successor when
-   no insert or removal has happened since and [key] lies in
-   [succ_of, succ), otherwise one descent. *)
-let succ_gt t key =
-  if
-    t.succ_version = t.version
-    && String.compare t.succ_of key <= 0
-    && match t.succ with Some (k, _) -> String.compare key k < 0 | None -> true
-  then t.succ
-  else begin
-    let succ = Skiplist.succ_gt t.sl key in
-    remember_succ t key succ;
-    succ
-  end
-
-(* Physically drop a consumed record (merge consumption, not a logical
-   delete — those are tombstone writes), remembering its successor;
-   returns the record with its newest LSN. *)
-let unlink t key slot =
-  let succ = Skiplist.remove_succ t.sl key in
+(* Physically drop the finger's record (merge consumption, not a logical
+   delete — those are tombstone writes); the finger moves to its
+   successor. Returns the record with its newest LSN. *)
+let unlink t =
+  let key = Order_index.key t.order and slot = Order_index.value t.order in
   Index.remove t.index key;
   t.bytes <- t.bytes - entry_bytes key slot.entry;
-  t.version <- t.version + 1;
-  remember_succ t key succ;
+  ignore (Order_index.pop t.order : bool);
   Some (key, slot.entry, slot.lsn_newest)
 
 (** [consume_geq_lsn t key] pops the smallest binding with key >= [key],
     also yielding the newest LSN folded into it. [None] when no key
     remains at or after [key]. *)
-let consume_geq_lsn t key =
-  match Skiplist.succ_geq t.sl key with
-  | Some (k, slot) -> unlink t k slot
-  | None -> None
+let consume_geq_lsn t key = if Order_index.seek_geq t.order key then unlink t else None
 
 (** [pop_next t key] pops exactly the binding [peek_gt_lsn t key] returns:
-    the snowshovel step (§4.2). After a peek at the same cursor, or a
-    previous pop of the cursor's key, the whole pop is one descent. *)
-let pop_next t key =
-  match succ_gt t key with Some (k, slot) -> unlink t k slot | None -> None
-
-let lsn_record = function
-  | Some (k, slot) -> Some (k, slot.entry, slot.lsn_newest)
-  | None -> None
+    the snowshovel step (§4.2). At the finger, after a peek at the same
+    cursor or the pop of the cursor's own key, it costs no descent. *)
+let pop_next t key = if Order_index.seek_gt t.order key then unlink t else None
 
 (** [peek_geq_lsn t key] inspects without consuming, with the newest
     contributing LSN. *)
-let peek_geq_lsn t key = lsn_record (Skiplist.succ_geq t.sl key)
+let peek_geq_lsn t key =
+  if Order_index.cursor_seek_geq t.order t.probe key then
+    let slot = Order_index.cursor_value t.order t.probe in
+    Some (Order_index.cursor_key t.probe, slot.entry, slot.lsn_newest)
+  else None
 
-(** [peek_gt_lsn t key] is {!peek_geq_lsn} for the smallest key > [key]. *)
-let peek_gt_lsn t key = lsn_record (succ_gt t key)
+(** [peek_gt_lsn t key] is {!peek_geq_lsn} for the smallest key > [key],
+    found through the finger. *)
+let peek_gt_lsn t key = if Order_index.seek_gt t.order key then at_finger t else None
 
 (** [pull_from t ~from] streams the live bindings with key >= [from] in
-    order, with LSNs: a merge-iterator source over the memtable. The
-    cursor is the last record returned (kept as returned, so a pull
-    allocates only its result); each pull resumes strictly past its key.
-    A scan never asks twice for the same successor, so it bypasses the
-    remembered one and leaves it to the snowshovel. *)
+    order, with LSNs: a merge-iterator source over the memtable. Each
+    stream holds its own cursor, so a scan leaves the snowshovel's finger
+    alone; a pull allocates only its result. *)
 let pull_from t ~from =
-  let last = ref None in
+  let c = Order_index.cursor () and started = ref false in
   fun () ->
-    let r =
-      match !last with
-      | None -> peek_geq_lsn t from
-      | Some (k, _, _) -> lsn_record (Skiplist.succ_gt t.sl k)
+    let found =
+      if !started then Order_index.cursor_next t.order c
+      else begin
+        started := Order_index.cursor_seek_geq t.order c from;
+        !started
+      end
     in
-    (match r with Some _ -> last := r | None -> ());
-    r
+    if found then
+      let slot = Order_index.cursor_value t.order c in
+      Some (Order_index.cursor_key c, slot.entry, slot.lsn_newest)
+    else None
 
 (** [oldest_lsn t] is the smallest LSN any live entry depends on, or [None]
     when empty. O(n); called once per merge completion to pick the WAL
     truncation point. *)
 let oldest_lsn t =
-  Skiplist.fold t.sl None (fun acc _ slot ->
+  Order_index.fold t.order None (fun acc _ slot ->
       match acc with
       | None -> Some slot.lsn
       | Some m -> Some (min m slot.lsn))

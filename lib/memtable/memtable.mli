@@ -7,14 +7,18 @@
     snowshoveling keeps old entries live (§4.4.2).
 
     A hash index by key serves {!get}, overwrites of keys already in C0
-    and removal without a descent; a skip list holding the same records
-    keeps key order for scans and the snowshovel cursor. *)
+    and removal without a descent; an order index of sorted leaves
+    holding the same records keeps key order for scans and the
+    snowshovel cursor, whose finger makes an in-order peek or pop
+    descent-free. *)
 
-module Skiplist = Skiplist
-(** The underlying deterministic skip list. *)
+module Order_index = Order_index
+(** The order index behind C0. *)
 
 type t
 
+(** [seed] is accepted and unused: nothing in C0 is drawn at random. It
+    stays while the perfbench replay passes it (ROADMAP item 4). *)
 val create : ?seed:int -> resolver:Kv.Entry.resolver -> unit -> t
 
 val count : t -> int
@@ -40,17 +44,17 @@ val consume_geq_lsn : t -> string -> (string * Kv.Entry.t * int) option
 
 (** [pop_next t key] pops the binding {!peek_gt_lsn}[ t key] returns: the
     snowshovel step (§4.2). Following a peek at the same cursor, or the
-    pop of the cursor's own key, it costs the one descent that unlinks
-    the record. *)
+    pop of the cursor's own key, it costs no descent. *)
 val pop_next : t -> string -> (string * Kv.Entry.t * int) option
 
 (** [peek_geq_lsn t key] inspects the smallest binding with key >= [key]
     without consuming it, with the newest contributing LSN. *)
 val peek_geq_lsn : t -> string -> (string * Kv.Entry.t * int) option
 
-(** As {!peek_geq_lsn}, for the smallest key > [key]. The successor of
-    the last popped or peeked key is remembered until the next insert
-    of a fresh key or removal, so an ordered consumer peeks in O(1). *)
+(** As {!peek_geq_lsn}, for the smallest key > [key], found through the
+    order index's finger: a [key] between the last key the finger passed
+    and the record it rests on, or that record's own key, costs no
+    descent, so an ordered consumer peeks in O(1). *)
 val peek_gt_lsn : t -> string -> (string * Kv.Entry.t * int) option
 
 (** [pull_from t ~from] streams the live bindings with key >= [from] in

@@ -294,24 +294,7 @@ module Fence = struct
   let key t slot = t.keys.(slot)
   let page_pos t slot = t.pos.(slot)
 
-  (* The 7 bytes of [s] from [off], big-endian, zero past its end: 56
-     bits, so the int stays non-negative. *)
-  let prefix_at s off =
-    let len = String.length s in
-    let p = ref 0 in
-    for i = off to off + 6 do
-      p := (!p lsl 8) lor (if i < len then Char.code (String.unsafe_get s i) else 0)
-    done;
-    !p
-
-  (* Length of the common prefix of [a] and [b]. *)
-  let mismatch a b =
-    let n = Int.min (String.length a) (String.length b) in
-    let i = ref 0 in
-    while !i < n && Char.equal (String.unsafe_get a !i) (String.unsafe_get b !i) do
-      incr i
-    done;
-    !i
+  open Repro_util.Key_prefix
 
   (** [of_sorted ~keys ~pos] lays the sorted index out in
       Eytzinger order (in-order traversal of the implicit tree visits
@@ -376,14 +359,6 @@ module Fence = struct
       let p = !k lsr 1 in
       if p = 0 then None else Some p
     end
-
-  (* Sign of [key] against the keys starting with [common]: 0 when [key]
-     starts with it, else below (< 0) or above (> 0) all of them. *)
-  let against_common common key =
-    let i = mismatch common key in
-    if i = String.length common then 0
-    else if i = String.length key then -1
-    else Char.compare (String.unsafe_get key i) (String.unsafe_get common i)
 
   (** [locate t key]: the slot of the rightmost fence key [<= key]
       ([None] if [key] precedes every fence key). A probe outside

@@ -1,8 +1,9 @@
 (** Deterministic pseudo-random number generator (splitmix64).
 
-    Every randomized component in the repository (skip list levels, workload
-    generators, property tests that need auxiliary randomness) draws from
-    this generator so that experiments are reproducible from a seed. *)
+    Every randomized component in the repository (workload generators,
+    fault plans, property tests that need auxiliary randomness) draws
+    from this generator so that experiments are reproducible from a
+    seed. *)
 
 type t = { mutable state : int64 }
 

@@ -77,7 +77,7 @@ let apply (d : Dst.Driver.t) op =
       |> String.concat ";"
   | Batch items ->
       let entries = List.map entry_of_item items in
-      if d.Dst.Driver.caps.Dst.Plan.c_batch_atomic then
+      if d.Dst.Driver.caps.Dst.Plan.c_lsm then
         d.Dst.Driver.write_batch entries
       else
         List.iter

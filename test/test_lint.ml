@@ -499,6 +499,21 @@ let test_u001_ref_sources_keep_alive () =
   check Alcotest.int "a test/ reference keeps the export alive" 0
     (List.length (only "U001" fs))
 
+(* The benchmark harness is a reference directory: an export that only
+   perfbench/ reads is alive, and dead again once perfbench/ is not read. *)
+let test_u001_perfbench_reference () =
+  let config = { Lint.Config.default with boundaries = []; critical_sections = [] } in
+  let u001 config =
+    only "U001" (Lint.Runner.run ~config ~root:"lint_fixtures/u001_perfbench" [ "lib" ])
+  in
+  check Alcotest.int "a perfbench/ reference keeps the export alive" 0
+    (List.length (u001 config));
+  let without =
+    List.filter (fun d -> d <> "perfbench") config.Lint.Config.dead_export_ref_dirs
+  in
+  assert_one_msg "without perfbench/ the export is dead" ~sub:"Probe.timed"
+    (u001 { config with dead_export_ref_dirs = without })
+
 (* --- SCC fixpoint, cross-module cycles, functor guards --- *)
 
 let test_scc_cross_module_cycle () =
@@ -690,6 +705,7 @@ let () =
           Alcotest.test_case "U001 fires" `Quick test_u001_fires;
           Alcotest.test_case "U001 ref sources keep alive" `Quick
             test_u001_ref_sources_keep_alive;
+          Alcotest.test_case "U001 perfbench reference" `Quick test_u001_perfbench_reference;
         ] );
       ( "callgraph",
         [

@@ -1,78 +1,80 @@
-(* Skip list and memtable (C0) tests: model-based checks against Stdlib.Map,
-   ordered iteration, successor queries, snowshovel consumption, byte
-   accounting and LSN tracking. *)
+(* Order index and memtable (C0) tests: model-based checks against
+   Stdlib.Map, ordered iteration, successor queries, snowshovel
+   consumption, byte accounting and LSN tracking. *)
 
 let check = Alcotest.check
 
 module SMap = Map.Make (String)
-module Skiplist = Memtable.Skiplist
+module Order = Memtable.Order_index
 
 (* -------------------------------------------------------------------- *)
-(* Skiplist *)
+(* The order index. The group and its cases keep the names they had when
+   C0's order was a skip list, so their results stay comparable across
+   that change. *)
 
 let test_skiplist_basic () =
-  let sl = Skiplist.create () in
-  Skiplist.set sl "b" 2;
-  Skiplist.set sl "a" 1;
-  Skiplist.set sl "c" 3;
-  check (Alcotest.option Alcotest.int) "find a" (Some 1) (Skiplist.find sl "a");
-  check (Alcotest.option Alcotest.int) "find missing" None (Skiplist.find sl "zz");
-  check Alcotest.int "length" 3 (Skiplist.length sl);
-  Skiplist.set sl "a" 10;
-  check (Alcotest.option Alcotest.int) "overwrite" (Some 10) (Skiplist.find sl "a");
-  check Alcotest.int "length unchanged" 3 (Skiplist.length sl)
+  let sl = Order.create () in
+  Order.set sl "b" 2;
+  Order.set sl "a" 1;
+  Order.set sl "c" 3;
+  check (Alcotest.option Alcotest.int) "find a" (Some 1) (Order.find sl "a");
+  check (Alcotest.option Alcotest.int) "find missing" None (Order.find sl "zz");
+  check Alcotest.int "length" 3 (Order.length sl);
+  Order.set sl "a" 10;
+  check (Alcotest.option Alcotest.int) "overwrite" (Some 10) (Order.find sl "a");
+  check Alcotest.int "length unchanged" 3 (Order.length sl)
 
-let skiplist_bindings sl =
-  List.rev (Skiplist.fold sl [] (fun acc k v -> (k, v) :: acc))
+let order_bindings sl =
+  List.rev (Order.fold sl [] (fun acc k v -> (k, v) :: acc))
 
 let test_skiplist_ordered_iteration () =
-  let sl = Skiplist.create () in
-  List.iter (fun k -> Skiplist.set sl k ()) [ "d"; "a"; "c"; "b"; "e" ];
-  let keys = List.map fst (skiplist_bindings sl) in
+  let sl = Order.create () in
+  List.iter (fun k -> Order.set sl k ()) [ "d"; "a"; "c"; "b"; "e" ];
+  let keys = List.map fst (order_bindings sl) in
   check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c"; "d"; "e" ] keys
 
 let test_skiplist_remove () =
-  let sl = Skiplist.create () in
-  List.iter (fun k -> Skiplist.set sl k k) [ "a"; "b"; "c" ];
+  let sl = Order.create () in
+  List.iter (fun k -> Order.set sl k k) [ "a"; "b"; "c" ];
   let succ = Alcotest.(option (pair string string)) in
-  check succ "successor of removed" (Some ("c", "c")) (Skiplist.remove_succ sl "b");
-  check (Alcotest.option Alcotest.string) "gone" None (Skiplist.find sl "b");
-  check succ "remove missing" (Some ("c", "c")) (Skiplist.remove_succ sl "b");
-  check Alcotest.int "length" 2 (Skiplist.length sl);
-  check succ "remove last" None (Skiplist.remove_succ sl "c");
+  check succ "successor of removed" (Some ("c", "c")) (Order.remove_succ sl "b");
+  check (Alcotest.option Alcotest.string) "gone" None (Order.find sl "b");
+  check succ "remove missing" (Some ("c", "c")) (Order.remove_succ sl "b");
+  check Alcotest.int "length" 2 (Order.length sl);
+  check succ "remove last" None (Order.remove_succ sl "c");
   check (Alcotest.list Alcotest.string) "left" [ "a" ]
-    (List.map fst (skiplist_bindings sl))
+    (List.map fst (order_bindings sl))
 
 let test_skiplist_succ_geq () =
-  let sl = Skiplist.create () in
-  List.iter (fun k -> Skiplist.set sl k ()) [ "b"; "d"; "f" ];
+  let sl = Order.create () in
+  List.iter (fun k -> Order.set sl k ()) [ "b"; "d"; "f" ];
   let key_of = Option.map fst in
   check (Alcotest.option Alcotest.string) "exact" (Some "b")
-    (key_of (Skiplist.succ_geq sl "b"));
+    (key_of (Order.succ_geq sl "b"));
   check (Alcotest.option Alcotest.string) "between" (Some "d")
-    (key_of (Skiplist.succ_geq sl "c"));
+    (key_of (Order.succ_geq sl "c"));
   check (Alcotest.option Alcotest.string) "before all" (Some "b")
-    (key_of (Skiplist.succ_geq sl "a"));
+    (key_of (Order.succ_geq sl "a"));
   check (Alcotest.option Alcotest.string) "past end" None
-    (key_of (Skiplist.succ_geq sl "g"))
+    (key_of (Order.succ_geq sl "g"))
 
 let test_skiplist_succ_gt () =
   (* an ordered walk resuming strictly past the last key it returned *)
-  let sl = Skiplist.create () in
-  List.iter (fun k -> Skiplist.set sl k ()) [ "a"; "b"; "c"; "d" ];
+  let sl = Order.create () in
+  List.iter (fun k -> Order.set sl k ()) [ "a"; "b"; "c"; "d" ];
   let rec walk acc k =
-    match Skiplist.succ_gt sl k with
+    match Order.succ_gt sl k with
     | Some (k', ()) when k' <= "c" -> walk (k' :: acc) k'
     | Some _ | None -> List.rev acc
   in
   check (Alcotest.list Alcotest.string) "range" [ "b"; "c" ] (walk [] "a");
   check (Alcotest.option Alcotest.string) "between" (Some "c")
-    (Option.map fst (Skiplist.succ_gt sl "bb"));
+    (Option.map fst (Order.succ_gt sl "bb"));
   check (Alcotest.option Alcotest.string) "past end" None
-    (Option.map fst (Skiplist.succ_gt sl "d"))
+    (Option.map fst (Order.succ_gt sl "d"))
 
-(* Model-based property: a random op sequence applied to both the skiplist
-   and Map yields identical contents. *)
+(* Model-based property: a random op sequence applied to both the order
+   index and Map yields identical contents. *)
 let prop_skiplist_model =
   let op_gen =
     QCheck.Gen.(
@@ -86,42 +88,147 @@ let prop_skiplist_model =
   QCheck.Test.make ~name:"skiplist vs Map model" ~count:200
     (QCheck.make QCheck.Gen.(list_size (1 -- 200) op_gen))
     (fun ops ->
-      let sl = Skiplist.create () in
+      let sl = Order.create () in
       let m = ref SMap.empty in
       let ok = ref true in
       List.iter
         (function
           | `Set k ->
-              Skiplist.set sl k k;
+              Order.set sl k k;
               m := SMap.add k k !m
           | `Remove k ->
               m := SMap.remove k !m;
-              let a = Skiplist.remove_succ sl k in
+              let a = Order.remove_succ sl k in
               let b = SMap.find_first_opt (fun k' -> k' > k) !m in
               if a <> b then ok := false
-          | `Find k -> if Skiplist.find sl k <> SMap.find_opt k !m then ok := false)
+          | `Find k -> if Order.find sl k <> SMap.find_opt k !m then ok := false)
         ops;
       !ok
-      && skiplist_bindings sl = SMap.bindings !m
-      && Skiplist.length sl = SMap.cardinal !m)
+      && order_bindings sl = SMap.bindings !m
+      && Order.length sl = SMap.cardinal !m)
 
 let prop_skiplist_succ_matches_model =
   QCheck.Test.make ~name:"succ_geq vs Map model" ~count:200
     QCheck.(pair (list_of_size Gen.(0 -- 60) (int_range 0 99)) (int_range 0 99))
     (fun (keys, probe) ->
-      let sl = Skiplist.create () in
+      let sl = Order.create () in
       let m =
         List.fold_left
           (fun m k ->
             let s = Printf.sprintf "%02d" k in
-            Skiplist.set sl s ();
+            Order.set sl s ();
             SMap.add s () m)
           SMap.empty keys
       in
       let probe = Printf.sprintf "%02d" probe in
       let expected = SMap.find_first_opt (fun k -> k >= probe) m in
-      let actual = Skiplist.succ_geq sl probe in
+      let actual = Order.succ_geq sl probe in
       Option.map fst expected = Option.map fst actual)
+
+
+(* Keys over the full byte alphabet: [\000] and [\255] bytes, keys that
+   are prefixes of one another, ties past the 7-byte integer prefix. The
+   early keys share the prefix "pp"; the late ones (the empty key among
+   them) shrink the common prefix of a large index. *)
+let key_body =
+  QCheck.Gen.(string_size ~gen:(oneof [ return '\000'; return '\255'; return 'a'; char ]) (0 -- 10))
+
+let early_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun b -> "pp" ^ b) key_body);
+        (6, map2 (fun n b -> Printf.sprintf "pp%07d%s" n b) (0 -- 9_999) key_body);
+        (1, map (fun b -> "pp0000000\000\000\000\000\000\000\000" ^ b) key_body);
+      ])
+
+let late_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return "");
+        (2, map (fun b -> "p" ^ b) key_body);
+        (2, map (fun b -> "\001" ^ b) key_body);
+        (4, early_key);
+      ])
+
+(* Over 5,000+ keys, enough to split leaves and inner nodes: inserts,
+   finds, successor queries and an ordered consumer at a moving cursor
+   (peek past the cursor, sometimes walk on without taking, remove what
+   it peeked, move the cursor onto it) interleaved with inserts on both
+   sides of that cursor. Every answer
+   must match a Map; the consumer exercises the finger, and the inserts
+   around it its staleness. *)
+let prop_order_index_large =
+  QCheck.Test.make ~name:"order index vs Map model, 5,000+ keys" ~count:6
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_repeat 5_000 early_key) (list_repeat 1_500 late_key)
+           (list_repeat 1_500 key_body)))
+    (fun (early, late, suffixes) ->
+      let t = Order.create () in
+      let m = ref SMap.empty in
+      let fail fmt = Printf.ksprintf failwith fmt in
+      let show = function Some (k, _) -> Printf.sprintf "%S" k | None -> "-" in
+      let set k =
+        let v = String.length k in
+        Order.set t k v;
+        m := SMap.add k v !m
+      in
+      let gt c = SMap.find_first_opt (fun k -> k > c) !m in
+      let geq c = SMap.find_first_opt (fun k -> k >= c) !m in
+      let cursor = ref "" in
+      let succ_gt c =
+        let got = Order.succ_gt t c in
+        if got <> gt c then fail "succ_gt %S: %s, want %s" c (show got) (show (gt c));
+        got
+      in
+      (* one consumer step: peek past the cursor, walk [ahead] records
+         further without taking them (as a merge from a frozen C0 does),
+         then remove the peeked record *)
+      let consume ?(ahead = 0) () =
+        match succ_gt !cursor with
+        | None -> cursor := ""
+        | Some (k, _) ->
+            let w = ref k in
+            for _ = 1 to ahead do
+              match succ_gt !w with Some (k', _) -> w := k' | None -> ()
+            done;
+            m := SMap.remove k !m;
+            let got = Order.remove_succ t k in
+            if got <> gt k then fail "remove_succ %S: %s, want %s" k (show got) (show (gt k));
+            cursor := k
+      in
+      let probe k =
+        if Order.find t k <> SMap.find_opt k !m then fail "find %S" k;
+        if Order.succ_geq t k <> geq k then fail "succ_geq %S" k;
+        if Order.succ_gt t k <> gt k then fail "succ_gt %S" k
+      in
+      List.iteri
+        (fun i k ->
+          set k;
+          if i mod 5 = 0 then probe k;
+          if i >= 3_000 && i mod 3 = 0 then consume ())
+        early;
+      (* between consumer steps: keys anywhere, keys just past the cursor
+         (the finger's gap) and keys around it, mostly just below *)
+      List.iteri
+        (fun i (k, sfx) ->
+          let c = !cursor in
+          let k =
+            match i mod 4 with
+            | 1 -> c ^ sfx
+            | 3 when c <> "" -> String.sub c 0 (String.length c - 1) ^ sfx
+            | _ -> k
+          in
+          set k;
+          if i mod 2 = 1 then consume ~ahead:(i mod 3) ();
+          if i mod 7 = 0 then probe k)
+        (List.combine late suffixes);
+      for _ = 1 to 2_000 do
+        consume ()
+      done;
+      order_bindings t = SMap.bindings !m && Order.length t = SMap.cardinal !m)
 
 (* -------------------------------------------------------------------- *)
 (* Memtable *)
@@ -252,7 +359,7 @@ let entry_bytes k e = String.length k + Kv.Entry.encoded_size e + 64
 
 (* Model-based property: random writes, peeks and pops applied to a
    memtable and to a Map of (entry, oldest lsn, newest lsn). After every
-   op, the index (a [get] of every key) and the skip list (ordered
+   op, the index (a [get] of every key) and the order index (ordered
    contents, each key's newest LSN, [count], [oldest_lsn]) must both
    agree with the model, and so with each other; [bytes] must match the model's
    sum. A pop returns exactly what a peek at the same cursor returned
@@ -300,8 +407,8 @@ let prop_memtable_model =
             last_popped := k
         | None -> ()
       in
-      (* Ordered contents through the uncached [peek_geq_lsn], so the
-         check never disturbs the remembered successor under test. *)
+      (* Ordered contents through [peek_geq_lsn], which reads with its
+         own cursor, so the check never moves the finger under test. *)
       let contents () =
         let rec go acc c =
           match Memtable.peek_geq_lsn t c with
@@ -451,9 +558,10 @@ let test_overwrite_alloc_budget () =
 
 let test_snowshovel_alloc_budget () =
   (* Snowshoveling one C0 record: the peeked record and its [Some] (6
-     words), the skip list's successor binding (5), the popped record
-     (6) and the [Record] group handed to the executor (4). The shadow
-     append stores the peeked tuple and allocates nothing. *)
+     words), the popped record (6) and the [Record] group handed to the
+     executor (4). The order index's finger answers both the peek and
+     the pop in place, and the shadow append stores the peeked tuple:
+     neither allocates. *)
   let n = 2000 in
   let mem, _ = loaded_memtable n in
   let input =
@@ -468,7 +576,7 @@ let test_snowshovel_alloc_budget () =
   in
   pull 0;
   let per_record = Alloc.per_op (n - 1) pull in
-  let budget = 21 in
+  let budget = 16 in
   if per_record > budget then
     Alcotest.failf "snowshovel pull: %d words/record, budget %d" per_record budget;
   check Alcotest.bool "C0 drained" true (Memtable.is_empty mem)
@@ -485,6 +593,7 @@ let () =
           Alcotest.test_case "succ_gt" `Quick test_skiplist_succ_gt;
           QCheck_alcotest.to_alcotest prop_skiplist_model;
           QCheck_alcotest.to_alcotest prop_skiplist_succ_matches_model;
+          QCheck_alcotest.to_alcotest prop_order_index_large;
         ] );
       ( "memtable",
         [
