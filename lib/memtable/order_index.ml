@@ -23,8 +23,9 @@
     no entry lies strictly between [f_lo] and the finger's key, so a
     probe in that range, a probe at the finger's key and a {!pop} all
     resolve without a descent. A fresh insert into that gap clears
-    [f_ok]; one elsewhere in the finger's leaf moves its position; a
-    split or a dropped node clears it. *)
+    [f_ok], one earlier in the finger's leaf moves its position, and a
+    split clears it. A position is trusted only while the same key
+    string sits there ({!holds}). *)
 
 let width = 64
 let half = width / 2
