@@ -15,7 +15,9 @@ let mk_store () =
 
 (* C0's snowshovel steady state over [n] keys (§4.2): each op inserts a
    fresh key and pops the next key in order past the cursor, wrapping to
-   the smallest at the end, so the order index keeps [n] keys. Keys are
+   the smallest at the end, so the order index keeps [n] keys. It seeks
+   past the key it last took and pops what it found, as
+   [Memtable.pop_next] does. Keys are
    "user" and 19 digits of an odd multiple of the op's number modulo
    2^30 (a bijection, so no key repeats), formatted without [Printf]. *)
 let c0_insert_pop n =
@@ -34,12 +36,14 @@ let c0_insert_pop n =
   for i = 0 to n - 1 do
     O.set ix (key i) i
   done;
-  let first () = match O.succ_geq ix "" with Some (k, _) -> k | None -> "" in
-  let next = ref (first ()) and i = ref n in
+  let last = ref "" and i = ref n in
   fun () ->
     O.set ix (key !i) !i;
     incr i;
-    next := match O.remove_succ ix !next with Some (k, _) -> k | None -> first ()
+    if O.seek_gt ix !last || O.seek_geq ix "" then begin
+      last := O.key ix;
+      ignore (O.pop ix : bool)
+    end
 
 let test_insert_pop n =
   Test.make

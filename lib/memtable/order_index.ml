@@ -1,5 +1,5 @@
-(** C0's key order: sorted leaves of at most [width] entries under two
-    levels of separators.
+(** C0's key order: one run of sorted leaves of at most [width] entries,
+    searched by bisecting the leaves' separators.
 
     A leaf keeps each entry's key and value in a fixed slot, written once
     when the entry arrives and cleared when it leaves; key order lives in
@@ -11,12 +11,14 @@
     write barrier once per entry moved. A search compares ints and reads a
     key string only on a tie.
 
-    Above the leaves, an inner node holds up to [width] leaves and the root
-    a growable run of inner nodes, each child with its separator: the
-    smallest key it may hold (unused for a node's first child). A full leaf
-    or inner node splits in half; an emptied one is dropped, so every leaf
-    but a lone last one holds an entry. No entry moves between leaves
-    otherwise.
+    The leaves form one run in key order, each with its separator: the
+    smallest key it may hold (unused for the first leaf). They keep fixed
+    slots in [leaves] and [seps] the same way, and the run is [lslot], a
+    leaf slot per position, beside [spre], each position's separator
+    prefix: a split or a dropped leaf shifts bytes, not pointers, however
+    long the run. A full leaf splits in half and an emptied one is
+    dropped, so every leaf but a lone last one holds an entry. No entry
+    moves between leaves otherwise.
 
     The finger is the snowshovel's position (§4.2): the entry the last
     {!seek_gt} found, with the probe [f_lo] it answered. While [f_ok],
@@ -42,20 +44,17 @@ type 'a leaf = {
   mutable n : int;
 }
 
-(* A node above the leaves: children in key order with their separators. *)
-type 'c node = {
-  mutable kids : 'c array;
-  mutable seps : string array;
-  mutable spre : Bytes.t;  (** separator prefixes past [cp] *)
-  mutable len : int;
-}
-
-(* A position: inner node [ii] of the root, leaf [ci] of it, position [i]
-   of the leaf, which held key [k] when the position was taken. *)
-type cursor = { mutable ii : int; mutable ci : int; mutable i : int; mutable k : string }
+(* A position: position [i] of leaf [ci], which held key [k] when the
+   position was taken. *)
+type cursor = { mutable ci : int; mutable i : int; mutable k : string }
 
 type 'a t = {
-  root : 'a leaf node node;
+  mutable leaves : 'a leaf array;  (** by leaf slot; a free slot holds a live leaf *)
+  mutable seps : string array;  (** by leaf slot: the smallest key the leaf may hold *)
+  mutable lslot : Bytes.t;  (** position -> leaf slot *)
+  mutable spre : Bytes.t;  (** position -> separator prefix past [cp] *)
+  mutable len : int;  (** leaves in the run *)
+  mutable free : int list;  (** leaf slots a dropped leaf left *)
   mutable cp : string;
   mutable seen : bool;  (** [cp] is set: some key was inserted *)
   mutable count : int;
@@ -77,14 +76,16 @@ let new_leaf () =
     n = 0;
   }
 
-let new_node cap kid =
-  { kids = Array.make cap kid; seps = Array.make cap ""; spre = Bytes.create (8 * cap); len = 1 }
-
-let cursor () = { ii = max_int; ci = 0; i = 0; k = "" }
+let cursor () = { ci = max_int; i = 0; k = "" }
 
 let create () =
   {
-    root = new_node 4 (new_node width (new_leaf ()));
+    leaves = Array.make 4 (new_leaf ());
+    seps = Array.make 4 "";
+    lslot = Bytes.make (8 * 4) '\000';
+    spre = Bytes.create (8 * 4);
+    len = 1;
+    free = [];
     cp = "";
     seen = false;
     count = 0;
@@ -97,16 +98,20 @@ let create () =
 let length t = t.count
 let is_empty t = t.count = 0
 
+(* The leaf at position [ci] of the run, and its separator. *)
+let leaf t ci = Array.unsafe_get t.leaves (pre_get t.lslot ci)
+let sep t ci = Array.unsafe_get t.seps (pre_get t.lslot ci)
+
 (* -------------------------------------------------------------------- *)
 (* Searches *)
 
-(* The last child whose separator is <= [key] (child 0 if none). *)
-let child v key pk =
-  let lo = ref 1 and hi = ref v.len in
+(* The last leaf whose separator is <= [key] (leaf 0 if none). *)
+let child t key pk =
+  let lo = ref 1 and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    let sp = pre_get v.spre mid in
-    if sp < pk || (sp = pk && String.compare (Array.unsafe_get v.seps mid) key <= 0) then
+    let sp = pre_get t.spre mid in
+    if sp < pk || (sp = pk && String.compare (sep t mid) key <= 0) then
       lo := mid + 1
     else hi := mid
   done;
@@ -129,34 +134,27 @@ let bound l key pk ~strict =
   done;
   !lo
 
-(* Moves [c] to the first entry at or after position [i] of leaf [ci] of
-   inner node [ii]; false, and [c] untouched, when there is none. *)
-let rec settle t c ii ci i =
-  if ii >= t.root.len then false
+(* Moves [c] to the first entry at or after position [i] of leaf [ci];
+   false, and [c] untouched, when there is none. *)
+let rec settle t c ci i =
+  if ci >= t.len then false
   else
-    let inner = Array.unsafe_get t.root.kids ii in
-    if ci >= inner.len then settle t c (ii + 1) 0 0
-    else
-      let l = Array.unsafe_get inner.kids ci in
-      if i >= l.n then settle t c ii (ci + 1) 0
-      else begin
-        c.ii <- ii;
-        c.ci <- ci;
-        c.i <- i;
-        c.k <- key_at l i;
-        true
-      end
+    let l = leaf t ci in
+    if i >= l.n then settle t c (ci + 1) 0
+    else begin
+      c.ci <- ci;
+      c.i <- i;
+      c.k <- key_at l i;
+      true
+    end
 
-(* Descends to the leaf that may hold [key]: [t.d]'s [ii]/[ci], and the
-   bound in that leaf as [t.d.i]. *)
+(* Descends to the leaf that may hold [key]: [t.d.ci], and the bound in
+   that leaf as [t.d.i]. *)
 let descend t key ~strict =
   let pk = Repro_util.Key_prefix.prefix_at key (String.length t.cp) in
-  let ii = child t.root key pk in
-  let inner = t.root.kids.(ii) in
-  let ci = child inner key pk in
-  t.d.ii <- ii;
+  let ci = child t key pk in
   t.d.ci <- ci;
-  t.d.i <- bound inner.kids.(ci) key pk ~strict;
+  t.d.i <- bound (leaf t ci) key pk ~strict;
   pk
 
 (* Moves [c] to the smallest entry >= [key] (> [key] if [strict]). *)
@@ -165,40 +163,28 @@ let locate t c key ~strict =
   else
     let side = Repro_util.Key_prefix.against_common t.cp key in
     if side > 0 then false
-    else if side < 0 then settle t c 0 0 0
+    else if side < 0 then settle t c 0 0
     else begin
       ignore (descend t key ~strict : int);
-      settle t c t.d.ii t.d.ci t.d.i
+      settle t c t.d.ci t.d.i
     end
-
-let leaf_of t c = (Array.unsafe_get t.root.kids c.ii).kids.(c.ci)
 
 (* [c] still names the entry it was taken at: keys are unique, so the
    same key string at the same position is the same entry. *)
 let holds t c =
-  c.ii < t.root.len
+  c.ci < t.len
   &&
-  let inner = Array.unsafe_get t.root.kids c.ii in
-  c.ci < inner.len
-  &&
-  let l = Array.unsafe_get inner.kids c.ci in
+  let l = leaf t c.ci in
   c.i < l.n && key_at l c.i == c.k
 
 (* Moves [c], which holds, to the next entry; unmoved when there is none. *)
-let step t c = settle t c c.ii c.ci (c.i + 1)
-
-let find t key =
-  let d = t.d in
-  if locate t d key ~strict:false && String.equal d.k key then
-    let l = leaf_of t d in
-    Some (Array.unsafe_get l.vals (slot l d.i))
-  else None
+let step t c = settle t c c.ci (c.i + 1)
 
 (* -------------------------------------------------------------------- *)
 (* Cursors *)
 
 let cursor_key c = c.k
-let cursor_value t c = let l = leaf_of t c in Array.unsafe_get l.vals (slot l c.i)
+let cursor_value t c = let l = leaf t c.ci in Array.unsafe_get l.vals (slot l c.i)
 let cursor_seek_geq t c key = locate t c key ~strict:false
 
 (* After the entry [c] holds; when that entry left or moved, a descent
@@ -209,41 +195,47 @@ let cursor_next t c =
 (* -------------------------------------------------------------------- *)
 (* Structure changes *)
 
-let node_insert v at kid sep sp =
-  if v.len = Array.length v.kids then begin
-    let cap = 2 * v.len in
-    let kids = Array.make cap v.kids.(0) and seps = Array.make cap "" in
-    let spre = Bytes.create (8 * cap) in
-    Array.blit v.kids 0 kids 0 v.len;
-    Array.blit v.seps 0 seps 0 v.len;
-    Bytes.blit v.spre 0 spre 0 (8 * v.len);
-    v.kids <- kids;
-    v.seps <- seps;
-    v.spre <- spre
-  end;
-  let n = v.len - at in
-  Array.blit v.kids at v.kids (at + 1) n;
-  Array.blit v.seps at v.seps (at + 1) n;
-  Bytes.unsafe_blit v.spre (8 * at) v.spre (8 * (at + 1)) (8 * n);
-  v.kids.(at) <- kid;
-  v.seps.(at) <- sep;
-  pre_set v.spre at sp;
-  v.len <- v.len + 1
+(* Puts leaf [l] with separator [sep] at position [at], in a free slot
+   or a new one. *)
+let leaf_insert t at l sep =
+  let s =
+    match t.free with
+    | s :: rest ->
+        t.free <- rest;
+        s
+    | [] ->
+        let cap = Array.length t.leaves in
+        if t.len = cap then begin
+          t.leaves <- Array.append t.leaves (Array.make cap t.leaves.(0));
+          t.seps <- Array.append t.seps (Array.make cap "");
+          t.lslot <- Bytes.extend t.lslot 0 (8 * cap);
+          t.spre <- Bytes.extend t.spre 0 (8 * cap)
+        end;
+        t.len
+  in
+  t.leaves.(s) <- l;
+  t.seps.(s) <- sep;
+  let n = t.len - at in
+  Bytes.unsafe_blit t.lslot (8 * at) t.lslot (8 * (at + 1)) (8 * n);
+  Bytes.unsafe_blit t.spre (8 * at) t.spre (8 * (at + 1)) (8 * n);
+  pre_set t.lslot at s;
+  pre_set t.spre at (pre_get l.pre 0);
+  t.len <- t.len + 1
 
-(* Drops child [at]; the freed cell keeps a live child, so a dropped one
-   is not held. *)
-let node_remove v at =
-  let n = v.len - at - 1 in
-  Array.blit v.kids (at + 1) v.kids at n;
-  Array.blit v.seps (at + 1) v.seps at n;
-  Bytes.unsafe_blit v.spre (8 * (at + 1)) v.spre (8 * at) (8 * n);
-  v.len <- v.len - 1;
-  v.kids.(v.len) <- v.kids.(0);
-  v.seps.(v.len) <- ""
+(* Drops the leaf at position [at], not the run's only one; its slot
+   keeps a live leaf, so a dropped one is not held. *)
+let leaf_remove t at =
+  let s = pre_get t.lslot at and n = t.len - at - 1 in
+  Bytes.unsafe_blit t.lslot (8 * (at + 1)) t.lslot (8 * at) (8 * n);
+  Bytes.unsafe_blit t.spre (8 * (at + 1)) t.spre (8 * at) (8 * n);
+  t.len <- t.len - 1;
+  t.leaves.(s) <- leaf t 0;
+  t.seps.(s) <- "";
+  t.free <- s :: t.free
 
-(* Moves the upper half of leaf [ci] of [inner] into a new leaf after it. *)
-let split_leaf inner ci =
-  let l = inner.kids.(ci) and r = new_leaf () in
+(* Moves the upper half of leaf [ci] into a new leaf after it. *)
+let split_leaf t ci =
+  let l = leaf t ci and r = new_leaf () in
   let m = l.n - half in
   for j = 0 to m - 1 do
     let s = slot l (half + j) in
@@ -255,38 +247,16 @@ let split_leaf inner ci =
   Bytes.blit l.pre (8 * half) r.pre 0 (8 * m);
   r.n <- m;
   l.n <- half;
-  node_insert inner (ci + 1) r r.keys.(0) (pre_get r.pre 0)
-
-(* Moves the upper half of inner node [ii] into a new one after it. *)
-let split_inner t ii =
-  let v = t.root.kids.(ii) in
-  let r = new_node width v.kids.(half) in
-  r.len <- width - half;
-  Array.blit v.kids half r.kids 0 r.len;
-  Array.blit v.seps half r.seps 0 r.len;
-  Bytes.blit v.spre (8 * half) r.spre 0 (8 * r.len);
-  Array.fill v.kids half r.len v.kids.(0);
-  Array.fill v.seps half r.len "";
-  v.len <- half;
-  node_insert t.root (ii + 1) r r.seps.(0) (pre_get r.spre 0)
+  leaf_insert t (ci + 1) r r.keys.(0)
 
 (* The common prefix shrank: recompute every stored prefix. *)
 let reprefix t =
   let c = String.length t.cp in
-  let node_pre v =
-    for i = 0 to v.len - 1 do
-      pre_set v.spre i (Repro_util.Key_prefix.prefix_at v.seps.(i) c)
-    done
-  in
-  node_pre t.root;
-  for ii = 0 to t.root.len - 1 do
-    let inner = t.root.kids.(ii) in
-    node_pre inner;
-    for ci = 0 to inner.len - 1 do
-      let l = inner.kids.(ci) in
-      for i = 0 to l.n - 1 do
-        pre_set l.pre i (Repro_util.Key_prefix.prefix_at (key_at l i) c)
-      done
+  for ci = 0 to t.len - 1 do
+    pre_set t.spre ci (Repro_util.Key_prefix.prefix_at (sep t ci) c);
+    let l = leaf t ci in
+    for i = 0 to l.n - 1 do
+      pre_set l.pre i (Repro_util.Key_prefix.prefix_at (key_at l i) c)
     done
   done
 
@@ -295,13 +265,11 @@ let reprefix t =
 let after_insert t key =
   let fp = t.fp and d = t.d in
   if t.f_ok then
-    if d.ii = fp.ii && d.ci = fp.ci then begin
+    if d.ci = fp.ci then begin
       if d.i < fp.i || (d.i = fp.i && String.compare key t.f_lo <= 0) then fp.i <- fp.i + 1
       else if d.i = fp.i then t.f_ok <- false
     end
-    else if fp.i = 0 && (d.ii < fp.ii || (d.ii = fp.ii && d.ci < fp.ci))
-            && String.compare key t.f_lo > 0
-    then t.f_ok <- false
+    else if fp.i = 0 && d.ci < fp.ci && String.compare key t.f_lo > 0 then t.f_ok <- false
 
 let rec set t key v =
   if not t.seen then begin
@@ -317,12 +285,11 @@ let rec set t key v =
   end;
   let pk = descend t key ~strict:false in
   let d = t.d in
-  let inner = t.root.kids.(d.ii) in
-  let l = inner.kids.(d.ci) in
+  let l = leaf t d.ci in
   let i = d.i in
   if i < l.n && String.equal (key_at l i) key then l.vals.(slot l i) <- v
   else if l.n = width then begin
-    if inner.len = width then split_inner t d.ii else split_leaf inner d.ci;
+    split_leaf t d.ci;
     t.f_ok <- false;
     set t key v
   end
@@ -370,8 +337,7 @@ let seek_gt t key =
 let pop t =
   let fp = t.fp in
   if not (holds t fp) then invalid_arg "Order_index.pop: the finger moved";
-  let inner = t.root.kids.(fp.ii) in
-  let l = inner.kids.(fp.ci) in
+  let l = leaf t fp.ci in
   let i = fp.i in
   let s = slot l i in
   l.keys.(s) <- "";
@@ -383,40 +349,19 @@ let pop t =
   l.n <- l.n - 1;
   t.count <- t.count - 1;
   t.f_lo <- fp.k;
-  if l.n = 0 && (inner.len > 1 || t.root.len > 1) then begin
-    node_remove inner fp.ci;
-    if inner.len = 0 then begin
-      node_remove t.root fp.ii;
-      t.f_ok <- settle t fp fp.ii 0 0
-    end
-    else t.f_ok <- settle t fp fp.ii fp.ci 0
+  if l.n = 0 && t.len > 1 then begin
+    leaf_remove t fp.ci;
+    t.f_ok <- settle t fp fp.ci 0
   end
-  else t.f_ok <- settle t fp fp.ii fp.ci i;
+  else t.f_ok <- settle t fp fp.ci i;
   t.f_ok
-
-(* -------------------------------------------------------------------- *)
-(* Option-returning forms *)
-
-let binding t c = Some (c.k, cursor_value t c)
-
-let succ_geq t key = if seek_geq t key then binding t t.fp else None
-let succ_gt t key = if seek_gt t key then binding t t.fp else None
-
-let remove_succ t key =
-  let found = (holds t t.fp && String.equal t.fp.k key) || seek_geq t key in
-  if not found then None
-  else if String.equal t.fp.k key then if pop t then binding t t.fp else None
-  else binding t t.fp
 
 let fold t init f =
   let acc = ref init in
-  for ii = 0 to t.root.len - 1 do
-    let inner = t.root.kids.(ii) in
-    for ci = 0 to inner.len - 1 do
-      let l = inner.kids.(ci) in
-      for i = 0 to l.n - 1 do
-        acc := f !acc (key_at l i) l.vals.(slot l i)
-      done
+  for ci = 0 to t.len - 1 do
+    let l = leaf t ci in
+    for i = 0 to l.n - 1 do
+      acc := f !acc (key_at l i) l.vals.(slot l i)
     done
   done;
   !acc

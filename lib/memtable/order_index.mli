@@ -1,7 +1,7 @@
 (** C0's key order: sorted leaves of at most 64 entries, each entry in a
     fixed slot, ordered by a per-leaf byte permutation and integer key
-    prefixes, under two levels of separators (see the implementation's
-    header). Not thread-safe.
+    prefixes, in one run under a separator array (see the
+    implementation's header). Not thread-safe.
 
     The index holds one {e finger}, the snowshovel's position (§4.2): the
     entry the last {!seek_gt} or {!seek_geq} found. An ordered consumer
@@ -17,8 +17,6 @@ val is_empty : 'a t -> bool
 
 (** [set t key v] binds [key] to [v], replacing any previous value. *)
 val set : 'a t -> string -> 'a -> unit
-
-val find : 'a t -> string -> 'a option
 
 (** {1 The finger} *)
 
@@ -41,21 +39,6 @@ val value : 'a t -> 'a
     follows. Raises [Invalid_argument] unless the finger's entry is
     still where the last seek or pop left it. *)
 val pop : 'a t -> bool
-
-(** {1 Option forms} *)
-
-(** [succ_geq t key] is the smallest binding with key >= [key]. Moves the
-    finger. *)
-val succ_geq : 'a t -> string -> (string * 'a) option
-
-(** [succ_gt t key] is the smallest binding with key > [key]. Moves the
-    finger. *)
-val succ_gt : 'a t -> string -> (string * 'a) option
-
-(** [remove_succ t key] deletes [key]'s binding, if any, and returns the
-    smallest binding with key > [key]. At the finger's own key (an
-    ordered consumer removing what {!succ_gt} returned) it is a {!pop}. *)
-val remove_succ : 'a t -> string -> (string * 'a) option
 
 (** [fold t init f] folds the bindings in key order. *)
 val fold : 'a t -> 'b -> ('b -> string -> 'a -> 'b) -> 'b

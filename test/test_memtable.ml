@@ -7,6 +7,30 @@ let check = Alcotest.check
 module SMap = Map.Make (String)
 module Order = Memtable.Order_index
 
+(* The order index's answers as options, built on its finger and cursors
+   the way Memtable uses them. [find] reads through a cursor of its own,
+   so it leaves the finger alone. *)
+module Opt = struct
+  let binding t = (Order.key t, Order.value t)
+
+  let find t key =
+    let c = Order.cursor () in
+    if Order.cursor_seek_geq t c key && Order.cursor_key c = key then
+      Some (Order.cursor_value t c)
+    else None
+
+  let succ_geq t key = if Order.seek_geq t key then Some (binding t) else None
+  let succ_gt t key = if Order.seek_gt t key then Some (binding t) else None
+
+  (* Deletes [key]'s binding, if any, and returns the smallest binding
+     past [key]. *)
+  let remove_succ t key =
+    if not (Order.seek_geq t key) then None
+    else if Order.key t <> key then Some (binding t)
+    else if Order.pop t then Some (binding t)
+    else None
+end
+
 (* -------------------------------------------------------------------- *)
 (* The order index. The group and its cases keep the names they had when
    C0's order was a skip list, so their results stay comparable across
@@ -17,11 +41,11 @@ let test_skiplist_basic () =
   Order.set sl "b" 2;
   Order.set sl "a" 1;
   Order.set sl "c" 3;
-  check (Alcotest.option Alcotest.int) "find a" (Some 1) (Order.find sl "a");
-  check (Alcotest.option Alcotest.int) "find missing" None (Order.find sl "zz");
+  check (Alcotest.option Alcotest.int) "find a" (Some 1) (Opt.find sl "a");
+  check (Alcotest.option Alcotest.int) "find missing" None (Opt.find sl "zz");
   check Alcotest.int "length" 3 (Order.length sl);
   Order.set sl "a" 10;
-  check (Alcotest.option Alcotest.int) "overwrite" (Some 10) (Order.find sl "a");
+  check (Alcotest.option Alcotest.int) "overwrite" (Some 10) (Opt.find sl "a");
   check Alcotest.int "length unchanged" 3 (Order.length sl)
 
 let order_bindings sl =
@@ -37,11 +61,11 @@ let test_skiplist_remove () =
   let sl = Order.create () in
   List.iter (fun k -> Order.set sl k k) [ "a"; "b"; "c" ];
   let succ = Alcotest.(option (pair string string)) in
-  check succ "successor of removed" (Some ("c", "c")) (Order.remove_succ sl "b");
-  check (Alcotest.option Alcotest.string) "gone" None (Order.find sl "b");
-  check succ "remove missing" (Some ("c", "c")) (Order.remove_succ sl "b");
+  check succ "successor of removed" (Some ("c", "c")) (Opt.remove_succ sl "b");
+  check (Alcotest.option Alcotest.string) "gone" None (Opt.find sl "b");
+  check succ "remove missing" (Some ("c", "c")) (Opt.remove_succ sl "b");
   check Alcotest.int "length" 2 (Order.length sl);
-  check succ "remove last" None (Order.remove_succ sl "c");
+  check succ "remove last" None (Opt.remove_succ sl "c");
   check (Alcotest.list Alcotest.string) "left" [ "a" ]
     (List.map fst (order_bindings sl))
 
@@ -50,28 +74,28 @@ let test_skiplist_succ_geq () =
   List.iter (fun k -> Order.set sl k ()) [ "b"; "d"; "f" ];
   let key_of = Option.map fst in
   check (Alcotest.option Alcotest.string) "exact" (Some "b")
-    (key_of (Order.succ_geq sl "b"));
+    (key_of (Opt.succ_geq sl "b"));
   check (Alcotest.option Alcotest.string) "between" (Some "d")
-    (key_of (Order.succ_geq sl "c"));
+    (key_of (Opt.succ_geq sl "c"));
   check (Alcotest.option Alcotest.string) "before all" (Some "b")
-    (key_of (Order.succ_geq sl "a"));
+    (key_of (Opt.succ_geq sl "a"));
   check (Alcotest.option Alcotest.string) "past end" None
-    (key_of (Order.succ_geq sl "g"))
+    (key_of (Opt.succ_geq sl "g"))
 
 let test_skiplist_succ_gt () =
   (* an ordered walk resuming strictly past the last key it returned *)
   let sl = Order.create () in
   List.iter (fun k -> Order.set sl k ()) [ "a"; "b"; "c"; "d" ];
   let rec walk acc k =
-    match Order.succ_gt sl k with
+    match Opt.succ_gt sl k with
     | Some (k', ()) when k' <= "c" -> walk (k' :: acc) k'
     | Some _ | None -> List.rev acc
   in
   check (Alcotest.list Alcotest.string) "range" [ "b"; "c" ] (walk [] "a");
   check (Alcotest.option Alcotest.string) "between" (Some "c")
-    (Option.map fst (Order.succ_gt sl "bb"));
+    (Option.map fst (Opt.succ_gt sl "bb"));
   check (Alcotest.option Alcotest.string) "past end" None
-    (Option.map fst (Order.succ_gt sl "d"))
+    (Option.map fst (Opt.succ_gt sl "d"))
 
 (* Model-based property: a random op sequence applied to both the order
    index and Map yields identical contents. *)
@@ -98,10 +122,10 @@ let prop_skiplist_model =
               m := SMap.add k k !m
           | `Remove k ->
               m := SMap.remove k !m;
-              let a = Order.remove_succ sl k in
+              let a = Opt.remove_succ sl k in
               let b = SMap.find_first_opt (fun k' -> k' > k) !m in
               if a <> b then ok := false
-          | `Find k -> if Order.find sl k <> SMap.find_opt k !m then ok := false)
+          | `Find k -> if Opt.find sl k <> SMap.find_opt k !m then ok := false)
         ops;
       !ok
       && order_bindings sl = SMap.bindings !m
@@ -122,7 +146,7 @@ let prop_skiplist_succ_matches_model =
       in
       let probe = Printf.sprintf "%02d" probe in
       let expected = SMap.find_first_opt (fun k -> k >= probe) m in
-      let actual = Order.succ_geq sl probe in
+      let actual = Opt.succ_geq sl probe in
       Option.map fst expected = Option.map fst actual)
 
 
@@ -152,7 +176,7 @@ let late_key =
         (4, early_key);
       ])
 
-(* Over 5,000+ keys, enough to split leaves and inner nodes: inserts,
+(* Over 5,000+ keys, enough to split leaves and grow their run: inserts,
    finds, successor queries and an ordered consumer at a moving cursor
    (peek past the cursor, sometimes walk on without taking, remove what
    it peeked, move the cursor onto it) interleaved with inserts on both
@@ -179,13 +203,14 @@ let prop_order_index_large =
       let geq c = SMap.find_first_opt (fun k -> k >= c) !m in
       let cursor = ref "" in
       let succ_gt c =
-        let got = Order.succ_gt t c in
+        let got = Opt.succ_gt t c in
         if got <> gt c then fail "succ_gt %S: %s, want %s" c (show got) (show (gt c));
         got
       in
       (* one consumer step: peek past the cursor, walk [ahead] records
          further without taking them (as a merge from a frozen C0 does),
-         then remove the peeked record *)
+         then take the peeked record as [Memtable.pop_next] does: seek
+         past the cursor again and pop what the finger found *)
       let consume ?(ahead = 0) () =
         match succ_gt !cursor with
         | None -> cursor := ""
@@ -194,15 +219,17 @@ let prop_order_index_large =
             for _ = 1 to ahead do
               match succ_gt !w with Some (k', _) -> w := k' | None -> ()
             done;
+            if not (Order.seek_gt t !cursor && Order.key t = k) then
+              fail "seek_gt %S: lost %S" !cursor k;
             m := SMap.remove k !m;
-            let got = Order.remove_succ t k in
-            if got <> gt k then fail "remove_succ %S: %s, want %s" k (show got) (show (gt k));
+            let got = if Order.pop t then Some (Opt.binding t) else None in
+            if got <> gt k then fail "pop %S: %s, want %s" k (show got) (show (gt k));
             cursor := k
       in
       let probe k =
-        if Order.find t k <> SMap.find_opt k !m then fail "find %S" k;
-        if Order.succ_geq t k <> geq k then fail "succ_geq %S" k;
-        if Order.succ_gt t k <> gt k then fail "succ_gt %S" k
+        if Opt.find t k <> SMap.find_opt k !m then fail "find %S" k;
+        if Opt.succ_geq t k <> geq k then fail "succ_geq %S" k;
+        if Opt.succ_gt t k <> gt k then fail "succ_gt %S" k
       in
       List.iteri
         (fun i k ->
