@@ -1,5 +1,5 @@
-(** C0's key order: one run of sorted leaves of at most [width] entries,
-    searched by bisecting the leaves' separators.
+(** C0's key order: one growable run of sorted leaves of at most [width]
+    entries under a single separator array.
 
     A leaf keeps each entry's key and value in a fixed slot, written once
     when the entry arrives and cleared when it leaves; key order lives in
@@ -11,14 +11,13 @@
     write barrier once per entry moved. A search compares ints and reads a
     key string only on a tie.
 
-    The leaves form one run in key order, each with its separator: the
-    smallest key it may hold (unused for the first leaf). They keep fixed
-    slots in [leaves] and [seps] the same way, and the run is [lslot], a
-    leaf slot per position, beside [spre], each position's separator
-    prefix: a split or a dropped leaf shifts bytes, not pointers, however
-    long the run. A full leaf splits in half and an emptied one is
-    dropped, so every leaf but a lone last one holds an entry. No entry
-    moves between leaves otherwise.
+    The leaves sit in key order in [leaves], each with its separator: the
+    smallest key it may hold (unused for the first leaf). A full leaf
+    splits in half and an emptied one is dropped, so every leaf but a lone
+    last one holds an entry; both shift the leaves after it, one pointer
+    per leaf through the write barrier. That is ~100 pointers at the C0
+    sizes the benchmarks reach, and dominates at a million keys (~30k
+    leaves). No entry moves between leaves otherwise.
 
     The finger is the snowshovel's position (§4.2): the entry the last
     {!seek_gt} found, with the probe [f_lo] it answered. While [f_ok],
@@ -49,12 +48,10 @@ type 'a leaf = {
 type cursor = { mutable ci : int; mutable i : int; mutable k : string }
 
 type 'a t = {
-  mutable leaves : 'a leaf array;  (** by leaf slot; a free slot holds a live leaf *)
-  mutable seps : string array;  (** by leaf slot: the smallest key the leaf may hold *)
-  mutable lslot : Bytes.t;  (** position -> leaf slot *)
-  mutable spre : Bytes.t;  (** position -> separator prefix past [cp] *)
-  mutable len : int;  (** leaves in the run *)
-  mutable free : int list;  (** leaf slots a dropped leaf left *)
+  mutable leaves : 'a leaf array;  (** in key order; cells [len, ...) repeat leaf 0 *)
+  mutable seps : string array;  (** leaf [ci]'s smallest allowed key; [seps.(0)] unused *)
+  mutable spre : Bytes.t;  (** separator prefixes past [cp] *)
+  mutable len : int;
   mutable cp : string;
   mutable seen : bool;  (** [cp] is set: some key was inserted *)
   mutable count : int;
@@ -82,10 +79,8 @@ let create () =
   {
     leaves = Array.make 4 (new_leaf ());
     seps = Array.make 4 "";
-    lslot = Bytes.make (8 * 4) '\000';
     spre = Bytes.create (8 * 4);
     len = 1;
-    free = [];
     cp = "";
     seen = false;
     count = 0;
@@ -98,10 +93,6 @@ let create () =
 let length t = t.count
 let is_empty t = t.count = 0
 
-(* The leaf at position [ci] of the run, and its separator. *)
-let leaf t ci = Array.unsafe_get t.leaves (pre_get t.lslot ci)
-let sep t ci = Array.unsafe_get t.seps (pre_get t.lslot ci)
-
 (* -------------------------------------------------------------------- *)
 (* Searches *)
 
@@ -111,7 +102,7 @@ let child t key pk =
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     let sp = pre_get t.spre mid in
-    if sp < pk || (sp = pk && String.compare (sep t mid) key <= 0) then
+    if sp < pk || (sp = pk && String.compare (Array.unsafe_get t.seps mid) key <= 0) then
       lo := mid + 1
     else hi := mid
   done;
@@ -139,7 +130,7 @@ let bound l key pk ~strict =
 let rec settle t c ci i =
   if ci >= t.len then false
   else
-    let l = leaf t ci in
+    let l = Array.unsafe_get t.leaves ci in
     if i >= l.n then settle t c (ci + 1) 0
     else begin
       c.ci <- ci;
@@ -154,7 +145,7 @@ let descend t key ~strict =
   let pk = Repro_util.Key_prefix.prefix_at key (String.length t.cp) in
   let ci = child t key pk in
   t.d.ci <- ci;
-  t.d.i <- bound (leaf t ci) key pk ~strict;
+  t.d.i <- bound t.leaves.(ci) key pk ~strict;
   pk
 
 (* Moves [c] to the smallest entry >= [key] (> [key] if [strict]). *)
@@ -174,7 +165,7 @@ let locate t c key ~strict =
 let holds t c =
   c.ci < t.len
   &&
-  let l = leaf t c.ci in
+  let l = Array.unsafe_get t.leaves c.ci in
   c.i < l.n && key_at l c.i == c.k
 
 (* Moves [c], which holds, to the next entry; unmoved when there is none. *)
@@ -184,7 +175,7 @@ let step t c = settle t c c.ci (c.i + 1)
 (* Cursors *)
 
 let cursor_key c = c.k
-let cursor_value t c = let l = leaf t c.ci in Array.unsafe_get l.vals (slot l c.i)
+let cursor_value t c = let l = t.leaves.(c.ci) in Array.unsafe_get l.vals (slot l c.i)
 let cursor_seek_geq t c key = locate t c key ~strict:false
 
 (* After the entry [c] holds; when that entry left or moved, a descent
@@ -195,47 +186,43 @@ let cursor_next t c =
 (* -------------------------------------------------------------------- *)
 (* Structure changes *)
 
-(* Puts leaf [l] with separator [sep] at position [at], in a free slot
-   or a new one. *)
+(* Puts leaf [l] with separator [sep] at [at], after growing the run if
+   it is full. *)
 let leaf_insert t at l sep =
-  let s =
-    match t.free with
-    | s :: rest ->
-        t.free <- rest;
-        s
-    | [] ->
-        let cap = Array.length t.leaves in
-        if t.len = cap then begin
-          t.leaves <- Array.append t.leaves (Array.make cap t.leaves.(0));
-          t.seps <- Array.append t.seps (Array.make cap "");
-          t.lslot <- Bytes.extend t.lslot 0 (8 * cap);
-          t.spre <- Bytes.extend t.spre 0 (8 * cap)
-        end;
-        t.len
-  in
-  t.leaves.(s) <- l;
-  t.seps.(s) <- sep;
+  if t.len = Array.length t.leaves then begin
+    let cap = 2 * t.len in
+    let leaves = Array.make cap t.leaves.(0) and seps = Array.make cap "" in
+    let spre = Bytes.create (8 * cap) in
+    Array.blit t.leaves 0 leaves 0 t.len;
+    Array.blit t.seps 0 seps 0 t.len;
+    Bytes.blit t.spre 0 spre 0 (8 * t.len);
+    t.leaves <- leaves;
+    t.seps <- seps;
+    t.spre <- spre
+  end;
   let n = t.len - at in
-  Bytes.unsafe_blit t.lslot (8 * at) t.lslot (8 * (at + 1)) (8 * n);
+  Array.blit t.leaves at t.leaves (at + 1) n;
+  Array.blit t.seps at t.seps (at + 1) n;
   Bytes.unsafe_blit t.spre (8 * at) t.spre (8 * (at + 1)) (8 * n);
-  pre_set t.lslot at s;
+  t.leaves.(at) <- l;
+  t.seps.(at) <- sep;
   pre_set t.spre at (pre_get l.pre 0);
   t.len <- t.len + 1
 
-(* Drops the leaf at position [at], not the run's only one; its slot
-   keeps a live leaf, so a dropped one is not held. *)
+(* Drops leaf [at]; the freed cell keeps a live leaf, so a dropped one is
+   not held. *)
 let leaf_remove t at =
-  let s = pre_get t.lslot at and n = t.len - at - 1 in
-  Bytes.unsafe_blit t.lslot (8 * (at + 1)) t.lslot (8 * at) (8 * n);
+  let n = t.len - at - 1 in
+  Array.blit t.leaves (at + 1) t.leaves at n;
+  Array.blit t.seps (at + 1) t.seps at n;
   Bytes.unsafe_blit t.spre (8 * (at + 1)) t.spre (8 * at) (8 * n);
   t.len <- t.len - 1;
-  t.leaves.(s) <- leaf t 0;
-  t.seps.(s) <- "";
-  t.free <- s :: t.free
+  t.leaves.(t.len) <- t.leaves.(0);
+  t.seps.(t.len) <- ""
 
 (* Moves the upper half of leaf [ci] into a new leaf after it. *)
 let split_leaf t ci =
-  let l = leaf t ci and r = new_leaf () in
+  let l = t.leaves.(ci) and r = new_leaf () in
   let m = l.n - half in
   for j = 0 to m - 1 do
     let s = slot l (half + j) in
@@ -253,8 +240,8 @@ let split_leaf t ci =
 let reprefix t =
   let c = String.length t.cp in
   for ci = 0 to t.len - 1 do
-    pre_set t.spre ci (Repro_util.Key_prefix.prefix_at (sep t ci) c);
-    let l = leaf t ci in
+    pre_set t.spre ci (Repro_util.Key_prefix.prefix_at t.seps.(ci) c);
+    let l = t.leaves.(ci) in
     for i = 0 to l.n - 1 do
       pre_set l.pre i (Repro_util.Key_prefix.prefix_at (key_at l i) c)
     done
@@ -285,7 +272,7 @@ let rec set t key v =
   end;
   let pk = descend t key ~strict:false in
   let d = t.d in
-  let l = leaf t d.ci in
+  let l = t.leaves.(d.ci) in
   let i = d.i in
   if i < l.n && String.equal (key_at l i) key then l.vals.(slot l i) <- v
   else if l.n = width then begin
@@ -337,7 +324,7 @@ let seek_gt t key =
 let pop t =
   let fp = t.fp in
   if not (holds t fp) then invalid_arg "Order_index.pop: the finger moved";
-  let l = leaf t fp.ci in
+  let l = t.leaves.(fp.ci) in
   let i = fp.i in
   let s = slot l i in
   l.keys.(s) <- "";
@@ -359,7 +346,7 @@ let pop t =
 let fold t init f =
   let acc = ref init in
   for ci = 0 to t.len - 1 do
-    let l = leaf t ci in
+    let l = t.leaves.(ci) in
     for i = 0 to l.n - 1 do
       acc := f !acc (key_at l i) l.vals.(slot l i)
     done
