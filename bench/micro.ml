@@ -17,9 +17,9 @@ let mk_store () =
    fresh key and pops the next key in order past the cursor, wrapping to
    the smallest at the end, so the order index keeps [n] keys. It seeks
    past the key it last took and pops what it found, as
-   [Memtable.pop_next] does. Keys are
-   "user" and 19 digits of an odd multiple of the op's number modulo
-   2^30 (a bijection, so no key repeats), formatted without [Printf]. *)
+   [Memtable.pop_next] does. Keys are "user" and 19 digits of an odd
+   multiple of the op's number modulo 2^30 (a bijection, so no key
+   repeats), formatted without [Printf]. *)
 let c0_insert_pop n =
   let module O = Memtable.Order_index in
   let ix = O.create () in
